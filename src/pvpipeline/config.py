@@ -5,6 +5,7 @@ and construction of a MissionConfig. Precedence: flags > config > defaults.
 from __future__ import annotations
 
 import json
+import math
 
 from .dedup import DbscanParams
 from .detector import ThresholdDetectorConfig
@@ -211,6 +212,10 @@ def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
         epsilon=s.get("epsilon", d.epsilon), min_pts=s.get("min_pts", d.min_pts)))
 
     tel = get("telemetry", {})
+    match_radius = tel.get("match_radius_m", base.match_radius_m)
+    if not (math.isfinite(match_radius) and match_radius > 0):
+        raise ConfigError("$.telemetry.match_radius_m: must be positive and "
+                          "finite")
     seed = raw.get("seed", base.seed)
     if seed_override is not None:
         seed = seed_override
@@ -223,7 +228,7 @@ def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
         detector=detector, noise=noise, render=render, policy=policy,
         reacq_enabled=rea.get("enabled", base.reacq_enabled),
         dbscan=dbscan,
-        match_radius_m=tel.get("match_radius_m", base.match_radius_m),
+        match_radius_m=match_radius,
         clahe_enabled=tel.get("clahe", base.clahe_enabled))
 
 

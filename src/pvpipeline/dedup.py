@@ -8,10 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
-                      haversine_distance, polygon_centroid)
+                      neighbours_within, polygon_centroid, shoelace)
 from .geoprojection import ProjectedDetection
 
 NOISE = -1
@@ -27,8 +25,8 @@ class DbscanParams:
     min_pts: int = 2
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DedupError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DedupError("epsilon must be positive and finite")
         if self.min_pts < 1:
             raise DedupError("min_pts must be at least 1")
 
@@ -52,23 +50,24 @@ def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
 
     Labels are cluster indices (contiguous from 0) or NOISE. Core-point
     expansion proceeds in input order, so labels are deterministic.
+
+    Epsilon-neighbourhoods come from the grid index of
+    :func:`geodesy.neighbours_within`: one haversine per pair in adjacent
+    epsilon-sized cells, O(n + neighbour pairs) memory, in place of the
+    n x n distance matrix. Each list is ascending and holds the point
+    itself, so the labels equal those of the brute-force O(n^2) version,
+    which the tests keep as the oracle.
     """
     n = len(points)
-    if n == 0:
-        return []
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = haversine_distance(points[i], points[j])
-            dist[i, j] = dist[j, i] = d
-    neighbors = [np.nonzero(dist[i] <= epsilon)[0] for i in range(n)]
+    neighbors = [[j for j, _ in found]
+                 for found in neighbours_within(points, epsilon)]
 
     labels = [None] * n
     cluster = 0
     for i in range(n):
         if labels[i] is not None:
             continue
-        if neighbors[i].size < min_pts:
+        if len(neighbors[i]) < min_pts:
             labels[i] = NOISE
             continue
         labels[i] = cluster
@@ -82,7 +81,7 @@ def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
             if labels[j] is not None:
                 continue
             labels[j] = cluster
-            if neighbors[j].size >= min_pts:
+            if len(neighbors[j]) >= min_pts:
                 queue.extend(neighbors[j])
         cluster += 1
     return labels
@@ -117,16 +116,6 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _polygon_area(xy) -> float:
-    area = 0.0
-    n = len(xy)
-    for i in range(n):
-        x0, y0 = xy[i]
-        x1, y1 = xy[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2.0
-
-
 def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     """Merge detections of one cluster into a canonical event.
 
@@ -137,12 +126,11 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     if not members:
         raise DedupError("cannot merge an empty cluster")
     anchor = members[0].polygon.vertices[0]
-    all_xy = []
+    rings = []
     for det in members:
-        for v in det.polygon.vertices:
-            off = geo_to_enu(anchor, v)
-            all_xy.append((off.east, off.north))
-    hull = convex_hull(all_xy)
+        offs = [geo_to_enu(anchor, v) for v in det.polygon.vertices]
+        rings.append([(off.east, off.north) for off in offs])
+    hull = convex_hull([xy for ring in rings for xy in ring])
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
         best = max(members, key=lambda d: d.detection.confidence)
@@ -151,10 +139,8 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     else:
         hull_poly = GeoPolygon(vertices=tuple(
             enu_to_geo(anchor, EnuOffset(east=x, north=y)) for x, y in hull))
-        member_area = max(_polygon_area(
-            [(geo_to_enu(anchor, v).east, geo_to_enu(anchor, v).north)
-             for v in det.polygon.vertices]) for det in members)
-        excess = max(_polygon_area(hull) - member_area, 0.0)
+        member_area = max(abs(shoelace(ring)[0]) for ring in rings) / 2.0
+        excess = max(abs(shoelace(hull)[0]) / 2.0 - member_area, 0.0)
     centroid, _ = polygon_centroid(hull_poly)
     best = max(members, key=lambda d: d.detection.confidence)
     return DefectEvent(
@@ -223,6 +209,29 @@ class GroundTruthPoint:
     class_id: str
 
 
+def nearest_ground_truth(points, ground_truth, match_radius: float,
+                         classes=None) -> list:
+    """For each point, the index of the nearest ground truth (anything with
+    .position and .class_id) within match_radius meters, or None. With
+    ``classes`` (one class id per point) only ground truth of the point's
+    class counts. On equal distance the
+    later ground truth wins. One grid index over the ground truth serves
+    all points (see :func:`geodesy.neighbours_within`).
+    """
+    found = neighbours_within(points, match_radius,
+                              [gt.position for gt in ground_truth])
+    out = []
+    for k, near in enumerate(found):
+        best, best_d = None, math.inf
+        for gi, d in near:
+            if classes is not None and ground_truth[gi].class_id != classes[k]:
+                continue
+            if d <= best_d:
+                best, best_d = gi, d
+        out.append(best)
+    return out
+
+
 def dup_fp_rate(items, ground_truth, match_radius: float = 1.0,
                 class_aware: bool = True, denominator: str = "total") -> float:
     """Duplicate-induced false-positive rate.
@@ -235,25 +244,20 @@ def dup_fp_rate(items, ground_truth, match_radius: float = 1.0,
     denominator: "total" divides by all items (default); "fp" divides by
     the number of unmatched-or-duplicate items (false positives only).
     """
-    if match_radius <= 0:
-        raise DedupError("match_radius must be positive")
+    if not (math.isfinite(match_radius) and match_radius > 0):
+        raise DedupError("match_radius must be positive and finite")
     if denominator not in ("total", "fp"):
         raise DedupError("denominator must be 'total' or 'fp'")
     if not items:
         return 0.0
+    classes = None
+    if class_aware:
+        classes = [item.class_id if hasattr(item, "class_id")
+                   else item.detection.class_id for item in items]
     match_counts = [0] * len(ground_truth)
     unmatched = 0
-    for item in items:
-        cls = item.class_id if hasattr(item, "class_id") else item.detection.class_id
-        best = None
-        best_d = match_radius
-        for gi, gt in enumerate(ground_truth):
-            if class_aware and gt.class_id != cls:
-                continue
-            d = haversine_distance(item.centroid, gt.position)
-            if d <= best_d:
-                best = gi
-                best_d = d
+    for best in nearest_ground_truth([item.centroid for item in items],
+                                     ground_truth, match_radius, classes):
         if best is None:
             unmatched += 1
         else:

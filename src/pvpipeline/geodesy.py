@@ -1,5 +1,5 @@
 """Geodetic primitives: WGS84 points, local tangent-plane (ENU) conversion,
-and great-circle (haversine) distance.
+great-circle (haversine) distance and a grid-indexed radius search.
 
 All polygon geometry at plant scale is done on a local equirectangular
 tangent plane; errors are negligible for sub-kilometer extents.
@@ -99,6 +99,95 @@ def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = DEFAULT_EAR
     return 2.0 * earth.radius * math.asin(math.sqrt(s))
 
 
+# Slack on the grid cell bounds, relative and in degrees: roundoff in the
+# haversine evaluation and in binning must never put a pair within the
+# radius two cells apart.
+_CELL_SLACK_REL = 1e-9
+_CELL_SLACK_DEG = 1e-9
+
+
+def _grid_cells(radius: float, max_abs_lat: float, earth: EarthModel):
+    """Row height in degrees and number of longitude columns such that two
+    points within ``radius`` of each other, both at |lat| <= max_abs_lat,
+    lie in the same or adjacent cells."""
+    half = min(radius / (2.0 * earth.radius), math.pi / 2.0)
+    # sin^2(dphi / 2) <= s <= sin^2(radius / 2R)  =>  |dphi| <= radius / R
+    row = math.degrees(2.0 * half) * (1.0 + _CELL_SLACK_REL) + _CELL_SLACK_DEG
+    # cos(phi1) cos(phi2) sin^2(dlmb / 2) <= sin^2(radius / 2R)
+    #   =>  sin(|dlmb| / 2) <= sin(radius / 2R) / cos(phi_max)
+    bound = (math.sin(half) / math.cos(math.radians(max_abs_lat))
+             * (1.0 + _CELL_SLACK_REL))
+    if bound >= 1.0:
+        return row, 1
+    col = math.degrees(2.0 * math.asin(bound)) * (1.0 + _CELL_SLACK_REL) \
+        + _CELL_SLACK_DEG
+    ncols = int(360.0 / col)
+    return row, (ncols if ncols >= 3 else 1)
+
+
+def neighbours_within(points, radius: float, targets=None,
+                      earth: EarthModel = DEFAULT_EARTH) -> list:
+    """Every target within ``radius`` meters of each point.
+
+    Returns one list per point of (index, distance) pairs in ascending index
+    order, holding each target with haversine_distance(point, target) <=
+    radius. With ``targets`` None the points are searched against
+    themselves: each list holds the point itself at distance 0.0, and each
+    pair i < j is evaluated once, as haversine_distance(points[i],
+    points[j]).
+
+    Candidates come from a dict of cells: latitude rows by longitude
+    columns, sized from the bounds every pair within the radius obeys,
+    |dphi| <= radius / R and sin(|dlmb| / 2) <= sin(radius / 2R) /
+    cos(phi_max), plus a fixed slack, so such a pair lies in the same or an
+    adjacent cell. The columns split the full circle evenly and wrap, so a
+    set across the antimeridian stays contiguous; where the longitude bound
+    reaches 1 (near a pole) there is a single column. Cost: O(n + m) to bin
+    and one haversine per candidate pair in the 3x3 cells around each
+    point, instead of n * m. The result equals the brute-force scan.
+    """
+    if not 0.0 <= radius < math.inf:
+        raise GeodesyError("search radius must be finite and non-negative")
+    self_search = targets is None
+    if self_search:
+        targets = points
+    out = [[] for _ in points]
+    if not points or not targets:
+        return out
+    row, ncols = _grid_cells(
+        radius, max(abs(p.lat) for seq in (points, targets) for p in seq),
+        earth)
+    col = 360.0 / ncols
+
+    def cell(p):
+        return (math.floor(p.lat / row),
+                math.floor((p.lon + 180.0) / col) % ncols)
+
+    grid = {}
+    for j, t in enumerate(targets):
+        grid.setdefault(cell(t), []).append(j)
+    steps = (-1, 0, 1) if ncols > 1 else (0,)
+    for i, p in enumerate(points):
+        r, c = cell(p)
+        found = out[i]
+        cands = sorted(j for dr in (-1, 0, 1) for dc in steps
+                       for j in grid.get((r + dr, (c + dc) % ncols), ()))
+        if self_search:
+            found.append((i, 0.0))
+            for j in cands:
+                if j > i:
+                    d = haversine_distance(p, targets[j], earth)
+                    if d <= radius:
+                        found.append((j, d))
+                        out[j].append((i, d))
+        else:
+            for j in cands:
+                d = haversine_distance(p, targets[j], earth)
+                if d <= radius:
+                    found.append((j, d))
+    return out
+
+
 def geo_to_enu(origin: GeoPoint, p: GeoPoint, earth: EarthModel = DEFAULT_EARTH) -> EnuOffset:
     """Equirectangular tangent-plane offset of ``p`` relative to ``origin``.
 
@@ -124,16 +213,12 @@ def enu_to_geo(origin: GeoPoint, off: EnuOffset, earth: EarthModel = DEFAULT_EAR
     return GeoPoint(lat=lat, lon=lon, alt=origin.alt + off.up)
 
 
-def polygon_centroid(poly: GeoPolygon, earth: EarthModel = DEFAULT_EARTH):
-    """Area-weighted centroid of a polygon, computed on the ENU plane anchored
-    at the first vertex and mapped back to WGS84.
+def shoelace(xy):
+    """Shoelace sums over the closed ring of (x, y) tuples.
 
-    Returns (centroid: GeoPoint, degenerate: bool). Zero-area polygons fall
-    back to the vertex mean and are flagged degenerate.
+    Returns (twice the signed area, sum of (x0 + x1) * cross, sum of
+    (y0 + y1) * cross), accumulated edge by edge in ring order.
     """
-    anchor = poly.vertices[0]
-    pts = [geo_to_enu(anchor, v, earth) for v in poly.vertices]
-    xy = [(p.east, p.north) for p in pts]
     area2 = 0.0
     cx = 0.0
     cy = 0.0
@@ -145,6 +230,21 @@ def polygon_centroid(poly: GeoPolygon, earth: EarthModel = DEFAULT_EARTH):
         area2 += cross
         cx += (x0 + x1) * cross
         cy += (y0 + y1) * cross
+    return area2, cx, cy
+
+
+def polygon_centroid(poly: GeoPolygon, earth: EarthModel = DEFAULT_EARTH):
+    """Area-weighted centroid of a polygon, computed on the ENU plane anchored
+    at the first vertex and mapped back to WGS84.
+
+    Returns (centroid: GeoPoint, degenerate: bool). Zero-area polygons fall
+    back to the vertex mean and are flagged degenerate.
+    """
+    anchor = poly.vertices[0]
+    pts = [geo_to_enu(anchor, v, earth) for v in poly.vertices]
+    xy = [(p.east, p.north) for p in pts]
+    area2, cx, cy = shoelace(xy)
+    n = len(xy)
     if abs(area2) < 1e-12:
         mx = sum(x for x, _ in xy) / n
         my = sum(y for _, y in xy) / n

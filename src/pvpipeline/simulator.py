@@ -28,11 +28,12 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .dedup import DbscanParams, GroundTruthPoint, deduplicate, dup_fp_rate
+from .dedup import (DbscanParams, GroundTruthPoint, deduplicate, dup_fp_rate,
+                    nearest_ground_truth)
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .fusion import FusionModel, ToySample, downsample, gated_fuse, \
     mean_pairwise_distance
-from .geodesy import EnuOffset, GeoPoint, enu_to_geo
+from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
 from .geoprojection import Attitude, GroundPlane, UavPose, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, backproject, \
@@ -486,16 +487,6 @@ def _fusion_embed(model: FusionModel, luts, temp: TemperatureMap,
     return mean_pairwise_distance(zs)
 
 
-def _nearest_gt(point: GeoPoint, defects, match_radius: float):
-    from .geodesy import haversine_distance
-    best, best_d = None, match_radius
-    for i, d in enumerate(defects):
-        dist = haversine_distance(point, d.position)
-        if dist <= best_d:
-            best, best_d = i, dist
-    return best
-
-
 def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
                         frame_idx: int) -> list:
     if rate <= 0.0:
@@ -570,6 +561,7 @@ def run_mission(config: MissionConfig):
             current = min(redetections, key=lambda d: math.hypot(
                 d.bbox.center[0] - intr.cx, d.bbox.center[1] - intr.cy))
 
+    projections = []
     for frame_idx, packet in enumerate(packets):
         trace.frames += 1
         trace.ledger.record_frame(intr.width, intr.height)
@@ -594,19 +586,21 @@ def run_mission(config: MissionConfig):
                 timestamp=_ts_utc(config.start_utc, packet.time_s),
                 media_rgb=f"sim://{config.site_id}/{packet.frame_id}.jpg",
                 media_tiff=f"sim://{config.site_id}/{packet.frame_id}.tif")
-            gt_index = _nearest_gt(projected.centroid, defects,
-                                   config.match_radius_m)
-            if gt_index is not None:
-                # Stand-in for the classifier head: ground-truth class of
-                # the nearest defect.
-                relabeled = Detection(
-                    bbox=accepted.bbox, class_id=defects[gt_index].class_id,
-                    confidence=accepted.confidence,
-                    peak_temp_c=accepted.peak_temp_c)
-                projected = replace(projected, detection=relabeled)
-            trace.accepted.append(AcceptedDetection(
-                projected=projected, gt_index=gt_index,
-                via_reacq=False))
+            projections.append(projected)
+
+    gt_indices = nearest_ground_truth([p.centroid for p in projections],
+                                      defects, config.match_radius_m)
+    for projected, gt_index in zip(projections, gt_indices):
+        if gt_index is not None:
+            # Stand-in for the classifier head: ground-truth class of the
+            # nearest defect.
+            det = projected.detection
+            relabeled = Detection(
+                bbox=det.bbox, class_id=defects[gt_index].class_id,
+                confidence=det.confidence, peak_temp_c=det.peak_temp_c)
+            projected = replace(projected, detection=relabeled)
+        trace.accepted.append(AcceptedDetection(
+            projected=projected, gt_index=gt_index, via_reacq=False))
 
     trace.events = deduplicate([a.projected for a in trace.accepted],
                                config.dbscan)
@@ -626,13 +620,10 @@ def evaluate(trace: MissionTrace, defects=None,
     gt = [GroundTruthPoint(position=d.position, class_id=d.class_id)
           for d in defects]
 
-    from .geodesy import haversine_distance
-    matched = set()
-    for event in trace.events:
-        for i, d in enumerate(defects):
-            if (event.class_id == d.class_id
-                    and haversine_distance(event.centroid, d.position) <= radius):
-                matched.add(i)
+    near = neighbours_within([e.centroid for e in trace.events], radius,
+                             [d.position for d in defects])
+    matched = {i for event, found in zip(trace.events, near)
+               for i, _ in found if defects[i].class_id == event.class_id}
     small = [i for i, d in enumerate(defects) if d.is_small]
     recall = len(matched) / len(defects) if defects else 1.0
     recall_small = (len(matched & set(small)) / len(small)) if small else 1.0

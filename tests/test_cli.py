@@ -156,6 +156,28 @@ def test_dedup_cli_invalid_epsilon_exits_1(tmp_path):
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_dedup_cli_non_finite_epsilon_exits_1(tmp_path, epsilon):
+    data = tmp_path / "in.jsonl"
+    data.write_text("")
+    out = tmp_path / "o.json"
+    result = _run(["dedup", "--input", str(data), "--epsilon", epsilon,
+                   "--out", str(out)])
+    assert result.returncode == 1
+    assert "usage error" in result.stderr
+    assert not out.exists()
+
+
+def test_config_rejects_non_finite_radii():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="epsilon"):
+            config_from_dict({"dedup": {"epsilon": bad}})
+        with pytest.raises(ConfigError, match="match_radius_m"):
+            config_from_dict({"telemetry": {"match_radius_m": bad}})
+    with pytest.raises(ConfigError, match="match_radius_m"):
+        config_from_dict({"telemetry": {"match_radius_m": 0.0}})
+
+
 def test_dedup_cli_malformed_input_names_line(tmp_path):
     data = tmp_path / "in.jsonl"
     data.write_text('{"class": "hotspot"}\n')

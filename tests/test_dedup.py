@@ -208,5 +208,10 @@ def test_dedup_validation_errors():
         DbscanParams(min_pts=0)
     with pytest.raises(DedupError):
         dup_fp_rate([], [], match_radius=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DedupError):
+            DbscanParams(epsilon=bad)
+        with pytest.raises(DedupError):
+            dup_fp_rate([], [], match_radius=bad)
     with pytest.raises(DedupError):
         dup_fp_rate([], [], denominator="bogus")

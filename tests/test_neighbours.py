@@ -1,0 +1,296 @@
+"""Grid-indexed radius search against brute-force oracles.
+
+`geodesy.neighbours_within` and everything built on it (DBSCAN, ground-truth
+matching, the Dup-FP metric) must give exactly what an O(n * m) scan over
+every pair gives. The oracles below are those scans.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pvpipeline.dedup import (NOISE, GroundTruthPoint, dbscan_labels,
+                              dup_fp_rate, nearest_ground_truth)
+from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
+                                haversine_distance, neighbours_within)
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+
+def _self_neighbours_oracle(points, epsilon):
+    """Each pair evaluated lower index first, as DBSCAN did with its n x n
+    matrix."""
+    n = len(points)
+    out = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                out[i].append((i, 0.0))
+                continue
+            d = haversine_distance(points[min(i, j)], points[max(i, j)])
+            if d <= epsilon:
+                out[i].append((j, d))
+    return out
+
+
+def _cross_neighbours_oracle(queries, targets, radius):
+    out = []
+    for q in queries:
+        dists = [haversine_distance(q, t) for t in targets]
+        out.append([(j, d) for j, d in enumerate(dists) if d <= radius])
+    return out
+
+
+def _dbscan_oracle(points, epsilon, min_pts):
+    """DBSCAN over a dense n x n haversine matrix."""
+    n = len(points)
+    if n == 0:
+        return []
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = haversine_distance(points[i], points[j])
+            dist[i, j] = dist[j, i] = d
+    neighbors = [np.nonzero(dist[i] <= epsilon)[0] for i in range(n)]
+
+    labels = [None] * n
+    cluster = 0
+    for i in range(n):
+        if labels[i] is not None:
+            continue
+        if neighbors[i].size < min_pts:
+            labels[i] = NOISE
+            continue
+        labels[i] = cluster
+        queue = list(neighbors[i])
+        k = 0
+        while k < len(queue):
+            j = queue[k]
+            k += 1
+            if labels[j] == NOISE:
+                labels[j] = cluster  # border point
+            if labels[j] is not None:
+                continue
+            labels[j] = cluster
+            if neighbors[j].size >= min_pts:
+                queue.extend(neighbors[j])
+        cluster += 1
+    return labels
+
+
+def _nearest_gt_oracle(point, ground_truth, match_radius, cls=None):
+    best, best_d = None, match_radius
+    for i, gt in enumerate(ground_truth):
+        if cls is not None and gt.class_id != cls:
+            continue
+        dist = haversine_distance(point, gt.position)
+        if dist <= best_d:
+            best, best_d = i, dist
+    return best
+
+
+def _dup_fp_oracle(items, ground_truth, match_radius, class_aware,
+                   denominator):
+    match_counts = [0] * len(ground_truth)
+    unmatched = 0
+    for item in items:
+        best = _nearest_gt_oracle(item.centroid, ground_truth, match_radius,
+                                  item.class_id if class_aware else None)
+        if best is None:
+            unmatched += 1
+        else:
+            match_counts[best] += 1
+    duplicates = sum(max(m - 1, 0) for m in match_counts)
+    if denominator == "total":
+        return duplicates / len(items)
+    fps = duplicates + unmatched
+    return duplicates / fps if fps else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Point sets
+# ---------------------------------------------------------------------------
+
+MAX_LAT = 89.99
+
+
+def _offset(lat0, lon0, east, north):
+    """A point `east`/`north` meters from (lat0, lon0) on the sphere's local
+    scale. Longitude is left to GeoPoint to wrap, so sets near lon +-180
+    straddle the antimeridian."""
+    lat = min(max(lat0 + math.degrees(north / MEAN_EARTH_RADIUS_M),
+                  -MAX_LAT), MAX_LAT)
+    lon = lon0 + math.degrees(
+        east / (MEAN_EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+    return GeoPoint(lat=lat, lon=lon)
+
+
+_meters = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def scenes(draw):
+    """(points, epsilon): a cloud around one centre, some exact duplicates,
+    some partners at a common nominal distance, shuffled; epsilon either
+    drawn or set to one pair's distance times 1 - 1e-12, 1 or 1 + 1e-12."""
+    kind = draw(st.sampled_from(["plant", "antimeridian", "polar", "global"]))
+    lat0 = draw(st.floats(-60.0, 60.0))
+    lon0 = draw(st.floats(-180.0, 180.0, exclude_max=True))
+    span = draw(st.sampled_from([2.0, 20.0, 200.0]))
+    if kind == "antimeridian":
+        lon0 = 180.0 + draw(st.floats(-1e-4, 1e-4))
+    elif kind == "polar":
+        lat0 = draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.floats(89.9, MAX_LAT))
+    if kind == "global":
+        points = [GeoPoint(lat=lat, lon=lon) for lat, lon in draw(st.lists(
+            st.tuples(st.floats(-MAX_LAT, MAX_LAT),
+                      st.floats(-180.0, 180.0, exclude_max=True)),
+            min_size=1, max_size=25))]
+    else:
+        points = [_offset(lat0, lon0, span * e, span * n)
+                  for e, n in draw(st.lists(st.tuples(_meters, _meters),
+                                            min_size=1, max_size=25))]
+    partner_d = span * draw(st.floats(0.05, 0.5))
+    for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=6)):
+        bearing = draw(st.floats(0.0, 2.0 * math.pi))
+        p = points[i]
+        points.append(_offset(p.lat, p.lon, partner_d * math.sin(bearing),
+                              partner_d * math.cos(bearing)))
+    points += [points[i] for i in draw(
+        st.lists(st.integers(0, len(points) - 1), max_size=4))]
+    points = [points[i] for i in draw(st.permutations(range(len(points))))]
+
+    epsilon = None
+    if len(points) >= 2 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, len(points) - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        d = haversine_distance(points[i], points[j])
+        if d > 0.0:
+            epsilon = d * draw(st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]))
+    if epsilon is None:
+        high = 2.5e7 if kind == "global" else span
+        epsilon = draw(st.floats(0.01, high))
+    return points, epsilon
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@given(scenes())
+def test_self_neighbours_equal_brute_force(scene):
+    points, epsilon = scene
+    assert neighbours_within(points, epsilon) == \
+        _self_neighbours_oracle(points, epsilon)
+
+
+@given(scenes(), st.integers(1, 4))
+def test_dbscan_labels_equal_brute_force(scene, min_pts):
+    points, epsilon = scene
+    assert dbscan_labels(points, epsilon, min_pts) == \
+        _dbscan_oracle(points, epsilon, min_pts)
+
+
+@given(scenes(), st.data())
+def test_cross_neighbours_equal_brute_force(scene, data):
+    points, radius = scene
+    split = data.draw(st.integers(0, len(points)))
+    queries, targets = points[:split], points[split:]
+    assert neighbours_within(queries, radius, targets) == \
+        _cross_neighbours_oracle(queries, targets, radius)
+
+
+_classes = st.sampled_from(["hotspot", "diode_fault"])
+
+
+class _Item:
+    def __init__(self, centroid, class_id):
+        self.centroid = centroid
+        self.class_id = class_id
+
+
+@given(scenes(), st.data())
+def test_ground_truth_matching_equals_brute_force(scene, data):
+    points, radius = scene
+    split = data.draw(st.integers(1, len(points)))
+    labels = data.draw(st.lists(_classes, min_size=len(points),
+                                max_size=len(points)))
+    items = [_Item(p, c) for p, c in zip(points[:split], labels)]
+    gt = [GroundTruthPoint(position=p, class_id=c)
+          for p, c in zip(points[split:], labels[split:])]
+    centroids = [item.centroid for item in items]
+    assert nearest_ground_truth(centroids, gt, radius) == \
+        [_nearest_gt_oracle(p, gt, radius) for p in centroids]
+    assert nearest_ground_truth(centroids, gt, radius,
+                                [item.class_id for item in items]) == \
+        [_nearest_gt_oracle(item.centroid, gt, radius, item.class_id)
+         for item in items]
+    for class_aware in (True, False):
+        for denominator in ("total", "fp"):
+            assert dup_fp_rate(items, gt, radius, class_aware, denominator) \
+                == _dup_fp_oracle(items, gt, radius, class_aware, denominator)
+
+
+# ---------------------------------------------------------------------------
+# Hand cases
+# ---------------------------------------------------------------------------
+
+# 2**-20 degrees: query longitude +- this is exact, so the two ground truths
+# below are at exactly equal haversine distance from the query.
+_STEP = 2.0 ** -20
+
+
+def test_equidistant_tie_goes_to_later_ground_truth():
+    query = GeoPoint(lat=49.5, lon=26.5)
+    west = GeoPoint(lat=49.5, lon=26.5 - _STEP)
+    east = GeoPoint(lat=49.5, lon=26.5 + _STEP)
+    assert haversine_distance(query, west) == haversine_distance(query, east)
+    for order in ((west, east), (east, west), (east, east)):
+        gt = [GroundTruthPoint(position=p, class_id="hotspot") for p in order]
+        assert nearest_ground_truth([query], gt, 1.0) == [1]
+        assert _nearest_gt_oracle(query, gt, 1.0) == 1
+    # Same class only: the later, other-class ground truth is skipped.
+    gt = [GroundTruthPoint(position=west, class_id="hotspot"),
+          GroundTruthPoint(position=east, class_id="diode_fault")]
+    assert nearest_ground_truth([query], gt, 1.0, ["hotspot"]) == [0]
+    items = [_Item(query, "hotspot"), _Item(query, "hotspot")]
+    assert dup_fp_rate(items, gt, 1.0) == 0.5
+    assert dup_fp_rate(items, gt, 1.0, class_aware=False) == 0.5
+
+
+def test_pair_exactly_at_radius_is_a_neighbour():
+    a = GeoPoint(lat=10.0, lon=179.99999)
+    b = GeoPoint(lat=10.0, lon=-179.99999)
+    d = haversine_distance(a, b)
+    assert 2.0 < d < 2.5
+    assert neighbours_within([a, b], d) == [[(0, 0.0), (1, d)],
+                                            [(0, d), (1, 0.0)]]
+    below = math.nextafter(d, 0.0)
+    assert neighbours_within([a, b], below) == [[(0, 0.0)], [(1, 0.0)]]
+    assert neighbours_within([a], d, [b]) == [[(0, d)]]
+
+
+def test_across_the_pole_and_empty_inputs():
+    # 180 degrees of longitude apart, 2.2 m apart through the pole.
+    a = GeoPoint(lat=89.99999, lon=0.0)
+    b = GeoPoint(lat=89.99999, lon=180.0)
+    d = haversine_distance(a, b)
+    assert d < 2.5
+    assert neighbours_within([a, b], 2.5) == [[(0, 0.0), (1, d)],
+                                              [(0, d), (1, 0.0)]]
+    assert neighbours_within([], 1.0) == []
+    assert neighbours_within([a], 1.0, []) == [[]]
+    assert dbscan_labels([], 1.0, 2) == []
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_radius_must_be_finite_and_non_negative(radius):
+    with pytest.raises(GeodesyError):
+        neighbours_within([GeoPoint(lat=0.0, lon=0.0)], radius)
