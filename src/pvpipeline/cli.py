@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -38,20 +37,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _atomic_write(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -59,7 +44,7 @@ def _atomic_write(path: str, data: bytes):
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
     from .simulator import evaluate, metrics_csv, run_mission
-    from .telemetry import detection_record_lines, to_json, to_kml
+    from .telemetry import FileSink, detection_record_lines, to_json, to_kml
 
     try:
         config = load_config(args.config, seed_override=args.seed)
@@ -88,13 +73,16 @@ def cmd_simulate(args) -> int:
         f"bandwidth_savings={metrics.bandwidth_savings:.4f}\n"
         f"reacq_rounds={metrics.reacq_rounds} "
         f"reacq_confirms={metrics.reacq_confirms}\n")
-    _atomic_write(os.path.join(out, "report.json"), to_json(report))
-    _atomic_write(os.path.join(out, "report.kml"), to_kml(report))
-    _atomic_write(os.path.join(out, "metrics.csv"),
-                  metrics_csv(metrics).encode("utf-8"))
-    _atomic_write(os.path.join(out, "summary.txt"), summary.encode("utf-8"))
-    _atomic_write(os.path.join(out, "detections.jsonl"),
-                  detection_record_lines([a.projected for a in trace.accepted]))
+    outputs = {
+        "report.json": to_json(report),
+        "report.kml": to_kml(report),
+        "metrics.csv": metrics_csv(metrics).encode("utf-8"),
+        "summary.txt": summary.encode("utf-8"),
+        "detections.jsonl": detection_record_lines(
+            [a.projected for a in trace.accepted]),
+    }
+    for name, data in outputs.items():
+        FileSink(os.path.join(out, name)).send(data)
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -105,7 +93,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
-    from .telemetry import TelemetryError, event_to_record, \
+    from .telemetry import FileSink, TelemetryError, event_to_record, \
         parse_detection_record_lines, _record_json
 
     try:
@@ -132,7 +120,7 @@ def cmd_dedup(args) -> int:
         return EXIT_RUNTIME
     body = ("[" + ",".join(_record_json(event_to_record(e)) for e in events)
             + "]").encode("utf-8")
-    _atomic_write(args.out, body)
+    FileSink(args.out).send(body)
     print(f"detections in: {len(detections)}  events out: {len(events)}")
     return EXIT_OK
 
@@ -286,7 +274,7 @@ def cmd_reacquire_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export_kml(args) -> int:
-    from .telemetry import TelemetryError, parse_report, to_kml
+    from .telemetry import FileSink, TelemetryError, parse_report, to_kml
     try:
         with open(args.report, "rb") as fh:
             report = parse_report(fh.read())
@@ -296,7 +284,7 @@ def cmd_export_kml(args) -> int:
     except (TelemetryError, ValueError, KeyError) as exc:
         print(f"invalid report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _atomic_write(args.out, to_kml(report))
+    FileSink(args.out).send(to_kml(report))
     print(f"wrote {args.out}")
     return EXIT_OK
 

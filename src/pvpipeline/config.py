@@ -1,5 +1,6 @@
-"""Mission configuration: JSON schema validation (unknown keys rejected)
-and construction of a MissionConfig. Precedence: flags > config > defaults.
+"""Mission configuration: JSON schema validation (unknown keys and
+non-finite numbers rejected) and construction of a MissionConfig.
+Precedence: flags > config > defaults.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ SCHEMA = {
     },
     "telemetry": {
         "match_radius_m": (_NUM, None),
-        "clahe": (bool, None),
     },
 }
 
@@ -115,6 +115,9 @@ def _check_section(path: str, obj: dict, keys: dict) -> dict:
             if len(value) != arity or not all(isinstance(v, _NUM) for v in value):
                 raise ConfigError(
                     f"{path}.{key}: expected a list of {arity} numbers")
+        numbers = value if arity is not None else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{path}.{key}: must be finite")
     return obj
 
 
@@ -177,6 +180,9 @@ def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
         fx=s.get("fx", d.fx), fy=s.get("fy", d.fy), cx=s.get("cx", d.cx),
         cy=s.get("cy", d.cy), width=s.get("width", d.width),
         height=s.get("height", d.height)))
+    for key in ("width", "height"):
+        if getattr(intr, key) < 1:
+            raise ConfigError(f"$.camera.{key}: must be at least 1")
 
     det = get("detector", {})
     detector = _merge(det, base.detector, lambda s, d: ThresholdDetectorConfig(
@@ -213,9 +219,8 @@ def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
 
     tel = get("telemetry", {})
     match_radius = tel.get("match_radius_m", base.match_radius_m)
-    if not (math.isfinite(match_radius) and match_radius > 0):
-        raise ConfigError("$.telemetry.match_radius_m: must be positive and "
-                          "finite")
+    if match_radius <= 0:
+        raise ConfigError("$.telemetry.match_radius_m: must be positive")
     seed = raw.get("seed", base.seed)
     if seed_override is not None:
         seed = seed_override
@@ -228,8 +233,7 @@ def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
         detector=detector, noise=noise, render=render, policy=policy,
         reacq_enabled=rea.get("enabled", base.reacq_enabled),
         dbscan=dbscan,
-        match_radius_m=match_radius,
-        clahe_enabled=tel.get("clahe", base.clahe_enabled))
+        match_radius_m=match_radius)
 
 
 def load_config(path: str, seed_override: int = None) -> MissionConfig:

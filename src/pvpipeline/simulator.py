@@ -1,10 +1,11 @@
 """Deterministic synthetic-mission generator and end-to-end harness.
 
 Builds a PV plant with seeded ground-truth defects, plans a nadir lawnmower
-survey, synthesizes thermal/RGB sensor packets through a forward pinhole
-model, runs the full onboard pipeline (palette rendering, fusion embedding,
-detection, re-acquisition, projection, de-duplication, telemetry), and
-scores recall, Dup-FP, and bandwidth savings.
+survey, synthesizes thermal sensor packets through a forward pinhole model,
+runs the onboard pipeline (threshold detection, re-acquisition, projection,
+de-duplication, telemetry), and scores recall, Dup-FP, and bandwidth
+savings. The bandwidth ledger still counts an RGB frame beside each thermal
+one.
 
 Radiometric model for synthetic blobs: each defect adds a Gaussian excess
 over ambient. Three physically motivated attenuations shape the
@@ -31,17 +32,14 @@ import numpy as np
 from .dedup import (DbscanParams, GroundTruthPoint, deduplicate, dup_fp_rate,
                     nearest_ground_truth)
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
-from .fusion import FusionModel, ToySample, downsample, gated_fuse, \
-    mean_pairwise_distance
 from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
 from .geoprojection import Attitude, GroundPlane, UavPose, \
     camera_to_world_rotation, project_detection
-from .reacquisition import CameraIntrinsics, ReacqPolicy, backproject, \
-    pointing_angles, reacquisition_decision
-from .telemetry import BandwidthLedger, MissionReport, bandwidth_savings, \
-    build_report, to_json
-from .thermal import PALETTE_NAMES, RgbImage, TemperatureMap, apply_palette, \
-    clahe_rgb, load_all_palettes, normalize_temperature
+from .reacquisition import CameraIntrinsics, ReacqPolicy, \
+    reacquisition_decision
+from .telemetry import BandwidthLedger, bandwidth_savings, build_report, \
+    to_json
+from .thermal import TemperatureMap
 
 # Fault taxonomy labels used for ground-truth classes.
 FAULT_CLASSES = ("hotspot_single", "hotspot_multi", "diode_bypass",
@@ -295,7 +293,6 @@ class SensorPacket:
     pose_true: FramePose
     pose_meas: FramePose
     temp: TemperatureMap
-    rgb: RgbImage
 
 
 def render_frame(defects, pose: FramePose, intr: CameraIntrinsics,
@@ -333,11 +330,6 @@ def render_frame(defects, pose: FramePose, intr: CameraIntrinsics,
     return TemperatureMap(temp_c=img)
 
 
-def _flat_rgb(intr: CameraIntrinsics) -> RgbImage:
-    return RgbImage(pixels=np.full((intr.height, intr.width, 3), 96,
-                                   dtype=np.uint8))
-
-
 def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
                     rng) -> FramePose:
     de, dn, dz = rng.normal(0.0, noise.pos_sigma_m, size=3)
@@ -361,7 +353,7 @@ def simulate_frames(defects, poses, intr: CameraIntrinsics,
         temp = render_frame(defects, pose, intr, render, speed)
         packets.append(SensorPacket(frame_id=f"f{k:04d}", time_s=pose.time_s,
                                     pose_true=pose, pose_meas=meas,
-                                    temp=temp, rgb=_flat_rgb(intr)))
+                                    temp=temp))
     return packets
 
 
@@ -391,14 +383,12 @@ class MissionConfig:
     reacq_enabled: bool = True
     dbscan: DbscanParams = field(default_factory=DbscanParams)
     match_radius_m: float = 1.0
-    clahe_enabled: bool = True
 
 
 @dataclass(frozen=True)
 class AcceptedDetection:
     projected: object            # ProjectedDetection
     gt_index: int | None
-    via_reacq: bool
 
 
 @dataclass
@@ -412,7 +402,6 @@ class MissionTrace:
     reacq_rounds: int = 0
     reacq_confirms: int = 0
     events: list = field(default_factory=list)
-    palette_spreads: list = field(default_factory=list)
     ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
 
 
@@ -464,29 +453,6 @@ def _missed(seed: int, frame_idx: int, det_idx: int, prob: float) -> bool:
     return bool(rng.uniform() < prob)
 
 
-def _fusion_embed(model: FusionModel, luts, temp: TemperatureMap,
-                  rgb: RgbImage, clahe_enabled: bool) -> float:
-    """Exercise the palette->encoder->gate path on the live frame; returns
-    the palette-embedding spread recorded in the trace."""
-    gray = normalize_temperature(temp)
-    renders = []
-    for lut in luts:
-        img = apply_palette(gray, lut)
-        if clahe_enabled:
-            img = clahe_rgb(img, tile_grid=(2, 2))
-        renders.append(downsample(img.pixels / 255.0, model.crop_size).ravel())
-    sample = ToySample(palette_inputs=np.stack(renders),
-                       rgb_input=downsample(rgb.pixels / 255.0,
-                                            model.crop_size).ravel(),
-                       is_positive=False, box=None)
-    zs = model.palette_embeddings(sample)
-    z_bar = zs.mean(axis=0)
-    from .fusion import encode
-    r = encode(sample.rgb_input, model._encoder(model.params, "r"))
-    gated_fuse(z_bar, r, model._gate(model.params))
-    return mean_pairwise_distance(zs)
-
-
 def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
                         frame_idx: int) -> list:
     if rate <= 0.0:
@@ -505,20 +471,17 @@ def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
 
 
 def run_mission(config: MissionConfig):
-    """Algorithm: per frame render -> palettes/fusion -> detect ->
-    re-acquisition loop -> project; then dedup -> report -> ledger."""
+    """Algorithm: per frame render -> threshold detect -> re-acquisition
+    loop -> project; then ground-truth matching -> dedup -> report ->
+    ledger."""
     layout, defects = generate_plant(config.seed, config.layout, config.mix)
     poses = plan_flight(layout, config.plan, config.intrinsics)
     packets = simulate_frames(defects, poses, config.intrinsics, config.noise,
                               config.render, config.plan.speed, config.seed)
     plane = GroundPlane(elevation=layout.elevation)
-    model = FusionModel(seed=config.seed, crop_size=16)
-    luts = load_all_palettes()
     trace = MissionTrace(config=config, defects=defects)
     intr = config.intrinsics
     frame_area = float(intr.width * intr.height)
-
-    extra_frame_counter = [len(packets)]
 
     def handle_detection(det, packet, frame_idx, det_idx):
         """Confirmation loop (accept / re-acquire / reject) for one raw
@@ -541,20 +504,19 @@ def run_mission(config: MissionConfig):
                 return current, pose_meas
             if decision.action == "reject" or not config.reacq_enabled:
                 return None
-            # Re-acquire: point the gimbal along the target's line of
-            # sight and render a fresh, centered view at the same station.
+            # Re-acquire: apply the gimbal command that points along the
+            # target's line of sight and render a fresh, centered view at
+            # the same station.
             trace.reacq_rounds += 1
             rounds += 1
-            u, v = current.bbox.center
-            los = rot_true @ backproject(u, v, intr)
-            pitch, yaw = pointing_angles(los)
-            gimbal = Attitude(pitch=pitch, yaw=yaw)
+            cmd = decision.command
+            gimbal = Attitude(pitch=pose_true.gimbal.pitch + cmd.delta_pitch,
+                              yaw=pose_true.gimbal.yaw + cmd.delta_yaw)
             pose_true = replace(pose_true, gimbal=gimbal)
             pose_meas = replace(pose_meas, gimbal=gimbal)
             frame = render_frame(defects, pose_true, intr, config.render,
                                  speed=0.0)  # hover during re-acquisition
             trace.ledger.record_frame(intr.width, intr.height)
-            extra_frame_counter[0] += 1
             redetections = detect(frame, config.detector)
             if not redetections:
                 return None
@@ -565,8 +527,6 @@ def run_mission(config: MissionConfig):
     for frame_idx, packet in enumerate(packets):
         trace.frames += 1
         trace.ledger.record_frame(intr.width, intr.height)
-        trace.palette_spreads.append(_fusion_embed(
-            model, luts, packet.temp, packet.rgb, config.clahe_enabled))
         detections = detect(packet.temp, config.detector)
         detections += _clutter_detections(intr, config.noise.clutter_rate,
                                           config.seed, frame_idx)
@@ -600,7 +560,7 @@ def run_mission(config: MissionConfig):
                 confidence=det.confidence, peak_temp_c=det.peak_temp_c)
             projected = replace(projected, detection=relabeled)
         trace.accepted.append(AcceptedDetection(
-            projected=projected, gt_index=gt_index, via_reacq=False))
+            projected=projected, gt_index=gt_index))
 
     trace.events = deduplicate([a.projected for a in trace.accepted],
                                config.dbscan)

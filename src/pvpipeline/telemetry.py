@@ -198,13 +198,15 @@ def bandwidth_savings(ledger: BandwidthLedger) -> float:
 
 
 class FileSink:
-    """Writes payloads atomically (temp file + rename) to a fixed path."""
+    """Writes payloads atomically (temp file + rename) to a fixed path,
+    creating its parent directory if needed."""
 
     def __init__(self, path: str):
         self.path = path
 
     def send(self, payload: bytes):
         directory = os.path.dirname(os.path.abspath(self.path))
+        os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -119,6 +119,27 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     assert not out.exists()  # no partial outputs
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("flight", "altitude", float("nan")),
+    ("render", "psf_px", float("nan")),
+    ("plant", "origin", [49.4, float("inf")]),
+    ("camera", "width", 0),
+    ("camera", "height", 0),
+    ("telemetry", "clahe", True),  # removed key: unknown, no shim
+], ids=["altitude-nan", "psf_px-nan", "origin-inf", "width-0", "height-0",
+        "clahe"])
+def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, section, key,
+                                                      value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "out"
+    result = _run(["simulate", "--config", str(path), "--out", str(out)])
+    assert result.returncode == 1, result.stderr
+    assert f"config error: $.{section}" in result.stderr
+    assert key in result.stderr
+    assert not out.exists()
+
+
 def test_simulate_runtime_failure_exits_2(tmp_path):
     # A separation no plant of this size can satisfy: run_mission fails.
     impossible = dict(SMALL_CONFIG,

@@ -121,6 +121,11 @@ def test_file_sink_atomic_write(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     sink.send(b"second")
     assert target.read_bytes() == b"second"
+    # A target whose parent directory does not exist yet.
+    nested = tmp_path / "new" / "dir" / "report.json"
+    FileSink(str(nested)).send(payload)
+    assert nested.read_bytes() == payload
+    assert [p.name for p in nested.parent.iterdir()] == ["report.json"]
 
 
 class _CaptureHandler(http.server.BaseHTTPRequestHandler):
