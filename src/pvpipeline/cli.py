@@ -231,6 +231,8 @@ def cmd_reacquire_demo(args) -> int:
 
     try:
         u, v = (float(x) for x in args.pixel.split(","))
+        if not all(map(math.isfinite, (u, v, args.alt, args.gimbal_pitch))):
+            raise ValueError("--pixel, --alt and --gimbal-pitch must be finite")
         intr = CameraIntrinsics(fx=args.fx, fy=args.fy, cx=args.cx, cy=args.cy)
     except (ValueError, GeometryError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -6,11 +6,10 @@ events, and the duplicate-induced false-positive (Dup-FP) metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
                       neighbours_within, polygon_centroid, shoelace)
-from .geoprojection import ProjectedDetection
 
 NOISE = -1
 

@@ -5,7 +5,7 @@ calibrated logistic of blob area and peak excess)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

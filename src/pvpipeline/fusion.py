@@ -3,13 +3,17 @@ focal and GIoU losses, the composite training objective, small trainable
 encoders with hand-derived analytic gradients, and finite-difference
 gradient verification.
 
-Embeddings are plain float64 numpy vectors of a fixed dimension D.
+Embeddings are plain float64 numpy vectors of a fixed dimension D. The
+encoders, the gate and the palette term also take stacked rows, and
+FusionModel.loss_and_grads runs forward and backward once over the whole
+batch of samples and palettes, each weight gradient one contraction over
+the rows; only the scalar focal and GIoU terms are evaluated per sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +53,28 @@ class LossWeights:
 # ---------------------------------------------------------------------------
 
 def embedding_centroid(members) -> np.ndarray:
+    """Mean over the member axis of (M, D) or (N, M, D) embeddings."""
     mats = np.asarray(members, dtype=np.float64)
-    if mats.ndim != 2 or mats.shape[0] < 2:
+    if mats.ndim < 2 or mats.shape[-2] < 2:
         raise FusionError("need at least two embeddings of equal dimension")
-    return mats.mean(axis=0)
+    return mats.mean(axis=-2)
 
 
 def palette_invariance_loss(members) -> float:
     """Mean squared distance of each embedding from the member centroid."""
-    mats = np.asarray(members, dtype=np.float64)
-    zbar = embedding_centroid(mats)
-    return float(np.mean(np.sum((mats - zbar) ** 2, axis=1)))
+    return float(palette_invariance_loss_grad(members)[0])
 
 
 def palette_invariance_loss_grad(members):
-    """Loss and per-member gradients; d/dz_m = (2/M)(z_m - centroid)."""
+    """Loss and per-member gradients; d/dz_m = (2/M)(z_m - centroid).
+
+    members is (M, D), or (N, M, D) for N independent groups, in which case
+    the loss is an (N,) array.
+    """
     mats = np.asarray(members, dtype=np.float64)
-    zbar = embedding_centroid(mats)
-    diff = mats - zbar
-    loss = float(np.mean(np.sum(diff ** 2, axis=1)))
-    return loss, (2.0 / mats.shape[0]) * diff
+    diff = mats - embedding_centroid(mats)[..., None, :]
+    loss = np.mean(np.sum(diff ** 2, axis=-1), axis=-1)
+    return loss, (2.0 / mats.shape[-2]) * diff
 
 
 def mean_pairwise_distance(members) -> float:
@@ -108,28 +114,32 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
 
 
 def gated_fuse(z_bar: np.ndarray, r: np.ndarray, gate: GateParams):
-    """u = g * z_bar + (1 - g) * r with g = sigmoid(W [z_bar ; r] + b)."""
+    """u = g * z_bar + (1 - g) * r with g = sigmoid(W [z_bar ; r] + b).
+
+    z_bar and r are (D,) vectors or (N, D) rows.
+    """
     z_bar = np.asarray(z_bar, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    if z_bar.shape != r.shape or gate.weight.shape != (z_bar.size, 2 * z_bar.size):
+    dim = z_bar.shape[-1]
+    if z_bar.shape != r.shape or gate.weight.shape != (dim, 2 * dim):
         raise FusionError("gate/embedding shape mismatch")
-    zr = np.concatenate([z_bar, r])
-    g = _sigmoid_vec(gate.weight @ zr + gate.bias)
+    zr = np.concatenate([z_bar, r], axis=-1)
+    g = _sigmoid_vec(zr @ gate.weight.T + gate.bias)
     u = g * z_bar + (1.0 - g) * r
     return u, g
 
 
 def gated_fuse_backward(z_bar, r, gate: GateParams, g, du):
-    """Backprop through gated_fuse; returns (dz_bar, dr, dW, db)."""
-    zr = np.concatenate([z_bar, r])
-    dg = du * (z_bar - r)
-    ds = dg * g * (1.0 - g)
-    d_w = np.outer(ds, zr)
-    d_b = ds
-    dzr = gate.weight.T @ ds
-    dim = z_bar.size
-    dz_bar = du * g + dzr[:dim]
-    dr = du * (1.0 - g) + dzr[dim:]
+    """Backprop through gated_fuse; returns (dz_bar, dr, dW, db), with dW
+    and db summed over the rows."""
+    zr = np.concatenate([z_bar, r], axis=-1)
+    ds = du * (z_bar - r) * g * (1.0 - g)
+    d_w = np.atleast_2d(ds).T @ np.atleast_2d(zr)
+    d_b = np.atleast_2d(ds).sum(axis=0)
+    dzr = ds @ gate.weight
+    dim = z_bar.shape[-1]
+    dz_bar = du * g + dzr[..., :dim]
+    dr = du * (1.0 - g) + dzr[..., dim:]
     return dz_bar, dr, d_w, d_b
 
 
@@ -169,12 +179,6 @@ def giou_loss_grad(a, b):
     """Loss and gradient w.r.t. the first box's (x1, y1, x2, y2)."""
     return _giou_loss_grad(np.asarray(a, dtype=np.float64),
                            np.asarray(b, dtype=np.float64))
-
-
-def _box_array(box):
-    if hasattr(box, "x_min"):
-        return np.array([box.x_min, box.y_min, box.x_max, box.y_max], dtype=np.float64)
-    return np.asarray(box, dtype=np.float64)
 
 
 def _giou_loss_grad(a, b):
@@ -257,26 +261,26 @@ class ToyEncoderParams:
 
 
 def encode(x: np.ndarray, params: ToyEncoderParams) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != params.w1.shape[1]:
-        raise FusionError(f"encoder expects input of size {params.w1.shape[1]}")
-    h = np.tanh(params.w1 @ x + params.b1)
-    return params.w2 @ h + params.b2
+    """Embeddings of input rows (..., in_dim) -> (..., out)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != params.w1.shape[1:]:
+        raise FusionError(f"encoder expects input rows of size {params.w1.shape[1]}")
+    h = np.tanh(x @ params.w1.T + params.b1)
+    return h @ params.w2.T + params.b2
 
 
 def encode_backward(x: np.ndarray, params: ToyEncoderParams, dz: np.ndarray):
-    """Gradients of a downstream loss w.r.t. encoder parameters.
+    """Gradients of a downstream loss w.r.t. encoder parameters, summed over
+    the input rows x (..., in_dim) given the embedding gradients dz (..., out).
 
     Returns a dict {w1, b1, w2, b2} of gradient arrays.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    h_pre = params.w1 @ x + params.b1
-    h = np.tanh(h_pre)
-    d_w2 = np.outer(dz, h)
-    d_b2 = dz
-    dh = params.w2.T @ dz
-    dpre = dh * (1.0 - h ** 2)
-    return {"w1": np.outer(dpre, x), "b1": dpre, "w2": d_w2, "b2": d_b2}
+    x = np.asarray(x, dtype=np.float64).reshape(-1, params.w1.shape[1])
+    dz = np.asarray(dz, dtype=np.float64).reshape(-1, params.w2.shape[0])
+    h = np.tanh(x @ params.w1.T + params.b1)
+    dpre = (dz @ params.w2) * (1.0 - h ** 2)
+    return {"w1": dpre.T @ x, "b1": dpre.sum(axis=0),
+            "w2": dz.T @ h, "b2": dz.sum(axis=0)}
 
 
 def downsample(image: np.ndarray, size: int = 16) -> np.ndarray:
@@ -377,105 +381,83 @@ class FusionModel:
 
     def palette_embeddings(self, sample: ToySample, params=None) -> np.ndarray:
         params = self.params if params is None else params
-        enc = self._encoder(params, "t")
-        return np.stack([encode(x, enc) for x in sample.palette_inputs])
-
-    def _pred_box(self, t: np.ndarray):
-        cx, cy = _sigmoid_vec(t[:2])
-        w = 0.02 + _sigmoid_vec(t[2:3])[0]
-        h = 0.02 + _sigmoid_vec(t[3:4])[0]
-        return np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]), (cx, cy, w, h)
-
-    def sample_loss_grads(self, params, sample: ToySample, weights: LossWeights,
-                          cls_scale: float = 1.0, box_scale: float = 1.0,
-                          pal_scale: float = 1.0):
-        """Loss terms for one sample plus gradients of the scaled composite
-        cls_scale*L_cls + box_scale*lambda_box*L_box + pal_scale*lambda_pal*L_pal.
-        """
-        enc_t = self._encoder(params, "t")
-        enc_r = self._encoder(params, "r")
-        gate = self._gate(params)
-
-        zs = np.stack([encode(x, enc_t) for x in sample.palette_inputs])
-        pal_loss, d_zs_pal = palette_invariance_loss_grad(zs)
-        z_bar = zs.mean(axis=0)
-        r = encode(sample.rgb_input, enc_r)
-        u, g = gated_fuse(z_bar, r, gate)
-
-        logit = float(params["head.w_cls"] @ u + params["head.b_cls"][0])
-        p = 1.0 / (1.0 + math.exp(-logit)) if logit >= 0 else \
-            math.exp(logit) / (1.0 + math.exp(logit))
-        cls_loss, d_p = focal_loss_grad(p, sample.is_positive,
-                                        weights.focal_alpha, weights.focal_gamma)
-        d_logit = d_p * p * (1.0 - p)
-
-        t_box = params["head.w_box"] @ u + params["head.b_box"]
-        box_loss = 0.0
-        d_t_box = np.zeros(4)
-        if sample.is_positive and sample.box is not None:
-            pred, (cx, cy, w, h) = self._pred_box(t_box)
-            box_loss, d_box = _giou_loss_grad(pred, sample.box)
-            # Chain through (cx, cy, w, h) -> corners.
-            d_cx = d_box[0] + d_box[2]
-            d_cy = d_box[1] + d_box[3]
-            d_w = (d_box[2] - d_box[0]) / 2.0
-            d_h = (d_box[3] - d_box[1]) / 2.0
-            s = _sigmoid_vec(t_box)
-            d_t_box = np.array([d_cx * s[0] * (1 - s[0]),
-                                d_cy * s[1] * (1 - s[1]),
-                                d_w * s[2] * (1 - s[2]),
-                                d_h * s[3] * (1 - s[3])])
-
-        # Backward into u, with the requested per-term scales folded in.
-        d_logit *= cls_scale
-        d_t_box = d_t_box * (box_scale * weights.lambda_box)
-        du = d_logit * params["head.w_cls"] + params["head.w_box"].T @ d_t_box
-        grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
-        grads["head.w_cls"] = d_logit * u
-        grads["head.b_cls"] = np.array([d_logit])
-        grads["head.w_box"] = np.outer(d_t_box, u)
-        grads["head.b_box"] = d_t_box
-
-        dz_bar, dr, d_gw, d_gb = gated_fuse_backward(z_bar, r, gate, g, du)
-        grads["gate.w"] = d_gw
-        grads["gate.b"] = d_gb
-
-        for key, grad in encode_backward(sample.rgb_input, enc_r, dr).items():
-            grads["r." + key] += grad
-        m = zs.shape[0]
-        for i, x in enumerate(sample.palette_inputs):
-            dz = dz_bar / m + pal_scale * weights.lambda_pal * d_zs_pal[i]
-            for key, grad in encode_backward(x, enc_t, dz).items():
-                grads["t." + key] += grad
-
-        total = total_loss(cls_loss, box_loss, pal_loss, weights)
-        return total, cls_loss, box_loss, pal_loss, grads
+        return encode(sample.palette_inputs, self._encoder(params, "t"))
 
     def loss_and_grads(self, params, samples, weights: LossWeights):
         """Mean composite loss over samples plus aggregated gradients.
 
         L_cls and L_pal average over all samples; L_box averages over the
-        positive samples carrying a target box.
+        positive samples carrying a target box. The whole batch goes through
+        the encoders, gate and heads at once, so every sample needs the same
+        (M, in_dim) palette inputs and the same RGB input shape.
         """
+        if not samples:
+            raise FusionError("need at least one sample")
+        shapes = sorted({(np.shape(s.palette_inputs), np.shape(s.rgb_input))
+                         for s in samples})
+        if len(shapes) > 1:
+            raise FusionError("samples must share palette and RGB input shapes, "
+                              f"got (palette, rgb) shapes {shapes}")
         n = len(samples)
-        n_pos = sum(1 for s in samples if s.is_positive and s.box is not None)
-        grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
-        cls_acc = box_acc = pal_acc = 0.0
-        for s in samples:
-            has_box = s.is_positive and s.box is not None
-            box_w = 1.0 / n_pos if (has_box and n_pos) else 0.0
-            _, cls_l, box_l, pal_l, g = self.sample_loss_grads(
-                params, s, weights,
-                cls_scale=1.0 / n, box_scale=box_w, pal_scale=1.0 / n)
-            cls_acc += cls_l / n
-            box_acc += box_l * box_w
-            pal_acc += pal_l / n
-            for k in PARAM_KEYS:
-                grads[k] += g[k]
-        total = total_loss(cls_acc, box_acc, pal_acc, weights)
+        x_t = np.concatenate([s.palette_inputs for s in samples])  # (N*M, in)
+        x_r = np.stack([s.rgb_input for s in samples])             # (N, in)
+        m = x_t.shape[0] // n
+        enc_t = self._encoder(params, "t")
+        enc_r = self._encoder(params, "r")
+        gate = self._gate(params)
+
+        zs = encode(x_t, enc_t).reshape(n, m, -1)
+        pal_l, d_zs_pal = palette_invariance_loss_grad(zs)
+        z_bar = embedding_centroid(zs)
+        r = encode(x_r, enc_r)
+        u, g = gated_fuse(z_bar, r, gate)
+
+        # Classification head: focal loss per row in its scalar form.
+        p = _sigmoid_vec(u @ params["head.w_cls"] + params["head.b_cls"][0])
+        cls_l = np.empty(n)
+        d_p = np.empty(n)
+        for i, s in enumerate(samples):
+            cls_l[i], d_p[i] = focal_loss_grad(float(p[i]), s.is_positive,
+                                               weights.focal_alpha,
+                                               weights.focal_gamma)
+        d_logit = d_p * p * (1.0 - p) / n
+
+        # Box head: sigmoid (cx, cy, w, h) -> corners, GIoU per boxed row.
+        s_box = _sigmoid_vec(u @ params["head.w_box"].T + params["head.b_box"])
+        half_w = (0.02 + s_box[:, 2]) / 2.0
+        half_h = (0.02 + s_box[:, 3]) / 2.0
+        pred = np.stack([s_box[:, 0] - half_w, s_box[:, 1] - half_h,
+                         s_box[:, 0] + half_w, s_box[:, 1] + half_h], axis=1)
+        boxed = [i for i, s in enumerate(samples)
+                 if s.is_positive and s.box is not None]
+        box_l = np.zeros(n)
+        d_corners = np.zeros((n, 4))
+        for i in boxed:
+            box_l[i], d_corners[i] = _giou_loss_grad(pred[i], samples[i].box)
+        d_box = np.stack([d_corners[:, 0] + d_corners[:, 2],
+                          d_corners[:, 1] + d_corners[:, 3],
+                          (d_corners[:, 2] - d_corners[:, 0]) / 2.0,
+                          (d_corners[:, 3] - d_corners[:, 1]) / 2.0], axis=1)
+        box_w = weights.lambda_box / len(boxed) if boxed else 0.0
+        d_t_box = d_box * s_box * (1.0 - s_box) * box_w
+
+        # Backward: each weight gradient is one contraction over the batch.
+        du = np.outer(d_logit, params["head.w_cls"]) + d_t_box @ params["head.w_box"]
+        dz_bar, dr, d_gw, d_gb = gated_fuse_backward(z_bar, r, gate, g, du)
+        dzs = dz_bar[:, None, :] / m + (weights.lambda_pal / n) * d_zs_pal
+        grads = {"head.w_cls": d_logit @ u, "head.b_cls": np.array([d_logit.sum()]),
+                 "head.w_box": d_t_box.T @ u, "head.b_box": d_t_box.sum(axis=0),
+                 "gate.w": d_gw, "gate.b": d_gb}
+        for prefix, x, enc, dz in (("t.", x_t, enc_t, dzs), ("r.", x_r, enc_r, dr)):
+            for key, grad in encode_backward(x, enc, dz).items():
+                grads[prefix + key] = grad
+
+        aux = {"cls": float(cls_l.mean()), "pal": float(pal_l.mean()),
+               "box": float(box_l.sum()) / len(boxed) if boxed else 0.0}
+        total = total_loss(aux["cls"], aux["box"], aux["pal"], weights)
         if not math.isfinite(total):
             raise TrainingDiverged("non-finite loss")
-        return total, grads, {"cls": cls_acc, "box": box_acc, "pal": pal_acc}
+        return total, {k: grads[k] for k in PARAM_KEYS}, aux
 
     def loss_closure(self, samples, weights: LossWeights):
         """(flat params) -> (loss, flat grad) for optimization and checking."""

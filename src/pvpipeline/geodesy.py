@@ -8,7 +8,7 @@ tangent plane; errors are negligible for sub-kilometer extents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # IUGG mean Earth radius, meters.
 MEAN_EARTH_RADIUS_M = 6_371_008.8

@@ -32,6 +32,8 @@ class CameraIntrinsics:
     height: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise GeometryError("intrinsics fx, fy, cx, cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError("focal lengths must be positive")
         if self.width < 0 or self.height < 0:

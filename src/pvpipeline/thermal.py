@@ -310,6 +310,36 @@ def clahe_rgb(image: RgbImage, tile_grid=(8, 8), clip_limit: float = 3.0) -> Rgb
 # PGM / PPM I/O (binary, zero-dependency golden-test formats)
 # ---------------------------------------------------------------------------
 
+def _read_netpbm(path, kind: str, magic: bytes, maxval: int, pixel_bytes: int):
+    """(width, height, payload) of a binary PGM/PPM file whose magic, size
+    and maxval each sit on their own line, as the writers below emit them.
+    Raises ThermalError on a wrong or short header or a short payload."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parts = data.split(b"\n", 3)
+    if parts[0] != magic:
+        raise ThermalError(f"not a binary {kind} ({magic.decode()}) file")
+    if len(parts) < 4:
+        raise ThermalError(f"truncated {kind} header: expected size and maxval "
+                           f"lines after {magic.decode()}")
+    _, dims, maxval_line, payload = parts
+    try:
+        w, h = map(int, dims.split())
+        file_maxval = int(maxval_line)
+    except ValueError:
+        raise ThermalError(f"bad {kind} header: size {dims!r}, maxval {maxval_line!r}; "
+                           "expected two integers and one integer") from None
+    if w < 1 or h < 1:
+        raise ThermalError(f"{kind} size must be positive, got {w}x{h}")
+    if file_maxval != maxval:
+        raise ThermalError(f"expected {kind} maxval {maxval}, got {file_maxval}")
+    need = w * h * pixel_bytes
+    if len(payload) < need:
+        raise ThermalError(f"truncated {kind} payload: {w}x{h} needs {need} bytes, "
+                           f"got {len(payload)}")
+    return w, h, payload[:need]
+
+
 def write_pgm16(path, frame: RadiometricFrame) -> None:
     """16-bit big-endian binary PGM (P5, maxval 65535)."""
     with open(path, "wb") as fh:
@@ -319,17 +349,8 @@ def write_pgm16(path, frame: RadiometricFrame) -> None:
 
 def read_pgm16(path, calib_scale: float = 0.01,
                calib_offset: float = ABSOLUTE_ZERO_C) -> RadiometricFrame:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, rest = data.split(b"\n", 1)
-    if magic != b"P5":
-        raise ThermalError("not a binary PGM (P5) file")
-    dims, rest = rest.split(b"\n", 1)
-    w, h = map(int, dims.split())
-    maxval, rest = rest.split(b"\n", 1)
-    if int(maxval) != 65535:
-        raise ThermalError("expected 16-bit PGM (maxval 65535)")
-    raw = np.frombuffer(rest[: w * h * 2], dtype=">u2").reshape(h, w).astype(np.uint16)
+    w, h, payload = _read_netpbm(path, "PGM", b"P5", 65535, 2)
+    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.uint16)
     return RadiometricFrame(raw=raw, calib_scale=calib_scale, calib_offset=calib_offset)
 
 
@@ -341,15 +362,6 @@ def write_ppm(path, image: RgbImage) -> None:
 
 
 def read_ppm(path) -> RgbImage:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, rest = data.split(b"\n", 1)
-    if magic != b"P6":
-        raise ThermalError("not a binary PPM (P6) file")
-    dims, rest = rest.split(b"\n", 1)
-    w, h = map(int, dims.split())
-    maxval, rest = rest.split(b"\n", 1)
-    if int(maxval) != 255:
-        raise ThermalError("expected 8-bit PPM")
-    px = np.frombuffer(rest[: w * h * 3], dtype=np.uint8).reshape(h, w, 3)
+    w, h, payload = _read_netpbm(path, "PPM", b"P6", 255, 3)
+    px = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return RgbImage(pixels=px.copy())

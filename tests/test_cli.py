@@ -235,6 +235,21 @@ def test_reacquire_demo_reports_subpixel_reprojection():
     assert float(line.split(":")[-1]) < 1e-9
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--fx", "--fy", "--cx", "--cy", "pixel u",
+                                    "pixel v", "--alt", "--gimbal-pitch"])
+def test_reacquire_demo_non_finite_numbers_exit_1(option, bad, capsys):
+    from pvpipeline.cli import main
+    values = {"pixel u": "70", "pixel v": "10", "--fx": "100", "--fy": "100",
+              "--cx": "39.5", "--cy": "31.5", "--alt": "12", "--gimbal-pitch": "-90"}
+    values[option] = bad
+    argv = ["reacquire-demo",
+            f"--pixel={values.pop('pixel u')},{values.pop('pixel v')}"]
+    argv += [f"{name}={value}" for name, value in values.items()]
+    assert main(argv) == 1
+    assert "invalid arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # export-kml and logging env var
 # ---------------------------------------------------------------------------

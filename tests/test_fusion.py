@@ -1,16 +1,21 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvpipeline.fusion import (FusionError, FusionModel, GateParams,
-                               LossWeights, embedding_centroid, focal_loss,
+from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
+                               GateParams, LossWeights, ToySample,
+                               embedding_centroid, focal_loss,
                                focal_loss_grad, gated_fuse,
                                gated_fuse_backward, giou_loss, giou_loss_grad,
                                gradient_check, make_toy_samples,
                                mean_pairwise_distance, palette_invariance_loss,
                                palette_invariance_loss_grad, palette_spread,
                                total_loss, train_toy)
+
+TRACE_PATH = Path(__file__).parent / "data" / "toy_train_trace.json"
 
 GRAD_TOL = 1e-4
 N_INSTANCES = 100
@@ -219,3 +224,164 @@ def test_palette_term_collapses_embedding_spread():
     assert after_on < before / 10.0
     assert after_off > before / 10.0
     assert after_on < after_off
+
+
+# ---------------------------------------------------------------------------
+# Batched loss_and_grads against the per-sample, per-palette loop
+# ---------------------------------------------------------------------------
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def _encode_vec(x, params, prefix):
+    h = np.tanh(params[prefix + ".w1"] @ x + params[prefix + ".b1"])
+    return h, params[prefix + ".w2"] @ h + params[prefix + ".b2"]
+
+
+def _encode_vec_backward(x, h, params, prefix, dz, grads):
+    dpre = (params[prefix + ".w2"].T @ dz) * (1.0 - h ** 2)
+    grads[prefix + ".w1"] += np.outer(dpre, x)
+    grads[prefix + ".b1"] += dpre
+    grads[prefix + ".w2"] += np.outer(dz, h)
+    grads[prefix + ".b2"] += dz
+
+
+def _loop_loss_and_grads(params, samples, weights):
+    """Reference: one sample and one palette vector at a time, with its own
+    encoder, gate and head arithmetic; only the scalar focal and GIoU
+    functions (finite-difference checked above) are shared."""
+    n = len(samples)
+    n_pos = sum(1 for s in samples if s.is_positive and s.box is not None)
+    grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
+    cls_acc = box_acc = pal_acc = 0.0
+    for s in samples:
+        has_box = s.is_positive and s.box is not None
+        box_w = 1.0 / n_pos if has_box else 0.0
+        enc = [_encode_vec(x, params, "t") for x in s.palette_inputs]
+        zs = np.stack([z for _, z in enc])
+        m, dim = zs.shape
+        z_bar = zs.mean(axis=0)
+        diff = zs - z_bar
+        pal_l = float(np.mean(np.sum(diff ** 2, axis=1)))
+        h_r, r = _encode_vec(s.rgb_input, params, "r")
+        zr = np.concatenate([z_bar, r])
+        g = np.array([_sigmoid(v) for v in params["gate.w"] @ zr + params["gate.b"]])
+        u = g * z_bar + (1.0 - g) * r
+
+        p = _sigmoid(float(params["head.w_cls"] @ u + params["head.b_cls"][0]))
+        cls_l, d_p = focal_loss_grad(p, s.is_positive, weights.focal_alpha,
+                                     weights.focal_gamma)
+        d_logit = d_p * p * (1.0 - p) / n
+        box_l = 0.0
+        d_t_box = np.zeros(4)
+        if has_box:
+            sb = np.array([_sigmoid(v) for v in
+                           params["head.w_box"] @ u + params["head.b_box"]])
+            cx, cy, w, h = sb[0], sb[1], 0.02 + sb[2], 0.02 + sb[3]
+            box_l, d = giou_loss_grad([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2],
+                                      s.box)
+            d_t_box = (np.array([d[0] + d[2], d[1] + d[3], (d[2] - d[0]) / 2,
+                                 (d[3] - d[1]) / 2])
+                       * sb * (1 - sb) * box_w * weights.lambda_box)
+
+        du = d_logit * params["head.w_cls"] + params["head.w_box"].T @ d_t_box
+        grads["head.w_cls"] += d_logit * u
+        grads["head.b_cls"] += d_logit
+        grads["head.w_box"] += np.outer(d_t_box, u)
+        grads["head.b_box"] += d_t_box
+        ds = du * (z_bar - r) * g * (1.0 - g)
+        grads["gate.w"] += np.outer(ds, zr)
+        grads["gate.b"] += ds
+        dzr = params["gate.w"].T @ ds
+        _encode_vec_backward(s.rgb_input, h_r, params, "r",
+                             du * (1.0 - g) + dzr[dim:], grads)
+        dz_bar = du * g + dzr[:dim]
+        for (h_t, _), x, dd in zip(enc, s.palette_inputs, diff):
+            dz = dz_bar / m + (weights.lambda_pal / n) * (2.0 / m) * dd
+            _encode_vec_backward(x, h_t, params, "t", dz, grads)
+        cls_acc += cls_l / n
+        box_acc += box_l * box_w
+        pal_acc += pal_l / n
+    total = cls_acc + weights.lambda_box * box_acc + weights.lambda_pal * pal_acc
+    return total, grads, {"cls": cls_acc, "box": box_acc, "pal": pal_acc}
+
+
+def _random_samples(rng, n, m, in_dim, kinds):
+    """kinds cycles through 'box' (positive with a box), 'nobox' (positive
+    without one) and 'neg'."""
+    samples = []
+    for i in range(n):
+        kind = kinds[i % len(kinds)]
+        box = None
+        if kind == "box":
+            lo = rng.uniform(0.05, 0.45, 2)
+            box = np.concatenate([lo, lo + rng.uniform(0.1, 0.5, 2)])
+        samples.append(ToySample(palette_inputs=rng.uniform(-0.5, 0.5, (m, in_dim)),
+                                 rgb_input=rng.uniform(-0.5, 0.5, in_dim),
+                                 is_positive=kind != "neg", box=box))
+    return samples
+
+
+def _assert_rel(actual, expected, rtol=1e-12):
+    """Largest absolute difference within rtol of the largest |expected|
+    (exact equality when expected is all zero)."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n,m,kinds", [
+    (1, 2, ("box",)),
+    (1, 3, ("neg",)),
+    (2, 4, ("box", "neg")),
+    (5, 2, ("box", "nobox", "neg")),
+    (5, 3, ("neg", "box")),
+    (5, 4, ("nobox", "box", "neg", "box")),
+    (4, 3, ("neg", "nobox")),           # no sample carries a box: n_pos == 0
+])
+def test_batched_loss_and_grads_matches_loop(n, m, kinds):
+    rng = np.random.default_rng(100 + 10 * n + m)
+    model = FusionModel(seed=n + m, crop_size=4, hidden=5, dim=6)
+    params = model.unflatten(model.flatten() * rng.uniform(0.5, 3.0))
+    weights = LossWeights(lambda_box=1.5, lambda_pal=0.3,
+                          focal_alpha=0.4, focal_gamma=2.0)
+    samples = _random_samples(rng, n, m, model.in_dim, kinds)
+
+    total, grads, aux = model.loss_and_grads(params, samples, weights)
+    ref_total, ref_grads, ref_aux = _loop_loss_and_grads(params, samples, weights)
+
+    _assert_rel(total, ref_total)
+    assert set(aux) == set(ref_aux)
+    for term in ref_aux:
+        _assert_rel(aux[term], ref_aux[term])
+    assert list(grads) == list(PARAM_KEYS)
+    for key in PARAM_KEYS:
+        _assert_rel(grads[key], ref_grads[key])
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("palette_inputs", lambda s: s.palette_inputs[:2]),       # fewer palettes
+    ("palette_inputs", lambda s: s.palette_inputs[:, :-3]),   # shorter rows
+    ("rgb_input", lambda s: s.rgb_input[:-3]),
+])
+def test_ragged_samples_rejected(field, bad):
+    model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
+    samples = make_toy_samples(3, seed=0, crop_size=4)
+    setattr(samples[1], field, bad(samples[1]))
+    with pytest.raises(FusionError, match="share palette and RGB input shapes"):
+        model.loss_and_grads(model.params, samples, LossWeights())
+
+
+def test_loss_and_grads_rejects_empty_batch():
+    model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
+    with pytest.raises(FusionError):
+        model.loss_and_grads(model.params, [], LossWeights())
+
+
+def test_toy_training_trace_matches_recorded_loop_trace():
+    ref = json.loads(TRACE_PATH.read_text())
+    result = train_toy(make_toy_samples(32, seed=7), epochs=20, seed=7)
+    np.testing.assert_allclose(result.total_trace, ref["total_trace"], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(result.pal_trace, ref["pal_trace"], rtol=1e-10, atol=0)

@@ -163,3 +163,36 @@ def test_ppm_round_trip(tmp_path):
     write_ppm(path, RgbImage(pixels=px))
     back = read_ppm(path)
     assert np.array_equal(back.pixels, px)
+
+
+def _netpbm_bytes(magic, size, maxval, payload):
+    return magic + b"\n" + size + b"\n" + maxval + b"\n" + payload
+
+
+@pytest.mark.parametrize("reader,magic,maxval,pixel_bytes", [
+    (read_pgm16, b"P5", b"65535", 2),
+    (read_ppm, b"P6", b"255", 3),
+])
+@pytest.mark.parametrize("data,message", [
+    (lambda m, v, b: _netpbm_bytes(m, b"4 3", v, bytes(4 * 3 * b - 1)),
+     r"truncated (PGM|PPM) payload: 4x3 needs (24|36) bytes, got (23|35)"),
+    (lambda m, v, b: _netpbm_bytes(m, b"4 3", v, b""),
+     r"needs (24|36) bytes, got 0"),
+    (lambda m, v, b: m + b"\n4 3\n", r"truncated (PGM|PPM) header"),
+    (lambda m, v, b: m, r"truncated (PGM|PPM) header"),
+    (lambda m, v, b: _netpbm_bytes(m, b"4 x", v, bytes(64)), r"bad (PGM|PPM) header"),
+    (lambda m, v, b: _netpbm_bytes(m, b"4.0 3", v, bytes(64)), r"bad (PGM|PPM) header"),
+    (lambda m, v, b: _netpbm_bytes(m, b"4 3 2", v, bytes(64)), r"bad (PGM|PPM) header"),
+    (lambda m, v, b: _netpbm_bytes(m, b"0 3", v, bytes(64)), r"size must be positive"),
+    (lambda m, v, b: _netpbm_bytes(m, b"4 3", b"7", bytes(64)), r"maxval"),
+    (lambda m, v, b: b"P3\n4 3\n" + v + b"\n", r"not a binary"),
+], ids=["short-payload", "no-payload", "no-maxval-line", "magic-only",
+        "non-integer-size", "float-size", "three-sizes", "zero-size",
+        "wrong-maxval", "wrong-magic"])
+def test_netpbm_readers_reject_truncated_or_bad_headers(tmp_path, reader, magic,
+                                                        maxval, pixel_bytes,
+                                                        data, message):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(data(magic, maxval, pixel_bytes))
+    with pytest.raises(ThermalError, match=message):
+        reader(path)
