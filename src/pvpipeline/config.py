@@ -1,239 +1,91 @@
-"""Mission configuration: JSON schema validation (unknown keys and
-non-finite numbers rejected) and construction of a MissionConfig.
-Precedence: flags > config > defaults.
-"""
-
-from __future__ import annotations
+"""Build a MissionConfig from JSON; its dataclasses are the only schema."""
 
 import json
-import math
+import sys
+from dataclasses import fields, replace
+from functools import cache
+from typing import get_args, get_type_hints
 
-from .dedup import DbscanParams
-from .detector import ThresholdDetectorConfig
 from .geodesy import GeoPoint
-from .reacquisition import CameraIntrinsics, ReacqPolicy
-from .simulator import (DefectMix, FlightPlan, MissionConfig, PlantLayout,
-                        RenderModel, SyntheticDetectorNoise)
+from .simulator import MissionConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-_NUM = (int, float)
-
-# section -> key -> (expected types, arity for list values or None)
-SCHEMA = {
-    None: {  # top level scalars
-        "seed": (int, None),
-        "site_id": (str, None),
-        "uav": (str, None),
-        "start_utc": (str, None),
-    },
-    "plant": {
-        "origin": (list, 2),          # [lat, lon]
-        "rows": (int, None),
-        "cols": (int, None),
-        "module_size": (list, 2),     # [east, north] meters
-        "pitch": (list, 2),
-        "elevation": (_NUM, None),
-    },
-    "defects": {
-        "count": ((int, type(None)), None),
-        "density": (_NUM, None),
-        "n_small": (int, None),
-        "min_separation_m": (_NUM, None),
-        "excess_range_c": (list, 2),
-        "small_excess_range_c": (list, 2),
-        "sigma_m": (_NUM, None),
-        "small_sigma_m": (_NUM, None),
-    },
-    "flight": {
-        "altitude": (_NUM, None),
-        "speed": (_NUM, None),
-        "along_overlap": (_NUM, None),
-        "cross_overlap": (_NUM, None),
-    },
-    "camera": {
-        "fx": (_NUM, None),
-        "fy": (_NUM, None),
-        "cx": (_NUM, None),
-        "cy": (_NUM, None),
-        "width": (int, None),
-        "height": (int, None),
-    },
-    "detector": {
-        "delta_c": (_NUM, None),
-        "min_blob_px": (int, None),
-        "logit_bias": (_NUM, None),
-        "logit_per_deg": (_NUM, None),
-        "logit_per_log_px": (_NUM, None),
-        "default_class": (str, None),
-    },
-    "noise": {
-        "confidence_sigma": (_NUM, None),
-        "miss_probability": (_NUM, None),
-        "clutter_rate": (_NUM, None),
-        "pos_sigma_m": (_NUM, None),
-        "att_sigma_rad": (_NUM, None),
-    },
-    "render": {
-        "ambient_c": (_NUM, None),
-        "psf_px": (_NUM, None),
-        "vignette": (_NUM, None),
-        "exposure_s": (_NUM, None),
-    },
-    "reacquisition": {
-        "enabled": (bool, None),
-        "tau_ra": (_NUM, None),
-        "min_area_frac": (_NUM, None),
-        "max_rounds": (int, None),
-    },
-    "dedup": {
-        "epsilon": (_NUM, None),
-        "min_pts": (int, None),
-    },
-    "telemetry": {
-        "match_radius_m": (_NUM, None),
-    },
-}
+# JSON section -> the MissionConfig field holding that section's dataclass.
+SECTIONS = {"plant": "layout", "defects": "mix", "flight": "plan",
+            "camera": "intrinsics", "detector": "detector", "noise": "noise",
+            "render": "render", "reacquisition": "policy", "dedup": "dbscan"}
+# (section, key) -> the MissionConfig field that stores the key directly.
+DIRECT = {("reacquisition", "enabled"): "reacq_enabled",
+          ("telemetry", "match_radius_m"): "match_radius_m"}
 
 
-def _check_section(path: str, obj: dict, keys: dict) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key, value in obj.items():
-        if key not in keys:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        expected, arity = keys[key]
-        if expected is int and isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected int, got bool")
-        if not isinstance(value, expected):
-            raise ConfigError(
-                f"{path}.{key}: expected {getattr(expected, '__name__', expected)}")
-        if arity is not None:
-            if len(value) != arity or not all(isinstance(v, _NUM) for v in value):
-                raise ConfigError(
-                    f"{path}.{key}: expected a list of {arity} numbers")
-        numbers = value if arity is not None else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{path}.{key}: must be finite")
-    return obj
+@cache  # get_type_hints evaluates every annotation string on each call
+def _slots(cls) -> dict:
+    """Field name -> (type, default) of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
-def validate_config_dict(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    top = {k: v for k, v in raw.items() if k in SCHEMA[None]}
-    _check_section("$", top, SCHEMA[None])
-    for key in raw:
-        if key in SCHEMA[None]:
-            continue
-        if key not in SCHEMA or key is None:
-            raise ConfigError(f"$: unknown key {key!r}")
-        _check_section(f"$.{key}", raw[key], SCHEMA[key])
-    return raw
-
-
-def _merge(section: dict, defaults, builder):
-    """Build a dataclass from defaults overridden by the config section."""
+def _build(prefix: str, make, *args, **kwargs):
+    """Call a dataclass constructor; its ValueError becomes a ConfigError."""
     try:
-        return builder(section, defaults)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _value(path: str, value, hint, default):
+    """Check a JSON value against a type (None: unknown key) or an object
+    against {key: (type, default)}; lists become tuples or a GeoPoint."""
+    if type(hint) is dict:
+        if type(value) is not dict:
+            raise ConfigError(f"{path}: expected an object")
+        return {k: _value(f"{path}.{k}", v, *hint.get(k, (None, None)))
+                for k, v in value.items()}
+    if hint is None:
+        raise ConfigError(f"{path}: unknown key")
+    if hint in (tuple, GeoPoint):
+        n = 2 if hint is GeoPoint else len(default)
+        if not (type(value) is list and len(value) == n
+                and all(type(v) in (int, float) for v in value)):
+            raise ConfigError(f"{path}: expected a list of {n} numbers")
+    elif not (type(value) in (get_args(hint) or (hint,))
+              or type(value) is int and hint is float):
+        raise ConfigError(f"{path}: expected {getattr(hint, '__name__', hint)}"
+                          f", got {type(value).__name__}")
+    # abs(v) <= max is False for NaN, +-inf and ints past the float range.
+    if any(type(v) in (int, float) and not abs(v) <= sys.float_info.max
+           for v in (value if type(value) is list else [value])):
+        raise ConfigError(f"{path}: must be finite")
+    if hint is GeoPoint:
+        return _build(f"{path}: ", GeoPoint, *value)
+    return tuple(value) if hint is tuple else value
 
 
 def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
-    raw = validate_config_dict(raw)
     base = MissionConfig()
-    get = raw.get
-
-    plant = get("plant", {})
-    origin = plant.get("origin")
-    layout = _merge(plant, base.layout, lambda s, d: PlantLayout(
-        origin=(GeoPoint(lat=origin[0], lon=origin[1], alt=0.0)
-                if origin else d.origin),
-        rows=s.get("rows", d.rows), cols=s.get("cols", d.cols),
-        module_size=tuple(s.get("module_size", d.module_size)),
-        pitch=tuple(s.get("pitch", d.pitch)),
-        elevation=s.get("elevation", d.elevation)))
-
-    defects = get("defects", {})
-    mix = _merge(defects, base.mix, lambda s, d: DefectMix(
-        count=s.get("count", d.count), density=s.get("density", d.density),
-        n_small=s.get("n_small", d.n_small),
-        min_separation_m=s.get("min_separation_m", d.min_separation_m),
-        excess_range_c=tuple(s.get("excess_range_c", d.excess_range_c)),
-        small_excess_range_c=tuple(s.get("small_excess_range_c",
-                                         d.small_excess_range_c)),
-        sigma_m=s.get("sigma_m", d.sigma_m),
-        small_sigma_m=s.get("small_sigma_m", d.small_sigma_m)))
-
-    flight = get("flight", {})
-    plan = _merge(flight, base.plan, lambda s, d: FlightPlan(
-        altitude=s.get("altitude", d.altitude), speed=s.get("speed", d.speed),
-        along_overlap=s.get("along_overlap", d.along_overlap),
-        cross_overlap=s.get("cross_overlap", d.cross_overlap)))
-
-    camera = get("camera", {})
-    intr = _merge(camera, base.intrinsics, lambda s, d: CameraIntrinsics(
-        fx=s.get("fx", d.fx), fy=s.get("fy", d.fy), cx=s.get("cx", d.cx),
-        cy=s.get("cy", d.cy), width=s.get("width", d.width),
-        height=s.get("height", d.height)))
-    for key in ("width", "height"):
-        if getattr(intr, key) < 1:
-            raise ConfigError(f"$.camera.{key}: must be at least 1")
-
-    det = get("detector", {})
-    detector = _merge(det, base.detector, lambda s, d: ThresholdDetectorConfig(
-        delta_c=s.get("delta_c", d.delta_c),
-        min_blob_px=s.get("min_blob_px", d.min_blob_px),
-        logit_bias=s.get("logit_bias", d.logit_bias),
-        logit_per_deg=s.get("logit_per_deg", d.logit_per_deg),
-        logit_per_log_px=s.get("logit_per_log_px", d.logit_per_log_px),
-        default_class=s.get("default_class", d.default_class)))
-
-    noi = get("noise", {})
-    noise = _merge(noi, base.noise, lambda s, d: SyntheticDetectorNoise(
-        confidence_sigma=s.get("confidence_sigma", d.confidence_sigma),
-        miss_probability=s.get("miss_probability", d.miss_probability),
-        clutter_rate=s.get("clutter_rate", d.clutter_rate),
-        pos_sigma_m=s.get("pos_sigma_m", d.pos_sigma_m),
-        att_sigma_rad=s.get("att_sigma_rad", d.att_sigma_rad)))
-
-    ren = get("render", {})
-    render = _merge(ren, base.render, lambda s, d: RenderModel(
-        ambient_c=s.get("ambient_c", d.ambient_c),
-        psf_px=s.get("psf_px", d.psf_px), vignette=s.get("vignette", d.vignette),
-        exposure_s=s.get("exposure_s", d.exposure_s)))
-
-    rea = get("reacquisition", {})
-    policy = _merge(rea, base.policy, lambda s, d: ReacqPolicy(
-        tau_ra=s.get("tau_ra", d.tau_ra),
-        min_area_frac=s.get("min_area_frac", d.min_area_frac),
-        max_rounds=s.get("max_rounds", d.max_rounds)))
-
-    ded = get("dedup", {})
-    dbscan = _merge(ded, base.dbscan, lambda s, d: DbscanParams(
-        epsilon=s.get("epsilon", d.epsilon), min_pts=s.get("min_pts", d.min_pts)))
-
-    tel = get("telemetry", {})
-    match_radius = tel.get("match_radius_m", base.match_radius_m)
-    if match_radius <= 0:
-        raise ConfigError("$.telemetry.match_radius_m: must be positive")
-    seed = raw.get("seed", base.seed)
+    top = _slots(MissionConfig)
+    spec = {s: ({**_slots(top[f][0])}, None) for s, f in SECTIONS.items()}
+    for (section, key), name in DIRECT.items():
+        spec.setdefault(section, ({}, None))[0][key] = top[name]
+    spec.update((k, slot) for k, slot in top.items()
+                if k not in {*SECTIONS.values(), *DIRECT.values()})
+    values = _value("$", raw, spec, None)
+    values.update((name, values[s].pop(k)) for (s, k), name in DIRECT.items()
+                  if k in values.get(s, {}))
+    for section, owner in SECTIONS.items():
+        if section in values:
+            values[owner] = _build(f"$.{section}: ", replace,
+                                   getattr(base, owner), **values[section])
     if seed_override is not None:
-        seed = seed_override
-    return MissionConfig(
-        seed=seed,
-        site_id=raw.get("site_id", base.site_id),
-        uav=raw.get("uav", base.uav),
-        start_utc=raw.get("start_utc", base.start_utc),
-        layout=layout, mix=mix, plan=plan, intrinsics=intr,
-        detector=detector, noise=noise, render=render, policy=policy,
-        reacq_enabled=rea.get("enabled", base.reacq_enabled),
-        dbscan=dbscan,
-        match_radius_m=match_radius)
+        values["seed"] = seed_override
+    # MissionConfig's own messages start with the config key they check.
+    return _build("$.", replace, base,
+                  **{k: v for k, v in values.items() if k in top})
 
 
 def load_config(path: str, seed_override: int = None) -> MissionConfig:
@@ -242,6 +94,6 @@ def load_config(path: str, seed_override: int = None) -> MissionConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(raw, seed_override=seed_override)

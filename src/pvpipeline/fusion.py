@@ -283,34 +283,6 @@ def encode_backward(x: np.ndarray, params: ToyEncoderParams, dz: np.ndarray):
             "w2": dz.T @ h, "b2": dz.sum(axis=0)}
 
 
-def downsample(image: np.ndarray, size: int = 16) -> np.ndarray:
-    """Block-mean downsample of a 2-D raster to size x size (bilinear when
-    dimensions do not divide evenly)."""
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape[:2]
-    ys = np.clip((np.arange(size) + 0.5) * h / size - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(size) + 0.5) * w / size - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    if img.ndim == 2:
-        out = ((1 - fy) * (1 - fx) * img[np.ix_(y0, x0)]
-               + (1 - fy) * fx * img[np.ix_(y0, x1)]
-               + fy * (1 - fx) * img[np.ix_(y1, x0)]
-               + fy * fx * img[np.ix_(y1, x1)])
-    else:
-        fy = fy[..., None]
-        fx = fx[..., None]
-        out = ((1 - fy) * (1 - fx) * img[np.ix_(y0, x0)]
-               + (1 - fy) * fx * img[np.ix_(y0, x1)]
-               + fy * (1 - fx) * img[np.ix_(y1, x0)]
-               + fy * fx * img[np.ix_(y1, x1)])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Full toy model: palettes -> shared encoder -> gate -> detector head
 # ---------------------------------------------------------------------------

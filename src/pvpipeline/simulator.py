@@ -25,7 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .geoprojection import Attitude, GroundPlane, UavPose, \
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
     reacquisition_decision
 from .telemetry import BandwidthLedger, bandwidth_savings, build_report, \
-    to_json
+    parse_ts_utc, to_json
 from .thermal import TemperatureMap
 
 # Fault taxonomy labels used for ground-truth classes.
@@ -119,6 +119,12 @@ class DefectMix:
     def __post_init__(self):
         if self.count is None and not (0.0 < self.density <= 1.0):
             raise SimulationError("density must lie in (0, 1]")
+        if self.count is not None and self.count < 0:
+            raise SimulationError(
+                f"count must be non-negative, got {self.count}")
+        if self.n_small < 0:
+            raise SimulationError(
+                f"n_small must be non-negative, got {self.n_small}")
 
 
 def generate_plant(seed: int, layout: PlantLayout,
@@ -384,6 +390,27 @@ class MissionConfig:
     dbscan: DbscanParams = field(default_factory=DbscanParams)
     match_radius_m: float = 1.0
 
+    def __post_init__(self):
+        # Each message starts with the config-file key it checks.
+        if self.seed < 0:
+            raise SimulationError(f"seed: must be non-negative, got {self.seed}")
+        try:
+            parse_ts_utc(self.start_utc)
+        except ValueError:
+            raise SimulationError(
+                f"start_utc: expected YYYY-MM-DDTHH:MM:SSZ, "
+                f"got {self.start_utc!r}") from None
+        n_modules = self.layout.rows * self.layout.cols
+        if self.mix.count is not None and self.mix.count > n_modules:
+            raise SimulationError(
+                f"defects.count: {self.mix.count} is more than the "
+                f"{n_modules} modules of the plant")
+        for key in ("width", "height"):
+            if getattr(self.intrinsics, key) < 1:
+                raise SimulationError(f"camera.{key}: must be at least 1")
+        if not self.match_radius_m > 0:
+            raise SimulationError("telemetry.match_radius_m: must be positive")
+
 
 @dataclass(frozen=True)
 class AcceptedDetection:
@@ -425,10 +452,8 @@ class MetricsReport:
 
 
 def _ts_utc(start_utc: str, offset_s: float) -> str:
-    start = datetime.strptime(start_utc, "%Y-%m-%dT%H:%M:%SZ").replace(
-        tzinfo=timezone.utc)
-    return (start + timedelta(seconds=round(offset_s))).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
+    return (parse_ts_utc(start_utc) + timedelta(seconds=round(offset_s))
+            ).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _uav_pose(layout: PlantLayout, pose: FramePose) -> UavPose:

@@ -2,11 +2,15 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pvpipeline.config import (ConfigError, config_from_dict, load_config,
-                               validate_config_dict)
+from pvpipeline.cli import main
+from pvpipeline.config import (DIRECT, SECTIONS, ConfigError,
+                               config_from_dict, load_config)
+from pvpipeline.simulator import MissionConfig
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -49,18 +53,76 @@ def test_config_defaults_and_overrides():
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key"):
-        validate_config_dict({"sedd": 3})
+        config_from_dict({"sedd": 3})
     with pytest.raises(ConfigError, match="unknown key"):
-        validate_config_dict({"plant": {"rowz": 4}})
+        config_from_dict({"plant": {"rowz": 4}})
 
 
 def test_config_rejects_wrong_types():
     with pytest.raises(ConfigError):
-        validate_config_dict({"seed": "three"})
+        config_from_dict({"seed": "three"})
     with pytest.raises(ConfigError):
-        validate_config_dict({"seed": True})  # bool is not an int here
+        config_from_dict({"seed": True})  # bool is not an int here
     with pytest.raises(ConfigError):
-        validate_config_dict({"plant": {"origin": [49.4]}})  # arity
+        config_from_dict({"plant": {"origin": [49.4]}})  # arity
+    # bool is not a number either, as a scalar or as a list element
+    with pytest.raises(ConfigError, match=r"\$\.flight\.altitude"):
+        config_from_dict({"flight": {"altitude": True}})
+    with pytest.raises(ConfigError, match=r"\$\.plant\.origin"):
+        config_from_dict({"plant": {"origin": [True, False]}})
+    with pytest.raises(ConfigError, match=r"\$\.noise\.miss_probability"):
+        config_from_dict({"noise": {"miss_probability": True}})
+
+
+def _config_slots():
+    """Every (section, key) a config may set, from the dataclasses; section
+    None for a top-level key."""
+    base = MissionConfig()
+    nested = {*SECTIONS.values(), *DIRECT.values()}
+    slots = [(None, f.name) for f in fields(base) if f.name not in nested]
+    slots += [(section, f.name) for section, owner in SECTIONS.items()
+              for f in fields(getattr(base, owner))]
+    return slots + list(DIRECT)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6) | st.lists(st.integers() | st.floats(), min_size=2,
+                             max_size=2)
+
+
+@pytest.mark.parametrize("slot", _config_slots(),
+                         ids=lambda slot: ".".join(filter(None, slot)))
+@settings(max_examples=40)
+@given(value=JSON_VALUES)
+def test_config_fuzz_any_value_in_any_slot(slot, value):
+    # Any JSON value in any slot builds a MissionConfig or is a ConfigError
+    # (exit 1); no other exception gets through.
+    section, key = slot
+    raw = {key: value} if section is None else {section: {key: value}}
+    try:
+        assert isinstance(config_from_dict(raw), MissionConfig)
+    except ConfigError:
+        pass
+
+
+def test_readme_config_example_is_the_defaults():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration"):]
+    block = section[section.index("```jsonc\n") + len("```jsonc\n"):]
+    example = json.loads(block[:block.index("```")])
+    assert config_from_dict(example) == MissionConfig()
+    listed = {(None, key) for key, value in example.items()
+              if not isinstance(value, dict)}
+    listed |= {(section, key) for section, body in example.items()
+               if isinstance(body, dict) for key in body}
+    assert listed == set(_config_slots())
 
 
 def test_load_config_missing_file(tmp_path):
@@ -119,24 +181,38 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     assert not out.exists()  # no partial outputs
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("flight", "altitude", float("nan")),
-    ("render", "psf_px", float("nan")),
-    ("plant", "origin", [49.4, float("inf")]),
-    ("camera", "width", 0),
-    ("camera", "height", 0),
-    ("telemetry", "clahe", True),  # removed key: unknown, no shim
-], ids=["altitude-nan", "psf_px-nan", "origin-inf", "width-0", "height-0",
-        "clahe"])
-def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, section, key,
-                                                      value):
+@pytest.mark.parametrize("config,flags,where,key", [
+    ({"flight": {"altitude": float("nan")}}, [], "$.flight", "altitude"),
+    ({"render": {"psf_px": float("nan")}}, [], "$.render", "psf_px"),
+    ({"plant": {"origin": [49.4, float("inf")]}}, [], "$.plant", "origin"),
+    # an int past the float range is as non-finite as inf
+    ({"camera": {"fx": 10 ** 400}}, [], "$.camera", "fx"),
+    ({"camera": {"width": 0}}, [], "$.camera", "width"),
+    ({"camera": {"height": 0}}, [], "$.camera", "height"),
+    # removed key: unknown, no shim
+    ({"telemetry": {"clahe": True}}, [], "$.telemetry", "clahe"),
+    ({"seed": -1}, [], "$.seed", "seed"),
+    ({}, ["--seed", "-5"], "$.seed", "seed"),
+    ({"start_utc": "yesterday"}, [], "$.start_utc", "start_utc"),
+    ({"defects": {"count": -1}}, [], "$.defects", "count"),
+    ({"defects": {"n_small": -1}}, [], "$.defects", "n_small"),
+    # the default plant has 10 x 10 modules
+    ({"defects": {"count": 101}}, [], "$.defects", "count"),
+], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
+        "height-0", "clahe", "seed-negative", "seed-flag-negative",
+        "start_utc-unparsable", "count-negative", "n_small-negative",
+        "count-above-modules"])
+def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
+                                                      flags, where, key):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({section: {key: value}}))
+    path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    result = _run(["simulate", "--config", str(path), "--out", str(out)])
-    assert result.returncode == 1, result.stderr
-    assert f"config error: $.{section}" in result.stderr
-    assert key in result.stderr
+    code = main(["simulate", "--config", str(path), "--out", str(out),
+                 *flags])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"config error: {where}" in err
+    assert key in err
     assert not out.exists()
 
 
@@ -239,7 +315,6 @@ def test_reacquire_demo_reports_subpixel_reprojection():
 @pytest.mark.parametrize("option", ["--fx", "--fy", "--cx", "--cy", "pixel u",
                                     "pixel v", "--alt", "--gimbal-pitch"])
 def test_reacquire_demo_non_finite_numbers_exit_1(option, bad, capsys):
-    from pvpipeline.cli import main
     values = {"pixel u": "70", "pixel v": "10", "--fx": "100", "--fy": "100",
               "--cx": "39.5", "--cy": "31.5", "--alt": "12", "--gimbal-pitch": "-90"}
     values[option] = bad
