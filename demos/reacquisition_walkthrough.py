@@ -14,8 +14,7 @@ import numpy as np
 
 from pvpipeline.detector import detect
 from pvpipeline.geodesy import GeoPoint
-from pvpipeline.geoprojection import (Attitude, UavPose,
-                                      camera_to_world_rotation)
+from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
 from pvpipeline.reacquisition import (CameraIntrinsics, backproject,
                                       compute_reacq_command, pointing_angles,
                                       solve_axis_angle)
@@ -40,9 +39,7 @@ print(f"first sighting : pixel ({u:.1f}, {v:.1f}), "
       f"confidence {det.confidence:.2f}")
 
 # Solve the pointing correction from the detection's line of sight.
-rot = camera_to_world_rotation(
-    UavPose(position=GeoPoint(lat=0.0, lon=0.0, alt=pose.altitude),
-            gimbal=pose.gimbal))
+rot = camera_to_world_rotation(pose.gimbal)
 los = rot @ backproject(u, v, intr)
 bore = rot @ np.array([0.0, 0.0, 1.0])
 aa = solve_axis_angle(bore, los)

@@ -49,7 +49,6 @@ def cmd_simulate(args) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
     except ConfigError as exc:
-        log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -57,16 +56,17 @@ def cmd_simulate(args) -> int:
         trace, report, ledger = run_mission(config)
         metrics = evaluate(trace)
     except Exception as exc:  # surfaced as a runtime failure with exit 2
-        log.error("mission failed: %s", exc)
         print(f"runtime error: {exc}", file=sys.stderr)
+        log.debug("mission failed", exc_info=True)
         return EXIT_RUNTIME
 
     out = args.out
     summary = (
         f"mission {config.site_id} seed={config.seed}\n"
         f"frames={trace.frames} detections={trace.detections_seen} "
-        f"accepted={len(trace.accepted)} events={metrics.event_count} "
-        f"gt={metrics.gt_count}\n"
+        f"accepted={len(trace.accepted)} "
+        f"projection_failed={trace.projection_failed} "
+        f"events={metrics.event_count} gt={metrics.gt_count}\n"
         f"recall={metrics.recall:.4f} recall_small={metrics.recall_small:.4f}\n"
         f"dup_fp_raw={metrics.dup_fp_raw:.4f} "
         f"dup_fp_dedup={metrics.dup_fp_dedup:.4f}\n"
@@ -78,8 +78,7 @@ def cmd_simulate(args) -> int:
         "report.kml": to_kml(report),
         "metrics.csv": metrics_csv(metrics).encode("utf-8"),
         "summary.txt": summary.encode("utf-8"),
-        "detections.jsonl": detection_record_lines(
-            [a.projected for a in trace.accepted]),
+        "detections.jsonl": detection_record_lines(trace.accepted),
     }
     for name, data in outputs.items():
         FileSink(os.path.join(out, name)).send(data)
@@ -240,7 +239,7 @@ def cmd_reacquire_demo(args) -> int:
 
     pose = UavPose(position=GeoPoint(lat=0.0, lon=0.0, alt=args.alt),
                    gimbal=Attitude(pitch=math.radians(args.gimbal_pitch)))
-    rot = camera_to_world_rotation(pose)
+    rot = camera_to_world_rotation(pose.gimbal)
     v_cam = backproject(u, v, intr)
     c = unit(rot @ v_cam)                      # target LOS, world frame
     boresight = rot @ np.array([0.0, 0.0, 1.0])

@@ -6,7 +6,7 @@ events, and the duplicate-induced false-positive (Dup-FP) metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
                       neighbours_within, polygon_centroid, shoelace)
@@ -84,11 +84,6 @@ def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
                 queue.extend(neighbors[j])
         cluster += 1
     return labels
-
-
-def dbscan_haversine(detections, params: DbscanParams) -> list:
-    return dbscan_labels([d.centroid for d in detections], params.epsilon,
-                         params.min_pts)
 
 
 def convex_hull(points):
@@ -171,7 +166,8 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
     for class_id in sorted(groups):
         idxs = groups[class_id]
         members = [detections[i] for i in idxs]
-        labels = dbscan_haversine(members, params)
+        labels = dbscan_labels([d.centroid for d in members], params.epsilon,
+                               params.min_pts)
         clusters = {}
         singletons = []
         for local, lab in enumerate(labels):
@@ -186,19 +182,9 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
         for local in singletons:
             raw_events.append(([members[local]], [idxs[local]]))
 
-    merged = [merge_cluster(m, ids, "tmp") for m, ids in raw_events]
-    order = sorted(range(len(merged)),
-                   key=lambda i: (merged[i].class_id, merged[i].centroid.lat,
-                                  merged[i].centroid.lon))
-    events = []
-    for rank, i in enumerate(order):
-        e = merged[i]
-        events.append(DefectEvent(
-            id=f"clu_{rank:03d}", class_id=e.class_id, confidence=e.confidence,
-            peak_temp_c=e.peak_temp_c, centroid=e.centroid, polygon=e.polygon,
-            member_ids=e.member_ids, media_rgb=e.media_rgb,
-            media_tiff=e.media_tiff, hull_excess_area_m2=e.hull_excess_area_m2))
-    return events
+    merged = sorted((merge_cluster(m, ids, "") for m, ids in raw_events),
+                    key=lambda e: (e.class_id, e.centroid.lat, e.centroid.lon))
+    return [replace(e, id=f"clu_{rank:03d}") for rank, e in enumerate(merged)]
 
 
 @dataclass(frozen=True)

@@ -85,42 +85,56 @@ def euler_zyx(att: Attitude) -> np.ndarray:
     return _rot_z(att.yaw) @ _rot_y(att.pitch) @ _rot_x(att.roll)
 
 
-def camera_to_world_rotation(pose: UavPose) -> np.ndarray:
+def camera_to_world_rotation(gimbal: Attitude,
+                             attitude: Attitude = Attitude()) -> np.ndarray:
     """R = R_body->NED(attitude) @ R_gimbal->body(gimbal) @ R_cam->gimbal."""
-    return euler_zyx(pose.attitude) @ euler_zyx(pose.gimbal) @ CAM_TO_MOUNT
+    return euler_zyx(attitude) @ euler_zyx(gimbal) @ CAM_TO_MOUNT
 
 
-def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics, pose: UavPose,
-                    plane: GroundPlane) -> GeoPoint:
-    """Intersect the pixel's world ray with the horizontal ground plane.
+def _ground_points(pixels, intr: CameraIntrinsics, pose: UavPose,
+                   plane: GroundPlane) -> list:
+    """Intersect each pixel's world ray with the horizontal ground plane.
 
+    The rotation, height and anchor are shared by all pixels of the pose.
     The local frame is anchored at the UAV's ground-projected position;
     pose altitude is height above the ground plane.
     """
     height = pose.position.alt - plane.elevation
     if height <= 0:
         raise ProjectionError("UAV is not above the ground plane")
-    ray = camera_to_world_rotation(pose) @ backproject(u, v, intr)  # NED
-    if ray[2] < math.sin(MIN_INCIDENCE_RAD):
-        raise ProjectionError("ray does not descend toward the ground "
-                              "(horizon/upward or grazing incidence)")
-    t = height / ray[2]
-    north = t * ray[0]
-    east = t * ray[1]
+    rot = camera_to_world_rotation(pose.gimbal, pose.attitude)
     anchor = GeoPoint(lat=pose.position.lat, lon=pose.position.lon, alt=plane.elevation)
-    return enu_to_geo(anchor, EnuOffset(east=east, north=north, up=0.0))
+    points = []
+    for u, v in pixels:
+        ray = rot @ backproject(u, v, intr)  # NED
+        if ray[2] < math.sin(MIN_INCIDENCE_RAD):
+            raise ProjectionError("ray does not descend toward the ground "
+                                  "(horizon/upward or grazing incidence)")
+        t = height / ray[2]
+        north = t * ray[0]
+        east = t * ray[1]
+        points.append(enu_to_geo(anchor, EnuOffset(east=east, north=north,
+                                                   up=0.0)))
+    return points
+
+
+def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics, pose: UavPose,
+                    plane: GroundPlane) -> GeoPoint:
+    """Ground point of one pixel (see :func:`_ground_points`)."""
+    return _ground_points([(u, v)], intr, pose, plane)[0]
 
 
 def project_detection(det: Detection, intr: CameraIntrinsics, pose: UavPose,
                       plane: GroundPlane, frame_id: str, timestamp: str,
                       media_rgb: str = "", media_tiff: str = "") -> ProjectedDetection:
     """Project all four bbox corners to the ground; any failing corner raises
-    ProjectionError (caller drops the detection and logs the reason)."""
+    ProjectionError (the mission's project stage drops the detection and
+    counts it)."""
     b = det.bbox
     corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
-    points = [pixel_to_ground(u, v, intr, pose, plane) for u, v in corners]
-    polygon = GeoPolygon(vertices=tuple(points))
+    polygon = GeoPolygon(vertices=tuple(
+        _ground_points(corners, intr, pose, plane)))
     centroid, _ = polygon_centroid(polygon)
     return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
                               frame_id=frame_id, timestamp=timestamp,

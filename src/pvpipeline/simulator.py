@@ -25,7 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dedup import (DbscanParams, GroundTruthPoint, deduplicate, dup_fp_rate,
                     nearest_ground_truth)
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
-from .geoprojection import Attitude, GroundPlane, UavPose, \
+from .geoprojection import Attitude, GroundPlane, ProjectionError, UavPose, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
     reacquisition_decision
@@ -305,9 +305,7 @@ def render_frame(defects, pose: FramePose, intr: CameraIntrinsics,
                  render: RenderModel, speed: float) -> TemperatureMap:
     """Forward-project defect blobs through the pinhole onto the thermal
     raster; see the module docstring for the attenuation model."""
-    rot = camera_to_world_rotation(
-        UavPose(position=GeoPoint(lat=0.0, lon=0.0, alt=pose.altitude),
-                gimbal=pose.gimbal))
+    rot = camera_to_world_rotation(pose.gimbal)
     img = np.full((intr.height, intr.width), render.ambient_c)
     vv, uu = np.mgrid[0:intr.height, 0:intr.width].astype(np.float64)
     r_max = math.hypot(intr.cx, intr.cy)
@@ -349,18 +347,16 @@ def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
 
 def simulate_frames(defects, poses, intr: CameraIntrinsics,
                     noise: SyntheticDetectorNoise, render: RenderModel,
-                    speed: float, seed: int) -> list:
-    """Deterministic sensor stream: frames rendered from the true pose,
-    measured poses perturbed by the configured noise."""
-    packets = []
+                    speed: float, seed: int):
+    """Deterministic sensor stream, one packet per pose as it is consumed:
+    frames rendered from the true pose, measured poses perturbed by the
+    configured noise. Each frame's RNG is keyed by its index."""
     for k, pose in enumerate(poses):
         rng = np.random.default_rng([seed, _STREAM_POSE, k])
         meas = _perturbed_pose(pose, noise, rng)
         temp = render_frame(defects, pose, intr, render, speed)
-        packets.append(SensorPacket(frame_id=f"f{k:04d}", time_s=pose.time_s,
-                                    pose_true=pose, pose_meas=meas,
-                                    temp=temp))
-    return packets
+        yield SensorPacket(frame_id=f"f{k:04d}", time_s=pose.time_s,
+                           pose_true=pose, pose_meas=meas, temp=temp)
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +408,16 @@ class MissionConfig:
             raise SimulationError("telemetry.match_radius_m: must be positive")
 
 
-@dataclass(frozen=True)
-class AcceptedDetection:
-    projected: object            # ProjectedDetection
-    gt_index: int | None
-
-
 @dataclass
 class MissionTrace:
     config: MissionConfig
     defects: list
     frames: int = 0
     detections_seen: int = 0
-    accepted: list = field(default_factory=list)   # AcceptedDetection
-    rejected: int = 0
+    accepted: list = field(default_factory=list)   # ProjectedDetection
     reacq_rounds: int = 0
     reacq_confirms: int = 0
+    projection_failed: int = 0
     events: list = field(default_factory=list)
     ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
 
@@ -451,16 +441,9 @@ class MetricsReport:
                 raise SimulationError("metric rates must lie in [0, 1]")
 
 
-def _ts_utc(start_utc: str, offset_s: float) -> str:
-    return (parse_ts_utc(start_utc) + timedelta(seconds=round(offset_s))
+def _ts_utc(start: datetime, offset_s: float) -> str:
+    return (start + timedelta(seconds=round(offset_s))
             ).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _uav_pose(layout: PlantLayout, pose: FramePose) -> UavPose:
-    position = enu_to_geo(layout.origin,
-                          EnuOffset(east=pose.east, north=pose.north,
-                                    up=pose.altitude))
-    return UavPose(position=position, gimbal=pose.gimbal)
 
 
 def _conf_noise(seed: int, frame_idx: int, det_idx: int, rounds: int,
@@ -495,113 +478,133 @@ def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
     return out
 
 
-def run_mission(config: MissionConfig):
-    """Algorithm: per frame render -> threshold detect -> re-acquisition
-    loop -> project; then ground-truth matching -> dedup -> report ->
-    ledger."""
-    layout, defects = generate_plant(config.seed, config.layout, config.mix)
-    poses = plan_flight(layout, config.plan, config.intrinsics)
-    packets = simulate_frames(defects, poses, config.intrinsics, config.noise,
-                              config.render, config.plan.speed, config.seed)
-    plane = GroundPlane(elevation=layout.elevation)
-    trace = MissionTrace(config=config, defects=defects)
+def detect_frame(packet: SensorPacket, frame_idx: int, config: MissionConfig,
+                 trace: MissionTrace) -> list:
+    """Detect stage: threshold detections plus synthetic clutter, less the
+    ones the miss model drops, as (index, detection) pairs; the index keys
+    the detection's noise streams."""
+    detections = detect(packet.temp, config.detector)
+    detections += _clutter_detections(config.intrinsics,
+                                      config.noise.clutter_rate, config.seed,
+                                      frame_idx)
+    trace.detections_seen += len(detections)
+    return [(det_idx, det) for det_idx, det in enumerate(detections)
+            if not _missed(config.seed, frame_idx, det_idx,
+                           config.noise.miss_probability)]
+
+
+def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
+                      det_idx: int, config: MissionConfig, defects,
+                      trace: MissionTrace):
+    """Confirm stage: the accept / re-acquire / reject loop for one raw
+    detection. Returns the confirmed detection and the measured pose it
+    was seen from, or None when it is rejected or lost."""
     intr = config.intrinsics
     frame_area = float(intr.width * intr.height)
+    pose_true, pose_meas = packet.pose_true, packet.pose_meas
+    rounds = 0
+    while True:
+        noisy = min(max(det.confidence + _conf_noise(
+            config.seed, frame_idx, det_idx, rounds,
+            config.noise.confidence_sigma), 0.0), 1.0)
+        det = det.with_confidence(noisy)
+        decision = reacquisition_decision(
+            det, frame_area, config.policy, rounds, intr=intr,
+            rot_cam_to_world=camera_to_world_rotation(pose_true.gimbal))
+        if decision.action == "accept":
+            if rounds > 0:
+                trace.reacq_confirms += 1
+            return det, pose_meas
+        if decision.action == "reject" or not config.reacq_enabled:
+            return None
+        # Re-acquire: apply the gimbal command that points along the
+        # target's line of sight and render a fresh, centered view at the
+        # same station.
+        trace.reacq_rounds += 1
+        rounds += 1
+        cmd = decision.command
+        gimbal = Attitude(pitch=pose_true.gimbal.pitch + cmd.delta_pitch,
+                          yaw=pose_true.gimbal.yaw + cmd.delta_yaw)
+        pose_true = replace(pose_true, gimbal=gimbal)
+        pose_meas = replace(pose_meas, gimbal=gimbal)
+        frame = render_frame(defects, pose_true, intr, config.render,
+                             speed=0.0)  # hover during re-acquisition
+        trace.ledger.record_frame(intr.width, intr.height)
+        redetections = detect(frame, config.detector)
+        if not redetections:
+            return None
+        det = min(redetections, key=lambda d: math.hypot(
+            d.bbox.center[0] - intr.cx, d.bbox.center[1] - intr.cy))
 
-    def handle_detection(det, packet, frame_idx, det_idx):
-        """Confirmation loop (accept / re-acquire / reject) for one raw
-        detection; returns the accepted (detection, pose) or None."""
-        rounds = 0
-        current = det
-        pose_true, pose_meas = packet.pose_true, packet.pose_meas
-        while True:
-            noisy = min(max(current.confidence + _conf_noise(
-                config.seed, frame_idx, det_idx, rounds,
-                config.noise.confidence_sigma), 0.0), 1.0)
-            current = current.with_confidence(noisy)
-            rot_true = camera_to_world_rotation(_uav_pose(layout, pose_true))
-            decision = reacquisition_decision(
-                current, frame_area, config.policy, rounds,
-                intr=intr, rot_cam_to_world=rot_true)
-            if decision.action == "accept":
-                if rounds > 0:
-                    trace.reacq_confirms += 1
-                return current, pose_meas
-            if decision.action == "reject" or not config.reacq_enabled:
-                return None
-            # Re-acquire: apply the gimbal command that points along the
-            # target's line of sight and render a fresh, centered view at
-            # the same station.
-            trace.reacq_rounds += 1
-            rounds += 1
-            cmd = decision.command
-            gimbal = Attitude(pitch=pose_true.gimbal.pitch + cmd.delta_pitch,
-                              yaw=pose_true.gimbal.yaw + cmd.delta_yaw)
-            pose_true = replace(pose_true, gimbal=gimbal)
-            pose_meas = replace(pose_meas, gimbal=gimbal)
-            frame = render_frame(defects, pose_true, intr, config.render,
-                                 speed=0.0)  # hover during re-acquisition
-            trace.ledger.record_frame(intr.width, intr.height)
-            redetections = detect(frame, config.detector)
-            if not redetections:
-                return None
-            current = min(redetections, key=lambda d: math.hypot(
-                d.bbox.center[0] - intr.cx, d.bbox.center[1] - intr.cy))
 
+def project_confirmed(det: Detection, pose_meas: FramePose,
+                      packet: SensorPacket, config: MissionConfig,
+                      start: datetime, trace: MissionTrace):
+    """Project stage: the detection's footprint from the measured pose, or
+    None (counted in ``trace.projection_failed``) when a corner ray does
+    not reach the ground."""
+    position = enu_to_geo(config.layout.origin,
+                          EnuOffset(east=pose_meas.east, north=pose_meas.north,
+                                    up=pose_meas.altitude))
+    media = f"sim://{config.site_id}/{packet.frame_id}"
+    try:
+        return project_detection(
+            det, config.intrinsics,
+            UavPose(position=position, gimbal=pose_meas.gimbal),
+            GroundPlane(elevation=config.layout.elevation),
+            frame_id=packet.frame_id,
+            timestamp=_ts_utc(start, packet.time_s),
+            media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
+    except ProjectionError:
+        trace.projection_failed += 1
+        return None
+
+
+def match_ground_truth(projections, defects, radius: float) -> list:
+    """Match stage, a stand-in for the classifier head: each projection
+    within the radius of a defect takes that defect's class."""
+    gt_indices = nearest_ground_truth([p.centroid for p in projections],
+                                      defects, radius)
+    return [p if gi is None else replace(p, detection=replace(
+                p.detection, class_id=defects[gi].class_id))
+            for p, gi in zip(projections, gt_indices)]
+
+
+def run_mission(config: MissionConfig):
+    """Plan, then per frame sense -> detect -> confirm -> project; then
+    match -> dedup -> report. Returns (trace, report, ledger)."""
+    layout, defects = generate_plant(config.seed, config.layout, config.mix)
+    poses = plan_flight(layout, config.plan, config.intrinsics)
+    trace = MissionTrace(config=config, defects=defects)
+    start = parse_ts_utc(config.start_utc)
+    intr = config.intrinsics
     projections = []
-    for frame_idx, packet in enumerate(packets):
+    for frame_idx, packet in enumerate(simulate_frames(
+            defects, poses, intr, config.noise, config.render,
+            config.plan.speed, config.seed)):
         trace.frames += 1
         trace.ledger.record_frame(intr.width, intr.height)
-        detections = detect(packet.temp, config.detector)
-        detections += _clutter_detections(intr, config.noise.clutter_rate,
-                                          config.seed, frame_idx)
-        for det_idx, det in enumerate(detections):
-            trace.detections_seen += 1
-            if _missed(config.seed, frame_idx, det_idx,
-                       config.noise.miss_probability):
+        for det_idx, det in detect_frame(packet, frame_idx, config, trace):
+            confirmed = confirm_detection(det, packet, frame_idx, det_idx,
+                                          config, defects, trace)
+            if confirmed is None:
                 continue
-            outcome = handle_detection(det, packet, frame_idx, det_idx)
-            if outcome is None:
-                trace.rejected += 1
-                continue
-            accepted, pose_meas = outcome
-            projected = project_detection(
-                accepted, intr, _uav_pose(layout, pose_meas), plane,
-                frame_id=packet.frame_id,
-                timestamp=_ts_utc(config.start_utc, packet.time_s),
-                media_rgb=f"sim://{config.site_id}/{packet.frame_id}.jpg",
-                media_tiff=f"sim://{config.site_id}/{packet.frame_id}.tif")
-            projections.append(projected)
-
-    gt_indices = nearest_ground_truth([p.centroid for p in projections],
-                                      defects, config.match_radius_m)
-    for projected, gt_index in zip(projections, gt_indices):
-        if gt_index is not None:
-            # Stand-in for the classifier head: ground-truth class of the
-            # nearest defect.
-            det = projected.detection
-            relabeled = Detection(
-                bbox=det.bbox, class_id=defects[gt_index].class_id,
-                confidence=det.confidence, peak_temp_c=det.peak_temp_c)
-            projected = replace(projected, detection=relabeled)
-        trace.accepted.append(AcceptedDetection(
-            projected=projected, gt_index=gt_index))
-
-    trace.events = deduplicate([a.projected for a in trace.accepted],
-                               config.dbscan)
+            projected = project_confirmed(*confirmed, packet, config, start,
+                                          trace)
+            if projected is not None:
+                projections.append(projected)
+    trace.accepted = match_ground_truth(projections, defects,
+                                        config.match_radius_m)
+    trace.events = deduplicate(trace.accepted, config.dbscan)
     report = build_report(config.site_id, config.uav,
-                          _ts_utc(config.start_utc,
-                                  poses[-1].time_s if poses else 0.0),
-                          trace.events)
+                          _ts_utc(start, poses[-1].time_s), trace.events)
     trace.ledger.record_publish(len(to_json(report)))
-    trace.ledger.mission_duration_s = poses[-1].time_s if poses else 1.0
     return trace, report, trace.ledger
 
 
-def evaluate(trace: MissionTrace, defects=None,
-             match_radius: float | None = None) -> MetricsReport:
-    defects = trace.defects if defects is None else defects
-    radius = trace.config.match_radius_m if match_radius is None else match_radius
+def evaluate(trace: MissionTrace) -> MetricsReport:
+    defects = trace.defects
+    radius = trace.config.match_radius_m
     gt = [GroundTruthPoint(position=d.position, class_id=d.class_id)
           for d in defects]
 
@@ -613,11 +616,10 @@ def evaluate(trace: MissionTrace, defects=None,
     recall = len(matched) / len(defects) if defects else 1.0
     recall_small = (len(matched & set(small)) / len(small)) if small else 1.0
 
-    raw_items = [a.projected for a in trace.accepted]
     return MetricsReport(
         recall=recall,
         recall_small=recall_small,
-        dup_fp_raw=dup_fp_rate(raw_items, gt, match_radius=radius),
+        dup_fp_raw=dup_fp_rate(trace.accepted, gt, match_radius=radius),
         dup_fp_dedup=dup_fp_rate(trace.events, gt, match_radius=radius),
         event_count=len(trace.events),
         gt_count=len(defects),
@@ -630,9 +632,6 @@ def evaluate(trace: MissionTrace, defects=None,
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-SWEEP_PARAMS = ("altitude", "speed", "epsilon")
-
 
 def _with_value(config: MissionConfig, parameter: str, value: float) -> MissionConfig:
     if parameter == "altitude":

@@ -179,7 +179,6 @@ def to_kml(report: MissionReport) -> bytes:
 class BandwidthLedger:
     raw_bytes: int = 0
     telemetry_bytes: int = 0
-    mission_duration_s: float = 0.0
 
     def record_frame(self, width: int, height: int):
         """Raw-size model: 16-bit thermal plus 8-bit RGB, uncompressed."""
@@ -301,8 +300,8 @@ def parse_detection_record_lines(data: bytes):
             out.append(ProjectedDetection(
                 detection=det, polygon=poly,
                 centroid=GeoPoint(lat=lat, lon=lon, alt=0.0),
-                frame_id=obj.get("frame_id", 0),
-                timestamp=obj.get("timestamp", 0.0),
+                frame_id=obj.get("frame_id", ""),
+                timestamp=obj.get("timestamp", ""),
                 media_rgb=obj.get("media", {}).get("rgb", ""),
                 media_tiff=obj.get("media", {}).get("tiff", "")))
         except (KeyError, TypeError, ValueError) as exc:

@@ -205,10 +205,8 @@ def test_criterion_8_rodrigues_and_recentering():
     u0, v0 = dets[0].bbox.center
     assert math.hypot(u0 - intr.cx, v0 - intr.cy) > 5.0  # starts off-center
 
-    from pvpipeline.geoprojection import UavPose, camera_to_world_rotation
-    rot = camera_to_world_rotation(
-        UavPose(position=GeoPoint(lat=0.0, lon=0.0, alt=10.0),
-                gimbal=pose.gimbal))
+    from pvpipeline.geoprojection import camera_to_world_rotation
+    rot = camera_to_world_rotation(pose.gimbal)
     cmd = compute_reacq_command(dets[0], intr, rot)
     bore = rot @ np.array([0.0, 0.0, 1.0])
     pitch0, yaw0 = pointing_angles(bore)

@@ -216,6 +216,29 @@ def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
     assert not out.exists()
 
 
+def test_simulate_prints_a_config_error_once(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": -1}))
+    result = _run(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert result.returncode == 1
+    assert result.stderr.count("config error:") == 1
+
+
+def test_simulate_drops_detections_whose_corner_misses_the_ground(tmp_path):
+    # Large gimbal noise tilts some measured views until a corner ray no
+    # longer descends; those detections are dropped and counted.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"noise": {"att_sigma_rad": 0.8}}))
+    out = tmp_path / "out"
+    result = _run(["simulate", "--config", str(path), "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    summary = (out / "summary.txt").read_text()
+    failed = int(summary.split("projection_failed=")[1].split()[0])
+    assert failed > 0
+    assert result.stdout == summary
+
+
 def test_simulate_runtime_failure_exits_2(tmp_path):
     # A separation no plant of this size can satisfy: run_mission fails.
     impossible = dict(SMALL_CONFIG,

@@ -100,7 +100,7 @@ def test_camera_rotation_is_orthonormal():
         pose = UavPose(position=GeoPoint(lat=49.0, lon=26.0, alt=10.0),
                        attitude=Attitude(*rng.uniform(-0.3, 0.3, 3)),
                        gimbal=Attitude(*rng.uniform(-1.5, 0.0, 3)))
-        r = camera_to_world_rotation(pose)
+        r = camera_to_world_rotation(pose.gimbal, pose.attitude)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
 
@@ -121,3 +121,20 @@ def test_project_detection_polygon_and_centroid():
     d = haversine_distance(proj.polygon.vertices[0], proj.polygon.vertices[1])
     assert d == pytest.approx(2.0, rel=1e-6)
     assert proj.media_rgb == "f1.jpg"
+
+
+def test_project_detection_builds_one_rotation(monkeypatch):
+    from pvpipeline import geoprojection
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return camera_to_world_rotation(*args)
+
+    monkeypatch.setattr(geoprojection, "camera_to_world_rotation", counted)
+    det = Detection(bbox=BoundingBox(x_min=30.0, y_min=22.0,
+                                     x_max=50.0, y_max=42.0),
+                    class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
+    project_detection(det, INTR, _nadir_pose(10.0), GroundPlane(),
+                      frame_id="f1", timestamp="2025-09-30T10:00:00Z")
+    assert len(calls) == 1

@@ -1,9 +1,13 @@
-"""Every name a pvpipeline module imports is referenced in that module.
+"""Every name a pvpipeline module imports is referenced in that module, and
+every module-level name it defines is referenced somewhere.
 
-A stdlib-`ast` stand-in for a linter's unused-import rule. Names are matched
-per module, not per scope: an import counts as used when the module refers
-to the bound name anywhere. `from __future__` imports and the package
-`__init__.py` (whose imports are re-exports) are skipped.
+Stdlib-`ast` stand-ins for a linter's unused-import and unused-name rules.
+Names are matched per module, not per scope: an import counts as used when
+the module refers to the bound name anywhere. `from __future__` imports and
+the package `__init__.py` (whose imports are re-exports) are skipped. A
+module-level function, class or constant counts as used when a name or
+attribute of that spelling appears in `src/`, `tests/` or `demos/` outside
+its own definition.
 """
 
 import ast
@@ -11,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pvpipeline"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pvpipeline"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "demos")
+                 for p in (ROOT / d).rglob("*.py"))
+UNUSED_NAME_EXEMPT = {"__version__"}
 
 
 def unused_imports(source: str) -> list:
@@ -27,6 +35,70 @@ def unused_imports(source: str) -> list:
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for line, name in imported if name not in used)
+
+
+def defined_names(statement) -> list:
+    """Names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        return [statement.name]
+    targets = []
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def referenced_names(source: str) -> set:
+    """Names and attribute names the source refers to, each top-level
+    statement's references to the names it defines left out."""
+    names = set()
+    for statement in ast.parse(source).body:
+        own = set(defined_names(statement))
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                names.add(name)
+    return names
+
+
+def unused_module_names(modules: dict, sources: list) -> list:
+    """(module, name) of every module-level definition in `modules` (name
+    -> source) that none of `sources` refers to."""
+    used = set().union(*(referenced_names(s) for s in sources))
+    return sorted((module, name) for module, source in modules.items()
+                  for statement in ast.parse(source).body
+                  for name in defined_names(statement)
+                  if name not in used and name not in UNUSED_NAME_EXEMPT)
+
+
+def test_scanner_finds_unused_module_names():
+    module = ("import math\n"
+              "LIMIT = 3\n"
+              "UNUSED = (1, 2)\n"
+              "def fact(n):\n"
+              "    return 1 if n < 2 else n * fact(n - 1)\n"
+              "def used():\n"
+              "    return LIMIT + math.pi\n"
+              "class Shape:\n"
+              "    def area(self):\n"
+              "        return Shape()\n")
+    caller = "from m import used\nused()\n"
+    assert unused_module_names({"m": module}, [module, caller]) == [
+        ("m", "Shape"), ("m", "UNUSED"), ("m", "fact")]
+
+
+def test_package_has_no_unused_module_names():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unused_module_names(modules, sources) == []
 
 
 def test_scanner_finds_unused_names():

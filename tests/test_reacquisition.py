@@ -124,7 +124,7 @@ def test_compute_reacq_command_recenters_to_subpixel():
             attitude=Attitude(yaw=float(rng.uniform(-math.pi, math.pi))),
             gimbal=Attitude(pitch=float(rng.uniform(-1.5, -0.6)),
                             yaw=float(rng.uniform(-0.5, 0.5))))
-        rot = camera_to_world_rotation(pose)
+        rot = camera_to_world_rotation(pose.gimbal, pose.attitude)
         u = float(rng.uniform(2, INTR.width - 2))
         v = float(rng.uniform(2, INTR.height - 2))
         det = Detection(bbox=BoundingBox(x_min=u - 1, y_min=v - 1,

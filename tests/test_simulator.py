@@ -163,17 +163,38 @@ def test_simulate_frames_pose_noise_and_determinism():
     _, defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)[:3]
     noise = SyntheticDetectorNoise(pos_sigma_m=0.2)
-    a = simulate_frames(defects, poses, INTR, noise, RenderModel(), 2.0, 9)
-    b = simulate_frames(defects, poses, INTR, noise, RenderModel(), 2.0, 9)
+    a = list(simulate_frames(defects, poses, INTR, noise, RenderModel(),
+                             2.0, 9))
+    b = list(simulate_frames(defects, poses, INTR, noise, RenderModel(),
+                             2.0, 9))
     for pa, pb in zip(a, b):
         assert pa.pose_meas == pb.pose_meas
         assert np.array_equal(pa.temp.temp_c, pb.temp.temp_c)
     # Frames render from the true pose; only the measured pose is noisy.
     assert any(p.pose_meas.east != p.pose_true.east for p in a)
-    clean = simulate_frames(defects, poses, INTR, SyntheticDetectorNoise(),
-                            RenderModel(), 2.0, 9)
+    clean = list(simulate_frames(defects, poses, INTR,
+                                 SyntheticDetectorNoise(), RenderModel(),
+                                 2.0, 9))
     for pa, pc in zip(a, clean):
         assert np.array_equal(pa.temp.temp_c, pc.temp.temp_c)
+
+
+def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
+    from pvpipeline import simulator
+    _, defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
+    poses = plan_flight(LAYOUT, FlightPlan(), INTR)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return render_frame(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "render_frame", counted)
+    first = next(simulate_frames(defects, poses, INTR,
+                                 SyntheticDetectorNoise(), RenderModel(),
+                                 2.0, 9))
+    assert calls == [poses[0]]
+    assert first.pose_true == poses[0]
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,16 @@ def test_detection_record_lines_round_trip():
     assert detection_record_lines([]) == b""
 
 
+def test_parse_detection_record_lines_defaults_missing_ids_to_empty():
+    line = ('{"bbox": [1.0, 2.0, 5.0, 6.0], "class": "hotspot", '
+            '"conf": 0.83, "temp_C": 47.5, "centroid_wgs84": [49.4, 26.9], '
+            '"polygon_wgs84": [[49.4, 26.9], [49.4, 26.91], [49.41, 26.91]]}')
+    (parsed,) = parse_detection_record_lines(line.encode())
+    assert parsed.frame_id == ""
+    assert parsed.timestamp == ""
+    assert parsed.media_rgb == ""
+
+
 def test_parse_detection_record_lines_reports_line_numbers():
     good = detection_record_lines([_projected()]).decode().strip()
     data = (good + "\n" + '{"class": "hotspot"}' + "\n").encode()
