@@ -275,14 +275,14 @@ def cmd_reacquire_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export_kml(args) -> int:
-    from .telemetry import FileSink, TelemetryError, parse_report, to_kml
+    from .telemetry import FileSink, parse_report, to_kml
     try:
         with open(args.report, "rb") as fh:
             report = parse_report(fh.read())
     except OSError as exc:
         print(f"cannot read {args.report}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TelemetryError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # TelemetryError, or undecodable JSON
         print(f"invalid report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     FileSink(args.out).send(to_kml(report))

@@ -8,6 +8,9 @@ encoders, the gate and the palette term also take stacked rows, and
 FusionModel.loss_and_grads runs forward and backward once over the whole
 batch of samples and palettes, each weight gradient one contraction over
 the rows; only the scalar focal and GIoU terms are evaluated per sample.
+Every weight lives in one flat parameter dict keyed by PARAM_KEYS: the
+encoders read theirs from it by prefix, and the backward pass reuses the
+hidden activations of the forward pass.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import apply_palette, load_all_palettes
+from .thermal import TemperatureMap, apply_palette, load_all_palettes, \
+    normalize_temperature
 
 PROB_EPS = 1e-12
 
@@ -149,9 +153,7 @@ def gated_fuse_backward(z_bar, r, gate: GateParams, g, du):
 
 def focal_loss(pred_prob: float, is_positive: bool,
                alpha: float = 0.25, gamma: float = 2.0) -> float:
-    p = min(max(pred_prob, PROB_EPS), 1.0 - PROB_EPS)
-    pt = p if is_positive else 1.0 - p
-    return -alpha * (1.0 - pt) ** gamma * math.log(pt)
+    return focal_loss_grad(pred_prob, is_positive, alpha, gamma)[0]
 
 
 def focal_loss_grad(pred_prob: float, is_positive: bool,
@@ -171,19 +173,13 @@ def focal_loss_grad(pred_prob: float, is_positive: bool,
 # ---------------------------------------------------------------------------
 
 def giou_loss(a, b) -> float:
-    return _giou_loss_grad(np.asarray(a, dtype=np.float64),
-                           np.asarray(b, dtype=np.float64))[0]
+    return giou_loss_grad(a, b)[0]
 
 
 def giou_loss_grad(a, b):
     """Loss and gradient w.r.t. the first box's (x1, y1, x2, y2)."""
-    return _giou_loss_grad(np.asarray(a, dtype=np.float64),
-                           np.asarray(b, dtype=np.float64))
-
-
-def _giou_loss_grad(a, b):
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
+    ax1, ay1, ax2, ay2 = np.asarray(a, dtype=np.float64)
+    bx1, by1, bx2, by2 = np.asarray(b, dtype=np.float64)
     if ax2 <= ax1 or ay2 <= ay1 or bx2 <= bx1 or by2 <= by1:
         raise FusionError("degenerate box")
 
@@ -242,45 +238,30 @@ def total_loss(cls_term: float, box_term: float, pal_term: float,
 # Toy encoders
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ToyEncoderParams:
-    """Two affine layers with a tanh nonlinearity between them."""
-
-    w1: np.ndarray  # (hidden, in)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (out, hidden)
-    b2: np.ndarray  # (out,)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int,
-             scale: float = 0.5):
-        return cls(w1=scale * rng.standard_normal((hidden, in_dim)) / math.sqrt(in_dim),
-                   b1=np.zeros(hidden),
-                   w2=scale * rng.standard_normal((out_dim, hidden)) / math.sqrt(hidden),
-                   b2=np.zeros(out_dim))
-
-
-def encode(x: np.ndarray, params: ToyEncoderParams) -> np.ndarray:
-    """Embeddings of input rows (..., in_dim) -> (..., out)."""
+def encode(x: np.ndarray, params: dict, prefix: str):
+    """Toy encoder: two affine layers around a tanh, with the weights
+    params[prefix + ".w1" | ".b1" | ".w2" | ".b2"]. Returns the embeddings
+    of input rows (..., in_dim) -> (..., out) and the hidden activations
+    (..., hidden) that encode_backward takes."""
+    w1 = params[prefix + ".w1"]
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != params.w1.shape[1:]:
-        raise FusionError(f"encoder expects input rows of size {params.w1.shape[1]}")
-    h = np.tanh(x @ params.w1.T + params.b1)
-    return h @ params.w2.T + params.b2
+    if x.shape[-1:] != w1.shape[1:]:
+        raise FusionError(f"encoder expects input rows of size {w1.shape[1]}")
+    h = np.tanh(x @ w1.T + params[prefix + ".b1"])
+    return h @ params[prefix + ".w2"].T + params[prefix + ".b2"], h
 
 
-def encode_backward(x: np.ndarray, params: ToyEncoderParams, dz: np.ndarray):
-    """Gradients of a downstream loss w.r.t. encoder parameters, summed over
-    the input rows x (..., in_dim) given the embedding gradients dz (..., out).
-
-    Returns a dict {w1, b1, w2, b2} of gradient arrays.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1, params.w1.shape[1])
-    dz = np.asarray(dz, dtype=np.float64).reshape(-1, params.w2.shape[0])
-    h = np.tanh(x @ params.w1.T + params.b1)
-    dpre = (dz @ params.w2) * (1.0 - h ** 2)
-    return {"w1": dpre.T @ x, "b1": dpre.sum(axis=0),
-            "w2": dz.T @ h, "b2": dz.sum(axis=0)}
+def encode_backward(x: np.ndarray, h: np.ndarray, params: dict, prefix: str,
+                    dz: np.ndarray) -> dict:
+    """Gradients of a downstream loss w.r.t. the encoder's parameters,
+    summed over the input rows x, given encode's hidden activations h and
+    the embedding gradients dz. Keys carry the prefix, like params."""
+    x = x.reshape(-1, x.shape[-1])
+    h = h.reshape(-1, h.shape[-1])
+    dz = dz.reshape(-1, dz.shape[-1])
+    dpre = (dz @ params[prefix + ".w2"]) * (1.0 - h ** 2)
+    return {prefix + ".w1": dpre.T @ x, prefix + ".b1": dpre.sum(axis=0),
+            prefix + ".w2": dz.T @ h, prefix + ".b2": dz.sum(axis=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +296,21 @@ class FusionModel:
         self.hidden = hidden
         self.dim = dim
         rng = np.random.default_rng(seed)
-        enc_t = ToyEncoderParams.init(rng, self.in_dim, hidden, dim)
-        enc_r = ToyEncoderParams.init(rng, self.in_dim, hidden, dim)
+        self.params = {}
+        for prefix in ("t", "r"):  # thermal, then RGB encoder
+            self.params.update({
+                prefix + ".w1": 0.5 * rng.standard_normal((hidden, self.in_dim))
+                / math.sqrt(self.in_dim),
+                prefix + ".b1": np.zeros(hidden),
+                prefix + ".w2": 0.5 * rng.standard_normal((dim, hidden))
+                / math.sqrt(hidden),
+                prefix + ".b2": np.zeros(dim)})
         gate = GateParams.init(rng, dim)
-        self.params = {
-            "t.w1": enc_t.w1, "t.b1": enc_t.b1, "t.w2": enc_t.w2, "t.b2": enc_t.b2,
-            "r.w1": enc_r.w1, "r.b1": enc_r.b1, "r.w2": enc_r.w2, "r.b2": enc_r.b2,
+        self.params.update({
             "gate.w": gate.weight, "gate.b": gate.bias,
             "head.w_cls": 0.1 * rng.standard_normal(dim), "head.b_cls": np.zeros(1),
             "head.w_box": 0.1 * rng.standard_normal((4, dim)), "head.b_box": np.zeros(4),
-        }
+        })
 
     # -- parameter vector helpers --------------------------------------
 
@@ -342,18 +328,11 @@ class FusionModel:
             pos += n
         return out
 
-    def _encoder(self, params, prefix) -> ToyEncoderParams:
-        return ToyEncoderParams(w1=params[prefix + ".w1"], b1=params[prefix + ".b1"],
-                                w2=params[prefix + ".w2"], b2=params[prefix + ".b2"])
-
-    def _gate(self, params) -> GateParams:
-        return GateParams(weight=params["gate.w"], bias=params["gate.b"])
-
     # -- forward --------------------------------------------------------
 
     def palette_embeddings(self, sample: ToySample, params=None) -> np.ndarray:
         params = self.params if params is None else params
-        return encode(sample.palette_inputs, self._encoder(params, "t"))
+        return encode(sample.palette_inputs, params, "t")[0]
 
     def loss_and_grads(self, params, samples, weights: LossWeights):
         """Mean composite loss over samples plus aggregated gradients.
@@ -374,14 +353,13 @@ class FusionModel:
         x_t = np.concatenate([s.palette_inputs for s in samples])  # (N*M, in)
         x_r = np.stack([s.rgb_input for s in samples])             # (N, in)
         m = x_t.shape[0] // n
-        enc_t = self._encoder(params, "t")
-        enc_r = self._encoder(params, "r")
-        gate = self._gate(params)
+        gate = GateParams(weight=params["gate.w"], bias=params["gate.b"])
 
-        zs = encode(x_t, enc_t).reshape(n, m, -1)
+        zs, h_t = encode(x_t, params, "t")
+        zs = zs.reshape(n, m, -1)
         pal_l, d_zs_pal = palette_invariance_loss_grad(zs)
         z_bar = embedding_centroid(zs)
-        r = encode(x_r, enc_r)
+        r, h_r = encode(x_r, params, "r")
         u, g = gated_fuse(z_bar, r, gate)
 
         # Classification head: focal loss per row in its scalar form.
@@ -405,7 +383,7 @@ class FusionModel:
         box_l = np.zeros(n)
         d_corners = np.zeros((n, 4))
         for i in boxed:
-            box_l[i], d_corners[i] = _giou_loss_grad(pred[i], samples[i].box)
+            box_l[i], d_corners[i] = giou_loss_grad(pred[i], samples[i].box)
         d_box = np.stack([d_corners[:, 0] + d_corners[:, 2],
                           d_corners[:, 1] + d_corners[:, 3],
                           (d_corners[:, 2] - d_corners[:, 0]) / 2.0,
@@ -420,9 +398,8 @@ class FusionModel:
         grads = {"head.w_cls": d_logit @ u, "head.b_cls": np.array([d_logit.sum()]),
                  "head.w_box": d_t_box.T @ u, "head.b_box": d_t_box.sum(axis=0),
                  "gate.w": d_gw, "gate.b": d_gb}
-        for prefix, x, enc, dz in (("t.", x_t, enc_t, dzs), ("r.", x_r, enc_r, dr)):
-            for key, grad in encode_backward(x, enc, dz).items():
-                grads[prefix + key] = grad
+        grads.update(encode_backward(x_t, h_t, params, "t", dzs))
+        grads.update(encode_backward(x_r, h_r, params, "r", dr))
 
         aux = {"cls": float(cls_l.mean()), "pal": float(pal_l.mean()),
                "box": float(box_l.sum()) / len(boxed) if boxed else 0.0}
@@ -490,8 +467,7 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
         excess = rng.uniform(8.0, 25.0)
         blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig ** 2))
         temp = base + excess * blob
-        lo, hi = temp.min(), temp.max()
-        gray = (temp - lo) / (hi - lo) if hi > lo else np.full_like(temp, 0.5)
+        gray = normalize_temperature(TemperatureMap(temp_c=temp))
         pal_inputs = np.stack([
             apply_palette(gray, lut).pixels.astype(np.float64).ravel() / 255.0 - 0.5
             for lut in luts])

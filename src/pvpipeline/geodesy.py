@@ -60,18 +60,6 @@ class EnuOffset:
 
 
 @dataclass(frozen=True)
-class EarthModel:
-    radius: float = MEAN_EARTH_RADIUS_M
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GeodesyError("earth radius must be positive")
-
-
-DEFAULT_EARTH = EarthModel()
-
-
-@dataclass(frozen=True)
 class GeoPolygon:
     """Ordered ring of WGS84 vertices; the closing edge is implied."""
 
@@ -87,7 +75,7 @@ class GeoPolygon:
         object.__setattr__(self, "vertices", verts)
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = DEFAULT_EARTH) -> float:
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters between two points on the mean sphere."""
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)
@@ -96,7 +84,7 @@ def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = DEFAULT_EAR
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
     # Guard tiny negative / >1 excursions from roundoff.
     s = min(1.0, max(0.0, s))
-    return 2.0 * earth.radius * math.asin(math.sqrt(s))
+    return 2.0 * MEAN_EARTH_RADIUS_M * math.asin(math.sqrt(s))
 
 
 # Slack on the grid cell bounds, relative and in degrees: roundoff in the
@@ -106,11 +94,11 @@ _CELL_SLACK_REL = 1e-9
 _CELL_SLACK_DEG = 1e-9
 
 
-def _grid_cells(radius: float, max_abs_lat: float, earth: EarthModel):
+def _grid_cells(radius: float, max_abs_lat: float):
     """Row height in degrees and number of longitude columns such that two
     points within ``radius`` of each other, both at |lat| <= max_abs_lat,
     lie in the same or adjacent cells."""
-    half = min(radius / (2.0 * earth.radius), math.pi / 2.0)
+    half = min(radius / (2.0 * MEAN_EARTH_RADIUS_M), math.pi / 2.0)
     # sin^2(dphi / 2) <= s <= sin^2(radius / 2R)  =>  |dphi| <= radius / R
     row = math.degrees(2.0 * half) * (1.0 + _CELL_SLACK_REL) + _CELL_SLACK_DEG
     # cos(phi1) cos(phi2) sin^2(dlmb / 2) <= sin^2(radius / 2R)
@@ -125,8 +113,7 @@ def _grid_cells(radius: float, max_abs_lat: float, earth: EarthModel):
     return row, (ncols if ncols >= 3 else 1)
 
 
-def neighbours_within(points, radius: float, targets=None,
-                      earth: EarthModel = DEFAULT_EARTH) -> list:
+def neighbours_within(points, radius: float, targets=None) -> list:
     """Every target within ``radius`` meters of each point.
 
     Returns one list per point of (index, distance) pairs in ascending index
@@ -155,8 +142,7 @@ def neighbours_within(points, radius: float, targets=None,
     if not points or not targets:
         return out
     row, ncols = _grid_cells(
-        radius, max(abs(p.lat) for seq in (points, targets) for p in seq),
-        earth)
+        radius, max(abs(p.lat) for seq in (points, targets) for p in seq))
     col = 360.0 / ncols
 
     def cell(p):
@@ -176,19 +162,19 @@ def neighbours_within(points, radius: float, targets=None,
             found.append((i, 0.0))
             for j in cands:
                 if j > i:
-                    d = haversine_distance(p, targets[j], earth)
+                    d = haversine_distance(p, targets[j])
                     if d <= radius:
                         found.append((j, d))
                         out[j].append((i, d))
         else:
             for j in cands:
-                d = haversine_distance(p, targets[j], earth)
+                d = haversine_distance(p, targets[j])
                 if d <= radius:
                     found.append((j, d))
     return out
 
 
-def geo_to_enu(origin: GeoPoint, p: GeoPoint, earth: EarthModel = DEFAULT_EARTH) -> EnuOffset:
+def geo_to_enu(origin: GeoPoint, p: GeoPoint) -> EnuOffset:
     """Equirectangular tangent-plane offset of ``p`` relative to ``origin``.
 
     East is scaled by the cosine of the *midpoint* latitude, which keeps the
@@ -196,20 +182,21 @@ def geo_to_enu(origin: GeoPoint, p: GeoPoint, earth: EarthModel = DEFAULT_EARTH)
     great-circle distance for baselines under 1 km at survey latitudes).
     """
     lat_mid = math.radians((origin.lat + p.lat) / 2.0)
-    east = earth.radius * math.cos(lat_mid) * math.radians(p.lon - origin.lon)
-    north = earth.radius * math.radians(p.lat - origin.lat)
+    east = MEAN_EARTH_RADIUS_M * math.cos(lat_mid) * math.radians(p.lon - origin.lon)
+    north = MEAN_EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
     if math.hypot(east, north) > MAX_TANGENT_RANGE_M:
         raise GeodesyError("points farther than 100 km apart: tangent plane invalid")
     return EnuOffset(east=east, north=north, up=p.alt - origin.alt)
 
 
-def enu_to_geo(origin: GeoPoint, off: EnuOffset, earth: EarthModel = DEFAULT_EARTH) -> GeoPoint:
+def enu_to_geo(origin: GeoPoint, off: EnuOffset) -> GeoPoint:
     """Exact algebraic inverse of :func:`geo_to_enu`'s linearization."""
     if off.horizontal_norm() > MAX_TANGENT_RANGE_M:
         raise GeodesyError("offset exceeds 100 km: tangent plane invalid")
-    lat = origin.lat + math.degrees(off.north / earth.radius)
+    lat = origin.lat + math.degrees(off.north / MEAN_EARTH_RADIUS_M)
     lat_mid = math.radians((origin.lat + lat) / 2.0)
-    lon = origin.lon + math.degrees(off.east / (earth.radius * math.cos(lat_mid)))
+    lon = origin.lon + math.degrees(
+        off.east / (MEAN_EARTH_RADIUS_M * math.cos(lat_mid)))
     return GeoPoint(lat=lat, lon=lon, alt=origin.alt + off.up)
 
 
@@ -233,7 +220,7 @@ def shoelace(xy):
     return area2, cx, cy
 
 
-def polygon_centroid(poly: GeoPolygon, earth: EarthModel = DEFAULT_EARTH):
+def polygon_centroid(poly: GeoPolygon):
     """Area-weighted centroid of a polygon, computed on the ENU plane anchored
     at the first vertex and mapped back to WGS84.
 
@@ -241,14 +228,14 @@ def polygon_centroid(poly: GeoPolygon, earth: EarthModel = DEFAULT_EARTH):
     back to the vertex mean and are flagged degenerate.
     """
     anchor = poly.vertices[0]
-    pts = [geo_to_enu(anchor, v, earth) for v in poly.vertices]
+    pts = [geo_to_enu(anchor, v) for v in poly.vertices]
     xy = [(p.east, p.north) for p in pts]
     area2, cx, cy = shoelace(xy)
     n = len(xy)
     if abs(area2) < 1e-12:
         mx = sum(x for x, _ in xy) / n
         my = sum(y for _, y in xy) / n
-        return enu_to_geo(anchor, EnuOffset(east=mx, north=my), earth), True
+        return enu_to_geo(anchor, EnuOffset(east=mx, north=my)), True
     cx /= 3.0 * area2
     cy /= 3.0 * area2
-    return enu_to_geo(anchor, EnuOffset(east=cx, north=cy), earth), False
+    return enu_to_geo(anchor, EnuOffset(east=cx, north=cy)), False

@@ -177,12 +177,6 @@ def to_gimbal_command(c_new: np.ndarray, current_pitch: float,
                          delta_yaw=wrap_angle(yaw - current_yaw))
 
 
-@dataclass(frozen=True)
-class ReacqDecision:
-    action: str  # "accept" | "reject" | "reacquire"
-    command: GimbalCommand | None = None
-
-
 def compute_reacq_command(det: Detection, intr: CameraIntrinsics,
                           rot_cam_to_world: np.ndarray) -> GimbalCommand:
     """Gimbal deltas that center the detection's bbox centroid.
@@ -199,18 +193,15 @@ def compute_reacq_command(det: Detection, intr: CameraIntrinsics,
 
 
 def reacquisition_decision(det: Detection, frame_area: float, policy: ReacqPolicy,
-                           round_index: int, intr: CameraIntrinsics | None = None,
-                           rot_cam_to_world: np.ndarray | None = None) -> ReacqDecision:
-    """Accept confident detections; re-acquire small, low-confidence ones
-    until the round budget runs out; reject afterwards."""
+                           round_index: int) -> str:
+    """The action for one detection: "accept" when it is confident,
+    "reacquire" when it is small and not confident while rounds remain
+    (compute_reacq_command gives the gimbal command), else "reject"."""
     if round_index > policy.max_rounds:
         raise GeometryError("round exceeds policy budget")
     if det.confidence >= policy.tau_ra:
-        return ReacqDecision(action="accept")
+        return "accept"
     small = det.bbox.area / frame_area < policy.min_area_frac
     if small and round_index < policy.max_rounds:
-        command = None
-        if intr is not None and rot_cam_to_world is not None:
-            command = compute_reacq_command(det, intr, rot_cam_to_world)
-        return ReacqDecision(action="reacquire", command=command)
-    return ReacqDecision(action="reject")
+        return "reacquire"
+    return "reject"

@@ -36,7 +36,7 @@ from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
 from .geoprojection import Attitude, GroundPlane, ProjectionError, UavPose, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
-    reacquisition_decision
+    compute_reacq_command, reacquisition_decision
 from .telemetry import BandwidthLedger, bandwidth_savings, build_report, \
     parse_ts_utc, to_json
 from .thermal import TemperatureMap
@@ -498,35 +498,38 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
                       trace: MissionTrace):
     """Confirm stage: the accept / re-acquire / reject loop for one raw
     detection. Returns the confirmed detection and the measured pose it
-    was seen from, or None when it is rejected or lost."""
+    was seen from, or None when it is rejected or lost. A re-acquired view's
+    measured gimbal is the commanded one plus the frame's attitude error."""
     intr = config.intrinsics
     frame_area = float(intr.width * intr.height)
     pose_true, pose_meas = packet.pose_true, packet.pose_meas
+    err_pitch = pose_meas.gimbal.pitch - pose_true.gimbal.pitch
+    err_yaw = pose_meas.gimbal.yaw - pose_true.gimbal.yaw
     rounds = 0
     while True:
         noisy = min(max(det.confidence + _conf_noise(
             config.seed, frame_idx, det_idx, rounds,
             config.noise.confidence_sigma), 0.0), 1.0)
         det = det.with_confidence(noisy)
-        decision = reacquisition_decision(
-            det, frame_area, config.policy, rounds, intr=intr,
-            rot_cam_to_world=camera_to_world_rotation(pose_true.gimbal))
-        if decision.action == "accept":
+        action = reacquisition_decision(det, frame_area, config.policy, rounds)
+        if action == "accept":
             if rounds > 0:
                 trace.reacq_confirms += 1
             return det, pose_meas
-        if decision.action == "reject" or not config.reacq_enabled:
+        if action == "reject" or not config.reacq_enabled:
             return None
         # Re-acquire: apply the gimbal command that points along the
         # target's line of sight and render a fresh, centered view at the
         # same station.
         trace.reacq_rounds += 1
         rounds += 1
-        cmd = decision.command
+        cmd = compute_reacq_command(
+            det, intr, camera_to_world_rotation(pose_true.gimbal))
         gimbal = Attitude(pitch=pose_true.gimbal.pitch + cmd.delta_pitch,
                           yaw=pose_true.gimbal.yaw + cmd.delta_yaw)
         pose_true = replace(pose_true, gimbal=gimbal)
-        pose_meas = replace(pose_meas, gimbal=gimbal)
+        pose_meas = replace(pose_meas, gimbal=Attitude(
+            pitch=gimbal.pitch + err_pitch, yaw=gimbal.yaw + err_yaw))
         frame = render_frame(defects, pose_true, intr, config.render,
                              speed=0.0)  # hover during re-acquisition
         trace.ledger.record_frame(intr.width, intr.height)
@@ -646,7 +649,8 @@ def _with_value(config: MissionConfig, parameter: str, value: float) -> MissionC
 def sweep(parameter: str, values, base: MissionConfig) -> list:
     """One full mission per value with a shared seed; returns
     [(value, MetricsReport)] in input order."""
-    if not list(values):
+    values = list(values)
+    if not values:
         raise SimulationError("sweep needs at least one value")
     rows = []
     for value in values:

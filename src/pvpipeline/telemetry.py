@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import time
 import urllib.error
@@ -137,18 +138,68 @@ def to_json(report: MissionReport) -> bytes:
     return text.encode("utf-8")
 
 
+# Field checks for parsed JSON: each returns the value when it has the
+# expected JSON type and raises TelemetryError naming the field otherwise.
+
+def _typed(kind: type, label: str):
+    def check(value, what: str):
+        if not isinstance(value, kind):
+            raise TelemetryError(f"{what}: expected {label}, got {value!r:.60}")
+        return value
+    return check
+
+
+_string = _typed(str, "a string")
+_list = _typed(list, "a list")
+_object = _typed(dict, "an object")
+
+
+def _number(value, what: str):
+    # abs(v) <= max is False for NaN, +-inf and ints past the float range.
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise TelemetryError(f"{what}: expected a finite number, got {value!r:.60}")
+    return value
+
+
+def _lat_lon(value, what: str) -> tuple:
+    if type(value) is not list or len(value) != 2:
+        raise TelemetryError(f"{what}: expected [lat, lon], got {value!r:.60}")
+    return _number(value[0], what), _number(value[1], what)
+
+
+def _field(obj: dict, key: str, check, where: str = ""):
+    what = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise TelemetryError(f"{what}: missing")
+    return check(obj[key], what)
+
+
+def _parse_record(d, where: str) -> DetectionRecord:
+    _object(d, where)
+    media = _field(d, "media", _object, where)
+    return DetectionRecord(
+        id=_field(d, "id", _string, where),
+        class_id=_field(d, "class", _string, where),
+        conf=_field(d, "conf", _number, where),
+        temp_c=_field(d, "temp_C", _number, where),
+        centroid=_field(d, "centroid_wgs84", _lat_lon, where),
+        polygon=tuple(_lat_lon(p, f"{where}.polygon_wgs84")
+                      for p in _field(d, "polygon_wgs84", _list, where)),
+        media=MediaRef(rgb=_field(media, "rgb", _string, f"{where}.media"),
+                       tiff=_field(media, "tiff", _string, f"{where}.media")))
+
+
 def parse_report(payload: bytes) -> MissionReport:
-    obj = json.loads(payload.decode("utf-8"))
-    records = tuple(
-        DetectionRecord(
-            id=d["id"], class_id=d["class"], conf=d["conf"],
-            temp_c=d["temp_C"],
-            centroid=tuple(d["centroid_wgs84"]),
-            polygon=tuple(tuple(p) for p in d["polygon_wgs84"]),
-            media=MediaRef(rgb=d["media"]["rgb"], tiff=d["media"]["tiff"]))
-        for d in obj["detections"])
-    return MissionReport(site_id=obj["site_id"], uav=obj["uav"],
-                         ts_utc=obj["ts_utc"], detections=records)
+    """Inverse of to_json. Raises TelemetryError naming the first field
+    that is missing or holds the wrong JSON type."""
+    obj = _object(json.loads(payload.decode("utf-8")), "report")
+    detections = _field(obj, "detections", _list)
+    return MissionReport(
+        site_id=_field(obj, "site_id", _string),
+        uav=_field(obj, "uav", _string),
+        ts_utc=_field(obj, "ts_utc", _string),
+        detections=tuple(_parse_record(d, f"detections[{i}]")
+                         for i, d in enumerate(detections)))
 
 
 def to_kml(report: MissionReport) -> bytes:
@@ -289,21 +340,25 @@ def parse_detection_record_lines(data: bytes):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _object(json.loads(line), "record")
             bbox = BoundingBox(*obj["bbox"])
-            det = Detection(bbox=bbox, class_id=obj["class"],
-                            confidence=obj["conf"], peak_temp_c=obj["temp_C"])
+            det = Detection(bbox=bbox, class_id=_field(obj, "class", _string),
+                            confidence=_field(obj, "conf", _number),
+                            peak_temp_c=_field(obj, "temp_C", _number))
+            # GeoPoint checks each coordinate (an int past the float range
+            # raises OverflowError there).
             poly = GeoPolygon(vertices=tuple(
                 GeoPoint(lat=lat, lon=lon, alt=0.0)
                 for lat, lon in obj["polygon_wgs84"]))
             lat, lon = obj["centroid_wgs84"]
+            media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
                 detection=det, polygon=poly,
                 centroid=GeoPoint(lat=lat, lon=lon, alt=0.0),
-                frame_id=obj.get("frame_id", ""),
-                timestamp=obj.get("timestamp", ""),
-                media_rgb=obj.get("media", {}).get("rgb", ""),
-                media_tiff=obj.get("media", {}).get("tiff", "")))
-        except (KeyError, TypeError, ValueError) as exc:
+                frame_id=_string(obj.get("frame_id", ""), "frame_id"),
+                timestamp=_string(obj.get("timestamp", ""), "timestamp"),
+                media_rgb=_string(media.get("rgb", ""), "media.rgb"),
+                media_tiff=_string(media.get("tiff", ""), "media.tiff")))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
     return out

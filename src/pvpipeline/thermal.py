@@ -1,15 +1,14 @@
 """Thermal preprocessing: radiometric-to-Celsius conversion, per-frame
 normalization, multi-palette pseudo-color rendering, and CLAHE.
 
-The four shipped palettes (ironbow, whitehot, rainbow, sepia) are 256-entry
-RGB lookup tables stored as ASCII data files next to this module.
+The four palettes (ironbow, whitehot, rainbow, sepia) are 256-entry RGB
+lookup tables, each built from its generator in _build_palette.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -139,7 +138,7 @@ def apply_palette(gray: np.ndarray, lut: PaletteLut) -> RgbImage:
 
 
 # ---------------------------------------------------------------------------
-# Palette LUT construction and data files
+# Palette LUT construction
 # ---------------------------------------------------------------------------
 
 def _interp_channel(xs, ys):
@@ -180,39 +179,9 @@ def _build_palette(name: str) -> np.ndarray:
     raise ThermalError(f"unknown palette: {name}")
 
 
-def palette_file_text(name: str) -> str:
-    """Serialize a palette as the shipped 'index r g b' ASCII format."""
-    table = _build_palette(name)
-    lines = [f"{k} {r} {g} {b}" for k, (r, g, b) in enumerate(table)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_palette_file(name: str, text: str) -> PaletteLut:
-    table = np.zeros((256, 3), dtype=np.uint8)
-    seen = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ThermalError(f"palette line {lineno}: expected 'index r g b'")
-        k, r, g, b = map(int, parts)
-        if not (0 <= k < 256):
-            raise ThermalError(f"palette line {lineno}: index out of range")
-        table[k] = (r, g, b)
-        seen += 1
-    if seen != 256:
-        raise ThermalError(f"palette file has {seen} entries, expected 256")
-    return PaletteLut(name=name, table=table)
-
-
 def load_palette(name: str) -> PaletteLut:
-    """Load one of the shipped palette LUTs from the package data directory."""
-    if name not in PALETTE_NAMES:
-        raise ThermalError(f"unknown palette: {name}")
-    text = resources.files("pvpipeline").joinpath(f"data/palettes/{name}.txt").read_text()
-    return parse_palette_file(name, text)
+    """One of the four palette LUTs, built from its generator."""
+    return PaletteLut(name=name, table=_build_palette(name))
 
 
 def load_all_palettes() -> list:

@@ -8,6 +8,7 @@ oracles. Wall-clock guards keep the suite desk-scale.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from pvpipeline.cli import main as cli_main, run_fuse_check
 from pvpipeline.dedup import NOISE, dbscan_labels
 from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
     palette_spread, train_toy
-from pvpipeline.geodesy import (DEFAULT_EARTH, EnuOffset, GeoPoint,
+from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, EnuOffset, GeoPoint,
                                 enu_to_geo, geo_to_enu, haversine_distance)
 from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
                                       axis_angle_matrix, backproject,
@@ -226,7 +227,7 @@ def test_criterion_8_rodrigues_and_recentering():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_geodesy_closed_forms():
-    r = DEFAULT_EARTH.radius
+    r = MEAN_EARTH_RADIUS_M
     a = GeoPoint(lat=0.0, lon=30.0)
     b = GeoPoint(lat=1.0, lon=30.0)
     expected = r * math.pi / 180.0  # one degree of meridian arc
@@ -340,13 +341,16 @@ def test_criterion_11_payload_conformance():
 def test_criterion_12_simulate_determinism(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 11}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
         result = subprocess.run(
             [sys.executable, "-m", "pvpipeline.cli", "simulate",
              "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         outputs.append(out)
     for name in ("report.json", "report.kml", "metrics.csv"):

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -20,14 +21,32 @@ SMALL_CONFIG = {
 }
 
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
 def _run(args, env_extra=None, cwd=None):
-    import os
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     env.setdefault("PV_PIPELINE_LOG", "error")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "pvpipeline.cli", *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
+
+
+GOLDEN_REPORT = pathlib.Path(__file__).parent / "data" / "golden_report.json"
+
+
+def _set(path, value):
+    """Edit of a report or record object: set the value at a key path."""
+    def edit(root):
+        *parents, leaf = path
+        obj = root
+        for key in parents:
+            obj = obj[key]
+        obj[leaf] = value
+        return root
+    return edit
 
 
 @pytest.fixture
@@ -298,6 +317,33 @@ def test_config_rejects_non_finite_radii():
         config_from_dict({"telemetry": {"match_radius_m": 0.0}})
 
 
+@pytest.mark.parametrize("edit,message", [
+    (_set(["media"], ["a.jpg"]), "media: expected an object"),
+    (_set(["media", "rgb"], 5), "media.rgb: expected a string"),
+    (_set(["class"], ["hotspot"]), "class: expected a string"),
+    (_set(["temp_C"], "hot"), "temp_C: expected a finite number"),
+    (_set(["frame_id"], None), "frame_id: expected a string"),
+    (_set(["centroid_wgs84", 1], 10 ** 400), "int too large"),
+], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
+        "frame-id-null", "lon-huge-int"])
+def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
+    record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
+              "class": "hotspot", "conf": 0.8, "temp_C": 40.0,
+              "bbox": [1.0, 2.0, 5.0, 6.0], "centroid_wgs84": [49.4, 26.9],
+              "polygon_wgs84": [[49.4, 26.9], [49.4, 26.91], [49.41, 26.91]],
+              "media": {"rgb": "f0001.jpg", "tiff": "f0001.tif"}}
+    data = tmp_path / "in.jsonl"
+    data.write_text(json.dumps(record) + "\n" + json.dumps(edit(record)) + "\n")
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(data), "--epsilon", "1.0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"parse error: line 2: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dedup_cli_malformed_input_names_line(tmp_path):
     data = tmp_path / "in.jsonl"
     data.write_text('{"class": "hotspot"}\n')
@@ -366,6 +412,35 @@ def test_export_kml_missing_report_exits_1(tmp_path):
     result = _run(["export-kml", "--report", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o.kml")])
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: [r], "report: expected an object"),
+    (_set(["detections"], {"clu_000": {}}), "detections: expected a list"),
+    (_set(["detections", 0, "media"], ["a.jpg", "a.tiff"]),
+     "detections[0].media: expected an object"),
+    (_set(["detections", 0, "polygon_wgs84", 0], [0]),
+     "detections[0].polygon_wgs84: expected [lat, lon]"),
+    (_set(["detections", 0, "conf"], "hi"),
+     "detections[0].conf: expected a finite number"),
+    (_set(["detections", 0, "temp_C"], 10 ** 400),
+     "detections[0].temp_C: expected a finite number"),
+    (_set(["detections", 0, "id"], 7), "detections[0].id: expected a string"),
+    (_set(["ts_utc"], 20250930), "ts_utc: expected a string"),
+    (lambda r: {k: v for k, v in r.items() if k != "uav"}, "uav: missing"),
+], ids=["root-list", "detections-object", "media-list", "vertex-short",
+        "conf-string", "temp-huge-int", "id-number", "ts-number",
+        "uav-missing"])
+def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))
+    out = tmp_path / "o.kml"
+    code = main(["export-kml", "--report", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"invalid report: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_invalid_log_level_rejected():

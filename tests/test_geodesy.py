@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvpipeline.geodesy import (DEFAULT_EARTH, EnuOffset, GeodesyError,
+from pvpipeline.geodesy import (EnuOffset, GeodesyError,
                                 GeoPoint, GeoPolygon, MEAN_EARTH_RADIUS_M,
                                 enu_to_geo, geo_to_enu, haversine_distance,
                                 polygon_centroid)

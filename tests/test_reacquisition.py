@@ -160,13 +160,12 @@ def test_reacquisition_decision_policy():
                     class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
     sure = small.with_confidence(0.9)
 
-    assert reacquisition_decision(sure, frame_area, policy, 0).action == "accept"
-    d = reacquisition_decision(small, frame_area, policy, 0)
-    assert d.action == "reacquire"
+    assert reacquisition_decision(sure, frame_area, policy, 0) == "accept"
+    assert reacquisition_decision(small, frame_area, policy, 0) == "reacquire"
     # Low confidence but not small: no re-acquisition round is spent.
-    assert reacquisition_decision(big, frame_area, policy, 0).action == "reject"
+    assert reacquisition_decision(big, frame_area, policy, 0) == "reject"
     # Round budget exhausted.
-    assert reacquisition_decision(small, frame_area, policy, 2).action == "reject"
+    assert reacquisition_decision(small, frame_area, policy, 2) == "reject"
     with pytest.raises(GeometryError):
         reacquisition_decision(small, frame_area, policy, 3)
 

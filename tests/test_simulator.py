@@ -7,9 +7,10 @@ import pytest
 from pvpipeline.geodesy import GeoPoint, haversine_distance
 from pvpipeline.reacquisition import CameraIntrinsics
 from pvpipeline.simulator import (DefectMix, FlightPlan, MissionConfig,
-                                  PlantLayout, RenderModel, SimulationError,
-                                  SyntheticDetectorNoise,
-                                  coverage_multiplicity, evaluate, footprint,
+                                  MissionTrace, PlantLayout, RenderModel,
+                                  SimulationError, SyntheticDetectorNoise,
+                                  confirm_detection, coverage_multiplicity,
+                                  detect_frame, evaluate, footprint,
                                   generate_plant, metrics_csv, plan_flight,
                                   render_frame, run_mission, simulate_frames,
                                   sweep, sweep_csv)
@@ -228,6 +229,52 @@ def test_certain_miss_probability_kills_recall():
     metrics = evaluate(trace)
     assert metrics.recall == 0.0
     assert metrics.event_count == 0
+
+
+def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
+    # The measured gimbal of a re-acquired view is the commanded gimbal
+    # plus the attitude error the frame was measured with.
+    from pvpipeline import simulator
+    config = replace(MissionConfig(seed=0),
+                     noise=SyntheticDetectorNoise(att_sigma_rad=0.02))
+    _, defects = generate_plant(config.seed, config.layout, config.mix)
+    poses = plan_flight(config.layout, config.plan, config.intrinsics)
+    rendered = []
+
+    def recording(defects, pose, *args, **kwargs):
+        rendered.append(pose)
+        return render_frame(defects, pose, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "render_frame", recording)
+    trace = MissionTrace(config=config, defects=defects)
+    checked = 0
+    for frame_idx, packet in enumerate(simulate_frames(
+            defects, poses, config.intrinsics, config.noise, config.render,
+            config.plan.speed, config.seed)):
+        err_pitch = packet.pose_meas.gimbal.pitch - packet.pose_true.gimbal.pitch
+        err_yaw = packet.pose_meas.gimbal.yaw - packet.pose_true.gimbal.yaw
+        for det_idx, det in detect_frame(packet, frame_idx, config, trace):
+            rendered.clear()
+            confirmed = confirm_detection(det, packet, frame_idx, det_idx,
+                                          config, defects, trace)
+            if confirmed is None or not rendered:
+                continue
+            commanded = rendered[-1].gimbal
+            measured = confirmed[1].gimbal
+            assert measured.pitch == pytest.approx(commanded.pitch + err_pitch,
+                                                   abs=1e-12)
+            assert measured.yaw == pytest.approx(commanded.yaw + err_yaw,
+                                                 abs=1e-12)
+            assert (err_pitch, err_yaw) != (0.0, 0.0)
+            checked += 1
+    assert checked > 0
+
+
+def test_sweep_accepts_a_generator():
+    config = MissionConfig(seed=0)
+    rows = sweep("epsilon", (v for v in (0.5, 1.0)), config)
+    assert [v for v, _ in rows] == [0.5, 1.0]
+    assert rows == sweep("epsilon", [0.5, 1.0], config)
 
 
 def test_sweep_shapes_and_csv():

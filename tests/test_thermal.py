@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,8 +9,7 @@ from pvpipeline.thermal import (ABSOLUTE_ZERO_C, CalibrationError,
                                 RgbImage, TemperatureMap, ThermalError,
                                 apply_palette, celsius_to_radiometric, clahe,
                                 clahe_rgb, load_all_palettes, load_palette,
-                                normalize_temperature, palette_file_text,
-                                parse_palette_file, radiometric_to_celsius,
+                                normalize_temperature, radiometric_to_celsius,
                                 read_pgm16, read_ppm, write_pgm16, write_ppm)
 
 
@@ -65,13 +65,27 @@ def test_apply_palette_rejects_out_of_range():
         apply_palette(np.array([[1.2]]), lut)
 
 
-def test_palette_files_parse_and_round_trip():
-    for name in PALETTE_NAMES:
-        text = palette_file_text(name)
-        lut = parse_palette_file(name, text)
-        assert lut.table.shape == (256, 3)
-        packaged = load_palette(name)
-        assert np.array_equal(lut.table, packaged.table)
+# sha256 of each LUT's table bytes, recorded from the palette data files
+# the generators replaced; any change to a generator's output shows here.
+PALETTE_SHA256 = {
+    "ironbow": "ec75a279ebaeb97eedb80deca2feb707ab446b794674cb3f644154aae14bf4a8",
+    "whitehot": "72432263dbfe17abc40ed269f24c7a344e077e3671007dfc8a2f3851f8193dc2",
+    "rainbow": "3ccedddc80e5c02cae9b0bd7932fbadd3d94ebf77d7da56ee46b30e0c2ffa74a",
+    "sepia": "bc64547acfc51a8ec49357dbf227b47d04263729e48d58068d86766e663ca743",
+}
+
+
+@pytest.mark.parametrize("name", PALETTE_NAMES)
+def test_palette_table_pinned(name):
+    lut = load_palette(name)
+    assert lut.name == name
+    assert lut.table.shape == (256, 3) and lut.table.dtype == np.uint8
+    assert hashlib.sha256(lut.table.tobytes()).hexdigest() == PALETTE_SHA256[name]
+
+
+def test_unknown_palette_rejected():
+    with pytest.raises(ThermalError, match="unknown palette"):
+        load_palette("inferno")
 
 
 def test_palettes_pairwise_distinct():
