@@ -40,7 +40,11 @@ class GeoPoint:
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
             raise GeodesyError(f"latitude out of range: {self.lat}")
-        if not math.isfinite(self.lon) or not math.isfinite(self.alt):
+        try:
+            finite = math.isfinite(self.lon) and math.isfinite(self.alt)
+        except OverflowError as exc:  # an int past the float range
+            raise GeodesyError(f"{exc}: longitude or altitude") from None
+        if not finite:
             raise GeodesyError("non-finite longitude or altitude")
         object.__setattr__(self, "lon", _normalize_lon(self.lon))
 
@@ -52,7 +56,11 @@ class EnuOffset:
     up: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.east, self.north, self.up))):
+        try:
+            finite = all(map(math.isfinite, (self.east, self.north, self.up)))
+        except OverflowError as exc:  # an int past the float range
+            raise GeodesyError(f"{exc}: ENU component") from None
+        if not finite:
             raise GeodesyError("non-finite ENU component")
 
     def horizontal_norm(self) -> float:
@@ -180,9 +188,14 @@ def geo_to_enu(origin: GeoPoint, p: GeoPoint) -> EnuOffset:
     East is scaled by the cosine of the *midpoint* latitude, which keeps the
     approximation second-order accurate (sub-1e-6 relative error against the
     great-circle distance for baselines under 1 km at survey latitudes).
+    The longitude difference is wrapped across the antimeridian only when
+    it exceeds 180 degrees, so a small difference keeps its low bits.
     """
     lat_mid = math.radians((origin.lat + p.lat) / 2.0)
-    east = MEAN_EARTH_RADIUS_M * math.cos(lat_mid) * math.radians(p.lon - origin.lon)
+    dlon = p.lon - origin.lon
+    if abs(dlon) > 180.0:
+        dlon -= math.copysign(360.0, dlon)
+    east = MEAN_EARTH_RADIUS_M * math.cos(lat_mid) * math.radians(dlon)
     north = MEAN_EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
     if math.hypot(east, north) > MAX_TANGENT_RANGE_M:
         raise GeodesyError("points farther than 100 km apart: tangent plane invalid")

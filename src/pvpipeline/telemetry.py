@@ -345,8 +345,6 @@ def parse_detection_record_lines(data: bytes):
             det = Detection(bbox=bbox, class_id=_field(obj, "class", _string),
                             confidence=_field(obj, "conf", _number),
                             peak_temp_c=_field(obj, "temp_C", _number))
-            # GeoPoint checks each coordinate (an int past the float range
-            # raises OverflowError there).
             poly = GeoPolygon(vertices=tuple(
                 GeoPoint(lat=lat, lon=lon, alt=0.0)
                 for lat, lon in obj["polygon_wgs84"]))
@@ -359,6 +357,6 @@ def parse_detection_record_lines(data: bytes):
                 timestamp=_string(obj.get("timestamp", ""), "timestamp"),
                 media_rgb=_string(media.get("rgb", ""), "media.rgb"),
                 media_tiff=_string(media.get("tiff", ""), "media.tiff")))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
     return out

@@ -258,6 +258,19 @@ def test_simulate_drops_detections_whose_corner_misses_the_ground(tmp_path):
     assert result.stdout == summary
 
 
+def test_simulate_across_the_antimeridian_exits_zero(tmp_path):
+    # The plant's east edge lies past lon 180, where longitudes wrap to -180.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plant": {"origin": [10.0, 179.99995]}}))
+    out = tmp_path / "out"
+    result = _run(["simulate", "--config", str(path), "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    assert "recall=1.0000" in (out / "summary.txt").read_text()
+    lons = [d["centroid_wgs84"][1] for d in
+            json.loads((out / "report.json").read_text())["detections"]]
+    assert min(lons) < 0.0 < max(lons)
+
+
 def test_simulate_runtime_failure_exits_2(tmp_path):
     # A separation no plant of this size can satisfy: run_mission fails.
     impossible = dict(SMALL_CONFIG,

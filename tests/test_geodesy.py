@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pvpipeline.geodesy import (EnuOffset, GeodesyError,
                                 GeoPoint, GeoPolygon, MEAN_EARTH_RADIUS_M,
@@ -57,6 +59,22 @@ def test_invalid_latitude_rejected():
         GeoPoint(lat=91.0, lon=0.0, alt=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"lat": 0, "lon": 10 ** 400},
+                                    {"lat": 0, "lon": 0, "alt": -10 ** 400},
+                                    {"lat": 10 ** 400, "lon": 0}])
+def test_geopoint_rejects_an_int_past_the_float_range(kwargs):
+    with pytest.raises(GeodesyError):
+        GeoPoint(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"east": 10 ** 400, "north": 0},
+                                    {"east": 0, "north": -10 ** 400},
+                                    {"east": 0, "north": 0, "up": 10 ** 400}])
+def test_enu_offset_rejects_an_int_past_the_float_range(kwargs):
+    with pytest.raises(GeodesyError):
+        EnuOffset(**kwargs)
+
+
 def test_enu_round_trip_within_1e9_degrees():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -72,6 +90,23 @@ def test_enu_round_trip_within_1e9_degrees():
         p2 = enu_to_geo(origin, back)
         assert abs(p2.lat - p.lat) < 1e-9
         assert abs(p2.lon - p.lon) < 1e-9
+
+
+@given(lat=st.floats(-85.0, 85.0), lon=st.floats(-1e-3, 1e-3),
+       east=st.floats(-5000.0, 5000.0), north=st.floats(-5000.0, 5000.0))
+def test_enu_round_trip_across_the_antimeridian(lat, lon, east, north):
+    # The origin sits within 1e-3 degrees of lon +-180, so offsets of up to
+    # 5 km east or west cross it.
+    origin = GeoPoint(lat=lat, lon=180.0 + lon)
+    off = EnuOffset(east=east, north=north)
+    p = enu_to_geo(origin, off)
+    assert -180.0 <= p.lon < 180.0
+    back = geo_to_enu(origin, p)
+    assert back.east == pytest.approx(off.east, abs=1e-6)
+    assert back.north == pytest.approx(off.north, abs=1e-6)
+    p2 = enu_to_geo(origin, back)
+    assert abs(p2.lat - p.lat) < 1e-9
+    assert abs((p2.lon - p.lon + 180.0) % 360.0 - 180.0) < 1e-9
 
 
 def test_haversine_vs_enu_agreement_under_1km():

@@ -1,12 +1,22 @@
+"""Simulator tests. The culled, windowed renderer and the grid defect placer
+are held bit-equal to the straightforward versions kept below as oracles:
+every blob added over the full raster, and an O(n^2) scan of the placed
+defects on every attempt."""
+
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvpipeline.geodesy import GeoPoint, haversine_distance
+from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
 from pvpipeline.reacquisition import CameraIntrinsics
-from pvpipeline.simulator import (DefectMix, FlightPlan, MissionConfig,
+from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
+                                  FramePose, MissionConfig,
                                   MissionTrace, PlantLayout, RenderModel,
                                   SimulationError, SyntheticDetectorNoise,
                                   confirm_detection, coverage_multiplicity,
@@ -68,6 +78,55 @@ def test_generate_plant_infeasible_separation_raises():
         generate_plant(0, LAYOUT, DefectMix(count=50, min_separation_m=5.0))
 
 
+def _placement_oracle(seed, layout, mix):
+    """generate_plant's rejection loop with an O(n^2) scan of the placed
+    defects on every attempt: (row, col, east, north) per defect. It has no
+    attempt cap, so it is only run on plants that can be placed."""
+    rng = np.random.default_rng([seed, _STREAM_PLANT])
+    n_modules = layout.rows * layout.cols
+    target = (mix.count if mix.count is not None
+              else int(rng.binomial(n_modules, mix.density)))
+    chosen = []
+    while len(chosen) < target:
+        r = int(rng.integers(layout.rows))
+        c = int(rng.integers(layout.cols))
+        if any(m[0] == r and m[1] == c for m in chosen):
+            continue
+        off_e = float(rng.uniform(0.2, 0.8)) * layout.module_size[0]
+        off_n = float(rng.uniform(0.2, 0.8)) * layout.module_size[1]
+        east = c * layout.pitch[0] + off_e
+        north = r * layout.pitch[1] + off_n
+        if any(math.hypot(east - m[2], north - m[3]) < mix.min_separation_m
+               for m in chosen):
+            continue
+        chosen.append((r, c, east, north))
+    return chosen
+
+
+@pytest.mark.parametrize("rows,cols,pitch", [(20, 20, (1.0, 1.0)),
+                                             (9, 31, (1.7, 0.6))])
+@pytest.mark.parametrize("density,separation", [
+    (0.08, -1.0), (0.08, 0.0), (0.25, 0.3), (0.25, 1.0), (0.02, 2.5),
+    (0.08, 2.5), (0.08, 3.0), (0.05, 4.0)])
+def test_generate_plant_grid_equals_quadratic_placement(rows, cols, pitch,
+                                                        density, separation):
+    layout = PlantLayout(origin=ORIGIN, rows=rows, cols=cols, pitch=pitch)
+    mix = DefectMix(count=None, density=density, n_small=1,
+                    min_separation_m=separation)
+    for seed in range(4):
+        _, defects = generate_plant(seed, layout, mix)
+        assert [(*d.module, d.east, d.north) for d in defects] == \
+            _placement_oracle(seed, layout, mix)
+
+
+def test_generate_plant_attempt_cap_scales_with_the_target():
+    # Placing these 2,646 defects takes 20,181 attempts, past a fixed cap
+    # of 20,000.
+    layout = PlantLayout(origin=ORIGIN, rows=180, cols=180)
+    _, defects = generate_plant(0, layout, DefectMix(count=None, density=0.08))
+    assert len(defects) == 2646
+
+
 # ---------------------------------------------------------------------------
 # Flight planning
 # ---------------------------------------------------------------------------
@@ -123,10 +182,146 @@ def test_plan_flight_serpentine_and_timestamps():
 # ---------------------------------------------------------------------------
 
 def _nadir_pose(east, north, alt=10.0):
-    from pvpipeline.geoprojection import Attitude
-    from pvpipeline.simulator import FramePose
     return FramePose(east=east, north=north, altitude=alt,
                      gimbal=Attitude(pitch=-math.pi / 2.0), time_s=0.0)
+
+
+def _render_frame_oracle(defects, pose, intr, render, speed):
+    """Every blob that passes the camera-z and 4-sigma tests, added over
+    the full raster in defect order."""
+    rot = camera_to_world_rotation(pose.gimbal)
+    img = np.full((intr.height, intr.width), render.ambient_c)
+    vv, uu = np.mgrid[0:intr.height, 0:intr.width].astype(np.float64)
+    r_max = math.hypot(intr.cx, intr.cy)
+    gsd = pose.altitude / intr.fx
+    blur_px = speed * render.exposure_s / gsd
+    for d in defects:
+        ned = np.array([d.north - pose.north, d.east - pose.east,
+                        pose.altitude])
+        cam = rot.T @ ned
+        if cam[2] <= 0.1:
+            continue
+        u0 = intr.fx * cam[0] / cam[2] + intr.cx
+        v0 = intr.fy * cam[1] / cam[2] + intr.cy
+        sigma_px = d.sigma_m * intr.fx / cam[2]
+        margin = 4.0 * sigma_px
+        if not (-margin <= u0 < intr.width + margin
+                and -margin <= v0 < intr.height + margin):
+            continue
+        r_frac = math.hypot(u0 - intr.cx, v0 - intr.cy) / r_max
+        peak = d.peak_excess_c
+        peak *= sigma_px ** 2 / (sigma_px ** 2 + render.psf_px ** 2)
+        peak *= max(1.0 - render.vignette * min(r_frac, 1.0) ** 2, 0.0)
+        peak *= 1.0 / (1.0 + blur_px / (2.0 * sigma_px))
+        img += peak * np.exp(-((uu - u0) ** 2 + (vv - v0) ** 2)
+                             / (2.0 * sigma_px ** 2))
+    return img
+
+
+# The attributes render_frame reads from a defect.
+_Blob = namedtuple("_Blob", "north east sigma_m peak_excess_c")
+
+_INTRINSICS = [INTR, CameraIntrinsics(fx=140.0, fy=90.0, cx=20.3, cy=17.8,
+                                      width=41, height=33)]
+
+
+def _ray_to_ground(pose, rot, intr, u, v):
+    """(north, east, depth) where the ray through pixel (u, v) meets the
+    ground, or None when the ray does not point down."""
+    w = rot @ np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
+    if w[2] <= 1e-6:
+        return None
+    t = pose.altitude / w[2]
+    return pose.north + t * w[0], pose.east + t * w[1], t
+
+
+@st.composite
+def render_scenes(draw):
+    """(defects, pose, intrinsics, render model, speed). The gimbal is
+    nadir or oblique. Besides defects scattered around the camera, some sit
+    where the ray through a pixel just past the raster edge meets the
+    ground, with sigma set so that the 4-sigma margin reaches that pixel
+    times 1 -/+ a few ulps to 1e-6. In half the scenes the altitude puts
+    a defect on one pixel's ray at camera z = 0.1 m, give or take as much."""
+    intr = draw(st.sampled_from(_INTRINSICS))
+    gimbal = draw(st.sampled_from([
+        Attitude(pitch=-math.pi / 2.0),
+        Attitude(pitch=-math.pi / 2.0 + draw(st.floats(-0.2, 0.2)),
+                 yaw=draw(st.floats(-math.pi, math.pi))),
+        Attitude(roll=draw(st.floats(-0.5, 0.5)),
+                 pitch=draw(st.floats(-1.5, -0.3)),
+                 yaw=draw(st.floats(-math.pi, math.pi)))]))
+    rot = camera_to_world_rotation(gimbal)
+    altitude = draw(st.floats(1.0, 40.0))
+    pose = FramePose(east=draw(st.floats(-20.0, 20.0)),
+                     north=draw(st.floats(-20.0, 20.0)), altitude=altitude,
+                     gimbal=gimbal, time_s=0.0)
+    nudge = st.sampled_from([-1e-6, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-6])
+    defects = []
+    if draw(st.booleans()):
+        u = draw(st.floats(0.0, intr.width - 1.0))
+        v = draw(st.floats(0.0, intr.height - 1.0))
+        w = rot @ np.array([(u - intr.cx) / intr.fx,
+                            (v - intr.cy) / intr.fy, 1.0])
+        if w[2] > 1e-3:
+            pose = replace(pose, altitude=0.1 * w[2] * (1.0 + draw(nudge)))
+            north, east, _ = _ray_to_ground(pose, rot, intr, u, v)
+            defects.append(_Blob(north=north, east=east,
+                                 sigma_m=draw(st.floats(0.001, 0.05)),
+                                 peak_excess_c=draw(st.floats(0.5, 12.0))))
+    for kind in draw(st.lists(st.sampled_from(["scatter", "edge"]),
+                              max_size=12)):
+        peak = draw(st.floats(0.5, 12.0))
+        if kind == "scatter":
+            reach = 3.0 * pose.altitude + 5.0
+            defects.append(_Blob(
+                north=pose.north + draw(st.floats(-reach, reach)),
+                east=pose.east + draw(st.floats(-reach, reach)),
+                sigma_m=draw(st.floats(0.01, 1.5)), peak_excess_c=peak))
+            continue
+        k = draw(st.floats(0.05, 25.0))
+        u, v = draw(st.sampled_from([
+            (-k, draw(st.floats(0.0, intr.height - 1.0))),
+            (intr.width + k, draw(st.floats(0.0, intr.height - 1.0))),
+            (draw(st.floats(0.0, intr.width - 1.0)), -k),
+            (draw(st.floats(0.0, intr.width - 1.0)), intr.height + k)]))
+        hit = _ray_to_ground(pose, rot, intr, u, v)
+        if hit is None:
+            continue
+        north, east, t = hit
+        sigma_m = k * (1.0 + draw(nudge)) * t / (4.0 * intr.fx)
+        defects.append(_Blob(north=north, east=east, sigma_m=sigma_m,
+                             peak_excess_c=peak))
+    render = RenderModel(
+        ambient_c=draw(st.sampled_from([25.0, 0.5, 1000.0, -3.0, 0.0,
+                                        5e-324])),
+        psf_px=draw(st.floats(0.0, 2.0)),
+        vignette=draw(st.sampled_from([0.0, 0.6, 1.0])),
+        exposure_s=0.025)
+    return defects, pose, intr, render, draw(st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300)
+@given(render_scenes())
+def test_render_frame_equals_full_raster_oracle(scene):
+    temp = render_frame(*scene)
+    assert np.array_equal(temp.temp_c, _render_frame_oracle(*scene))
+
+
+@pytest.mark.parametrize("ambient_c,first_peak", [(-3.0, 3.0), (3.0, -3.0)])
+def test_render_frame_sums_every_tail_near_zero(ambient_c, first_peak):
+    # The first blob takes the pixels beside the principal point to about
+    # -/+0.03 C, where an ulp is 3.5e-18. There the second blob adds
+    # 5.2e-18, 45.5 px from its centre: past the 45.2 px radius that
+    # ulp(3) would give it, yet enough to move those pixels. Scenes like
+    # these must take the full raster.
+    defects = [_Blob(north=0.0, east=0.0, sigma_m=0.5,
+                     peak_excess_c=first_peak),
+               _Blob(north=0.0, east=4.5, sigma_m=0.5, peak_excess_c=5.0)]
+    scene = (defects, _nadir_pose(0.0, 0.0), INTR,
+             RenderModel(ambient_c=ambient_c, psf_px=0.0, vignette=0.0), 0.0)
+    assert np.array_equal(render_frame(*scene).temp_c,
+                          _render_frame_oracle(*scene))
 
 
 def test_render_no_defects_is_flat_ambient():
