@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
-                      neighbours_within, polygon_centroid, shoelace)
+                      neighbours_within, polygon_centroid)
 
 NOISE = -1
 
@@ -41,7 +41,6 @@ class DefectEvent:
     member_ids: tuple       # indices into the input detection list
     media_rgb: str = ""
     media_tiff: str = ""
-    hull_excess_area_m2: float = 0.0  # hull-minus-union over-approximation bound
 
 
 def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
@@ -120,23 +119,20 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     if not members:
         raise DedupError("cannot merge an empty cluster")
     anchor = members[0].polygon.vertices[0]
-    rings = []
+    points = []
     for det in members:
-        offs = [geo_to_enu(anchor, v) for v in det.polygon.vertices]
-        rings.append([(off.east, off.north) for off in offs])
-    hull = convex_hull([xy for ring in rings for xy in ring])
+        for v in det.polygon.vertices:
+            off = geo_to_enu(anchor, v)
+            points.append((off.east, off.north))
+    hull = convex_hull(points)
+    best = max(members, key=lambda d: d.detection.confidence)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        best = max(members, key=lambda d: d.detection.confidence)
         hull_poly = best.polygon
-        excess = 0.0
     else:
         hull_poly = GeoPolygon(vertices=tuple(
             enu_to_geo(anchor, EnuOffset(east=x, north=y)) for x, y in hull))
-        member_area = max(abs(shoelace(ring)[0]) for ring in rings) / 2.0
-        excess = max(abs(shoelace(hull)[0]) / 2.0 - member_area, 0.0)
-    centroid, _ = polygon_centroid(hull_poly)
-    best = max(members, key=lambda d: d.detection.confidence)
+    centroid = polygon_centroid(hull_poly)
     return DefectEvent(
         id=event_id,
         class_id=best.detection.class_id,
@@ -147,7 +143,6 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
         member_ids=tuple(member_ids),
         media_rgb=best.media_rgb,
         media_tiff=best.media_tiff,
-        hull_excess_area_m2=excess,
     )
 
 

@@ -237,8 +237,7 @@ def polygon_centroid(poly: GeoPolygon):
     """Area-weighted centroid of a polygon, computed on the ENU plane anchored
     at the first vertex and mapped back to WGS84.
 
-    Returns (centroid: GeoPoint, degenerate: bool). Zero-area polygons fall
-    back to the vertex mean and are flagged degenerate.
+    Zero-area polygons fall back to the vertex mean.
     """
     anchor = poly.vertices[0]
     pts = [geo_to_enu(anchor, v) for v in poly.vertices]
@@ -248,7 +247,7 @@ def polygon_centroid(poly: GeoPolygon):
     if abs(area2) < 1e-12:
         mx = sum(x for x, _ in xy) / n
         my = sum(y for _, y in xy) / n
-        return enu_to_geo(anchor, EnuOffset(east=mx, north=my)), True
+        return enu_to_geo(anchor, EnuOffset(east=mx, north=my))
     cx /= 3.0 * area2
     cy /= 3.0 * area2
-    return enu_to_geo(anchor, EnuOffset(east=cx, north=cy)), False
+    return enu_to_geo(anchor, EnuOffset(east=cx, north=cy))

@@ -135,7 +135,7 @@ def project_detection(det: Detection, intr: CameraIntrinsics, pose: UavPose,
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
     polygon = GeoPolygon(vertices=tuple(
         _ground_points(corners, intr, pose, plane)))
-    centroid, _ = polygon_centroid(polygon)
+    centroid = polygon_centroid(polygon)
     return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
                               frame_id=frame_id, timestamp=timestamp,
                               media_rgb=media_rgb, media_tiff=media_tiff)

@@ -1,6 +1,5 @@
 """Relevance-only telemetry: bit-exact JSON mission payloads, KML export,
-pluggable publish sinks (file / HTTP POST), and raw-vs-telemetry bandwidth
-accounting.
+an atomic file sink, and raw-vs-telemetry bandwidth accounting.
 
 The JSON serializer formats every number explicitly (6 decimal places for
 coordinates, 2 for confidence and temperature) and emits keys in a fixed
@@ -14,30 +13,17 @@ import json
 import os
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dedup import DefectEvent
 
-HTTP_ATTEMPTS = 3
-HTTP_BACKOFF_BASE_S = 0.5
 KML_NS = "http://www.opengis.net/kml/2.2"
 
 
 class TelemetryError(ValueError):
     pass
-
-
-class DeliveryError(RuntimeError):
-    """Raised when a sink fails after all retries; carries the payload."""
-
-    def __init__(self, message: str, payload: bytes):
-        super().__init__(message)
-        self.payload = payload
 
 
 @dataclass(frozen=True)
@@ -167,6 +153,13 @@ def _lat_lon(value, what: str) -> tuple:
     return _number(value[0], what), _number(value[1], what)
 
 
+def _bbox(value, what: str) -> tuple:
+    if type(value) is not list or len(value) != 4:
+        raise TelemetryError(
+            f"{what}: expected [x_min, y_min, x_max, y_max], got {value!r:.60}")
+    return tuple(_number(v, what) for v in value)
+
+
 def _field(obj: dict, key: str, check, where: str = ""):
     what = f"{where}.{key}" if where else key
     if key not in obj:
@@ -268,46 +261,6 @@ class FileSink:
             raise
 
 
-class HttpSink:
-    """POSTs payloads as application/json with exponential-backoff retries."""
-
-    def __init__(self, url: str, attempts: int = HTTP_ATTEMPTS,
-                 backoff_base_s: float = HTTP_BACKOFF_BASE_S,
-                 timeout_s: float = 5.0, sleep=time.sleep):
-        self.url = url
-        self.attempts = attempts
-        self.backoff_base_s = backoff_base_s
-        self.timeout_s = timeout_s
-        self._sleep = sleep
-
-    def send(self, payload: bytes):
-        last_error = None
-        for attempt in range(self.attempts):
-            if attempt:
-                self._sleep(self.backoff_base_s * 2 ** (attempt - 1))
-            req = urllib.request.Request(
-                self.url, data=payload, method="POST",
-                headers={"Content-Type": "application/json"})
-            try:
-                with urllib.request.urlopen(req, timeout=self.timeout_s) as r:
-                    if 200 <= r.status < 300:
-                        return
-                    last_error = f"HTTP status {r.status}"
-            except (urllib.error.URLError, OSError) as exc:
-                last_error = str(exc)
-        raise DeliveryError(
-            f"delivery failed after {self.attempts} attempts: {last_error}",
-            payload)
-
-
-def publish(report: MissionReport, sink, ledger: BandwidthLedger = None) -> bytes:
-    payload = to_json(report)
-    sink.send(payload)
-    if ledger is not None:
-        ledger.record_publish(len(payload))
-    return payload
-
-
 def detection_record_lines(projected) -> bytes:
     """Line-delimited interchange format for projected detections,
     consumed by the offline `dedup` command."""
@@ -341,7 +294,7 @@ def parse_detection_record_lines(data: bytes):
             continue
         try:
             obj = _object(json.loads(line), "record")
-            bbox = BoundingBox(*obj["bbox"])
+            bbox = BoundingBox(*_field(obj, "bbox", _bbox))
             det = Detection(bbox=bbox, class_id=_field(obj, "class", _string),
                             confidence=_field(obj, "conf", _number),
                             peak_temp_c=_field(obj, "temp_C", _number))

@@ -1,5 +1,5 @@
-"""Thermal preprocessing: radiometric-to-Celsius conversion, per-frame
-normalization, multi-palette pseudo-color rendering, and CLAHE.
+"""Thermal preprocessing: per-frame normalization of deg C temperature maps,
+multi-palette pseudo-color rendering, and CLAHE.
 
 The four palettes (ironbow, whitehot, rainbow, sepia) are 256-entry RGB
 lookup tables, each built from its generator in _build_palette.
@@ -23,29 +23,6 @@ class ThermalError(ValueError):
 
 class CalibrationError(ThermalError):
     pass
-
-
-@dataclass(frozen=True)
-class RadiometricFrame:
-    """Raw 16-bit sensor counts plus the linear calibration mapping to degC."""
-
-    raw: np.ndarray  # uint16, shape (H, W)
-    calib_scale: float = 0.01  # degC per count (centikelvin convention)
-    calib_offset: float = ABSOLUTE_ZERO_C
-
-    def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.uint16)
-        if raw.ndim != 2 or raw.size == 0:
-            raise ThermalError("radiometric frame must be a non-empty 2-D array")
-        object.__setattr__(self, "raw", raw)
-
-    @property
-    def height(self) -> int:
-        return self.raw.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.raw.shape[1]
 
 
 @dataclass(frozen=True)
@@ -92,30 +69,6 @@ class RgbImage:
         if px.ndim != 3 or px.shape[2] != 3 or px.size == 0:
             raise ThermalError("RGB image must have shape (H, W, 3)")
         object.__setattr__(self, "pixels", px)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-def radiometric_to_celsius(frame: RadiometricFrame) -> TemperatureMap:
-    """Apply the linear calibration temp = raw * scale + offset."""
-    temp = frame.raw.astype(np.float64) * frame.calib_scale + frame.calib_offset
-    if np.any(temp <= ABSOLUTE_ZERO_C):
-        raise CalibrationError("calibration yields temperatures at/below -273.15 degC")
-    return TemperatureMap(temp_c=temp)
-
-
-def celsius_to_radiometric(temp: TemperatureMap, calib_scale: float = 0.01,
-                           calib_offset: float = ABSOLUTE_ZERO_C) -> RadiometricFrame:
-    """Quantize a temperature map back to raw counts (inverse calibration)."""
-    raw = np.rint((temp.temp_c - calib_offset) / calib_scale)
-    raw = np.clip(raw, 0, 65535).astype(np.uint16)
-    return RadiometricFrame(raw=raw, calib_scale=calib_scale, calib_offset=calib_offset)
 
 
 def normalize_temperature(tmap: TemperatureMap) -> np.ndarray:
@@ -273,64 +226,3 @@ def clahe_rgb(image: RgbImage, tile_grid=(8, 8), clip_limit: float = 3.0) -> Rgb
     ratio = np.where(lum > 0, eq / np.maximum(lum, 1e-9), 1.0)
     out = np.clip(px * ratio[..., None], 0, 255).astype(np.uint8)
     return RgbImage(pixels=out)
-
-
-# ---------------------------------------------------------------------------
-# PGM / PPM I/O (binary, zero-dependency golden-test formats)
-# ---------------------------------------------------------------------------
-
-def _read_netpbm(path, kind: str, magic: bytes, maxval: int, pixel_bytes: int):
-    """(width, height, payload) of a binary PGM/PPM file whose magic, size
-    and maxval each sit on their own line, as the writers below emit them.
-    Raises ThermalError on a wrong or short header or a short payload."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != magic:
-        raise ThermalError(f"not a binary {kind} ({magic.decode()}) file")
-    if len(parts) < 4:
-        raise ThermalError(f"truncated {kind} header: expected size and maxval "
-                           f"lines after {magic.decode()}")
-    _, dims, maxval_line, payload = parts
-    try:
-        w, h = map(int, dims.split())
-        file_maxval = int(maxval_line)
-    except ValueError:
-        raise ThermalError(f"bad {kind} header: size {dims!r}, maxval {maxval_line!r}; "
-                           "expected two integers and one integer") from None
-    if w < 1 or h < 1:
-        raise ThermalError(f"{kind} size must be positive, got {w}x{h}")
-    if file_maxval != maxval:
-        raise ThermalError(f"expected {kind} maxval {maxval}, got {file_maxval}")
-    need = w * h * pixel_bytes
-    if len(payload) < need:
-        raise ThermalError(f"truncated {kind} payload: {w}x{h} needs {need} bytes, "
-                           f"got {len(payload)}")
-    return w, h, payload[:need]
-
-
-def write_pgm16(path, frame: RadiometricFrame) -> None:
-    """16-bit big-endian binary PGM (P5, maxval 65535)."""
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{frame.width} {frame.height}\n65535\n".encode("ascii"))
-        fh.write(frame.raw.astype(">u2").tobytes())
-
-
-def read_pgm16(path, calib_scale: float = 0.01,
-               calib_offset: float = ABSOLUTE_ZERO_C) -> RadiometricFrame:
-    w, h, payload = _read_netpbm(path, "PGM", b"P5", 65535, 2)
-    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.uint16)
-    return RadiometricFrame(raw=raw, calib_scale=calib_scale, calib_offset=calib_offset)
-
-
-def write_ppm(path, image: RgbImage) -> None:
-    """8-bit binary PPM (P6)."""
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(image.pixels.tobytes())
-
-
-def read_ppm(path) -> RgbImage:
-    w, h, payload = _read_netpbm(path, "PPM", b"P6", 255, 3)
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return RgbImage(pixels=px.copy())

@@ -337,8 +337,12 @@ def test_config_rejects_non_finite_radii():
     (_set(["temp_C"], "hot"), "temp_C: expected a finite number"),
     (_set(["frame_id"], None), "frame_id: expected a string"),
     (_set(["centroid_wgs84", 1], 10 ** 400), "int too large"),
+    (_set(["bbox", 2], 1e400), "bbox: expected a finite number"),
+    (_set(["bbox", 2], "x"), "bbox: expected a finite number"),
+    (_set(["bbox"], [1, 2, 5]), "bbox: expected [x_min, y_min, x_max, y_max]"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
-        "frame-id-null", "lon-huge-int"])
+        "frame-id-null", "lon-huge-int", "bbox-overflow", "bbox-string",
+        "bbox-three-entries"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
               "class": "hotspot", "conf": 0.8, "temp_C": 40.0,

@@ -124,7 +124,6 @@ def test_deduplicate_merges_near_duplicates():
     assert merged.confidence == pytest.approx(0.9)
     assert merged.peak_temp_c == pytest.approx(43.5)
     assert merged.media_rgb == "b.jpg"  # best-confidence member's media
-    assert merged.hull_excess_area_m2 > 0.0
     # The merged hull must contain every member centroid.
     for i in (0, 1, 2):
         assert haversine_distance(merged.centroid, dets[i].centroid) < 1.0
@@ -169,7 +168,6 @@ def test_merge_cluster_collinear_fallback():
     a, b = line_proj(0.0, 0.5), line_proj(0.05, 0.9)
     event = merge_cluster([a, b], [0, 1], "clu_000")
     assert event.polygon == b.polygon
-    assert event.hull_excess_area_m2 == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,4 @@
-import http.server
-import os
 import pathlib
-import threading
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,12 +6,12 @@ import pytest
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
-from pvpipeline.telemetry import (BandwidthLedger, DeliveryError,
-                                  DetectionRecord, FileSink, HttpSink,
-                                  MediaRef, MissionReport, TelemetryError,
-                                  bandwidth_savings, detection_record_lines,
+from pvpipeline.telemetry import (BandwidthLedger, DetectionRecord,
+                                  FileSink, MediaRef, MissionReport,
+                                  TelemetryError, bandwidth_savings,
+                                  detection_record_lines,
                                   parse_detection_record_lines, parse_report,
-                                  publish, to_json, to_kml)
+                                  to_json, to_kml)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_report.json"
 KML_NS = "http://www.opengis.net/kml/2.2"
@@ -126,54 +123,6 @@ def test_file_sink_atomic_write(tmp_path):
     FileSink(str(nested)).send(payload)
     assert nested.read_bytes() == payload
     assert [p.name for p in nested.parent.iterdir()] == ["report.json"]
-
-
-class _CaptureHandler(http.server.BaseHTTPRequestHandler):
-    captured = []
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        type(self).captured.append((self.path, self.headers["Content-Type"],
-                                    body))
-        self.send_response(200)
-        self.end_headers()
-
-    def log_message(self, *args):
-        pass
-
-
-def test_http_sink_posts_once_on_success():
-    _CaptureHandler.captured = []
-    server = http.server.HTTPServer(("127.0.0.1", 0), _CaptureHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{server.server_port}/ingest"
-        ledger = BandwidthLedger()
-        ledger.record_frame(80, 64)
-        payload = publish(_sample_report(), HttpSink(url), ledger)
-        assert len(_CaptureHandler.captured) == 1
-        path, ctype, body = _CaptureHandler.captured[0]
-        assert path == "/ingest"
-        assert ctype == "application/json"
-        assert body == payload
-        assert ledger.telemetry_bytes == len(payload)
-    finally:
-        server.shutdown()
-        thread.join()
-
-
-def test_http_sink_retries_then_raises_with_payload():
-    sleeps = []
-    # Loopback discard port: connection is refused fast and reliably; the
-    # injected sleep keeps the backoff out of wall-clock time.
-    sink = HttpSink("http://127.0.0.1:9/ingest", timeout_s=0.2,
-                    sleep=sleeps.append)
-    payload = to_json(_sample_report())
-    with pytest.raises(DeliveryError) as excinfo:
-        sink.send(payload)
-    assert excinfo.value.payload == payload
-    assert sleeps == [0.5, 1.0]  # exactly 3 attempts, exponential backoff
 
 
 def _projected(lat=49.4071, lon=26.9842):
