@@ -11,7 +11,7 @@ from pvpipeline.simulator import MissionConfig, evaluate, run_mission
 from pvpipeline.telemetry import to_json, to_kml
 
 config = MissionConfig(seed=0)
-trace, report, ledger = run_mission(config)
+trace, report = run_mission(config)
 metrics = evaluate(trace)
 
 print(f"site {config.site_id}, seed {config.seed}")
@@ -28,7 +28,7 @@ print(f"dup-FP rate (dedup)  : {metrics.dup_fp_dedup:.3f}")
 print()
 
 payload = to_json(report)
-print(f"raw imagery bytes    : {ledger.raw_bytes:,}")
+print(f"raw imagery bytes    : {trace.raw_bytes:,}")
 print(f"telemetry bytes      : {len(payload):,}")
 print(f"bandwidth savings    : {metrics.bandwidth_savings:.1%}")
 print()

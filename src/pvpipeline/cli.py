@@ -44,7 +44,8 @@ def _setup_logging():
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
     from .simulator import evaluate, metrics_csv, run_mission
-    from .telemetry import FileSink, detection_record_lines, to_json, to_kml
+    from .telemetry import detection_record_lines, to_json, to_kml, \
+        write_atomic
 
     try:
         config = load_config(args.config, seed_override=args.seed)
@@ -53,7 +54,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     try:
-        trace, report, ledger = run_mission(config)
+        trace, report = run_mission(config)
         metrics = evaluate(trace)
     except Exception as exc:  # surfaced as a runtime failure with exit 2
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -81,7 +82,7 @@ def cmd_simulate(args) -> int:
         "detections.jsonl": detection_record_lines(trace.accepted),
     }
     for name, data in outputs.items():
-        FileSink(os.path.join(out, name)).send(data)
+        write_atomic(os.path.join(out, name), data)
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -92,8 +93,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
-    from .telemetry import FileSink, TelemetryError, event_to_record, \
-        parse_detection_record_lines, _record_json
+    from .telemetry import TelemetryError, event_to_record, \
+        parse_detection_record_lines, write_atomic, _record_json
 
     try:
         params = DbscanParams(epsilon=args.epsilon, min_pts=args.min_pts)
@@ -119,7 +120,7 @@ def cmd_dedup(args) -> int:
         return EXIT_RUNTIME
     body = ("[" + ",".join(_record_json(event_to_record(e)) for e in events)
             + "]").encode("utf-8")
-    FileSink(args.out).send(body)
+    write_atomic(args.out, body)
     print(f"detections in: {len(detections)}  events out: {len(events)}")
     return EXIT_OK
 
@@ -128,21 +129,16 @@ def cmd_dedup(args) -> int:
 # fuse-check
 # ---------------------------------------------------------------------------
 
-def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20,
-                   break_term: str = None):
+def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
     """Gradient-check suite for the loss stack. Returns a list of
-    (term, max relative error). break_term is a test hook that corrupts one
-    analytic gradient to exercise the failure path."""
+    (term, max relative error)."""
     from . import fusion
 
     rng = np.random.default_rng(seed)
     results = []
 
     def check(term, closure, params):
-        err = fusion.gradient_check(closure, params)
-        if break_term == term:
-            err += 1.0
-        results.append((term, err))
+        results.append((term, fusion.gradient_check(closure, params)))
 
     for _ in range(n_instances):
         # palette-invariance term
@@ -192,16 +188,13 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20,
     model = fusion.FusionModel(seed=seed, crop_size=4, hidden=4, dim=dim)
     samples = fusion.make_toy_samples(4, seed=seed, crop_size=4)
     closure = model.loss_closure(samples, fusion.LossWeights())
-    err = fusion.gradient_check(closure, model.flatten())
-    if break_term == "composite":
-        err += 1.0
-    results.append(("composite", err))
+    results.append(("composite",
+                    fusion.gradient_check(closure, model.flatten())))
     return results
 
 
 def cmd_fuse_check(args) -> int:
-    results = run_fuse_check(seed=args.seed, dim=args.dim,
-                             break_term=getattr(args, "break_term", None))
+    results = run_fuse_check(seed=args.seed, dim=args.dim)
     worst = {}
     for term, err in results:
         worst[term] = max(worst.get(term, 0.0), err)
@@ -275,7 +268,7 @@ def cmd_reacquire_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export_kml(args) -> int:
-    from .telemetry import FileSink, parse_report, to_kml
+    from .telemetry import parse_report, to_kml, write_atomic
     try:
         with open(args.report, "rb") as fh:
             report = parse_report(fh.read())
@@ -285,7 +278,7 @@ def cmd_export_kml(args) -> int:
     except ValueError as exc:  # TelemetryError, or undecodable JSON
         print(f"invalid report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    FileSink(args.out).send(to_kml(report))
+    write_atomic(args.out, to_kml(report))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -316,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-check", help="run the gradient-check suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--break-term", dest="break_term", default=None,
-                   help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=cmd_fuse_check)
 
     p = sub.add_parser("reacquire-demo",

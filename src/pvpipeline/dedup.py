@@ -182,13 +182,6 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
     return [replace(e, id=f"clu_{rank:03d}") for rank, e in enumerate(merged)]
 
 
-@dataclass(frozen=True)
-class GroundTruthPoint:
-    """A geo-located ground-truth defect for metric computation."""
-    position: GeoPoint
-    class_id: str
-
-
 def nearest_ground_truth(points, ground_truth, match_radius: float,
                          classes=None) -> list:
     """For each point, the index of the nearest ground truth (anything with
@@ -212,38 +205,24 @@ def nearest_ground_truth(points, ground_truth, match_radius: float,
     return out
 
 
-def dup_fp_rate(items, ground_truth, match_radius: float = 1.0,
-                class_aware: bool = True, denominator: str = "total") -> float:
+def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
     """Duplicate-induced false-positive rate.
 
     Items (detections or events, anything with .centroid and a class) are
-    greedily matched to the nearest ground-truth defect within match_radius
-    (same class when class_aware). A ground truth with m >= 1 matches
-    contributes m - 1 duplicate FPs.
-
-    denominator: "total" divides by all items (default); "fp" divides by
-    the number of unmatched-or-duplicate items (false positives only).
+    greedily matched to the nearest same-class ground-truth defect (anything
+    with .position and .class_id) within match_radius. A ground truth with
+    m >= 1 matches contributes m - 1 duplicate FPs; the rate divides their
+    sum by the number of items.
     """
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise DedupError("match_radius must be positive and finite")
-    if denominator not in ("total", "fp"):
-        raise DedupError("denominator must be 'total' or 'fp'")
     if not items:
         return 0.0
-    classes = None
-    if class_aware:
-        classes = [item.class_id if hasattr(item, "class_id")
-                   else item.detection.class_id for item in items]
+    classes = [item.class_id if hasattr(item, "class_id")
+               else item.detection.class_id for item in items]
     match_counts = [0] * len(ground_truth)
-    unmatched = 0
     for best in nearest_ground_truth([item.centroid for item in items],
                                      ground_truth, match_radius, classes):
-        if best is None:
-            unmatched += 1
-        else:
+        if best is not None:
             match_counts[best] += 1
-    duplicates = sum(max(m - 1, 0) for m in match_counts)
-    if denominator == "total":
-        return duplicates / len(items)
-    fps = duplicates + unmatched
-    return duplicates / fps if fps else 0.0
+    return sum(max(m - 1, 0) for m in match_counts) / len(items)

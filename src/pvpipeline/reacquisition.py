@@ -79,25 +79,10 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def check_rotation(r: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise GeometryError("rotation matrix must be 3x3")
-    if not np.allclose(r.T @ r, np.eye(3), atol=tol) or abs(np.linalg.det(r) - 1.0) > tol:
-        raise GeometryError("matrix is not a proper rotation")
-    return r
-
-
 def backproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
     """Unit direction in the camera frame for pixel (u, v)."""
     ray = np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
     return unit(ray)
-
-
-def to_world(v: np.ndarray, rot_cam_to_world: np.ndarray) -> np.ndarray:
-    """Rotate a camera-frame unit direction into the world (NED) frame."""
-    r = check_rotation(rot_cam_to_world)
-    return r @ np.asarray(v, dtype=np.float64)
 
 
 def solve_axis_angle(c: np.ndarray, c_target: np.ndarray) -> AxisAngle:
@@ -185,8 +170,7 @@ def compute_reacq_command(det: Detection, intr: CameraIntrinsics,
     boresight c'; the command re-points the boresight along c.
     """
     u, v = det.bbox.center
-    ray_cam = backproject(u, v, intr)
-    c = to_world(ray_cam, rot_cam_to_world)
+    c = rot_cam_to_world @ backproject(u, v, intr)
     boresight = rot_cam_to_world @ np.array([0.0, 0.0, 1.0])
     cur_pitch, cur_yaw = pointing_angles(boresight)
     return to_gimbal_command(c, cur_pitch, cur_yaw)

@@ -4,7 +4,7 @@ Builds a PV plant with seeded ground-truth defects, plans a nadir lawnmower
 survey, synthesizes thermal sensor packets through a forward pinhole model,
 runs the onboard pipeline (threshold detection, re-acquisition, projection,
 de-duplication, telemetry), and scores recall, Dup-FP, and bandwidth
-savings. The bandwidth ledger still counts an RGB frame beside each thermal
+savings. The raw-size model still counts an RGB frame beside each thermal
 one.
 
 Radiometric model for synthetic blobs: each defect adds a Gaussian excess
@@ -29,16 +29,14 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .dedup import (DbscanParams, GroundTruthPoint, deduplicate, dup_fp_rate,
-                    nearest_ground_truth)
+from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
 from .geoprojection import Attitude, GroundPlane, ProjectionError, UavPose, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
     compute_reacq_command, reacquisition_decision
-from .telemetry import BandwidthLedger, bandwidth_savings, build_report, \
-    parse_ts_utc, to_json
+from .telemetry import build_report, parse_ts_utc, to_json
 from .thermal import TemperatureMap
 
 # Fault taxonomy labels used for ground-truth classes.
@@ -507,7 +505,14 @@ class MissionTrace:
     reacq_confirms: int = 0
     projection_failed: int = 0
     events: list = field(default_factory=list)
-    ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
+    payload_bytes: int = 0      # the report's JSON telemetry payload
+
+    @property
+    def raw_bytes(self) -> int:
+        """Raw imagery of every view flown (survey frames and re-acquisition
+        rounds), each a 16-bit thermal plus an 8-bit RGB frame, uncompressed."""
+        intr = self.config.intrinsics
+        return (self.frames + self.reacq_rounds) * intr.width * intr.height * 5
 
 
 @dataclass(frozen=True)
@@ -620,7 +625,6 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
             pitch=gimbal.pitch + err_pitch, yaw=gimbal.yaw + err_yaw))
         frame = render_frame(defects, pose_true, intr, config.render,
                              speed=0.0)  # hover during re-acquisition
-        trace.ledger.record_frame(intr.width, intr.height)
         redetections = detect(frame, config.detector)
         if not redetections:
             return None
@@ -663,18 +667,16 @@ def match_ground_truth(projections, defects, radius: float) -> list:
 
 def run_mission(config: MissionConfig):
     """Plan, then per frame sense -> detect -> confirm -> project; then
-    match -> dedup -> report. Returns (trace, report, ledger)."""
+    match -> dedup -> report. Returns (trace, report)."""
     layout, defects = generate_plant(config.seed, config.layout, config.mix)
     poses = plan_flight(layout, config.plan, config.intrinsics)
     trace = MissionTrace(config=config, defects=defects)
     start = parse_ts_utc(config.start_utc)
-    intr = config.intrinsics
     projections = []
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses, intr, config.noise, config.render,
+            defects, poses, config.intrinsics, config.noise, config.render,
             config.plan.speed, config.seed)):
         trace.frames += 1
-        trace.ledger.record_frame(intr.width, intr.height)
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):
             confirmed = confirm_detection(det, packet, frame_idx, det_idx,
                                           config, defects, trace)
@@ -689,15 +691,13 @@ def run_mission(config: MissionConfig):
     trace.events = deduplicate(trace.accepted, config.dbscan)
     report = build_report(config.site_id, config.uav,
                           _ts_utc(start, poses[-1].time_s), trace.events)
-    trace.ledger.record_publish(len(to_json(report)))
-    return trace, report, trace.ledger
+    trace.payload_bytes = len(to_json(report))
+    return trace, report
 
 
 def evaluate(trace: MissionTrace) -> MetricsReport:
     defects = trace.defects
     radius = trace.config.match_radius_m
-    gt = [GroundTruthPoint(position=d.position, class_id=d.class_id)
-          for d in defects]
 
     near = neighbours_within([e.centroid for e in trace.events], radius,
                              [d.position for d in defects])
@@ -710,11 +710,11 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
     return MetricsReport(
         recall=recall,
         recall_small=recall_small,
-        dup_fp_raw=dup_fp_rate(trace.accepted, gt, match_radius=radius),
-        dup_fp_dedup=dup_fp_rate(trace.events, gt, match_radius=radius),
+        dup_fp_raw=dup_fp_rate(trace.accepted, defects, radius),
+        dup_fp_dedup=dup_fp_rate(trace.events, defects, radius),
         event_count=len(trace.events),
         gt_count=len(defects),
-        bandwidth_savings=bandwidth_savings(trace.ledger),
+        bandwidth_savings=1.0 - trace.payload_bytes / trace.raw_bytes,
         reacq_rounds=trace.reacq_rounds,
         reacq_confirms=trace.reacq_confirms,
     )
@@ -742,7 +742,7 @@ def sweep(parameter: str, values, base: MissionConfig) -> list:
         raise SimulationError("sweep needs at least one value")
     rows = []
     for value in values:
-        trace, _, _ = run_mission(_with_value(base, parameter, value))
+        trace, _ = run_mission(_with_value(base, parameter, value))
         rows.append((float(value), evaluate(trace)))
     return rows
 

@@ -1,5 +1,5 @@
 """Relevance-only telemetry: bit-exact JSON mission payloads, KML export,
-an atomic file sink, and raw-vs-telemetry bandwidth accounting.
+the detection interchange lines, and an atomic file write.
 
 The JSON serializer formats every number explicitly (6 decimal places for
 coordinates, 2 for confidence and temperature) and emits keys in a fixed
@@ -219,46 +219,20 @@ def to_kml(report: MissionReport) -> bytes:
             + ET.tostring(kml, encoding="unicode").encode("utf-8"))
 
 
-@dataclass
-class BandwidthLedger:
-    raw_bytes: int = 0
-    telemetry_bytes: int = 0
-
-    def record_frame(self, width: int, height: int):
-        """Raw-size model: 16-bit thermal plus 8-bit RGB, uncompressed."""
-        self.raw_bytes += width * height * 2 + width * height * 3
-
-    def record_publish(self, nbytes: int):
-        if nbytes < 0:
-            raise TelemetryError("payload size cannot be negative")
-        self.telemetry_bytes += nbytes
-
-
-def bandwidth_savings(ledger: BandwidthLedger) -> float:
-    if ledger.raw_bytes <= 0:
-        raise TelemetryError("bandwidth savings undefined: raw_bytes == 0")
-    return 1.0 - ledger.telemetry_bytes / ledger.raw_bytes
-
-
-class FileSink:
-    """Writes payloads atomically (temp file + rename) to a fixed path,
-    creating its parent directory if needed."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def send(self, payload: bytes):
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+def write_atomic(path: str, payload: bytes):
+    """Write payload to path atomically (temp file + rename), creating the
+    parent directory if needed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def detection_record_lines(projected) -> bytes:
@@ -299,9 +273,9 @@ def parse_detection_record_lines(data: bytes):
                             confidence=_field(obj, "conf", _number),
                             peak_temp_c=_field(obj, "temp_C", _number))
             poly = GeoPolygon(vertices=tuple(
-                GeoPoint(lat=lat, lon=lon, alt=0.0)
-                for lat, lon in obj["polygon_wgs84"]))
-            lat, lon = obj["centroid_wgs84"]
+                GeoPoint(*_lat_lon(p, "polygon_wgs84"), alt=0.0)
+                for p in _field(obj, "polygon_wgs84", _list)))
+            lat, lon = _field(obj, "centroid_wgs84", _lat_lon)
             media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
                 detection=det, polygon=poly,

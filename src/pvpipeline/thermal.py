@@ -39,14 +39,6 @@ class TemperatureMap:
             raise CalibrationError("temperature at or below absolute zero")
         object.__setattr__(self, "temp_c", t)
 
-    @property
-    def height(self) -> int:
-        return self.temp_c.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.temp_c.shape[1]
-
 
 @dataclass(frozen=True)
 class PaletteLut:

@@ -17,7 +17,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pvpipeline.cli import main as cli_main, run_fuse_check
 from pvpipeline.dedup import NOISE, dbscan_labels
@@ -26,9 +25,9 @@ from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, EnuOffset, GeoPoint,
                                 enu_to_geo, geo_to_enu, haversine_distance)
 from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
-                                      axis_angle_matrix, backproject,
-                                      compute_reacq_command, pointing_angles,
-                                      rodrigues_rotate, solve_axis_angle)
+                                      axis_angle_matrix, compute_reacq_command,
+                                      pointing_angles, rodrigues_rotate,
+                                      solve_axis_angle)
 from pvpipeline.simulator import (DefectMix, MissionConfig, evaluate,
                                   run_mission, sweep)
 from pvpipeline.telemetry import to_json
@@ -38,7 +37,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 
 
 def _metrics(config: MissionConfig):
-    trace, _, _ = run_mission(config)
+    trace, _ = run_mission(config)
     return evaluate(trace)
 
 

@@ -49,6 +49,14 @@ def _set(path, value):
     return edit
 
 
+def _drop(key):
+    """Edit of a report or record object: remove a top-level key."""
+    def edit(root):
+        del root[key]
+        return root
+    return edit
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -336,12 +344,19 @@ def test_config_rejects_non_finite_radii():
     (_set(["class"], ["hotspot"]), "class: expected a string"),
     (_set(["temp_C"], "hot"), "temp_C: expected a finite number"),
     (_set(["frame_id"], None), "frame_id: expected a string"),
-    (_set(["centroid_wgs84", 1], 10 ** 400), "int too large"),
+    (_set(["centroid_wgs84", 1], 10 ** 400),
+     "centroid_wgs84: expected a finite number"),
+    (_set(["centroid_wgs84"], [49.4, 26.9, 0]),
+     "centroid_wgs84: expected [lat, lon]"),
+    (_set(["polygon_wgs84", 1], [49.4, "x"]),
+     "polygon_wgs84: expected a finite number"),
+    (_drop("polygon_wgs84"), "polygon_wgs84: missing"),
     (_set(["bbox", 2], 1e400), "bbox: expected a finite number"),
     (_set(["bbox", 2], "x"), "bbox: expected a finite number"),
     (_set(["bbox"], [1, 2, 5]), "bbox: expected [x_min, y_min, x_max, y_max]"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
-        "frame-id-null", "lon-huge-int", "bbox-overflow", "bbox-string",
+        "frame-id-null", "lon-huge-int", "centroid-three-entries",
+        "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
         "bbox-three-entries"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
@@ -381,10 +396,18 @@ def test_fuse_check_passes():
         assert term in result.stdout
 
 
-def test_fuse_check_broken_term_exits_3():
-    result = _run(["fuse-check", "--break-term", "giou"])
-    assert result.returncode == 3
-    assert "giou" in result.stdout + result.stderr
+def test_fuse_check_broken_term_exits_3(monkeypatch, capsys):
+    from pvpipeline import fusion
+    giou_loss_grad = fusion.giou_loss_grad
+
+    def scaled(a, b):
+        loss, grad = giou_loss_grad(a, b)
+        return loss, 2.0 * grad
+
+    monkeypatch.setattr(fusion, "giou_loss_grad", scaled)
+    assert main(["fuse-check"]) == 3
+    assert any(line.startswith("giou") and line.endswith("FAIL")
+               for line in capsys.readouterr().out.splitlines())
 
 
 def test_reacquire_demo_reports_subpixel_reprojection():

@@ -1,12 +1,14 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from pvpipeline.dedup import (DbscanParams, DedupError, GroundTruthPoint,
-                              NOISE, convex_hull, dbscan_labels, deduplicate,
-                              dup_fp_rate, merge_cluster)
+from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
+                              dbscan_labels, deduplicate, dup_fp_rate,
+                              merge_cluster)
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo,
-                                geo_to_enu, haversine_distance)
+                                haversine_distance)
 from pvpipeline.geoprojection import ProjectedDetection
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
@@ -174,29 +176,33 @@ def test_merge_cluster_collinear_fallback():
 # Duplicate false-positive rate
 # ---------------------------------------------------------------------------
 
+# Ground truth as dup_fp_rate reads it: a position and a class.
+_GroundTruth = namedtuple("_GroundTruth", "position class_id")
+
+
 def test_dup_fp_rate_hand_cases():
-    gt = [GroundTruthPoint(position=_pt(0.0, 0.0), class_id="hotspot")]
+    gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     items = [_proj(0.1, 0.0), _proj(-0.1, 0.1), _proj(0.0, -0.2)]
     # Three detections of one defect: two duplicates among three items.
-    assert dup_fp_rate(items, gt) == pytest.approx(2.0 / 3.0)
-    assert dup_fp_rate(items[:1], gt) == 0.0
-    assert dup_fp_rate([], gt) == 0.0
+    assert dup_fp_rate(items, gt, 1.0) == pytest.approx(2.0 / 3.0)
+    assert dup_fp_rate(items[:1], gt, 1.0) == 0.0
+    assert dup_fp_rate([], gt, 1.0) == 0.0
 
 
 def test_dup_fp_rate_unmatched_and_denominator():
-    gt = [GroundTruthPoint(position=_pt(0.0, 0.0), class_id="hotspot")]
+    gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     items = [_proj(0.1, 0.0), _proj(0.0, 0.1), _proj(50.0, 50.0)]
-    # One duplicate out of three items, or out of two false positives.
-    assert dup_fp_rate(items, gt, denominator="total") == pytest.approx(1 / 3)
-    assert dup_fp_rate(items, gt, denominator="fp") == pytest.approx(1 / 2)
+    # One duplicate out of three items: the unmatched one counts too.
+    assert dup_fp_rate(items, gt, 1.0) == pytest.approx(1 / 3)
 
 
 def test_dup_fp_rate_class_awareness():
-    gt = [GroundTruthPoint(position=_pt(0.0, 0.0), class_id="hotspot")]
     items = [_proj(0.1, 0.0, class_id="diode_fault"),
              _proj(0.0, 0.1, class_id="diode_fault")]
-    assert dup_fp_rate(items, gt, class_aware=True) == 0.0
-    assert dup_fp_rate(items, gt, class_aware=False) == pytest.approx(0.5)
+    other = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
+    same = [_GroundTruth(position=_pt(0.0, 0.0), class_id="diode_fault")]
+    assert dup_fp_rate(items, other, 1.0) == 0.0
+    assert dup_fp_rate(items, same, 1.0) == pytest.approx(0.5)
 
 
 def test_dedup_validation_errors():
@@ -211,5 +217,3 @@ def test_dedup_validation_errors():
             DbscanParams(epsilon=bad)
         with pytest.raises(DedupError):
             dup_fp_rate([], [], match_radius=bad)
-    with pytest.raises(DedupError):
-        dup_fp_rate([], [], denominator="bogus")

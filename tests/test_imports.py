@@ -1,5 +1,6 @@
-"""Every name a pvpipeline module imports is referenced in that module, and
-every module-level name it defines is referenced somewhere.
+"""Every name a pvpipeline module or a test file imports is referenced in
+that file, and every module-level name a pvpipeline module defines is
+referenced somewhere.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and unused-name rules.
 Names are matched per module, not per scope: an import counts as used when
@@ -19,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pvpipeline"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 SOURCES = sorted(p for d in ("src", "tests", "demos")
                  for p in (ROOT / d).rglob("*.py"))
 PROGRAM_SOURCES = sorted(p for d in ("src", "demos", "perfbench")
@@ -138,6 +140,7 @@ def test_package_has_modules():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES + TESTS])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -6,14 +6,15 @@ every pair gives. The oracles below are those scans.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pvpipeline.dedup import (NOISE, GroundTruthPoint, dbscan_labels,
-                              dup_fp_rate, nearest_ground_truth)
+from pvpipeline.dedup import (NOISE, dbscan_labels, dup_fp_rate,
+                              nearest_ground_truth)
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
                                 haversine_distance, neighbours_within)
 
@@ -94,22 +95,14 @@ def _nearest_gt_oracle(point, ground_truth, match_radius, cls=None):
     return best
 
 
-def _dup_fp_oracle(items, ground_truth, match_radius, class_aware,
-                   denominator):
+def _dup_fp_oracle(items, ground_truth, match_radius):
     match_counts = [0] * len(ground_truth)
-    unmatched = 0
     for item in items:
         best = _nearest_gt_oracle(item.centroid, ground_truth, match_radius,
-                                  item.class_id if class_aware else None)
-        if best is None:
-            unmatched += 1
-        else:
+                                  item.class_id)
+        if best is not None:
             match_counts[best] += 1
-    duplicates = sum(max(m - 1, 0) for m in match_counts)
-    if denominator == "total":
-        return duplicates / len(items)
-    fps = duplicates + unmatched
-    return duplicates / fps if fps else 0.0
+    return sum(max(m - 1, 0) for m in match_counts) / len(items)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +209,9 @@ class _Item:
         self.class_id = class_id
 
 
+_GroundTruth = namedtuple("_GroundTruth", "position class_id")
+
+
 @given(scenes(), st.data())
 def test_ground_truth_matching_equals_brute_force(scene, data):
     points, radius = scene
@@ -223,7 +219,7 @@ def test_ground_truth_matching_equals_brute_force(scene, data):
     labels = data.draw(st.lists(_classes, min_size=len(points),
                                 max_size=len(points)))
     items = [_Item(p, c) for p, c in zip(points[:split], labels)]
-    gt = [GroundTruthPoint(position=p, class_id=c)
+    gt = [_GroundTruth(position=p, class_id=c)
           for p, c in zip(points[split:], labels[split:])]
     centroids = [item.centroid for item in items]
     assert nearest_ground_truth(centroids, gt, radius) == \
@@ -232,10 +228,7 @@ def test_ground_truth_matching_equals_brute_force(scene, data):
                                 [item.class_id for item in items]) == \
         [_nearest_gt_oracle(item.centroid, gt, radius, item.class_id)
          for item in items]
-    for class_aware in (True, False):
-        for denominator in ("total", "fp"):
-            assert dup_fp_rate(items, gt, radius, class_aware, denominator) \
-                == _dup_fp_oracle(items, gt, radius, class_aware, denominator)
+    assert dup_fp_rate(items, gt, radius) == _dup_fp_oracle(items, gt, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +246,15 @@ def test_equidistant_tie_goes_to_later_ground_truth():
     east = GeoPoint(lat=49.5, lon=26.5 + _STEP)
     assert haversine_distance(query, west) == haversine_distance(query, east)
     for order in ((west, east), (east, west), (east, east)):
-        gt = [GroundTruthPoint(position=p, class_id="hotspot") for p in order]
+        gt = [_GroundTruth(position=p, class_id="hotspot") for p in order]
         assert nearest_ground_truth([query], gt, 1.0) == [1]
         assert _nearest_gt_oracle(query, gt, 1.0) == 1
     # Same class only: the later, other-class ground truth is skipped.
-    gt = [GroundTruthPoint(position=west, class_id="hotspot"),
-          GroundTruthPoint(position=east, class_id="diode_fault")]
+    gt = [_GroundTruth(position=west, class_id="hotspot"),
+          _GroundTruth(position=east, class_id="diode_fault")]
     assert nearest_ground_truth([query], gt, 1.0, ["hotspot"]) == [0]
     items = [_Item(query, "hotspot"), _Item(query, "hotspot")]
     assert dup_fp_rate(items, gt, 1.0) == 0.5
-    assert dup_fp_rate(items, gt, 1.0, class_aware=False) == 0.5
 
 
 def test_pair_exactly_at_radius_is_a_neighbour():

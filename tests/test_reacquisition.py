@@ -10,7 +10,7 @@ from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
                                       compute_reacq_command, pointing_angles,
                                       reacquisition_decision, rodrigues_rotate,
                                       solve_axis_angle, to_gimbal_command,
-                                      to_world, unit, wrap_angle)
+                                      unit, wrap_angle)
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)

@@ -397,22 +397,37 @@ def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
 # End-to-end missions
 # ---------------------------------------------------------------------------
 
-def test_noiseless_mission_finds_every_defect_once():
+def test_noiseless_mission_finds_every_defect_once(monkeypatch):
+    from pvpipeline import simulator
+    from pvpipeline.telemetry import to_json
+    views = []
+
+    def counted(*args, **kwargs):
+        views.append(1)
+        return render_frame(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "render_frame", counted)
     config = MissionConfig(seed=1)
-    trace, report, ledger = run_mission(config)
+    trace, report = run_mission(config)
     metrics = evaluate(trace)
     assert metrics.gt_count == 8
     assert metrics.event_count == 8
     assert metrics.recall == 1.0
     assert metrics.dup_fp_dedup == 0.0
     assert len(report.detections) == 8
-    assert ledger.raw_bytes > 0 and ledger.telemetry_bytes > 0
+    # Every rendered view, survey frame or re-acquisition round, is one
+    # 80x64 frame of 16-bit thermal plus 3x8-bit RGB.
+    assert trace.reacq_rounds > 0
+    assert trace.raw_bytes == len(views) * 80 * 64 * 5
+    assert trace.payload_bytes == len(to_json(report)) > 0
+    assert metrics.bandwidth_savings == \
+        1.0 - trace.payload_bytes / trace.raw_bytes
 
 
 def test_mission_is_deterministic():
     config = MissionConfig(seed=4)
-    _, report_a, _ = run_mission(config)
-    _, report_b, _ = run_mission(config)
+    _, report_a = run_mission(config)
+    _, report_b = run_mission(config)
     from pvpipeline.telemetry import to_json
     assert to_json(report_a) == to_json(report_b)
 
@@ -420,7 +435,7 @@ def test_mission_is_deterministic():
 def test_certain_miss_probability_kills_recall():
     config = replace(MissionConfig(seed=2),
                      noise=SyntheticDetectorNoise(miss_probability=1.0))
-    trace, _, _ = run_mission(config)
+    trace, _ = run_mission(config)
     metrics = evaluate(trace)
     assert metrics.recall == 0.0
     assert metrics.event_count == 0

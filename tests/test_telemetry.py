@@ -6,12 +6,10 @@ import pytest
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
-from pvpipeline.telemetry import (BandwidthLedger, DetectionRecord,
-                                  FileSink, MediaRef, MissionReport,
-                                  TelemetryError, bandwidth_savings,
-                                  detection_record_lines,
+from pvpipeline.telemetry import (DetectionRecord, MediaRef, MissionReport,
+                                  TelemetryError, detection_record_lines,
                                   parse_detection_record_lines, parse_report,
-                                  to_json, to_kml)
+                                  to_json, to_kml, write_atomic)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_report.json"
 KML_NS = "http://www.opengis.net/kml/2.2"
@@ -96,31 +94,18 @@ def test_kml_structure():
     assert alt == "0"
 
 
-def test_bandwidth_ledger_and_savings():
-    ledger = BandwidthLedger()
-    ledger.record_frame(80, 64)
-    assert ledger.raw_bytes == 80 * 64 * 5  # 16-bit thermal + 3x8-bit RGB
-    ledger.record_publish(1024)
-    assert bandwidth_savings(ledger) == pytest.approx(1.0 - 1024 / 25600)
-    with pytest.raises(TelemetryError):
-        ledger.record_publish(-1)
-    with pytest.raises(TelemetryError):
-        bandwidth_savings(BandwidthLedger())
-
-
 def test_file_sink_atomic_write(tmp_path):
     target = tmp_path / "report.json"
-    sink = FileSink(str(target))
     payload = to_json(_sample_report())
-    sink.send(payload)
+    write_atomic(str(target), payload)
     assert target.read_bytes() == payload
     # No temp-file droppings left behind.
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-    sink.send(b"second")
+    write_atomic(str(target), b"second")
     assert target.read_bytes() == b"second"
     # A target whose parent directory does not exist yet.
     nested = tmp_path / "new" / "dir" / "report.json"
-    FileSink(str(nested)).send(payload)
+    write_atomic(str(nested), payload)
     assert nested.read_bytes() == payload
     assert [p.name for p in nested.parent.iterdir()] == ["report.json"]
 
