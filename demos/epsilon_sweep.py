@@ -10,11 +10,16 @@ Run:  python3 demos/epsilon_sweep.py
 
 from dataclasses import replace
 
-from pvpipeline.simulator import DefectMix, MissionConfig, sweep, sweep_csv
+from pvpipeline.simulator import DefectMix, MissionConfig, evaluate, \
+    run_mission, sweep_csv
 
 config = replace(MissionConfig(seed=0),
                  mix=DefectMix(count=12, n_small=0, min_separation_m=2.2))
-rows = sweep("epsilon", [0.1, 0.5, 1.0, 2.0, 5.0], config)
+rows = []
+for eps in [0.1, 0.5, 1.0, 2.0, 5.0]:
+    dbscan = replace(config.dbscan, epsilon=eps)
+    trace, _ = run_mission(replace(config, dbscan=dbscan))
+    rows.append((eps, evaluate(trace)))
 
 print(sweep_csv("epsilon", rows))
 gt = rows[0][1].gt_count

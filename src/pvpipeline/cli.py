@@ -37,6 +37,18 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write(path: str, payload: bytes) -> bool:
+    """write_atomic; an OSError (say, a regular file where a directory of
+    the path should be) is printed as one line, and False returned."""
+    from .telemetry import write_atomic
+    try:
+        write_atomic(path, payload)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -44,8 +56,7 @@ def _setup_logging():
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
     from .simulator import evaluate, metrics_csv, run_mission
-    from .telemetry import detection_record_lines, to_json, to_kml, \
-        write_atomic
+    from .telemetry import detection_record_lines, to_json, to_kml
 
     try:
         config = load_config(args.config, seed_override=args.seed)
@@ -82,7 +93,8 @@ def cmd_simulate(args) -> int:
         "detections.jsonl": detection_record_lines(trace.accepted),
     }
     for name, data in outputs.items():
-        write_atomic(os.path.join(out, name), data)
+        if not _write(os.path.join(out, name), data):
+            return EXIT_CONFIG
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -94,7 +106,7 @@ def cmd_simulate(args) -> int:
 def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
     from .telemetry import TelemetryError, event_to_record, \
-        parse_detection_record_lines, write_atomic, _record_json
+        parse_detection_record_lines, _record_json
 
     try:
         params = DbscanParams(epsilon=args.epsilon, min_pts=args.min_pts)
@@ -120,7 +132,8 @@ def cmd_dedup(args) -> int:
         return EXIT_RUNTIME
     body = ("[" + ",".join(_record_json(event_to_record(e)) for e in events)
             + "]").encode("utf-8")
-    write_atomic(args.out, body)
+    if not _write(args.out, body):
+        return EXIT_CONFIG
     print(f"detections in: {len(detections)}  events out: {len(events)}")
     return EXIT_OK
 
@@ -214,8 +227,8 @@ def cmd_fuse_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reacquire_demo(args) -> int:
-    from .geoprojection import Attitude, GroundPlane, ProjectionError, \
-        UavPose, camera_to_world_rotation, pixel_to_ground
+    from .geoprojection import Attitude, ProjectionError, \
+        camera_to_world_rotation, pixel_to_ground
     from .geodesy import GeoPoint
     from .reacquisition import (CameraIntrinsics, GeometryError, backproject,
                                 pointing_angles, rodrigues_rotate,
@@ -230,9 +243,8 @@ def cmd_reacquire_demo(args) -> int:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pose = UavPose(position=GeoPoint(lat=0.0, lon=0.0, alt=args.alt),
-                   gimbal=Attitude(pitch=math.radians(args.gimbal_pitch)))
-    rot = camera_to_world_rotation(pose.gimbal)
+    gimbal = Attitude(pitch=math.radians(args.gimbal_pitch))
+    rot = camera_to_world_rotation(gimbal)
     v_cam = backproject(u, v, intr)
     c = unit(rot @ v_cam)                      # target LOS, world frame
     boresight = rot @ np.array([0.0, 0.0, 1.0])
@@ -241,10 +253,11 @@ def cmd_reacquire_demo(args) -> int:
     cur_pitch, cur_yaw = pointing_angles(boresight)
     cmd = to_gimbal_command(c_new, cur_pitch, cur_yaw)
 
-    # Reprojection check: after rotating the camera by the command, the
-    # target LOS should land on the principal point.
-    reproj_cam = rodrigues_rotate(c, type(aa)(axis=aa.axis, angle=-aa.angle))
-    v_cam_new = rot.T @ reproj_cam
+    # Reprojection check: point the gimbal by the command and project the
+    # target LOS into that camera; it should land on the principal point.
+    rot_new = camera_to_world_rotation(Attitude(
+        pitch=cur_pitch + cmd.delta_pitch, yaw=cur_yaw + cmd.delta_yaw))
+    v_cam_new = rot_new.T @ c
     err_px = math.hypot(intr.fx * v_cam_new[0] / v_cam_new[2],
                         intr.fy * v_cam_new[1] / v_cam_new[2])
 
@@ -256,7 +269,8 @@ def cmd_reacquire_demo(args) -> int:
     print(f"delta_yaw_deg:      {math.degrees(cmd.delta_yaw):+.6f}")
     print(f"reprojection_px:    {err_px:.3e}")
     try:
-        ground = pixel_to_ground(u, v, intr, pose, GroundPlane())
+        ground = pixel_to_ground(u, v, intr, GeoPoint(lat=0.0, lon=0.0),
+                                 args.alt, gimbal)
         print(f"ground_wgs84:       [{ground.lat:.6f}, {ground.lon:.6f}]")
     except ProjectionError as exc:
         print(f"ground projection:  no intersection ({exc})")
@@ -268,7 +282,7 @@ def cmd_reacquire_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export_kml(args) -> int:
-    from .telemetry import parse_report, to_kml, write_atomic
+    from .telemetry import parse_report, to_kml
     try:
         with open(args.report, "rb") as fh:
             report = parse_report(fh.read())
@@ -278,7 +292,8 @@ def cmd_export_kml(args) -> int:
     except ValueError as exc:  # TelemetryError, or undecodable JSON
         print(f"invalid report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    write_atomic(args.out, to_kml(report))
+    if not _write(args.out, to_kml(report)):
+        return EXIT_CONFIG
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
-                      neighbours_within, polygon_centroid)
+                      neighbours_within, plane_centroid, polygon_centroid)
 
 NOISE = -1
 
@@ -114,7 +114,8 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
 
     Geometry is the convex hull of all member polygon vertices on the local
     ENU plane (a robust surrogate for the exact polygon union; members are
-    near-coincident quads). Confidence and peak temperature take the max.
+    near-coincident quads); the centroid is the hull's, taken on that same
+    plane. Confidence and peak temperature take the max.
     """
     if not members:
         raise DedupError("cannot merge an empty cluster")
@@ -129,10 +130,12 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
         hull_poly = best.polygon
+        centroid = polygon_centroid(hull_poly)
     else:
         hull_poly = GeoPolygon(vertices=tuple(
             enu_to_geo(anchor, EnuOffset(east=x, north=y)) for x, y in hull))
-    centroid = polygon_centroid(hull_poly)
+        x, y = plane_centroid(hull)
+        centroid = enu_to_geo(anchor, EnuOffset(east=x, north=y))
     return DefectEvent(
         id=event_id,
         class_id=best.detection.class_id,

@@ -81,18 +81,6 @@ def palette_invariance_loss_grad(members):
     return loss, (2.0 / mats.shape[-2]) * diff
 
 
-def mean_pairwise_distance(members) -> float:
-    mats = np.asarray(members, dtype=np.float64)
-    m = mats.shape[0]
-    acc = 0.0
-    cnt = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc += float(np.linalg.norm(mats[i] - mats[j]))
-            cnt += 1
-    return acc / max(cnt, 1)
-
-
 # ---------------------------------------------------------------------------
 # Gated fusion
 # ---------------------------------------------------------------------------
@@ -151,11 +139,6 @@ def gated_fuse_backward(z_bar, r, gate: GateParams, g, du):
 # Focal loss
 # ---------------------------------------------------------------------------
 
-def focal_loss(pred_prob: float, is_positive: bool,
-               alpha: float = 0.25, gamma: float = 2.0) -> float:
-    return focal_loss_grad(pred_prob, is_positive, alpha, gamma)[0]
-
-
 def focal_loss_grad(pred_prob: float, is_positive: bool,
                     alpha: float = 0.25, gamma: float = 2.0):
     """Loss and d(loss)/d(pred_prob)."""
@@ -171,10 +154,6 @@ def focal_loss_grad(pred_prob: float, is_positive: bool,
 # ---------------------------------------------------------------------------
 # GIoU loss
 # ---------------------------------------------------------------------------
-
-def giou_loss(a, b) -> float:
-    return giou_loss_grad(a, b)[0]
-
 
 def giou_loss_grad(a, b):
     """Loss and gradient w.r.t. the first box's (x1, y1, x2, y2)."""
@@ -329,10 +308,6 @@ class FusionModel:
         return out
 
     # -- forward --------------------------------------------------------
-
-    def palette_embeddings(self, sample: ToySample, params=None) -> np.ndarray:
-        params = self.params if params is None else params
-        return encode(sample.palette_inputs, params, "t")[0]
 
     def loss_and_grads(self, params, samples, weights: LossWeights):
         """Mean composite loss over samples plus aggregated gradients.
@@ -521,9 +496,3 @@ def train_toy(samples, epochs: int = 600, learning_rate: float = 0.02,
             raise TrainingDiverged("parameters diverged")
     model.params = model.unflatten(vec)
     return TrainResult(params=model.params, total_trace=total_trace, pal_trace=pal_trace)
-
-
-def palette_spread(model: FusionModel, samples) -> float:
-    """Mean pairwise distance between per-palette embeddings over samples."""
-    vals = [mean_pairwise_distance(model.palette_embeddings(s)) for s in samples]
-    return float(np.mean(vals))

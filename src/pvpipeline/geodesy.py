@@ -213,11 +213,11 @@ def enu_to_geo(origin: GeoPoint, off: EnuOffset) -> GeoPoint:
     return GeoPoint(lat=lat, lon=lon, alt=origin.alt + off.up)
 
 
-def shoelace(xy):
-    """Shoelace sums over the closed ring of (x, y) tuples.
+def plane_centroid(xy) -> tuple:
+    """Area-weighted centroid (x, y) of the closed ring of (x, y) tuples by
+    the shoelace formula, accumulated edge by edge in ring order.
 
-    Returns (twice the signed area, sum of (x0 + x1) * cross, sum of
-    (y0 + y1) * cross), accumulated edge by edge in ring order.
+    Zero-area rings fall back to the vertex mean.
     """
     area2 = 0.0
     cx = 0.0
@@ -230,24 +230,16 @@ def shoelace(xy):
         area2 += cross
         cx += (x0 + x1) * cross
         cy += (y0 + y1) * cross
-    return area2, cx, cy
+    if abs(area2) < 1e-12:
+        return sum(x for x, _ in xy) / n, sum(y for _, y in xy) / n
+    return cx / (3.0 * area2), cy / (3.0 * area2)
 
 
-def polygon_centroid(poly: GeoPolygon):
+def polygon_centroid(poly: GeoPolygon) -> GeoPoint:
     """Area-weighted centroid of a polygon, computed on the ENU plane anchored
-    at the first vertex and mapped back to WGS84.
-
-    Zero-area polygons fall back to the vertex mean.
+    at the first vertex and mapped back to WGS84 (see :func:`plane_centroid`).
     """
     anchor = poly.vertices[0]
-    pts = [geo_to_enu(anchor, v) for v in poly.vertices]
-    xy = [(p.east, p.north) for p in pts]
-    area2, cx, cy = shoelace(xy)
-    n = len(xy)
-    if abs(area2) < 1e-12:
-        mx = sum(x for x, _ in xy) / n
-        my = sum(y for _, y in xy) / n
-        return enu_to_geo(anchor, EnuOffset(east=mx, north=my))
-    cx /= 3.0 * area2
-    cy /= 3.0 * area2
-    return enu_to_geo(anchor, EnuOffset(east=cx, north=cy))
+    offsets = [geo_to_enu(anchor, v) for v in poly.vertices]
+    x, y = plane_centroid([(p.east, p.north) for p in offsets])
+    return enu_to_geo(anchor, EnuOffset(east=x, north=y))

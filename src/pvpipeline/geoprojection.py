@@ -1,9 +1,10 @@
-"""Pixel-to-WGS84 projection: full pose chain (body attitude, gimbal,
-camera mounting), ray-ground-plane intersection on a flat terrain model,
-and detection polygon projection.
+"""Pixel-to-WGS84 projection: a camera on a pitch/yaw gimbal,
+ray-ground-plane intersection on a flat terrain model, and detection
+polygon projection.
 
-Attitude uses aviation order (yaw-pitch-roll, Z-Y-X intrinsic) in NED.
-The camera optical axis lies along body +x at zero gimbal angles.
+The gimbal turns by yaw, then pitch (Z-Y intrinsic) in NED, the two angles
+the re-acquisition controller commands. The camera optical axis lies along
++x (north) at zero gimbal angles.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .reacquisition import CameraIntrinsics, GeometryError, backproject
 # Rays within this angle of the horizontal are rejected as unreliable.
 MIN_INCIDENCE_RAD = math.radians(1.0)
 
-# Camera axes in the gimbal/body frame at zero gimbal: optical (+z cam)
-# along +x, image right (+x cam) along +y, image down (+y cam) along +z.
+# Camera axes in the gimbal frame at zero gimbal: optical (+z cam) along
+# +x, image right (+x cam) along +y, image down (+y cam) along +z.
 CAM_TO_MOUNT = np.array([[0.0, 0.0, 1.0],
                          [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0]])
@@ -33,25 +34,8 @@ class ProjectionError(GeometryError):
 
 @dataclass(frozen=True)
 class Attitude:
-    roll: float = 0.0
     pitch: float = 0.0
     yaw: float = 0.0
-
-
-@dataclass(frozen=True)
-class UavPose:
-    position: GeoPoint  # altitude is AGL (height above the ground plane)
-    attitude: Attitude = Attitude()
-    gimbal: Attitude = Attitude()
-
-
-@dataclass(frozen=True)
-class GroundPlane:
-    elevation: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.elevation):
-            raise ProjectionError("non-finite ground elevation")
 
 
 @dataclass(frozen=True)
@@ -65,11 +49,6 @@ class ProjectedDetection:
     media_tiff: str = ""
 
 
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
-
-
 def _rot_y(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
@@ -80,30 +59,21 @@ def _rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
 
 
-def euler_zyx(att: Attitude) -> np.ndarray:
-    """Body-to-NED rotation for yaw-pitch-roll (Z-Y-X intrinsic) angles."""
-    return _rot_z(att.yaw) @ _rot_y(att.pitch) @ _rot_x(att.roll)
+def camera_to_world_rotation(gimbal: Attitude) -> np.ndarray:
+    """Camera-to-NED rotation R = Rz(yaw) @ Ry(pitch) @ R_cam->gimbal."""
+    return _rot_z(gimbal.yaw) @ _rot_y(gimbal.pitch) @ CAM_TO_MOUNT
 
 
-def camera_to_world_rotation(gimbal: Attitude,
-                             attitude: Attitude = Attitude()) -> np.ndarray:
-    """R = R_body->NED(attitude) @ R_gimbal->body(gimbal) @ R_cam->gimbal."""
-    return euler_zyx(attitude) @ euler_zyx(gimbal) @ CAM_TO_MOUNT
-
-
-def _ground_points(pixels, intr: CameraIntrinsics, pose: UavPose,
-                   plane: GroundPlane) -> list:
+def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
+                   height: float, gimbal: Attitude) -> list:
     """Intersect each pixel's world ray with the horizontal ground plane.
 
-    The rotation, height and anchor are shared by all pixels of the pose.
-    The local frame is anchored at the UAV's ground-projected position;
-    pose altitude is height above the ground plane.
+    ``ground`` is the point of the plane below the camera and ``height``
+    the camera's height above it; the rotation is shared by all pixels.
     """
-    height = pose.position.alt - plane.elevation
-    if height <= 0:
-        raise ProjectionError("UAV is not above the ground plane")
-    rot = camera_to_world_rotation(pose.gimbal, pose.attitude)
-    anchor = GeoPoint(lat=pose.position.lat, lon=pose.position.lon, alt=plane.elevation)
+    if not 0.0 < height < math.inf:
+        raise ProjectionError("camera is not above the ground plane")
+    rot = camera_to_world_rotation(gimbal)
     points = []
     for u, v in pixels:
         ray = rot @ backproject(u, v, intr)  # NED
@@ -113,20 +83,22 @@ def _ground_points(pixels, intr: CameraIntrinsics, pose: UavPose,
         t = height / ray[2]
         north = t * ray[0]
         east = t * ray[1]
-        points.append(enu_to_geo(anchor, EnuOffset(east=east, north=north,
+        points.append(enu_to_geo(ground, EnuOffset(east=east, north=north,
                                                    up=0.0)))
     return points
 
 
-def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics, pose: UavPose,
-                    plane: GroundPlane) -> GeoPoint:
+def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics,
+                    ground: GeoPoint, height: float,
+                    gimbal: Attitude) -> GeoPoint:
     """Ground point of one pixel (see :func:`_ground_points`)."""
-    return _ground_points([(u, v)], intr, pose, plane)[0]
+    return _ground_points([(u, v)], intr, ground, height, gimbal)[0]
 
 
-def project_detection(det: Detection, intr: CameraIntrinsics, pose: UavPose,
-                      plane: GroundPlane, frame_id: str, timestamp: str,
-                      media_rgb: str = "", media_tiff: str = "") -> ProjectedDetection:
+def project_detection(det: Detection, intr: CameraIntrinsics,
+                      ground: GeoPoint, height: float, gimbal: Attitude,
+                      frame_id: str, timestamp: str, media_rgb: str = "",
+                      media_tiff: str = "") -> ProjectedDetection:
     """Project all four bbox corners to the ground; any failing corner raises
     ProjectionError (the mission's project stage drops the detection and
     counts it)."""
@@ -134,7 +106,7 @@ def project_detection(det: Detection, intr: CameraIntrinsics, pose: UavPose,
     corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
     polygon = GeoPolygon(vertices=tuple(
-        _ground_points(corners, intr, pose, plane)))
+        _ground_points(corners, intr, ground, height, gimbal)))
     centroid = polygon_centroid(polygon)
     return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
                               frame_id=frame_id, timestamp=timestamp,

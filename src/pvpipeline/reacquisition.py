@@ -120,14 +120,6 @@ def rodrigues_rotate(c: np.ndarray, aa: AxisAngle) -> np.ndarray:
     return c * ct + np.cross(k, c) * st + k * np.dot(k, c) * (1.0 - ct)
 
 
-def axis_angle_matrix(aa: AxisAngle) -> np.ndarray:
-    """Equivalent rotation matrix R = I + sin(t) [k]x + (1 - cos(t)) [k]x^2."""
-    kx, ky, kz = aa.axis
-    k_cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + math.sin(aa.angle) * k_cross \
-        + (1.0 - math.cos(aa.angle)) * (k_cross @ k_cross)
-
-
 def pointing_angles(c: np.ndarray):
     """(pitch, yaw) that point a boresight along NED direction c.
 

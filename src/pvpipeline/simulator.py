@@ -32,7 +32,7 @@ import numpy as np
 from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
-from .geoprojection import Attitude, GroundPlane, ProjectionError, UavPose, \
+from .geoprojection import Attitude, ProjectionError, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
     compute_reacq_command, reacquisition_decision
@@ -424,8 +424,7 @@ def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
                     rng) -> FramePose:
     de, dn, dz = rng.normal(0.0, noise.pos_sigma_m, size=3)
     dp, dy = rng.normal(0.0, noise.att_sigma_rad, size=2)
-    gimbal = Attitude(roll=pose.gimbal.roll, pitch=pose.gimbal.pitch + dp,
-                      yaw=pose.gimbal.yaw + dy)
+    gimbal = Attitude(pitch=pose.gimbal.pitch + dp, yaw=pose.gimbal.yaw + dy)
     return FramePose(east=pose.east + de, north=pose.north + dn,
                      altitude=pose.altitude + 0.2 * dz, gimbal=gimbal,
                      time_s=pose.time_s)
@@ -637,17 +636,16 @@ def project_confirmed(det: Detection, pose_meas: FramePose,
                       start: datetime, trace: MissionTrace):
     """Project stage: the detection's footprint from the measured pose, or
     None (counted in ``trace.projection_failed``) when a corner ray does
-    not reach the ground."""
-    position = enu_to_geo(config.layout.origin,
-                          EnuOffset(east=pose_meas.east, north=pose_meas.north,
-                                    up=pose_meas.altitude))
+    not reach the ground. The pose altitude is the camera's height above
+    the plant, as in :func:`render_frame`."""
+    ground = enu_to_geo(config.layout.origin,
+                        EnuOffset(east=pose_meas.east, north=pose_meas.north,
+                                  up=config.layout.elevation))
     media = f"sim://{config.site_id}/{packet.frame_id}"
     try:
         return project_detection(
-            det, config.intrinsics,
-            UavPose(position=position, gimbal=pose_meas.gimbal),
-            GroundPlane(elevation=config.layout.elevation),
-            frame_id=packet.frame_id,
+            det, config.intrinsics, ground, pose_meas.altitude,
+            pose_meas.gimbal, frame_id=packet.frame_id,
             timestamp=_ts_utc(start, packet.time_s),
             media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
     except ProjectionError:
@@ -724,30 +722,9 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _with_value(config: MissionConfig, parameter: str, value: float) -> MissionConfig:
-    if parameter == "altitude":
-        return replace(config, plan=replace(config.plan, altitude=float(value)))
-    if parameter == "speed":
-        return replace(config, plan=replace(config.plan, speed=float(value)))
-    if parameter == "epsilon":
-        return replace(config, dbscan=replace(config.dbscan, epsilon=float(value)))
-    raise SimulationError(f"unknown sweep parameter: {parameter!r}")
-
-
-def sweep(parameter: str, values, base: MissionConfig) -> list:
-    """One full mission per value with a shared seed; returns
-    [(value, MetricsReport)] in input order."""
-    values = list(values)
-    if not values:
-        raise SimulationError("sweep needs at least one value")
-    rows = []
-    for value in values:
-        trace, _ = run_mission(_with_value(base, parameter, value))
-        rows.append((float(value), evaluate(trace)))
-    return rows
-
-
 def sweep_csv(parameter: str, rows) -> str:
+    """CSV table of [(value, MetricsReport)] rows, one per value of the
+    swept parameter."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([parameter, "recall", "recall_small", "dup_fp_raw",

@@ -97,7 +97,7 @@ def _build_palette(name: str) -> np.ndarray:
         g = i.astype(np.uint8)
         return np.stack([g, g, g], axis=1)
     if name == "rainbow":
-        # Hue sweep blue (240 deg) -> red (0 deg), full saturation/value.
+        # Hue ramp blue (240 deg) -> red (0 deg), full saturation/value.
         hue = 240.0 * (1.0 - i / 255.0)
         rgb = np.empty((256, 3), dtype=np.uint8)
         for k, h in enumerate(hue):

@@ -21,16 +21,17 @@ import numpy as np
 from pvpipeline.cli import main as cli_main, run_fuse_check
 from pvpipeline.dedup import NOISE, dbscan_labels
 from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
-    palette_spread, train_toy
+    train_toy
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, EnuOffset, GeoPoint,
                                 enu_to_geo, geo_to_enu, haversine_distance)
 from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
-                                      axis_angle_matrix, compute_reacq_command,
-                                      pointing_angles, rodrigues_rotate,
-                                      solve_axis_angle)
+                                      compute_reacq_command, pointing_angles,
+                                      rodrigues_rotate, solve_axis_angle)
 from pvpipeline.simulator import (DefectMix, MissionConfig, evaluate,
-                                  run_mission, sweep)
+                                  run_mission)
 from pvpipeline.telemetry import to_json
+
+from oracles import axis_angle_matrix, palette_spread
 
 GRAD_TOL = 1e-4
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -66,9 +67,11 @@ def test_criterion_2_epsilon_sweep_ordering():
         config = replace(MissionConfig(seed=seed),
                          mix=DefectMix(count=12, n_small=0,
                                        min_separation_m=2.2))
-        rows = sweep("epsilon", [0.1, 0.5, 1.0, 2.0, 5.0], config)
-        counts = {eps: m.event_count for eps, m in rows}
-        gt = rows[0][1].gt_count
+        rows = {eps: _metrics(replace(
+            config, dbscan=replace(config.dbscan, epsilon=eps)))
+            for eps in (0.1, 0.5, 1.0, 2.0, 5.0)}
+        counts = {eps: m.event_count for eps, m in rows.items()}
+        gt = rows[0.1].gt_count
         assert gt == 12
         assert counts[0.1] > gt          # fragmentation overcounts
         assert counts[0.5] == gt
@@ -114,10 +117,11 @@ def test_criterion_4_reacquisition_benefit_paired_seeds():
 def test_criterion_5_altitude_and_speed_trends():
     for seed in range(3):
         config = MissionConfig(seed=seed)
-        alt = [m.recall for _, m in sweep("altitude", [5.0, 10.0, 15.0],
-                                          config)]
+        alt = [_metrics(replace(config, plan=replace(
+            config.plan, altitude=a))).recall for a in (5.0, 10.0, 15.0)]
         assert alt[0] >= alt[1] >= alt[2], f"seed {seed}: altitude {alt}"
-        spd = [m.recall for _, m in sweep("speed", [2.0, 5.0, 10.0], config)]
+        spd = [_metrics(replace(config, plan=replace(
+            config.plan, speed=v))).recall for v in (2.0, 5.0, 10.0)]
         assert spd[0] >= spd[1] >= spd[2], f"seed {seed}: speed {spd}"
         assert alt[2] < alt[0] or spd[2] < spd[0]  # the envelope does bind
 

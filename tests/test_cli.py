@@ -279,6 +279,21 @@ def test_simulate_across_the_antimeridian_exits_zero(tmp_path):
     assert min(lons) < 0.0 < max(lons)
 
 
+def test_simulate_on_elevated_plant_matches_datum_plant(tmp_path, capsys):
+    # Flight altitude and defects are both taken above the plant surface,
+    # so raising the plant moves no projection.
+    outputs = []
+    for elevation in (0.0, 5.0):
+        path = tmp_path / f"config-{elevation}.json"
+        path.write_text(json.dumps({"plant": {"elevation": elevation}}))
+        out = tmp_path / f"out-{elevation}"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) \
+            == 0, capsys.readouterr().err
+        outputs.append([(out / name).read_bytes() for name in
+                        ("report.json", "metrics.csv", "detections.jsonl")])
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_runtime_failure_exits_2(tmp_path):
     # A separation no plant of this size can satisfy: run_mission fails.
     impossible = dict(SMALL_CONFIG,
@@ -420,6 +435,24 @@ def test_reacquire_demo_reports_subpixel_reprojection():
     assert float(line.split(":")[-1]) < 1e-9
 
 
+def test_reacquire_demo_reprojects_through_the_command(monkeypatch, capsys):
+    # The reprojection applies the printed command, so a wrong yaw shows.
+    from pvpipeline import reacquisition
+    to_gimbal_command = reacquisition.to_gimbal_command
+
+    def off_by_yaw(*args):
+        cmd = to_gimbal_command(*args)
+        return reacquisition.GimbalCommand(delta_pitch=cmd.delta_pitch,
+                                           delta_yaw=cmd.delta_yaw + 0.05)
+
+    monkeypatch.setattr(reacquisition, "to_gimbal_command", off_by_yaw)
+    assert main(["reacquire-demo", "--pixel", "70,10", "--fx", "100",
+                 "--fy", "100", "--cx", "39.5", "--cy", "31.5"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if "reprojection_px" in l)
+    assert float(line.split(":")[-1]) > 1.0
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option", ["--fx", "--fy", "--cx", "--cy", "pixel u",
                                     "pixel v", "--alt", "--gimbal-pitch"])
@@ -481,6 +514,29 @@ def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     assert f"invalid report: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+GOLDEN_DETECTIONS = (pathlib.Path(__file__).parent / "data" / "golden_mission"
+                     / "default" / "detections.jsonl")
+
+
+@pytest.mark.parametrize("command", [
+    lambda config: ["simulate", "--config", config, "--out"],
+    lambda config: ["dedup", "--input", str(GOLDEN_DETECTIONS),
+                    "--epsilon", "1.0", "--out"],
+    lambda config: ["export-kml", "--report", str(GOLDEN_REPORT), "--out"],
+], ids=["simulate", "dedup", "export-kml"])
+def test_out_under_a_regular_file_exits_1(tmp_path, capsys, config_path,
+                                          command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    out = afile / "x"
+    code = main(command(str(config_path)) + [str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"cannot write {out}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_invalid_log_level_rejected():

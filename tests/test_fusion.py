@@ -7,13 +7,14 @@ import pytest
 
 from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
                                GateParams, LossWeights, ToySample,
-                               embedding_centroid, focal_loss,
-                               focal_loss_grad, gated_fuse,
-                               gated_fuse_backward, giou_loss, giou_loss_grad,
+                               embedding_centroid, focal_loss_grad,
+                               gated_fuse, gated_fuse_backward, giou_loss_grad,
                                gradient_check, make_toy_samples,
-                               mean_pairwise_distance, palette_invariance_loss,
-                               palette_invariance_loss_grad, palette_spread,
-                               total_loss, train_toy)
+                               palette_invariance_loss,
+                               palette_invariance_loss_grad, total_loss,
+                               train_toy)
+
+from oracles import mean_pairwise_distance, palette_spread
 
 TRACE_PATH = Path(__file__).parent / "data" / "toy_train_trace.json"
 
@@ -73,8 +74,8 @@ def test_focal_gradient_100_instances():
         alpha = float(rng.uniform(0.1, 1.0))
         gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
         _, grad = focal_loss_grad(p, positive, alpha, gamma)
-        num = (focal_loss(p + h, positive, alpha, gamma)
-               - focal_loss(p - h, positive, alpha, gamma)) / (2 * h)
+        num = (focal_loss_grad(p + h, positive, alpha, gamma)[0]
+               - focal_loss_grad(p - h, positive, alpha, gamma)[0]) / (2 * h)
         assert abs(grad - num) / max(abs(num), 1e-6) < GRAD_TOL
 
 
@@ -106,7 +107,7 @@ def test_giou_gradient_covers_disjoint_boxes():
     for _ in range(20):
         a = _random_box(rng, 0.0, 4.0)
         b = _random_box(rng, 6.0, 10.0)
-        assert giou_loss(a, b) > 1.0  # disjoint => negative GIoU
+        assert giou_loss_grad(a, b)[0] > 1.0  # disjoint => negative GIoU
 
         def closure(vec, b=b):
             return giou_loss_grad(vec, b)
@@ -161,29 +162,30 @@ def test_palette_loss_hand_value():
 
 def test_focal_reduces_to_cross_entropy_at_gamma_zero():
     p = 0.3
-    assert focal_loss(p, True, alpha=1.0, gamma=0.0) == pytest.approx(-math.log(p))
-    assert focal_loss(p, False, alpha=1.0, gamma=0.0) == pytest.approx(
+    assert focal_loss_grad(p, True, alpha=1.0, gamma=0.0)[0] == pytest.approx(
+        -math.log(p))
+    assert focal_loss_grad(p, False, alpha=1.0, gamma=0.0)[0] == pytest.approx(
         -math.log(1.0 - p))
 
 
 def test_focal_downweights_easy_examples():
     # gamma > 0 shrinks well-classified losses far more than hard ones.
-    easy_ce = focal_loss(0.95, True, alpha=1.0, gamma=0.0)
-    easy_fl = focal_loss(0.95, True, alpha=1.0, gamma=2.0)
-    hard_ce = focal_loss(0.10, True, alpha=1.0, gamma=0.0)
-    hard_fl = focal_loss(0.10, True, alpha=1.0, gamma=2.0)
+    easy_ce = focal_loss_grad(0.95, True, alpha=1.0, gamma=0.0)[0]
+    easy_fl = focal_loss_grad(0.95, True, alpha=1.0, gamma=2.0)[0]
+    hard_ce = focal_loss_grad(0.10, True, alpha=1.0, gamma=0.0)[0]
+    hard_fl = focal_loss_grad(0.10, True, alpha=1.0, gamma=2.0)[0]
     assert easy_fl / easy_ce < 0.01
     assert hard_fl / hard_ce > 0.5
 
 
 def test_giou_identical_boxes_zero_loss():
     box = [1.0, 2.0, 4.0, 5.0]
-    assert giou_loss(box, box) == pytest.approx(0.0)
+    assert giou_loss_grad(box, box)[0] == pytest.approx(0.0)
 
 
 def test_giou_degenerate_box_rejected():
     with pytest.raises(FusionError):
-        giou_loss([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+        giou_loss_grad([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
 
 
 def test_gate_output_is_convex_combination():

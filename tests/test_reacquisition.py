@@ -5,12 +5,13 @@ import pytest
 
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
-                                      GeometryError, ReacqPolicy,
-                                      axis_angle_matrix, backproject,
+                                      GeometryError, ReacqPolicy, backproject,
                                       compute_reacq_command, pointing_angles,
                                       reacquisition_decision, rodrigues_rotate,
                                       solve_axis_angle, to_gimbal_command,
                                       unit, wrap_angle)
+
+from oracles import axis_angle_matrix
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)
@@ -115,16 +116,13 @@ def test_compute_reacq_command_recenters_to_subpixel():
     """Applying the commanded rotation to the camera must land the original
     detection on the principal point (the re-centering guarantee)."""
     rng = np.random.default_rng(3)
-    from pvpipeline.geoprojection import (Attitude, UavPose,
-                                          camera_to_world_rotation)
-    from pvpipeline.geodesy import GeoPoint
+    from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
     for _ in range(100):
-        pose = UavPose(
-            position=GeoPoint(lat=49.0, lon=26.0, alt=10.0),
-            attitude=Attitude(yaw=float(rng.uniform(-math.pi, math.pi))),
-            gimbal=Attitude(pitch=float(rng.uniform(-1.5, -0.6)),
-                            yaw=float(rng.uniform(-0.5, 0.5))))
-        rot = camera_to_world_rotation(pose.gimbal, pose.attitude)
+        # A heading over the full circle plus a small gimbal yaw offset.
+        heading = float(rng.uniform(-math.pi, math.pi))
+        gimbal = Attitude(pitch=float(rng.uniform(-1.5, -0.6)),
+                          yaw=heading + float(rng.uniform(-0.5, 0.5)))
+        rot = camera_to_world_rotation(gimbal)
         u = float(rng.uniform(2, INTR.width - 2))
         v = float(rng.uniform(2, INTR.height - 2))
         det = Detection(bbox=BoundingBox(x_min=u - 1, y_min=v - 1,
