@@ -14,11 +14,11 @@ from pvpipeline.simulator import DefectMix, MissionConfig, evaluate, \
     run_mission, sweep_csv
 
 config = replace(MissionConfig(seed=0),
-                 mix=DefectMix(count=12, n_small=0, min_separation_m=2.2))
+                 defects=DefectMix(count=12, n_small=0, min_separation_m=2.2))
 rows = []
 for eps in [0.1, 0.5, 1.0, 2.0, 5.0]:
-    dbscan = replace(config.dbscan, epsilon=eps)
-    trace, _ = run_mission(replace(config, dbscan=dbscan))
+    dedup = replace(config.dedup, epsilon=eps)
+    trace, _ = run_mission(replace(config, dedup=dedup))
     rows.append((eps, evaluate(trace)))
 
 print(sweep_csv("epsilon", rows))

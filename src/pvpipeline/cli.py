@@ -105,6 +105,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
+    from .geodesy import GeodesyError
     from .telemetry import TelemetryError, event_to_record, \
         parse_detection_record_lines, _record_json
 
@@ -127,6 +128,9 @@ def cmd_dedup(args) -> int:
 
     try:
         events = deduplicate(detections, params)
+    except GeodesyError as exc:  # sightings too far apart to merge
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -156,28 +160,29 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
     for _ in range(n_instances):
         # palette-invariance term
         zs = rng.standard_normal((4, dim))
-        check("palette", lambda p, n=zs.size: (
-            fusion.palette_invariance_loss(p.reshape(4, dim)),
-            fusion.palette_invariance_loss_grad(p.reshape(4, dim))[1].ravel()),
-            zs.ravel())
+
+        def palette_closure(p):
+            loss, grad = fusion.palette_invariance_loss_grad(p.reshape(4, dim))
+            return float(loss), grad.ravel()
+
+        check("palette", palette_closure, zs.ravel())
         # gate composition
-        gate = fusion.GateParams.init(rng, dim, scale=0.5)
+        gate_w = 0.5 * rng.standard_normal((dim, 2 * dim))
         z_bar = rng.standard_normal(dim)
         r = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
 
         def gate_closure(p):
             zb, rr = p[:dim], p[dim:2 * dim]
-            g = fusion.GateParams(
-                weight=p[2 * dim:2 * dim + 2 * dim * dim].reshape(dim, 2 * dim),
-                bias=p[2 * dim + 2 * dim * dim:])
-            u, gates = fusion.gated_fuse(zb, rr, g)
+            gw = p[2 * dim:2 * dim + 2 * dim * dim].reshape(dim, 2 * dim)
+            gb = p[2 * dim + 2 * dim * dim:]
+            u, gates = fusion.gated_fuse(zb, rr, gw, gb)
             loss = float(w @ u)
-            dz, dr, dwg, dbg = fusion.gated_fuse_backward(zb, rr, g, gates, w)
+            dz, dr, dwg, dbg = fusion.gated_fuse_backward(zb, rr, gw, gates, w)
             return loss, np.concatenate([dz, dr, dwg.ravel(), dbg])
 
         check("gate", gate_closure,
-              np.concatenate([z_bar, r, gate.weight.ravel(), gate.bias]))
+              np.concatenate([z_bar, r, gate_w.ravel(), np.zeros(dim)]))
         # focal
         logit = float(rng.normal())
         positive = bool(rng.integers(2))
@@ -207,6 +212,10 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
 
 
 def cmd_fuse_check(args) -> int:
+    if args.dim < 1:
+        print(f"usage error: --dim must be at least 1, got {args.dim}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     results = run_fuse_check(seed=args.seed, dim=args.dim)
     worst = {}
     for term, err in results:

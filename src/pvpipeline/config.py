@@ -2,7 +2,7 @@
 
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_type_hints
 
@@ -12,15 +12,6 @@ from .simulator import MissionConfig
 
 class ConfigError(ValueError):
     pass
-
-
-# JSON section -> the MissionConfig field holding that section's dataclass.
-SECTIONS = {"plant": "layout", "defects": "mix", "flight": "plan",
-            "camera": "intrinsics", "detector": "detector", "noise": "noise",
-            "render": "render", "reacquisition": "policy", "dedup": "dbscan"}
-# (section, key) -> the MissionConfig field that stores the key directly.
-DIRECT = {("reacquisition", "enabled"): "reacq_enabled",
-          ("telemetry", "match_radius_m"): "match_radius_m"}
 
 
 @cache  # get_type_hints evaluates every annotation string on each call
@@ -67,25 +58,21 @@ def _value(path: str, value, hint, default):
 
 
 def config_from_dict(raw: dict, seed_override: int = None) -> MissionConfig:
+    """Each dataclass-typed MissionConfig field is a JSON section of the
+    same name holding that dataclass's fields; any other is a top-level key."""
     base = MissionConfig()
     top = _slots(MissionConfig)
-    spec = {s: ({**_slots(top[f][0])}, None) for s, f in SECTIONS.items()}
-    for (section, key), name in DIRECT.items():
-        spec.setdefault(section, ({}, None))[0][key] = top[name]
-    spec.update((k, slot) for k, slot in top.items()
-                if k not in {*SECTIONS.values(), *DIRECT.values()})
+    spec = {k: (_slots(t), None) if is_dataclass(t) else (t, d)
+            for k, (t, d) in top.items()}
     values = _value("$", raw, spec, None)
-    values.update((name, values[s].pop(k)) for (s, k), name in DIRECT.items()
-                  if k in values.get(s, {}))
-    for section, owner in SECTIONS.items():
-        if section in values:
-            values[owner] = _build(f"$.{section}: ", replace,
-                                   getattr(base, owner), **values[section])
+    for key, given in values.items():
+        if is_dataclass(top[key][0]):
+            values[key] = _build(f"$.{key}: ", replace, getattr(base, key),
+                                 **given)
     if seed_override is not None:
         values["seed"] = seed_override
     # MissionConfig's own messages start with the config key they check.
-    return _build("$.", replace, base,
-                  **{k: v for k, v in values.items() if k in top})
+    return _build("$.", replace, base, **values)
 
 
 def load_config(path: str, seed_override: int = None) -> MissionConfig:

@@ -64,13 +64,9 @@ def embedding_centroid(members) -> np.ndarray:
     return mats.mean(axis=-2)
 
 
-def palette_invariance_loss(members) -> float:
-    """Mean squared distance of each embedding from the member centroid."""
-    return float(palette_invariance_loss_grad(members)[0])
-
-
 def palette_invariance_loss_grad(members):
-    """Loss and per-member gradients; d/dz_m = (2/M)(z_m - centroid).
+    """Loss (mean squared distance of each embedding from the member
+    centroid) and per-member gradients; d/dz_m = (2/M)(z_m - centroid).
 
     members is (M, D), or (N, M, D) for N independent groups, in which case
     the loss is an (N,) array.
@@ -85,17 +81,6 @@ def palette_invariance_loss_grad(members):
 # Gated fusion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GateParams:
-    weight: np.ndarray  # (D, 2D)
-    bias: np.ndarray    # (D,)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dim: int, scale: float = 0.1):
-        return cls(weight=scale * rng.standard_normal((dim, 2 * dim)),
-                   bias=np.zeros(dim))
-
-
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -105,30 +90,31 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gated_fuse(z_bar: np.ndarray, r: np.ndarray, gate: GateParams):
+def gated_fuse(z_bar: np.ndarray, r: np.ndarray, weight: np.ndarray,
+               bias: np.ndarray):
     """u = g * z_bar + (1 - g) * r with g = sigmoid(W [z_bar ; r] + b).
 
-    z_bar and r are (D,) vectors or (N, D) rows.
+    z_bar and r are (D,) vectors or (N, D) rows; W is (D, 2D), b is (D,).
     """
     z_bar = np.asarray(z_bar, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     dim = z_bar.shape[-1]
-    if z_bar.shape != r.shape or gate.weight.shape != (dim, 2 * dim):
+    if z_bar.shape != r.shape or weight.shape != (dim, 2 * dim):
         raise FusionError("gate/embedding shape mismatch")
     zr = np.concatenate([z_bar, r], axis=-1)
-    g = _sigmoid_vec(zr @ gate.weight.T + gate.bias)
+    g = _sigmoid_vec(zr @ weight.T + bias)
     u = g * z_bar + (1.0 - g) * r
     return u, g
 
 
-def gated_fuse_backward(z_bar, r, gate: GateParams, g, du):
+def gated_fuse_backward(z_bar, r, weight, g, du):
     """Backprop through gated_fuse; returns (dz_bar, dr, dW, db), with dW
     and db summed over the rows."""
     zr = np.concatenate([z_bar, r], axis=-1)
     ds = du * (z_bar - r) * g * (1.0 - g)
     d_w = np.atleast_2d(ds).T @ np.atleast_2d(zr)
     d_b = np.atleast_2d(ds).sum(axis=0)
-    dzr = ds @ gate.weight
+    dzr = ds @ weight
     dim = z_bar.shape[-1]
     dz_bar = du * g + dzr[..., :dim]
     dr = du * (1.0 - g) + dzr[..., dim:]
@@ -284,9 +270,9 @@ class FusionModel:
                 prefix + ".w2": 0.5 * rng.standard_normal((dim, hidden))
                 / math.sqrt(hidden),
                 prefix + ".b2": np.zeros(dim)})
-        gate = GateParams.init(rng, dim)
         self.params.update({
-            "gate.w": gate.weight, "gate.b": gate.bias,
+            "gate.w": 0.1 * rng.standard_normal((dim, 2 * dim)),
+            "gate.b": np.zeros(dim),
             "head.w_cls": 0.1 * rng.standard_normal(dim), "head.b_cls": np.zeros(1),
             "head.w_box": 0.1 * rng.standard_normal((4, dim)), "head.b_box": np.zeros(4),
         })
@@ -328,14 +314,13 @@ class FusionModel:
         x_t = np.concatenate([s.palette_inputs for s in samples])  # (N*M, in)
         x_r = np.stack([s.rgb_input for s in samples])             # (N, in)
         m = x_t.shape[0] // n
-        gate = GateParams(weight=params["gate.w"], bias=params["gate.b"])
 
         zs, h_t = encode(x_t, params, "t")
         zs = zs.reshape(n, m, -1)
         pal_l, d_zs_pal = palette_invariance_loss_grad(zs)
         z_bar = embedding_centroid(zs)
         r, h_r = encode(x_r, params, "r")
-        u, g = gated_fuse(z_bar, r, gate)
+        u, g = gated_fuse(z_bar, r, params["gate.w"], params["gate.b"])
 
         # Classification head: focal loss per row in its scalar form.
         p = _sigmoid_vec(u @ params["head.w_cls"] + params["head.b_cls"][0])
@@ -368,7 +353,8 @@ class FusionModel:
 
         # Backward: each weight gradient is one contraction over the batch.
         du = np.outer(d_logit, params["head.w_cls"]) + d_t_box @ params["head.w_box"]
-        dz_bar, dr, d_gw, d_gb = gated_fuse_backward(z_bar, r, gate, g, du)
+        dz_bar, dr, d_gw, d_gb = gated_fuse_backward(
+            z_bar, r, params["gate.w"], g, du)
         dzs = dz_bar[:, None, :] / m + (weights.lambda_pal / n) * d_zs_pal
         grads = {"head.w_cls": d_logit @ u, "head.b_cls": np.array([d_logit.sum()]),
                  "head.w_box": d_t_box.T @ u, "head.b_box": d_t_box.sum(axis=0),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import Detection
-from .geodesy import EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, polygon_centroid
+from .geodesy import EnuOffset, GeoPoint, GeoPolygon, GeodesyError, \
+    enu_to_geo, polygon_centroid
 from .reacquisition import CameraIntrinsics, GeometryError, backproject
 
 # Rays within this angle of the horizontal are rejected as unreliable.
@@ -69,7 +70,9 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
     """Intersect each pixel's world ray with the horizontal ground plane.
 
     ``ground`` is the point of the plane below the camera and ``height``
-    the camera's height above it; the rotation is shared by all pixels.
+    the camera's height above it; the rotation is shared by all pixels. A
+    ray that does not descend, or meets the plane beyond the tangent-plane
+    range, raises ProjectionError.
     """
     if not 0.0 < height < math.inf:
         raise ProjectionError("camera is not above the ground plane")
@@ -77,14 +80,17 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
     points = []
     for u, v in pixels:
         ray = rot @ backproject(u, v, intr)  # NED
-        if ray[2] < math.sin(MIN_INCIDENCE_RAD):
+        if not ray[2] >= math.sin(MIN_INCIDENCE_RAD):  # NaN fails too
             raise ProjectionError("ray does not descend toward the ground "
                                   "(horizon/upward or grazing incidence)")
         t = height / ray[2]
         north = t * ray[0]
         east = t * ray[1]
-        points.append(enu_to_geo(ground, EnuOffset(east=east, north=north,
-                                                   up=0.0)))
+        try:
+            points.append(enu_to_geo(ground, EnuOffset(east=east,
+                                                       north=north, up=0.0)))
+        except GeodesyError as exc:
+            raise ProjectionError(str(exc)) from exc
     return points
 
 

@@ -63,6 +63,7 @@ class ReacqPolicy:
     tau_ra: float = 0.5
     min_area_frac: float = 0.005
     max_rounds: int = 2
+    enabled: bool = True  # off: reject where the policy would re-acquire
 
     def __post_init__(self):
         if not (0.0 < self.tau_ra < 1.0):
@@ -171,13 +172,14 @@ def compute_reacq_command(det: Detection, intr: CameraIntrinsics,
 def reacquisition_decision(det: Detection, frame_area: float, policy: ReacqPolicy,
                            round_index: int) -> str:
     """The action for one detection: "accept" when it is confident,
-    "reacquire" when it is small and not confident while rounds remain
-    (compute_reacq_command gives the gimbal command), else "reject"."""
+    "reacquire" when it is small and not confident while rounds remain and
+    the policy is enabled (compute_reacq_command gives the gimbal command),
+    else "reject"."""
     if round_index > policy.max_rounds:
         raise GeometryError("round exceeds policy budget")
     if det.confidence >= policy.tau_ra:
         return "accept"
     small = det.bbox.area / frame_area < policy.min_area_frac
-    if small and round_index < policy.max_rounds:
+    if policy.enabled and small and round_index < policy.max_rounds:
         return "reacquire"
     return "reject"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -454,21 +454,20 @@ class MissionConfig:
     site_id: str = "SIM-PLANT-01"
     uav: str = "SIM-UAV"
     start_utc: str = "2025-09-30T10:00:00Z"
-    layout: PlantLayout = field(default_factory=lambda: PlantLayout(
+    plant: PlantLayout = field(default_factory=lambda: PlantLayout(
         origin=GeoPoint(lat=49.4070, lon=26.9840, alt=0.0)))
-    mix: DefectMix = field(default_factory=DefectMix)
-    plan: FlightPlan = field(default_factory=FlightPlan)
-    intrinsics: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(
+    defects: DefectMix = field(default_factory=DefectMix)
+    flight: FlightPlan = field(default_factory=FlightPlan)
+    camera: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(
         fx=100.0, fy=100.0, cx=39.5, cy=31.5, width=80, height=64))
     detector: ThresholdDetectorConfig = field(default_factory=lambda: ThresholdDetectorConfig(
         delta_c=2.0, min_blob_px=3, logit_bias=-3.2, logit_per_deg=1.0,
         logit_per_log_px=0.5))
     noise: SyntheticDetectorNoise = field(default_factory=SyntheticDetectorNoise)
     render: RenderModel = field(default_factory=RenderModel)
-    policy: ReacqPolicy = field(default_factory=lambda: ReacqPolicy(
+    reacquisition: ReacqPolicy = field(default_factory=lambda: ReacqPolicy(
         tau_ra=0.5, min_area_frac=0.01, max_rounds=2))
-    reacq_enabled: bool = True
-    dbscan: DbscanParams = field(default_factory=DbscanParams)
+    dedup: DbscanParams = field(default_factory=DbscanParams)
     match_radius_m: float = 1.0
 
     def __post_init__(self):
@@ -481,16 +480,16 @@ class MissionConfig:
             raise SimulationError(
                 f"start_utc: expected YYYY-MM-DDTHH:MM:SSZ, "
                 f"got {self.start_utc!r}") from None
-        n_modules = self.layout.rows * self.layout.cols
-        if self.mix.count is not None and self.mix.count > n_modules:
+        n_modules = self.plant.rows * self.plant.cols
+        if self.defects.count is not None and self.defects.count > n_modules:
             raise SimulationError(
-                f"defects.count: {self.mix.count} is more than the "
+                f"defects.count: {self.defects.count} is more than the "
                 f"{n_modules} modules of the plant")
         for key in ("width", "height"):
-            if getattr(self.intrinsics, key) < 1:
+            if getattr(self.camera, key) < 1:
                 raise SimulationError(f"camera.{key}: must be at least 1")
         if not self.match_radius_m > 0:
-            raise SimulationError("telemetry.match_radius_m: must be positive")
+            raise SimulationError("match_radius_m: must be positive")
 
 
 @dataclass
@@ -510,7 +509,7 @@ class MissionTrace:
     def raw_bytes(self) -> int:
         """Raw imagery of every view flown (survey frames and re-acquisition
         rounds), each a 16-bit thermal plus an 8-bit RGB frame, uncompressed."""
-        intr = self.config.intrinsics
+        intr = self.config.camera
         return (self.frames + self.reacq_rounds) * intr.width * intr.height * 5
 
 
@@ -576,7 +575,7 @@ def detect_frame(packet: SensorPacket, frame_idx: int, config: MissionConfig,
     ones the miss model drops, as (index, detection) pairs; the index keys
     the detection's noise streams."""
     detections = detect(packet.temp, config.detector)
-    detections += _clutter_detections(config.intrinsics,
+    detections += _clutter_detections(config.camera,
                                       config.noise.clutter_rate, config.seed,
                                       frame_idx)
     trace.detections_seen += len(detections)
@@ -592,7 +591,7 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
     detection. Returns the confirmed detection and the measured pose it
     was seen from, or None when it is rejected or lost. A re-acquired view's
     measured gimbal is the commanded one plus the frame's attitude error."""
-    intr = config.intrinsics
+    intr = config.camera
     frame_area = float(intr.width * intr.height)
     pose_true, pose_meas = packet.pose_true, packet.pose_meas
     err_pitch = pose_meas.gimbal.pitch - pose_true.gimbal.pitch
@@ -603,12 +602,13 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
             config.seed, frame_idx, det_idx, rounds,
             config.noise.confidence_sigma), 0.0), 1.0)
         det = det.with_confidence(noisy)
-        action = reacquisition_decision(det, frame_area, config.policy, rounds)
+        action = reacquisition_decision(det, frame_area,
+                                        config.reacquisition, rounds)
         if action == "accept":
             if rounds > 0:
                 trace.reacq_confirms += 1
             return det, pose_meas
-        if action == "reject" or not config.reacq_enabled:
+        if action == "reject":
             return None
         # Re-acquire: apply the gimbal command that points along the
         # target's line of sight and render a fresh, centered view at the
@@ -638,13 +638,13 @@ def project_confirmed(det: Detection, pose_meas: FramePose,
     None (counted in ``trace.projection_failed``) when a corner ray does
     not reach the ground. The pose altitude is the camera's height above
     the plant, as in :func:`render_frame`."""
-    ground = enu_to_geo(config.layout.origin,
+    ground = enu_to_geo(config.plant.origin,
                         EnuOffset(east=pose_meas.east, north=pose_meas.north,
-                                  up=config.layout.elevation))
+                                  up=config.plant.elevation))
     media = f"sim://{config.site_id}/{packet.frame_id}"
     try:
         return project_detection(
-            det, config.intrinsics, ground, pose_meas.altitude,
+            det, config.camera, ground, pose_meas.altitude,
             pose_meas.gimbal, frame_id=packet.frame_id,
             timestamp=_ts_utc(start, packet.time_s),
             media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
@@ -666,14 +666,14 @@ def match_ground_truth(projections, defects, radius: float) -> list:
 def run_mission(config: MissionConfig):
     """Plan, then per frame sense -> detect -> confirm -> project; then
     match -> dedup -> report. Returns (trace, report)."""
-    layout, defects = generate_plant(config.seed, config.layout, config.mix)
-    poses = plan_flight(layout, config.plan, config.intrinsics)
+    layout, defects = generate_plant(config.seed, config.plant, config.defects)
+    poses = plan_flight(layout, config.flight, config.camera)
     trace = MissionTrace(config=config, defects=defects)
     start = parse_ts_utc(config.start_utc)
     projections = []
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses, config.intrinsics, config.noise, config.render,
-            config.plan.speed, config.seed)):
+            defects, poses, config.camera, config.noise, config.render,
+            config.flight.speed, config.seed)):
         trace.frames += 1
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):
             confirmed = confirm_detection(det, packet, frame_idx, det_idx,
@@ -686,7 +686,7 @@ def run_mission(config: MissionConfig):
                 projections.append(projected)
     trace.accepted = match_ground_truth(projections, defects,
                                         config.match_radius_m)
-    trace.events = deduplicate(trace.accepted, config.dbscan)
+    trace.events = deduplicate(trace.accepted, config.dedup)
     report = build_report(config.site_id, config.uav,
                           _ts_utc(start, poses[-1].time_s), trace.events)
     trace.payload_bytes = len(to_json(report))
@@ -724,18 +724,15 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
 
 def sweep_csv(parameter: str, rows) -> str:
     """CSV table of [(value, MetricsReport)] rows, one per value of the
-    swept parameter."""
+    swept parameter; a column per MetricsReport field, floats to 4 places."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([parameter, "recall", "recall_small", "dup_fp_raw",
-                     "dup_fp_dedup", "event_count", "gt_count",
-                     "bandwidth_savings", "reacq_rounds", "reacq_confirms"])
+    names = [f.name for f in fields(MetricsReport)]
+    writer.writerow([parameter, *names])
     for value, m in rows:
-        writer.writerow([f"{value:g}", f"{m.recall:.4f}",
-                         f"{m.recall_small:.4f}", f"{m.dup_fp_raw:.4f}",
-                         f"{m.dup_fp_dedup:.4f}", m.event_count, m.gt_count,
-                         f"{m.bandwidth_savings:.4f}", m.reacq_rounds,
-                         m.reacq_confirms])
+        cells = [getattr(m, name) for name in names]
+        writer.writerow([f"{value:g}"] + [
+            f"{c:.4f}" if type(c) is float else c for c in cells])
     return buf.getvalue()
 
 

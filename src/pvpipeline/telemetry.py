@@ -262,8 +262,12 @@ def parse_detection_record_lines(data: bytes):
     from .geodesy import GeoPoint, GeoPolygon
     from .geoprojection import ProjectedDetection
 
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TelemetryError(f"input is not UTF-8: {exc}") from exc
     out = []
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -65,10 +65,10 @@ def test_criterion_2_epsilon_sweep_ordering():
     start = time.monotonic()
     for seed in (0, 1):
         config = replace(MissionConfig(seed=seed),
-                         mix=DefectMix(count=12, n_small=0,
-                                       min_separation_m=2.2))
+                         defects=DefectMix(count=12, n_small=0,
+                                           min_separation_m=2.2))
         rows = {eps: _metrics(replace(
-            config, dbscan=replace(config.dbscan, epsilon=eps)))
+            config, dedup=replace(config.dedup, epsilon=eps)))
             for eps in (0.1, 0.5, 1.0, 2.0, 5.0)}
         counts = {eps: m.event_count for eps, m in rows.items()}
         gt = rows[0.1].gt_count
@@ -101,7 +101,8 @@ def test_criterion_4_reacquisition_benefit_paired_seeds():
     for seed in range(20):
         config = MissionConfig(seed=seed)
         m_on = _metrics(config)
-        m_off = _metrics(replace(config, reacq_enabled=False))
+        m_off = _metrics(replace(config, reacquisition=replace(
+            config.reacquisition, enabled=False)))
         assert m_on.recall_small >= m_off.recall_small, \
             f"seed {seed}: {m_on.recall_small} < {m_off.recall_small}"
         on_recalls.append(m_on.recall_small)
@@ -117,11 +118,11 @@ def test_criterion_4_reacquisition_benefit_paired_seeds():
 def test_criterion_5_altitude_and_speed_trends():
     for seed in range(3):
         config = MissionConfig(seed=seed)
-        alt = [_metrics(replace(config, plan=replace(
-            config.plan, altitude=a))).recall for a in (5.0, 10.0, 15.0)]
+        alt = [_metrics(replace(config, flight=replace(
+            config.flight, altitude=a))).recall for a in (5.0, 10.0, 15.0)]
         assert alt[0] >= alt[1] >= alt[2], f"seed {seed}: altitude {alt}"
-        spd = [_metrics(replace(config, plan=replace(
-            config.plan, speed=v))).recall for v in (2.0, 5.0, 10.0)]
+        spd = [_metrics(replace(config, flight=replace(
+            config.flight, speed=v))).recall for v in (2.0, 5.0, 10.0)]
         assert spd[0] >= spd[1] >= spd[2], f"seed {seed}: speed {spd}"
         assert alt[2] < alt[0] or spd[2] < spd[0]  # the envelope does bind
 

@@ -3,14 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvpipeline.cli import main
-from pvpipeline.config import (DIRECT, SECTIONS, ConfigError,
-                               config_from_dict, load_config)
+from pvpipeline.config import ConfigError, config_from_dict, load_config
 from pvpipeline.simulator import MissionConfig
 
 SMALL_CONFIG = {
@@ -72,9 +71,9 @@ def test_config_defaults_and_overrides():
     config = config_from_dict(SMALL_CONFIG)
     assert config.seed == 3
     assert config.site_id == "CLI-TEST"
-    assert config.layout.rows == 4
-    assert config.mix.count == 3
-    assert config.plan.altitude == 10.0  # untouched default
+    assert config.plant.rows == 4
+    assert config.defects.count == 3
+    assert config.flight.altitude == 10.0  # untouched default
     assert config_from_dict(SMALL_CONFIG, seed_override=9).seed == 9
 
 
@@ -105,11 +104,12 @@ def _config_slots():
     """Every (section, key) a config may set, from the dataclasses; section
     None for a top-level key."""
     base = MissionConfig()
-    nested = {*SECTIONS.values(), *DIRECT.values()}
-    slots = [(None, f.name) for f in fields(base) if f.name not in nested]
-    slots += [(section, f.name) for section, owner in SECTIONS.items()
-              for f in fields(getattr(base, owner))]
-    return slots + list(DIRECT)
+    slots = []
+    for f in fields(base):
+        value = getattr(base, f.name)
+        slots += ([(f.name, g.name) for g in fields(value)]
+                  if is_dataclass(value) else [(None, f.name)])
+    return slots
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -217,7 +217,10 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"camera": {"width": 0}}, [], "$.camera", "width"),
     ({"camera": {"height": 0}}, [], "$.camera", "height"),
     # removed key: unknown, no shim
-    ({"telemetry": {"clahe": True}}, [], "$.telemetry", "clahe"),
+    ({"telemetry": {"clahe": True}}, [], "$.telemetry:", "unknown key"),
+    # match_radius_m is a top-level key
+    ({"telemetry": {"match_radius_m": 1.0}}, [], "$.telemetry:",
+     "unknown key"),
     ({"seed": -1}, [], "$.seed", "seed"),
     ({}, ["--seed", "-5"], "$.seed", "seed"),
     ({"start_utc": "yesterday"}, [], "$.start_utc", "start_utc"),
@@ -226,9 +229,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # the default plant has 10 x 10 modules
     ({"defects": {"count": 101}}, [], "$.defects", "count"),
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
-        "height-0", "clahe", "seed-negative", "seed-flag-negative",
-        "start_utc-unparsable", "count-negative", "n_small-negative",
-        "count-above-modules"])
+        "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
+        "seed-flag-negative", "start_utc-unparsable", "count-negative",
+        "n_small-negative", "count-above-modules"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -294,6 +297,25 @@ def test_simulate_on_elevated_plant_matches_datum_plant(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_counts_ground_points_past_the_tangent_plane(tmp_path,
+                                                              capsys):
+    # From 20 km up, tilted views meet the ground more than 100 km away;
+    # those detections are counted as projection_failed, not fatal.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "flight": {"altitude": 20000},
+        "noise": {"att_sigma_rad": 0.8, "clutter_rate": 5.0}}))
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"out-{seed}"
+        code = main(["simulate", "--config", str(path), "--out", str(out),
+                     "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "Traceback" not in captured.err
+        failed = int(captured.out.split("projection_failed=")[1].split()[0])
+        assert failed > 0
+
+
 def test_simulate_runtime_failure_exits_2(tmp_path):
     # A separation no plant of this size can satisfy: run_mission fails.
     impossible = dict(SMALL_CONFIG,
@@ -347,10 +369,10 @@ def test_config_rejects_non_finite_radii():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="epsilon"):
             config_from_dict({"dedup": {"epsilon": bad}})
-        with pytest.raises(ConfigError, match="match_radius_m"):
-            config_from_dict({"telemetry": {"match_radius_m": bad}})
-    with pytest.raises(ConfigError, match="match_radius_m"):
-        config_from_dict({"telemetry": {"match_radius_m": 0.0}})
+        with pytest.raises(ConfigError, match=r"\$\.match_radius_m"):
+            config_from_dict({"match_radius_m": bad})
+    with pytest.raises(ConfigError, match=r"\$\.match_radius_m"):
+        config_from_dict({"match_radius_m": 0.0})
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -391,6 +413,26 @@ def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"\xff\n", "parse error: input is not UTF-8"),
+    # a polygon spanning more than the 100 km tangent plane
+    (json.dumps({"class": "hotspot", "conf": 0.9, "temp_C": 40.0,
+                 "bbox": [0.0, 0.0, 2.0, 2.0], "centroid_wgs84": [50.0, 27.0],
+                 "polygon_wgs84": [[49, 26], [49, 29], [51, 29]]}).encode(),
+     "invalid input: points farther than 100 km apart"),
+], ids=["not-utf8", "polygon-beyond-tangent-plane"])
+def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(path), "--epsilon", "1.0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dedup_cli_malformed_input_names_line(tmp_path):
     data = tmp_path / "in.jsonl"
     data.write_text('{"class": "hotspot"}\n')
@@ -409,6 +451,14 @@ def test_fuse_check_passes():
     assert result.returncode == 0, result.stderr
     for term in ("palette", "gate", "focal", "giou", "composite"):
         assert term in result.stdout
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_fuse_check_rejects_a_dim_below_1(capsys, dim):
+    assert main(["fuse-check", "--dim", dim]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --dim")
+    assert captured.out == ""
 
 
 def test_fuse_check_broken_term_exits_3(monkeypatch, capsys):
@@ -433,6 +483,17 @@ def test_reacquire_demo_reports_subpixel_reprojection():
     line = next(l for l in result.stdout.splitlines()
                 if "reprojection_px" in l)
     assert float(line.split(":")[-1]) < 1e-9
+
+
+def test_reacquire_demo_ground_point_past_the_tangent_plane(capsys):
+    # The solution still prints; the ground point, 173 km out, does not.
+    assert main(["reacquire-demo", "--pixel", "39.5,31.5", "--fx", "100",
+                 "--fy", "100", "--cx", "39.5", "--cy", "31.5",
+                 "--alt", "100000", "--gimbal-pitch", "-30"]) == 0
+    captured = capsys.readouterr()
+    assert "reprojection_px" in captured.out
+    assert "ground projection:  no intersection" in captured.out
+    assert captured.err == ""
 
 
 def test_reacquire_demo_reprojects_through_the_command(monkeypatch, capsys):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
-                               GateParams, LossWeights, ToySample,
-                               embedding_centroid, focal_loss_grad,
-                               gated_fuse, gated_fuse_backward, giou_loss_grad,
+                               LossWeights, ToySample, embedding_centroid,
+                               focal_loss_grad, gated_fuse,
+                               gated_fuse_backward, giou_loss_grad,
                                gradient_check, make_toy_samples,
-                               palette_invariance_loss,
                                palette_invariance_loss_grad, total_loss,
                                train_toy)
 
@@ -47,7 +46,7 @@ def test_gate_gradient_100_instances():
         d = int(rng.integers(2, 5))
         z = rng.standard_normal(d)
         r = rng.standard_normal(d)
-        gate = GateParams.init(rng, d, scale=0.5)
+        gate_w = 0.5 * rng.standard_normal((d, 2 * d))
         du = rng.standard_normal(d)  # fixed upstream gradient
         n_zw = 2 * d
         n_w = d * 2 * d
@@ -55,13 +54,12 @@ def test_gate_gradient_100_instances():
         def closure(vec):
             zz = vec[:d]
             rr = vec[d:n_zw]
-            gp = GateParams(weight=vec[n_zw:n_zw + n_w].reshape(d, 2 * d),
-                            bias=vec[n_zw + n_w:])
-            u, g = gated_fuse(zz, rr, gp)
-            dz, dr, dw, db = gated_fuse_backward(zz, rr, gp, g, du)
+            gw = vec[n_zw:n_zw + n_w].reshape(d, 2 * d)
+            u, g = gated_fuse(zz, rr, gw, vec[n_zw + n_w:])
+            dz, dr, dw, db = gated_fuse_backward(zz, rr, gw, g, du)
             return float(du @ u), np.concatenate([dz, dr, dw.ravel(), db])
 
-        vec0 = np.concatenate([z, r, gate.weight.ravel(), gate.bias])
+        vec0 = np.concatenate([z, r, gate_w.ravel(), np.zeros(d)])
         assert gradient_check(closure, vec0) < GRAD_TOL
 
 
@@ -149,14 +147,14 @@ def test_composite_model_full_check_small():
 
 def test_palette_loss_zero_for_identical_members():
     z = np.ones((4, 5)) * 3.0
-    assert palette_invariance_loss(z) == pytest.approx(0.0)
+    assert palette_invariance_loss_grad(z)[0] == pytest.approx(0.0)
     assert np.allclose(embedding_centroid(z), 3.0)
 
 
 def test_palette_loss_hand_value():
     # Two 1-D members at 0 and 2: centroid 1, each deviation 1 => loss 1.
     members = np.array([[0.0], [2.0]])
-    assert palette_invariance_loss(members) == pytest.approx(1.0)
+    assert palette_invariance_loss_grad(members)[0] == pytest.approx(1.0)
     assert mean_pairwise_distance(members) == pytest.approx(2.0)
 
 
@@ -192,7 +190,7 @@ def test_gate_output_is_convex_combination():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(6)
     r = rng.standard_normal(6)
-    u, g = gated_fuse(z, r, GateParams.init(rng, 6, scale=0.5))
+    u, g = gated_fuse(z, r, 0.5 * rng.standard_normal((6, 12)), np.zeros(6))
     assert np.all((g > 0) & (g < 1))
     lo = np.minimum(z, r) - 1e-12
     hi = np.maximum(z, r) + 1e-12

@@ -75,6 +75,13 @@ def test_grazing_and_upward_rays_rejected():
     horizon = Attitude(pitch=0.0)  # boresight at the horizon
     with pytest.raises(ProjectionError):
         pixel_to_ground(INTR.cx, INTR.cy, INTR, ORIGIN, 10.0, horizon)
+    with pytest.raises(ProjectionError):  # a NaN ray
+        pixel_to_ground(INTR.cx, INTR.cy, INTR, ORIGIN, 10.0,
+                        Attitude(pitch=math.nan))
+    # A descending ray that meets the plane past the 100 km tangent range.
+    with pytest.raises(ProjectionError):
+        pixel_to_ground(INTR.cx, INTR.cy, INTR, ORIGIN, 1e5,
+                        Attitude(pitch=-math.pi / 6.0))
     for height in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ProjectionError):
             pixel_to_ground(INTR.cx, INTR.cy, INTR, ORIGIN, height, NADIR)

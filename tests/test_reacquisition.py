@@ -150,7 +150,6 @@ def test_compute_reacq_command_recenters_to_subpixel():
 
 
 def test_reacquisition_decision_policy():
-    policy = ReacqPolicy(tau_ra=0.5, min_area_frac=0.01, max_rounds=2)
     frame_area = float(INTR.width * INTR.height)
     small = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=3, y_max=3),
                       class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
@@ -158,14 +157,20 @@ def test_reacquisition_decision_policy():
                     class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
     sure = small.with_confidence(0.9)
 
-    assert reacquisition_decision(sure, frame_area, policy, 0) == "accept"
-    assert reacquisition_decision(small, frame_area, policy, 0) == "reacquire"
-    # Low confidence but not small: no re-acquisition round is spent.
-    assert reacquisition_decision(big, frame_area, policy, 0) == "reject"
-    # Round budget exhausted.
-    assert reacquisition_decision(small, frame_area, policy, 2) == "reject"
-    with pytest.raises(GeometryError):
-        reacquisition_decision(small, frame_area, policy, 3)
+    for enabled in (True, False):
+        policy = ReacqPolicy(tau_ra=0.5, min_area_frac=0.01, max_rounds=2,
+                             enabled=enabled)
+        assert reacquisition_decision(sure, frame_area, policy, 0) == "accept"
+        # Disabled, the policy rejects what it would re-acquire.
+        assert reacquisition_decision(small, frame_area, policy, 0) == \
+            ("reacquire" if enabled else "reject")
+        # Low confidence but not small: no re-acquisition round is spent.
+        assert reacquisition_decision(big, frame_area, policy, 0) == "reject"
+        # Round budget exhausted.
+        assert reacquisition_decision(small, frame_area, policy, 2) == \
+            "reject"
+        with pytest.raises(GeometryError):
+            reacquisition_decision(small, frame_area, policy, 3)
 
 
 def test_intrinsics_validation():

@@ -446,8 +446,8 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
     from pvpipeline import simulator
     config = replace(MissionConfig(seed=0),
                      noise=SyntheticDetectorNoise(att_sigma_rad=0.02))
-    _, defects = generate_plant(config.seed, config.layout, config.mix)
-    poses = plan_flight(config.layout, config.plan, config.intrinsics)
+    _, defects = generate_plant(config.seed, config.plant, config.defects)
+    poses = plan_flight(config.plant, config.flight, config.camera)
     rendered = []
 
     def recording(defects, pose, *args, **kwargs):
@@ -458,8 +458,8 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
     trace = MissionTrace(config=config, defects=defects)
     checked = 0
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses, config.intrinsics, config.noise, config.render,
-            config.plan.speed, config.seed)):
+            defects, poses, config.camera, config.noise, config.render,
+            config.flight.speed, config.seed)):
         err_pitch = packet.pose_meas.gimbal.pitch - packet.pose_true.gimbal.pitch
         err_yaw = packet.pose_meas.gimbal.yaw - packet.pose_true.gimbal.yaw
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):
@@ -482,7 +482,7 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
 def test_sweep_shapes_and_csv():
     config = MissionConfig(seed=0)
     rows = [(eps, evaluate(run_mission(replace(
-        config, dbscan=replace(config.dbscan, epsilon=eps)))[0]))
+        config, dedup=replace(config.dedup, epsilon=eps)))[0]))
         for eps in (0.5, 1.0)]
     text = sweep_csv("epsilon", rows)
     lines = text.strip().split("\n")
