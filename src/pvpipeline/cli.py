@@ -248,13 +248,13 @@ def cmd_reacquire_demo(args) -> int:
         if not all(map(math.isfinite, (u, v, args.alt, args.gimbal_pitch))):
             raise ValueError("--pixel, --alt and --gimbal-pitch must be finite")
         intr = CameraIntrinsics(fx=args.fx, fy=args.fy, cx=args.cx, cy=args.cy)
+        v_cam = backproject(u, v, intr)
     except (ValueError, GeometryError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     gimbal = Attitude(pitch=math.radians(args.gimbal_pitch))
     rot = camera_to_world_rotation(gimbal)
-    v_cam = backproject(u, v, intr)
     c = unit(rot @ v_cam)                      # target LOS, world frame
     boresight = rot @ np.array([0.0, 0.0, 1.0])
     aa = solve_axis_angle(boresight, c)

@@ -6,10 +6,11 @@ events, and the duplicate-induced false-positive (Dup-FP) metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo, geo_to_enu,
-                      neighbours_within, plane_centroid, polygon_centroid)
+from .geodesy import (GeoPoint, GeoPolygon, neighbours_within,
+                      plane_centroid, polygon_centroid, tangent_offset,
+                      tangent_point)
 
 NOISE = -1
 
@@ -120,22 +121,20 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     if not members:
         raise DedupError("cannot merge an empty cluster")
     anchor = members[0].polygon.vertices[0]
-    points = []
-    for det in members:
-        for v in det.polygon.vertices:
-            off = geo_to_enu(anchor, v)
-            points.append((off.east, off.north))
-    hull = convex_hull(points)
+    lat0, lon0 = anchor.lat, anchor.lon
+    hull = convex_hull([tangent_offset(lat0, lon0, v.lat, v.lon)
+                        for det in members for v in det.polygon.vertices])
     best = max(members, key=lambda d: d.detection.confidence)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
         hull_poly = best.polygon
         centroid = polygon_centroid(hull_poly)
     else:
-        hull_poly = GeoPolygon(vertices=tuple(
-            enu_to_geo(anchor, EnuOffset(east=x, north=y)) for x, y in hull))
-        x, y = plane_centroid(hull)
-        centroid = enu_to_geo(anchor, EnuOffset(east=x, north=y))
+        alt = anchor.alt + 0.0
+        hull_poly = GeoPolygon(tuple(
+            GeoPoint(*tangent_point(lat0, lon0, x, y), alt) for x, y in hull))
+        centroid = GeoPoint(
+            *tangent_point(lat0, lon0, *plane_centroid(hull)), alt)
     return DefectEvent(
         id=event_id,
         class_id=best.detection.class_id,
@@ -182,7 +181,11 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
 
     merged = sorted((merge_cluster(m, ids, "") for m, ids in raw_events),
                     key=lambda e: (e.class_id, e.centroid.lat, e.centroid.lon))
-    return [replace(e, id=f"clu_{rank:03d}") for rank, e in enumerate(merged)]
+    for rank, event in enumerate(merged):
+        # Each event is new and not yet shared: name it in place, the way a
+        # frozen dataclass's own __init__ sets its fields.
+        object.__setattr__(event, "id", f"clu_{rank:03d}")
+    return merged
 
 
 def nearest_ground_truth(points, ground_truth, match_radius: float,

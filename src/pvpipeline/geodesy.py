@@ -8,6 +8,7 @@ tangent plane; errors are negligible for sub-kilometer extents.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 # IUGG mean Earth radius, meters.
@@ -62,9 +63,6 @@ class EnuOffset:
             raise GeodesyError(f"{exc}: ENU component") from None
         if not finite:
             raise GeodesyError("non-finite ENU component")
-
-    def horizontal_norm(self) -> float:
-        return math.hypot(self.east, self.north)
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,9 @@ def neighbours_within(points, radius: float, targets=None) -> list:
     set across the antimeridian stays contiguous; where the longitude bound
     reaches 1 (near a pole) there is a single column. Cost: O(n + m) to bin
     and one haversine per candidate pair in the 3x3 cells around each
-    point, instead of n * m. The result equals the brute-force scan.
+    point, instead of n * m; the sorted candidates of a cell are gathered
+    once and shared by every point in it. The result equals the
+    brute-force scan.
     """
     if not 0.0 <= radius < math.inf:
         raise GeodesyError("search radius must be finite and non-negative")
@@ -161,19 +161,23 @@ def neighbours_within(points, radius: float, targets=None) -> list:
     for j, t in enumerate(targets):
         grid.setdefault(cell(t), []).append(j)
     steps = (-1, 0, 1) if ncols > 1 else (0,)
+    cands_of = {}
     for i, p in enumerate(points):
-        r, c = cell(p)
+        key = cell(p)
+        cands = cands_of.get(key)
+        if cands is None:
+            r, c = key
+            cands = cands_of[key] = sorted(
+                j for dr in (-1, 0, 1) for dc in steps
+                for j in grid.get((r + dr, (c + dc) % ncols), ()))
         found = out[i]
-        cands = sorted(j for dr in (-1, 0, 1) for dc in steps
-                       for j in grid.get((r + dr, (c + dc) % ncols), ()))
         if self_search:
             found.append((i, 0.0))
-            for j in cands:
-                if j > i:
-                    d = haversine_distance(p, targets[j])
-                    if d <= radius:
-                        found.append((j, d))
-                        out[j].append((i, d))
+            for j in cands[bisect_right(cands, i):]:
+                d = haversine_distance(p, targets[j])
+                if d <= radius:
+                    found.append((j, d))
+                    out[j].append((i, d))
         else:
             for j in cands:
                 d = haversine_distance(p, targets[j])
@@ -182,8 +186,15 @@ def neighbours_within(points, radius: float, targets=None) -> list:
     return out
 
 
-def geo_to_enu(origin: GeoPoint, p: GeoPoint) -> EnuOffset:
-    """Equirectangular tangent-plane offset of ``p`` relative to ``origin``.
+def _reject_offset(east: float, north: float, message: str):
+    if not (math.isfinite(east) and math.isfinite(north)):
+        raise GeodesyError("non-finite ENU component")
+    raise GeodesyError(message)
+
+
+def tangent_offset(lat0: float, lon0: float, lat: float, lon: float) -> tuple:
+    """Equirectangular tangent-plane offset (east, north), in meters, of
+    (lat, lon) from (lat0, lon0).
 
     East is scaled by the cosine of the *midpoint* latitude, which keeps the
     approximation second-order accurate (sub-1e-6 relative error against the
@@ -191,26 +202,37 @@ def geo_to_enu(origin: GeoPoint, p: GeoPoint) -> EnuOffset:
     The longitude difference is wrapped across the antimeridian only when
     it exceeds 180 degrees, so a small difference keeps its low bits.
     """
-    lat_mid = math.radians((origin.lat + p.lat) / 2.0)
-    dlon = p.lon - origin.lon
+    dlon = lon - lon0
     if abs(dlon) > 180.0:
         dlon -= math.copysign(360.0, dlon)
-    east = MEAN_EARTH_RADIUS_M * math.cos(lat_mid) * math.radians(dlon)
-    north = MEAN_EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-    if math.hypot(east, north) > MAX_TANGENT_RANGE_M:
-        raise GeodesyError("points farther than 100 km apart: tangent plane invalid")
-    return EnuOffset(east=east, north=north, up=p.alt - origin.alt)
+    east = (MEAN_EARTH_RADIUS_M * math.cos(math.radians((lat0 + lat) / 2.0))
+            * math.radians(dlon))
+    north = MEAN_EARTH_RADIUS_M * math.radians(lat - lat0)
+    if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
+        _reject_offset(east, north, "points farther than 100 km apart: "
+                                    "tangent plane invalid")
+    return east, north
+
+
+def tangent_point(lat0: float, lon0: float, east: float,
+                  north: float) -> tuple:
+    """(lat, lon) at the tangent-plane offset (east, north) from (lat0,
+    lon0): the exact algebraic inverse of :func:`tangent_offset`. The
+    longitude is not wrapped; GeoPoint wraps it."""
+    if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
+        _reject_offset(east, north,
+                       "offset exceeds 100 km: tangent plane invalid")
+    lat = lat0 + math.degrees(north / MEAN_EARTH_RADIUS_M)
+    lon = lon0 + math.degrees(east / (
+        MEAN_EARTH_RADIUS_M * math.cos(math.radians((lat0 + lat) / 2.0))))
+    return lat, lon
 
 
 def enu_to_geo(origin: GeoPoint, off: EnuOffset) -> GeoPoint:
-    """Exact algebraic inverse of :func:`geo_to_enu`'s linearization."""
-    if off.horizontal_norm() > MAX_TANGENT_RANGE_M:
-        raise GeodesyError("offset exceeds 100 km: tangent plane invalid")
-    lat = origin.lat + math.degrees(off.north / MEAN_EARTH_RADIUS_M)
-    lat_mid = math.radians((origin.lat + lat) / 2.0)
-    lon = origin.lon + math.degrees(
-        off.east / (MEAN_EARTH_RADIUS_M * math.cos(lat_mid)))
-    return GeoPoint(lat=lat, lon=lon, alt=origin.alt + off.up)
+    """The point at offset ``off`` from ``origin`` (see
+    :func:`tangent_point`)."""
+    lat, lon = tangent_point(origin.lat, origin.lon, off.east, off.north)
+    return GeoPoint(lat, lon, origin.alt + off.up)
 
 
 def plane_centroid(xy) -> tuple:
@@ -236,10 +258,12 @@ def plane_centroid(xy) -> tuple:
 
 
 def polygon_centroid(poly: GeoPolygon) -> GeoPoint:
-    """Area-weighted centroid of a polygon, computed on the ENU plane anchored
-    at the first vertex and mapped back to WGS84 (see :func:`plane_centroid`).
+    """Area-weighted centroid of a polygon, computed on the tangent plane
+    anchored at the first vertex and mapped back to WGS84 (see
+    :func:`plane_centroid`).
     """
     anchor = poly.vertices[0]
-    offsets = [geo_to_enu(anchor, v) for v in poly.vertices]
-    x, y = plane_centroid([(p.east, p.north) for p in offsets])
-    return enu_to_geo(anchor, EnuOffset(east=x, north=y))
+    lat0, lon0 = anchor.lat, anchor.lon
+    x, y = plane_centroid([tangent_offset(lat0, lon0, v.lat, v.lon)
+                           for v in poly.vertices])
+    return GeoPoint(*tangent_point(lat0, lon0, x, y), anchor.alt + 0.0)

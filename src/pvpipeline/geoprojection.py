@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import Detection
-from .geodesy import EnuOffset, GeoPoint, GeoPolygon, GeodesyError, \
-    enu_to_geo, polygon_centroid
+from .geodesy import GeoPoint, GeoPolygon, GeodesyError, polygon_centroid, \
+    tangent_point
 from .reacquisition import CameraIntrinsics, GeometryError, backproject
 
 # Rays within this angle of the horizontal are rejected as unreliable.
@@ -87,8 +87,9 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
         north = t * ray[0]
         east = t * ray[1]
         try:
-            points.append(enu_to_geo(ground, EnuOffset(east=east,
-                                                       north=north, up=0.0)))
+            points.append(GeoPoint(
+                *tangent_point(ground.lat, ground.lon, east, north),
+                ground.alt + 0.0))
         except GeodesyError as exc:
             raise ProjectionError(str(exc)) from exc
     return points
@@ -113,7 +114,10 @@ def project_detection(det: Detection, intr: CameraIntrinsics,
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
     polygon = GeoPolygon(vertices=tuple(
         _ground_points(corners, intr, ground, height, gimbal)))
-    centroid = polygon_centroid(polygon)
+    try:
+        centroid = polygon_centroid(polygon)
+    except GeodesyError as exc:  # corners over 100 km apart
+        raise ProjectionError(str(exc)) from exc
     return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
                               frame_id=frame_id, timestamp=timestamp,
                               media_rgb=media_rgb, media_tiff=media_tiff)

@@ -81,9 +81,14 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 
 def backproject(u: float, v: float, intr: CameraIntrinsics) -> np.ndarray:
-    """Unit direction in the camera frame for pixel (u, v)."""
-    ray = np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
-    return unit(ray)
+    """Unit direction in the camera frame for pixel (u, v). A ray whose
+    length overflows (a focal length so small that the pixel offset over it
+    leaves the float range) raises GeometryError."""
+    x = (u - intr.cx) / intr.fx
+    y = (v - intr.cy) / intr.fy
+    if not x * x + y * y < math.inf:  # NaN fails too
+        raise GeometryError(f"ray of pixel ({u}, {v}) is not finite")
+    return unit(np.array([x, y, 1.0]))
 
 
 def solve_axis_angle(c: np.ndarray, c_target: np.ndarray) -> AxisAngle:

@@ -140,24 +140,32 @@ _list = _typed(list, "a list")
 _object = _typed(dict, "an object")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _number(value, what: str):
-    # abs(v) <= max is False for NaN, +-inf and ints past the float range.
-    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-        raise TelemetryError(f"{what}: expected a finite number, got {value!r:.60}")
-    return value
+    # The bounds are False for NaN, +-inf and ints past the float range;
+    # the type test turns bools away.
+    kind = type(value)
+    if (kind is float or kind is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
+    raise TelemetryError(f"{what}: expected a finite number, got {value!r:.60}")
 
 
 def _lat_lon(value, what: str) -> tuple:
     if type(value) is not list or len(value) != 2:
         raise TelemetryError(f"{what}: expected [lat, lon], got {value!r:.60}")
-    return _number(value[0], what), _number(value[1], what)
+    lat, lon = value
+    return _number(lat, what), _number(lon, what)
 
 
 def _bbox(value, what: str) -> tuple:
     if type(value) is not list or len(value) != 4:
         raise TelemetryError(
             f"{what}: expected [x_min, y_min, x_max, y_max], got {value!r:.60}")
-    return tuple(_number(v, what) for v in value)
+    x_min, y_min, x_max, y_max = value
+    return (_number(x_min, what), _number(y_min, what),
+            _number(x_max, what), _number(y_max, what))
 
 
 def _field(obj: dict, key: str, check, where: str = ""):
@@ -276,14 +284,13 @@ def parse_detection_record_lines(data: bytes):
             det = Detection(bbox=bbox, class_id=_field(obj, "class", _string),
                             confidence=_field(obj, "conf", _number),
                             peak_temp_c=_field(obj, "temp_C", _number))
-            poly = GeoPolygon(vertices=tuple(
-                GeoPoint(*_lat_lon(p, "polygon_wgs84"), alt=0.0)
+            poly = GeoPolygon(tuple(
+                GeoPoint(*_lat_lon(p, "polygon_wgs84"), 0.0)
                 for p in _field(obj, "polygon_wgs84", _list)))
             lat, lon = _field(obj, "centroid_wgs84", _lat_lon)
             media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
-                detection=det, polygon=poly,
-                centroid=GeoPoint(lat=lat, lon=lon, alt=0.0),
+                detection=det, polygon=poly, centroid=GeoPoint(lat, lon, 0.0),
                 frame_id=_string(obj.get("frame_id", ""), "frame_id"),
                 timestamp=_string(obj.get("timestamp", ""), "timestamp"),
                 media_rgb=_string(media.get("rgb", ""), "media.rgb"),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -391,10 +392,20 @@ def test_config_rejects_non_finite_radii():
     (_set(["bbox", 2], 1e400), "bbox: expected a finite number"),
     (_set(["bbox", 2], "x"), "bbox: expected a finite number"),
     (_set(["bbox"], [1, 2, 5]), "bbox: expected [x_min, y_min, x_max, y_max]"),
+    (_set(["conf"], math.nan), "conf: expected a finite number, got nan"),
+    (_set(["centroid_wgs84", 0], math.inf),
+     "centroid_wgs84: expected a finite number, got inf"),
+    (_set(["polygon_wgs84", 0, 1], True),
+     "polygon_wgs84: expected a finite number, got True"),
+    (_set(["polygon_wgs84", 2, 0], -10 ** 400),
+     "polygon_wgs84: expected a finite number, got -1000"),
+    (_set(["centroid_wgs84"], ["49.4", "26.9"]),
+     "centroid_wgs84: expected a finite number, got '49.4'"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
         "frame-id-null", "lon-huge-int", "centroid-three-entries",
         "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
-        "bbox-three-entries"])
+        "bbox-three-entries", "conf-nan-literal", "lat-infinity-literal",
+        "vertex-true", "vertex-huge-negative-int", "centroid-strings"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
               "class": "hotspot", "conf": 0.8, "temp_C": 40.0,
@@ -512,6 +523,17 @@ def test_reacquire_demo_reprojects_through_the_command(monkeypatch, capsys):
     line = next(l for l in capsys.readouterr().out.splitlines()
                 if "reprojection_px" in l)
     assert float(line.split(":")[-1]) > 1.0
+
+
+@pytest.mark.parametrize("fx", ["1e-320", "1e-300"])
+def test_reacquire_demo_overflowing_ray_exits_1(fx, capsys):
+    # (70 - 39.5) / fx leaves the float range: no NaN solution is printed.
+    assert main(["reacquire-demo", "--pixel", "70,10", "--fx", fx,
+                 "--fy", "100", "--cx", "39.5", "--cy", "31.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid arguments: ray of pixel")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from oracles import merge_cluster_objects
 
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
@@ -170,6 +171,91 @@ def test_merge_cluster_collinear_fallback():
     a, b = line_proj(0.0, 0.5), line_proj(0.05, 0.9)
     event = merge_cluster([a, b], [0, 1], "clu_000")
     assert event.polygon == b.polygon
+
+
+# Plants the merge oracle draws clusters at: a mid-latitude survey site,
+# one straddling the antimeridian and one 50 m from the north pole.
+MERGE_PLANTS = {"mid-latitude": GeoPoint(lat=49.407, lon=26.984),
+                "antimeridian": GeoPoint(lat=-16.5, lon=179.999999),
+                "high-latitude": GeoPoint(lat=89.99955, lon=-120.0)}
+
+
+def _hex_event(event):
+    """Every field of an event, each coordinate as its float hex."""
+    def point(p):
+        return p.lat.hex(), p.lon.hex(), p.alt.hex()
+    return (event.id, event.class_id, event.confidence.hex(),
+            event.peak_temp_c.hex(), point(event.centroid),
+            tuple(point(v) for v in event.polygon.vertices),
+            event.member_ids, event.media_rgb, event.media_tiff)
+
+
+def _random_cluster(rng, origin, collinear, spread=40.0):
+    """Near-coincident quads around a random spot within ``spread`` meters
+    of the origin; collinear clusters put every vertex on one parallel, so
+    the hull is degenerate."""
+    east, north = rng.uniform(-spread, spread, size=2)
+    members = []
+    for _ in range(int(rng.integers(1, 6))):
+        cx, cy = east + rng.normal(0.0, 0.1), north + rng.normal(0.0, 0.1)
+        if collinear:
+            cy = north
+            offsets = [(t, 0.0) for t in (-0.2, -0.1, 0.1, 0.2)]
+        else:
+            half = rng.uniform(0.1, 0.3)
+            offsets = [(-half, -half), (half, -half), (half, half),
+                       (-half, half)]
+        verts = tuple(enu_to_geo(origin, EnuOffset(east=cx + dx,
+                                                   north=cy + dy))
+                      for dx, dy in offsets)
+        det = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
+                        class_id=str(rng.choice(["hotspot", "soiling"])),
+                        confidence=float(rng.uniform(0.5, 1.0)),
+                        peak_temp_c=float(rng.uniform(30.0, 45.0)))
+        members.append(ProjectedDetection(
+            detection=det, polygon=GeoPolygon(vertices=verts),
+            centroid=enu_to_geo(origin, EnuOffset(east=cx, north=cy)),
+            frame_id="f", timestamp="2025-09-30T10:00:00Z",
+            media_rgb=f"m{len(members)}.jpg", media_tiff=""))
+    return members
+
+
+@pytest.mark.parametrize("plant", sorted(MERGE_PLANTS))
+def test_merge_cluster_matches_object_form_oracle(plant):
+    rng = np.random.default_rng(7)
+    origin = MERGE_PLANTS[plant]
+    degenerate = 0
+    for k in range(60):
+        # Spots within 1 m of the origin: clusters at the antimeridian
+        # plant straddle it.
+        members = _random_cluster(rng, origin, collinear=k % 4 == 0,
+                                  spread=1.0)
+        ids = list(range(len(members)))
+        got = merge_cluster(members, ids, f"clu_{k:03d}")
+        want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
+        assert _hex_event(got) == _hex_event(want)
+        degenerate += got.polygon is max(
+            members, key=lambda d: d.detection.confidence).polygon
+    assert degenerate >= 10  # the collinear fallback was exercised
+
+
+@pytest.mark.parametrize("plant", sorted(MERGE_PLANTS))
+def test_deduplicate_events_match_object_form_oracle(plant):
+    rng = np.random.default_rng(11)
+    origin = MERGE_PLANTS[plant]
+    detections = [d for k in range(40)
+                  for d in _random_cluster(rng, origin, collinear=k % 4 == 0)]
+    order = rng.permutation(len(detections))
+    detections = [detections[i] for i in order]
+    events = deduplicate(detections, DbscanParams(epsilon=1.0, min_pts=2))
+    assert [e.id for e in events] == [f"clu_{r:03d}"
+                                      for r in range(len(events))]
+    assert sorted(i for e in events for i in e.member_ids) == \
+        list(range(len(detections)))
+    for event in events:
+        members = [detections[i] for i in event.member_ids]
+        want = merge_cluster_objects(members, event.member_ids, event.id)
+        assert _hex_event(event) == _hex_event(want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import enu_offset, enu_point, polygon_centroid_objects
 
 from pvpipeline.geodesy import (EnuOffset, GeodesyError,
                                 GeoPoint, GeoPolygon, MEAN_EARTH_RADIUS_M,
-                                enu_to_geo, geo_to_enu, haversine_distance,
-                                polygon_centroid)
+                                enu_to_geo, haversine_distance,
+                                polygon_centroid, tangent_offset,
+                                tangent_point)
 
 R = MEAN_EARTH_RADIUS_M
 
@@ -84,10 +86,10 @@ def test_enu_round_trip_within_1e9_degrees():
                         north=float(rng.uniform(-5000, 5000)),
                         up=float(rng.uniform(-10, 10)))
         p = enu_to_geo(origin, off)
-        back = geo_to_enu(origin, p)
-        assert back.east == pytest.approx(off.east, abs=1e-6)
-        assert back.north == pytest.approx(off.north, abs=1e-6)
-        p2 = enu_to_geo(origin, back)
+        east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+        assert east == pytest.approx(off.east, abs=1e-6)
+        assert north == pytest.approx(off.north, abs=1e-6)
+        p2 = enu_to_geo(origin, EnuOffset(east=east, north=north))
         assert abs(p2.lat - p.lat) < 1e-9
         assert abs(p2.lon - p.lon) < 1e-9
 
@@ -101,10 +103,10 @@ def test_enu_round_trip_across_the_antimeridian(lat, lon, east, north):
     off = EnuOffset(east=east, north=north)
     p = enu_to_geo(origin, off)
     assert -180.0 <= p.lon < 180.0
-    back = geo_to_enu(origin, p)
-    assert back.east == pytest.approx(off.east, abs=1e-6)
-    assert back.north == pytest.approx(off.north, abs=1e-6)
-    p2 = enu_to_geo(origin, back)
+    east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+    assert east == pytest.approx(off.east, abs=1e-6)
+    assert north == pytest.approx(off.north, abs=1e-6)
+    p2 = enu_to_geo(origin, EnuOffset(east=east, north=north))
     assert abs(p2.lat - p.lat) < 1e-9
     assert abs((p2.lon - p.lon + 180.0) % 360.0 - 180.0) < 1e-9
 
@@ -124,13 +126,56 @@ def test_haversine_vs_enu_agreement_under_1km():
         assert abs(d_hav - d_enu) / d_enu < 1e-6
 
 
+def test_tangent_plane_float_helpers_match_object_forms():
+    # tangent_offset, enu_to_geo and polygon_centroid run on floats; every
+    # coordinate must keep the bits of the EnuOffset/GeoPoint forms, at the
+    # antimeridian and near the poles too.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        origin = GeoPoint(lat=float(rng.choice([rng.uniform(-89.9, 89.9),
+                                                89.9, -89.9])),
+                          lon=float(rng.choice([rng.uniform(-180, 180),
+                                                179.99999, -180.0])),
+                          alt=float(rng.uniform(-50, 50)))
+        # A quad around the origin, its corners in angle order.
+        offsets = [EnuOffset(east=float(r * math.cos(a)),
+                             north=float(r * math.sin(a)),
+                             up=float(rng.uniform(-5, 5)))
+                   for a, r in zip(np.sort(rng.uniform(0, 2 * np.pi, 4)),
+                                   rng.uniform(1.0, 9e3, 4))]
+        points = []
+        for off in offsets:
+            p, want = enu_to_geo(origin, off), enu_point(origin, off)
+            assert (p.lat.hex(), p.lon.hex(), p.alt.hex()) == \
+                (want.lat.hex(), want.lon.hex(), want.alt.hex())
+            east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+            want = enu_offset(origin, p)
+            assert (east.hex(), north.hex()) == \
+                (want.east.hex(), want.north.hex())
+            points.append(p)
+        c = polygon_centroid(GeoPolygon(vertices=tuple(points)))
+        want = polygon_centroid_objects(GeoPolygon(vertices=tuple(points)))
+        assert (c.lat.hex(), c.lon.hex(), c.alt.hex()) == \
+            (want.lat.hex(), want.lon.hex(), want.alt.hex())
+
+
+def test_tangent_plane_errors_name_the_fault():
+    origin = GeoPoint(lat=0.0, lon=0.0, alt=0.0)
+    with pytest.raises(GeodesyError, match="offset exceeds 100 km"):
+        enu_to_geo(origin, EnuOffset(east=0.0, north=-1e300))
+    with pytest.raises(GeodesyError, match="farther than 100 km"):
+        tangent_offset(0.0, 0.0, -1.0, 0.0)
+    for east in (math.nan, math.inf):
+        with pytest.raises(GeodesyError, match="non-finite ENU component"):
+            tangent_point(0.0, 0.0, east, 0.0)
+
+
 def test_tangent_plane_range_guard():
     origin = GeoPoint(lat=0.0, lon=0.0, alt=0.0)
     with pytest.raises(GeodesyError):
         enu_to_geo(origin, EnuOffset(east=200_000.0, north=0.0, up=0.0))
-    far = GeoPoint(lat=2.0, lon=0.0, alt=0.0)  # ~222 km north
-    with pytest.raises(GeodesyError):
-        geo_to_enu(origin, far)
+    with pytest.raises(GeodesyError):  # ~222 km north
+        tangent_offset(origin.lat, origin.lon, 2.0, 0.0)
 
 
 def test_polygon_centroid_square_shoelace():
@@ -138,9 +183,10 @@ def test_polygon_centroid_square_shoelace():
     verts = [enu_to_geo(origin, EnuOffset(east=e, north=n))
              for e, n in [(0, 0), (10, 0), (10, 10), (0, 10)]]
     centroid = polygon_centroid(GeoPolygon(vertices=tuple(verts)))
-    off = geo_to_enu(origin, centroid)
-    assert off.east == pytest.approx(5.0, abs=1e-6)
-    assert off.north == pytest.approx(5.0, abs=1e-6)
+    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
+                                 centroid.lon)
+    assert east == pytest.approx(5.0, abs=1e-6)
+    assert north == pytest.approx(5.0, abs=1e-6)
 
 
 def test_polygon_centroid_weighted_not_vertex_mean():
@@ -149,14 +195,15 @@ def test_polygon_centroid_weighted_not_vertex_mean():
     shape = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
     verts = [enu_to_geo(origin, EnuOffset(east=e, north=n)) for e, n in shape]
     centroid = polygon_centroid(GeoPolygon(vertices=tuple(verts)))
-    off = geo_to_enu(origin, centroid)
+    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
+                                 centroid.lon)
     # Shoelace centroid of this L-shape (computed by hand): (1.5, 1.5)...
     # decompose: rect 4x1 at y in [0,1] (area 4, centroid (2, .5)) plus
     # rect 1x3 at x in [0,1], y in [1,4] (area 3, centroid (.5, 2.5)).
     cx = (4 * 2.0 + 3 * 0.5) / 7
     cy = (4 * 0.5 + 3 * 2.5) / 7
-    assert off.east == pytest.approx(cx, abs=1e-6)
-    assert off.north == pytest.approx(cy, abs=1e-6)
+    assert east == pytest.approx(cx, abs=1e-6)
+    assert north == pytest.approx(cy, abs=1e-6)
 
 
 def test_polygon_centroid_degenerate_falls_back_to_vertex_mean():
@@ -164,8 +211,9 @@ def test_polygon_centroid_degenerate_falls_back_to_vertex_mean():
     verts = [enu_to_geo(origin, EnuOffset(east=e, north=0.0))
              for e in (0.0, 1.0, 2.0)]
     centroid = polygon_centroid(GeoPolygon(vertices=tuple(verts)))
-    off = geo_to_enu(origin, centroid)
-    assert off.east == pytest.approx(1.0, abs=1e-6)
+    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
+                                 centroid.lon)
+    assert east == pytest.approx(1.0, abs=1e-6)
 
 
 def test_polygon_requires_three_distinct_vertices():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvpipeline.detector import BoundingBox, Detection
-from pvpipeline.geodesy import GeoPoint, geo_to_enu, haversine_distance
+from pvpipeline.geodesy import GeoPoint, haversine_distance, tangent_offset
 from pvpipeline.geoprojection import (Attitude, ProjectionError,
                                       camera_to_world_rotation,
                                       pixel_to_ground, project_detection)
@@ -19,8 +19,7 @@ NADIR = Attitude(pitch=-math.pi / 2.0)
 
 
 def _enu(point):
-    off = geo_to_enu(ORIGIN, point)
-    return off.east, off.north
+    return tangent_offset(ORIGIN.lat, ORIGIN.lon, point.lat, point.lon)
 
 
 def test_nadir_principal_point_hits_ground_below():
@@ -142,3 +141,18 @@ def test_project_detection_builds_one_rotation(monkeypatch):
     project_detection(det, INTR, ORIGIN, 10.0, NADIR, frame_id="f1",
                       timestamp="2025-09-30T10:00:00Z")
     assert len(calls) == 1
+
+
+def test_project_detection_corners_far_apart_raise_projection_error():
+    # Each corner lies within 100 km of the nadir point, but the corners
+    # are over 100 km from each other: the centroid, taken on the plane at
+    # the first corner, cannot be formed. The project stage must see a
+    # ProjectionError (a dropped detection), not a GeodesyError.
+    wide = CameraIntrinsics(fx=20.0, fy=20.0, cx=39.5, cy=31.5,
+                            width=80, height=64)
+    det = Detection(bbox=BoundingBox(x_min=0.0, y_min=0.0,
+                                     x_max=80.0, y_max=64.0),
+                    class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
+    with pytest.raises(ProjectionError, match="farther than 100 km"):
+        project_detection(det, wide, ORIGIN, 30_000.0, NADIR, frame_id="f1",
+                          timestamp="2025-09-30T10:00:00Z")
