@@ -130,11 +130,9 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
         hull_poly = best.polygon
         centroid = polygon_centroid(hull_poly)
     else:
-        alt = anchor.alt + 0.0
         hull_poly = GeoPolygon(tuple(
-            GeoPoint(*tangent_point(lat0, lon0, x, y), alt) for x, y in hull))
-        centroid = GeoPoint(
-            *tangent_point(lat0, lon0, *plane_centroid(hull)), alt)
+            GeoPoint(*tangent_point(lat0, lon0, x, y)) for x, y in hull))
+        centroid = GeoPoint(*tangent_point(lat0, lon0, *plane_centroid(hull)))
     return DefectEvent(
         id=event_id,
         class_id=best.detection.class_id,

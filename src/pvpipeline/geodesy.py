@@ -36,33 +36,17 @@ class GeoPoint:
 
     lat: float
     lon: float
-    alt: float = 0.0
 
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
             raise GeodesyError(f"latitude out of range: {self.lat}")
         try:
-            finite = math.isfinite(self.lon) and math.isfinite(self.alt)
+            finite = math.isfinite(self.lon)
         except OverflowError as exc:  # an int past the float range
-            raise GeodesyError(f"{exc}: longitude or altitude") from None
+            raise GeodesyError(f"{exc}: longitude") from None
         if not finite:
-            raise GeodesyError("non-finite longitude or altitude")
+            raise GeodesyError("non-finite longitude")
         object.__setattr__(self, "lon", _normalize_lon(self.lon))
-
-
-@dataclass(frozen=True)
-class EnuOffset:
-    east: float
-    north: float
-    up: float = 0.0
-
-    def __post_init__(self):
-        try:
-            finite = all(map(math.isfinite, (self.east, self.north, self.up)))
-        except OverflowError as exc:  # an int past the float range
-            raise GeodesyError(f"{exc}: ENU component") from None
-        if not finite:
-            raise GeodesyError("non-finite ENU component")
 
 
 @dataclass(frozen=True)
@@ -228,13 +212,6 @@ def tangent_point(lat0: float, lon0: float, east: float,
     return lat, lon
 
 
-def enu_to_geo(origin: GeoPoint, off: EnuOffset) -> GeoPoint:
-    """The point at offset ``off`` from ``origin`` (see
-    :func:`tangent_point`)."""
-    lat, lon = tangent_point(origin.lat, origin.lon, off.east, off.north)
-    return GeoPoint(lat, lon, origin.alt + off.up)
-
-
 def plane_centroid(xy) -> tuple:
     """Area-weighted centroid (x, y) of the closed ring of (x, y) tuples by
     the shoelace formula, accumulated edge by edge in ring order.
@@ -266,4 +243,4 @@ def polygon_centroid(poly: GeoPolygon) -> GeoPoint:
     lat0, lon0 = anchor.lat, anchor.lon
     x, y = plane_centroid([tangent_offset(lat0, lon0, v.lat, v.lon)
                            for v in poly.vertices])
-    return GeoPoint(*tangent_point(lat0, lon0, x, y), anchor.alt + 0.0)
+    return GeoPoint(*tangent_point(lat0, lon0, x, y))

@@ -88,8 +88,7 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
         east = t * ray[1]
         try:
             points.append(GeoPoint(
-                *tangent_point(ground.lat, ground.lon, east, north),
-                ground.alt + 0.0))
+                *tangent_point(ground.lat, ground.lon, east, north)))
         except GeodesyError as exc:
             raise ProjectionError(str(exc)) from exc
     return points

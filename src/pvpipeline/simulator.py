@@ -31,7 +31,8 @@ import numpy as np
 
 from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
-from .geodesy import EnuOffset, GeoPoint, enu_to_geo, neighbours_within
+from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
+    tangent_point
 from .geoprojection import Attitude, ProjectionError, \
     camera_to_world_rotation, project_detection
 from .reacquisition import CameraIntrinsics, ReacqPolicy, \
@@ -75,7 +76,6 @@ class PlantLayout:
     cols: int = 10
     module_size: tuple = (0.8, 0.5)   # (east extent, north extent) meters
     pitch: tuple = (1.0, 1.0)         # (col/east, row/north) spacing meters
-    elevation: float = 0.0
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -97,7 +97,6 @@ class GroundTruthDefect:
     id: str
     module: tuple               # (row, col)
     class_id: str
-    offset: tuple               # (east, north) meters within the module
     peak_excess_c: float
     sigma_m: float
     east: float                 # plant-local ENU meters
@@ -190,11 +189,10 @@ def generate_plant(seed: int, layout: PlantLayout,
         excess = float(rng.uniform(lo, hi))
         sigma = mix.small_sigma_m if small else mix.sigma_m
         cls = str(rng.choice(FAULT_CLASSES))
-        pos = enu_to_geo(layout.origin, EnuOffset(east=east, north=north,
-                                                  up=layout.elevation))
+        pos = GeoPoint(*tangent_point(layout.origin.lat, layout.origin.lon,
+                                      east, north))
         defects.append(GroundTruthDefect(
             id=f"gt_{i:03d}", module=(r, c), class_id=cls,
-            offset=(east - c * layout.pitch[0], north - r * layout.pitch[1]),
             peak_excess_c=excess, sigma_m=sigma, east=east, north=north,
             position=pos, is_small=small))
     return layout, defects
@@ -455,7 +453,7 @@ class MissionConfig:
     uav: str = "SIM-UAV"
     start_utc: str = "2025-09-30T10:00:00Z"
     plant: PlantLayout = field(default_factory=lambda: PlantLayout(
-        origin=GeoPoint(lat=49.4070, lon=26.9840, alt=0.0)))
+        origin=GeoPoint(lat=49.4070, lon=26.9840)))
     defects: DefectMix = field(default_factory=DefectMix)
     flight: FlightPlan = field(default_factory=FlightPlan)
     camera: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(
@@ -490,6 +488,23 @@ class MissionConfig:
                 raise SimulationError(f"camera.{key}: must be at least 1")
         if not self.match_radius_m > 0:
             raise SimulationError("match_radius_m: must be positive")
+        # The survey area, the plant grown by half a nadir footprint on each
+        # side, must stay off the poles and on the tangent plane; its
+        # south-west and north-east corners bound its latitudes and its
+        # range from the origin. A measured pose past it is left to the
+        # project stage.
+        half_e, half_n = (x / 2.0 for x in footprint(self.flight, self.camera))
+        ext_e, ext_n = self.plant.extent
+        origin = self.plant.origin
+        try:
+            for east, north in ((-half_e, -half_n),
+                                (ext_e + half_e, ext_n + half_n)):
+                GeoPoint(*tangent_point(origin.lat, origin.lon, east, north))
+        except GeodesyError as exc:
+            raise SimulationError(
+                f"plant: the survey area (plant plus half a camera "
+                f"footprint) passes a pole or the tangent plane: {exc}"
+            ) from None
 
 
 @dataclass
@@ -636,19 +651,20 @@ def project_confirmed(det: Detection, pose_meas: FramePose,
                       start: datetime, trace: MissionTrace):
     """Project stage: the detection's footprint from the measured pose, or
     None (counted in ``trace.projection_failed``) when a corner ray does
-    not reach the ground. The pose altitude is the camera's height above
-    the plant, as in :func:`render_frame`."""
-    ground = enu_to_geo(config.plant.origin,
-                        EnuOffset(east=pose_meas.east, north=pose_meas.north,
-                                  up=config.plant.elevation))
+    not reach the ground or the point below the pose is past a pole or the
+    tangent plane. The pose altitude is the camera's height above the
+    plant, as in :func:`render_frame`."""
+    origin = config.plant.origin
     media = f"sim://{config.site_id}/{packet.frame_id}"
     try:
+        ground = GeoPoint(*tangent_point(origin.lat, origin.lon,
+                                         pose_meas.east, pose_meas.north))
         return project_detection(
             det, config.camera, ground, pose_meas.altitude,
             pose_meas.gimbal, frame_id=packet.frame_id,
             timestamp=_ts_utc(start, packet.time_s),
             media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
-    except ProjectionError:
+    except (ProjectionError, GeodesyError):
         trace.projection_failed += 1
         return None
 

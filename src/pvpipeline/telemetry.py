@@ -285,12 +285,12 @@ def parse_detection_record_lines(data: bytes):
                             confidence=_field(obj, "conf", _number),
                             peak_temp_c=_field(obj, "temp_C", _number))
             poly = GeoPolygon(tuple(
-                GeoPoint(*_lat_lon(p, "polygon_wgs84"), 0.0)
+                GeoPoint(*_lat_lon(p, "polygon_wgs84"))
                 for p in _field(obj, "polygon_wgs84", _list)))
             lat, lon = _field(obj, "centroid_wgs84", _lat_lon)
             media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
-                detection=det, polygon=poly, centroid=GeoPoint(lat, lon, 0.0),
+                detection=det, polygon=poly, centroid=GeoPoint(lat, lon),
                 frame_id=_string(obj.get("frame_id", ""), "frame_id"),
                 timestamp=_string(obj.get("timestamp", ""), "timestamp"),
                 media_rgb=_string(media.get("rgb", ""), "media.rgb"),

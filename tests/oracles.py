@@ -8,7 +8,7 @@ import numpy as np
 from pvpipeline.dedup import DefectEvent, convex_hull
 from pvpipeline.fusion import encode
 from pvpipeline.geodesy import (MAX_TANGENT_RANGE_M, MEAN_EARTH_RADIUS_M,
-                                EnuOffset, GeodesyError, GeoPoint, GeoPolygon,
+                                GeodesyError, GeoPoint, GeoPolygon,
                                 plane_centroid)
 
 
@@ -43,8 +43,8 @@ def palette_spread(model, samples) -> float:
 
 
 def enu_offset(origin, p):
-    """The tangent-plane offset of ``p`` from ``origin`` as an EnuOffset,
-    written out on its own: the object form of geodesy.tangent_offset."""
+    """The tangent-plane offset (east, north) of GeoPoint ``p`` from
+    ``origin``, written out on its own: geodesy.tangent_offset's reference."""
     lat_mid = math.radians((origin.lat + p.lat) / 2.0)
     dlon = p.lon - origin.lon
     if abs(dlon) > 180.0:
@@ -53,38 +53,34 @@ def enu_offset(origin, p):
     north = MEAN_EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
     if math.hypot(east, north) > MAX_TANGENT_RANGE_M:
         raise GeodesyError("points farther than 100 km apart")
-    return EnuOffset(east=east, north=north, up=p.alt - origin.alt)
+    return east, north
 
 
-def enu_point(origin, off):
-    """The inverse of enu_offset, written out on its own: the object form
-    of geodesy.enu_to_geo."""
-    if math.hypot(off.east, off.north) > MAX_TANGENT_RANGE_M:
+def enu_point(origin, east, north):
+    """The GeoPoint at offset (east, north) from ``origin``, the inverse of
+    enu_offset written out on its own: geodesy.tangent_point's reference."""
+    if math.hypot(east, north) > MAX_TANGENT_RANGE_M:
         raise GeodesyError("offset exceeds 100 km")
-    lat = origin.lat + math.degrees(off.north / MEAN_EARTH_RADIUS_M)
+    lat = origin.lat + math.degrees(north / MEAN_EARTH_RADIUS_M)
     lat_mid = math.radians((origin.lat + lat) / 2.0)
     lon = origin.lon + math.degrees(
-        off.east / (MEAN_EARTH_RADIUS_M * math.cos(lat_mid)))
-    return GeoPoint(lat=lat, lon=lon, alt=origin.alt + off.up)
+        east / (MEAN_EARTH_RADIUS_M * math.cos(lat_mid)))
+    return GeoPoint(lat=lat, lon=lon)
 
 
 def polygon_centroid_objects(poly):
-    """polygon_centroid through one EnuOffset per vertex and back."""
+    """polygon_centroid through enu_offset per vertex and enu_point back."""
     anchor = poly.vertices[0]
-    offsets = [enu_offset(anchor, v) for v in poly.vertices]
-    x, y = plane_centroid([(o.east, o.north) for o in offsets])
-    return enu_point(anchor, EnuOffset(east=x, north=y))
+    x, y = plane_centroid([enu_offset(anchor, v) for v in poly.vertices])
+    return enu_point(anchor, x, y)
 
 
 def merge_cluster_objects(members, member_ids, event_id):
-    """merge_cluster in its object form: an EnuOffset per member vertex,
-    then a GeoPoint per hull vertex and for the hull's centroid."""
+    """merge_cluster through enu_offset per member vertex, then enu_point
+    per hull vertex and for the hull's centroid."""
     anchor = members[0].polygon.vertices[0]
-    points = []
-    for det in members:
-        for v in det.polygon.vertices:
-            off = enu_offset(anchor, v)
-            points.append((off.east, off.north))
+    points = [enu_offset(anchor, v)
+              for det in members for v in det.polygon.vertices]
     hull = convex_hull(points)
     best = max(members, key=lambda d: d.detection.confidence)
     if len(hull) < 3:
@@ -92,9 +88,8 @@ def merge_cluster_objects(members, member_ids, event_id):
         centroid = polygon_centroid_objects(hull_poly)
     else:
         hull_poly = GeoPolygon(vertices=tuple(
-            enu_point(anchor, EnuOffset(east=x, north=y)) for x, y in hull))
-        x, y = plane_centroid(hull)
-        centroid = enu_point(anchor, EnuOffset(east=x, north=y))
+            enu_point(anchor, x, y) for x, y in hull))
+        centroid = enu_point(anchor, *plane_centroid(hull))
     return DefectEvent(
         id=event_id, class_id=best.detection.class_id,
         confidence=max(d.detection.confidence for d in members),

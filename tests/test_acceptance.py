@@ -22,8 +22,9 @@ from pvpipeline.cli import main as cli_main, run_fuse_check
 from pvpipeline.dedup import NOISE, dbscan_labels
 from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
     train_toy
-from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, EnuOffset, GeoPoint,
-                                enu_to_geo, haversine_distance, tangent_offset)
+from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint,
+                                haversine_distance, tangent_offset,
+                                tangent_point)
 from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
                                       compute_reacq_command, pointing_angles,
                                       rodrigues_rotate, solve_axis_angle)
@@ -243,14 +244,14 @@ def test_criterion_9_geodesy_closed_forms():
     origin = GeoPoint(lat=49.407, lon=26.984)
     rng = np.random.default_rng(1)
     for _ in range(100):
-        off = EnuOffset(east=float(rng.uniform(-500, 500)),
-                        north=float(rng.uniform(-500, 500)))
-        p = enu_to_geo(origin, off)
+        off_e = float(rng.uniform(-500, 500))
+        off_n = float(rng.uniform(-500, 500))
+        p = GeoPoint(*tangent_point(origin.lat, origin.lon, off_e, off_n))
         east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
-        assert abs(east - off.east) < 1e-6
-        assert abs(north - off.north) < 1e-6
+        assert abs(east - off_e) < 1e-6
+        assert abs(north - off_n) < 1e-6
         # Haversine and tangent-plane distances agree under 1 km.
-        flat = math.hypot(off.east, off.north)
+        flat = math.hypot(off_e, off_n)
         if flat > 1.0:
             hav = haversine_distance(origin, p)
             assert abs(hav - flat) / flat < 1e-6
@@ -275,7 +276,7 @@ def test_criterion_10_dbscan_oracle_and_permutation_invariance():
     origin = GeoPoint(lat=49.407, lon=26.984)
 
     def pt(e, n):
-        return enu_to_geo(origin, EnuOffset(east=e, north=n))
+        return GeoPoint(*tangent_point(origin.lat, origin.lon, e, n))
 
     rng = np.random.default_rng(2)
     for _ in range(40):

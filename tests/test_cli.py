@@ -229,10 +229,22 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"defects": {"n_small": -1}}, [], "$.defects", "n_small"),
     # the default plant has 10 x 10 modules
     ({"defects": {"count": 101}}, [], "$.defects", "count"),
+    # removed key: the plant has no elevation, heights are above its surface
+    ({"plant": {"elevation": 5.0}}, [], "$.plant.elevation", "unknown key"),
+    # the survey area (plant plus half a footprint) must stay within the
+    # 100 km tangent plane and off the poles
+    ({"camera": {"fx": 1e-10, "fy": 1e-10}}, [], "$.plant", "survey area"),
+    ({"camera": {"fx": 1e-300, "fy": 1e-300}}, [], "$.plant", "survey area"),
+    ({"camera": {"fx": 1e-320, "fy": 1e-320}}, [], "$.plant", "survey area"),
+    ({"plant": {"origin": [89.9999, 0]}}, [], "$.plant", "latitude"),
+    ({"plant": {"origin": [-89.99999, 0]}}, [], "$.plant", "latitude"),
+    ({"plant": {"rows": 200000}}, [], "$.plant", "100 km"),
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
-        "n_small-negative", "count-above-modules"])
+        "n_small-negative", "count-above-modules", "elevation", "fx-1e-10",
+        "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
+        "rows-past-100km"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -283,19 +295,14 @@ def test_simulate_across_the_antimeridian_exits_zero(tmp_path):
     assert min(lons) < 0.0 < max(lons)
 
 
-def test_simulate_on_elevated_plant_matches_datum_plant(tmp_path, capsys):
-    # Flight altitude and defects are both taken above the plant surface,
-    # so raising the plant moves no projection.
-    outputs = []
-    for elevation in (0.0, 5.0):
-        path = tmp_path / f"config-{elevation}.json"
-        path.write_text(json.dumps({"plant": {"elevation": elevation}}))
-        out = tmp_path / f"out-{elevation}"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) \
-            == 0, capsys.readouterr().err
-        outputs.append([(out / name).read_bytes() for name in
-                        ("report.json", "metrics.csv", "detections.jsonl")])
-    assert outputs[0] == outputs[1]
+def test_simulate_near_the_south_pole_exits_zero(tmp_path, capsys):
+    # The survey area reaches to within a few meters of the pole.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plant": {"origin": [-89.9999, 0]}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert (out / "report.json").exists()
 
 
 def test_simulate_counts_ground_points_past_the_tangent_plane(tmp_path,

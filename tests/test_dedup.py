@@ -8,15 +8,15 @@ from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
                               merge_cluster)
 from pvpipeline.detector import BoundingBox, Detection
-from pvpipeline.geodesy import (EnuOffset, GeoPoint, GeoPolygon, enu_to_geo,
-                                haversine_distance)
+from pvpipeline.geodesy import (GeoPoint, GeoPolygon, haversine_distance,
+                                tangent_point)
 from pvpipeline.geoprojection import ProjectedDetection
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
 
-def _pt(east, north):
-    return enu_to_geo(ORIGIN, EnuOffset(east=east, north=north))
+def _pt(east, north, origin=ORIGIN):
+    return GeoPoint(*tangent_point(origin.lat, origin.lon, east, north))
 
 
 def _proj(east, north, class_id="hotspot", conf=0.8, temp=40.0, half=0.2,
@@ -183,7 +183,7 @@ MERGE_PLANTS = {"mid-latitude": GeoPoint(lat=49.407, lon=26.984),
 def _hex_event(event):
     """Every field of an event, each coordinate as its float hex."""
     def point(p):
-        return p.lat.hex(), p.lon.hex(), p.alt.hex()
+        return p.lat.hex(), p.lon.hex()
     return (event.id, event.class_id, event.confidence.hex(),
             event.peak_temp_c.hex(), point(event.centroid),
             tuple(point(v) for v in event.polygon.vertices),
@@ -205,16 +205,14 @@ def _random_cluster(rng, origin, collinear, spread=40.0):
             half = rng.uniform(0.1, 0.3)
             offsets = [(-half, -half), (half, -half), (half, half),
                        (-half, half)]
-        verts = tuple(enu_to_geo(origin, EnuOffset(east=cx + dx,
-                                                   north=cy + dy))
-                      for dx, dy in offsets)
+        verts = tuple(_pt(cx + dx, cy + dy, origin) for dx, dy in offsets)
         det = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
                         class_id=str(rng.choice(["hotspot", "soiling"])),
                         confidence=float(rng.uniform(0.5, 1.0)),
                         peak_temp_c=float(rng.uniform(30.0, 45.0)))
         members.append(ProjectedDetection(
             detection=det, polygon=GeoPolygon(vertices=verts),
-            centroid=enu_to_geo(origin, EnuOffset(east=cx, north=cy)),
+            centroid=_pt(cx, cy, origin),
             frame_id="f", timestamp="2025-09-30T10:00:00Z",
             media_rgb=f"m{len(members)}.jpg", media_tiff=""))
     return members

@@ -12,7 +12,7 @@ from pvpipeline.reacquisition import CameraIntrinsics
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)
-ORIGIN = GeoPoint(lat=49.407, lon=26.984, alt=0.0)
+ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
 
 NADIR = Attitude(pitch=-math.pi / 2.0)
@@ -26,7 +26,6 @@ def test_nadir_principal_point_hits_ground_below():
     pt = pixel_to_ground(INTR.cx, INTR.cy, INTR, ORIGIN, 10.0, NADIR)
     east, north = _enu(pt)
     assert abs(east) < 1e-9 and abs(north) < 1e-9
-    assert pt.alt == 0.0
 
 
 def test_nadir_pixel_offset_closed_form():
@@ -61,13 +60,12 @@ def test_yaw_rotates_ground_offset():
 
 
 def test_ground_plane_elevation_reduces_height():
-    # A camera 10 m above the datum over ground at 5 m is 5 m above it.
-    ground = GeoPoint(lat=ORIGIN.lat, lon=ORIGIN.lon, alt=5.0)
-    pt = pixel_to_ground(INTR.cx + 10.0, INTR.cy, INTR, ground, 10.0 - 5.0,
+    # The height is taken above the ground point: a camera 10 m above the
+    # datum over ground at 5 m is passed as 5 m.
+    pt = pixel_to_ground(INTR.cx + 10.0, INTR.cy, INTR, ORIGIN, 10.0 - 5.0,
                          NADIR)
     east, _ = _enu(pt)
     assert east == pytest.approx(5.0 * 10.0 / INTR.fx, rel=1e-9)
-    assert pt.alt == 5.0
 
 
 def test_grazing_and_upward_rays_rejected():

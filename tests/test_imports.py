@@ -1,6 +1,6 @@
 """Every name a pvpipeline module or a test file imports is referenced in
-that file, and every module-level name a pvpipeline module defines is
-referenced somewhere.
+that file, every module-level name a pvpipeline module defines is
+referenced somewhere, and every field of a pvpipeline dataclass is read.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and unused-name rules.
 Names are matched per module, not per scope: an import counts as used when
@@ -9,7 +9,9 @@ the package `__init__.py` (whose imports are re-exports) are skipped. A
 module-level function, class or constant counts as used when a name or
 attribute of that spelling appears in `src/`, `tests/` or `demos/` outside
 its own definition; apart from a named set kept for the tests, it must also
-appear in the program itself: `src/`, `demos/` or `perfbench/`.
+appear in the program itself: `src/`, `demos/` or `perfbench/`. A field
+of a `@dataclass` class counts as read when an attribute of that spelling
+is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`.
 """
 
 import ast
@@ -25,6 +27,7 @@ SOURCES = sorted(p for d in ("src", "tests", "demos")
                  for p in (ROOT / d).rglob("*.py"))
 PROGRAM_SOURCES = sorted(p for d in ("src", "demos", "perfbench")
                          for p in (ROOT / d).rglob("*.py"))
+ALL_SOURCES = sorted(set(SOURCES) | set(PROGRAM_SOURCES))
 UNUSED_NAME_EXEMPT = {"__version__"}
 # Module-level names only the tests call, each kept on purpose.
 TEST_ONLY_NAMES = {
@@ -131,6 +134,56 @@ def test_test_only_names_are_defined_and_unused_by_the_program():
                          for p in PROGRAM_SOURCES))
     assert sorted(TEST_ONLY_NAMES.keys() - defined) == []
     assert sorted(TEST_ONLY_NAMES.keys() & used) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """(class, field) of every annotated field of a @dataclass class."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+    return [(node.name, s.target.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_dataclass, node.decorator_list))
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def unread_fields(modules: dict, sources: list) -> list:
+    """(module, class, field) of every dataclass field in `modules` (name ->
+    source) that none of `sources` loads as an attribute."""
+    read = {node.attr for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted((module, cls, name) for module, source in modules.items()
+                  for cls, name in dataclass_fields(source)
+                  if name not in read)
+
+
+def test_scanner_finds_unread_fields():
+    module = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class Pose:\n"
+              "    east: float\n"
+              "    north: float = 0.0\n"
+              "    up: float = 0.0\n"
+              "    def shift(self):\n"
+              "        return Pose(self.east + 1.0)\n"
+              "@dataclass\n"
+              "class Trace:\n"
+              "    rounds: int = 0\n"
+              "class Plain:\n"
+              "    tag: str = ''\n")
+    caller = "p = Pose(1.0)\np.up = 2.0\nprint(p.north)\n"
+    assert unread_fields({"m": module}, [module, caller]) == [
+        ("m", "Pose", "up"), ("m", "Trace", "rounds")]
+
+
+def test_package_dataclass_fields_are_read():
+    sources = [p.read_text(encoding="utf-8") for p in ALL_SOURCES]
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_fields(modules, sources) == []
 
 
 def test_scanner_finds_unused_names():

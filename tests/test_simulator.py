@@ -12,20 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance
 from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
 from pvpipeline.reacquisition import CameraIntrinsics
 from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   FramePose, MissionConfig,
                                   MissionTrace, PlantLayout, RenderModel,
-                                  SimulationError, SyntheticDetectorNoise,
-                                  confirm_detection, coverage_multiplicity,
-                                  detect_frame, evaluate, footprint,
-                                  generate_plant, metrics_csv, plan_flight,
+                                  SensorPacket, SimulationError,
+                                  SyntheticDetectorNoise, confirm_detection,
+                                  coverage_multiplicity, detect_frame,
+                                  evaluate, footprint, generate_plant,
+                                  metrics_csv, plan_flight, project_confirmed,
                                   render_frame, run_mission, simulate_frames,
                                   sweep_csv)
+from pvpipeline.telemetry import parse_ts_utc
 
-ORIGIN = GeoPoint(lat=49.4070, lon=26.9840, alt=0.0)
+ORIGIN = GeoPoint(lat=49.4070, lon=26.9840)
 LAYOUT = PlantLayout(origin=ORIGIN)
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)
@@ -477,6 +480,25 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
             assert (err_pitch, err_yaw) != (0.0, 0.0)
             checked += 1
     assert checked > 0
+
+
+def test_project_stage_counts_a_pose_past_the_pole_as_failed():
+    # Pose noise can carry the measured pose past the pole, where the point
+    # below it has no latitude: one such detection is dropped and counted.
+    config = replace(MissionConfig(seed=0), plant=PlantLayout(
+        origin=GeoPoint(lat=89.999, lon=0.0)))
+    trace = MissionTrace(config=config, defects=[])
+    det = Detection(bbox=BoundingBox(x_min=38.0, y_min=30.0, x_max=41.0,
+                                     y_max=33.0),
+                    class_id="hotspot", confidence=0.9, peak_temp_c=35.0)
+    start = parse_ts_utc(config.start_utc)
+    for north, projected in ((5.0, True), (200.0, False)):
+        pose = _nadir_pose(5.0, north)
+        packet = SensorPacket(frame_id="f0000", time_s=0.0, pose_true=pose,
+                              pose_meas=pose, temp=None)
+        result = project_confirmed(det, pose, packet, config, start, trace)
+        assert (result is not None) == projected
+    assert trace.projection_failed == 1
 
 
 def test_sweep_shapes_and_csv():
