@@ -24,8 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -59,6 +61,9 @@ _SEPARATION_CELL_SLACK = 1e-9
 # Placement gives up after max(20000, this many attempts per defect of the
 # target).
 _ATTEMPTS_PER_DEFECT = 100
+# Relative widening of the closed-form flight time past the sum of legs that
+# plan_flight accumulates, for the roundoff of that sum.
+_FLIGHT_TIME_SLACK = 1e-6
 
 
 class SimulationError(ValueError):
@@ -237,6 +242,25 @@ def coverage_multiplicity(along_overlap: float) -> int:
     return max(1, math.ceil(1.0 / (1.0 - along_overlap)))
 
 
+def _survey_grid(layout: PlantLayout, plan: FlightPlan,
+                 intr: CameraIntrinsics) -> tuple:
+    """plan_flight's lawnmower in closed form: (line count, east spacing of
+    the lines, stations per line, along-track step)."""
+    ext_e, ext_n = layout.extent
+    fp_e, fp_n = footprint(plan, intr)
+    if ext_e <= fp_e:
+        n_lines, spacing = 1, 0.0
+    else:
+        line_spacing = fp_e * (1.0 - plan.cross_overlap)
+        n_lines = math.ceil((ext_e - fp_e) / line_spacing) + 1
+        spacing = (ext_e - fp_e) / (n_lines - 1)
+    step = fp_n / coverage_multiplicity(plan.along_overlap)
+    # Overshoot half a footprint past both plant edges so edge modules get
+    # the full along-track multiplicity.
+    n_along = math.ceil((ext_n + fp_n) / step) + 1
+    return n_lines, spacing, n_along, step
+
+
 def plan_flight(layout: PlantLayout, plan: FlightPlan,
                 intr: CameraIntrinsics) -> list:
     """Nadir lawnmower: north-south lines spaced east by
@@ -249,19 +273,11 @@ def plan_flight(layout: PlantLayout, plan: FlightPlan,
     if ext_e <= 0 or ext_n <= 0:
         raise SimulationError("zero-area plant")
     fp_e, fp_n = footprint(plan, intr)
-
-    line_spacing = fp_e * (1.0 - plan.cross_overlap)
-    if ext_e <= fp_e:
+    n_lines, spacing, n_along, step = _survey_grid(layout, plan, intr)
+    if n_lines == 1:
         lines = [ext_e / 2.0]
     else:
-        n_lines = math.ceil((ext_e - fp_e) / line_spacing) + 1
-        spacing = (ext_e - fp_e) / (n_lines - 1)
         lines = [fp_e / 2.0 + i * spacing for i in range(n_lines)]
-
-    step = fp_n / coverage_multiplicity(plan.along_overlap)
-    # Overshoot half a footprint past both plant edges so edge modules get
-    # the full along-track multiplicity.
-    n_along = math.ceil((ext_n + fp_n) / step) + 1
     along = [-fp_n / 2.0 + k * step for k in range(n_along)]
 
     nadir = Attitude(pitch=-math.pi / 2.0)
@@ -430,11 +446,14 @@ def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
 
 def simulate_frames(defects, poses, intr: CameraIntrinsics,
                     noise: SyntheticDetectorNoise, render: RenderModel,
-                    speed: float, seed: int):
+                    speed: float, seed: int, first: int = 0):
     """Deterministic sensor stream, one packet per pose as it is consumed:
     frames rendered from the true pose, measured poses perturbed by the
-    configured noise. Each frame's RNG is keyed by its index."""
-    for k, pose in enumerate(poses):
+    configured noise. Frames are numbered from ``first``, the index of
+    ``poses[0]`` in the whole flight; the number is the frame id and keys
+    the frame's RNG, so a range of the flight gives the same packets as
+    the whole flight does for those frames."""
+    for k, pose in enumerate(poses, first):
         rng = np.random.default_rng([seed, _STREAM_POSE, k])
         meas = _perturbed_pose(pose, noise, rng)
         temp = render_frame(defects, pose, intr, render, speed)
@@ -473,7 +492,7 @@ class MissionConfig:
         if self.seed < 0:
             raise SimulationError(f"seed: must be non-negative, got {self.seed}")
         try:
-            parse_ts_utc(self.start_utc)
+            start = parse_ts_utc(self.start_utc)
         except ValueError:
             raise SimulationError(
                 f"start_utc: expected YYYY-MM-DDTHH:MM:SSZ, "
@@ -505,6 +524,22 @@ class MissionConfig:
                 f"plant: the survey area (plant plus half a camera "
                 f"footprint) passes a pole or the tangent plane: {exc}"
             ) from None
+        # Every timestamp is start_utc plus a pose time; the last pose's
+        # time is at most the lawnmower's path length over the speed.
+        try:
+            n_lines, spacing, n_along, step = _survey_grid(
+                self.plant, self.flight, self.camera)
+            flight_s = (n_lines * (n_along - 1) * step
+                        + (n_lines - 1) * spacing) / self.flight.speed
+        except (ArithmeticError, ValueError):  # counts past the float range
+            flight_s = math.inf
+        room_s = (datetime.max.replace(tzinfo=timezone.utc)
+                  - start).total_seconds()
+        if not flight_s * (1.0 + _FLIGHT_TIME_SLACK) + 1.0 < room_s:
+            raise SimulationError(
+                f"flight.speed: the flight takes about {flight_s:.3g} s, "
+                f"which from start_utc passes the last date a timestamp "
+                f"can hold")
 
 
 @dataclass
@@ -679,17 +714,24 @@ def match_ground_truth(projections, defects, radius: float) -> list:
             for p, gi in zip(projections, gt_indices)]
 
 
-def run_mission(config: MissionConfig):
-    """Plan, then per frame sense -> detect -> confirm -> project; then
-    match -> dedup -> report. Returns (trace, report)."""
-    layout, defects = generate_plant(config.seed, config.plant, config.defects)
-    poses = plan_flight(layout, config.flight, config.camera)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fly(config: MissionConfig, defects, poses, start: datetime, lo: int,
+         hi: int):
+    """Sense -> detect -> confirm -> project over the frames ``poses[lo:hi]``,
+    each numbered by its index in the whole flight. Returns the range's
+    projections in frame order and a MissionTrace holding only the range's
+    counters."""
     trace = MissionTrace(config=config, defects=defects)
-    start = parse_ts_utc(config.start_utc)
     projections = []
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses, config.camera, config.noise, config.render,
-            config.flight.speed, config.seed)):
+            defects, poses[lo:hi], config.camera, config.noise,
+            config.render, config.flight.speed, config.seed, lo), lo):
         trace.frames += 1
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):
             confirmed = confirm_detection(det, packet, frame_idx, det_idx,
@@ -700,6 +742,103 @@ def run_mission(config: MissionConfig):
                                           trace)
             if projected is not None:
                 projections.append(projected)
+    return projections, trace
+
+
+def _fly_child(pipe_fd: int, *args):
+    """A forked frame worker: run ``_fly(*args)`` and pickle ``(True,
+    (projections, counters))`` or ``(False, exception)`` into the pipe, then
+    leave the process without returning to the caller. The counters are
+    the trace's int fields, which add up over frame ranges. An exception
+    that does not survive pickling is sent as a RuntimeError with its
+    message."""
+    try:
+        try:
+            projections, trace = _fly(*args)
+            counters = {f.name: getattr(trace, f.name)
+                        for f in fields(MissionTrace) if f.type == "int"}
+            payload = pickle.dumps((True, (projections, counters)))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(str(exc))))
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _fly_ranges(config: MissionConfig, defects, poses, start: datetime):
+    """``_fly`` over the whole flight, cut into one contiguous frame range
+    per usable CPU (at most one per frame). Range 0 runs in this process and
+    each other range in a child made with ``os.fork``, which pipes its
+    result back. The output cannot depend on the cut: every noise stream is
+    keyed by seed, frame and detection index, the projections are joined
+    in frame order and the counters are sums. A child's exception is raised
+    here; no child outlives the call.
+
+    Fork rather than spawn: a spawned worker would import the package
+    again, which takes longer than a 40x40 plant's whole range. The only
+    other threads in the process are OpenBLAS's pool, which its own fork
+    handler stops."""
+    w = min(_usable_cpus(), len(poses))
+    cuts = [len(poses) * i // w for i in range(w + 1)]
+    pipes = {}  # child pid -> read end of its result pipe, until reaped
+    try:
+        for i in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                for fd in (read_fd, *pipes.values()):
+                    os.close(fd)
+                _fly_child(write_fd, config, defects, poses, start, cuts[i],
+                           cuts[i + 1])
+            os.close(write_fd)
+            pipes[pid] = read_fd
+        projections, trace = _fly(config, defects, poses, start, cuts[0],
+                                  cuts[1])
+        for pid in list(pipes):
+            # Read to EOF first: a result can be larger than the pipe buffer.
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(pipes.pop(pid))
+            if not data:
+                raise RuntimeError(f"a frame worker exited with wait status "
+                                   f"{status} and no result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            part, counts = result
+            projections += part
+            for name, n in counts.items():
+                setattr(trace, name, getattr(trace, name) + n)
+    finally:
+        if pipes:
+            import signal
+            for pid, read_fd in pipes.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_fd)
+    return projections, trace
+
+
+def run_mission(config: MissionConfig):
+    """Plan; then sense -> detect -> confirm -> project per frame, over
+    contiguous frame ranges in forked workers (``_fly_ranges``); then
+    match -> dedup -> report. Returns (trace, report), the same bytes for
+    any number of workers."""
+    layout, defects = generate_plant(config.seed, config.plant, config.defects)
+    poses = plan_flight(layout, config.flight, config.camera)
+    start = parse_ts_utc(config.start_utc)
+    projections, trace = _fly_ranges(config, defects, poses, start)
     trace.accepted = match_ground_truth(projections, defects,
                                         config.match_radius_m)
     trace.events = deduplicate(trace.accepted, config.dedup)

@@ -239,12 +239,16 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"plant": {"origin": [89.9999, 0]}}, [], "$.plant", "latitude"),
     ({"plant": {"origin": [-89.99999, 0]}}, [], "$.plant", "latitude"),
     ({"plant": {"rows": 200000}}, [], "$.plant", "100 km"),
+    # the last pose's time, added to start_utc, must stay a datetime
+    ({"flight": {"speed": 1e-12}}, [], "$.flight.speed", "timestamp"),
+    ({"flight": {"speed": 1e-9}, "start_utc": "9999-12-01T00:00:00Z"}, [],
+     "$.flight.speed", "timestamp"),
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
         "n_small-negative", "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
-        "rows-past-100km"])
+        "rows-past-100km", "speed-1e-12", "speed-past-year-9999"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"

@@ -4,6 +4,7 @@ every blob added over the full raster, and an O(n^2) scan of the placed
 defects on every attempt."""
 
 import math
+import os
 from collections import namedtuple
 from dataclasses import replace
 
@@ -399,18 +400,24 @@ def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
 # End-to-end missions
 # ---------------------------------------------------------------------------
 
-def test_noiseless_mission_finds_every_defect_once(monkeypatch):
+def test_noiseless_mission_finds_every_defect_once(monkeypatch, tmp_path):
     from pvpipeline import simulator
     from pvpipeline.telemetry import to_json
-    views = []
+    # Frame ranges may render in forked workers, so each render appends a
+    # byte to a shared file rather than to a list in one process.
+    log = os.open(tmp_path / "renders", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def counted(*args, **kwargs):
-        views.append(1)
+        os.write(log, b".")
         return render_frame(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "render_frame", counted)
     config = MissionConfig(seed=1)
-    trace, report = run_mission(config)
+    try:
+        trace, report = run_mission(config)
+    finally:
+        os.close(log)
+    views = (tmp_path / "renders").read_bytes()
     metrics = evaluate(trace)
     assert metrics.gt_count == 8
     assert metrics.event_count == 8
