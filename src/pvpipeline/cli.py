@@ -107,7 +107,7 @@ def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
     from .geodesy import GeodesyError
     from .telemetry import TelemetryError, event_to_record, \
-        parse_detection_record_lines, _record_json
+        parse_detection_record_lines, records_json
 
     try:
         params = DbscanParams(epsilon=args.epsilon, min_pts=args.min_pts)
@@ -134,8 +134,7 @@ def cmd_dedup(args) -> int:
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    body = ("[" + ",".join(_record_json(event_to_record(e)) for e in events)
-            + "]").encode("utf-8")
+    body = records_json(map(event_to_record, events)).encode("utf-8")
     if not _write(args.out, body):
         return EXIT_CONFIG
     print(f"detections in: {len(detections)}  events out: {len(events)}")

@@ -13,6 +13,9 @@ from scipy import ndimage
 from .thermal import TemperatureMap
 
 
+DEFAULT_CLASS = "hotspot"  # each detection's class until the match stage
+
+
 class DetectorError(ValueError):
     pass
 
@@ -62,7 +65,6 @@ class ThresholdDetectorConfig:
     logit_bias: float = 1.0
     logit_per_deg: float = 0.25   # weight on peak excess beyond delta_c
     logit_per_log_px: float = 0.5  # weight on ln(blob area in px)
-    default_class: str = "hotspot"
 
 
 def _sigmoid(x: float) -> float:
@@ -101,6 +103,6 @@ def detect(temp: TemperatureMap, config: ThresholdDetectorConfig = ThresholdDete
         bbox = BoundingBox(x_min=float(xs.min()), y_min=float(ys.min()),
                            x_max=float(xs.max()) + 1.0, y_max=float(ys.max()) + 1.0)
         conf = detection_confidence(peak - ambient, int(ys.size), config)
-        detections.append(Detection(bbox=bbox, class_id=config.default_class,
+        detections.append(Detection(bbox=bbox, class_id=DEFAULT_CLASS,
                                     confidence=conf, peak_temp_c=peak))
     return detections

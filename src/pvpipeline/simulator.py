@@ -22,10 +22,12 @@ operational trends:
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
 import os
 import pickle
+import signal
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 
@@ -64,6 +66,10 @@ _ATTEMPTS_PER_DEFECT = 100
 # Relative widening of the closed-form flight time past the sum of legs that
 # plan_flight accumulates, for the roundoff of that sum.
 _FLIGHT_TIME_SLACK = 1e-6
+# Most frames x pixels a mission may plan: 180 times a 200x200 plant's.
+_MAX_FRAME_PIXELS = 2 ** 32
+# prctl option (<linux/prctl.h>): the signal sent when the parent dies.
+_PR_SET_PDEATHSIG = 1
 
 
 class SimulationError(ValueError):
@@ -540,6 +546,14 @@ class MissionConfig:
                 f"flight.speed: the flight takes about {flight_s:.3g} s, "
                 f"which from start_utc passes the last date a timestamp "
                 f"can hold")
+        # Bound the work before any pose is built (flight_s is finite here).
+        width, height = self.camera.width, self.camera.height
+        frame_px = float(n_lines) * n_along * width * height
+        if frame_px > _MAX_FRAME_PIXELS:
+            raise SimulationError(
+                f"flight: the survey plans {n_lines * n_along} frames of "
+                f"{width}x{height} pixels, about {frame_px:.3g} frame-pixels, "
+                f"more than the {_MAX_FRAME_PIXELS:.3g} a run may take")
 
 
 @dataclass
@@ -722,13 +736,12 @@ def _usable_cpus() -> int:
 
 
 def _fly(config: MissionConfig, defects, poses, start: datetime, lo: int,
-         hi: int):
-    """Sense -> detect -> confirm -> project over the frames ``poses[lo:hi]``,
-    each numbered by its index in the whole flight. Returns the range's
-    projections in frame order and a MissionTrace holding only the range's
-    counters."""
-    trace = MissionTrace(config=config, defects=defects)
-    projections = []
+         hi: int) -> MissionTrace:
+    """Sense -> detect -> confirm -> project -> match over the frames
+    ``poses[lo:hi]``, each numbered by its index in the whole flight. Returns
+    the range's counters and matched projections in a MissionTrace without
+    config or defects, which the caller has and a worker need not send."""
+    trace = MissionTrace(config=None, defects=None)
     for frame_idx, packet in enumerate(simulate_frames(
             defects, poses[lo:hi], config.camera, config.noise,
             config.render, config.flight.speed, config.seed, lo), lo):
@@ -741,53 +754,26 @@ def _fly(config: MissionConfig, defects, poses, start: datetime, lo: int,
             projected = project_confirmed(*confirmed, packet, config, start,
                                           trace)
             if projected is not None:
-                projections.append(projected)
-    return projections, trace
+                trace.accepted.append(projected)
+    trace.accepted = match_ground_truth(trace.accepted, defects,
+                                        config.match_radius_m)
+    return trace
 
 
-def _fly_child(pipe_fd: int, *args):
-    """A forked frame worker: run ``_fly(*args)`` and pickle ``(True,
-    (projections, counters))`` or ``(False, exception)`` into the pipe, then
-    leave the process without returning to the caller. The counters are
-    the trace's int fields, which add up over frame ranges. An exception
-    that does not survive pickling is sent as a RuntimeError with its
-    message."""
-    try:
-        try:
-            projections, trace = _fly(*args)
-            counters = {f.name: getattr(trace, f.name)
-                        for f in fields(MissionTrace) if f.type == "int"}
-            payload = pickle.dumps((True, (projections, counters)))
-        except BaseException as exc:
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
-            except Exception:
-                payload = pickle.dumps((False, RuntimeError(str(exc))))
-        with open(pipe_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
-
-
-def _fly_ranges(config: MissionConfig, defects, poses, start: datetime):
-    """``_fly`` over the whole flight, cut into one contiguous frame range
-    per usable CPU (at most one per frame). Range 0 runs in this process and
-    each other range in a child made with ``os.fork``, which pipes its
-    result back. The output cannot depend on the cut: every noise stream is
-    keyed by seed, frame and detection index, the projections are joined
-    in frame order and the counters are sums. A child's exception is raised
-    here; no child outlives the call.
-
-    Fork rather than spawn: a spawned worker would import the package
-    again, which takes longer than a 40x40 plant's whole range. The only
-    other threads in the process are OpenBLAS's pool, which its own fork
-    handler stops."""
-    w = min(_usable_cpus(), len(poses))
-    cuts = [len(poses) * i // w for i in range(w + 1)]
+def _forked_map(fn, calls) -> list:
+    """``[fn(*args) for args in calls]``, with ``calls[0]`` run here and each
+    other call in an ``os.fork`` child that pickles its result or exception
+    (as a RuntimeError with its message if it does not survive pickling)
+    into a pipe. A child's exception is raised here. No child outlives the
+    call, which kills and reaps those left when it fails, nor this process,
+    which a signal can end before any ``finally``: each child asks for
+    SIGKILL when its parent dies. Fork, as a spawned child would take longer
+    to import the package than a 40x40 plant's range takes to fly; the only
+    other threads, OpenBLAS's pool, are stopped by its own fork handler."""
+    parent = os.getpid()
     pipes = {}  # child pid -> read end of its result pipe, until reaped
     try:
-        for i in range(1, w):
+        for args in calls[1:]:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -796,14 +782,31 @@ def _fly_ranges(config: MissionConfig, defects, poses, start: datetime):
                 os.close(write_fd)
                 raise
             if pid == 0:
-                for fd in (read_fd, *pipes.values()):
-                    os.close(fd)
-                _fly_child(write_fd, config, defects, poses, start, cuts[i],
-                           cuts[i + 1])
+                try:
+                    prctl = ctypes.CDLL(None).prctl
+                    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+                    prctl.restype = ctypes.c_int
+                    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                    if os.getppid() != parent:
+                        os._exit(1)
+                    for fd in (read_fd, *pipes.values()):
+                        os.close(fd)
+                    try:
+                        payload = pickle.dumps((True, fn(*args)))
+                    except BaseException as exc:
+                        try:
+                            payload = pickle.dumps((False, exc))
+                            pickle.loads(payload)
+                        except Exception:
+                            payload = pickle.dumps(
+                                (False, RuntimeError(str(exc))))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
             os.close(write_fd)
             pipes[pid] = read_fd
-        projections, trace = _fly(config, defects, poses, start, cuts[0],
-                                  cuts[1])
+        results = [fn(*calls[0])]
         for pid in list(pipes):
             # Read to EOF first: a result can be larger than the pipe buffer.
             with open(pipes[pid], "rb", closefd=False) as pipe:
@@ -811,36 +814,48 @@ def _fly_ranges(config: MissionConfig, defects, poses, start: datetime):
             _, status = os.waitpid(pid, 0)
             os.close(pipes.pop(pid))
             if not data:
-                raise RuntimeError(f"a frame worker exited with wait status "
+                raise RuntimeError(f"a worker exited with wait status "
                                    f"{status} and no result")
             ok, result = pickle.loads(data)
             if not ok:
                 raise result
-            part, counts = result
-            projections += part
-            for name, n in counts.items():
-                setattr(trace, name, getattr(trace, name) + n)
+            results.append(result)
     finally:
-        if pipes:
-            import signal
-            for pid, read_fd in pipes.items():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read_fd)
-    return projections, trace
+        for pid, read_fd in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+    return results
+
+
+def _fly_ranges(config: MissionConfig, defects, poses,
+                start: datetime) -> MissionTrace:
+    """``_fly`` over the whole flight, one contiguous frame range per usable
+    CPU (at most one per frame) in ``_forked_map``. The output cannot depend
+    on the cut: every noise stream is keyed by seed, frame and detection
+    index, each projection is matched on its own, and the range traces are
+    added up in frame order, every field but config and defects."""
+    w = min(_usable_cpus(), len(poses))
+    cuts = [len(poses) * i // w for i in range(w + 1)]
+    trace = MissionTrace(config=config, defects=defects)
+    for part in _forked_map(_fly, [
+            (config, defects, poses, start, cuts[i], cuts[i + 1])
+            for i in range(w)]):
+        for f in fields(MissionTrace):
+            if f.name not in ("config", "defects"):
+                setattr(trace, f.name,
+                        getattr(trace, f.name) + getattr(part, f.name))
+    return trace
 
 
 def run_mission(config: MissionConfig):
-    """Plan; then sense -> detect -> confirm -> project per frame, over
-    contiguous frame ranges in forked workers (``_fly_ranges``); then
-    match -> dedup -> report. Returns (trace, report), the same bytes for
-    any number of workers."""
+    """Plan -> fly (sense -> detect -> confirm -> project -> match, per frame
+    range in forked workers) -> dedup -> report. Returns (trace, report),
+    the same bytes for any number of workers."""
     layout, defects = generate_plant(config.seed, config.plant, config.defects)
     poses = plan_flight(layout, config.flight, config.camera)
     start = parse_ts_utc(config.start_utc)
-    projections, trace = _fly_ranges(config, defects, poses, start)
-    trace.accepted = match_ground_truth(projections, defects,
-                                        config.match_radius_m)
+    trace = _fly_ranges(config, defects, poses, start)
     trace.events = deduplicate(trace.accepted, config.dedup)
     report = build_report(config.site_id, config.uav,
                           _ts_utc(start, poses[-1].time_s), trace.events)

@@ -113,13 +113,17 @@ def _record_json(rec: DetectionRecord) -> str:
             '}')
 
 
+def records_json(records) -> str:
+    """The JSON array of detection records, as a report's "detections"."""
+    return "[" + ",".join(_record_json(r) for r in records) + "]"
+
+
 def to_json(report: MissionReport) -> bytes:
-    detections = ",".join(_record_json(r) for r in report.detections)
     text = ('{'
             f'"site_id":{json.dumps(report.site_id)},'
             f'"uav":{json.dumps(report.uav)},'
             f'"ts_utc":{json.dumps(report.ts_utc)},'
-            f'"detections":[{detections}]'
+            f'"detections":{records_json(report.detections)}'
             '}')
     return text.encode("utf-8")
 

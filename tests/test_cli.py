@@ -243,12 +243,22 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"flight": {"speed": 1e-12}}, [], "$.flight.speed", "timestamp"),
     ({"flight": {"speed": 1e-9}, "start_utc": "9999-12-01T00:00:00Z"}, [],
      "$.flight.speed", "timestamp"),
+    # frames x pixels is bounded before any pose is built: a 0.8 x 0.64 mm
+    # footprint plans about 1.1e9 frames, and a 1e5 x 1e5 raster would take
+    # 80 GB per frame
+    ({"flight": {"altitude": 1e-3}}, [], "$.flight:", "1116151785 frames"),
+    ({"camera": {"width": 100000, "height": 100000}}, [], "$.flight:",
+     "frame-pixels"),
+    # removed key: every threshold detection has the one default class
+    ({"detector": {"default_class": "hotspot"}}, [],
+     "$.detector.default_class", "unknown key"),
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
         "n_small-negative", "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
-        "rows-past-100km", "speed-1e-12", "speed-past-year-9999"])
+        "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
+        "altitude-1e-3", "raster-1e5x1e5", "default_class"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"

@@ -1,6 +1,6 @@
 """Frame ranges in forked workers: `simulate` writes the same bytes for any
 worker count, reports a worker's failure as a serial run does, and leaves
-no child process behind.
+no child process behind, even when a signal kills it.
 
 The worker count is `min(simulator._usable_cpus(), frames)`; these tests
 set it by patching `_usable_cpus`.
@@ -9,6 +9,7 @@ set it by patching `_usable_cpus`.
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -40,6 +41,12 @@ CONFIGS = {
         "defects": {"count": 1, "n_small": 0},
         "flight": {"altitude": 100.0, "along_overlap": 0.0}},
 }
+
+
+def _env() -> dict:
+    return dict(os.environ, PV_PIPELINE_LOG="error",
+                PYTHONPATH=os.pathsep.join(filter(None, (
+                    SRC, os.environ.get("PYTHONPATH")))))
 
 
 def _no_child_left():
@@ -133,13 +140,10 @@ def test_a_failing_frame_exits_2_once_for_any_worker_count(tmp_path, frame,
                            MissionConfig().camera)) == 24
     path = tmp_path / "config.json"
     path.write_text("{}")
-    env = dict(os.environ, PV_PIPELINE_LOG="error",
-               PYTHONPATH=os.pathsep.join(filter(None, (
-                   SRC, os.environ.get("PYTHONPATH")))))
     results = [subprocess.run(
         [sys.executable, "-c", FAILING_RUN, str(workers), str(frame), kind,
          str(path), str(tmp_path / f"out-{workers}")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_env(), timeout=120)
         for workers in (1, 3)]
     for result in results:
         assert result.returncode == cli.EXIT_RUNTIME, result.stderr
@@ -168,3 +172,74 @@ def test_an_interrupt_in_range_0_stops_the_other_workers(monkeypatch):
         simulator.run_mission(config)
     assert time.perf_counter() - start < 15.0
     _no_child_left()
+
+
+# Runs `simulate` with two workers. The first frame of the worker's range
+# writes the worker's pid to a file, then hangs.
+HANGING_RUN = """
+import os, sys, time
+from pvpipeline import cli, simulator
+from pvpipeline.config import load_config
+
+config, out, pid_file = sys.argv[1:]
+c = load_config(config)
+poses = simulator.plan_flight(c.plant, c.flight, c.camera)
+hang = poses[len(poses) // 2]
+render = simulator.render_frame
+
+
+def hanging(defects, pose, *args, **kwargs):
+    if pose == hang:
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        time.sleep(60)
+    return render(defects, pose, *args, **kwargs)
+
+
+simulator.render_frame = hanging
+simulator._usable_cpus = lambda: 2
+sys.exit(cli.main(["simulate", "--config", config, "--out", out]))
+"""
+
+
+def _gone(pid: int) -> bool:
+    """The process has exited: it has no /proc entry or is a zombie."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                         ids=["SIGTERM", "SIGKILL"])
+def test_no_worker_outlives_its_parent(tmp_path, sig):
+    # The signal goes to the parent alone, as `kill PID` sends it; `timeout`
+    # would signal the worker too, through the process group.
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    pid_file = tmp_path / "worker.pid"
+    parent = subprocess.Popen(
+        [sys.executable, "-c", HANGING_RUN, str(path), str(tmp_path / "out"),
+         str(pid_file)], env=_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60.0
+        while not pid_file.exists():
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        worker = int(pid_file.read_text())
+        parent.send_signal(sig)
+        assert parent.wait(timeout=10) == -sig
+        deadline = time.monotonic() + 2.0
+        while not _gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _gone(worker)
+    finally:
+        parent.kill()
+        parent.wait()
+        if worker is not None and not _gone(worker):
+            os.kill(worker, signal.SIGKILL)

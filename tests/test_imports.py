@@ -11,7 +11,8 @@ attribute of that spelling appears in `src/`, `tests/` or `demos/` outside
 its own definition; apart from a named set kept for the tests, it must also
 appear in the program itself: `src/`, `demos/` or `perfbench/`. A field
 of a `@dataclass` class counts as read when an attribute of that spelling
-is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`.
+is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. No
+pvpipeline module imports another module's `_`-prefixed name.
 """
 
 import ast
@@ -198,6 +199,27 @@ def test_scanner_finds_unused_names():
               "class A:\n"
               "    x: int = 0\n")
     assert unused_imports(source) == [(4, "field"), (6, "GeoPoint")]
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of every `_`-prefixed name a `from` import takes."""
+    return sorted((node.lineno, a.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_scanner_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .telemetry import to_json, _record_json\n"
+              "def f():\n"
+              "    from .dedup import __name__, _grid\n")
+    assert private_imports(source) == [
+        (2, "_record_json"), (4, "__name__"), (4, "_grid")]
+
+
+def test_package_imports_no_private_names():
+    assert [(p.name, *hit) for p in MODULES
+            for hit in private_imports(p.read_text(encoding="utf-8"))] == []
 
 
 def test_package_has_modules():
