@@ -1,6 +1,11 @@
 """Reference detection interface: a deterministic threshold detector over
-temperature maps (connected components of excess temperature, scored by a
-calibrated logistic of blob area and peak excess)."""
+temperature maps. Hot pixels (excess over the frame median above
+``delta_c``) are grouped into 8-connected components by one run-length,
+union-find pass (He, Chao and Suzuki, "A Run-Based Two-Scan Labeling
+Algorithm", IEEE TIP 2008), and each component is scored by a calibrated
+logistic of its area and peak excess. Detections come in raster order of
+each component's first pixel; the simulator's miss and confidence noise
+streams are keyed on that order."""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .thermal import TemperatureMap
 
@@ -83,26 +87,72 @@ def detection_confidence(peak_excess: float, area_px: int,
     return _sigmoid(s)
 
 
+def _runs(mask: np.ndarray):
+    """Each row's runs of True pixels as (row, start, end) arrays in raster
+    order, ``end`` exclusive. With a False column on each side of every row,
+    one diff along the rows marks each run's start and end in turn."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    edges = np.flatnonzero(np.diff(padded, axis=1))
+    rows = edges[0::2] // (w + 1)
+    return rows, edges[0::2] - rows * (w + 1), edges[1::2] - rows * (w + 1)
+
+
 def detect(temp: TemperatureMap, config: ThresholdDetectorConfig = ThresholdDetectorConfig()
            ) -> list:
     """Detect hot blobs: connected components (8-connectivity) of pixels with
     temperature above ambient + delta_c, ambient taken as the frame median.
 
-    Returns detections ordered by component label (deterministic).
+    Finds each row's runs of hot pixels, unions every run with the runs of
+    the row above that touch it (always towards the lower run index), and
+    takes area, bounding box and peak from the runs. Returns detections in
+    raster order of each component's first pixel, the order the simulator's
+    noise streams are keyed on.
     """
     t = temp.temp_c
     ambient = float(np.median(t))
-    mask = t > ambient + config.delta_c
-    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    rows, starts, ends = _runs(t > ambient + config.delta_c)
+    if rows.size == 0:
+        return []
+    h, w = t.shape
+    # Maxima over [start, end) of each run in the flat frame; the odd slots
+    # span the gaps between runs, and the -inf keeps the last end in range.
+    flat = np.stack((rows * w + starts, rows * w + ends), axis=1).ravel()
+    peaks = np.maximum.reduceat(np.append(t.ravel(), -np.inf), flat)[0::2]
+    bounds = np.searchsorted(rows, np.arange(h + 1)).tolist()
+    rows, starts, ends = rows.tolist(), starts.tolist(), ends.tolist()
+    parent = list(range(len(rows)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for r in range(1, h):
+        i, j = bounds[r - 1], bounds[r]
+        while i < bounds[r] and j < bounds[r + 1]:
+            if starts[j] <= ends[i] and starts[i] <= ends[j]:
+                a, b = find(i), find(j)
+                parent[max(a, b)] = min(a, b)
+            # The run that ends first touches no later run of the other row.
+            if ends[i] < ends[j]:
+                i += 1
+            else:
+                j += 1
+    comps = {}  # root run -> [area, x_min, x_max, y_max, peak]
+    for k, peak in enumerate(peaks.tolist()):
+        c = comps.setdefault(find(k), [0, starts[k], ends[k], rows[k], peak])
+        c[0] += ends[k] - starts[k]
+        c[1], c[2] = min(c[1], starts[k]), max(c[2], ends[k])
+        c[3], c[4] = rows[k], max(c[4], peak)
     detections = []
-    for lab in range(1, n + 1):
-        ys, xs = np.nonzero(labels == lab)
-        if ys.size < config.min_blob_px:
+    for root, (area, x_min, x_max, y_max, peak) in comps.items():
+        if area < config.min_blob_px:
             continue
-        peak = float(t[ys, xs].max())
-        bbox = BoundingBox(x_min=float(xs.min()), y_min=float(ys.min()),
-                           x_max=float(xs.max()) + 1.0, y_max=float(ys.max()) + 1.0)
-        conf = detection_confidence(peak - ambient, int(ys.size), config)
+        bbox = BoundingBox(x_min=float(x_min), y_min=float(rows[root]),
+                           x_max=float(x_max), y_max=float(y_max) + 1.0)
+        conf = detection_confidence(peak - ambient, area, config)
         detections.append(Detection(bbox=bbox, class_id=DEFAULT_CLASS,
                                     confidence=conf, peak_temp_c=peak))
     return detections

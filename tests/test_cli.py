@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -35,6 +38,8 @@ def _run(args, env_extra=None, cwd=None):
 
 
 GOLDEN_REPORT = pathlib.Path(__file__).parent / "data" / "golden_report.json"
+GOLDEN_DETECTIONS = (pathlib.Path(__file__).parent / "data" / "golden_mission"
+                     / "default" / "detections.jsonl")
 
 
 def _set(path, value):
@@ -463,6 +468,46 @@ def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     assert code == 1, err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def _key_paths(obj, path=()):
+    """Key path of every value nested in a parsed JSON object."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    paths = []
+    for key, value in items:
+        paths += [path + (key,)] + _key_paths(value, path + (key,))
+    return paths
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_dedup_cli_survives_mutated_records(data):
+    # One to three golden records, each with one value replaced by any JSON
+    # value or dropped: dedup exits 0 or 1, never with a traceback.
+    lines = GOLDEN_DETECTIONS.read_text(encoding="utf-8").splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[i])
+        path = data.draw(st.sampled_from(_key_paths(record)))
+        if data.draw(st.booleans()):
+            record = _set(path, data.draw(JSON_VALUES))(record)
+        else:
+            parent = record
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        lines[i] = json.dumps(record)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path = pathlib.Path(tmp) / "in.jsonl"
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["dedup", "--input", str(data_path), "--epsilon",
+                         "1.0", "--out", str(pathlib.Path(tmp) / "o.json")])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_dedup_cli_malformed_input_names_line(tmp_path):

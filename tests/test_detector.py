@@ -2,6 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvpipeline.detector import (BoundingBox, Detection, DetectorError,
                                  ThresholdDetectorConfig,
@@ -10,7 +11,9 @@ from pvpipeline.thermal import TemperatureMap
 
 
 def _bfs_components_oracle(mask: np.ndarray):
-    """Independent 8-connected component labelling by breadth-first search."""
+    """Independent 8-connected component labelling by breadth-first search.
+    Returns each component's pixels as a frozenset of (y, x), listed in
+    raster order of the component's first pixel."""
     h, w = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     comps = []
@@ -32,7 +35,7 @@ def _bfs_components_oracle(mask: np.ndarray):
                             seen[ny, nx] = True
                             queue.append((ny, nx))
             comps.append(frozenset(comp))
-    return set(comps)
+    return comps
 
 
 def _random_frame(rng, shape=(32, 40), n_blobs=3, ambient=25.0):
@@ -67,6 +70,61 @@ def test_detections_match_bfs_component_oracle():
         for d in dets:
             key = (d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
             assert key in boxes
+
+
+@st.composite
+def hot_frames(draw):
+    """A frame and a detector config. The hot mask is random fill, a
+    checkerboard subset (blobs joined only diagonally) or combs of two to
+    four teeth with tops in different rows (U shapes whose arms merge rows
+    below their first pixels). Frames include 1xN and Nx1 strips."""
+    h, w = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 30)),
+                          st.tuples(st.integers(1, 30), st.just(1)),
+                          st.tuples(st.integers(2, 24), st.integers(2, 24))))
+    fill = draw(st.floats(0.05, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(("fill", "diagonal", "combs")))
+    if shape == "fill":
+        mask = rng.random((h, w)) < fill
+    elif shape == "diagonal":
+        yy, xx = np.mgrid[0:h, 0:w]
+        mask = ((yy + xx) % 2 == 0) & (rng.random((h, w)) < 2 * fill)
+    else:
+        mask = np.zeros((h, w), dtype=bool)
+        for _ in range(rng.integers(1, 4)):
+            bottom = rng.integers(0, h)
+            teeth = np.unique(rng.integers(0, w, size=rng.integers(2, 5)))
+            mask[bottom, teeth.min():teeth.max() + 1] = True
+            for x in teeth:
+                mask[rng.integers(0, bottom + 1):bottom + 1, x] = True
+    # Cold pixels in [20, 21), hot in [30, 50): while under half the frame
+    # is hot, the median is cold and detect sees exactly this mask.
+    temp = np.where(mask, 30.0 + 20.0 * rng.random((h, w)),
+                    20.0 + rng.random((h, w)))
+    config = ThresholdDetectorConfig(delta_c=4.0,
+                                     min_blob_px=draw(st.integers(1, 4)))
+    return temp, config
+
+
+@settings(max_examples=300)
+@given(hot_frames())
+def test_detect_matches_bfs_oracle_in_order(frame):
+    # Components, their order (raster order of the first pixel, which keys
+    # the simulator's noise streams), area, bbox and peak.
+    temp, config = frame
+    dets = detect(TemperatureMap(temp_c=temp), config)
+    ambient = float(np.median(temp))
+    comps = [c for c in _bfs_components_oracle(temp > ambient + config.delta_c)
+             if len(c) >= config.min_blob_px]
+    assert len(dets) == len(comps)
+    for det, comp in zip(dets, comps):
+        ys, xs = zip(*comp)
+        peak = max(temp[y, x] for y, x in comp)
+        assert (det.bbox.x_min, det.bbox.y_min, det.bbox.x_max,
+                det.bbox.y_max) == (min(xs), min(ys), max(xs) + 1, max(ys) + 1)
+        assert det.peak_temp_c == peak
+        assert det.confidence == detection_confidence(peak - ambient,
+                                                      len(comp), config)
 
 
 def test_min_blob_px_filters_small_components():

@@ -12,10 +12,16 @@ its own definition; apart from a named set kept for the tests, it must also
 appear in the program itself: `src/`, `demos/` or `perfbench/`. A field
 of a `@dataclass` class counts as read when an attribute of that spelling
 is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. No
-pvpipeline module imports another module's `_`-prefixed name.
+pvpipeline module imports another module's `_`-prefixed name. Importing
+every pvpipeline module loads no scipy, and numpy is the one runtime
+dependency.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,3 +236,26 @@ def test_package_has_modules():
                          ids=[p.name for p in MODULES + TESTS])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_imports_load_no_scipy():
+    # A fresh interpreter imports every module that simulate, dedup and
+    # fuse-check reach. scipy's import cost about 0.4 s of every process's
+    # set-up while the detector used it.
+    names = ", ".join(f"pvpipeline.{p.stem}" for p in MODULES)
+    code = (f"import sys, {names}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
+            for dep in project["dependencies"]] == ["numpy"]
