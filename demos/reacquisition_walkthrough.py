@@ -9,14 +9,14 @@ Run:  python3 demos/reacquisition_walkthrough.py
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from pvpipeline.detector import detect
 from pvpipeline.geodesy import GeoPoint
-from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
-from pvpipeline.reacquisition import (CameraIntrinsics, backproject,
-                                      compute_reacq_command, pointing_angles,
+from pvpipeline.reacquisition import (Attitude, CameraIntrinsics, backproject,
+                                      camera_to_world_rotation, repoint,
                                       solve_axis_angle)
 from pvpipeline.simulator import (DefectMix, FramePose, PlantLayout,
                                   RenderModel, generate_plant, render_frame)
@@ -46,17 +46,13 @@ aa = solve_axis_angle(bore, los)
 print(f"Rodrigues solve: axis {np.round(aa.axis, 3)}, "
       f"angle {math.degrees(aa.angle):.2f} deg")
 
-cmd = compute_reacq_command(det, intr, rot)
-print(f"gimbal command : delta pitch {math.degrees(cmd.delta_pitch):+.2f} deg, "
-      f"delta yaw {math.degrees(cmd.delta_yaw):+.2f} deg")
+gimbal = repoint(pose.gimbal, los)
+print(f"gimbal command : delta pitch "
+      f"{math.degrees(gimbal.pitch - pose.gimbal.pitch):+.2f} deg, "
+      f"delta yaw {math.degrees(gimbal.yaw - pose.gimbal.yaw):+.2f} deg")
 
 # Re-render from the re-pointed hover and detect again.
-pitch0, yaw0 = pointing_angles(bore)
-repointed = FramePose(east=pose.east, north=pose.north,
-                      altitude=pose.altitude,
-                      gimbal=Attitude(pitch=pitch0 + cmd.delta_pitch,
-                                      yaw=yaw0 + cmd.delta_yaw),
-                      time_s=0.0)
+repointed = replace(pose, gimbal=gimbal)
 frame2 = render_frame(defects, repointed, intr, RenderModel(), speed=0.0)
 det2 = max(detect(frame2), key=lambda d: d.confidence)
 u2, v2 = det2.bbox.center

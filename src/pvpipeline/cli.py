@@ -235,12 +235,12 @@ def cmd_fuse_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reacquire_demo(args) -> int:
-    from .geoprojection import Attitude, ProjectionError, \
-        camera_to_world_rotation, pixel_to_ground
+    from .geoprojection import ProjectionError, pixel_to_ground
     from .geodesy import GeoPoint
-    from .reacquisition import (CameraIntrinsics, GeometryError, backproject,
-                                pointing_angles, rodrigues_rotate,
-                                solve_axis_angle, to_gimbal_command, unit)
+    from .reacquisition import (Attitude, CameraIntrinsics, GeometryError,
+                                backproject, camera_to_world_rotation,
+                                repoint, rodrigues_rotate, solve_axis_angle,
+                                unit)
 
     try:
         u, v = (float(x) for x in args.pixel.split(","))
@@ -257,15 +257,12 @@ def cmd_reacquire_demo(args) -> int:
     c = unit(rot @ v_cam)                      # target LOS, world frame
     boresight = rot @ np.array([0.0, 0.0, 1.0])
     aa = solve_axis_angle(boresight, c)
-    c_new = rodrigues_rotate(boresight, aa)
-    cur_pitch, cur_yaw = pointing_angles(boresight)
-    cmd = to_gimbal_command(c_new, cur_pitch, cur_yaw)
+    new = repoint(gimbal, rodrigues_rotate(boresight, aa))
 
-    # Reprojection check: point the gimbal by the command and project the
-    # target LOS into that camera; it should land on the principal point.
-    rot_new = camera_to_world_rotation(Attitude(
-        pitch=cur_pitch + cmd.delta_pitch, yaw=cur_yaw + cmd.delta_yaw))
-    v_cam_new = rot_new.T @ c
+    # Reprojection check: point the gimbal along the rotated boresight and
+    # project the target LOS into that camera; it should land on the
+    # principal point.
+    v_cam_new = camera_to_world_rotation(new).T @ c
     err_px = math.hypot(intr.fx * v_cam_new[0] / v_cam_new[2],
                         intr.fy * v_cam_new[1] / v_cam_new[2])
 
@@ -273,8 +270,8 @@ def cmd_reacquire_demo(args) -> int:
     print(f"c (world LOS):      [{c[0]:+.6f} {c[1]:+.6f} {c[2]:+.6f}]")
     print(f"axis:               [{aa.axis[0]:+.6f} {aa.axis[1]:+.6f} {aa.axis[2]:+.6f}]")
     print(f"angle_rad:          {aa.angle:.9f}")
-    print(f"delta_pitch_deg:    {math.degrees(cmd.delta_pitch):+.6f}")
-    print(f"delta_yaw_deg:      {math.degrees(cmd.delta_yaw):+.6f}")
+    print(f"delta_pitch_deg:    {math.degrees(new.pitch - gimbal.pitch):+.6f}")
+    print(f"delta_yaw_deg:      {math.degrees(new.yaw - gimbal.yaw):+.6f}")
     print(f"reprojection_px:    {err_px:.3e}")
     try:
         ground = pixel_to_ground(u, v, intr, GeoPoint(lat=0.0, lon=0.0),

@@ -64,10 +64,10 @@ class Detection:
 class ThresholdDetectorConfig:
     """Connected-component hotspot detector parameters."""
 
-    delta_c: float = 4.0          # excess over ambient that counts as hot
+    delta_c: float = 2.0          # excess over ambient that counts as hot
     min_blob_px: int = 3
-    logit_bias: float = 1.0
-    logit_per_deg: float = 0.25   # weight on peak excess beyond delta_c
+    logit_bias: float = -3.2
+    logit_per_deg: float = 1.0    # weight on peak excess beyond delta_c
     logit_per_log_px: float = 0.5  # weight on ln(blob area in px)
 
 

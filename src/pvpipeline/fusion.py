@@ -374,7 +374,7 @@ class FusionModel:
         def closure(vec: np.ndarray):
             params = self.unflatten(vec)
             loss, grads, _ = self.loss_and_grads(params, samples, weights)
-            return loss, np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
+            return loss, self.flatten(grads)
         return closure
 
 
@@ -473,7 +473,7 @@ def train_toy(samples, epochs: int = 600, learning_rate: float = 0.02,
         loss, grads, aux = model.loss_and_grads(params, samples, weights)
         total_trace.append(loss)
         pal_trace.append(aux["pal"])
-        g = np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
+        g = model.flatten(grads)
         m1 = beta1 * m1 + (1 - beta1) * g
         m2 = beta2 * m2 + (1 - beta2) * g * g
         step = learning_rate * (m1 / (1 - beta1 ** t)) / (np.sqrt(m2 / (1 - beta2 ** t)) + eps)

@@ -1,10 +1,7 @@
-"""Pixel-to-WGS84 projection: a camera on a pitch/yaw gimbal,
+"""Pixel-to-WGS84 projection: a camera on a pitch/yaw gimbal (its
+convention is :func:`reacquisition.camera_to_world_rotation`),
 ray-ground-plane intersection on a flat terrain model, and detection
 polygon projection.
-
-The gimbal turns by yaw, then pitch (Z-Y intrinsic) in NED, the two angles
-the re-acquisition controller commands. The camera optical axis lies along
-+x (north) at zero gimbal angles.
 """
 
 from __future__ import annotations
@@ -12,31 +9,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detector import Detection
 from .geodesy import GeoPoint, GeoPolygon, GeodesyError, polygon_centroid, \
     tangent_point
-from .reacquisition import CameraIntrinsics, GeometryError, backproject
+from .reacquisition import Attitude, CameraIntrinsics, GeometryError, \
+    backproject, camera_to_world_rotation
 
 # Rays within this angle of the horizontal are rejected as unreliable.
 MIN_INCIDENCE_RAD = math.radians(1.0)
 
-# Camera axes in the gimbal frame at zero gimbal: optical (+z cam) along
-# +x, image right (+x cam) along +y, image down (+y cam) along +z.
-CAM_TO_MOUNT = np.array([[0.0, 0.0, 1.0],
-                         [1.0, 0.0, 0.0],
-                         [0.0, 1.0, 0.0]])
-
 
 class ProjectionError(GeometryError):
     pass
-
-
-@dataclass(frozen=True)
-class Attitude:
-    pitch: float = 0.0
-    yaw: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -48,21 +32,6 @@ class ProjectedDetection:
     timestamp: str
     media_rgb: str = ""
     media_tiff: str = ""
-
-
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
-
-
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
-
-
-def camera_to_world_rotation(gimbal: Attitude) -> np.ndarray:
-    """Camera-to-NED rotation R = Rz(yaw) @ Ry(pitch) @ R_cam->gimbal."""
-    return _rot_z(gimbal.yaw) @ _rot_y(gimbal.pitch) @ CAM_TO_MOUNT
 
 
 def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,

@@ -1,9 +1,11 @@
 """Adaptive re-acquisition geometry: pixel back-projection, world-frame
-line-of-sight, minimal axis-angle solution, Rodrigues rotation, and gimbal
-command synthesis.
+line-of-sight, minimal axis-angle solution, Rodrigues rotation, and the
+gimbal that points the camera.
 
 Conventions: world frame is NED (north, east, down); camera frame has +z
-along the optical axis, +x right, +y down in the image.
+along the optical axis, +x right, +y down in the image. The gimbal turns by
+yaw, then pitch (Z-Y intrinsic) in NED; the camera optical axis lies along
++x (north) at zero gimbal angles.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ import numpy as np
 from .detector import Detection
 
 PARALLEL_EPS = 1e-12
+
+# Camera axes in the gimbal frame at zero gimbal: optical (+z cam) along
+# +x, image right (+x cam) along +y, image down (+y cam) along +z.
+CAM_TO_MOUNT = np.array([[0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0]])
 
 
 class GeometryError(ValueError):
@@ -53,22 +61,21 @@ class AxisAngle:
 
 
 @dataclass(frozen=True)
-class GimbalCommand:
-    delta_pitch: float
-    delta_yaw: float
+class Attitude:
+    pitch: float = 0.0
+    yaw: float = 0.0
 
 
 @dataclass(frozen=True)
 class ReacqPolicy:
     tau_ra: float = 0.5
-    min_area_frac: float = 0.005
-    max_rounds: int = 2
-    enabled: bool = True  # off: reject where the policy would re-acquire
+    min_area_frac: float = 0.01
+    max_rounds: int = 2  # 0: reject where the policy would re-acquire
 
     def __post_init__(self):
         if not (0.0 < self.tau_ra < 1.0):
             raise GeometryError("tau_ra must lie in (0, 1)")
-        if self.min_area_frac <= 0 or self.max_rounds < 1:
+        if self.min_area_frac <= 0 or self.max_rounds < 0:
             raise GeometryError("invalid re-acquisition policy")
 
 
@@ -149,42 +156,51 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-def to_gimbal_command(c_new: np.ndarray, current_pitch: float,
-                      current_yaw: float) -> GimbalCommand:
-    """Pitch/yaw deltas that re-point the boresight along c_new (NED)."""
-    pitch, yaw = pointing_angles(c_new)
-    n, e, _ = np.asarray(c_new, dtype=np.float64)
-    if math.hypot(n, e) < PARALLEL_EPS:
-        return GimbalCommand(delta_pitch=wrap_angle(pitch - current_pitch), delta_yaw=0.0)
-    return GimbalCommand(delta_pitch=wrap_angle(pitch - current_pitch),
-                         delta_yaw=wrap_angle(yaw - current_yaw))
+def _rot_y(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
 
 
-def compute_reacq_command(det: Detection, intr: CameraIntrinsics,
-                          rot_cam_to_world: np.ndarray) -> GimbalCommand:
-    """Gimbal deltas that center the detection's bbox centroid.
+def _rot_z(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
 
-    The target's world line-of-sight c is compared with the current world
-    boresight c'; the command re-points the boresight along c.
-    """
-    u, v = det.bbox.center
-    c = rot_cam_to_world @ backproject(u, v, intr)
-    boresight = rot_cam_to_world @ np.array([0.0, 0.0, 1.0])
-    cur_pitch, cur_yaw = pointing_angles(boresight)
-    return to_gimbal_command(c, cur_pitch, cur_yaw)
+
+def camera_to_world_rotation(gimbal: Attitude) -> np.ndarray:
+    """Camera-to-NED rotation R = Rz(yaw) @ Ry(pitch) @ R_cam->gimbal."""
+    return _rot_z(gimbal.yaw) @ _rot_y(gimbal.pitch) @ CAM_TO_MOUNT
+
+
+def repoint(gimbal: Attitude, los) -> Attitude:
+    """The attitude whose boresight points along NED direction ``los``; a
+    nadir line of sight keeps the gimbal's yaw."""
+    pitch, yaw = pointing_angles(los)
+    bore = camera_to_world_rotation(gimbal) @ np.array([0.0, 0.0, 1.0])
+    cur_pitch, cur_yaw = pointing_angles(bore)
+    # Over the top (cos pitch < 0) the boresight looks along yaw + pi and a
+    # rise in gimbal pitch lowers it; a vertical one has the gimbal's yaw.
+    over = math.cos(gimbal.pitch) < 0.0
+    if math.hypot(bore[0], bore[1]) < PARALLEL_EPS:
+        cur_yaw = gimbal.yaw + (math.pi if over else 0.0)
+    n, e, _ = np.asarray(los, dtype=np.float64)
+    d_pitch = wrap_angle(pitch - cur_pitch)
+    d_yaw = 0.0 if math.hypot(n, e) < PARALLEL_EPS else wrap_angle(yaw - cur_yaw)
+    # A step from the gimbal's own angles keeps the mission's frames bit
+    # for bit; pointing_angles(los) taken outright would not.
+    return Attitude(pitch=gimbal.pitch + (-d_pitch if over else d_pitch),
+                    yaw=gimbal.yaw + d_yaw)
 
 
 def reacquisition_decision(det: Detection, frame_area: float, policy: ReacqPolicy,
                            round_index: int) -> str:
     """The action for one detection: "accept" when it is confident,
-    "reacquire" when it is small and not confident while rounds remain and
-    the policy is enabled (compute_reacq_command gives the gimbal command),
-    else "reject"."""
+    "reacquire" when it is small and not confident while rounds remain
+    (:func:`repoint` gives the new gimbal), else "reject"."""
     if round_index > policy.max_rounds:
         raise GeometryError("round exceeds policy budget")
     if det.confidence >= policy.tau_ra:
         return "accept"
     small = det.bbox.area / frame_area < policy.min_area_frac
-    if policy.enabled and small and round_index < policy.max_rounds:
+    if small and round_index < policy.max_rounds:
         return "reacquire"
     return "reject"

@@ -37,10 +37,9 @@ from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     tangent_point
-from .geoprojection import Attitude, ProjectionError, \
-    camera_to_world_rotation, project_detection
-from .reacquisition import CameraIntrinsics, ReacqPolicy, \
-    compute_reacq_command, reacquisition_decision
+from .geoprojection import ProjectionError, project_detection
+from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
+    backproject, camera_to_world_rotation, reacquisition_decision, repoint
 from .telemetry import build_report, parse_ts_utc, to_json
 from .thermal import TemperatureMap
 
@@ -337,7 +336,6 @@ class SyntheticDetectorNoise:
 @dataclass(frozen=True)
 class SensorPacket:
     frame_id: str
-    time_s: float
     pose_true: FramePose
     pose_meas: FramePose
     temp: TemperatureMap
@@ -463,8 +461,8 @@ def simulate_frames(defects, poses, intr: CameraIntrinsics,
         rng = np.random.default_rng([seed, _STREAM_POSE, k])
         meas = _perturbed_pose(pose, noise, rng)
         temp = render_frame(defects, pose, intr, render, speed)
-        yield SensorPacket(frame_id=f"f{k:04d}", time_s=pose.time_s,
-                           pose_true=pose, pose_meas=meas, temp=temp)
+        yield SensorPacket(frame_id=f"f{k:04d}", pose_true=pose,
+                           pose_meas=meas, temp=temp)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +481,11 @@ class MissionConfig:
     flight: FlightPlan = field(default_factory=FlightPlan)
     camera: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(
         fx=100.0, fy=100.0, cx=39.5, cy=31.5, width=80, height=64))
-    detector: ThresholdDetectorConfig = field(default_factory=lambda: ThresholdDetectorConfig(
-        delta_c=2.0, min_blob_px=3, logit_bias=-3.2, logit_per_deg=1.0,
-        logit_per_log_px=0.5))
+    detector: ThresholdDetectorConfig = field(
+        default_factory=ThresholdDetectorConfig)
     noise: SyntheticDetectorNoise = field(default_factory=SyntheticDetectorNoise)
     render: RenderModel = field(default_factory=RenderModel)
-    reacquisition: ReacqPolicy = field(default_factory=lambda: ReacqPolicy(
-        tau_ra=0.5, min_area_frac=0.01, max_rounds=2))
+    reacquisition: ReacqPolicy = field(default_factory=ReacqPolicy)
     dedup: DbscanParams = field(default_factory=DbscanParams)
     match_radius_m: float = 1.0
 
@@ -674,15 +670,13 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
             return det, pose_meas
         if action == "reject":
             return None
-        # Re-acquire: apply the gimbal command that points along the
-        # target's line of sight and render a fresh, centered view at the
-        # same station.
+        # Re-acquire: re-point the gimbal along the target's line of sight
+        # and render a fresh, centered view at the same station.
         trace.reacq_rounds += 1
         rounds += 1
-        cmd = compute_reacq_command(
-            det, intr, camera_to_world_rotation(pose_true.gimbal))
-        gimbal = Attitude(pitch=pose_true.gimbal.pitch + cmd.delta_pitch,
-                          yaw=pose_true.gimbal.yaw + cmd.delta_yaw)
+        rot = camera_to_world_rotation(pose_true.gimbal)
+        gimbal = repoint(pose_true.gimbal,
+                         rot @ backproject(*det.bbox.center, intr))
         pose_true = replace(pose_true, gimbal=gimbal)
         pose_meas = replace(pose_meas, gimbal=Attitude(
             pitch=gimbal.pitch + err_pitch, yaw=gimbal.yaw + err_yaw))
@@ -711,7 +705,7 @@ def project_confirmed(det: Detection, pose_meas: FramePose,
         return project_detection(
             det, config.camera, ground, pose_meas.altitude,
             pose_meas.gimbal, frame_id=packet.frame_id,
-            timestamp=_ts_utc(start, packet.time_s),
+            timestamp=_ts_utc(start, packet.pose_true.time_s),
             media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
     except (ProjectionError, GeodesyError):
         trace.projection_failed += 1

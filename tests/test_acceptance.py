@@ -25,9 +25,10 @@ from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint,
                                 haversine_distance, tangent_offset,
                                 tangent_point)
-from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
-                                      compute_reacq_command, pointing_angles,
-                                      rodrigues_rotate, solve_axis_angle)
+from pvpipeline.reacquisition import (Attitude, AxisAngle, CameraIntrinsics,
+                                      backproject, camera_to_world_rotation,
+                                      repoint, rodrigues_rotate,
+                                      solve_axis_angle)
 from pvpipeline.simulator import (DefectMix, MissionConfig, evaluate,
                                   run_mission)
 from pvpipeline.telemetry import to_json
@@ -103,7 +104,7 @@ def test_criterion_4_reacquisition_benefit_paired_seeds():
         config = MissionConfig(seed=seed)
         m_on = _metrics(config)
         m_off = _metrics(replace(config, reacquisition=replace(
-            config.reacquisition, enabled=False)))
+            config.reacquisition, max_rounds=0)))
         assert m_on.recall_small >= m_off.recall_small, \
             f"seed {seed}: {m_on.recall_small} < {m_off.recall_small}"
         on_recalls.append(m_on.recall_small)
@@ -163,7 +164,7 @@ def test_criterion_7_palette_term_collapses_spread():
     train_toy(samples, weights=LossWeights(lambda_pal=0.0), model=model_off)
     after_off = palette_spread(model_off, held_out)
 
-    assert after_on <= before / 10.0
+    assert after_on < before / 10.0
     assert after_off > before / 10.0
     assert time.monotonic() - start < 120.0
 
@@ -194,7 +195,6 @@ def test_criterion_8_rodrigues_and_recentering():
     # One simulated re-acquisition round: render, detect off-center,
     # re-point, re-render, and the target sits within 1 px of center.
     from pvpipeline.detector import detect
-    from pvpipeline.geoprojection import Attitude
     from pvpipeline.simulator import (FramePose, PlantLayout, RenderModel,
                                       generate_plant, render_frame)
 
@@ -211,16 +211,8 @@ def test_criterion_8_rodrigues_and_recentering():
     u0, v0 = dets[0].bbox.center
     assert math.hypot(u0 - intr.cx, v0 - intr.cy) > 5.0  # starts off-center
 
-    from pvpipeline.geoprojection import camera_to_world_rotation
-    rot = camera_to_world_rotation(pose.gimbal)
-    cmd = compute_reacq_command(dets[0], intr, rot)
-    bore = rot @ np.array([0.0, 0.0, 1.0])
-    pitch0, yaw0 = pointing_angles(bore)
-    repointed = FramePose(
-        east=pose.east, north=pose.north, altitude=pose.altitude,
-        gimbal=Attitude(pitch=pitch0 + cmd.delta_pitch,
-                        yaw=yaw0 + cmd.delta_yaw),
-        time_s=0.0)
+    los = camera_to_world_rotation(pose.gimbal) @ backproject(u0, v0, intr)
+    repointed = replace(pose, gimbal=repoint(pose.gimbal, los))
     frame2 = render_frame(defects, repointed, intr, RenderModel(), speed=0.0)
     assert len(detect(frame2)) >= 1
     v1, u1 = np.unravel_index(np.argmax(frame2.temp_c), frame2.temp_c.shape)

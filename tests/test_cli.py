@@ -257,13 +257,16 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # removed key: every threshold detection has the one default class
     ({"detector": {"default_class": "hotspot"}}, [],
      "$.detector.default_class", "unknown key"),
+    # removed key: "max_rounds": 0 turns re-acquisition off
+    ({"reacquisition": {"enabled": False}}, [],
+     "$.reacquisition.enabled", "unknown key"),
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
         "n_small-negative", "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
-        "altitude-1e-3", "raster-1e5x1e5", "default_class"])
+        "altitude-1e-3", "raster-1e5x1e5", "default_class", "enabled"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -562,6 +565,19 @@ def test_reacquire_demo_reports_subpixel_reprojection():
     assert float(line.split(":")[-1]) < 1e-9
 
 
+@pytest.mark.parametrize("pitch", ["-270", "-120", "120", "270"])
+def test_reacquire_demo_reprojects_from_a_gimbal_past_vertical(pitch,
+                                                               capsys):
+    # Past +-90 degrees the gimbal is over the top, and at +-270 its
+    # boresight is vertical with a yaw of 180 degrees.
+    assert main(["reacquire-demo", "--pixel", "70,10", "--fx", "100",
+                 "--fy", "100", "--cx", "39.5", "--cy", "31.5",
+                 "--gimbal-pitch", pitch]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if "reprojection_px" in l)
+    assert float(line.split(":")[-1]) < 1e-9
+
+
 def test_reacquire_demo_ground_point_past_the_tangent_plane(capsys):
     # The solution still prints; the ground point, 173 km out, does not.
     assert main(["reacquire-demo", "--pixel", "39.5,31.5", "--fx", "100",
@@ -576,14 +592,13 @@ def test_reacquire_demo_ground_point_past_the_tangent_plane(capsys):
 def test_reacquire_demo_reprojects_through_the_command(monkeypatch, capsys):
     # The reprojection applies the printed command, so a wrong yaw shows.
     from pvpipeline import reacquisition
-    to_gimbal_command = reacquisition.to_gimbal_command
+    repoint = reacquisition.repoint
 
     def off_by_yaw(*args):
-        cmd = to_gimbal_command(*args)
-        return reacquisition.GimbalCommand(delta_pitch=cmd.delta_pitch,
-                                           delta_yaw=cmd.delta_yaw + 0.05)
+        new = repoint(*args)
+        return reacquisition.Attitude(pitch=new.pitch, yaw=new.yaw + 0.05)
 
-    monkeypatch.setattr(reacquisition, "to_gimbal_command", off_by_yaw)
+    monkeypatch.setattr(reacquisition, "repoint", off_by_yaw)
     assert main(["reacquire-demo", "--pixel", "70,10", "--fx", "100",
                  "--fy", "100", "--cx", "39.5", "--cy", "31.5"]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines()

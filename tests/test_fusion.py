@@ -13,7 +13,7 @@ from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
                                palette_invariance_loss_grad, total_loss,
                                train_toy)
 
-from oracles import mean_pairwise_distance, palette_spread
+from oracles import mean_pairwise_distance
 
 TRACE_PATH = Path(__file__).parent / "data" / "toy_train_trace.json"
 
@@ -202,28 +202,6 @@ def test_total_loss_weighting():
     assert total_loss(1.0, 3.0, 4.0, w) == pytest.approx(1.0 + 6.0 + 2.0)
     with pytest.raises(FusionError):
         LossWeights(lambda_pal=-0.1)
-
-
-# ---------------------------------------------------------------------------
-# Training demo: the palette term collapses cross-palette spread
-# ---------------------------------------------------------------------------
-
-def test_palette_term_collapses_embedding_spread():
-    samples = make_toy_samples(32, seed=7)
-    eval_samples = samples[:8]
-
-    model_on = FusionModel(seed=7)
-    before = palette_spread(model_on, eval_samples)
-    train_toy(samples, weights=LossWeights(lambda_pal=0.1), model=model_on)
-    after_on = palette_spread(model_on, eval_samples)
-
-    model_off = FusionModel(seed=7)
-    train_toy(samples, weights=LossWeights(lambda_pal=0.0), model=model_off)
-    after_off = palette_spread(model_off, eval_samples)
-
-    assert after_on < before / 10.0
-    assert after_off > before / 10.0
-    assert after_on < after_off
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance, tangent_offset
-from pvpipeline.geoprojection import (Attitude, ProjectionError,
-                                      camera_to_world_rotation,
-                                      pixel_to_ground, project_detection)
-from pvpipeline.reacquisition import CameraIntrinsics
+from pvpipeline.geoprojection import (ProjectionError, pixel_to_ground,
+                                      project_detection)
+from pvpipeline.reacquisition import (Attitude, CameraIntrinsics,
+                                      camera_to_world_rotation)
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)

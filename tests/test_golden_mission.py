@@ -17,7 +17,7 @@ OUTPUTS = ("report.json", "report.kml", "metrics.csv", "detections.jsonl")
 CONFIGS = {
     "default": {},
     "clutter_miss": {"noise": {"clutter_rate": 1.0, "miss_probability": 0.1}},
-    "reacq_off": {"reacquisition": {"enabled": False}},
+    "reacq_off": {"reacquisition": {"max_rounds": 0}},
 }
 
 

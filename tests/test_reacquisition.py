@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pvpipeline.detector import BoundingBox, Detection
-from pvpipeline.reacquisition import (AxisAngle, CameraIntrinsics,
+from pvpipeline.reacquisition import (Attitude, AxisAngle, CameraIntrinsics,
                                       GeometryError, ReacqPolicy, backproject,
-                                      compute_reacq_command, pointing_angles,
-                                      reacquisition_decision, rodrigues_rotate,
-                                      solve_axis_angle, to_gimbal_command,
-                                      unit, wrap_angle)
+                                      camera_to_world_rotation,
+                                      pointing_angles, reacquisition_decision,
+                                      repoint, rodrigues_rotate,
+                                      solve_axis_angle, unit, wrap_angle)
 
 from oracles import axis_angle_matrix
 
@@ -102,51 +103,51 @@ def test_wrap_angle_range():
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-12)
 
 
-def test_gimbal_command_deltas_match_target_angles():
-    # Boresight along north, target north-east-down; the command's deltas
-    # must equal the target's pointing angles relative to the boresight.
+@given(pitch=st.floats(-1.5707, 1.5707), yaw=st.floats(-10.0, 10.0))
+def test_pointing_angles_invert_the_camera_rotation(pitch, yaw):
+    # The gimbal convention in one place: the boresight of an attitude
+    # reads back as that attitude.
+    bore = camera_to_world_rotation(Attitude(pitch=pitch, yaw=yaw)) @ \
+        np.array([0.0, 0.0, 1.0])
+    p, y = pointing_angles(bore)
+    assert abs(p - pitch) < 1e-12
+    assert abs(wrap_angle(y - wrap_angle(yaw))) < 1e-12
+
+
+def test_repoint_from_a_level_gimbal_takes_the_target_angles():
+    # Boresight along north, target north-east-down: the new attitude is
+    # the target's pointing angles.
     c_new = unit(np.array([1.0, 1.0, 1.0]))
-    cmd = to_gimbal_command(c_new, current_pitch=0.0, current_yaw=0.0)
-    pitch, yaw = pointing_angles(c_new)
-    assert cmd.delta_pitch == pytest.approx(pitch)
-    assert cmd.delta_yaw == pytest.approx(yaw)
+    new = repoint(Attitude(), c_new)
+    assert (new.pitch, new.yaw) == pytest.approx(pointing_angles(c_new))
 
 
-def test_compute_reacq_command_recenters_to_subpixel():
-    """Applying the commanded rotation to the camera must land the original
-    detection on the principal point (the re-centering guarantee)."""
+def test_repoint_keeps_the_yaw_for_a_nadir_line_of_sight():
+    gimbal = Attitude(pitch=-1.2, yaw=0.7)
+    new = repoint(gimbal, np.array([0.0, 0.0, 1.0]))
+    assert new.yaw == gimbal.yaw
+    assert new.pitch == pytest.approx(-math.pi / 2.0, abs=1e-12)
+
+
+def test_repoint_recenters_to_subpixel():
+    """The line of sight to a detection, projected into the camera of the
+    re-pointed gimbal, lands on the principal point (the re-centering
+    guarantee), from any gimbal: over the top or looking straight down
+    with a yaw."""
     rng = np.random.default_rng(3)
-    from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
-    for _ in range(100):
-        # A heading over the full circle plus a small gimbal yaw offset.
-        heading = float(rng.uniform(-math.pi, math.pi))
-        gimbal = Attitude(pitch=float(rng.uniform(-1.5, -0.6)),
-                          yaw=heading + float(rng.uniform(-0.5, 0.5)))
-        rot = camera_to_world_rotation(gimbal)
+    gimbals = [Attitude(pitch=float(rng.uniform(-2 * math.pi, 2 * math.pi)),
+                        yaw=float(rng.uniform(-2 * math.pi, 2 * math.pi)))
+               for _ in range(100)]
+    gimbals += [Attitude(pitch=p, yaw=float(rng.uniform(-math.pi, math.pi)))
+                for p in (-math.pi / 2.0, math.pi / 2.0, 1.5 * math.pi)
+                for _ in range(10)]
+    for gimbal in gimbals:
         u = float(rng.uniform(2, INTR.width - 2))
         v = float(rng.uniform(2, INTR.height - 2))
-        det = Detection(bbox=BoundingBox(x_min=u - 1, y_min=v - 1,
-                                         x_max=u + 1, y_max=v + 1),
-                        class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
-        cmd = compute_reacq_command(det, INTR, rot)
-        # Re-point the gimbal by the commanded deltas and re-project the
-        # same world line of sight into the new camera.
-        target_world = rot @ backproject(u, v, INTR)
-        bore = rot @ np.array([0.0, 0.0, 1.0])
-        p0, y0 = pointing_angles(bore)
-        new_bore_pitch = p0 + cmd.delta_pitch
-        new_bore_yaw = y0 + cmd.delta_yaw
-        # The new boresight must coincide with the target line of sight.
-        c = np.array([math.cos(new_bore_pitch) * math.cos(new_bore_yaw),
-                      math.cos(new_bore_pitch) * math.sin(new_bore_yaw),
-                      -math.sin(new_bore_pitch)])
-        aa = solve_axis_angle(bore, c)
-        rot_new = axis_angle_matrix(aa) @ rot
-        ray_cam = rot_new.T @ target_world
-        u_new = INTR.cx + INTR.fx * ray_cam[0] / ray_cam[2]
-        v_new = INTR.cy + INTR.fy * ray_cam[1] / ray_cam[2]
-        assert abs(u_new - INTR.cx) < 1.0
-        assert abs(v_new - INTR.cy) < 1.0
+        los = camera_to_world_rotation(gimbal) @ backproject(u, v, INTR)
+        ray_cam = camera_to_world_rotation(repoint(gimbal, los)).T @ los
+        assert abs(INTR.fx * ray_cam[0] / ray_cam[2]) < 1e-6
+        assert abs(INTR.fy * ray_cam[1] / ray_cam[2]) < 1e-6
 
 
 def test_reacquisition_decision_policy():
@@ -157,20 +158,22 @@ def test_reacquisition_decision_policy():
                     class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
     sure = small.with_confidence(0.9)
 
-    for enabled in (True, False):
-        policy = ReacqPolicy(tau_ra=0.5, min_area_frac=0.01, max_rounds=2,
-                             enabled=enabled)
+    for max_rounds in (2, 0):
+        policy = ReacqPolicy(tau_ra=0.5, min_area_frac=0.01,
+                             max_rounds=max_rounds)
         assert reacquisition_decision(sure, frame_area, policy, 0) == "accept"
-        # Disabled, the policy rejects what it would re-acquire.
+        # With no rounds, the policy rejects what it would re-acquire.
         assert reacquisition_decision(small, frame_area, policy, 0) == \
-            ("reacquire" if enabled else "reject")
+            ("reacquire" if max_rounds else "reject")
         # Low confidence but not small: no re-acquisition round is spent.
         assert reacquisition_decision(big, frame_area, policy, 0) == "reject"
         # Round budget exhausted.
-        assert reacquisition_decision(small, frame_area, policy, 2) == \
-            "reject"
+        assert reacquisition_decision(small, frame_area, policy,
+                                      max_rounds) == "reject"
         with pytest.raises(GeometryError):
-            reacquisition_decision(small, frame_area, policy, 3)
+            reacquisition_decision(small, frame_area, policy, max_rounds + 1)
+    with pytest.raises(GeometryError):
+        ReacqPolicy(max_rounds=-1)
 
 
 def test_intrinsics_validation():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance
-from pvpipeline.geoprojection import Attitude, camera_to_world_rotation
-from pvpipeline.reacquisition import CameraIntrinsics
+from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
+    camera_to_world_rotation
 from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   FramePose, MissionConfig,
                                   MissionTrace, PlantLayout, RenderModel,
@@ -501,7 +501,7 @@ def test_project_stage_counts_a_pose_past_the_pole_as_failed():
     start = parse_ts_utc(config.start_utc)
     for north, projected in ((5.0, True), (200.0, False)):
         pose = _nadir_pose(5.0, north)
-        packet = SensorPacket(frame_id="f0000", time_s=0.0, pose_true=pose,
+        packet = SensorPacket(frame_id="f0000", pose_true=pose,
                               pose_meas=pose, temp=None)
         result = project_confirmed(det, pose, packet, config, start, trace)
         assert (result is not None) == projected
