@@ -4,10 +4,10 @@ encoders with hand-derived analytic gradients, and finite-difference
 gradient verification.
 
 Embeddings are plain float64 numpy vectors of a fixed dimension D. The
-encoders, the gate and the palette term also take stacked rows, and
-FusionModel.loss_and_grads runs forward and backward once over the whole
-batch of samples and palettes, each weight gradient one contraction over
-the rows; only the scalar focal and GIoU terms are evaluated per sample.
+encoders, the gate, the palette term and the focal and GIoU terms all take
+stacked rows. FusionModel.loss_and_grads runs forward and backward once
+over a ToyBatch, the samples stacked once per training run, with each weight
+gradient one contraction over the rows; no term is evaluated per sample.
 Every weight lives in one flat parameter dict keyed by PARAM_KEYS: the
 encoders read theirs from it by prefix, and the backward pass reuses the
 hidden activations of the forward pass.
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import TemperatureMap, apply_palette, load_all_palettes, \
-    normalize_temperature
+from .thermal import load_all_palettes, normalize_temperature, palette_index
 
 PROB_EPS = 1e-12
 
@@ -125,72 +124,74 @@ def gated_fuse_backward(z_bar, r, weight, g, du):
 # Focal loss
 # ---------------------------------------------------------------------------
 
-def focal_loss_grad(pred_prob: float, is_positive: bool,
-                    alpha: float = 0.25, gamma: float = 2.0):
-    """Loss and d(loss)/d(pred_prob)."""
-    p = min(max(pred_prob, PROB_EPS), 1.0 - PROB_EPS)
-    pt = p if is_positive else 1.0 - p
-    loss = -alpha * (1.0 - pt) ** gamma * math.log(pt)
+def focal_loss_grad(pred_prob, is_positive, alpha: float = 0.25,
+                    gamma: float = 2.0):
+    """Loss and d(loss)/d(pred_prob), row-wise over (K,) probabilities and
+    labels; a scalar probability gives a (float, float) pair."""
+    p = np.clip(np.atleast_1d(np.asarray(pred_prob, dtype=np.float64)),
+                PROB_EPS, 1.0 - PROB_EPS)
+    positive = np.asarray(is_positive, dtype=bool)
+    pt = np.where(positive, p, 1.0 - p)
+    log_pt = np.log(pt)
+    loss = -alpha * (1.0 - pt) ** gamma * log_pt
     d_pt = -alpha * (1.0 - pt) ** gamma / pt
     if gamma > 0:
-        d_pt += alpha * gamma * (1.0 - pt) ** (gamma - 1.0) * math.log(pt)
-    return loss, d_pt if is_positive else -d_pt
+        d_pt += alpha * gamma * (1.0 - pt) ** (gamma - 1.0) * log_pt
+    d_p = np.where(positive, d_pt, -d_pt)
+    if np.ndim(pred_prob) == 0:
+        return float(loss[0]), float(d_p[0])
+    return loss, d_p
 
 
 # ---------------------------------------------------------------------------
 # GIoU loss
 # ---------------------------------------------------------------------------
 
+# Per column of an (x1, y1, x2, y2) box: -1 for a lower corner, +1 for an
+# upper one, so that (a - b) * _SIDE < 0 where box a lies inside box b.
+_SIDE = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
 def giou_loss_grad(a, b):
-    """Loss and gradient w.r.t. the first box's (x1, y1, x2, y2)."""
-    ax1, ay1, ax2, ay2 = np.asarray(a, dtype=np.float64)
-    bx1, by1, bx2, by2 = np.asarray(b, dtype=np.float64)
-    if ax2 <= ax1 or ay2 <= ay1 or bx2 <= bx1 or by2 <= by1:
+    """Loss and gradient w.r.t. the first box's (x1, y1, x2, y2), row-wise
+    over (K, 4) pairs of boxes; a single (4,) pair gives (float, (4,) grad).
+    A degenerate box in any row raises FusionError."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.shape[-1:] != (4,) or a.ndim > 2:
+        raise FusionError("boxes must be (4,) or (K, 4) arrays of one shape")
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    # (K, 2) extents along x and y: of each box, the intersection, the hull.
+    size_a = a2[:, 2:] - a2[:, :2]
+    size_b = b2[:, 2:] - b2[:, :2]
+    if np.any(size_a <= 0.0) or np.any(size_b <= 0.0):
         raise FusionError("degenerate box")
+    size_i = np.maximum(np.minimum(a2[:, 2:], b2[:, 2:])
+                        - np.maximum(a2[:, :2], b2[:, :2]), 0.0)
+    size_c = np.maximum(a2[:, 2:], b2[:, 2:]) - np.minimum(a2[:, :2], b2[:, :2])
+    inter = size_i[:, 0] * size_i[:, 1]
+    union = size_a[:, 0] * size_a[:, 1] + size_b[:, 0] * size_b[:, 1] - inter
+    hull = size_c[:, 0] * size_c[:, 1]
+    loss = 1.0 - (inter / union - (hull - union) / hull)
 
-    ix1, ix2 = max(ax1, bx1), min(ax2, bx2)
-    iy1, iy2 = max(ay1, by1), min(ay2, by2)
-    iw, ih = max(ix2 - ix1, 0.0), max(iy2 - iy1, 0.0)
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    cx1, cx2 = min(ax1, bx1), max(ax2, bx2)
-    cy1, cy2 = min(ay1, by1), max(ay2, by2)
-    cw, ch = cx2 - cx1, cy2 - cy1
-    hull = cw * ch
-    iou = inter / union
-    giou = iou - (hull - union) / hull
-    loss = 1.0 - giou
-
-    # Partials of area_a.
-    d_area = np.array([-(ay2 - ay1), -(ax2 - ax1), (ay2 - ay1), (ax2 - ax1)])
-    # Partials of intersection (zero when boxes are disjoint on that axis).
-    d_inter = np.zeros(4)
-    if iw > 0 and ih > 0:
-        if ax1 > bx1:
-            d_inter[0] = -ih
-        if ax2 < bx2:
-            d_inter[2] = ih
-        if ay1 > by1:
-            d_inter[1] = -iw
-        if ay2 < by2:
-            d_inter[3] = iw
+    # The partial of an area w.r.t. a side of box a is the extent across
+    # that side, (h, w, h, w) signed by _SIDE: of box a for its own area; of
+    # the intersection where the boxes overlap and a's side is the inner
+    # one; of the hull where a's side is the outer one; zero elsewhere.
+    side = (a2 - b2) * _SIDE
+    d_area = _SIDE * np.tile(size_a[:, ::-1], 2)
+    overlap = (size_i > 0.0).all(axis=1, keepdims=True)
+    d_inter = np.where(overlap & (side < 0.0),
+                       _SIDE * np.tile(size_i[:, ::-1], 2), 0.0)
+    d_hull = np.where(side > 0.0, _SIDE * np.tile(size_c[:, ::-1], 2), 0.0)
     d_union = d_area - d_inter
+    union, inter, hull = union[:, None], inter[:, None], hull[:, None]
     d_iou = (d_inter * union - inter * d_union) / union ** 2
-    # Partials of hull.
-    d_hull = np.zeros(4)
-    if ax1 < bx1:
-        d_hull[0] = -ch
-    if ax2 > bx2:
-        d_hull[2] = ch
-    if ay1 < by1:
-        d_hull[1] = -cw
-    if ay2 > by2:
-        d_hull[3] = cw
     # d giou = d_iou + d(U/C) = d_iou + (d_union * hull - union * d_hull) / hull^2
     d_giou = d_iou + (d_union * hull - union * d_hull) / hull ** 2
-    return float(loss), -d_giou
+    if a.ndim == 1:
+        return float(loss[0]), -d_giou[0]
+    return loss, -d_giou
 
 
 def total_loss(cls_term: float, box_term: float, pal_term: float,
@@ -251,6 +252,39 @@ class ToySample:
     box: np.ndarray | None      # (4,) normalized or None
 
 
+@dataclass(frozen=True)
+class ToyBatch:
+    """ToySamples stacked for FusionModel.loss_and_grads, built once per
+    training run by stack_samples."""
+
+    x_t: np.ndarray       # (N * M, in_dim) palette inputs, sample by sample
+    x_r: np.ndarray       # (N, in_dim) RGB inputs
+    positive: np.ndarray  # (N,) bool
+    boxed: np.ndarray     # (K,) rows that are positive and carry a box
+    boxes: np.ndarray     # (K, 4) their target boxes
+
+
+def stack_samples(samples) -> ToyBatch:
+    """Stack samples that share one (M, in_dim) palette input shape and one
+    RGB input shape into a ToyBatch."""
+    if not samples:
+        raise FusionError("need at least one sample")
+    shapes = sorted({(np.shape(s.palette_inputs), np.shape(s.rgb_input))
+                     for s in samples})
+    if len(shapes) > 1:
+        raise FusionError("samples must share palette and RGB input shapes, "
+                          f"got (palette, rgb) shapes {shapes}")
+    boxed = [i for i, s in enumerate(samples)
+             if s.is_positive and s.box is not None]
+    return ToyBatch(
+        x_t=np.concatenate([s.palette_inputs for s in samples]),
+        x_r=np.stack([s.rgb_input for s in samples]),
+        positive=np.array([bool(s.is_positive) for s in samples]),
+        boxed=np.array(boxed, dtype=np.intp),
+        boxes=np.array([samples[i].box for i in boxed],
+                       dtype=np.float64).reshape(len(boxed), 4))
+
+
 class FusionModel:
     """Toy thermal/RGB fusion model with analytic gradients."""
 
@@ -295,24 +329,16 @@ class FusionModel:
 
     # -- forward --------------------------------------------------------
 
-    def loss_and_grads(self, params, samples, weights: LossWeights):
-        """Mean composite loss over samples plus aggregated gradients.
+    def loss_and_grads(self, params, batch: ToyBatch, weights: LossWeights):
+        """Mean composite loss over a batch's samples plus aggregated
+        gradients.
 
         L_cls and L_pal average over all samples; L_box averages over the
         positive samples carrying a target box. The whole batch goes through
-        the encoders, gate and heads at once, so every sample needs the same
-        (M, in_dim) palette inputs and the same RGB input shape.
+        the encoders, gate, heads and loss terms at once.
         """
-        if not samples:
-            raise FusionError("need at least one sample")
-        shapes = sorted({(np.shape(s.palette_inputs), np.shape(s.rgb_input))
-                         for s in samples})
-        if len(shapes) > 1:
-            raise FusionError("samples must share palette and RGB input shapes, "
-                              f"got (palette, rgb) shapes {shapes}")
-        n = len(samples)
-        x_t = np.concatenate([s.palette_inputs for s in samples])  # (N*M, in)
-        x_r = np.stack([s.rgb_input for s in samples])             # (N, in)
+        x_t, x_r = batch.x_t, batch.x_r
+        n = x_r.shape[0]
         m = x_t.shape[0] // n
 
         zs, h_t = encode(x_t, params, "t")
@@ -322,33 +348,30 @@ class FusionModel:
         r, h_r = encode(x_r, params, "r")
         u, g = gated_fuse(z_bar, r, params["gate.w"], params["gate.b"])
 
-        # Classification head: focal loss per row in its scalar form.
+        # Classification head: focal loss over the rows.
         p = _sigmoid_vec(u @ params["head.w_cls"] + params["head.b_cls"][0])
-        cls_l = np.empty(n)
-        d_p = np.empty(n)
-        for i, s in enumerate(samples):
-            cls_l[i], d_p[i] = focal_loss_grad(float(p[i]), s.is_positive,
-                                               weights.focal_alpha,
-                                               weights.focal_gamma)
+        cls_l, d_p = focal_loss_grad(p, batch.positive, weights.focal_alpha,
+                                     weights.focal_gamma)
         d_logit = d_p * p * (1.0 - p) / n
 
-        # Box head: sigmoid (cx, cy, w, h) -> corners, GIoU per boxed row.
+        # Box head: sigmoid (cx, cy, w, h) -> corners.
         s_box = _sigmoid_vec(u @ params["head.w_box"].T + params["head.b_box"])
         half_w = (0.02 + s_box[:, 2]) / 2.0
         half_h = (0.02 + s_box[:, 3]) / 2.0
         pred = np.stack([s_box[:, 0] - half_w, s_box[:, 1] - half_h,
                          s_box[:, 0] + half_w, s_box[:, 1] + half_h], axis=1)
-        boxed = [i for i, s in enumerate(samples)
-                 if s.is_positive and s.box is not None]
+        # GIoU over the boxed rows, scattered back so that the sums below
+        # run over all n rows.
+        boxed = batch.boxed
+        k = len(boxed)
         box_l = np.zeros(n)
         d_corners = np.zeros((n, 4))
-        for i in boxed:
-            box_l[i], d_corners[i] = giou_loss_grad(pred[i], samples[i].box)
+        box_l[boxed], d_corners[boxed] = giou_loss_grad(pred[boxed], batch.boxes)
         d_box = np.stack([d_corners[:, 0] + d_corners[:, 2],
                           d_corners[:, 1] + d_corners[:, 3],
                           (d_corners[:, 2] - d_corners[:, 0]) / 2.0,
                           (d_corners[:, 3] - d_corners[:, 1]) / 2.0], axis=1)
-        box_w = weights.lambda_box / len(boxed) if boxed else 0.0
+        box_w = weights.lambda_box / k if k else 0.0
         d_t_box = d_box * s_box * (1.0 - s_box) * box_w
 
         # Backward: each weight gradient is one contraction over the batch.
@@ -363,7 +386,7 @@ class FusionModel:
         grads.update(encode_backward(x_r, h_r, params, "r", dr))
 
         aux = {"cls": float(cls_l.mean()), "pal": float(pal_l.mean()),
-               "box": float(box_l.sum()) / len(boxed) if boxed else 0.0}
+               "box": float(box_l.sum()) / k if k else 0.0}
         total = total_loss(aux["cls"], aux["box"], aux["pal"], weights)
         if not math.isfinite(total):
             raise TrainingDiverged("non-finite loss")
@@ -371,9 +394,11 @@ class FusionModel:
 
     def loss_closure(self, samples, weights: LossWeights):
         """(flat params) -> (loss, flat grad) for optimization and checking."""
+        batch = stack_samples(samples)
+
         def closure(vec: np.ndarray):
             params = self.unflatten(vec)
-            loss, grads, _ = self.loss_and_grads(params, samples, weights)
+            loss, grads, _ = self.loss_and_grads(params, batch, weights)
             return loss, self.flatten(grads)
         return closure
 
@@ -416,34 +441,42 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
     Positives carry the blob's bounding box. Inputs are zero-centered.
     """
     rng = np.random.default_rng(seed)
-    luts = load_all_palettes()
-    yy, xx = np.mgrid[0:crop_size, 0:crop_size].astype(np.float64)
-    samples = []
-    for i in range(n):
-        positive = bool(i % 2 == 0)
-        base = 25.0 + 3.0 * rng.random() * (xx / crop_size)
+    # Draw per sample, in this order, so that the first k samples of a seed
+    # do not depend on n; the arrays below are then built for all at once.
+    draws = []
+    noise = []
+    for _ in range(n):
+        slope = 3.0 * rng.random()
         cx = rng.uniform(0.25, 0.75) * crop_size
         cy = rng.uniform(0.25, 0.75) * crop_size
         sig = rng.uniform(1.0, 2.5)
-        excess = rng.uniform(8.0, 25.0)
-        blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig ** 2))
-        temp = base + excess * blob
-        gray = normalize_temperature(TemperatureMap(temp_c=temp))
-        pal_inputs = np.stack([
-            apply_palette(gray, lut).pixels.astype(np.float64).ravel() / 255.0 - 0.5
-            for lut in luts])
-        rgb_gray = 0.6 + 0.02 * rng.standard_normal((crop_size, crop_size))
-        box = None
-        if positive:
-            rgb_gray = rgb_gray - 0.4 * blob
-            half = 2.0 * sig / crop_size
-            box = np.array([cx / crop_size - half, cy / crop_size - half,
-                            cx / crop_size + half, cy / crop_size + half])
-        rgb = np.clip(np.repeat(rgb_gray[..., None], 3, axis=2), 0, 1) - 0.5
-        samples.append(ToySample(palette_inputs=pal_inputs,
-                                 rgb_input=rgb.ravel(),
-                                 is_positive=positive, box=box))
-    return samples
+        draws.append((slope, cx, cy, sig, 2 * sig ** 2, rng.uniform(8.0, 25.0)))
+        noise.append(rng.standard_normal((crop_size, crop_size)))
+    if not draws:
+        return []
+    slope, cx, cy, sig, two_var, excess = np.array(draws).T[:, :, None, None]
+    yy, xx = np.mgrid[0:crop_size, 0:crop_size].astype(np.float64)
+    blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / two_var)
+    temp = 25.0 + slope * (xx / crop_size) + excess * blob
+    # The M palettes' rows as zero-centered floats, stacked palette after
+    # palette, so each pixel's one LUT index picks its row in every palette.
+    luts = load_all_palettes()
+    tables = np.concatenate([lut.table for lut in luts]) / 255.0 - 0.5
+    rows = (palette_index(normalize_temperature(temp))[:, None]
+            + 256 * np.arange(len(luts))[:, None, None])
+    pal = np.take(tables, rows, axis=0).reshape(n, len(luts), -1)
+
+    positive = np.arange(n) % 2 == 0
+    rgb_gray = 0.6 + 0.02 * np.array(noise)
+    rgb_gray[positive] -= 0.4 * blob[positive]
+    rgb = np.repeat(np.clip(rgb_gray, 0, 1) - 0.5, 3).reshape(n, -1)
+    cx, cy, half = cx.ravel(), cy.ravel(), 2.0 * sig.ravel() / crop_size
+    boxes = np.stack([cx / crop_size - half, cy / crop_size - half,
+                      cx / crop_size + half, cy / crop_size + half], axis=1)
+    return [ToySample(palette_inputs=pal[i], rgb_input=rgb[i],
+                      is_positive=bool(positive[i]),
+                      box=boxes[i] if positive[i] else None)
+            for i in range(n)]
 
 
 @dataclass
@@ -462,22 +495,37 @@ def train_toy(samples, epochs: int = 600, learning_rate: float = 0.02,
     if model is None:
         crop = int(round(math.sqrt(samples[0].rgb_input.size / 3)))
         model = FusionModel(seed=seed, crop_size=crop)
+    batch = stack_samples(samples)
     vec = model.flatten()
+    # Adam moments and scratch in place; each expression keeps the operation
+    # order of m1 = beta1 * m1 + (1 - beta1) * g,
+    # m2 = beta2 * m2 + (1 - beta2) * g * g and
+    # vec -= learning_rate * m1_hat / (sqrt(m2_hat) + eps).
     m1 = np.zeros_like(vec)
     m2 = np.zeros_like(vec)
+    num = np.empty_like(vec)
+    den = np.empty_like(vec)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     total_trace = []
     pal_trace = []
     for t in range(1, epochs + 1):
         params = model.unflatten(vec)
-        loss, grads, aux = model.loss_and_grads(params, samples, weights)
+        loss, grads, aux = model.loss_and_grads(params, batch, weights)
         total_trace.append(loss)
         pal_trace.append(aux["pal"])
         g = model.flatten(grads)
-        m1 = beta1 * m1 + (1 - beta1) * g
-        m2 = beta2 * m2 + (1 - beta2) * g * g
-        step = learning_rate * (m1 / (1 - beta1 ** t)) / (np.sqrt(m2 / (1 - beta2 ** t)) + eps)
-        vec = vec - step
+        m1 *= beta1
+        m1 += np.multiply(1 - beta1, g, out=num)
+        m2 *= beta2
+        np.multiply(1 - beta2, g, out=num)
+        m2 += np.multiply(num, g, out=num)
+        np.divide(m1, 1 - beta1 ** t, out=num)
+        num *= learning_rate
+        np.divide(m2, 1 - beta2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        vec -= num
         if not np.all(np.isfinite(vec)):
             raise TrainingDiverged("parameters diverged")
     model.params = model.unflatten(vec)

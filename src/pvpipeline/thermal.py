@@ -2,11 +2,13 @@
 multi-palette pseudo-color rendering, and CLAHE.
 
 The four palettes (ironbow, whitehot, rainbow, sepia) are 256-entry RGB
-lookup tables, each built from its generator in _build_palette.
+lookup tables, each built from its generator in _build_palette once per
+process, on its first load_palette.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,23 +65,23 @@ class RgbImage:
         object.__setattr__(self, "pixels", px)
 
 
-def normalize_temperature(tmap: TemperatureMap) -> np.ndarray:
-    """Per-frame min-max normalization to [0, 1]; constant frames map to 0.5."""
-    t = tmap.temp_c
-    lo = float(t.min())
-    hi = float(t.max())
-    if hi - lo <= 0.0:
-        return np.full_like(t, 0.5)
-    return (t - lo) / (hi - lo)
+def normalize_temperature(temp_c: np.ndarray) -> np.ndarray:
+    """Per-frame min-max normalization of (..., H, W) deg C frames to [0, 1],
+    each frame on its own; constant frames map to 0.5."""
+    t = np.asarray(temp_c, dtype=np.float64)
+    lo = t.min(axis=(-2, -1), keepdims=True)
+    span = t.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span <= 0.0
+    return np.where(flat, 0.5, (t - lo) / np.where(flat, 1.0, span))
 
 
-def apply_palette(gray: np.ndarray, lut: PaletteLut) -> RgbImage:
-    """Colorize a [0, 1] grayscale raster through a 256-entry LUT."""
+def palette_index(gray: np.ndarray) -> np.ndarray:
+    """LUT rows of a [0, 1] grayscale array of any shape: colorize it
+    through a palette as lut.table[palette_index(gray)]."""
     g = np.asarray(gray, dtype=np.float64)
     if g.min() < 0.0 or g.max() > 1.0:
         raise ThermalError("grayscale input must lie in [0, 1]")
-    idx = np.rint(g * 255.0).astype(np.intp)
-    return RgbImage(pixels=lut.table[idx])
+    return np.rint(g * 255.0).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +126,13 @@ def _build_palette(name: str) -> np.ndarray:
     raise ThermalError(f"unknown palette: {name}")
 
 
+@functools.cache
 def load_palette(name: str) -> PaletteLut:
-    """One of the four palette LUTs, built from its generator."""
-    return PaletteLut(name=name, table=_build_palette(name))
+    """One of the four palette LUTs, built from its generator on first use.
+    Every caller shares it, so its table is read-only."""
+    lut = PaletteLut(name=name, table=_build_palette(name))
+    lut.table.flags.writeable = False
+    return lut
 
 
 def load_all_palettes() -> list:

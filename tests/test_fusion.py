@@ -10,8 +10,9 @@ from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
                                focal_loss_grad, gated_fuse,
                                gated_fuse_backward, giou_loss_grad,
                                gradient_check, make_toy_samples,
-                               palette_invariance_loss_grad, total_loss,
-                               train_toy)
+                               palette_invariance_loss_grad, stack_samples,
+                               total_loss, train_toy)
+from pvpipeline.thermal import load_all_palettes
 
 from oracles import mean_pairwise_distance
 
@@ -186,6 +187,65 @@ def test_giou_degenerate_box_rejected():
         giou_loss_grad([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
 
 
+# ---------------------------------------------------------------------------
+# Row-wise focal and GIoU against their single-row calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 3.0])
+def test_focal_rows_equal_single_row_calls(gamma):
+    rng = np.random.default_rng(15)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.0, 1e-13, 0.5, 1.0]])
+    positive = rng.integers(0, 2, p.size).astype(bool)
+    loss, grad = focal_loss_grad(p, positive, 0.3, gamma)
+    assert loss.shape == grad.shape == p.shape
+    for i in range(p.size):
+        one = focal_loss_grad(float(p[i]), bool(positive[i]), 0.3, gamma)
+        assert isinstance(one[0], float) and isinstance(one[1], float)
+        assert (loss[i], grad[i]) == one
+
+
+def test_giou_rows_equal_single_row_calls():
+    rng = np.random.default_rng(16)
+    a = np.array([_random_box(rng, 0.0, 6.0) for _ in range(60)])
+    b = np.array([_random_box(rng, 4.0, 10.0) for _ in range(60)])
+    b[:5] = a[:5]                                  # identical boxes
+    size = a[5:10, 2:] - a[5:10, :2]
+    b[5:10] = a[5:10] + np.hstack([size, -size]) / 4  # nested inside
+    b[10:15] = a[10:15] + [0.0, 0.0, 1.0, 0.0]     # shared edges
+    loss, grad = giou_loss_grad(a, b)
+    assert loss.shape == (60,) and grad.shape == (60, 4)
+    assert np.any(loss > 1.0) and np.any(loss < 1.0)  # disjoint and overlapping
+    for i in range(60):
+        one_loss, one_grad = giou_loss_grad(a[i], b[i])
+        assert isinstance(one_loss, float) and one_grad.shape == (4,)
+        assert loss[i] == one_loss
+        assert np.array_equal(grad[i], one_grad)
+    empty = giou_loss_grad(np.empty((0, 4)), np.empty((0, 4)))
+    assert empty[0].shape == (0,) and empty[1].shape == (0, 4)
+
+
+@pytest.mark.parametrize("row", range(5))
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_giou_degenerate_box_in_any_row_rejected(row, side):
+    rng = np.random.default_rng(17)
+    boxes = {"a": np.array([_random_box(rng) for _ in range(5)]),
+             "b": np.array([_random_box(rng) for _ in range(5)])}
+    box = boxes[side][row]
+    box[2 + row % 2] = box[row % 2]                # zero width or height
+    with pytest.raises(FusionError, match="degenerate box"):
+        giou_loss_grad(boxes["a"], boxes["b"])
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.zeros((3, 4)), np.zeros((2, 4))),
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((2, 2, 4)), np.zeros((2, 2, 4))),
+])
+def test_giou_rejects_mismatched_box_shapes(a, b):
+    with pytest.raises(FusionError, match="boxes must be"):
+        giou_loss_grad(a, b)
+
+
 def test_gate_output_is_convex_combination():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(6)
@@ -327,7 +387,8 @@ def test_batched_loss_and_grads_matches_loop(n, m, kinds):
                           focal_alpha=0.4, focal_gamma=2.0)
     samples = _random_samples(rng, n, m, model.in_dim, kinds)
 
-    total, grads, aux = model.loss_and_grads(params, samples, weights)
+    total, grads, aux = model.loss_and_grads(params, stack_samples(samples),
+                                             weights)
     ref_total, ref_grads, ref_aux = _loop_loss_and_grads(params, samples, weights)
 
     _assert_rel(total, ref_total)
@@ -349,13 +410,14 @@ def test_ragged_samples_rejected(field, bad):
     samples = make_toy_samples(3, seed=0, crop_size=4)
     setattr(samples[1], field, bad(samples[1]))
     with pytest.raises(FusionError, match="share palette and RGB input shapes"):
-        model.loss_and_grads(model.params, samples, LossWeights())
+        model.loss_and_grads(model.params, stack_samples(samples),
+                             LossWeights())
 
 
 def test_loss_and_grads_rejects_empty_batch():
     model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
     with pytest.raises(FusionError):
-        model.loss_and_grads(model.params, [], LossWeights())
+        model.loss_and_grads(model.params, stack_samples([]), LossWeights())
 
 
 def test_toy_training_trace_matches_recorded_loop_trace():
@@ -363,3 +425,59 @@ def test_toy_training_trace_matches_recorded_loop_trace():
     result = train_toy(make_toy_samples(32, seed=7), epochs=20, seed=7)
     np.testing.assert_allclose(result.total_trace, ref["total_trace"], rtol=1e-10, atol=0)
     np.testing.assert_allclose(result.pal_trace, ref["pal_trace"], rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Batched make_toy_samples against the per-sample loop
+# ---------------------------------------------------------------------------
+
+def _loop_toy_samples(n, seed, crop_size):
+    """Reference: one sample at a time, each palette rendered on its own
+    through its LUT index, with the same RNG draws in the same order."""
+    rng = np.random.default_rng(seed)
+    luts = load_all_palettes()
+    yy, xx = np.mgrid[0:crop_size, 0:crop_size].astype(np.float64)
+    samples = []
+    for i in range(n):
+        positive = bool(i % 2 == 0)
+        base = 25.0 + 3.0 * rng.random() * (xx / crop_size)
+        cx = rng.uniform(0.25, 0.75) * crop_size
+        cy = rng.uniform(0.25, 0.75) * crop_size
+        sig = rng.uniform(1.0, 2.5)
+        excess = rng.uniform(8.0, 25.0)
+        blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig ** 2))
+        temp = base + excess * blob
+        lo, hi = float(temp.min()), float(temp.max())
+        gray = np.full_like(temp, 0.5) if hi - lo <= 0.0 else (temp - lo) / (hi - lo)
+        idx = np.rint(gray * 255.0).astype(np.intp)
+        pal_inputs = np.stack([
+            lut.table[idx].astype(np.float64).ravel() / 255.0 - 0.5
+            for lut in luts])
+        rgb_gray = 0.6 + 0.02 * rng.standard_normal((crop_size, crop_size))
+        box = None
+        if positive:
+            rgb_gray = rgb_gray - 0.4 * blob
+            half = 2.0 * sig / crop_size
+            box = np.array([cx / crop_size - half, cy / crop_size - half,
+                            cx / crop_size + half, cy / crop_size + half])
+        rgb = np.clip(np.repeat(rgb_gray[..., None], 3, axis=2), 0, 1) - 0.5
+        samples.append(ToySample(palette_inputs=pal_inputs,
+                                 rgb_input=rgb.ravel(),
+                                 is_positive=positive, box=box))
+    return samples
+
+
+@pytest.mark.parametrize("crop_size", [1, 4, 5, 8, 16])
+@pytest.mark.parametrize("n", [0, 1, 3, 32])
+def test_make_toy_samples_bit_identical_to_loop(n, crop_size):
+    for seed in (0, 1, 7, 123):
+        got = make_toy_samples(n, seed=seed, crop_size=crop_size)
+        want = _loop_toy_samples(n, seed, crop_size)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert np.array_equal(g.palette_inputs, w.palette_inputs)
+            assert np.array_equal(g.rgb_input, w.rgb_input)
+            assert g.is_positive is w.is_positive
+            assert (g.box is None) == (w.box is None)
+            if w.box is not None:
+                assert np.array_equal(g.box, w.box)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pvpipeline.thermal import (ABSOLUTE_ZERO_C, CalibrationError,
-                                PALETTE_NAMES, PaletteLut, RgbImage,
-                                TemperatureMap, ThermalError, apply_palette,
-                                clahe, clahe_rgb, load_all_palettes,
-                                load_palette, normalize_temperature)
+                                PALETTE_NAMES, RgbImage, TemperatureMap,
+                                ThermalError, clahe, clahe_rgb,
+                                load_all_palettes, load_palette,
+                                normalize_temperature, palette_index)
 
 
 def test_below_absolute_zero_rejected():
@@ -17,31 +17,42 @@ def test_below_absolute_zero_rejected():
 
 
 def test_normalize_constant_frame_maps_to_half():
-    t = TemperatureMap(temp_c=np.full((4, 4), 30.0))
-    assert np.all(normalize_temperature(t) == 0.5)
+    assert np.all(normalize_temperature(np.full((4, 4), 30.0)) == 0.5)
 
 
 def test_normalize_range():
-    t = TemperatureMap(temp_c=np.array([[10.0, 20.0], [30.0, 50.0]]))
-    g = normalize_temperature(t)
+    g = normalize_temperature(np.array([[10.0, 20.0], [30.0, 50.0]]))
     assert g.min() == 0.0 and g.max() == 1.0
     assert g[0, 1] == pytest.approx(0.25)
 
 
+def test_normalize_stack_normalizes_each_frame_on_its_own():
+    rng = np.random.default_rng(3)
+    stack = rng.uniform(-40.0, 90.0, (5, 3, 4))
+    stack[2] = 30.0  # a constant frame among varying ones
+    g = normalize_temperature(stack)
+    assert g.shape == stack.shape
+    for frame, out in zip(stack, g):
+        assert np.array_equal(out, normalize_temperature(frame))
+    assert np.all(g[2] == 0.5)
+    assert np.all(g.min(axis=(1, 2))[[0, 1, 3, 4]] == 0.0)
+    assert np.all(g.max(axis=(1, 2))[[0, 1, 3, 4]] == 1.0)
+
+
 def test_apply_palette_indexing():
     table = np.arange(256, dtype=np.uint8)[:, None].repeat(3, axis=1)
-    lut = PaletteLut(name="gray", table=table)
     gray = np.array([[0.0, 0.5, 1.0]])
-    img = apply_palette(gray, lut)
-    assert img.pixels[0, 0, 0] == 0
-    assert img.pixels[0, 1, 0] == 128  # rint(0.5 * 255)
-    assert img.pixels[0, 2, 0] == 255
+    pixels = table[palette_index(gray)]
+    assert pixels.shape == (1, 3, 3)
+    assert pixels[0, 0, 0] == 0
+    assert pixels[0, 1, 0] == 128  # rint(0.5 * 255)
+    assert pixels[0, 2, 0] == 255
 
 
 def test_apply_palette_rejects_out_of_range():
-    lut = load_palette("ironbow")
-    with pytest.raises(ThermalError):
-        apply_palette(np.array([[1.2]]), lut)
+    for bad in (np.array([[1.2]]), np.array([[[0.5, -0.1]]])):
+        with pytest.raises(ThermalError):
+            palette_index(bad)
 
 
 # sha256 of each LUT's table bytes, recorded from the palette data files
@@ -60,6 +71,17 @@ def test_palette_table_pinned(name):
     assert lut.name == name
     assert lut.table.shape == (256, 3) and lut.table.dtype == np.uint8
     assert hashlib.sha256(lut.table.tobytes()).hexdigest() == PALETTE_SHA256[name]
+
+
+def test_load_palette_builds_each_table_once_read_only():
+    for name in PALETTE_NAMES:
+        lut = load_palette(name)
+        assert load_palette(name) is lut
+        assert not lut.table.flags.writeable
+        with pytest.raises(ValueError):
+            lut.table[0, 0] = 1
+    assert [a is b for a, b in zip(load_all_palettes(),
+                                   map(load_palette, PALETTE_NAMES))] == [True] * 4
 
 
 def test_unknown_palette_rejected():
