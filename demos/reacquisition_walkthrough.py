@@ -24,7 +24,7 @@ from pvpipeline.simulator import (DefectMix, FramePose, PlantLayout,
 intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)
 layout = PlantLayout(origin=GeoPoint(lat=49.407, lon=26.984))
-_, defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
+defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
 target = defects[0]
 
 # Hover 2.5 m off the defect so it images far from the principal point.

@@ -22,6 +22,8 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 GRAD_TOL = 1e-4
+# fuse-check's largest --dim: its run time grows as about dim^2 (7 s at 32).
+MAX_FUSE_DIM = 32
 
 log = logging.getLogger("pvpipeline")
 
@@ -203,17 +205,21 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
 
     # composite loss through the full toy model
     model = fusion.FusionModel(seed=seed, crop_size=4, hidden=4, dim=dim)
-    samples = fusion.make_toy_samples(4, seed=seed, crop_size=4)
-    closure = model.loss_closure(samples, fusion.LossWeights())
+    batch = fusion.make_toy_samples(4, seed=seed, crop_size=4)
+    closure = model.loss_closure(batch, fusion.LossWeights())
     results.append(("composite",
                     fusion.gradient_check(closure, model.flatten())))
     return results
 
 
 def cmd_fuse_check(args) -> int:
-    if args.dim < 1:
-        print(f"usage error: --dim must be at least 1, got {args.dim}",
+    if args.seed < 0:
+        print(f"usage error: --seed must be non-negative, got {args.seed}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if not 1 <= args.dim <= MAX_FUSE_DIM:
+        print(f"usage error: --dim must lie in [1, {MAX_FUSE_DIM}], "
+              f"got {args.dim}", file=sys.stderr)
         return EXIT_CONFIG
     results = run_fuse_check(seed=args.seed, dim=args.dim)
     worst = {}

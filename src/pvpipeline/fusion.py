@@ -5,9 +5,10 @@ gradient verification.
 
 Embeddings are plain float64 numpy vectors of a fixed dimension D. The
 encoders, the gate, the palette term and the focal and GIoU terms all take
-stacked rows. FusionModel.loss_and_grads runs forward and backward once
-over a ToyBatch, the samples stacked once per training run, with each weight
-gradient one contraction over the rows; no term is evaluated per sample.
+stacked rows. make_toy_samples builds the synthetic crop pairs as one
+ToyBatch of arrays, and FusionModel.loss_and_grads runs forward and backward
+once over it, with each weight gradient one contraction over the rows; no
+term is evaluated per sample.
 Every weight lives in one flat parameter dict keyed by PARAM_KEYS: the
 encoders read theirs from it by prefix, and the backward pass reuses the
 hidden activations of the forward pass.
@@ -240,49 +241,29 @@ PARAM_KEYS = ("t.w1", "t.b1", "t.w2", "t.b2",
               "head.w_cls", "head.b_cls", "head.w_box", "head.b_box")
 
 
-@dataclass
-class ToySample:
-    """One synthetic crop pair: M palette renderings of a thermal crop plus
-    an RGB crop, a defect label, and (for positives) a target box in
-    normalized [0, 1] image coordinates."""
-
-    palette_inputs: np.ndarray  # (M, in_dim) flattened RGB renders in [0, 1]
-    rgb_input: np.ndarray       # (in_dim,)
-    is_positive: bool
-    box: np.ndarray | None      # (4,) normalized or None
-
-
 @dataclass(frozen=True)
 class ToyBatch:
-    """ToySamples stacked for FusionModel.loss_and_grads, built once per
-    training run by stack_samples."""
+    """N synthetic crop pairs, one per row: M palette renderings of a
+    thermal crop plus an RGB crop, a defect label, and for each positive row
+    a target box in normalized [0, 1] image coordinates."""
 
-    x_t: np.ndarray       # (N * M, in_dim) palette inputs, sample by sample
+    x_t: np.ndarray       # (N, M, in_dim) flattened palette renders
     x_r: np.ndarray       # (N, in_dim) RGB inputs
     positive: np.ndarray  # (N,) bool
-    boxed: np.ndarray     # (K,) rows that are positive and carry a box
-    boxes: np.ndarray     # (K, 4) their target boxes
+    boxes: np.ndarray     # (P, 4) target boxes of the positive rows, in order
 
-
-def stack_samples(samples) -> ToyBatch:
-    """Stack samples that share one (M, in_dim) palette input shape and one
-    RGB input shape into a ToyBatch."""
-    if not samples:
-        raise FusionError("need at least one sample")
-    shapes = sorted({(np.shape(s.palette_inputs), np.shape(s.rgb_input))
-                     for s in samples})
-    if len(shapes) > 1:
-        raise FusionError("samples must share palette and RGB input shapes, "
-                          f"got (palette, rgb) shapes {shapes}")
-    boxed = [i for i, s in enumerate(samples)
-             if s.is_positive and s.box is not None]
-    return ToyBatch(
-        x_t=np.concatenate([s.palette_inputs for s in samples]),
-        x_r=np.stack([s.rgb_input for s in samples]),
-        positive=np.array([bool(s.is_positive) for s in samples]),
-        boxed=np.array(boxed, dtype=np.intp),
-        boxes=np.array([samples[i].box for i in boxed],
-                       dtype=np.float64).reshape(len(boxed), 4))
+    def __post_init__(self):
+        n = len(self.x_r)
+        if n == 0:
+            raise FusionError("need at least one sample")
+        if (self.x_t.ndim != 3 or self.x_t.shape[0] != n
+                or self.x_t.shape[2:] != self.x_r.shape[1:]
+                or self.positive.shape != (n,) or self.positive.dtype != bool
+                or self.boxes.shape != (np.count_nonzero(self.positive), 4)):
+            raise FusionError(
+                f"batch shapes disagree: x_t {self.x_t.shape}, x_r "
+                f"{self.x_r.shape}, positive {self.positive.shape} "
+                f"{self.positive.dtype}, boxes {self.boxes.shape}")
 
 
 class FusionModel:
@@ -334,13 +315,12 @@ class FusionModel:
         gradients.
 
         L_cls and L_pal average over all samples; L_box averages over the
-        positive samples carrying a target box. The whole batch goes through
-        the encoders, gate, heads and loss terms at once.
+        positive samples. The whole batch goes through the encoders, gate,
+        heads and loss terms at once.
         """
-        x_t, x_r = batch.x_t, batch.x_r
-        n = x_r.shape[0]
-        m = x_t.shape[0] // n
-
+        n, m, _ = batch.x_t.shape
+        # The thermal encoder takes the N * M palette inputs as 2-D rows.
+        x_t, x_r, positive = batch.x_t.reshape(n * m, -1), batch.x_r, batch.positive
         zs, h_t = encode(x_t, params, "t")
         zs = zs.reshape(n, m, -1)
         pal_l, d_zs_pal = palette_invariance_loss_grad(zs)
@@ -350,7 +330,7 @@ class FusionModel:
 
         # Classification head: focal loss over the rows.
         p = _sigmoid_vec(u @ params["head.w_cls"] + params["head.b_cls"][0])
-        cls_l, d_p = focal_loss_grad(p, batch.positive, weights.focal_alpha,
+        cls_l, d_p = focal_loss_grad(p, positive, weights.focal_alpha,
                                      weights.focal_gamma)
         d_logit = d_p * p * (1.0 - p) / n
 
@@ -360,13 +340,13 @@ class FusionModel:
         half_h = (0.02 + s_box[:, 3]) / 2.0
         pred = np.stack([s_box[:, 0] - half_w, s_box[:, 1] - half_h,
                          s_box[:, 0] + half_w, s_box[:, 1] + half_h], axis=1)
-        # GIoU over the boxed rows, scattered back so that the sums below
+        # GIoU over the positive rows, scattered back so that the sums below
         # run over all n rows.
-        boxed = batch.boxed
-        k = len(boxed)
+        k = len(batch.boxes)
         box_l = np.zeros(n)
         d_corners = np.zeros((n, 4))
-        box_l[boxed], d_corners[boxed] = giou_loss_grad(pred[boxed], batch.boxes)
+        box_l[positive], d_corners[positive] = giou_loss_grad(pred[positive],
+                                                              batch.boxes)
         d_box = np.stack([d_corners[:, 0] + d_corners[:, 2],
                           d_corners[:, 1] + d_corners[:, 3],
                           (d_corners[:, 2] - d_corners[:, 0]) / 2.0,
@@ -392,10 +372,8 @@ class FusionModel:
             raise TrainingDiverged("non-finite loss")
         return total, {k: grads[k] for k in PARAM_KEYS}, aux
 
-    def loss_closure(self, samples, weights: LossWeights):
+    def loss_closure(self, batch: ToyBatch, weights: LossWeights):
         """(flat params) -> (loss, flat grad) for optimization and checking."""
-        batch = stack_samples(samples)
-
         def closure(vec: np.ndarray):
             params = self.unflatten(vec)
             loss, grads, _ = self.loss_and_grads(params, batch, weights)
@@ -432,14 +410,17 @@ def gradient_check(loss_closure, params: np.ndarray, step: float = 1e-5) -> floa
 # Synthetic crops and toy training
 # ---------------------------------------------------------------------------
 
-def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
-    """Synthetic thermal/RGB crop pairs.
+def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> ToyBatch:
+    """A batch of n >= 1 synthetic thermal/RGB crop pairs.
 
     Every crop shows a hot Gaussian blob; only the RGB stream separates a
     real defect (dark damage spot) from a look-alike glint (clean panel).
     This mirrors the field failure mode where reflections mimic hotspots.
-    Positives carry the blob's bounding box. Inputs are zero-centered.
+    Even rows are positives and carry the blob's bounding box. Inputs are
+    zero-centered.
     """
+    if n < 1:
+        raise FusionError("need at least one sample")
     rng = np.random.default_rng(seed)
     # Draw per sample, in this order, so that the first k samples of a seed
     # do not depend on n; the arrays below are then built for all at once.
@@ -452,8 +433,6 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
         sig = rng.uniform(1.0, 2.5)
         draws.append((slope, cx, cy, sig, 2 * sig ** 2, rng.uniform(8.0, 25.0)))
         noise.append(rng.standard_normal((crop_size, crop_size)))
-    if not draws:
-        return []
     slope, cx, cy, sig, two_var, excess = np.array(draws).T[:, :, None, None]
     yy, xx = np.mgrid[0:crop_size, 0:crop_size].astype(np.float64)
     blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / two_var)
@@ -461,7 +440,7 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
     # The M palettes' rows as zero-centered floats, stacked palette after
     # palette, so each pixel's one LUT index picks its row in every palette.
     luts = load_all_palettes()
-    tables = np.concatenate([lut.table for lut in luts]) / 255.0 - 0.5
+    tables = np.concatenate(luts) / 255.0 - 0.5
     rows = (palette_index(normalize_temperature(temp))[:, None]
             + 256 * np.arange(len(luts))[:, None, None])
     pal = np.take(tables, rows, axis=0).reshape(n, len(luts), -1)
@@ -473,10 +452,7 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> list:
     cx, cy, half = cx.ravel(), cy.ravel(), 2.0 * sig.ravel() / crop_size
     boxes = np.stack([cx / crop_size - half, cy / crop_size - half,
                       cx / crop_size + half, cy / crop_size + half], axis=1)
-    return [ToySample(palette_inputs=pal[i], rgb_input=rgb[i],
-                      is_positive=bool(positive[i]),
-                      box=boxes[i] if positive[i] else None)
-            for i in range(n)]
+    return ToyBatch(x_t=pal, x_r=rgb, positive=positive, boxes=boxes[positive])
 
 
 @dataclass
@@ -486,16 +462,15 @@ class TrainResult:
     pal_trace: list
 
 
-def train_toy(samples, epochs: int = 600, learning_rate: float = 0.02,
+def train_toy(batch: ToyBatch, epochs: int = 600, learning_rate: float = 0.02,
               weights: LossWeights = LossWeights(), seed: int = 0,
               model: FusionModel | None = None) -> TrainResult:
     """Full-batch Adam on the composite loss (deterministic given the seed)."""
-    if len(samples) < 32:
+    n, in_dim = batch.x_r.shape
+    if n < 32:
         raise FusionError("need at least 32 samples")
     if model is None:
-        crop = int(round(math.sqrt(samples[0].rgb_input.size / 3)))
-        model = FusionModel(seed=seed, crop_size=crop)
-    batch = stack_samples(samples)
+        model = FusionModel(seed=seed, crop_size=int(round(math.sqrt(in_dim / 3))))
     vec = model.flatten()
     # Adam moments and scratch in place; each expression keeps the operation
     # order of m1 = beta1 * m1 + (1 - beta1) * g,

@@ -144,8 +144,8 @@ class DefectMix:
 
 def generate_plant(seed: int, layout: PlantLayout,
                    mix: DefectMix = DefectMix()):
-    """Seeded plant + defect generation: defects on distinct modules with a
-    minimum pairwise separation (rejection sampling, deterministic).
+    """Seeded defects on a plant layout: GroundTruthDefects on distinct
+    modules with a minimum pairwise separation (rejection sampling).
 
     Each attempt checks a set of occupied modules and, for the separation,
     only the placed defects in the 3x3 background-grid cells around the
@@ -205,7 +205,7 @@ def generate_plant(seed: int, layout: PlantLayout,
             id=f"gt_{i:03d}", module=(r, c), class_id=cls,
             peak_excess_c=excess, sigma_m=sigma, east=east, north=north,
             position=pos, is_small=small))
-    return layout, defects
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +846,8 @@ def run_mission(config: MissionConfig):
     """Plan -> fly (sense -> detect -> confirm -> project -> match, per frame
     range in forked workers) -> dedup -> report. Returns (trace, report),
     the same bytes for any number of workers."""
-    layout, defects = generate_plant(config.seed, config.plant, config.defects)
-    poses = plan_flight(layout, config.flight, config.camera)
+    defects = generate_plant(config.seed, config.plant, config.defects)
+    poses = plan_flight(config.plant, config.flight, config.camera)
     start = parse_ts_utc(config.start_utc)
     trace = _fly_ranges(config, defects, poses, start)
     trace.events = deduplicate(trace.accepted, config.dedup)

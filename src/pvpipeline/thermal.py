@@ -1,9 +1,9 @@
 """Thermal preprocessing: per-frame normalization of deg C temperature maps,
 multi-palette pseudo-color rendering, and CLAHE.
 
-The four palettes (ironbow, whitehot, rainbow, sepia) are 256-entry RGB
-lookup tables, each built from its generator in _build_palette once per
-process, on its first load_palette.
+The four palettes (ironbow, whitehot, rainbow, sepia) are read-only
+(256, 3) uint8 RGB lookup tables, each built from its generator in
+_build_palette once per process, on its first load_palette.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ class TemperatureMap:
 
 
 @dataclass(frozen=True)
-class PaletteLut:
-    name: str
-    table: np.ndarray  # uint8, shape (256, 3)
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.uint8)
-        if table.shape != (256, 3):
-            raise ThermalError("palette LUT must have exactly 256 RGB entries")
-        object.__setattr__(self, "table", table)
-
-
-@dataclass(frozen=True)
 class RgbImage:
     pixels: np.ndarray  # uint8, shape (H, W, 3)
 
@@ -77,7 +65,7 @@ def normalize_temperature(temp_c: np.ndarray) -> np.ndarray:
 
 def palette_index(gray: np.ndarray) -> np.ndarray:
     """LUT rows of a [0, 1] grayscale array of any shape: colorize it
-    through a palette as lut.table[palette_index(gray)]."""
+    through a palette as load_palette(name)[palette_index(gray)]."""
     g = np.asarray(gray, dtype=np.float64)
     if g.min() < 0.0 or g.max() > 1.0:
         raise ThermalError("grayscale input must lie in [0, 1]")
@@ -127,12 +115,12 @@ def _build_palette(name: str) -> np.ndarray:
 
 
 @functools.cache
-def load_palette(name: str) -> PaletteLut:
-    """One of the four palette LUTs, built from its generator on first use.
-    Every caller shares it, so its table is read-only."""
-    lut = PaletteLut(name=name, table=_build_palette(name))
-    lut.table.flags.writeable = False
-    return lut
+def load_palette(name: str) -> np.ndarray:
+    """One of the four palette LUTs, a (256, 3) uint8 RGB table built from
+    its generator on first use. Every caller shares it, so it is read-only."""
+    table = _build_palette(name)
+    table.flags.writeable = False
+    return table
 
 
 def load_all_palettes() -> list:

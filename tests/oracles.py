@@ -34,11 +34,12 @@ def mean_pairwise_distance(members) -> float:
     return acc / max(cnt, 1)
 
 
-def palette_spread(model, samples) -> float:
+def palette_spread(model, x_t) -> float:
     """Mean pairwise distance between a FusionModel's per-palette thermal
-    embeddings, averaged over samples: the measurement behind criterion 7."""
-    vals = [mean_pairwise_distance(
-        encode(s.palette_inputs, model.params, "t")[0]) for s in samples]
+    embeddings, averaged over the K samples of a (K, M, in_dim) palette
+    input array: the measurement behind criterion 7."""
+    vals = [mean_pairwise_distance(encode(x, model.params, "t")[0])
+            for x in x_t]
     return float(np.mean(vals))
 
 

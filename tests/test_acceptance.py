@@ -152,16 +152,16 @@ def test_criterion_6_gradient_suite_100_instances():
 
 def test_criterion_7_palette_term_collapses_spread():
     start = time.monotonic()
-    samples = make_toy_samples(32, seed=7)
-    held_out = samples[:8]
+    batch = make_toy_samples(32, seed=7)
+    held_out = batch.x_t[:8]
 
     model_on = FusionModel(seed=7)
     before = palette_spread(model_on, held_out)
-    train_toy(samples, weights=LossWeights(lambda_pal=0.1), model=model_on)
+    train_toy(batch, weights=LossWeights(lambda_pal=0.1), model=model_on)
     after_on = palette_spread(model_on, held_out)
 
     model_off = FusionModel(seed=7)
-    train_toy(samples, weights=LossWeights(lambda_pal=0.0), model=model_off)
+    train_toy(batch, weights=LossWeights(lambda_pal=0.0), model=model_off)
     after_off = palette_spread(model_off, held_out)
 
     assert after_on < before / 10.0
@@ -199,7 +199,7 @@ def test_criterion_8_rodrigues_and_recentering():
                                       generate_plant, render_frame)
 
     layout = PlantLayout(origin=GeoPoint(lat=49.407, lon=26.984))
-    _, defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
+    defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
     d = defects[0]
     intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                             width=80, height=64)

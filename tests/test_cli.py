@@ -12,7 +12,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvpipeline.cli import main
+from pvpipeline.cli import MAX_FUSE_DIM, main
 from pvpipeline.config import ConfigError, config_from_dict, load_config
 from pvpipeline.simulator import MissionConfig
 
@@ -538,6 +538,22 @@ def test_fuse_check_rejects_a_dim_below_1(capsys, dim):
     assert main(["fuse-check", "--dim", dim]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: --dim")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"),
+                                        ("--dim", str(MAX_FUSE_DIM + 1))])
+def test_fuse_check_rejects_a_negative_seed_and_a_dim_past_the_cap(
+        capsys, monkeypatch, flag, value):
+    from pvpipeline import cli
+
+    def no_work(**kwargs):
+        raise AssertionError("fuse-check ran before rejecting its arguments")
+
+    monkeypatch.setattr(cli, "run_fuse_check", no_work)
+    assert main(["fuse-check", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {flag}")
     assert captured.out == ""
 
 

@@ -1,22 +1,26 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pvpipeline import fusion
 from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
-                               LossWeights, ToySample, embedding_centroid,
+                               LossWeights, ToyBatch, embedding_centroid,
                                focal_loss_grad, gated_fuse,
                                gated_fuse_backward, giou_loss_grad,
                                gradient_check, make_toy_samples,
-                               palette_invariance_loss_grad, stack_samples,
-                               total_loss, train_toy)
+                               palette_invariance_loss_grad, total_loss,
+                               train_toy)
 from pvpipeline.thermal import load_all_palettes
 
 from oracles import mean_pairwise_distance
 
 TRACE_PATH = Path(__file__).parent / "data" / "toy_train_trace.json"
+BENCH_REFERENCE = (Path(__file__).parent.parent / "perfbench"
+                   / "reference.json")
 
 GRAD_TOL = 1e-4
 N_INSTANCES = 100
@@ -120,8 +124,8 @@ def test_giou_gradient_covers_disjoint_boxes():
 
 def test_composite_model_directional_gradients():
     model = FusionModel(seed=3, crop_size=8, hidden=6, dim=8)
-    samples = make_toy_samples(6, seed=3, crop_size=8)
-    closure = model.loss_closure(samples, LossWeights())
+    batch = make_toy_samples(6, seed=3, crop_size=8)
+    closure = model.loss_closure(batch, LossWeights())
     vec = model.flatten()
     loss0, grad = closure(vec)
     assert math.isfinite(loss0)
@@ -137,8 +141,8 @@ def test_composite_model_directional_gradients():
 
 def test_composite_model_full_check_small():
     model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
-    samples = make_toy_samples(4, seed=0, crop_size=4)
-    closure = model.loss_closure(samples, LossWeights())
+    batch = make_toy_samples(4, seed=0, crop_size=4)
+    closure = model.loss_closure(batch, LossWeights())
     assert gradient_check(closure, model.flatten()) < GRAD_TOL
 
 
@@ -285,40 +289,40 @@ def _encode_vec_backward(x, h, params, prefix, dz, grads):
     grads[prefix + ".b2"] += dz
 
 
-def _loop_loss_and_grads(params, samples, weights):
-    """Reference: one sample and one palette vector at a time, with its own
-    encoder, gate and head arithmetic; only the scalar focal and GIoU
+def _loop_loss_and_grads(params, batch, weights):
+    """Reference: one batch row and one palette vector at a time, with its
+    own encoder, gate and head arithmetic; only the scalar focal and GIoU
     functions (finite-difference checked above) are shared."""
-    n = len(samples)
-    n_pos = sum(1 for s in samples if s.is_positive and s.box is not None)
+    n = len(batch.x_r)
+    n_pos = int(np.count_nonzero(batch.positive))
+    boxes = iter(batch.boxes)
     grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
     cls_acc = box_acc = pal_acc = 0.0
-    for s in samples:
-        has_box = s.is_positive and s.box is not None
-        box_w = 1.0 / n_pos if has_box else 0.0
-        enc = [_encode_vec(x, params, "t") for x in s.palette_inputs]
+    for x_t, x_r, positive in zip(batch.x_t, batch.x_r, batch.positive):
+        box_w = 1.0 / n_pos if positive else 0.0
+        enc = [_encode_vec(x, params, "t") for x in x_t]
         zs = np.stack([z for _, z in enc])
         m, dim = zs.shape
         z_bar = zs.mean(axis=0)
         diff = zs - z_bar
         pal_l = float(np.mean(np.sum(diff ** 2, axis=1)))
-        h_r, r = _encode_vec(s.rgb_input, params, "r")
+        h_r, r = _encode_vec(x_r, params, "r")
         zr = np.concatenate([z_bar, r])
         g = np.array([_sigmoid(v) for v in params["gate.w"] @ zr + params["gate.b"]])
         u = g * z_bar + (1.0 - g) * r
 
         p = _sigmoid(float(params["head.w_cls"] @ u + params["head.b_cls"][0]))
-        cls_l, d_p = focal_loss_grad(p, s.is_positive, weights.focal_alpha,
+        cls_l, d_p = focal_loss_grad(p, positive, weights.focal_alpha,
                                      weights.focal_gamma)
         d_logit = d_p * p * (1.0 - p) / n
         box_l = 0.0
         d_t_box = np.zeros(4)
-        if has_box:
+        if positive:
             sb = np.array([_sigmoid(v) for v in
                            params["head.w_box"] @ u + params["head.b_box"]])
             cx, cy, w, h = sb[0], sb[1], 0.02 + sb[2], 0.02 + sb[3]
             box_l, d = giou_loss_grad([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2],
-                                      s.box)
+                                      next(boxes))
             d_t_box = (np.array([d[0] + d[2], d[1] + d[3], (d[2] - d[0]) / 2,
                                  (d[3] - d[1]) / 2])
                        * sb * (1 - sb) * box_w * weights.lambda_box)
@@ -332,10 +336,10 @@ def _loop_loss_and_grads(params, samples, weights):
         grads["gate.w"] += np.outer(ds, zr)
         grads["gate.b"] += ds
         dzr = params["gate.w"].T @ ds
-        _encode_vec_backward(s.rgb_input, h_r, params, "r",
+        _encode_vec_backward(x_r, h_r, params, "r",
                              du * (1.0 - g) + dzr[dim:], grads)
         dz_bar = du * g + dzr[:dim]
-        for (h_t, _), x, dd in zip(enc, s.palette_inputs, diff):
+        for (h_t, _), x, dd in zip(enc, x_t, diff):
             dz = dz_bar / m + (weights.lambda_pal / n) * (2.0 / m) * dd
             _encode_vec_backward(x, h_t, params, "t", dz, grads)
         cls_acc += cls_l / n
@@ -345,20 +349,20 @@ def _loop_loss_and_grads(params, samples, weights):
     return total, grads, {"cls": cls_acc, "box": box_acc, "pal": pal_acc}
 
 
-def _random_samples(rng, n, m, in_dim, kinds):
-    """kinds cycles through 'box' (positive with a box), 'nobox' (positive
-    without one) and 'neg'."""
-    samples = []
+def _random_batch(rng, n, m, in_dim, kinds):
+    """A ToyBatch whose rows cycle through kinds: 'pos' (positive, with a
+    random target box) or 'neg'."""
+    x_t, x_r, positive, boxes = [], [], [], []
     for i in range(n):
-        kind = kinds[i % len(kinds)]
-        box = None
-        if kind == "box":
+        positive.append(kinds[i % len(kinds)] == "pos")
+        if positive[-1]:
             lo = rng.uniform(0.05, 0.45, 2)
-            box = np.concatenate([lo, lo + rng.uniform(0.1, 0.5, 2)])
-        samples.append(ToySample(palette_inputs=rng.uniform(-0.5, 0.5, (m, in_dim)),
-                                 rgb_input=rng.uniform(-0.5, 0.5, in_dim),
-                                 is_positive=kind != "neg", box=box))
-    return samples
+            boxes.append(np.concatenate([lo, lo + rng.uniform(0.1, 0.5, 2)]))
+        x_t.append(rng.uniform(-0.5, 0.5, (m, in_dim)))
+        x_r.append(rng.uniform(-0.5, 0.5, in_dim))
+    return ToyBatch(x_t=np.stack(x_t), x_r=np.stack(x_r),
+                    positive=np.array(positive),
+                    boxes=np.array(boxes).reshape(len(boxes), 4))
 
 
 def _assert_rel(actual, expected, rtol=1e-12):
@@ -371,13 +375,13 @@ def _assert_rel(actual, expected, rtol=1e-12):
 
 
 @pytest.mark.parametrize("n,m,kinds", [
-    (1, 2, ("box",)),
-    (1, 3, ("neg",)),
-    (2, 4, ("box", "neg")),
-    (5, 2, ("box", "nobox", "neg")),
-    (5, 3, ("neg", "box")),
-    (5, 4, ("nobox", "box", "neg", "box")),
-    (4, 3, ("neg", "nobox")),           # no sample carries a box: n_pos == 0
+    (1, 2, ("pos",)),
+    (1, 3, ("neg",)),                   # no positive row: n_pos == 0
+    (2, 4, ("pos", "neg")),
+    (5, 2, ("pos", "neg", "neg")),
+    (5, 3, ("neg", "pos")),
+    (5, 4, ("neg", "pos", "neg", "pos")),
+    (4, 3, ("pos",)),                   # every row positive
 ])
 def test_batched_loss_and_grads_matches_loop(n, m, kinds):
     rng = np.random.default_rng(100 + 10 * n + m)
@@ -385,11 +389,10 @@ def test_batched_loss_and_grads_matches_loop(n, m, kinds):
     params = model.unflatten(model.flatten() * rng.uniform(0.5, 3.0))
     weights = LossWeights(lambda_box=1.5, lambda_pal=0.3,
                           focal_alpha=0.4, focal_gamma=2.0)
-    samples = _random_samples(rng, n, m, model.in_dim, kinds)
+    batch = _random_batch(rng, n, m, model.in_dim, kinds)
 
-    total, grads, aux = model.loss_and_grads(params, stack_samples(samples),
-                                             weights)
-    ref_total, ref_grads, ref_aux = _loop_loss_and_grads(params, samples, weights)
+    total, grads, aux = model.loss_and_grads(params, batch, weights)
+    ref_total, ref_grads, ref_aux = _loop_loss_and_grads(params, batch, weights)
 
     _assert_rel(total, ref_total)
     assert set(aux) == set(ref_aux)
@@ -400,24 +403,25 @@ def test_batched_loss_and_grads_matches_loop(n, m, kinds):
         _assert_rel(grads[key], ref_grads[key])
 
 
-@pytest.mark.parametrize("field,bad", [
-    ("palette_inputs", lambda s: s.palette_inputs[:2]),       # fewer palettes
-    ("palette_inputs", lambda s: s.palette_inputs[:, :-3]),   # shorter rows
-    ("rgb_input", lambda s: s.rgb_input[:-3]),
-])
-def test_ragged_samples_rejected(field, bad):
-    model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
-    samples = make_toy_samples(3, seed=0, crop_size=4)
-    setattr(samples[1], field, bad(samples[1]))
-    with pytest.raises(FusionError, match="share palette and RGB input shapes"):
-        model.loss_and_grads(model.params, stack_samples(samples),
-                             LossWeights())
-
-
-def test_loss_and_grads_rejects_empty_batch():
-    model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
-    with pytest.raises(FusionError):
-        model.loss_and_grads(model.params, stack_samples([]), LossWeights())
+@pytest.mark.parametrize("fields,bad,match", [
+    (("x_t", "x_r", "positive", "boxes"), lambda a: a[:0],
+     "at least one sample"),
+    (("x_t",), lambda a: a[:2], "disagree"),                      # fewer rows
+    (("x_t",), lambda a: a[:, :, :-3], "disagree"),               # shorter inputs
+    (("x_t",), lambda a: a.reshape(-1, a.shape[2]), "disagree"),  # (N * M, in_dim)
+    (("x_r",), lambda a: a[:2], "disagree"),
+    (("x_r",), lambda a: a[:, :-3], "disagree"),
+    (("positive",), lambda a: a[:2], "disagree"),
+    (("positive",), lambda a: a.astype(int), "disagree"),         # not bool
+    (("boxes",), lambda a: a[:1], "disagree"),    # a positive row without one
+    (("boxes",), lambda a: a[:, :3], "disagree"),
+], ids=["no-rows", "x_t-rows", "x_t-in_dim", "x_t-2d", "x_r-rows",
+        "x_r-in_dim", "positive-rows", "positive-dtype", "boxes-rows",
+        "boxes-columns"])
+def test_toy_batch_checks(fields, bad, match):
+    batch = make_toy_samples(3, seed=0, crop_size=4)
+    with pytest.raises(FusionError, match=match):
+        replace(batch, **{f: bad(getattr(batch, f)) for f in fields})
 
 
 def test_toy_training_trace_matches_recorded_loop_trace():
@@ -427,19 +431,31 @@ def test_toy_training_trace_matches_recorded_loop_trace():
     np.testing.assert_allclose(result.pal_trace, ref["pal_trace"], rtol=1e-10, atol=0)
 
 
+def test_benchmark_fusion_train_call_matches_its_reference():
+    # The fusion_train workload's op, called as perfbench/worker.py calls
+    # it, held to perfbench/run.py's LOSS_RTOL against its reference trace.
+    want = json.loads(BENCH_REFERENCE.read_text())["fusion_train"]["0"]["loss"]
+    result = fusion.train_toy(fusion.make_toy_samples(32, seed=0), epochs=20,
+                              seed=0)
+    assert len(result.total_trace) == len(want) == 20
+    for a, b in zip(result.total_trace, want):
+        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
 # ---------------------------------------------------------------------------
 # Batched make_toy_samples against the per-sample loop
 # ---------------------------------------------------------------------------
 
 def _loop_toy_samples(n, seed, crop_size):
     """Reference: one sample at a time, each palette rendered on its own
-    through its LUT index, with the same RNG draws in the same order."""
+    through its LUT index, with the same RNG draws in the same order, the
+    rows stacked at the end."""
     rng = np.random.default_rng(seed)
     luts = load_all_palettes()
     yy, xx = np.mgrid[0:crop_size, 0:crop_size].astype(np.float64)
-    samples = []
+    x_t, x_r, positive, boxes = [], [], [], []
     for i in range(n):
-        positive = bool(i % 2 == 0)
+        positive.append(i % 2 == 0)
         base = 25.0 + 3.0 * rng.random() * (xx / crop_size)
         cx = rng.uniform(0.25, 0.75) * crop_size
         cy = rng.uniform(0.25, 0.75) * crop_size
@@ -450,34 +466,29 @@ def _loop_toy_samples(n, seed, crop_size):
         lo, hi = float(temp.min()), float(temp.max())
         gray = np.full_like(temp, 0.5) if hi - lo <= 0.0 else (temp - lo) / (hi - lo)
         idx = np.rint(gray * 255.0).astype(np.intp)
-        pal_inputs = np.stack([
-            lut.table[idx].astype(np.float64).ravel() / 255.0 - 0.5
-            for lut in luts])
+        x_t.append(np.stack([lut[idx].astype(np.float64).ravel() / 255.0 - 0.5
+                             for lut in luts]))
         rgb_gray = 0.6 + 0.02 * rng.standard_normal((crop_size, crop_size))
-        box = None
-        if positive:
+        if positive[-1]:
             rgb_gray = rgb_gray - 0.4 * blob
             half = 2.0 * sig / crop_size
-            box = np.array([cx / crop_size - half, cy / crop_size - half,
-                            cx / crop_size + half, cy / crop_size + half])
+            boxes.append([cx / crop_size - half, cy / crop_size - half,
+                          cx / crop_size + half, cy / crop_size + half])
         rgb = np.clip(np.repeat(rgb_gray[..., None], 3, axis=2), 0, 1) - 0.5
-        samples.append(ToySample(palette_inputs=pal_inputs,
-                                 rgb_input=rgb.ravel(),
-                                 is_positive=positive, box=box))
-    return samples
+        x_r.append(rgb.ravel())
+    return np.stack(x_t), np.stack(x_r), np.array(positive), np.array(boxes)
 
 
 @pytest.mark.parametrize("crop_size", [1, 4, 5, 8, 16])
 @pytest.mark.parametrize("n", [0, 1, 3, 32])
 def test_make_toy_samples_bit_identical_to_loop(n, crop_size):
+    if n == 0:
+        with pytest.raises(FusionError, match="at least one sample"):
+            make_toy_samples(n, crop_size=crop_size)
+        return
     for seed in (0, 1, 7, 123):
         got = make_toy_samples(n, seed=seed, crop_size=crop_size)
         want = _loop_toy_samples(n, seed, crop_size)
-        assert len(got) == len(want) == n
-        for g, w in zip(got, want):
-            assert np.array_equal(g.palette_inputs, w.palette_inputs)
-            assert np.array_equal(g.rgb_input, w.rgb_input)
-            assert g.is_positive is w.is_positive
-            assert (g.box is None) == (w.box is None)
-            if w.box is not None:
-                assert np.array_equal(g.box, w.box)
+        for field, w in zip(("x_t", "x_r", "positive", "boxes"), want):
+            g = getattr(got, field)
+            assert g.dtype == w.dtype and np.array_equal(g, w), field

@@ -40,18 +40,18 @@ INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
 # ---------------------------------------------------------------------------
 
 def test_generate_plant_deterministic():
-    _, a = generate_plant(5, LAYOUT)
-    _, b = generate_plant(5, LAYOUT)
+    a = generate_plant(5, LAYOUT)
+    b = generate_plant(5, LAYOUT)
     assert len(a) == len(b) == 8
     for da, db in zip(a, b):
         assert da == db
-    _, c = generate_plant(6, LAYOUT)
+    c = generate_plant(6, LAYOUT)
     assert any(da.position != dc.position for da, dc in zip(a, c))
 
 
 def test_generate_plant_respects_mix_constraints():
     mix = DefectMix(count=6, n_small=2, min_separation_m=2.0)
-    _, defects = generate_plant(3, LAYOUT, mix)
+    defects = generate_plant(3, LAYOUT, mix)
     assert len(defects) == 6
     assert sum(d.is_small for d in defects) == 2
     assert len({d.module for d in defects}) == 6  # distinct modules
@@ -69,7 +69,7 @@ def test_generate_plant_density_statistics():
     # over 100 seeds the total count behaves binomially.
     mix = DefectMix(count=None, density=0.05, n_small=0,
                     min_separation_m=0.0)
-    counts = [len(generate_plant(s, LAYOUT, mix)[1]) for s in range(100)]
+    counts = [len(generate_plant(s, LAYOUT, mix)) for s in range(100)]
     mean = np.mean(counts)
     expected = 100 * 0.05  # 100 modules
     # 4-sigma band of the binomial sample mean.
@@ -118,7 +118,7 @@ def test_generate_plant_grid_equals_quadratic_placement(rows, cols, pitch,
     mix = DefectMix(count=None, density=density, n_small=1,
                     min_separation_m=separation)
     for seed in range(4):
-        _, defects = generate_plant(seed, layout, mix)
+        defects = generate_plant(seed, layout, mix)
         assert [(*d.module, d.east, d.north) for d in defects] == \
             _placement_oracle(seed, layout, mix)
 
@@ -127,7 +127,7 @@ def test_generate_plant_attempt_cap_scales_with_the_target():
     # Placing these 2,646 defects takes 20,181 attempts, past a fixed cap
     # of 20,000.
     layout = PlantLayout(origin=ORIGIN, rows=180, cols=180)
-    _, defects = generate_plant(0, layout, DefectMix(count=None, density=0.08))
+    defects = generate_plant(0, layout, DefectMix(count=None, density=0.08))
     assert len(defects) == 2646
 
 
@@ -334,7 +334,7 @@ def test_render_no_defects_is_flat_ambient():
 
 
 def test_render_nadir_defect_peaks_at_principal_point():
-    _, defects = generate_plant(1, LAYOUT, DefectMix(count=1, n_small=0))
+    defects = generate_plant(1, LAYOUT, DefectMix(count=1, n_small=0))
     d = defects[0]
     temp = render_frame(defects, _nadir_pose(d.east, d.north), INTR,
                         RenderModel(), speed=0.0)
@@ -345,7 +345,7 @@ def test_render_nadir_defect_peaks_at_principal_point():
 
 
 def test_render_attenuations_are_monotone():
-    _, defects = generate_plant(1, LAYOUT, DefectMix(count=1, n_small=0))
+    defects = generate_plant(1, LAYOUT, DefectMix(count=1, n_small=0))
     d = defects[0]
 
     def peak(alt=10.0, speed=0.0, de=0.0):
@@ -359,7 +359,7 @@ def test_render_attenuations_are_monotone():
 
 
 def test_simulate_frames_pose_noise_and_determinism():
-    _, defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
+    defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)[:3]
     noise = SyntheticDetectorNoise(pos_sigma_m=0.2)
     a = list(simulate_frames(defects, poses, INTR, noise, RenderModel(),
@@ -380,7 +380,7 @@ def test_simulate_frames_pose_noise_and_determinism():
 
 def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
     from pvpipeline import simulator
-    _, defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
+    defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)
     calls = []
 
@@ -456,7 +456,7 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
     from pvpipeline import simulator
     config = replace(MissionConfig(seed=0),
                      noise=SyntheticDetectorNoise(att_sigma_rad=0.02))
-    _, defects = generate_plant(config.seed, config.plant, config.defects)
+    defects = generate_plant(config.seed, config.plant, config.defects)
     poses = plan_flight(config.plant, config.flight, config.camera)
     rendered = []
 

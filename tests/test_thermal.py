@@ -68,18 +68,17 @@ PALETTE_SHA256 = {
 @pytest.mark.parametrize("name", PALETTE_NAMES)
 def test_palette_table_pinned(name):
     lut = load_palette(name)
-    assert lut.name == name
-    assert lut.table.shape == (256, 3) and lut.table.dtype == np.uint8
-    assert hashlib.sha256(lut.table.tobytes()).hexdigest() == PALETTE_SHA256[name]
+    assert lut.shape == (256, 3) and lut.dtype == np.uint8
+    assert hashlib.sha256(lut.tobytes()).hexdigest() == PALETTE_SHA256[name]
 
 
 def test_load_palette_builds_each_table_once_read_only():
     for name in PALETTE_NAMES:
         lut = load_palette(name)
         assert load_palette(name) is lut
-        assert not lut.table.flags.writeable
+        assert not lut.flags.writeable
         with pytest.raises(ValueError):
-            lut.table[0, 0] = 1
+            lut[0, 0] = 1
     assert [a is b for a, b in zip(load_all_palettes(),
                                    map(load_palette, PALETTE_NAMES))] == [True] * 4
 
@@ -90,8 +89,7 @@ def test_unknown_palette_rejected():
 
 
 def test_palettes_pairwise_distinct():
-    luts = {l.name: l.table for l in load_all_palettes()}
-    assert set(luts) == set(PALETTE_NAMES)
+    luts = dict(zip(PALETTE_NAMES, load_all_palettes()))
     for a, b in itertools.combinations(PALETTE_NAMES, 2):
         differing = np.any(luts[a] != luts[b], axis=1).sum()
         assert differing >= 254, (a, b, differing)
@@ -99,7 +97,7 @@ def test_palettes_pairwise_distinct():
 
 def test_whitehot_monotone_luminance():
     lut = load_palette("whitehot")
-    lum = lut.table.astype(float) @ [0.299, 0.587, 0.114]
+    lum = lut.astype(float) @ [0.299, 0.587, 0.114]
     assert np.all(np.diff(lum) >= 0)
 
 
