@@ -19,19 +19,20 @@ from pvpipeline.reacquisition import (Attitude, CameraIntrinsics, backproject,
                                       camera_to_world_rotation, repoint,
                                       solve_axis_angle)
 from pvpipeline.simulator import (DefectMix, FramePose, PlantLayout,
-                                  RenderModel, generate_plant, render_frame)
+                                  RenderModel, Scene, generate_plant,
+                                  render_frame)
 
 intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                         width=80, height=64)
 layout = PlantLayout(origin=GeoPoint(lat=49.407, lon=26.984))
-defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
-target = defects[0]
+scene = Scene.of(generate_plant(1, layout, DefectMix(count=1, n_small=0)))
+target = scene.defects[0]
 
 # Hover 2.5 m off the defect so it images far from the principal point.
 pose = FramePose(east=target.east - 2.0, north=target.north + 1.5,
                  altitude=10.0, gimbal=Attitude(pitch=-math.pi / 2.0),
                  time_s=0.0)
-frame = render_frame(defects, pose, intr, RenderModel(), speed=0.0)
+frame = render_frame(scene, pose, intr, RenderModel(), speed=0.0)
 det = detect(frame)[0]
 u, v = det.bbox.center
 print(f"first sighting : pixel ({u:.1f}, {v:.1f}), "
@@ -53,7 +54,7 @@ print(f"gimbal command : delta pitch "
 
 # Re-render from the re-pointed hover and detect again.
 repointed = replace(pose, gimbal=gimbal)
-frame2 = render_frame(defects, repointed, intr, RenderModel(), speed=0.0)
+frame2 = render_frame(scene, repointed, intr, RenderModel(), speed=0.0)
 det2 = max(detect(frame2), key=lambda d: d.confidence)
 u2, v2 = det2.bbox.center
 print(f"second sighting: pixel ({u2:.1f}, {v2:.1f}), "

@@ -58,7 +58,7 @@ def _write(path: str, payload: bytes) -> bool:
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
     from .simulator import evaluate, metrics_csv, run_mission
-    from .telemetry import detection_record_lines, to_json, to_kml
+    from .telemetry import to_kml
 
     try:
         config = load_config(args.config, seed_override=args.seed)
@@ -88,11 +88,11 @@ def cmd_simulate(args) -> int:
         f"reacq_rounds={metrics.reacq_rounds} "
         f"reacq_confirms={metrics.reacq_confirms}\n")
     outputs = {
-        "report.json": to_json(report),
+        "report.json": trace.report_json,
         "report.kml": to_kml(report),
         "metrics.csv": metrics_csv(metrics).encode("utf-8"),
         "summary.txt": summary.encode("utf-8"),
-        "detections.jsonl": detection_record_lines(trace.accepted),
+        "detections.jsonl": trace.detection_lines,
     }
     for name, data in outputs.items():
         if not _write(os.path.join(out, name), data):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detector import Detection
 from .geodesy import GeoPoint, GeoPolygon, GeodesyError, polygon_centroid, \
     tangent_point
@@ -17,10 +19,27 @@ from .reacquisition import Attitude, CameraIntrinsics, GeometryError, \
 
 # Rays within this angle of the horizontal are rejected as unreliable.
 MIN_INCIDENCE_RAD = math.radians(1.0)
+_MIN_DESCENT = math.sin(MIN_INCIDENCE_RAD)  # least down component of a ray
 
 
 class ProjectionError(GeometryError):
     pass
+
+
+@dataclass(frozen=True)
+class CameraView:
+    """One camera view, set up once for all the detections seen in it: the
+    ground point below the camera, the camera's height above it, the
+    camera-to-world rotation of its gimbal, and the frame id, timestamp and
+    media names each projection carries."""
+    intr: CameraIntrinsics
+    ground: GeoPoint
+    height: float
+    rot: np.ndarray
+    frame_id: str
+    timestamp: str
+    media_rgb: str = ""
+    media_tiff: str = ""
 
 
 @dataclass(frozen=True)
@@ -35,29 +54,26 @@ class ProjectedDetection:
 
 
 def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
-                   height: float, gimbal: Attitude) -> list:
+                   height: float, rot: np.ndarray) -> list:
     """Intersect each pixel's world ray with the horizontal ground plane.
 
-    ``ground`` is the point of the plane below the camera and ``height``
-    the camera's height above it; the rotation is shared by all pixels. A
+    ``ground`` is the point of the plane below the camera, ``height`` the
+    camera's height above it and ``rot`` its camera-to-world rotation. A
     ray that does not descend, or meets the plane beyond the tangent-plane
     range, raises ProjectionError.
     """
     if not 0.0 < height < math.inf:
         raise ProjectionError("camera is not above the ground plane")
-    rot = camera_to_world_rotation(gimbal)
     points = []
     for u, v in pixels:
-        ray = rot @ backproject(u, v, intr)  # NED
-        if not ray[2] >= math.sin(MIN_INCIDENCE_RAD):  # NaN fails too
+        ray_n, ray_e, ray_d = (rot @ backproject(u, v, intr)).tolist()  # NED
+        if not ray_d >= _MIN_DESCENT:  # NaN fails too
             raise ProjectionError("ray does not descend toward the ground "
                                   "(horizon/upward or grazing incidence)")
-        t = height / ray[2]
-        north = t * ray[0]
-        east = t * ray[1]
+        t = height / ray_d
         try:
             points.append(GeoPoint(
-                *tangent_point(ground.lat, ground.lon, east, north)))
+                *tangent_point(ground.lat, ground.lon, t * ray_e, t * ray_n)))
         except GeodesyError as exc:
             raise ProjectionError(str(exc)) from exc
     return points
@@ -66,26 +82,27 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
 def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics,
                     ground: GeoPoint, height: float,
                     gimbal: Attitude) -> GeoPoint:
-    """Ground point of one pixel (see :func:`_ground_points`)."""
-    return _ground_points([(u, v)], intr, ground, height, gimbal)[0]
+    """Ground point of one pixel seen through the gimbal (see
+    :func:`_ground_points`)."""
+    return _ground_points([(u, v)], intr, ground, height,
+                          camera_to_world_rotation(gimbal))[0]
 
 
-def project_detection(det: Detection, intr: CameraIntrinsics,
-                      ground: GeoPoint, height: float, gimbal: Attitude,
-                      frame_id: str, timestamp: str, media_rgb: str = "",
-                      media_tiff: str = "") -> ProjectedDetection:
-    """Project all four bbox corners to the ground; any failing corner raises
-    ProjectionError (the mission's project stage drops the detection and
-    counts it)."""
+def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
+    """Project all four bbox corners to the ground in the view; any failing
+    corner raises ProjectionError (the mission's project stage drops the
+    detection and counts it)."""
     b = det.bbox
     corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
-    polygon = GeoPolygon(vertices=tuple(
-        _ground_points(corners, intr, ground, height, gimbal)))
+    polygon = GeoPolygon(vertices=tuple(_ground_points(
+        corners, view.intr, view.ground, view.height, view.rot)))
     try:
         centroid = polygon_centroid(polygon)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
     return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
-                              frame_id=frame_id, timestamp=timestamp,
-                              media_rgb=media_rgb, media_tiff=media_tiff)
+                              frame_id=view.frame_id,
+                              timestamp=view.timestamp,
+                              media_rgb=view.media_rgb,
+                              media_tiff=view.media_tiff)

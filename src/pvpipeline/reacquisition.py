@@ -81,7 +81,7 @@ class ReacqPolicy:
 
 def unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-D array
     if n == 0.0:
         raise GeometryError("cannot normalize the zero vector")
     return v / n

@@ -37,10 +37,12 @@ from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
 from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     tangent_point
-from .geoprojection import ProjectionError, project_detection
+from .geoprojection import CameraView, ProjectedDetection, \
+    ProjectionError, project_detection
 from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
     backproject, camera_to_world_rotation, reacquisition_decision, repoint
-from .telemetry import build_report, parse_ts_utc, to_json
+from .telemetry import build_report, detection_record_lines, \
+    parse_ts_utc, to_json
 from .thermal import TemperatureMap
 
 # Fault taxonomy labels used for ground-truth classes.
@@ -140,6 +142,15 @@ class DefectMix:
         if self.n_small < 0:
             raise SimulationError(
                 f"n_small must be non-negative, got {self.n_small}")
+        for key in ("sigma_m", "small_sigma_m"):
+            if not getattr(self, key) > 0:
+                raise SimulationError(
+                    f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("excess_range_c", "small_excess_range_c"):
+            if not min(getattr(self, key)) > 0:
+                raise SimulationError(
+                    f"{key} must hold two positive numbers, got "
+                    f"{list(getattr(self, key))}")
 
 
 def generate_plant(seed: int, layout: PlantLayout,
@@ -341,72 +352,134 @@ class SensorPacket:
     temp: TemperatureMap
 
 
-def _maybe_in_view(defects, pose: FramePose, rot, intr: CameraIntrinsics):
-    """The defects that can pass render_frame's camera-z and 4-sigma tests.
+@dataclass(frozen=True)
+class Scene:
+    """The defects a mission renders, with the columns the renderer's cull
+    reads, built once per mission by :meth:`of`. ``east`` and ``north``
+    hold the defects' plant coordinates sorted by east, ``order`` the index
+    in ``defects`` of each sorted row, ``bounds`` (min north, max north,
+    min east, max east) and ``max_sigma_m`` the largest blob sigma."""
+    defects: list
+    order: np.ndarray
+    east: np.ndarray
+    north: np.ndarray
+    bounds: tuple
+    max_sigma_m: float
 
-    All defects are projected in one (N, 3) @ rot product. Each component
-    differs from the per-defect ``rot.T @ ned`` by less than err = 1e-12 *
-    |ned|_1 (three products with rotation entries of size at most 1).
-    Carried through u0 - cx = fx * x / z, v0 - cy and margin = 4 * sigma *
-    fx / z, that moves each test by at most err / z * (max(fx, fy) + 1)
-    times ``size`` = 1 + |u0 - cx| + |v0 - cy| + margin + |cx| + |cy| +
-    width + height. The tests are widened by that much plus 1e-9 * size for
-    the rounding of the formulas, and only defects that fail a widened test
-    are dropped."""
-    if not defects:
-        return []
-    ned = np.empty((len(defects), 3))
-    ned[:, 0] = [d.north for d in defects]
-    ned[:, 1] = [d.east for d in defects]
-    ned[:, :2] -= (pose.north, pose.east)
-    ned[:, 2] = pose.altitude
-    sigma_m = np.array([d.sigma_m for d in defects])
-    x, y, z = (ned @ rot).T
-    err = 1e-12 * np.abs(ned).sum(axis=1)
-    near = z > 0.1 - err
-    z = np.where(near, z, 1.0)
-    du = intr.fx * x / z
-    dv = intr.fy * y / z
-    margin = 4.0 * intr.fx * sigma_m / z
-    size = np.abs(du) + np.abs(dv) + margin + (
-        1.0 + abs(intr.cx) + abs(intr.cy) + intr.width + intr.height)
-    reach = margin + (err / z * (max(intr.fx, intr.fy) + 1.0) + 1e-9) * size
-    half_w, half_h = intr.width / 2.0, intr.height / 2.0
-    keep = (near & (np.abs(du + (intr.cx - half_w)) <= half_w + reach)
-            & (np.abs(dv + (intr.cy - half_h)) <= half_h + reach))
-    return [defects[i] for i in np.flatnonzero(keep)]
+    @classmethod
+    def of(cls, defects) -> "Scene":
+        east = np.array([d.east for d in defects], dtype=np.float64)
+        north = np.array([d.north for d in defects], dtype=np.float64)
+        order = np.argsort(east, kind="stable")
+        bounds = ((north.min(), north.max(), east.min(), east.max())
+                  if defects else (0.0, 0.0, 0.0, 0.0))
+        return cls(defects=defects, order=order, east=east[order],
+                   north=north[order], bounds=tuple(map(float, bounds)),
+                   max_sigma_m=max((d.sigma_m for d in defects), default=0.0))
 
 
-def render_frame(defects, pose: FramePose, intr: CameraIntrinsics,
+def _in_view(scene: Scene, pose: FramePose, rot, intr: CameraIntrinsics):
+    """Indices, in defect order, of the scene's defects inside a ground box
+    that holds every defect able to pass render_frame's camera-z and
+    4-sigma tests, even as ``maybe_in_view`` in tests/oracles.py widens
+    them for roundoff; every index when the box cannot be formed.
+
+    A ground offset ``ned`` from the camera has camera coordinates (x, y,
+    z) = rot.T @ ned. It passes when z > 0.1 and (x, y) lies within 4 sigma
+    (x) or 4 sigma fx / fy (y) of the raster's frustum at depth z. The
+    widening is covered by growing the raster ``pad`` px, 4 sigma by the
+    factor in ``g``, and both by 10 err K / f. Here err = 1e-12 * L *
+    (max(fx, fy) + 1), L bounds |ned|_1 over the scene and K = 1 + |cx| +
+    |cy| + width + height. So ned = z * w + rot @ (dx, dy, 0), with w =
+    rot @ (a, b, 1) on the grown raster, |dx| <= mx and |dy| <= my. When
+    the four corner rays w descend, so does every w. For each (dx, dy) the
+    ground points then form the quadrilateral of the four corner hits, each
+    affine in (dx, dy), so the box of the sixteen hits at (+-mx, +-my)
+    holds them all. The box is grown by 1e-8 of its coordinates' size for
+    the rounding of its own formulas, which stays small because each
+    corner ray descends by at least 1e-6 of its length. The defects are
+    then read from the east-sorted columns: one binary search, one north
+    test."""
+    everything = range(len(scene.defects))
+    if not scene.defects:
+        return everything
+    n_min, n_max, e_min, e_max = scene.bounds
+    pn, pe, alt = pose.north, pose.east, pose.altitude
+    ned_l1 = (max(abs(n_min - pn), abs(n_max - pn))
+              + max(abs(e_min - pe), abs(e_max - pe)) + abs(alt))
+    fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
+    k = 1.0 + abs(cx) + abs(cy) + intr.width + intr.height
+    err = 1e-12 * ned_l1 * (max(fx, fy) + 1.0)
+    if not err <= 1e-3:  # keeps every passing z above 0.09
+        return everything
+    g = 4.0 * scene.max_sigma_m * (1.0 + 300.0 * err + 1e-7)
+    mx = g + 10.0 * err * k / fx
+    my = (g * fx + 10.0 * err * k) / fy
+    pad = 1e-6 * k
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    n_lo = e_lo = math.inf
+    n_hi = e_hi = -math.inf
+    for u in (-pad, intr.width + pad):
+        a = (u - cx) / fx
+        for v in (-pad, intr.height + pad):
+            b = (v - cy) / fy
+            wn = r00 * a + r01 * b + r02
+            we = r10 * a + r11 * b + r12
+            wd = r20 * a + r21 * b + r22
+            if not wd > 1e-6 * (abs(wn) + abs(we) + wd):
+                return everything
+            sn, se = wn / wd, we / wd
+            reach_n = mx * abs(r00 - r20 * sn) + my * abs(r01 - r21 * sn)
+            reach_e = mx * abs(r10 - r20 * se) + my * abs(r11 - r21 * se)
+            n_lo = min(n_lo, alt * sn - reach_n)
+            n_hi = max(n_hi, alt * sn + reach_n)
+            e_lo = min(e_lo, alt * se - reach_e)
+            e_hi = max(e_hi, alt * se + reach_e)
+    slack = 1e-8 * (max(-n_lo, n_hi, -e_lo, e_hi) + abs(pn) + abs(pe))
+    n_lo, n_hi = pn + n_lo - slack, pn + n_hi + slack
+    e_lo, e_hi = pe + e_lo - slack, pe + e_hi + slack
+    if not math.isfinite(n_lo + n_hi + e_lo + e_hi):
+        return everything
+    i0 = scene.east.searchsorted(e_lo)
+    i1 = scene.east.searchsorted(e_hi, "right")
+    north = scene.north[i0:i1]
+    picked = scene.order[i0:i1][(north >= n_lo) & (north <= n_hi)]
+    picked.sort()
+    return picked.tolist()
+
+
+def render_frame(scene: Scene, pose: FramePose, intr: CameraIntrinsics,
                  render: RenderModel, speed: float) -> TemperatureMap:
     """Forward-project defect blobs through the pinhole onto the thermal
     raster; see the module docstring for the attenuation model.
 
     The result is bit-equal to adding every blob's
     ``peak * exp(-d^2 / (2 sigma^2))`` over the whole raster in defect
-    order. Defects that cannot pass the camera-z and 4-sigma tests are culled
-    first (``_maybe_in_view``); the survivors take the per-defect projection
-    and tests unchanged. Each blob is then evaluated only within radius
+    order. Only the defects in the view's ground box (``_in_view``) take
+    the per-defect projection and the camera-z and 4-sigma tests. Each
+    blob is then evaluated only within radius
     ``sigma * sqrt(2 ln(peak / (ulp(ambient_c) / 8))) + 1`` px of its
-    centre. Past that radius its addend is below ulp(ambient_c) / 8. While
-    ambient_c and every peak are finite and positive, every pixel stays at
-    or above ambient_c, so such an addend is under half an ulp of the pixel
-    and rounds away. Otherwise every blob covers the full raster."""
+    centre, and skipped when that window misses the raster. Past that
+    radius its addend is below ulp(ambient_c) / 8. While ambient_c and
+    every peak are finite and positive, every pixel stays at or above
+    ambient_c, so such an addend is under half an ulp of the pixel and
+    rounds away. Otherwise every blob covers the full raster."""
     rot = camera_to_world_rotation(pose.gimbal)
+    rot_t = rot.T
     img = np.full((intr.height, intr.width), render.ambient_c)
     r_max = math.hypot(intr.cx, intr.cy)
     gsd = pose.altitude / intr.fx
     blur_px = speed * render.exposure_s / gsd
     blobs = []
-    for d in _maybe_in_view(defects, pose, rot, intr):
-        ned = np.array([d.north - pose.north, d.east - pose.east,
-                        pose.altitude])
-        cam = rot.T @ ned
-        if cam[2] <= 0.1:
+    for i in _in_view(scene, pose, rot, intr):
+        d = scene.defects[i]
+        x, y, z = (rot_t @ np.array([d.north - pose.north, d.east - pose.east,
+                                     pose.altitude])).tolist()
+        if z <= 0.1:
             continue
-        u0 = intr.fx * cam[0] / cam[2] + intr.cx
-        v0 = intr.fy * cam[1] / cam[2] + intr.cy
-        sigma_px = d.sigma_m * intr.fx / cam[2]
+        u0 = intr.fx * x / z + intr.cx
+        v0 = intr.fy * y / z + intr.cy
+        sigma_px = d.sigma_m * intr.fx / z
         margin = 4.0 * sigma_px
         if not (-margin <= u0 < intr.width + margin
                 and -margin <= v0 < intr.height + margin):
@@ -431,6 +504,8 @@ def render_frame(defects, pose: FramePose, intr: CameraIntrinsics,
             u_hi = min(math.floor(u0 + radius) + 1, intr.width)
             v_lo = max(math.ceil(v0 - radius), 0)
             v_hi = min(math.floor(v0 + radius) + 1, intr.height)
+            if u_lo >= u_hi or v_lo >= v_hi:
+                continue
         uu = np.arange(u_lo, u_hi, dtype=np.float64)
         vv = np.arange(v_lo, v_hi, dtype=np.float64)[:, None]
         img[v_lo:v_hi, u_lo:u_hi] += peak * np.exp(
@@ -448,7 +523,7 @@ def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
                      time_s=pose.time_s)
 
 
-def simulate_frames(defects, poses, intr: CameraIntrinsics,
+def simulate_frames(scene: Scene, poses, intr: CameraIntrinsics,
                     noise: SyntheticDetectorNoise, render: RenderModel,
                     speed: float, seed: int, first: int = 0):
     """Deterministic sensor stream, one packet per pose as it is consumed:
@@ -460,7 +535,7 @@ def simulate_frames(defects, poses, intr: CameraIntrinsics,
     for k, pose in enumerate(poses, first):
         rng = np.random.default_rng([seed, _STREAM_POSE, k])
         meas = _perturbed_pose(pose, noise, rng)
-        temp = render_frame(defects, pose, intr, render, speed)
+        temp = render_frame(scene, pose, intr, render, speed)
         yield SensorPacket(frame_id=f"f{k:04d}", pose_true=pose,
                            pose_meas=meas, temp=temp)
 
@@ -563,7 +638,12 @@ class MissionTrace:
     reacq_confirms: int = 0
     projection_failed: int = 0
     events: list = field(default_factory=list)
-    payload_bytes: int = 0      # the report's JSON telemetry payload
+    detection_lines: bytes = b""  # detections.jsonl, accepted in order
+    report_json: bytes = b""      # report.json, the telemetry payload
+
+    @property
+    def payload_bytes(self) -> int:
+        return len(self.report_json)
 
     @property
     def raw_bytes(self) -> int:
@@ -645,17 +725,18 @@ def detect_frame(packet: SensorPacket, frame_idx: int, config: MissionConfig,
 
 
 def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
-                      det_idx: int, config: MissionConfig, defects,
+                      det_idx: int, config: MissionConfig, scene: Scene,
                       trace: MissionTrace):
     """Confirm stage: the accept / re-acquire / reject loop for one raw
-    detection. Returns the confirmed detection and the measured pose it
-    was seen from, or None when it is rejected or lost. A re-acquired view's
-    measured gimbal is the commanded one plus the frame's attitude error."""
+    detection. Returns the confirmed detection and the measured gimbal of
+    the re-acquired view it was seen in (None for the survey frame itself),
+    or None when it is rejected or lost. A re-acquired view's measured
+    gimbal is the commanded one plus the frame's attitude error."""
     intr = config.camera
     frame_area = float(intr.width * intr.height)
-    pose_true, pose_meas = packet.pose_true, packet.pose_meas
-    err_pitch = pose_meas.gimbal.pitch - pose_true.gimbal.pitch
-    err_yaw = pose_meas.gimbal.yaw - pose_true.gimbal.yaw
+    pose_true, gimbal_meas = packet.pose_true, None
+    err_pitch = packet.pose_meas.gimbal.pitch - pose_true.gimbal.pitch
+    err_yaw = packet.pose_meas.gimbal.yaw - pose_true.gimbal.yaw
     rounds = 0
     while True:
         noisy = min(max(det.confidence + _conf_noise(
@@ -667,7 +748,7 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
         if action == "accept":
             if rounds > 0:
                 trace.reacq_confirms += 1
-            return det, pose_meas
+            return det, gimbal_meas
         if action == "reject":
             return None
         # Re-acquire: re-point the gimbal along the target's line of sight
@@ -678,9 +759,9 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
         gimbal = repoint(pose_true.gimbal,
                          rot @ backproject(*det.bbox.center, intr))
         pose_true = replace(pose_true, gimbal=gimbal)
-        pose_meas = replace(pose_meas, gimbal=Attitude(
-            pitch=gimbal.pitch + err_pitch, yaw=gimbal.yaw + err_yaw))
-        frame = render_frame(defects, pose_true, intr, config.render,
+        gimbal_meas = Attitude(pitch=gimbal.pitch + err_pitch,
+                               yaw=gimbal.yaw + err_yaw)
+        frame = render_frame(scene, pose_true, intr, config.render,
                              speed=0.0)  # hover during re-acquisition
         redetections = detect(frame, config.detector)
         if not redetections:
@@ -689,24 +770,41 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
             d.bbox.center[0] - intr.cx, d.bbox.center[1] - intr.cy))
 
 
-def project_confirmed(det: Detection, pose_meas: FramePose,
-                      packet: SensorPacket, config: MissionConfig,
-                      start: datetime, trace: MissionTrace):
-    """Project stage: the detection's footprint from the measured pose, or
-    None (counted in ``trace.projection_failed``) when a corner ray does
-    not reach the ground or the point below the pose is past a pole or the
-    tangent plane. The pose altitude is the camera's height above the
-    plant, as in :func:`render_frame`."""
+def frame_view(packet: SensorPacket, config: MissionConfig,
+               start: datetime):
+    """The project stage's pose work for one survey frame, done once for
+    all its detections: the camera view from the measured pose, or None
+    when the point below that pose is past a pole or the tangent plane. The
+    pose altitude is the camera's height above the plant, as in
+    :func:`render_frame`."""
     origin = config.plant.origin
-    media = f"sim://{config.site_id}/{packet.frame_id}"
+    pose = packet.pose_meas
     try:
-        ground = GeoPoint(*tangent_point(origin.lat, origin.lon,
-                                         pose_meas.east, pose_meas.north))
-        return project_detection(
-            det, config.camera, ground, pose_meas.altitude,
-            pose_meas.gimbal, frame_id=packet.frame_id,
-            timestamp=_ts_utc(start, packet.pose_true.time_s),
-            media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
+        ground = GeoPoint(*tangent_point(origin.lat, origin.lon, pose.east,
+                                         pose.north))
+    except GeodesyError:
+        return None
+    media = f"sim://{config.site_id}/{packet.frame_id}"
+    return CameraView(intr=config.camera, ground=ground, height=pose.altitude,
+                      rot=camera_to_world_rotation(pose.gimbal),
+                      frame_id=packet.frame_id,
+                      timestamp=_ts_utc(start, packet.pose_true.time_s),
+                      media_rgb=f"{media}.jpg", media_tiff=f"{media}.tif")
+
+
+def project_confirmed(det: Detection, gimbal, view, trace: MissionTrace):
+    """Project stage: the detection's footprint in its frame's ``view``, or
+    None (counted in ``trace.projection_failed``) when the view is None or
+    a corner ray does not reach the ground. ``gimbal`` is the measured
+    gimbal of the re-acquired view the detection was confirmed in, which
+    takes its own rotation, or None for the survey frame."""
+    if view is None:
+        trace.projection_failed += 1
+        return None
+    if gimbal is not None:
+        view = replace(view, rot=camera_to_world_rotation(gimbal))
+    try:
+        return project_detection(det, view)
     except (ProjectionError, GeodesyError):
         trace.projection_failed += 1
         return None
@@ -717,9 +815,20 @@ def match_ground_truth(projections, defects, radius: float) -> list:
     within the radius of a defect takes that defect's class."""
     gt_indices = nearest_ground_truth([p.centroid for p in projections],
                                       defects, radius)
-    return [p if gi is None else replace(p, detection=replace(
-                p.detection, class_id=defects[gi].class_id))
-            for p, gi in zip(projections, gt_indices)]
+    matched = []
+    for p, gi in zip(projections, gt_indices):
+        if gi is not None:
+            d = p.detection
+            p = ProjectedDetection(
+                detection=Detection(bbox=d.bbox,
+                                    class_id=defects[gi].class_id,
+                                    confidence=d.confidence,
+                                    peak_temp_c=d.peak_temp_c),
+                polygon=p.polygon, centroid=p.centroid, frame_id=p.frame_id,
+                timestamp=p.timestamp, media_rgb=p.media_rgb,
+                media_tiff=p.media_tiff)
+        matched.append(p)
+    return matched
 
 
 def _usable_cpus() -> int:
@@ -729,28 +838,33 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fly(config: MissionConfig, defects, poses, start: datetime, lo: int,
-         hi: int) -> MissionTrace:
+def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
+         lo: int, hi: int) -> MissionTrace:
     """Sense -> detect -> confirm -> project -> match over the frames
     ``poses[lo:hi]``, each numbered by its index in the whole flight. Returns
-    the range's counters and matched projections in a MissionTrace without
-    config or defects, which the caller has and a worker need not send."""
+    the range's counters, matched projections and their detections.jsonl
+    lines in a MissionTrace without config or defects, which the caller has
+    and a worker need not send."""
     trace = MissionTrace(config=None, defects=None)
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses[lo:hi], config.camera, config.noise,
+            scene, poses[lo:hi], config.camera, config.noise,
             config.render, config.flight.speed, config.seed, lo), lo):
         trace.frames += 1
-        for det_idx, det in detect_frame(packet, frame_idx, config, trace):
-            confirmed = confirm_detection(det, packet, frame_idx, det_idx,
-                                          config, defects, trace)
-            if confirmed is None:
-                continue
-            projected = project_confirmed(*confirmed, packet, config, start,
-                                          trace)
+        confirmed = [c for det_idx, det in detect_frame(packet, frame_idx,
+                                                        config, trace)
+                     if (c := confirm_detection(det, packet, frame_idx,
+                                                det_idx, config, scene,
+                                                trace)) is not None]
+        if not confirmed:
+            continue
+        view = frame_view(packet, config, start)
+        for det, gimbal in confirmed:
+            projected = project_confirmed(det, gimbal, view, trace)
             if projected is not None:
                 trace.accepted.append(projected)
-    trace.accepted = match_ground_truth(trace.accepted, defects,
+    trace.accepted = match_ground_truth(trace.accepted, scene.defects,
                                         config.match_radius_m)
+    trace.detection_lines = detection_record_lines(trace.accepted)
     return trace
 
 
@@ -822,18 +936,19 @@ def _forked_map(fn, calls) -> list:
     return results
 
 
-def _fly_ranges(config: MissionConfig, defects, poses,
+def _fly_ranges(config: MissionConfig, scene: Scene, poses,
                 start: datetime) -> MissionTrace:
     """``_fly`` over the whole flight, one contiguous frame range per usable
     CPU (at most one per frame) in ``_forked_map``. The output cannot depend
     on the cut: every noise stream is keyed by seed, frame and detection
     index, each projection is matched on its own, and the range traces are
-    added up in frame order, every field but config and defects."""
+    added up in frame order, every field but config and defects (lists and
+    detections.jsonl bytes join)."""
     w = min(_usable_cpus(), len(poses))
     cuts = [len(poses) * i // w for i in range(w + 1)]
-    trace = MissionTrace(config=config, defects=defects)
+    trace = MissionTrace(config=config, defects=scene.defects)
     for part in _forked_map(_fly, [
-            (config, defects, poses, start, cuts[i], cuts[i + 1])
+            (config, scene, poses, start, cuts[i], cuts[i + 1])
             for i in range(w)]):
         for f in fields(MissionTrace):
             if f.name not in ("config", "defects"):
@@ -843,17 +958,19 @@ def _fly_ranges(config: MissionConfig, defects, poses,
 
 
 def run_mission(config: MissionConfig):
-    """Plan -> fly (sense -> detect -> confirm -> project -> match, per frame
-    range in forked workers) -> dedup -> report. Returns (trace, report),
-    the same bytes for any number of workers."""
-    defects = generate_plant(config.seed, config.plant, config.defects)
+    """Plan (the plant's scene, built once, and the poses) -> fly (sense ->
+    detect -> confirm -> project -> match, per frame range in forked
+    workers) -> dedup -> report. Returns (trace, report), the same bytes for
+    any number of workers; ``trace.report_json`` holds the report's JSON."""
+    scene = Scene.of(generate_plant(config.seed, config.plant,
+                                    config.defects))
     poses = plan_flight(config.plant, config.flight, config.camera)
     start = parse_ts_utc(config.start_utc)
-    trace = _fly_ranges(config, defects, poses, start)
+    trace = _fly_ranges(config, scene, poses, start)
     trace.events = deduplicate(trace.accepted, config.dedup)
     report = build_report(config.site_id, config.uav,
                           _ts_utc(start, poses[-1].time_s), trace.events)
-    trace.payload_bytes = len(to_json(report))
+    trace.report_json = to_json(report)
     return trace, report
 
 

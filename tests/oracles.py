@@ -97,3 +97,41 @@ def merge_cluster_objects(members, member_ids, event_id):
         peak_temp_c=max(d.detection.peak_temp_c for d in members),
         centroid=centroid, polygon=hull_poly, member_ids=tuple(member_ids),
         media_rgb=best.media_rgb, media_tiff=best.media_tiff)
+
+
+def maybe_in_view(defects, pose, rot, intr) -> list:
+    """The defects that can pass render_frame's camera-z and 4-sigma tests:
+    the full-set cull the renderer used before its ground-box index, the
+    oracle the index's candidates must contain.
+
+    All defects are projected in one (N, 3) @ rot product. Each component
+    differs from the per-defect ``rot.T @ ned`` by less than err = 1e-12 *
+    |ned|_1 (three products with rotation entries of size at most 1).
+    Carried through u0 - cx = fx * x / z, v0 - cy and margin = 4 * sigma *
+    fx / z, that moves each test by at most err / z * (max(fx, fy) + 1)
+    times ``size`` = 1 + |u0 - cx| + |v0 - cy| + margin + |cx| + |cy| +
+    width + height. The tests are widened by that much plus 1e-9 * size for
+    the rounding of the formulas, and only defects that fail a widened test
+    are dropped."""
+    if not defects:
+        return []
+    ned = np.empty((len(defects), 3))
+    ned[:, 0] = [d.north for d in defects]
+    ned[:, 1] = [d.east for d in defects]
+    ned[:, :2] -= (pose.north, pose.east)
+    ned[:, 2] = pose.altitude
+    sigma_m = np.array([d.sigma_m for d in defects])
+    x, y, z = (ned @ rot).T
+    err = 1e-12 * np.abs(ned).sum(axis=1)
+    near = z > 0.1 - err
+    z = np.where(near, z, 1.0)
+    du = intr.fx * x / z
+    dv = intr.fy * y / z
+    margin = 4.0 * intr.fx * sigma_m / z
+    size = np.abs(du) + np.abs(dv) + margin + (
+        1.0 + abs(intr.cx) + abs(intr.cy) + intr.width + intr.height)
+    reach = margin + (err / z * (max(intr.fx, intr.fy) + 1.0) + 1e-9) * size
+    half_w, half_h = intr.width / 2.0, intr.height / 2.0
+    keep = (near & (np.abs(du + (intr.cx - half_w)) <= half_w + reach)
+            & (np.abs(dv + (intr.cy - half_h)) <= half_h + reach))
+    return [defects[i] for i in np.flatnonzero(keep)]

@@ -196,16 +196,17 @@ def test_criterion_8_rodrigues_and_recentering():
     # re-point, re-render, and the target sits within 1 px of center.
     from pvpipeline.detector import detect
     from pvpipeline.simulator import (FramePose, PlantLayout, RenderModel,
-                                      generate_plant, render_frame)
+                                      Scene, generate_plant, render_frame)
 
     layout = PlantLayout(origin=GeoPoint(lat=49.407, lon=26.984))
-    defects = generate_plant(1, layout, DefectMix(count=1, n_small=0))
-    d = defects[0]
+    scene = Scene.of(generate_plant(1, layout, DefectMix(count=1,
+                                                         n_small=0)))
+    d = scene.defects[0]
     intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=31.5,
                             width=80, height=64)
     pose = FramePose(east=d.east - 2.0, north=d.north + 1.5, altitude=10.0,
                      gimbal=Attitude(pitch=-math.pi / 2.0), time_s=0.0)
-    frame = render_frame(defects, pose, intr, RenderModel(), speed=0.0)
+    frame = render_frame(scene, pose, intr, RenderModel(), speed=0.0)
     dets = detect(frame)
     assert len(dets) == 1
     u0, v0 = dets[0].bbox.center
@@ -213,7 +214,7 @@ def test_criterion_8_rodrigues_and_recentering():
 
     los = camera_to_world_rotation(pose.gimbal) @ backproject(u0, v0, intr)
     repointed = replace(pose, gimbal=repoint(pose.gimbal, los))
-    frame2 = render_frame(defects, repointed, intr, RenderModel(), speed=0.0)
+    frame2 = render_frame(scene, repointed, intr, RenderModel(), speed=0.0)
     assert len(detect(frame2)) >= 1
     v1, u1 = np.unravel_index(np.argmax(frame2.temp_c), frame2.temp_c.shape)
     assert math.hypot(u1 - intr.cx, v1 - intr.cy) <= 1.0

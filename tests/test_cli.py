@@ -232,6 +232,13 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"start_utc": "yesterday"}, [], "$.start_utc", "start_utc"),
     ({"defects": {"count": -1}}, [], "$.defects", "count"),
     ({"defects": {"n_small": -1}}, [], "$.defects", "n_small"),
+    # the defect mix is checked before the plant is generated
+    ({"defects": {"sigma_m": 0}}, [], "$.defects", "sigma_m"),
+    ({"defects": {"small_sigma_m": -1}}, [], "$.defects", "small_sigma_m"),
+    ({"defects": {"excess_range_c": [-1.0, 9.0]}}, [], "$.defects",
+     "excess_range_c"),
+    ({"defects": {"small_excess_range_c": [6.0, 0]}}, [], "$.defects",
+     "small_excess_range_c"),
     # the default plant has 10 x 10 modules
     ({"defects": {"count": 101}}, [], "$.defects", "count"),
     # removed key: the plant has no elevation, heights are above its surface
@@ -263,7 +270,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
 ], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
-        "n_small-negative", "count-above-modules", "elevation", "fx-1e-10",
+        "n_small-negative", "sigma_m-0", "small_sigma_m-negative",
+        "excess_range_c-negative", "small_excess_range_c-0",
+        "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
         "altitude-1e-3", "raster-1e5x1e5", "default_class", "enabled"])
@@ -279,6 +288,27 @@ def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
     assert f"config error: {where}" in err
     assert key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 1, "plant": {"rows": 40, "cols": 40},
+     "defects": {"count": None, "density": 0.08},
+     "render": {"vignette": 0.999999999999999}},
+    {"seed": 1, "flight": {"speed": 1e300}},
+    {"render": {"ambient_c": 1e300}},
+    {"render": {"exposure_s": 1e300}},
+], ids=["vignette-near-1", "speed-1e300", "ambient_c-1e300",
+        "exposure_s-1e300"])
+def test_simulate_blobs_whose_window_misses_the_raster_exit_0(tmp_path, capsys,
+                                                              config):
+    # Each config renders a blob that passes the 4-sigma test yet whose
+    # windowed radius stops short of the raster; it adds nothing.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "report.json").exists()
 
 
 def test_simulate_prints_a_config_error_once(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance, tangent_offset
-from pvpipeline.geoprojection import (ProjectionError, pixel_to_ground,
-                                      project_detection)
+from pvpipeline.geoprojection import (CameraView, ProjectionError,
+                                      pixel_to_ground, project_detection)
 from pvpipeline.reacquisition import (Attitude, CameraIntrinsics,
                                       camera_to_world_rotation)
 
@@ -110,9 +110,11 @@ def test_project_detection_polygon_and_centroid():
     det = Detection(bbox=BoundingBox(x_min=30.0, y_min=22.0,
                                      x_max=50.0, y_max=42.0),
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
-    proj = project_detection(det, INTR, ORIGIN, 10.0, NADIR, frame_id="f1",
-                             timestamp="2025-09-30T10:00:00Z",
-                             media_rgb="f1.jpg", media_tiff="f1.tiff")
+    proj = project_detection(det, CameraView(
+        intr=INTR, ground=ORIGIN, height=10.0,
+        rot=camera_to_world_rotation(NADIR), frame_id="f1",
+        timestamp="2025-09-30T10:00:00Z", media_rgb="f1.jpg",
+        media_tiff="f1.tiff"))
     assert len(proj.polygon.vertices) == 4
     # The bbox center (40, 32) sits (0.5, 0.5) px from the principal point.
     east, north = _enu(proj.centroid)
@@ -124,7 +126,9 @@ def test_project_detection_polygon_and_centroid():
     assert proj.media_rgb == "f1.jpg"
 
 
-def test_project_detection_builds_one_rotation(monkeypatch):
+def test_project_detection_takes_the_views_rotation(monkeypatch):
+    # The rotation is built once per view, by whoever builds the view;
+    # pixel_to_ground builds one for its gimbal.
     from pvpipeline import geoprojection
     calls = []
 
@@ -132,13 +136,18 @@ def test_project_detection_builds_one_rotation(monkeypatch):
         calls.append(args)
         return camera_to_world_rotation(*args)
 
+    view = CameraView(intr=INTR, ground=ORIGIN, height=10.0,
+                      rot=camera_to_world_rotation(NADIR), frame_id="f1",
+                      timestamp="2025-09-30T10:00:00Z")
     monkeypatch.setattr(geoprojection, "camera_to_world_rotation", counted)
     det = Detection(bbox=BoundingBox(x_min=30.0, y_min=22.0,
                                      x_max=50.0, y_max=42.0),
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
-    project_detection(det, INTR, ORIGIN, 10.0, NADIR, frame_id="f1",
-                      timestamp="2025-09-30T10:00:00Z")
-    assert len(calls) == 1
+    proj = project_detection(det, view)
+    assert calls == []
+    assert pixel_to_ground(30.0, 22.0, INTR, ORIGIN, 10.0, NADIR) == \
+        proj.polygon.vertices[0]
+    assert calls == [(NADIR,)]
 
 
 def test_project_detection_corners_far_apart_raise_projection_error():
@@ -152,5 +161,7 @@ def test_project_detection_corners_far_apart_raise_projection_error():
                                      x_max=80.0, y_max=64.0),
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
     with pytest.raises(ProjectionError, match="farther than 100 km"):
-        project_detection(det, wide, ORIGIN, 30_000.0, NADIR, frame_id="f1",
-                          timestamp="2025-09-30T10:00:00Z")
+        project_detection(det, CameraView(
+            intr=wide, ground=ORIGIN, height=30_000.0,
+            rot=camera_to_world_rotation(NADIR), frame_id="f1",
+            timestamp="2025-09-30T10:00:00Z"))

@@ -1,10 +1,14 @@
-"""Golden mission outputs: the bytes `simulate` writes for three configs.
+"""Golden mission outputs: the bytes `simulate` writes for three configs,
+and for case 0 of each benchmark mission workload.
 
 The fixtures under tests/data/golden_mission/ pin report.json, report.kml,
 metrics.csv and detections.jsonl. Any change to them must be intended and
 stated in CHANGES.md; re-record with `python tests/test_golden_mission.py`.
+The benchmark cases are held to the digests in perfbench/reference.json,
+which these tests only read.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -13,6 +17,8 @@ import pytest
 from pvpipeline import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mission"
+BENCH_REFERENCE = (pathlib.Path(__file__).parent.parent / "perfbench"
+                   / "reference.json")
 OUTPUTS = ("report.json", "report.kml", "metrics.csv", "detections.jsonl")
 CONFIGS = {
     "default": {},
@@ -35,6 +41,29 @@ def test_simulate_matches_golden_outputs(tmp_path, name):
     for output in OUTPUTS:
         assert (out / output).read_bytes() == \
             (GOLDEN / name / output).read_bytes(), f"{name}/{output}"
+
+
+# Case 0 of the two mission workloads, configured as perfbench/run.py
+# writes them: the default plant, and a 40x40 plant of about 128 defects
+# with clutter, misses and re-acquisition.
+BENCH_CASES = {
+    "mission_small": {"seed": 0},
+    "survey_40x40": {
+        "seed": 0,
+        "plant": {"rows": 40, "cols": 40},
+        "defects": {"count": None, "density": 0.08},
+        "noise": {"clutter_rate": 1.0, "miss_probability": 0.1}},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_CASES))
+def test_benchmark_mission_case_matches_its_reference(tmp_path, workload):
+    want = json.loads(BENCH_REFERENCE.read_text())[workload]["0"]
+    out = tmp_path / "out"
+    _simulate(BENCH_CASES[workload], tmp_path, out)
+    for output in OUTPUTS:
+        digest = hashlib.sha256((out / output).read_bytes()).hexdigest()
+        assert digest == want[output], f"{workload}/{output}"
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Simulator tests. The culled, windowed renderer and the grid defect placer
 are held bit-equal to the straightforward versions kept below as oracles:
 every blob added over the full raster, and an O(n^2) scan of the placed
-defects on every attempt."""
+defects on every attempt. The renderer's ground-box index is held to the
+full-set cull in oracles.py."""
 
 import math
 import os
@@ -16,18 +17,21 @@ from hypothesis import strategies as st
 from pvpipeline.detector import BoundingBox, Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
-    camera_to_world_rotation
+    backproject, camera_to_world_rotation, repoint
 from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   FramePose, MissionConfig,
                                   MissionTrace, PlantLayout, RenderModel,
-                                  SensorPacket, SimulationError,
-                                  SyntheticDetectorNoise, confirm_detection,
+                                  Scene, SensorPacket, SimulationError,
+                                  SyntheticDetectorNoise, _in_view,
+                                  confirm_detection,
                                   coverage_multiplicity, detect_frame,
-                                  evaluate, footprint, generate_plant,
-                                  metrics_csv, plan_flight, project_confirmed,
-                                  render_frame, run_mission, simulate_frames,
-                                  sweep_csv)
+                                  evaluate, footprint, frame_view,
+                                  generate_plant, metrics_csv, plan_flight,
+                                  project_confirmed, render_frame,
+                                  run_mission, simulate_frames, sweep_csv)
 from pvpipeline.telemetry import parse_ts_utc
+
+from oracles import maybe_in_view
 
 ORIGIN = GeoPoint(lat=49.4070, lon=26.9840)
 LAYOUT = PlantLayout(origin=ORIGIN)
@@ -242,18 +246,26 @@ def _ray_to_ground(pose, rot, intr, u, v):
 @st.composite
 def render_scenes(draw):
     """(defects, pose, intrinsics, render model, speed). The gimbal is
-    nadir or oblique. Besides defects scattered around the camera, some sit
-    where the ray through a pixel just past the raster edge meets the
-    ground, with sigma set so that the 4-sigma margin reaches that pixel
-    times 1 -/+ a few ulps to 1e-6. In half the scenes the altitude puts
-    a defect on one pixel's ray at camera z = 0.1 m, give or take as much."""
+    nadir, oblique, near the horizon, or re-pointed from nadir at a pixel
+    of the raster as re-acquisition does. Besides defects scattered up to
+    300 altitudes from the camera, some sit where the ray through a pixel
+    just past the raster edge meets the ground, with sigma set so that the
+    4-sigma margin reaches that pixel times 1 -/+ a few ulps to 1e-6. In
+    half the scenes the altitude puts a defect on one pixel's ray at camera
+    z = 0.1 m, give or take as much."""
     intr = draw(st.sampled_from(_INTRINSICS))
+    nadir = Attitude(pitch=-math.pi / 2.0)
     gimbal = draw(st.sampled_from([
-        Attitude(pitch=-math.pi / 2.0),
+        nadir,
         Attitude(pitch=-math.pi / 2.0 + draw(st.floats(-0.2, 0.2)),
                  yaw=draw(st.floats(-math.pi, math.pi))),
         Attitude(pitch=draw(st.floats(-1.5, -0.3)),
-                 yaw=draw(st.floats(-math.pi, math.pi)))]))
+                 yaw=draw(st.floats(-math.pi, math.pi))),
+        Attitude(pitch=draw(st.floats(-0.6, 0.3)),
+                 yaw=draw(st.floats(-math.pi, math.pi))),
+        repoint(nadir, camera_to_world_rotation(nadir) @ backproject(
+            draw(st.floats(0.0, intr.width)),
+            draw(st.floats(0.0, intr.height)), intr))]))
     rot = camera_to_world_rotation(gimbal)
     altitude = draw(st.floats(1.0, 40.0))
     pose = FramePose(east=draw(st.floats(-20.0, 20.0)),
@@ -276,7 +288,8 @@ def render_scenes(draw):
                               max_size=12)):
         peak = draw(st.floats(0.5, 12.0))
         if kind == "scatter":
-            reach = 3.0 * pose.altitude + 5.0
+            reach = pose.altitude * draw(
+                st.sampled_from([3.0, 30.0, 300.0])) + 5.0
             defects.append(_Blob(
                 north=pose.north + draw(st.floats(-reach, reach)),
                 east=pose.east + draw(st.floats(-reach, reach)),
@@ -299,7 +312,7 @@ def render_scenes(draw):
         ambient_c=draw(st.sampled_from([25.0, 0.5, 1000.0, -3.0, 0.0,
                                         5e-324])),
         psf_px=draw(st.floats(0.0, 2.0)),
-        vignette=draw(st.sampled_from([0.0, 0.6, 1.0])),
+        vignette=draw(st.sampled_from([0.0, 0.6, 0.999999999999999, 1.0])),
         exposure_s=0.025)
     return defects, pose, intr, render, draw(st.floats(0.0, 10.0))
 
@@ -307,7 +320,57 @@ def render_scenes(draw):
 @settings(max_examples=300)
 @given(render_scenes())
 def test_render_frame_equals_full_raster_oracle(scene):
-    temp = render_frame(*scene)
+    defects, *view = scene
+    temp = render_frame(Scene.of(defects), *view)
+    assert np.array_equal(temp.temp_c, _render_frame_oracle(*scene))
+
+
+@settings(max_examples=300)
+@given(render_scenes())
+def test_in_view_holds_every_defect_the_full_set_cull_keeps(scene):
+    defects, pose, intr, _, _ = scene
+    rot = camera_to_world_rotation(pose.gimbal)
+    picked = _in_view(Scene.of(defects), pose, rot, intr)
+    assert list(picked) == sorted(set(picked))  # defect order
+    kept = {id(d) for d in maybe_in_view(defects, pose, rot, intr)}
+    assert kept <= {id(defects[i]) for i in picked}
+
+
+def test_in_view_takes_a_nadir_frames_footprint_from_a_large_plant():
+    # From 10 m the raster's edges lie 3.95 to 4.05 m east or west and 3.15
+    # to 3.25 m north or south of the pose. The candidates are the defects
+    # of that footprint grown by 4 sigma, not the plant's.
+    layout = PlantLayout(origin=ORIGIN, rows=40, cols=40)
+    scene = Scene.of(generate_plant(3, layout, DefectMix(count=None)))
+    pose = _nadir_pose(20.0, 20.0)
+    picked = _in_view(scene, pose, camera_to_world_rotation(pose.gimbal),
+                      INTR)
+    reach = 4.0 * scene.max_sigma_m
+
+    def within(d, half_e, half_n):
+        return (abs(d.east - pose.east) <= half_e + reach
+                and abs(d.north - pose.north) <= half_n + reach)
+
+    inner = [i for i, d in enumerate(scene.defects)
+             if within(d, 3.95 - 1e-6, 3.15 - 1e-6)]
+    outer = [i for i, d in enumerate(scene.defects)
+             if within(d, 4.05 + 1e-3, 3.25 + 1e-3)]
+    assert len(scene.defects) > 100 and len(inner) > 0
+    assert set(inner) <= set(picked) <= set(outer)
+
+
+def test_render_frame_skips_a_blob_whose_window_misses_the_raster():
+    # A blob 9 px past a corner passes the 4-sigma test (sigma 2.5 px), but
+    # the vignette leaves it a peak of about 9e-15 C, whose 7.1 px window
+    # ends before the raster. It must add nothing, not wrap the slice to
+    # the far edge.
+    pose = _nadir_pose(0.0, 0.0)
+    north, east, _ = _ray_to_ground(
+        pose, camera_to_world_rotation(pose.gimbal), INTR, -9.0, -9.0)
+    defects = [_Blob(north=north, east=east, sigma_m=0.25, peak_excess_c=8.0)]
+    scene = (defects, pose, INTR,
+             RenderModel(psf_px=0.0, vignette=0.999999999999999), 0.0)
+    temp = render_frame(Scene.of(defects), *scene[1:])
     assert np.array_equal(temp.temp_c, _render_frame_oracle(*scene))
 
 
@@ -323,21 +386,21 @@ def test_render_frame_sums_every_tail_near_zero(ambient_c, first_peak):
                _Blob(north=0.0, east=4.5, sigma_m=0.5, peak_excess_c=5.0)]
     scene = (defects, _nadir_pose(0.0, 0.0), INTR,
              RenderModel(ambient_c=ambient_c, psf_px=0.0, vignette=0.0), 0.0)
-    assert np.array_equal(render_frame(*scene).temp_c,
+    assert np.array_equal(render_frame(Scene.of(defects), *scene[1:]).temp_c,
                           _render_frame_oracle(*scene))
 
 
 def test_render_no_defects_is_flat_ambient():
-    temp = render_frame([], _nadir_pose(5.0, 5.0), INTR, RenderModel(),
-                        speed=0.0)
+    temp = render_frame(Scene.of([]), _nadir_pose(5.0, 5.0), INTR,
+                        RenderModel(), speed=0.0)
     assert np.all(temp.temp_c == 25.0)
 
 
 def test_render_nadir_defect_peaks_at_principal_point():
     defects = generate_plant(1, LAYOUT, DefectMix(count=1, n_small=0))
     d = defects[0]
-    temp = render_frame(defects, _nadir_pose(d.east, d.north), INTR,
-                        RenderModel(), speed=0.0)
+    temp = render_frame(Scene.of(defects), _nadir_pose(d.east, d.north),
+                        INTR, RenderModel(), speed=0.0)
     v, u = np.unravel_index(np.argmax(temp.temp_c), temp.temp_c.shape)
     assert abs(u - INTR.cx) <= 1.0
     assert abs(v - INTR.cy) <= 1.0
@@ -349,7 +412,8 @@ def test_render_attenuations_are_monotone():
     d = defects[0]
 
     def peak(alt=10.0, speed=0.0, de=0.0):
-        temp = render_frame(defects, _nadir_pose(d.east + de, d.north, alt),
+        temp = render_frame(Scene.of(defects),
+                            _nadir_pose(d.east + de, d.north, alt),
                             INTR, RenderModel(), speed=speed)
         return float(temp.temp_c.max() - 25.0)
 
@@ -359,19 +423,19 @@ def test_render_attenuations_are_monotone():
 
 
 def test_simulate_frames_pose_noise_and_determinism():
-    defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
+    scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)[:3]
     noise = SyntheticDetectorNoise(pos_sigma_m=0.2)
-    a = list(simulate_frames(defects, poses, INTR, noise, RenderModel(),
+    a = list(simulate_frames(scene, poses, INTR, noise, RenderModel(),
                              2.0, 9))
-    b = list(simulate_frames(defects, poses, INTR, noise, RenderModel(),
+    b = list(simulate_frames(scene, poses, INTR, noise, RenderModel(),
                              2.0, 9))
     for pa, pb in zip(a, b):
         assert pa.pose_meas == pb.pose_meas
         assert np.array_equal(pa.temp.temp_c, pb.temp.temp_c)
     # Frames render from the true pose; only the measured pose is noisy.
     assert any(p.pose_meas.east != p.pose_true.east for p in a)
-    clean = list(simulate_frames(defects, poses, INTR,
+    clean = list(simulate_frames(scene, poses, INTR,
                                  SyntheticDetectorNoise(), RenderModel(),
                                  2.0, 9))
     for pa, pc in zip(a, clean):
@@ -380,7 +444,7 @@ def test_simulate_frames_pose_noise_and_determinism():
 
 def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
     from pvpipeline import simulator
-    defects = generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0))
+    scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)
     calls = []
 
@@ -389,7 +453,7 @@ def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
         return render_frame(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "render_frame", counted)
-    first = next(simulate_frames(defects, poses, INTR,
+    first = next(simulate_frames(scene, poses, INTR,
                                  SyntheticDetectorNoise(), RenderModel(),
                                  2.0, 9))
     assert calls == [poses[0]]
@@ -456,30 +520,31 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
     from pvpipeline import simulator
     config = replace(MissionConfig(seed=0),
                      noise=SyntheticDetectorNoise(att_sigma_rad=0.02))
-    defects = generate_plant(config.seed, config.plant, config.defects)
+    scene = Scene.of(generate_plant(config.seed, config.plant,
+                                    config.defects))
     poses = plan_flight(config.plant, config.flight, config.camera)
     rendered = []
 
-    def recording(defects, pose, *args, **kwargs):
+    def recording(scene, pose, *args, **kwargs):
         rendered.append(pose)
-        return render_frame(defects, pose, *args, **kwargs)
+        return render_frame(scene, pose, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "render_frame", recording)
-    trace = MissionTrace(config=config, defects=defects)
+    trace = MissionTrace(config=config, defects=scene.defects)
     checked = 0
     for frame_idx, packet in enumerate(simulate_frames(
-            defects, poses, config.camera, config.noise, config.render,
+            scene, poses, config.camera, config.noise, config.render,
             config.flight.speed, config.seed)):
         err_pitch = packet.pose_meas.gimbal.pitch - packet.pose_true.gimbal.pitch
         err_yaw = packet.pose_meas.gimbal.yaw - packet.pose_true.gimbal.yaw
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):
             rendered.clear()
             confirmed = confirm_detection(det, packet, frame_idx, det_idx,
-                                          config, defects, trace)
+                                          config, scene, trace)
             if confirmed is None or not rendered:
                 continue
             commanded = rendered[-1].gimbal
-            measured = confirmed[1].gimbal
+            measured = confirmed[1]
             assert measured.pitch == pytest.approx(commanded.pitch + err_pitch,
                                                    abs=1e-12)
             assert measured.yaw == pytest.approx(commanded.yaw + err_yaw,
@@ -503,7 +568,9 @@ def test_project_stage_counts_a_pose_past_the_pole_as_failed():
         pose = _nadir_pose(5.0, north)
         packet = SensorPacket(frame_id="f0000", pose_true=pose,
                               pose_meas=pose, temp=None)
-        result = project_confirmed(det, pose, packet, config, start, trace)
+        view = frame_view(packet, config, start)
+        assert (view is not None) == projected
+        result = project_confirmed(det, None, view, trace)
         assert (result is not None) == projected
     assert trace.projection_failed == 1
 
