@@ -208,7 +208,7 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
     batch = fusion.make_toy_samples(4, seed=seed, crop_size=4)
     closure = model.loss_closure(batch, fusion.LossWeights())
     results.append(("composite",
-                    fusion.gradient_check(closure, model.flatten())))
+                    fusion.gradient_check(closure, model.vec)))
     return results
 
 

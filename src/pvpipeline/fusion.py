@@ -9,9 +9,9 @@ stacked rows. make_toy_samples builds the synthetic crop pairs as one
 ToyBatch of arrays, and FusionModel.loss_and_grads runs forward and backward
 once over it, with each weight gradient one contraction over the rows; no
 term is evaluated per sample.
-Every weight lives in one flat parameter dict keyed by PARAM_KEYS: the
-encoders read theirs from it by prefix, and the backward pass reuses the
-hidden activations of the forward pass.
+Every weight lives in one flat vector laid out by FusionModel.layout: the
+encoders read theirs as views into it, the gradient is laid out the same
+way, and the backward pass reuses the forward pass's hidden activations.
 """
 
 from __future__ import annotations
@@ -235,12 +235,6 @@ def encode_backward(x: np.ndarray, h: np.ndarray, params: dict, prefix: str,
 # Full toy model: palettes -> shared encoder -> gate -> detector head
 # ---------------------------------------------------------------------------
 
-PARAM_KEYS = ("t.w1", "t.b1", "t.w2", "t.b2",
-              "r.w1", "r.b1", "r.w2", "r.b2",
-              "gate.w", "gate.b",
-              "head.w_cls", "head.b_cls", "head.w_box", "head.b_box")
-
-
 @dataclass(frozen=True)
 class ToyBatch:
     """N synthetic crop pairs, one per row: M palette renderings of a
@@ -267,7 +261,8 @@ class ToyBatch:
 
 
 class FusionModel:
-    """Toy thermal/RGB fusion model with analytic gradients."""
+    """Toy thermal/RGB fusion model with analytic gradients. Its weights are
+    one flat vector, vec; params maps each key to a view into it."""
 
     def __init__(self, seed: int = 0, crop_size: int = 16, hidden: int = 16,
                  dim: int = 32):
@@ -275,49 +270,51 @@ class FusionModel:
         self.in_dim = crop_size * crop_size * 3
         self.hidden = hidden
         self.dim = dim
-        rng = np.random.default_rng(seed)
-        self.params = {}
+        # (key, shape, init) of every weight, in its order in vec. init
+        # (gain, fan_in) draws the weight as gain * N(0, 1) / sqrt(fan_in),
+        # in this order from the seed's RNG; None starts it at zero.
+        layout = []
         for prefix in ("t", "r"):  # thermal, then RGB encoder
-            self.params.update({
-                prefix + ".w1": 0.5 * rng.standard_normal((hidden, self.in_dim))
-                / math.sqrt(self.in_dim),
-                prefix + ".b1": np.zeros(hidden),
-                prefix + ".w2": 0.5 * rng.standard_normal((dim, hidden))
-                / math.sqrt(hidden),
-                prefix + ".b2": np.zeros(dim)})
-        self.params.update({
-            "gate.w": 0.1 * rng.standard_normal((dim, 2 * dim)),
-            "gate.b": np.zeros(dim),
-            "head.w_cls": 0.1 * rng.standard_normal(dim), "head.b_cls": np.zeros(1),
-            "head.w_box": 0.1 * rng.standard_normal((4, dim)), "head.b_box": np.zeros(4),
-        })
+            layout += [(prefix + ".w1", (hidden, self.in_dim),
+                        (0.5, self.in_dim)),
+                       (prefix + ".b1", (hidden,), None),
+                       (prefix + ".w2", (dim, hidden), (0.5, hidden)),
+                       (prefix + ".b2", (dim,), None)]
+        self.layout = tuple(layout) + (
+            ("gate.w", (dim, 2 * dim), (0.1, 1)), ("gate.b", (dim,), None),
+            ("head.w_cls", (dim,), (0.1, 1)), ("head.b_cls", (1,), None),
+            ("head.w_box", (4, dim), (0.1, 1)), ("head.b_box", (4,), None))
+        self.vec = np.zeros(sum(math.prod(shape) for _, shape, _ in self.layout))
+        self.params = self.views(self.vec)
+        rng = np.random.default_rng(seed)
+        for key, shape, init in self.layout:
+            if init is not None:
+                gain, fan_in = init
+                self.params[key][...] = (gain * rng.standard_normal(shape)
+                                         / math.sqrt(fan_in))
 
-    # -- parameter vector helpers --------------------------------------
-
-    def flatten(self, params=None) -> np.ndarray:
-        params = self.params if params is None else params
-        return np.concatenate([params[k].ravel() for k in PARAM_KEYS])
-
-    def unflatten(self, vec: np.ndarray) -> dict:
-        out = {}
-        pos = 0
-        for k in PARAM_KEYS:
-            shape = self.params[k].shape
-            n = int(np.prod(shape))
-            out[k] = vec[pos:pos + n].reshape(shape).copy()
+    def views(self, vec: np.ndarray) -> dict:
+        """Key -> view into a vector laid out like self.vec (weights or
+        their gradient)."""
+        out, pos = {}, 0
+        for key, shape, _ in self.layout:
+            n = math.prod(shape)
+            out[key] = vec[pos:pos + n].reshape(shape)
             pos += n
         return out
 
     # -- forward --------------------------------------------------------
 
-    def loss_and_grads(self, params, batch: ToyBatch, weights: LossWeights):
-        """Mean composite loss over a batch's samples plus aggregated
-        gradients.
+    def loss_and_grads(self, vec: np.ndarray, batch: ToyBatch,
+                       weights: LossWeights):
+        """Mean composite loss over a batch's samples at the weight vector
+        vec, its gradient (a vector laid out like vec) and the loss terms.
 
         L_cls and L_pal average over all samples; L_box averages over the
         positive samples. The whole batch goes through the encoders, gate,
         heads and loss terms at once.
         """
+        params = self.views(vec)
         n, m, _ = batch.x_t.shape
         # The thermal encoder takes the N * M palette inputs as 2-D rows.
         x_t, x_r, positive = batch.x_t.reshape(n * m, -1), batch.x_r, batch.positive
@@ -354,31 +351,31 @@ class FusionModel:
         box_w = weights.lambda_box / k if k else 0.0
         d_t_box = d_box * s_box * (1.0 - s_box) * box_w
 
-        # Backward: each weight gradient is one contraction over the batch.
+        # Backward: each weight gradient is one contraction over the batch,
+        # copied into its view of the flat gradient.
         du = np.outer(d_logit, params["head.w_cls"]) + d_t_box @ params["head.w_box"]
         dz_bar, dr, d_gw, d_gb = gated_fuse_backward(
             z_bar, r, params["gate.w"], g, du)
         dzs = dz_bar[:, None, :] / m + (weights.lambda_pal / n) * d_zs_pal
-        grads = {"head.w_cls": d_logit @ u, "head.b_cls": np.array([d_logit.sum()]),
+        grads = {"head.w_cls": d_logit @ u, "head.b_cls": d_logit.sum(),
                  "head.w_box": d_t_box.T @ u, "head.b_box": d_t_box.sum(axis=0),
-                 "gate.w": d_gw, "gate.b": d_gb}
-        grads.update(encode_backward(x_t, h_t, params, "t", dzs))
-        grads.update(encode_backward(x_r, h_r, params, "r", dr))
+                 "gate.w": d_gw, "gate.b": d_gb,
+                 **encode_backward(x_t, h_t, params, "t", dzs),
+                 **encode_backward(x_r, h_r, params, "r", dr)}
+        grad = np.empty_like(vec)
+        for key, view in self.views(grad).items():
+            view[...] = grads[key]
 
         aux = {"cls": float(cls_l.mean()), "pal": float(pal_l.mean()),
                "box": float(box_l.sum()) / k if k else 0.0}
         total = total_loss(aux["cls"], aux["box"], aux["pal"], weights)
         if not math.isfinite(total):
             raise TrainingDiverged("non-finite loss")
-        return total, {k: grads[k] for k in PARAM_KEYS}, aux
+        return total, grad, aux
 
     def loss_closure(self, batch: ToyBatch, weights: LossWeights):
-        """(flat params) -> (loss, flat grad) for optimization and checking."""
-        def closure(vec: np.ndarray):
-            params = self.unflatten(vec)
-            loss, grads, _ = self.loss_and_grads(params, batch, weights)
-            return loss, self.flatten(grads)
-        return closure
+        """(weight vector) -> (loss, flat gradient), for gradient_check."""
+        return lambda vec: self.loss_and_grads(vec, batch, weights)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +459,17 @@ class TrainResult:
     pal_trace: list
 
 
-def train_toy(batch: ToyBatch, epochs: int = 600, learning_rate: float = 0.02,
+def train_toy(batch: ToyBatch, epochs: int = 600,
               weights: LossWeights = LossWeights(), seed: int = 0,
               model: FusionModel | None = None) -> TrainResult:
-    """Full-batch Adam on the composite loss (deterministic given the seed)."""
+    """Full-batch Adam on the composite loss (deterministic given the seed),
+    on a copy of the model's weights that only a finished run writes back."""
     n, in_dim = batch.x_r.shape
     if n < 32:
         raise FusionError("need at least 32 samples")
     if model is None:
         model = FusionModel(seed=seed, crop_size=int(round(math.sqrt(in_dim / 3))))
-    vec = model.flatten()
+    vec = model.vec.copy()
     # Adam moments and scratch in place; each expression keeps the operation
     # order of m1 = beta1 * m1 + (1 - beta1) * g,
     # m2 = beta2 * m2 + (1 - beta2) * g * g and
@@ -480,15 +478,13 @@ def train_toy(batch: ToyBatch, epochs: int = 600, learning_rate: float = 0.02,
     m2 = np.zeros_like(vec)
     num = np.empty_like(vec)
     den = np.empty_like(vec)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    learning_rate, beta1, beta2, eps = 0.02, 0.9, 0.999, 1e-8
     total_trace = []
     pal_trace = []
     for t in range(1, epochs + 1):
-        params = model.unflatten(vec)
-        loss, grads, aux = model.loss_and_grads(params, batch, weights)
+        loss, g, aux = model.loss_and_grads(vec, batch, weights)
         total_trace.append(loss)
         pal_trace.append(aux["pal"])
-        g = model.flatten(grads)
         m1 *= beta1
         m1 += np.multiply(1 - beta1, g, out=num)
         m2 *= beta2
@@ -503,5 +499,5 @@ def train_toy(batch: ToyBatch, epochs: int = 600, learning_rate: float = 0.02,
         vec -= num
         if not np.all(np.isfinite(vec)):
             raise TrainingDiverged("parameters diverged")
-    model.params = model.unflatten(vec)
+    model.vec[:] = vec
     return TrainResult(params=model.params, total_trace=total_trace, pal_trace=pal_trace)

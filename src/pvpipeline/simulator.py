@@ -43,7 +43,7 @@ from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
     backproject, camera_to_world_rotation, reacquisition_decision, repoint
 from .telemetry import build_report, detection_record_lines, \
     parse_ts_utc, to_json
-from .thermal import TemperatureMap
+from .thermal import ABSOLUTE_ZERO_C, TemperatureMap
 
 # Fault taxonomy labels used for ground-truth classes.
 FAULT_CLASSES = ("hotspot_single", "hotspot_multi", "diode_bypass",
@@ -326,6 +326,8 @@ class RenderModel:
     def __post_init__(self):
         if not (0.0 <= self.vignette <= 1.0):
             raise SimulationError("vignette coefficient must lie in [0, 1]")
+        if self.ambient_c <= ABSOLUTE_ZERO_C:
+            raise SimulationError("ambient_c must lie above absolute zero")
 
 
 @dataclass(frozen=True)
@@ -466,7 +468,7 @@ def render_frame(scene: Scene, pose: FramePose, intr: CameraIntrinsics,
     rounds away. Otherwise every blob covers the full raster."""
     rot = camera_to_world_rotation(pose.gimbal)
     rot_t = rot.T
-    img = np.full((intr.height, intr.width), render.ambient_c)
+    img = np.full((intr.height, intr.width), render.ambient_c, dtype=np.float64)
     r_max = math.hypot(intr.cx, intr.cy)
     gsd = pose.altitude / intr.fx
     blur_px = speed * render.exposure_s / gsd

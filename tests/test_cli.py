@@ -217,6 +217,8 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
 @pytest.mark.parametrize("config,flags,where,key", [
     ({"flight": {"altitude": float("nan")}}, [], "$.flight", "altitude"),
     ({"render": {"psf_px": float("nan")}}, [], "$.render", "psf_px"),
+    ({"render": {"ambient_c": -300}}, [], "$.render", "ambient_c"),
+    ({"render": {"ambient_c": -273.15}}, [], "$.render", "ambient_c"),
     ({"plant": {"origin": [49.4, float("inf")]}}, [], "$.plant", "origin"),
     # an int past the float range is as non-finite as inf
     ({"camera": {"fx": 10 ** 400}}, [], "$.camera", "fx"),
@@ -267,7 +269,8 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # removed key: "max_rounds": 0 turns re-acquisition off
     ({"reacquisition": {"enabled": False}}, [],
      "$.reacquisition.enabled", "unknown key"),
-], ids=["altitude-nan", "psf_px-nan", "origin-inf", "fx-huge-int", "width-0",
+], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
+        "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
         "seed-flag-negative", "start_utc-unparsable", "count-negative",
         "n_small-negative", "sigma_m-0", "small_sigma_m-negative",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pvpipeline import fusion
-from pvpipeline.fusion import (PARAM_KEYS, FusionError, FusionModel,
-                               LossWeights, ToyBatch, embedding_centroid,
+from pvpipeline.fusion import (FusionError, FusionModel, LossWeights,
+                               ToyBatch, TrainingDiverged, embedding_centroid,
                                focal_loss_grad, gated_fuse,
                                gated_fuse_backward, giou_loss_grad,
                                gradient_check, make_toy_samples,
@@ -126,7 +126,7 @@ def test_composite_model_directional_gradients():
     model = FusionModel(seed=3, crop_size=8, hidden=6, dim=8)
     batch = make_toy_samples(6, seed=3, crop_size=8)
     closure = model.loss_closure(batch, LossWeights())
-    vec = model.flatten()
+    vec = model.vec
     loss0, grad = closure(vec)
     assert math.isfinite(loss0)
     rng = np.random.default_rng(4)
@@ -143,7 +143,7 @@ def test_composite_model_full_check_small():
     model = FusionModel(seed=0, crop_size=4, hidden=3, dim=4)
     batch = make_toy_samples(4, seed=0, crop_size=4)
     closure = model.loss_closure(batch, LossWeights())
-    assert gradient_check(closure, model.flatten()) < GRAD_TOL
+    assert gradient_check(closure, model.vec) < GRAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def _loop_loss_and_grads(params, batch, weights):
     n = len(batch.x_r)
     n_pos = int(np.count_nonzero(batch.positive))
     boxes = iter(batch.boxes)
-    grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
+    grads = {k: np.zeros_like(w) for k, w in params.items()}
     cls_acc = box_acc = pal_acc = 0.0
     for x_t, x_r, positive in zip(batch.x_t, batch.x_r, batch.positive):
         box_w = 1.0 / n_pos if positive else 0.0
@@ -386,21 +386,22 @@ def _assert_rel(actual, expected, rtol=1e-12):
 def test_batched_loss_and_grads_matches_loop(n, m, kinds):
     rng = np.random.default_rng(100 + 10 * n + m)
     model = FusionModel(seed=n + m, crop_size=4, hidden=5, dim=6)
-    params = model.unflatten(model.flatten() * rng.uniform(0.5, 3.0))
+    vec = model.vec * rng.uniform(0.5, 3.0)
+    params = model.views(vec)
     weights = LossWeights(lambda_box=1.5, lambda_pal=0.3,
                           focal_alpha=0.4, focal_gamma=2.0)
     batch = _random_batch(rng, n, m, model.in_dim, kinds)
 
-    total, grads, aux = model.loss_and_grads(params, batch, weights)
+    total, grad, aux = model.loss_and_grads(vec, batch, weights)
     ref_total, ref_grads, ref_aux = _loop_loss_and_grads(params, batch, weights)
 
     _assert_rel(total, ref_total)
     assert set(aux) == set(ref_aux)
     for term in ref_aux:
         _assert_rel(aux[term], ref_aux[term])
-    assert list(grads) == list(PARAM_KEYS)
-    for key in PARAM_KEYS:
-        _assert_rel(grads[key], ref_grads[key])
+    assert grad.shape == vec.shape
+    for key, view in model.views(grad).items():
+        _assert_rel(view, ref_grads[key])
 
 
 @pytest.mark.parametrize("fields,bad,match", [
@@ -429,6 +430,40 @@ def test_toy_training_trace_matches_recorded_loop_trace():
     result = train_toy(make_toy_samples(32, seed=7), epochs=20, seed=7)
     np.testing.assert_allclose(result.total_trace, ref["total_trace"], rtol=1e-10, atol=0)
     np.testing.assert_allclose(result.pal_trace, ref["pal_trace"], rtol=1e-10, atol=0)
+
+
+def test_model_params_are_views_of_its_one_weight_vector():
+    model = FusionModel(seed=2, crop_size=4, hidden=5, dim=6)
+    assert list(model.params) == [key for key, _, _ in model.layout]
+    assert sum(w.size for w in model.params.values()) == model.vec.size
+    before = model.vec.copy()
+    train_toy(make_toy_samples(32, seed=2, crop_size=4), epochs=3, model=model)
+    assert not np.array_equal(model.vec, before)
+    for key, shape, _ in model.layout:
+        assert model.params[key].shape == shape
+        assert np.shares_memory(model.params[key], model.vec)
+    assert np.array_equal(np.concatenate([w.ravel() for w in
+                                          model.params.values()]), model.vec)
+
+
+def test_diverged_training_leaves_the_model_untouched():
+    model = FusionModel(seed=2, crop_size=4, hidden=5, dim=6)
+    before = model.vec.copy()
+    step = model.loss_and_grads
+    calls = []
+
+    def diverge_at_third_step(vec, batch, weights):
+        calls.append(vec.copy())
+        if len(calls) == 3:
+            raise TrainingDiverged("non-finite loss")
+        return step(vec, batch, weights)
+
+    model.loss_and_grads = diverge_at_third_step
+    with pytest.raises(TrainingDiverged):
+        train_toy(make_toy_samples(32, seed=2, crop_size=4), epochs=5,
+                  model=model)
+    assert not np.array_equal(calls[2], before)  # two steps were taken
+    assert np.array_equal(model.vec, before)
 
 
 def test_benchmark_fusion_train_call_matches_its_reference():

@@ -43,6 +43,46 @@ def test_simulate_matches_golden_outputs(tmp_path, name):
             (GOLDEN / name / output).read_bytes(), f"{name}/{output}"
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_offline_dedup_of_golden_sightings_writes_the_reports_detections(
+        tmp_path, name):
+    # `dedup` on a mission's detections.jsonl, at the mission's epsilon,
+    # reproduces the events the mission reported, byte for byte.
+    events = tmp_path / "events.json"
+    assert cli.main(["dedup", "--input",
+                     str(GOLDEN / name / "detections.jsonl"),
+                     "--epsilon", "1.0", "--out", str(events)]) == cli.EXIT_OK
+    report = (GOLDEN / name / "report.json").read_bytes()
+    assert json.loads(events.read_bytes()) == json.loads(report)["detections"]
+    assert b'"detections":' + events.read_bytes() in report
+
+
+# Float slots of the config given as JSON integers, each equal to its
+# default: the run must write the default run's bytes.
+INTEGER_FLOATS = {
+    "ambient_c": {"render": {"ambient_c": 25}},
+    "altitude": {"flight": {"altitude": 10}},
+    "speed": {"flight": {"speed": 2}},
+    "fx-fy": {"camera": {"fx": 100, "fy": 100}},
+    "delta_c": {"detector": {"delta_c": 2}},
+    "logit_per_deg": {"detector": {"logit_per_deg": 1}},
+    "epsilon": {"dedup": {"epsilon": 1}},
+    "match_radius_m": {"match_radius_m": 1},
+    "excess_range_c": {"defects": {"excess_range_c": [7, 9]}},
+    "small_excess_range_c": {"defects": {"small_excess_range_c": [6, 7]}},
+    "pitch": {"plant": {"pitch": [1, 1]}},
+}
+
+
+@pytest.mark.parametrize("slot", list(INTEGER_FLOATS))
+def test_integer_float_slots_write_the_default_outputs(tmp_path, slot):
+    out = tmp_path / "out"
+    _simulate(INTEGER_FLOATS[slot], tmp_path, out)
+    for output in OUTPUTS:
+        assert (out / output).read_bytes() == \
+            (GOLDEN / "default" / output).read_bytes(), f"{slot}/{output}"
+
+
 # Case 0 of the two mission workloads, configured as perfbench/run.py
 # writes them: the default plant, and a 40x40 plant of about 128 defects
 # with clutter, misses and re-acquisition.
