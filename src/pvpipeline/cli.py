@@ -22,7 +22,9 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 GRAD_TOL = 1e-4
-# fuse-check's largest --dim: its run time grows as about dim^2 (7 s at 32).
+# fuse-check's largest --dim: its run time grows as about dim^2 (7 s at 32),
+# and past about dim 40 roundoff in the gate term's step-1e-5 central
+# differences exceeds GRAD_TOL, though the analytic gradient is right.
 MAX_FUSE_DIM = 32
 
 log = logging.getLogger("pvpipeline")
@@ -57,7 +59,7 @@ def _write(path: str, payload: bytes) -> bool:
 
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
-    from .simulator import evaluate, metrics_csv, run_mission
+    from .simulator import PlacementError, evaluate, metrics_csv, run_mission
     from .telemetry import to_kml
 
     try:
@@ -69,6 +71,9 @@ def cmd_simulate(args) -> int:
     try:
         trace, report = run_mission(config)
         metrics = evaluate(trace)
+    except PlacementError as exc:  # its message leads with the config key
+        print(f"config error: $.{exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # surfaced as a runtime failure with exit 2
         print(f"runtime error: {exc}", file=sys.stderr)
         log.debug("mission failed", exc_info=True)

@@ -124,7 +124,7 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     lat0, lon0 = anchor.lat, anchor.lon
     hull = convex_hull([tangent_offset(lat0, lon0, v.lat, v.lon)
                         for det in members for v in det.polygon.vertices])
-    best = max(members, key=lambda d: d.detection.confidence)
+    best = max(members, key=lambda d: d.confidence)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
         hull_poly = best.polygon
@@ -135,9 +135,9 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
         centroid = GeoPoint(*tangent_point(lat0, lon0, *plane_centroid(hull)))
     return DefectEvent(
         id=event_id,
-        class_id=best.detection.class_id,
-        confidence=max(d.detection.confidence for d in members),
-        peak_temp_c=max(d.detection.peak_temp_c for d in members),
+        class_id=best.class_id,
+        confidence=max(d.confidence for d in members),
+        peak_temp_c=max(d.peak_temp_c for d in members),
         centroid=centroid,
         polygon=hull_poly,
         member_ids=tuple(member_ids),
@@ -155,7 +155,7 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
     """
     groups = {}
     for idx, det in enumerate(detections):
-        groups.setdefault(det.detection.class_id, []).append(idx)
+        groups.setdefault(det.class_id, []).append(idx)
 
     raw_events = []
     for class_id in sorted(groups):
@@ -188,12 +188,12 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
 
 def nearest_ground_truth(points, ground_truth, match_radius: float,
                          classes=None) -> list:
-    """For each point, the index of the nearest ground truth (anything with
-    .position and .class_id) within match_radius meters, or None. With
-    ``classes`` (one class id per point) only ground truth of the point's
-    class counts. On equal distance the
-    later ground truth wins. One grid index over the ground truth serves
-    all points (see :func:`geodesy.neighbours_within`).
+    """For each GeoPoint in ``points``, the index of the nearest ground
+    truth within match_radius meters, or None. Reads each ground truth's
+    .position, and its .class_id only when ``classes`` (one class id per
+    point) is given; then only ground truth of the point's class counts.
+    On equal distance the later ground truth wins. One grid index over the
+    ground truth serves all points (see :func:`geodesy.neighbours_within`).
     """
     found = neighbours_within(points, match_radius,
                               [gt.position for gt in ground_truth])
@@ -212,9 +212,9 @@ def nearest_ground_truth(points, ground_truth, match_radius: float,
 def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
     """Duplicate-induced false-positive rate.
 
-    Items (detections or events, anything with .centroid and a class) are
-    greedily matched to the nearest same-class ground-truth defect (anything
-    with .position and .class_id) within match_radius. A ground truth with
+    Items (sightings or events; each read for .centroid and .class_id) are
+    greedily matched to the nearest same-class ground-truth defect (read for
+    .position and .class_id) within match_radius. A ground truth with
     m >= 1 matches contributes m - 1 duplicate FPs; the rate divides their
     sum by the number of items.
     """
@@ -222,8 +222,7 @@ def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
         raise DedupError("match_radius must be positive and finite")
     if not items:
         return 0.0
-    classes = [item.class_id if hasattr(item, "class_id")
-               else item.detection.class_id for item in items]
+    classes = [item.class_id for item in items]
     match_counts = [0] * len(ground_truth)
     for best in nearest_ground_truth([item.centroid for item in items],
                                      ground_truth, match_radius, classes):

@@ -55,10 +55,6 @@ class Detection:
         if not (0.0 <= self.confidence <= 1.0):
             raise DetectorError("confidence must lie in [0, 1]")
 
-    def with_confidence(self, conf: float) -> "Detection":
-        return Detection(bbox=self.bbox, class_id=self.class_id,
-                         confidence=conf, peak_temp_c=self.peak_temp_c)
-
 
 @dataclass(frozen=True)
 class ThresholdDetectorConfig:

@@ -43,8 +43,8 @@ class CameraView:
 
 
 @dataclass(frozen=True)
-class ProjectedDetection:
-    detection: Detection
+class ProjectedDetection(Detection):
+    """A sighting: a detection with its footprint and the view it was in."""
     polygon: GeoPolygon
     centroid: GeoPoint
     frame_id: str
@@ -101,8 +101,8 @@ def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
         centroid = polygon_centroid(polygon)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
-    return ProjectedDetection(detection=det, polygon=polygon, centroid=centroid,
-                              frame_id=view.frame_id,
-                              timestamp=view.timestamp,
-                              media_rgb=view.media_rgb,
-                              media_tiff=view.media_tiff)
+    return ProjectedDetection(
+        bbox=b, class_id=det.class_id, confidence=det.confidence,
+        peak_temp_c=det.peak_temp_c, polygon=polygon, centroid=centroid,
+        frame_id=view.frame_id, timestamp=view.timestamp,
+        media_rgb=view.media_rgb, media_tiff=view.media_tiff)

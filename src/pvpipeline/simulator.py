@@ -77,6 +77,10 @@ class SimulationError(ValueError):
     pass
 
 
+class PlacementError(SimulationError):
+    """No placement fits the defect mix; the message leads with its key."""
+
+
 # ---------------------------------------------------------------------------
 # Scene
 # ---------------------------------------------------------------------------
@@ -182,8 +186,9 @@ def generate_plant(seed: int, layout: PlantLayout,
     while len(chosen) < target:
         attempts += 1
         if attempts > max_attempts:
-            raise SimulationError(
-                "cannot place defects with the requested separation")
+            raise PlacementError(
+                f"defects.min_separation_m: cannot place {target} defects "
+                f"{sep:g} m apart in {max_attempts} attempts")
         r = int(rng.integers(layout.rows))
         c = int(rng.integers(layout.cols))
         if (r, c) in occupied:
@@ -744,7 +749,7 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
         noisy = min(max(det.confidence + _conf_noise(
             config.seed, frame_idx, det_idx, rounds,
             config.noise.confidence_sigma), 0.0), 1.0)
-        det = det.with_confidence(noisy)
+        det = replace(det, confidence=noisy)
         action = reacquisition_decision(det, frame_area,
                                         config.reacquisition, rounds)
         if action == "accept":
@@ -820,12 +825,9 @@ def match_ground_truth(projections, defects, radius: float) -> list:
     matched = []
     for p, gi in zip(projections, gt_indices):
         if gi is not None:
-            d = p.detection
             p = ProjectedDetection(
-                detection=Detection(bbox=d.bbox,
-                                    class_id=defects[gi].class_id,
-                                    confidence=d.confidence,
-                                    peak_temp_c=d.peak_temp_c),
+                bbox=p.bbox, class_id=defects[gi].class_id,
+                confidence=p.confidence, peak_temp_c=p.peak_temp_c,
                 polygon=p.polygon, centroid=p.centroid, frame_id=p.frame_id,
                 timestamp=p.timestamp, media_rgb=p.media_rgb,
                 media_tiff=p.media_tiff)

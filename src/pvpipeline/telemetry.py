@@ -18,18 +18,15 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dedup import DefectEvent
+from .detector import BoundingBox
+from .geodesy import GeoPoint, GeoPolygon
+from .geoprojection import ProjectedDetection
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
 
 class TelemetryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MediaRef:
-    rgb: str = ""
-    tiff: str = ""
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,8 @@ class DetectionRecord:
     temp_c: float
     centroid: tuple       # (lat, lon)
     polygon: tuple        # ((lat, lon), ...)
-    media: MediaRef = MediaRef()
+    media_rgb: str = ""
+    media_tiff: str = ""
 
     def __post_init__(self):
         if not self.id:
@@ -82,7 +80,7 @@ def event_to_record(event: DefectEvent) -> DetectionRecord:
         temp_c=event.peak_temp_c,
         centroid=(event.centroid.lat, event.centroid.lon),
         polygon=tuple((v.lat, v.lon) for v in event.polygon.vertices),
-        media=MediaRef(rgb=event.media_rgb, tiff=event.media_tiff),
+        media_rgb=event.media_rgb, media_tiff=event.media_tiff,
     )
 
 
@@ -108,8 +106,8 @@ def _record_json(rec: DetectionRecord) -> str:
             f'"temp_C":{rec.temp_c:.2f},'
             f'"centroid_wgs84":{_pair(rec.centroid[0], rec.centroid[1])},'
             f'"polygon_wgs84":[{polygon}],'
-            f'"media":{{"rgb":{json.dumps(rec.media.rgb)},'
-            f'"tiff":{json.dumps(rec.media.tiff)}}}'
+            f'"media":{{"rgb":{json.dumps(rec.media_rgb)},'
+            f'"tiff":{json.dumps(rec.media_tiff)}}}'
             '}')
 
 
@@ -190,8 +188,8 @@ def _parse_record(d, where: str) -> DetectionRecord:
         centroid=_field(d, "centroid_wgs84", _lat_lon, where),
         polygon=tuple(_lat_lon(p, f"{where}.polygon_wgs84")
                       for p in _field(d, "polygon_wgs84", _list, where)),
-        media=MediaRef(rgb=_field(media, "rgb", _string, f"{where}.media"),
-                       tiff=_field(media, "tiff", _string, f"{where}.media")))
+        media_rgb=_field(media, "rgb", _string, f"{where}.media"),
+        media_tiff=_field(media, "tiff", _string, f"{where}.media"))
 
 
 def parse_report(payload: bytes) -> MissionReport:
@@ -252,14 +250,14 @@ def detection_record_lines(projected) -> bytes:
     consumed by the offline `dedup` command."""
     lines = []
     for pd in projected:
+        b = pd.bbox
         obj = {
             "frame_id": pd.frame_id,
             "timestamp": pd.timestamp,
-            "class": pd.detection.class_id,
-            "conf": pd.detection.confidence,
-            "temp_C": pd.detection.peak_temp_c,
-            "bbox": [pd.detection.bbox.x_min, pd.detection.bbox.y_min,
-                     pd.detection.bbox.x_max, pd.detection.bbox.y_max],
+            "class": pd.class_id,
+            "conf": pd.confidence,
+            "temp_C": pd.peak_temp_c,
+            "bbox": [b.x_min, b.y_min, b.x_max, b.y_max],
             "centroid_wgs84": [pd.centroid.lat, pd.centroid.lon],
             "polygon_wgs84": [[v.lat, v.lon] for v in pd.polygon.vertices],
             "media": {"rgb": pd.media_rgb, "tiff": pd.media_tiff},
@@ -270,10 +268,6 @@ def detection_record_lines(projected) -> bytes:
 
 def parse_detection_record_lines(data: bytes):
     """Inverse of detection_record_lines; raises with 1-based line numbers."""
-    from .detector import BoundingBox, Detection
-    from .geodesy import GeoPoint, GeoPolygon
-    from .geoprojection import ProjectedDetection
-
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -284,17 +278,16 @@ def parse_detection_record_lines(data: bytes):
             continue
         try:
             obj = _object(json.loads(line), "record")
-            bbox = BoundingBox(*_field(obj, "bbox", _bbox))
-            det = Detection(bbox=bbox, class_id=_field(obj, "class", _string),
-                            confidence=_field(obj, "conf", _number),
-                            peak_temp_c=_field(obj, "temp_C", _number))
-            poly = GeoPolygon(tuple(
-                GeoPoint(*_lat_lon(p, "polygon_wgs84"))
-                for p in _field(obj, "polygon_wgs84", _list)))
-            lat, lon = _field(obj, "centroid_wgs84", _lat_lon)
             media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
-                detection=det, polygon=poly, centroid=GeoPoint(lat, lon),
+                bbox=BoundingBox(*_field(obj, "bbox", _bbox)),
+                class_id=_field(obj, "class", _string),
+                confidence=_field(obj, "conf", _number),
+                peak_temp_c=_field(obj, "temp_C", _number),
+                polygon=GeoPolygon(tuple(
+                    GeoPoint(*_lat_lon(p, "polygon_wgs84"))
+                    for p in _field(obj, "polygon_wgs84", _list))),
+                centroid=GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon)),
                 frame_id=_string(obj.get("frame_id", ""), "frame_id"),
                 timestamp=_string(obj.get("timestamp", ""), "timestamp"),
                 media_rgb=_string(media.get("rgb", ""), "media.rgb"),

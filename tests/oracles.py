@@ -83,7 +83,7 @@ def merge_cluster_objects(members, member_ids, event_id):
     points = [enu_offset(anchor, v)
               for det in members for v in det.polygon.vertices]
     hull = convex_hull(points)
-    best = max(members, key=lambda d: d.detection.confidence)
+    best = max(members, key=lambda d: d.confidence)
     if len(hull) < 3:
         hull_poly = best.polygon
         centroid = polygon_centroid_objects(hull_poly)
@@ -92,9 +92,9 @@ def merge_cluster_objects(members, member_ids, event_id):
             enu_point(anchor, x, y) for x, y in hull))
         centroid = enu_point(anchor, *plane_centroid(hull))
     return DefectEvent(
-        id=event_id, class_id=best.detection.class_id,
-        confidence=max(d.detection.confidence for d in members),
-        peak_temp_c=max(d.detection.peak_temp_c for d in members),
+        id=event_id, class_id=best.class_id,
+        confidence=max(d.confidence for d in members),
+        peak_temp_c=max(d.peak_temp_c for d in members),
         centroid=centroid, polygon=hull_poly, member_ids=tuple(member_ids),
         media_rgb=best.media_rgb, media_tiff=best.media_tiff)
 

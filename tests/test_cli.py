@@ -269,6 +269,16 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # removed key: "max_rounds": 0 turns re-acquisition off
     ({"reacquisition": {"enabled": False}}, [],
      "$.reacquisition.enabled", "unknown key"),
+    # the default 10 x 10 plant has no room for these placements, found
+    # only while the plant is generated
+    ({"defects": {"min_separation_m": 7}}, [], "$.defects",
+     "min_separation_m"),
+    ({"defects": {"min_separation_m": 1e300}}, [], "$.defects",
+     "min_separation_m"),
+    ({"defects": {"count": None, "density": 1.0}}, [], "$.defects",
+     "min_separation_m"),
+    ({"defects": {"count": 100, "n_small": 0}}, [], "$.defects",
+     "min_separation_m"),
 ], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
         "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
@@ -278,7 +288,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
-        "altitude-1e-3", "raster-1e5x1e5", "default_class", "enabled"])
+        "altitude-1e-3", "raster-1e5x1e5", "default_class", "enabled",
+        "min_separation_m-7", "min_separation_m-1e300", "density-1",
+        "count-all-modules"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -379,16 +391,20 @@ def test_simulate_counts_ground_points_past_the_tangent_plane(tmp_path,
         assert failed > 0
 
 
-def test_simulate_runtime_failure_exits_2(tmp_path):
-    # A separation no plant of this size can satisfy: run_mission fails.
+def test_simulate_infeasible_placement_exits_1(tmp_path):
+    # A separation no plant of this size can satisfy: run_mission finds it
+    # while generating the plant, and the message names the config key.
     impossible = dict(SMALL_CONFIG,
                       defects={"count": 10, "min_separation_m": 50.0})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(impossible))
     out = tmp_path / "out"
     result = _run(["simulate", "--config", str(path), "--out", str(out)])
-    assert result.returncode == 2
-    assert "runtime error" in result.stderr
+    assert result.returncode == 1
+    assert result.stderr == ("config error: $.defects.min_separation_m: "
+                             "cannot place 10 defects 50 m apart in 20000 "
+                             "attempts\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +479,19 @@ def test_config_rejects_non_finite_radii():
      "polygon_wgs84: expected a finite number, got -1000"),
     (_set(["centroid_wgs84"], ["49.4", "26.9"]),
      "centroid_wgs84: expected a finite number, got '49.4'"),
+    (_set(["conf"], 1.5), "confidence must lie in [0, 1]"),
+    (_set(["conf"], -0.1), "confidence must lie in [0, 1]"),
+    (_set(["bbox"], [5.0, 2.0, 1.0, 6.0]), "degenerate bounding box"),
+    (_set(["polygon_wgs84", 1], [49.4, 26.9]),
+     "consecutive duplicate polygon vertices"),
+    (_set(["centroid_wgs84", 0], 95.0), "latitude out of range: 95.0"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
         "frame-id-null", "lon-huge-int", "centroid-three-entries",
         "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
         "bbox-three-entries", "conf-nan-literal", "lat-infinity-literal",
-        "vertex-true", "vertex-huge-negative-int", "centroid-strings"])
+        "vertex-true", "vertex-huge-negative-int", "centroid-strings",
+        "conf-above-1", "conf-negative", "bbox-degenerate",
+        "polygon-repeated-vertex", "lat-95"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
               "class": "hotspot", "conf": 0.8, "temp_C": 40.0,

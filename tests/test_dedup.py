@@ -7,7 +7,7 @@ from oracles import merge_cluster_objects
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
                               merge_cluster)
-from pvpipeline.detector import BoundingBox, Detection
+from pvpipeline.detector import BoundingBox
 from pvpipeline.geodesy import (GeoPoint, GeoPolygon, haversine_distance,
                                 tangent_point)
 from pvpipeline.geoprojection import ProjectedDetection
@@ -24,9 +24,11 @@ def _proj(east, north, class_id="hotspot", conf=0.8, temp=40.0, half=0.2,
     verts = tuple(_pt(east + dx, north + dy)
                   for dx, dy in ((-half, -half), (half, -half),
                                  (half, half), (-half, half)))
-    det = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
-                    class_id=class_id, confidence=conf, peak_temp_c=temp)
-    return ProjectedDetection(detection=det, polygon=GeoPolygon(vertices=verts),
+    return ProjectedDetection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2,
+                                               y_max=2),
+                              class_id=class_id, confidence=conf,
+                              peak_temp_c=temp,
+                              polygon=GeoPolygon(vertices=verts),
                               centroid=_pt(east, north), frame_id="f",
                               timestamp="2025-09-30T10:00:00Z",
                               media_rgb=media, media_tiff=media + ".tiff")
@@ -161,9 +163,10 @@ def test_merge_cluster_collinear_fallback():
     # member's polygon instead of a hull.
     def line_proj(shift, conf):
         verts = tuple(_pt(x + shift, 0.0) for x in (-0.2, -0.1, 0.1, 0.2))
-        det = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=1, y_max=1),
-                        class_id="hotspot", confidence=conf, peak_temp_c=40.0)
-        return ProjectedDetection(detection=det,
+        return ProjectedDetection(bbox=BoundingBox(x_min=0, y_min=0,
+                                                   x_max=1, y_max=1),
+                                  class_id="hotspot", confidence=conf,
+                                  peak_temp_c=40.0,
                                   polygon=GeoPolygon(vertices=verts),
                                   centroid=_pt(shift, 0.0), frame_id="f",
                                   timestamp="2025-09-30T10:00:00Z")
@@ -206,12 +209,12 @@ def _random_cluster(rng, origin, collinear, spread=40.0):
             offsets = [(-half, -half), (half, -half), (half, half),
                        (-half, half)]
         verts = tuple(_pt(cx + dx, cy + dy, origin) for dx, dy in offsets)
-        det = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
-                        class_id=str(rng.choice(["hotspot", "soiling"])),
-                        confidence=float(rng.uniform(0.5, 1.0)),
-                        peak_temp_c=float(rng.uniform(30.0, 45.0)))
         members.append(ProjectedDetection(
-            detection=det, polygon=GeoPolygon(vertices=verts),
+            bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
+            class_id=str(rng.choice(["hotspot", "soiling"])),
+            confidence=float(rng.uniform(0.5, 1.0)),
+            peak_temp_c=float(rng.uniform(30.0, 45.0)),
+            polygon=GeoPolygon(vertices=verts),
             centroid=_pt(cx, cy, origin),
             frame_id="f", timestamp="2025-09-30T10:00:00Z",
             media_rgb=f"m{len(members)}.jpg", media_tiff=""))
@@ -233,7 +236,7 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
         degenerate += got.polygon is max(
-            members, key=lambda d: d.detection.confidence).polygon
+            members, key=lambda d: d.confidence).polygon
     assert degenerate >= 10  # the collinear fallback was exercised
 
 

@@ -163,8 +163,6 @@ def test_bbox_and_detection_validation():
     assert box.center == (1.0, 1.5)
     with pytest.raises(DetectorError):
         Detection(bbox=box, class_id="x", confidence=1.5, peak_temp_c=30.0)
-    d = Detection(bbox=box, class_id="x", confidence=0.4, peak_temp_c=30.0)
-    assert d.with_confidence(0.9).confidence == 0.9
 
 
 def test_detection_order_deterministic():

@@ -15,6 +15,8 @@ import pathlib
 import pytest
 
 from pvpipeline import cli
+from pvpipeline.telemetry import detection_record_lines, \
+    parse_detection_record_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mission"
 BENCH_REFERENCE = (pathlib.Path(__file__).parent.parent / "perfbench"
@@ -55,6 +57,14 @@ def test_offline_dedup_of_golden_sightings_writes_the_reports_detections(
     report = (GOLDEN / name / "report.json").read_bytes()
     assert json.loads(events.read_bytes()) == json.loads(report)["detections"]
     assert b'"detections":' + events.read_bytes() in report
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_sightings_round_trip_byte_for_byte(name):
+    # Parsing a mission's detections.jsonl and writing it again gives the
+    # same bytes: no field of a sighting is dropped, reordered or reformatted.
+    data = (GOLDEN / name / "detections.jsonl").read_bytes()
+    assert detection_record_lines(parse_detection_record_lines(data)) == data
 
 
 # Float slots of the config given as JSON integers, each equal to its

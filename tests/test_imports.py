@@ -12,9 +12,9 @@ its own definition; apart from a named set kept for the tests, it must also
 appear in the program itself: `src/`, `demos/` or `perfbench/`. A field
 of a `@dataclass` class counts as read when an attribute of that spelling
 is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. No
-pvpipeline module imports another module's `_`-prefixed name. Importing
-every pvpipeline module loads no scipy, and numpy is the one runtime
-dependency.
+pvpipeline module imports another module's `_`-prefixed name, and none
+but `cli` imports inside a function. Importing every pvpipeline module
+loads no scipy, and numpy is the one runtime dependency.
 """
 
 import ast
@@ -226,6 +226,38 @@ def test_scanner_finds_private_imports():
 def test_package_imports_no_private_names():
     assert [(p.name, *hit) for p in MODULES
             for hit in private_imports(p.read_text(encoding="utf-8"))] == []
+
+
+def function_imports(source: str) -> list:
+    """(line, name) of every name imported inside a function body."""
+    nodes = {node for func in ast.walk(ast.parse(source))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted((node.lineno, a.asname or a.name)
+                  for node in nodes for a in node.names)
+
+
+def test_scanner_finds_function_imports():
+    source = ("import json\n"
+              "from .geodesy import GeoPoint\n"
+              "def f():\n"
+              "    import os\n"
+              "    def g():\n"
+              "        from .dedup import deduplicate\n"
+              "    return os, g\n"
+              "class A:\n"
+              "    def m(self):\n"
+              "        from . import fusion\n")
+    assert function_imports(source) == [(4, "os"), (6, "deduplicate"),
+                                        (10, "fusion")]
+
+
+def test_package_imports_at_module_level():
+    # cli imports inside each command, so that a command loads only the
+    # modules it runs.
+    assert [(p.name, *hit) for p in MODULES if p.name != "cli.py"
+            for hit in function_imports(p.read_text(encoding="utf-8"))] == []
 
 
 def test_package_has_modules():

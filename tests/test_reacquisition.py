@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_reacquisition_decision_policy():
                       class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
     big = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=30, y_max=30),
                     class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
-    sure = small.with_confidence(0.9)
+    sure = replace(small, confidence=0.9)
 
     for max_rounds in (2, 0):
         policy = ReacqPolicy(tau_ra=0.5, min_area_frac=0.01,

@@ -3,10 +3,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from pvpipeline.detector import BoundingBox, Detection
+from pvpipeline.detector import BoundingBox
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
-from pvpipeline.telemetry import (DetectionRecord, MediaRef, MissionReport,
+from pvpipeline.telemetry import (DetectionRecord, MissionReport,
                                   TelemetryError, detection_record_lines,
                                   parse_detection_record_lines, parse_report,
                                   to_json, to_kml, write_atomic)
@@ -21,13 +21,13 @@ def _sample_report() -> MissionReport:
         centroid=(49.407251, 26.984173),
         polygon=((49.407249, 26.98417), (49.407249, 26.984176),
                  (49.407253, 26.984176), (49.407253, 26.98417)),
-        media=MediaRef(rgb="frames/f0231.jpg", tiff="frames/f0231.tiff"))
+        media_rgb="frames/f0231.jpg", media_tiff="frames/f0231.tiff")
     rec1 = DetectionRecord(
         id="clu_001", class_id="diode_fault", conf=0.76, temp_c=61.25,
         centroid=(49.407301, 26.984211),
         polygon=((49.407299, 26.984208), (49.407299, 26.984214),
                  (49.407303, 26.984214), (49.407303, 26.984208)),
-        media=MediaRef(rgb="frames/f0240.jpg", tiff="frames/f0240.tiff"))
+        media_rgb="frames/f0240.jpg", media_tiff="frames/f0240.tiff")
     return MissionReport(site_id="PV-Site-A", uav="uav-01",
                          ts_utc="2025-09-30T10:12:00Z",
                          detections=(rec0, rec1))
@@ -111,15 +111,15 @@ def test_file_sink_atomic_write(tmp_path):
 
 
 def _projected(lat=49.4071, lon=26.9842):
-    det = Detection(bbox=BoundingBox(x_min=1.0, y_min=2.0, x_max=5.0,
-                                     y_max=6.0),
-                    class_id="hotspot", confidence=0.83, peak_temp_c=47.5)
     poly = GeoPolygon(vertices=(
         GeoPoint(lat=lat - 1e-5, lon=lon - 1e-5),
         GeoPoint(lat=lat - 1e-5, lon=lon + 1e-5),
         GeoPoint(lat=lat + 1e-5, lon=lon + 1e-5),
         GeoPoint(lat=lat + 1e-5, lon=lon - 1e-5)))
-    return ProjectedDetection(detection=det, polygon=poly,
+    return ProjectedDetection(bbox=BoundingBox(x_min=1.0, y_min=2.0,
+                                               x_max=5.0, y_max=6.0),
+                              class_id="hotspot", confidence=0.83,
+                              peak_temp_c=47.5, polygon=poly,
                               centroid=GeoPoint(lat=lat, lon=lon),
                               frame_id="f0003",
                               timestamp="2025-09-30T10:00:07Z",
@@ -133,9 +133,8 @@ def test_detection_record_lines_round_trip():
     parsed = parse_detection_record_lines(data)
     assert len(parsed) == 2
     for got, want in zip(parsed, items):
-        assert got.detection.class_id == want.detection.class_id
-        assert got.detection.confidence == pytest.approx(
-            want.detection.confidence)
+        assert got.class_id == want.class_id
+        assert got.confidence == pytest.approx(want.confidence)
         assert got.centroid.lat == pytest.approx(want.centroid.lat)
         assert got.frame_id == want.frame_id
         assert got.media_rgb == want.media_rgb
