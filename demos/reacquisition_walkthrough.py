@@ -34,7 +34,7 @@ pose = FramePose(east=target.east - 2.0, north=target.north + 1.5,
                  time_s=0.0)
 frame = render_frame(scene, pose, intr, RenderModel(), speed=0.0)
 det = detect(frame)[0]
-u, v = det.bbox.center
+u, v = det.center
 print(f"first sighting : pixel ({u:.1f}, {v:.1f}), "
       f"{math.hypot(u - intr.cx, v - intr.cy):.1f} px off-center, "
       f"confidence {det.confidence:.2f}")
@@ -56,7 +56,7 @@ print(f"gimbal command : delta pitch "
 repointed = replace(pose, gimbal=gimbal)
 frame2 = render_frame(scene, repointed, intr, RenderModel(), speed=0.0)
 det2 = max(detect(frame2), key=lambda d: d.confidence)
-u2, v2 = det2.bbox.center
+u2, v2 = det2.center
 print(f"second sighting: pixel ({u2:.1f}, {v2:.1f}), "
       f"{math.hypot(u2 - intr.cx, v2 - intr.cy):.1f} px off-center, "
       f"confidence {det2.confidence:.2f}")

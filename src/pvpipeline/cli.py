@@ -363,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except BrokenPipeError:

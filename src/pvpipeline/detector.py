@@ -25,15 +25,22 @@ class DetectorError(ValueError):
 
 
 @dataclass(frozen=True)
-class BoundingBox:
+class Detection:
+    """A hot blob: its pixel bounding box, ``x_max`` and ``y_max``
+    exclusive, its class, confidence and peak temperature."""
     x_min: float
     y_min: float
     x_max: float
     y_max: float
+    class_id: str
+    confidence: float
+    peak_temp_c: float
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DetectorError("degenerate bounding box")
+        if not (0.0 <= self.confidence <= 1.0):
+            raise DetectorError("confidence must lie in [0, 1]")
 
     @property
     def area(self) -> float:
@@ -42,18 +49,6 @@ class BoundingBox:
     @property
     def center(self):
         return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
-
-
-@dataclass(frozen=True)
-class Detection:
-    bbox: BoundingBox
-    class_id: str
-    confidence: float
-    peak_temp_c: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise DetectorError("confidence must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -146,9 +141,9 @@ def detect(temp: TemperatureMap, config: ThresholdDetectorConfig = ThresholdDete
     for root, (area, x_min, x_max, y_max, peak) in comps.items():
         if area < config.min_blob_px:
             continue
-        bbox = BoundingBox(x_min=float(x_min), y_min=float(rows[root]),
-                           x_max=float(x_max), y_max=float(y_max) + 1.0)
-        conf = detection_confidence(peak - ambient, area, config)
-        detections.append(Detection(bbox=bbox, class_id=DEFAULT_CLASS,
-                                    confidence=conf, peak_temp_c=peak))
+        detections.append(Detection(
+            x_min=float(x_min), y_min=float(rows[root]), x_max=float(x_max),
+            y_max=float(y_max) + 1.0, class_id=DEFAULT_CLASS,
+            confidence=detection_confidence(peak - ambient, area, config),
+            peak_temp_c=peak))
     return detections

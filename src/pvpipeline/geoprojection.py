@@ -92,9 +92,8 @@ def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
     """Project all four bbox corners to the ground in the view; any failing
     corner raises ProjectionError (the mission's project stage drops the
     detection and counts it)."""
-    b = det.bbox
-    corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
-               (b.x_max, b.y_max), (b.x_min, b.y_max)]
+    corners = [(det.x_min, det.y_min), (det.x_max, det.y_min),
+               (det.x_max, det.y_max), (det.x_min, det.y_max)]
     polygon = GeoPolygon(vertices=tuple(_ground_points(
         corners, view.intr, view.ground, view.height, view.rot)))
     try:
@@ -102,7 +101,8 @@ def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
     return ProjectedDetection(
-        bbox=b, class_id=det.class_id, confidence=det.confidence,
+        x_min=det.x_min, y_min=det.y_min, x_max=det.x_max, y_max=det.y_max,
+        class_id=det.class_id, confidence=det.confidence,
         peak_temp_c=det.peak_temp_c, polygon=polygon, centroid=centroid,
         frame_id=view.frame_id, timestamp=view.timestamp,
         media_rgb=view.media_rgb, media_tiff=view.media_tiff)

@@ -200,7 +200,7 @@ def reacquisition_decision(det: Detection, frame_area: float, policy: ReacqPolic
         raise GeometryError("round exceeds policy budget")
     if det.confidence >= policy.tau_ra:
         return "accept"
-    small = det.bbox.area / frame_area < policy.min_area_frac
+    small = det.area / frame_area < policy.min_area_frac
     if small and round_index < policy.max_rounds:
         return "reacquire"
     return "reject"

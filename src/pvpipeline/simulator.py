@@ -34,11 +34,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
-from .detector import BoundingBox, Detection, ThresholdDetectorConfig, detect
+from .detector import Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     tangent_point
-from .geoprojection import CameraView, ProjectedDetection, \
-    ProjectionError, project_detection
+from .geoprojection import CameraView, ProjectionError, project_detection
 from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
     backproject, camera_to_world_rotation, reacquisition_decision, repoint
 from .telemetry import build_report, detection_record_lines, \
@@ -69,6 +68,9 @@ _ATTEMPTS_PER_DEFECT = 100
 _FLIGHT_TIME_SLACK = 1e-6
 # Most frames x pixels a mission may plan: 180 times a 200x200 plant's.
 _MAX_FRAME_PIXELS = 2 ** 32
+# Most clutter detections a mission may expect: 220 times a 200x200 plant's
+# at rate 1.
+_MAX_CLUTTER_DETECTIONS = 2 ** 20
 # prctl option (<linux/prctl.h>): the signal sent when the parent dies.
 _PR_SET_PDEATHSIG = 1
 
@@ -632,6 +634,13 @@ class MissionConfig:
                 f"flight: the survey plans {n_lines * n_along} frames of "
                 f"{width}x{height} pixels, about {frame_px:.3g} frame-pixels, "
                 f"more than the {_MAX_FRAME_PIXELS:.3g} a run may take")
+        clutter = float(n_lines) * n_along * self.noise.clutter_rate
+        if clutter > _MAX_CLUTTER_DETECTIONS:
+            raise SimulationError(
+                f"noise.clutter_rate: {self.noise.clutter_rate:.3g} per frame "
+                f"over {n_lines * n_along} frames expects about "
+                f"{clutter:.3g} clutter detections, more than the "
+                f"{_MAX_CLUTTER_DETECTIONS} a run may take")
 
 
 @dataclass
@@ -709,10 +718,9 @@ def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
         u = float(rng.uniform(2, intr.width - 4))
         v = float(rng.uniform(2, intr.height - 4))
         conf = float(rng.uniform(0.55, 0.9))
-        out.append(Detection(
-            bbox=BoundingBox(x_min=u, y_min=v, x_max=u + 2.0, y_max=v + 2.0),
-            class_id="clutter", confidence=conf,
-            peak_temp_c=30.0))
+        out.append(Detection(x_min=u, y_min=v, x_max=u + 2.0, y_max=v + 2.0,
+                             class_id="clutter", confidence=conf,
+                             peak_temp_c=30.0))
     return out
 
 
@@ -764,7 +772,7 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
         rounds += 1
         rot = camera_to_world_rotation(pose_true.gimbal)
         gimbal = repoint(pose_true.gimbal,
-                         rot @ backproject(*det.bbox.center, intr))
+                         rot @ backproject(*det.center, intr))
         pose_true = replace(pose_true, gimbal=gimbal)
         gimbal_meas = Attitude(pitch=gimbal.pitch + err_pitch,
                                yaw=gimbal.yaw + err_yaw)
@@ -774,7 +782,7 @@ def confirm_detection(det: Detection, packet: SensorPacket, frame_idx: int,
         if not redetections:
             return None
         det = min(redetections, key=lambda d: math.hypot(
-            d.bbox.center[0] - intr.cx, d.bbox.center[1] - intr.cy))
+            d.center[0] - intr.cx, d.center[1] - intr.cy))
 
 
 def frame_view(packet: SensorPacket, config: MissionConfig,
@@ -825,12 +833,7 @@ def match_ground_truth(projections, defects, radius: float) -> list:
     matched = []
     for p, gi in zip(projections, gt_indices):
         if gi is not None:
-            p = ProjectedDetection(
-                bbox=p.bbox, class_id=defects[gi].class_id,
-                confidence=p.confidence, peak_temp_c=p.peak_temp_c,
-                polygon=p.polygon, centroid=p.centroid, frame_id=p.frame_id,
-                timestamp=p.timestamp, media_rgb=p.media_rgb,
-                media_tiff=p.media_tiff)
+            p = replace(p, class_id=defects[gi].class_id)
         matched.append(p)
     return matched
 

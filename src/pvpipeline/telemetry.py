@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dedup import DefectEvent
-from .detector import BoundingBox
 from .geodesy import GeoPoint, GeoPolygon
 from .geoprojection import ProjectedDetection
 
@@ -250,14 +249,13 @@ def detection_record_lines(projected) -> bytes:
     consumed by the offline `dedup` command."""
     lines = []
     for pd in projected:
-        b = pd.bbox
         obj = {
             "frame_id": pd.frame_id,
             "timestamp": pd.timestamp,
             "class": pd.class_id,
             "conf": pd.confidence,
             "temp_C": pd.peak_temp_c,
-            "bbox": [b.x_min, b.y_min, b.x_max, b.y_max],
+            "bbox": [pd.x_min, pd.y_min, pd.x_max, pd.y_max],
             "centroid_wgs84": [pd.centroid.lat, pd.centroid.lon],
             "polygon_wgs84": [[v.lat, v.lon] for v in pd.polygon.vertices],
             "media": {"rgb": pd.media_rgb, "tiff": pd.media_tiff},
@@ -280,7 +278,7 @@ def parse_detection_record_lines(data: bytes):
             obj = _object(json.loads(line), "record")
             media = _object(obj.get("media", {}), "media")
             out.append(ProjectedDetection(
-                bbox=BoundingBox(*_field(obj, "bbox", _bbox)),
+                *_field(obj, "bbox", _bbox),
                 class_id=_field(obj, "class", _string),
                 confidence=_field(obj, "conf", _number),
                 peak_temp_c=_field(obj, "temp_C", _number),

@@ -209,7 +209,7 @@ def test_criterion_8_rodrigues_and_recentering():
     frame = render_frame(scene, pose, intr, RenderModel(), speed=0.0)
     dets = detect(frame)
     assert len(dets) == 1
-    u0, v0 = dets[0].bbox.center
+    u0, v0 = dets[0].center
     assert math.hypot(u0 - intr.cx, v0 - intr.cy) > 5.0  # starts off-center
 
     los = camera_to_world_rotation(pose.gimbal) @ backproject(u0, v0, intr)

@@ -69,6 +69,25 @@ def config_path(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["simulate"], 1, "the following arguments are required: --config"),
+    (["fuse-check", "--dim", "abc"], 1, "invalid int value: 'abc'"),
+    (["bogus"], 1, "invalid choice: 'bogus'"),
+    (["-h"], 0, None),
+], ids=["simulate-no-flags", "dim-not-an-int", "unknown-command", "help"])
+def test_argparse_usage_errors_exit_1_and_help_exits_0(capsys, argv, code,
+                                                       message):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.out.startswith("usage: pvpipeline")
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("usage: pvpipeline")
+        assert message in captured.err
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # Config layer
 # ---------------------------------------------------------------------------
@@ -263,6 +282,12 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"flight": {"altitude": 1e-3}}, [], "$.flight:", "1116151785 frames"),
     ({"camera": {"width": 100000, "height": 100000}}, [], "$.flight:",
      "frame-pixels"),
+    # so are the clutter detections: the default plant's 24 frames at these
+    # rates expect past 2**20
+    ({"noise": {"clutter_rate": 1e300}}, [], "$.noise.clutter_rate:",
+     "1048576"),
+    ({"noise": {"clutter_rate": 1e6}}, [], "$.noise.clutter_rate:",
+     "2.4e+07 clutter detections"),
     # removed key: every threshold detection has the one default class
     ({"detector": {"default_class": "hotspot"}}, [],
      "$.detector.default_class", "unknown key"),
@@ -288,7 +313,8 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
-        "altitude-1e-3", "raster-1e5x1e5", "default_class", "enabled",
+        "altitude-1e-3", "raster-1e5x1e5", "clutter_rate-1e300",
+        "clutter_rate-1e6", "default_class", "enabled",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
@@ -485,13 +511,18 @@ def test_config_rejects_non_finite_radii():
     (_set(["polygon_wgs84", 1], [49.4, 26.9]),
      "consecutive duplicate polygon vertices"),
     (_set(["centroid_wgs84", 0], 95.0), "latitude out of range: 95.0"),
+    # With several faults, the field checks run before the box check.
+    (lambda r: _set(["temp_C"], "hot")(
+        _set(["bbox"], [5.0, 2.0, 1.0, 6.0])(r)),
+     "temp_C: expected a finite number"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
         "frame-id-null", "lon-huge-int", "centroid-three-entries",
         "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
         "bbox-three-entries", "conf-nan-literal", "lat-infinity-literal",
         "vertex-true", "vertex-huge-negative-int", "centroid-strings",
         "conf-above-1", "conf-negative", "bbox-degenerate",
-        "polygon-repeated-vertex", "lat-95"])
+        "polygon-repeated-vertex", "lat-95",
+        "bbox-degenerate-and-temp-string"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
               "class": "hotspot", "conf": 0.8, "temp_C": 40.0,

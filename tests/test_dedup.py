@@ -7,7 +7,6 @@ from oracles import merge_cluster_objects
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
                               merge_cluster)
-from pvpipeline.detector import BoundingBox
 from pvpipeline.geodesy import (GeoPoint, GeoPolygon, haversine_distance,
                                 tangent_point)
 from pvpipeline.geoprojection import ProjectedDetection
@@ -24,8 +23,7 @@ def _proj(east, north, class_id="hotspot", conf=0.8, temp=40.0, half=0.2,
     verts = tuple(_pt(east + dx, north + dy)
                   for dx, dy in ((-half, -half), (half, -half),
                                  (half, half), (-half, half)))
-    return ProjectedDetection(bbox=BoundingBox(x_min=0, y_min=0, x_max=2,
-                                               y_max=2),
+    return ProjectedDetection(x_min=0, y_min=0, x_max=2, y_max=2,
                               class_id=class_id, confidence=conf,
                               peak_temp_c=temp,
                               polygon=GeoPolygon(vertices=verts),
@@ -163,8 +161,7 @@ def test_merge_cluster_collinear_fallback():
     # member's polygon instead of a hull.
     def line_proj(shift, conf):
         verts = tuple(_pt(x + shift, 0.0) for x in (-0.2, -0.1, 0.1, 0.2))
-        return ProjectedDetection(bbox=BoundingBox(x_min=0, y_min=0,
-                                                   x_max=1, y_max=1),
+        return ProjectedDetection(x_min=0, y_min=0, x_max=1, y_max=1,
                                   class_id="hotspot", confidence=conf,
                                   peak_temp_c=40.0,
                                   polygon=GeoPolygon(vertices=verts),
@@ -210,7 +207,7 @@ def _random_cluster(rng, origin, collinear, spread=40.0):
                        (-half, half)]
         verts = tuple(_pt(cx + dx, cy + dy, origin) for dx, dy in offsets)
         members.append(ProjectedDetection(
-            bbox=BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2),
+            x_min=0, y_min=0, x_max=2, y_max=2,
             class_id=str(rng.choice(["hotspot", "soiling"])),
             confidence=float(rng.uniform(0.5, 1.0)),
             peak_temp_c=float(rng.uniform(30.0, 45.0)),

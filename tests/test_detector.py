@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvpipeline.detector import (BoundingBox, Detection, DetectorError,
+from pvpipeline.detector import (Detection, DetectorError,
                                  ThresholdDetectorConfig,
                                  detection_confidence, detect)
 from pvpipeline.thermal import TemperatureMap
@@ -68,7 +68,7 @@ def test_detections_match_bfs_component_oracle():
                   float(max(x for _, x in c) + 1), float(max(y for y, _ in c) + 1))
                  for c in comps}
         for d in dets:
-            key = (d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
+            key = (d.x_min, d.y_min, d.x_max, d.y_max)
             assert key in boxes
 
 
@@ -120,8 +120,8 @@ def test_detect_matches_bfs_oracle_in_order(frame):
     for det, comp in zip(dets, comps):
         ys, xs = zip(*comp)
         peak = max(temp[y, x] for y, x in comp)
-        assert (det.bbox.x_min, det.bbox.y_min, det.bbox.x_max,
-                det.bbox.y_max) == (min(xs), min(ys), max(xs) + 1, max(ys) + 1)
+        assert (det.x_min, det.y_min, det.x_max, det.y_max) == (
+            min(xs), min(ys), max(xs) + 1, max(ys) + 1)
         assert det.peak_temp_c == peak
         assert det.confidence == detection_confidence(peak - ambient,
                                                       len(comp), config)
@@ -156,13 +156,20 @@ def test_confidence_monotone_in_excess_and_area():
 
 
 def test_bbox_and_detection_validation():
-    with pytest.raises(DetectorError):
-        BoundingBox(x_min=2.0, y_min=0.0, x_max=1.0, y_max=1.0)
-    box = BoundingBox(x_min=0.0, y_min=0.0, x_max=2.0, y_max=3.0)
-    assert box.area == 6.0
-    assert box.center == (1.0, 1.5)
-    with pytest.raises(DetectorError):
-        Detection(bbox=box, class_id="x", confidence=1.5, peak_temp_c=30.0)
+    box = dict(x_min=0.0, y_min=0.0, x_max=2.0, y_max=3.0)
+    for edges in (dict(x_min=2.0, x_max=1.0), dict(y_min=3.0)):
+        with pytest.raises(DetectorError, match="degenerate bounding box"):
+            Detection(**{**box, **edges}, class_id="x", confidence=0.5,
+                      peak_temp_c=30.0)
+    det = Detection(**box, class_id="x", confidence=0.5, peak_temp_c=30.0)
+    assert det.area == 6.0
+    assert det.center == (1.0, 1.5)
+    with pytest.raises(DetectorError, match="confidence"):
+        Detection(**box, class_id="x", confidence=1.5, peak_temp_c=30.0)
+    # The box is checked first.
+    with pytest.raises(DetectorError, match="degenerate bounding box"):
+        Detection(**{**box, "x_max": 0.0}, class_id="x", confidence=1.5,
+                  peak_temp_c=30.0)
 
 
 def test_detection_order_deterministic():
@@ -170,4 +177,4 @@ def test_detection_order_deterministic():
     img = _random_frame(rng, n_blobs=4)
     a = detect(TemperatureMap(temp_c=img))
     b = detect(TemperatureMap(temp_c=img))
-    assert [d.bbox for d in a] == [d.bbox for d in b]
+    assert a == b

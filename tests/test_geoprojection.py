@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvpipeline.detector import BoundingBox, Detection
+from pvpipeline.detector import Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance, tangent_offset
 from pvpipeline.geoprojection import (CameraView, ProjectionError,
                                       pixel_to_ground, project_detection)
@@ -107,8 +107,7 @@ def test_camera_rotation_is_orthonormal():
 
 
 def test_project_detection_polygon_and_centroid():
-    det = Detection(bbox=BoundingBox(x_min=30.0, y_min=22.0,
-                                     x_max=50.0, y_max=42.0),
+    det = Detection(x_min=30.0, y_min=22.0, x_max=50.0, y_max=42.0,
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
     proj = project_detection(det, CameraView(
         intr=INTR, ground=ORIGIN, height=10.0,
@@ -140,8 +139,7 @@ def test_project_detection_takes_the_views_rotation(monkeypatch):
                       rot=camera_to_world_rotation(NADIR), frame_id="f1",
                       timestamp="2025-09-30T10:00:00Z")
     monkeypatch.setattr(geoprojection, "camera_to_world_rotation", counted)
-    det = Detection(bbox=BoundingBox(x_min=30.0, y_min=22.0,
-                                     x_max=50.0, y_max=42.0),
+    det = Detection(x_min=30.0, y_min=22.0, x_max=50.0, y_max=42.0,
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
     proj = project_detection(det, view)
     assert calls == []
@@ -157,8 +155,7 @@ def test_project_detection_corners_far_apart_raise_projection_error():
     # ProjectionError (a dropped detection), not a GeodesyError.
     wide = CameraIntrinsics(fx=20.0, fy=20.0, cx=39.5, cy=31.5,
                             width=80, height=64)
-    det = Detection(bbox=BoundingBox(x_min=0.0, y_min=0.0,
-                                     x_max=80.0, y_max=64.0),
+    det = Detection(x_min=0.0, y_min=0.0, x_max=80.0, y_max=64.0,
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
     with pytest.raises(ProjectionError, match="farther than 100 km"):
         project_detection(det, CameraView(

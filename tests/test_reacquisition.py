@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pvpipeline.detector import BoundingBox, Detection
+from pvpipeline.detector import Detection
 from pvpipeline.reacquisition import (Attitude, AxisAngle, CameraIntrinsics,
                                       GeometryError, ReacqPolicy, backproject,
                                       camera_to_world_rotation,
@@ -153,10 +153,10 @@ def test_repoint_recenters_to_subpixel():
 
 def test_reacquisition_decision_policy():
     frame_area = float(INTR.width * INTR.height)
-    small = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=3, y_max=3),
-                      class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
-    big = Detection(bbox=BoundingBox(x_min=0, y_min=0, x_max=30, y_max=30),
-                    class_id="hotspot", confidence=0.3, peak_temp_c=40.0)
+    small = Detection(x_min=0, y_min=0, x_max=3, y_max=3, class_id="hotspot",
+                      confidence=0.3, peak_temp_c=40.0)
+    big = Detection(x_min=0, y_min=0, x_max=30, y_max=30, class_id="hotspot",
+                    confidence=0.3, peak_temp_c=40.0)
     sure = replace(small, confidence=0.9)
 
     for max_rounds in (2, 0):

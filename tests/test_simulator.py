@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvpipeline.detector import BoundingBox, Detection
+from pvpipeline.detector import Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
     backproject, camera_to_world_rotation, repoint
@@ -560,8 +560,7 @@ def test_project_stage_counts_a_pose_past_the_pole_as_failed():
     config = replace(MissionConfig(seed=0), plant=PlantLayout(
         origin=GeoPoint(lat=89.999, lon=0.0)))
     trace = MissionTrace(config=config, defects=[])
-    det = Detection(bbox=BoundingBox(x_min=38.0, y_min=30.0, x_max=41.0,
-                                     y_max=33.0),
+    det = Detection(x_min=38.0, y_min=30.0, x_max=41.0, y_max=33.0,
                     class_id="hotspot", confidence=0.9, peak_temp_c=35.0)
     start = parse_ts_utc(config.start_utc)
     for north, projected in ((5.0, True), (200.0, False)):

@@ -3,7 +3,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from pvpipeline.detector import BoundingBox
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
 from pvpipeline.telemetry import (DetectionRecord, MissionReport,
@@ -116,8 +115,7 @@ def _projected(lat=49.4071, lon=26.9842):
         GeoPoint(lat=lat - 1e-5, lon=lon + 1e-5),
         GeoPoint(lat=lat + 1e-5, lon=lon + 1e-5),
         GeoPoint(lat=lat + 1e-5, lon=lon - 1e-5)))
-    return ProjectedDetection(bbox=BoundingBox(x_min=1.0, y_min=2.0,
-                                               x_max=5.0, y_max=6.0),
+    return ProjectedDetection(x_min=1.0, y_min=2.0, x_max=5.0, y_max=6.0,
                               class_id="hotspot", confidence=0.83,
                               peak_temp_c=47.5, polygon=poly,
                               centroid=GeoPoint(lat=lat, lon=lon),
