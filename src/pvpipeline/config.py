@@ -8,6 +8,7 @@ from typing import get_args, get_type_hints
 
 from .geodesy import GeoPoint
 from .simulator import MissionConfig
+from .telemetry import encodes_utf8
 
 
 class ConfigError(ValueError):
@@ -48,6 +49,9 @@ def _value(path: str, value, hint, default):
               or type(value) is int and hint is float):
         raise ConfigError(f"{path}: expected {getattr(hint, '__name__', hint)}"
                           f", got {type(value).__name__}")
+    if type(value) is str and not encodes_utf8(value):
+        raise ConfigError(f"{path}: expected a string UTF-8 can encode, "
+                          f"got {value!r:.60}")
     # abs(v) <= max is False for NaN, +-inf and ints past the float range.
     if any(type(v) in (int, float) and not abs(v) <= sys.float_info.max
            for v in (value if type(value) is list else [value])):

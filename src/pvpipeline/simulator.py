@@ -71,6 +71,10 @@ _MAX_FRAME_PIXELS = 2 ** 32
 # Most clutter detections a mission may expect: 220 times a 200x200 plant's
 # at rate 1.
 _MAX_CLUTTER_DETECTIONS = 2 ** 20
+# Most pairs of clutter sightings within dedup.epsilon of each other a
+# mission may expect: all clutter shares one class, so dedup's DBSCAN work
+# grows with these pairs. The default plant reaches it near rate 257.
+_MAX_CLUTTER_PAIRS = 2 ** 18
 # prctl option (<linux/prctl.h>): the signal sent when the parent dies.
 _PR_SET_PDEATHSIG = 1
 
@@ -522,33 +526,6 @@ def render_frame(scene: Scene, pose: FramePose, intr: CameraIntrinsics,
     return TemperatureMap(temp_c=img)
 
 
-def _perturbed_pose(pose: FramePose, noise: SyntheticDetectorNoise,
-                    rng) -> FramePose:
-    de, dn, dz = rng.normal(0.0, noise.pos_sigma_m, size=3)
-    dp, dy = rng.normal(0.0, noise.att_sigma_rad, size=2)
-    gimbal = Attitude(pitch=pose.gimbal.pitch + dp, yaw=pose.gimbal.yaw + dy)
-    return FramePose(east=pose.east + de, north=pose.north + dn,
-                     altitude=pose.altitude + 0.2 * dz, gimbal=gimbal,
-                     time_s=pose.time_s)
-
-
-def simulate_frames(scene: Scene, poses, intr: CameraIntrinsics,
-                    noise: SyntheticDetectorNoise, render: RenderModel,
-                    speed: float, seed: int, first: int = 0):
-    """Deterministic sensor stream, one packet per pose as it is consumed:
-    frames rendered from the true pose, measured poses perturbed by the
-    configured noise. Frames are numbered from ``first``, the index of
-    ``poses[0]`` in the whole flight; the number is the frame id and keys
-    the frame's RNG, so a range of the flight gives the same packets as
-    the whole flight does for those frames."""
-    for k, pose in enumerate(poses, first):
-        rng = np.random.default_rng([seed, _STREAM_POSE, k])
-        meas = _perturbed_pose(pose, noise, rng)
-        temp = render_frame(scene, pose, intr, render, speed)
-        yield SensorPacket(frame_id=f"f{k:04d}", pose_true=pose,
-                           pose_meas=meas, temp=temp)
-
-
 # ---------------------------------------------------------------------------
 # Mission configuration and pipeline
 # ---------------------------------------------------------------------------
@@ -641,6 +618,19 @@ class MissionConfig:
                 f"over {n_lines * n_along} frames expects about "
                 f"{clutter:.3g} clutter detections, more than the "
                 f"{_MAX_CLUTTER_DETECTIONS} a run may take")
+        # Clutter falls uniformly on the ground the frames cover, so a pair
+        # is within epsilon with the chance of a disc of that radius.
+        area = max(ext_e, 2.0 * half_e) * (ext_n + 4.0 * half_n)
+        # (epsilon ** 2 would raise OverflowError where this gives inf.)
+        disc = math.pi * self.dedup.epsilon * self.dedup.epsilon
+        pairs = clutter * clutter / 2.0 * (1.0 if area <= disc
+                                           else disc / area)
+        if pairs > _MAX_CLUTTER_PAIRS:
+            raise SimulationError(
+                f"noise.clutter_rate: {self.noise.clutter_rate:.3g} per frame "
+                f"over {n_lines * n_along} frames expects about {pairs:.3g} "
+                f"pairs of clutter detections within dedup.epsilon of each "
+                f"other, more than the {_MAX_CLUTTER_PAIRS} a run may take")
 
 
 @dataclass
@@ -722,6 +712,27 @@ def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
                              class_id="clutter", confidence=conf,
                              peak_temp_c=30.0))
     return out
+
+
+def sense_frame(config: MissionConfig, scene: Scene, pose: FramePose,
+                frame_idx: int) -> SensorPacket:
+    """Sense stage: frame ``frame_idx`` of the flight, rendered from its true
+    pose, with a measured pose perturbed by the configured noise. The index
+    is the frame id and keys the frame's RNG, so a frame gives the same
+    packet whichever range of the flight it is flown in."""
+    noise = config.noise
+    rng = np.random.default_rng([config.seed, _STREAM_POSE, frame_idx])
+    de, dn, dz = rng.normal(0.0, noise.pos_sigma_m, size=3)
+    dp, dy = rng.normal(0.0, noise.att_sigma_rad, size=2)
+    meas = FramePose(east=pose.east + de, north=pose.north + dn,
+                     altitude=pose.altitude + 0.2 * dz,
+                     gimbal=Attitude(pitch=pose.gimbal.pitch + dp,
+                                     yaw=pose.gimbal.yaw + dy),
+                     time_s=pose.time_s)
+    temp = render_frame(scene, pose, config.camera, config.render,
+                        config.flight.speed)
+    return SensorPacket(frame_id=f"f{frame_idx:04d}", pose_true=pose,
+                        pose_meas=meas, temp=temp)
 
 
 def detect_frame(packet: SensorPacket, frame_idx: int, config: MissionConfig,
@@ -847,15 +858,14 @@ def _usable_cpus() -> int:
 
 def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
          lo: int, hi: int) -> MissionTrace:
-    """Sense -> detect -> confirm -> project -> match over the frames
-    ``poses[lo:hi]``, each numbered by its index in the whole flight. Returns
+    """Sense -> detect -> confirm -> project -> match, one stage call each,
+    over frames ``lo`` to ``hi - 1`` of the flight ``poses``. Returns
     the range's counters, matched projections and their detections.jsonl
     lines in a MissionTrace without config or defects, which the caller has
     and a worker need not send."""
     trace = MissionTrace(config=None, defects=None)
-    for frame_idx, packet in enumerate(simulate_frames(
-            scene, poses[lo:hi], config.camera, config.noise,
-            config.render, config.flight.speed, config.seed, lo), lo):
+    for frame_idx in range(lo, hi):
+        packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
         trace.frames += 1
         confirmed = [c for det_idx, det in detect_frame(packet, frame_idx,
                                                         config, trace)
@@ -966,9 +976,10 @@ def _fly_ranges(config: MissionConfig, scene: Scene, poses,
 
 def run_mission(config: MissionConfig):
     """Plan (the plant's scene, built once, and the poses) -> fly (sense ->
-    detect -> confirm -> project -> match, per frame range in forked
-    workers) -> dedup -> report. Returns (trace, report), the same bytes for
-    any number of workers; ``trace.report_json`` holds the report's JSON."""
+    detect -> confirm -> project -> match, a stage call each per frame, over
+    frame ranges in forked workers) -> dedup -> report. Returns (trace,
+    report), the same bytes for any number of workers;
+    ``trace.report_json`` holds the report's JSON."""
     scene = Scene.of(generate_plant(config.seed, config.plant,
                                     config.defects))
     poses = plan_flight(config.plant, config.flight, config.camera)

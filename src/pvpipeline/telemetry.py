@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import tempfile
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -136,7 +136,24 @@ def _typed(kind: type, label: str):
     return check
 
 
-_string = _typed(str, "a string")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def encodes_utf8(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: a lone surrogate, which JSON's
+    \\ud800 escape yields, has no UTF-8 form."""
+    return text.isascii() or not _SURROGATE.search(text)
+
+
+def _string(value, what: str):
+    if not isinstance(value, str):
+        raise TelemetryError(f"{what}: expected a string, got {value!r:.60}")
+    if not encodes_utf8(value):
+        raise TelemetryError(
+            f"{what}: expected a string UTF-8 can encode, got {value!r:.60}")
+    return value
+
+
 _list = _typed(list, "a list")
 _object = _typed(dict, "an object")
 
@@ -204,28 +221,28 @@ def parse_report(payload: bytes) -> MissionReport:
                          for i, d in enumerate(detections)))
 
 
+def _xml_text(text: str) -> str:
+    """Element text escaped as ElementTree escapes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def to_kml(report: MissionReport) -> bytes:
-    ET.register_namespace("", KML_NS)
-    kml = ET.Element(f"{{{KML_NS}}}kml")
-    doc = ET.SubElement(kml, f"{{{KML_NS}}}Document")
-    name = ET.SubElement(doc, f"{{{KML_NS}}}name")
-    name.text = f"{report.site_id} {report.ts_utc}"
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             f'<kml xmlns="{KML_NS}"><Document>'
+             f'<name>{_xml_text(f"{report.site_id} {report.ts_utc}")}</name>']
     for rec in report.detections:
-        pm = ET.SubElement(doc, f"{{{KML_NS}}}Placemark")
-        pm_name = ET.SubElement(pm, f"{{{KML_NS}}}name")
-        pm_name.text = rec.id
-        desc = ET.SubElement(pm, f"{{{KML_NS}}}description")
-        desc.text = (f"class={rec.class_id} conf={rec.conf:.2f} "
-                     f"temp_C={rec.temp_c:.2f}")
-        poly = ET.SubElement(pm, f"{{{KML_NS}}}Polygon")
-        outer = ET.SubElement(poly, f"{{{KML_NS}}}outerBoundaryIs")
-        ring = ET.SubElement(outer, f"{{{KML_NS}}}LinearRing")
-        coords = ET.SubElement(ring, f"{{{KML_NS}}}coordinates")
-        ring_pts = list(rec.polygon) + [rec.polygon[0]]  # closed ring
-        coords.text = " ".join(
-            f"{_coord(lon)},{_coord(lat)},0" for lat, lon in ring_pts)
-    return (b'<?xml version="1.0" encoding="UTF-8"?>\n'
-            + ET.tostring(kml, encoding="unicode").encode("utf-8"))
+        ring = " ".join(f"{_coord(lon)},{_coord(lat)},0"
+                        for lat, lon in (*rec.polygon, rec.polygon[0]))
+        desc = (f"class={rec.class_id} conf={rec.conf:.2f} "
+                f"temp_C={rec.temp_c:.2f}")
+        parts.append(
+            f"<Placemark><name>{_xml_text(rec.id)}</name>"
+            f"<description>{_xml_text(desc)}</description>"
+            "<Polygon><outerBoundaryIs><LinearRing>"
+            f"<coordinates>{ring}</coordinates>"  # a closed ring
+            "</LinearRing></outerBoundaryIs></Polygon></Placemark>")
+    parts.append("</Document></kml>")
+    return "".join(parts).encode("utf-8")
 
 
 def write_atomic(path: str, payload: bytes):

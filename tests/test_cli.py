@@ -102,6 +102,15 @@ def test_config_defaults_and_overrides():
     assert config_from_dict(SMALL_CONFIG, seed_override=9).seed == 9
 
 
+def test_clutter_pair_bound_takes_any_finite_epsilon():
+    # With epsilon 1e300 every clutter pair is near and the disc's area
+    # overflows: 24 frames at rate 1 expect 288 pairs, under 2**18.
+    for eps in (1e-300, 1e300):
+        config = config_from_dict({"dedup": {"epsilon": eps},
+                                   "noise": {"clutter_rate": 1.0}})
+        assert config.dedup.epsilon == eps
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"sedd": 3})
@@ -288,6 +297,17 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
      "1048576"),
     ({"noise": {"clutter_rate": 1e6}}, [], "$.noise.clutter_rate:",
      "2.4e+07 clutter detections"),
+    # and the clutter pairs within dedup.epsilon, which dedup's DBSCAN
+    # visits: about 3.97 x rate**2 on the default plant, past 2**18
+    ({"noise": {"clutter_rate": 300}}, [], "$.noise.clutter_rate:",
+     "3.57e+05 pairs"),
+    ({"noise": {"clutter_rate": 1000}}, [], "$.noise.clutter_rate:",
+     "3.97e+06 pairs"),
+    ({"noise": {"clutter_rate": 2000}}, [], "$.noise.clutter_rate:",
+     "1.59e+07 pairs"),
+    # a lone surrogate has no UTF-8 form for report.json and report.kml
+    ({"site_id": "\ud800"}, [], "$.site_id:", "UTF-8"),
+    ({"uav": "\ud800"}, [], "$.uav:", "UTF-8"),
     # removed key: every threshold detection has the one default class
     ({"detector": {"default_class": "hotspot"}}, [],
      "$.detector.default_class", "unknown key"),
@@ -314,7 +334,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
         "altitude-1e-3", "raster-1e5x1e5", "clutter_rate-1e300",
-        "clutter_rate-1e6", "default_class", "enabled",
+        "clutter_rate-1e6", "clutter_rate-300", "clutter_rate-1000",
+        "clutter_rate-2000", "site_id-surrogate", "uav-surrogate",
+        "default_class", "enabled",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
@@ -328,6 +350,7 @@ def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
     assert code == 1, err
     assert f"config error: {where}" in err
     assert key in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -511,6 +534,7 @@ def test_config_rejects_non_finite_radii():
     (_set(["polygon_wgs84", 1], [49.4, 26.9]),
      "consecutive duplicate polygon vertices"),
     (_set(["centroid_wgs84", 0], 95.0), "latitude out of range: 95.0"),
+    (_set(["class"], "\ud800"), "class: expected a string UTF-8 can encode"),
     # With several faults, the field checks run before the box check.
     (lambda r: _set(["temp_C"], "hot")(
         _set(["bbox"], [5.0, 2.0, 1.0, 6.0])(r)),
@@ -521,7 +545,7 @@ def test_config_rejects_non_finite_radii():
         "bbox-three-entries", "conf-nan-literal", "lat-infinity-literal",
         "vertex-true", "vertex-huge-negative-int", "centroid-strings",
         "conf-above-1", "conf-negative", "bbox-degenerate",
-        "polygon-repeated-vertex", "lat-95",
+        "polygon-repeated-vertex", "lat-95", "class-surrogate",
         "bbox-degenerate-and-temp-string"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
@@ -769,9 +793,11 @@ def test_export_kml_missing_report_exits_1(tmp_path):
     (_set(["detections", 0, "id"], 7), "detections[0].id: expected a string"),
     (_set(["ts_utc"], 20250930), "ts_utc: expected a string"),
     (lambda r: {k: v for k, v in r.items() if k != "uav"}, "uav: missing"),
+    (_set(["detections", 0, "id"], "\ud800"),
+     "detections[0].id: expected a string UTF-8 can encode"),
 ], ids=["root-list", "detections-object", "media-list", "vertex-short",
         "conf-string", "temp-huge-int", "id-number", "ts-number",
-        "uav-missing"])
+        "uav-missing", "id-surrogate"])
 def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))

@@ -28,7 +28,7 @@ from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   evaluate, footprint, frame_view,
                                   generate_plant, metrics_csv, plan_flight,
                                   project_confirmed, render_frame,
-                                  run_mission, simulate_frames, sweep_csv)
+                                  run_mission, sense_frame, sweep_csv)
 from pvpipeline.telemetry import parse_ts_utc
 
 from oracles import maybe_in_view
@@ -422,30 +422,12 @@ def test_render_attenuations_are_monotone():
     assert peak(de=2.5) < peak(de=0.0)                       # vignetting
 
 
-def test_simulate_frames_pose_noise_and_determinism():
+def test_sense_frame_pose_noise_and_determinism(monkeypatch):
+    from pvpipeline import simulator
+    config = MissionConfig(seed=9, plant=LAYOUT, camera=INTR,
+                           noise=SyntheticDetectorNoise(pos_sigma_m=0.2))
     scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)[:3]
-    noise = SyntheticDetectorNoise(pos_sigma_m=0.2)
-    a = list(simulate_frames(scene, poses, INTR, noise, RenderModel(),
-                             2.0, 9))
-    b = list(simulate_frames(scene, poses, INTR, noise, RenderModel(),
-                             2.0, 9))
-    for pa, pb in zip(a, b):
-        assert pa.pose_meas == pb.pose_meas
-        assert np.array_equal(pa.temp.temp_c, pb.temp.temp_c)
-    # Frames render from the true pose; only the measured pose is noisy.
-    assert any(p.pose_meas.east != p.pose_true.east for p in a)
-    clean = list(simulate_frames(scene, poses, INTR,
-                                 SyntheticDetectorNoise(), RenderModel(),
-                                 2.0, 9))
-    for pa, pc in zip(a, clean):
-        assert np.array_equal(pa.temp.temp_c, pc.temp.temp_c)
-
-
-def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
-    from pvpipeline import simulator
-    scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
-    poses = plan_flight(LAYOUT, FlightPlan(), INTR)
     calls = []
 
     def counted(*args, **kwargs):
@@ -453,11 +435,21 @@ def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
         return render_frame(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "render_frame", counted)
-    first = next(simulate_frames(scene, poses, INTR,
-                                 SyntheticDetectorNoise(), RenderModel(),
-                                 2.0, 9))
-    assert calls == [poses[0]]
-    assert first.pose_true == poses[0]
+    a = [sense_frame(config, scene, pose, k) for k, pose in enumerate(poses)]
+    # One call renders its own true pose, once; the index is the frame id.
+    assert calls == poses
+    assert [p.frame_id for p in a] == ["f0000", "f0001", "f0002"]
+    b = [sense_frame(config, scene, pose, k) for k, pose in enumerate(poses)]
+    for pa, pb in zip(a, b):
+        assert pa.pose_meas == pb.pose_meas
+        assert np.array_equal(pa.temp.temp_c, pb.temp.temp_c)
+    # Frames render from the true pose; only the measured pose is noisy.
+    assert [p.pose_true for p in a] == poses
+    assert any(p.pose_meas.east != p.pose_true.east for p in a)
+    clean = replace(config, noise=SyntheticDetectorNoise())
+    for k, (pose, pa) in enumerate(zip(poses, a)):
+        pc = sense_frame(clean, scene, pose, k)
+        assert np.array_equal(pa.temp.temp_c, pc.temp.temp_c)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +524,8 @@ def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
     monkeypatch.setattr(simulator, "render_frame", recording)
     trace = MissionTrace(config=config, defects=scene.defects)
     checked = 0
-    for frame_idx, packet in enumerate(simulate_frames(
-            scene, poses, config.camera, config.noise, config.render,
-            config.flight.speed, config.seed)):
+    for frame_idx in range(len(poses)):
+        packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
         err_pitch = packet.pose_meas.gimbal.pitch - packet.pose_true.gimbal.pitch
         err_yaw = packet.pose_meas.gimbal.yaw - packet.pose_true.gimbal.yaw
         for det_idx, det in detect_frame(packet, frame_idx, config, trace):

@@ -1,5 +1,6 @@
 import pathlib
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -91,6 +92,25 @@ def test_kml_structure():
     assert float(lon) == pytest.approx(26.98417)
     assert float(lat) == pytest.approx(49.407249)
     assert alt == "0"
+
+
+@pytest.mark.parametrize("text", ['a&b<c>d"e\'f', "]]>&amp;", "tab\tnl\nend",
+                                  "é漢"],
+                         ids=["markup", "cdata-end-entity", "tab-newline",
+                              "non-ascii"])
+def test_kml_text_round_trips(text):
+    # Names and descriptions are escaped as element text: an XML parser
+    # reads back what the report holds.
+    rec = replace(_sample_report().detections[0], id=text, class_id=text)
+    report = MissionReport(site_id=text, uav="u", ts_utc="2025-09-30T10:12:00Z",
+                           detections=(rec,))
+    root = ET.fromstring(to_kml(report))
+    doc = root.find(f"{{{KML_NS}}}Document")
+    assert doc.find(f"{{{KML_NS}}}name").text == f"{text} {report.ts_utc}"
+    placemark = doc.find(f"{{{KML_NS}}}Placemark")
+    assert placemark.find(f"{{{KML_NS}}}name").text == text
+    assert placemark.find(f"{{{KML_NS}}}description").text == \
+        f"class={text} conf=0.91 temp_C=82.40"
 
 
 def test_file_sink_atomic_write(tmp_path):
