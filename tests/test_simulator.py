@@ -422,24 +422,14 @@ def test_render_attenuations_are_monotone():
     assert peak(de=2.5) < peak(de=0.0)                       # vignetting
 
 
-def test_sense_frame_pose_noise_and_determinism(monkeypatch):
-    from pvpipeline import simulator
+def test_simulate_frames_pose_noise_and_determinism():
     config = MissionConfig(seed=9, plant=LAYOUT, camera=INTR,
                            noise=SyntheticDetectorNoise(pos_sigma_m=0.2))
     scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
     poses = plan_flight(LAYOUT, FlightPlan(), INTR)[:3]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return render_frame(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "render_frame", counted)
     a = [sense_frame(config, scene, pose, k) for k, pose in enumerate(poses)]
-    # One call renders its own true pose, once; the index is the frame id.
-    assert calls == poses
-    assert [p.frame_id for p in a] == ["f0000", "f0001", "f0002"]
     b = [sense_frame(config, scene, pose, k) for k, pose in enumerate(poses)]
+    assert [p.frame_id for p in a] == ["f0000", "f0001", "f0002"]
     for pa, pb in zip(a, b):
         assert pa.pose_meas == pb.pose_meas
         assert np.array_equal(pa.temp.temp_c, pb.temp.temp_c)
@@ -450,6 +440,24 @@ def test_sense_frame_pose_noise_and_determinism(monkeypatch):
     for k, (pose, pa) in enumerate(zip(poses, a)):
         pc = sense_frame(clean, scene, pose, k)
         assert np.array_equal(pa.temp.temp_c, pc.temp.temp_c)
+
+
+def test_simulate_frames_renders_only_what_is_consumed(monkeypatch):
+    from pvpipeline import simulator
+    config = MissionConfig(seed=9, plant=LAYOUT, camera=INTR)
+    scene = Scene.of(generate_plant(2, LAYOUT, DefectMix(count=2, n_small=0)))
+    poses = plan_flight(LAYOUT, FlightPlan(), INTR)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return render_frame(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "render_frame", counted)
+    # One call renders its own true pose, once, and nothing of the rest.
+    first = sense_frame(config, scene, poses[0], 0)
+    assert calls == [poses[0]]
+    assert first.pose_true == poses[0]
 
 
 # ---------------------------------------------------------------------------
