@@ -209,23 +209,23 @@ def nearest_ground_truth(points, ground_truth, match_radius: float,
     return out
 
 
+def duplicate_rate(matches) -> float:
+    """Dup-FP rate of one ground-truth index, or None, per item: a ground
+    truth matched m >= 1 times adds m - 1 duplicate FPs, over the items."""
+    hits = [gi for gi in matches if gi is not None]
+    return (len(hits) - len(set(hits))) / len(matches) if matches else 0.0
+
+
 def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
     """Duplicate-induced false-positive rate.
 
     Items (sightings or events; each read for .centroid and .class_id) are
     greedily matched to the nearest same-class ground-truth defect (read for
-    .position and .class_id) within match_radius. A ground truth with
-    m >= 1 matches contributes m - 1 duplicate FPs; the rate divides their
-    sum by the number of items.
+    .position and .class_id) within match_radius, and the matches are
+    counted by :func:`duplicate_rate`.
     """
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise DedupError("match_radius must be positive and finite")
-    if not items:
-        return 0.0
-    classes = [item.class_id for item in items]
-    match_counts = [0] * len(ground_truth)
-    for best in nearest_ground_truth([item.centroid for item in items],
-                                     ground_truth, match_radius, classes):
-        if best is not None:
-            match_counts[best] += 1
-    return sum(max(m - 1, 0) for m in match_counts) / len(items)
+    return duplicate_rate(nearest_ground_truth(
+        [item.centroid for item in items], ground_truth, match_radius,
+        [item.class_id for item in items]))

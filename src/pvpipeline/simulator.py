@@ -33,7 +33,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .dedup import DbscanParams, deduplicate, dup_fp_rate, nearest_ground_truth
+from .dedup import DbscanParams, deduplicate, dup_fp_rate, duplicate_rate, \
+    nearest_ground_truth
 from .detector import Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     tangent_point
@@ -116,7 +117,6 @@ class PlantLayout:
 
 @dataclass(frozen=True)
 class GroundTruthDefect:
-    id: str
     module: tuple               # (row, col)
     class_id: str
     peak_excess_c: float
@@ -224,9 +224,9 @@ def generate_plant(seed: int, layout: PlantLayout,
         pos = GeoPoint(*tangent_point(layout.origin.lat, layout.origin.lon,
                                       east, north))
         defects.append(GroundTruthDefect(
-            id=f"gt_{i:03d}", module=(r, c), class_id=cls,
-            peak_excess_c=excess, sigma_m=sigma, east=east, north=north,
-            position=pos, is_small=small))
+            module=(r, c), class_id=cls, peak_excess_c=excess,
+            sigma_m=sigma, east=east, north=north, position=pos,
+            is_small=small))
     return defects
 
 
@@ -339,6 +339,10 @@ class RenderModel:
             raise SimulationError("vignette coefficient must lie in [0, 1]")
         if self.ambient_c <= ABSOLUTE_ZERO_C:
             raise SimulationError("ambient_c must lie above absolute zero")
+        for key in ("psf_px", "exposure_s"):
+            if not getattr(self, key) >= 0:
+                raise SimulationError(
+                    f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -631,6 +635,19 @@ class MissionConfig:
                 f"over {n_lines * n_along} frames expects about {pairs:.3g} "
                 f"pairs of clutter detections within dedup.epsilon of each "
                 f"other, more than the {_MAX_CLUTTER_PAIRS} a run may take")
+        # render_frame squares a blob's pixel sigma, at most the widest defect
+        # sigma times fx over the 0.1 m depth it renders past, and psf_px,
+        # and adds the squares (multiplied here, as ** raises past the range).
+        key = max(("sigma_m", "small_sigma_m"),
+                  key=lambda k: getattr(self.defects, k))
+        sigma_px = getattr(self.defects, key) * self.camera.fx / 0.1
+        psf_px = self.render.psf_px
+        if not math.isfinite(sigma_px * sigma_px + psf_px * psf_px):
+            name = f"defects.{key}" if sigma_px >= psf_px else "render.psf_px"
+            raise SimulationError(
+                f"{name}: a blob sigma of up to {sigma_px:.3g} px (at 0.1 m "
+                f"depth) and psf_px {psf_px:.3g} px square past the float "
+                f"range")
 
 
 @dataclass
@@ -640,6 +657,7 @@ class MissionTrace:
     frames: int = 0
     detections_seen: int = 0
     accepted: list = field(default_factory=list)   # ProjectedDetection
+    gt_matches: list = field(default_factory=list)  # defect index or None
     reacq_rounds: int = 0
     reacq_confirms: int = 0
     projection_failed: int = 0
@@ -836,17 +854,15 @@ def project_confirmed(det: Detection, gimbal, view, trace: MissionTrace):
         return None
 
 
-def match_ground_truth(projections, defects, radius: float) -> list:
+def match_ground_truth(projections, defects, radius: float) -> tuple:
     """Match stage, a stand-in for the classifier head: each projection
-    within the radius of a defect takes that defect's class."""
+    within the radius of a defect takes the nearest one's class. Returns
+    the relabelled projections and the index of each one's defect, or
+    None."""
     gt_indices = nearest_ground_truth([p.centroid for p in projections],
                                       defects, radius)
-    matched = []
-    for p, gi in zip(projections, gt_indices):
-        if gi is not None:
-            p = replace(p, class_id=defects[gi].class_id)
-        matched.append(p)
-    return matched
+    return [p if gi is None else replace(p, class_id=defects[gi].class_id)
+            for p, gi in zip(projections, gt_indices)], gt_indices
 
 
 def _usable_cpus() -> int:
@@ -860,9 +876,9 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
          lo: int, hi: int) -> MissionTrace:
     """Sense -> detect -> confirm -> project -> match, one stage call each,
     over frames ``lo`` to ``hi - 1`` of the flight ``poses``. Returns
-    the range's counters, matched projections and their detections.jsonl
-    lines in a MissionTrace without config or defects, which the caller has
-    and a worker need not send."""
+    the range's counters, matched projections, their defect indices and
+    their detections.jsonl lines in a MissionTrace without config or
+    defects, which the caller has and a worker need not send."""
     trace = MissionTrace(config=None, defects=None)
     for frame_idx in range(lo, hi):
         packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
@@ -879,8 +895,8 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
             projected = project_confirmed(det, gimbal, view, trace)
             if projected is not None:
                 trace.accepted.append(projected)
-    trace.accepted = match_ground_truth(trace.accepted, scene.defects,
-                                        config.match_radius_m)
+    trace.accepted, trace.gt_matches = match_ground_truth(
+        trace.accepted, scene.defects, config.match_radius_m)
     trace.detection_lines = detection_record_lines(trace.accepted)
     return trace
 
@@ -1007,7 +1023,7 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
     return MetricsReport(
         recall=recall,
         recall_small=recall_small,
-        dup_fp_raw=dup_fp_rate(trace.accepted, defects, radius),
+        dup_fp_raw=duplicate_rate(trace.gt_matches),
         dup_fp_dedup=dup_fp_rate(trace.events, defects, radius),
         event_count=len(trace.events),
         gt_count=len(defects),

@@ -314,6 +314,27 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # removed key: "max_rounds": 0 turns re-acquisition off
     ({"reacquisition": {"enabled": False}}, [],
      "$.reacquisition.enabled", "unknown key"),
+    # a negative blur or exposure; exposure_s -0.25 divided by zero and -1
+    # made every blob cold, psf_px -1 read as +1
+    ({"render": {"psf_px": -1}}, [], "$.render", "psf_px"),
+    ({"render": {"exposure_s": -0.25}}, [], "$.render", "exposure_s"),
+    ({"render": {"exposure_s": -1}}, [], "$.render", "exposure_s"),
+    # the renderer squares psf_px and a blob's pixel sigma, up to sigma_m *
+    # fx / 0.1 m: past about 1.3e154 px the square leaves the float range
+    ({"render": {"psf_px": 1e300}}, [], "$.render", "psf_px"),
+    ({"render": {"psf_px": 1e155}}, [], "$.render", "psf_px"),
+    ({"defects": {"sigma_m": 1e300}}, [], "$.defects", "sigma_m"),
+    ({"defects": {"small_sigma_m": 1e300}}, [], "$.defects",
+     "small_sigma_m"),
+    # the bound takes the renderer's nearest depth, not the altitude:
+    # re-acquired views of clutter tilt the camera, and some of these
+    # defects render under 0.75 m deep, where a sigma_m of 1e152 is past
+    # 1.3e154 px
+    ({"plant": {"rows": 60, "cols": 60},
+      "defects": {"count": None, "density": 0.5, "min_separation_m": 0,
+                  "sigma_m": 1e152},
+      "reacquisition": {"tau_ra": 0.95}, "noise": {"clutter_rate": 5}}, [],
+     "$.defects", "sigma_m"),
     # the default 10 x 10 plant has no room for these placements, found
     # only while the plant is generated
     ({"defects": {"min_separation_m": 7}}, [], "$.defects",
@@ -336,7 +357,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "altitude-1e-3", "raster-1e5x1e5", "clutter_rate-1e300",
         "clutter_rate-1e6", "clutter_rate-300", "clutter_rate-1000",
         "clutter_rate-2000", "site_id-surrogate", "uav-surrogate",
-        "default_class", "enabled",
+        "default_class", "enabled", "psf_px-negative", "exposure_s--0.25",
+        "exposure_s--1", "psf_px-1e300", "psf_px-1e155", "sigma_m-1e300",
+        "small_sigma_m-1e300", "sigma_m-1e152-tilted-views",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
@@ -367,6 +390,21 @@ def test_simulate_blobs_whose_window_misses_the_raster_exit_0(tmp_path, capsys,
                                                               config):
     # Each config renders a blob that passes the 4-sigma test yet whose
     # windowed radius stops short of the raster; it adds nothing.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"render": {"psf_px": 1e150}},
+    # sigma_m * fx / 0.1 m = 1e154 px, whose square is about 1e308
+    {"defects": {"sigma_m": 1e151}},
+], ids=["psf_px-1e150", "sigma_m-1e151"])
+def test_simulate_render_squares_within_the_float_range_exit_0(tmp_path,
+                                                               capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -6,7 +6,7 @@ from oracles import merge_cluster_objects
 
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
-                              merge_cluster)
+                              duplicate_rate, merge_cluster)
 from pvpipeline.geodesy import (GeoPoint, GeoPolygon, haversine_distance,
                                 tangent_point)
 from pvpipeline.geoprojection import ProjectedDetection
@@ -271,6 +271,10 @@ def test_dup_fp_rate_hand_cases():
     assert dup_fp_rate(items, gt, 1.0) == pytest.approx(2.0 / 3.0)
     assert dup_fp_rate(items[:1], gt, 1.0) == 0.0
     assert dup_fp_rate([], gt, 1.0) == 0.0
+    # The count itself, on ground-truth indices (None: unmatched).
+    assert duplicate_rate([]) == 0.0
+    assert duplicate_rate([None, None]) == 0.0
+    assert duplicate_rate([0, 0, 1, None]) == 0.25
 
 
 def test_dup_fp_rate_unmatched_and_denominator():

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from pvpipeline import cli, simulator
+from pvpipeline.config import config_from_dict
 from pvpipeline.simulator import MissionConfig, plan_flight, render_frame
 
 from test_golden_mission import CONFIGS as GOLDEN_CONFIGS
@@ -86,6 +87,23 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         outputs = _simulate(monkeypatch, tmp_path, CONFIGS[name], 5)
         assert outputs == serial
     capsys.readouterr()
+
+
+def test_match_indices_join_in_frame_order_for_any_worker_count(monkeypatch):
+    # metrics.csv holds only the count of the indices, so the byte test
+    # above cannot see their order.
+    config = config_from_dict(CONFIGS["survey_att_noise"])
+    traces = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
+        traces[workers], _ = simulator.run_mission(config)
+        _no_child_left()
+    serial = traces[1]
+    assert None in serial.gt_matches
+    assert len(set(serial.gt_matches) - {None}) > 1
+    for workers in (2, 3):
+        assert traces[workers].gt_matches == serial.gt_matches
+        assert traces[workers].accepted == serial.accepted
 
 
 # Runs `simulate` with `render_frame` failing on one survey frame, then

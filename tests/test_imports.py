@@ -11,10 +11,14 @@ attribute of that spelling appears in `src/`, `tests/` or `demos/` outside
 its own definition; apart from a named set kept for the tests, it must also
 appear in the program itself: `src/`, `demos/` or `perfbench/`. A field
 of a `@dataclass` class counts as read when an attribute of that spelling
-is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. No
-pvpipeline module imports another module's `_`-prefixed name, and none
-but `cli` imports inside a function. Importing every pvpipeline module
-loads no scipy, and numpy is the one runtime dependency.
+is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. Without
+type inference that scan cannot tell which class an attribute is loaded
+from, so it cannot check a field whose name two or more package
+dataclasses share (`id`, `class_id`, `centroid`, `east`, ...): a read of
+any of them counts for all. No pvpipeline module imports another module's
+`_`-prefixed name, and none but `cli` imports inside a function. Importing
+every pvpipeline module loads no scipy, and numpy is the one runtime
+dependency.
 """
 
 import ast
@@ -158,7 +162,9 @@ def dataclass_fields(source: str) -> list:
 
 def unread_fields(modules: dict, sources: list) -> list:
     """(module, class, field) of every dataclass field in `modules` (name ->
-    source) that none of `sources` loads as an attribute."""
+    source) that none of `sources` loads as an attribute. Loads are keyed on
+    the attribute's name alone, not its class, so a field whose name another
+    dataclass shares is never reported while either one is read."""
     read = {node.attr for source in sources
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute)

@@ -11,16 +11,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from pvpipeline.dedup import dup_fp_rate, duplicate_rate
 from pvpipeline.detector import Detection
 from pvpipeline.geodesy import GeoPoint, haversine_distance
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
     backproject, camera_to_world_rotation, repoint
 from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   FramePose, MissionConfig,
-                                  MissionTrace, PlantLayout, RenderModel,
+                                  MissionTrace, PlacementError,
+                                  PlantLayout, RenderModel,
                                   Scene, SensorPacket, SimulationError,
                                   SyntheticDetectorNoise, _in_view,
                                   confirm_detection,
@@ -512,6 +514,36 @@ def test_certain_miss_probability_kills_recall():
     metrics = evaluate(trace)
     assert metrics.recall == 0.0
     assert metrics.event_count == 0
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(3, 20),
+       cols=st.integers(3, 20), density=st.floats(0.02, 0.3),
+       separation=st.sampled_from([0.0, 0.5, 2.5]),
+       radius=st.sampled_from([0.3, 1.0, 3.0]),
+       clutter=st.floats(0.0, 2.0), pos_sigma=st.floats(0.0, 0.5),
+       att_sigma=st.floats(0.0, 0.03))
+def test_match_stage_indices_count_the_raw_dup_fp(seed, rows, cols, density,
+                                                  separation, radius, clutter,
+                                                  pos_sigma, att_sigma):
+    # A matched sighting takes its nearest defect's class, so the
+    # same-class search of dup_fp_rate finds that defect again; an
+    # unmatched one has no defect within the radius at all.
+    config = MissionConfig(
+        seed=seed, plant=replace(LAYOUT, rows=rows, cols=cols),
+        defects=DefectMix(count=None, density=density,
+                          min_separation_m=separation),
+        noise=SyntheticDetectorNoise(clutter_rate=clutter,
+                                     pos_sigma_m=pos_sigma,
+                                     att_sigma_rad=att_sigma),
+        match_radius_m=radius)
+    try:
+        trace, _ = run_mission(config)
+    except PlacementError:
+        reject()
+    assert len(trace.gt_matches) == len(trace.accepted)
+    assert duplicate_rate(trace.gt_matches) == \
+        dup_fp_rate(trace.accepted, trace.defects, radius)
 
 
 def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
