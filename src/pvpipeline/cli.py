@@ -113,8 +113,8 @@ def cmd_simulate(args) -> int:
 def cmd_dedup(args) -> int:
     from .dedup import DbscanParams, DedupError, deduplicate
     from .geodesy import GeodesyError
-    from .telemetry import TelemetryError, event_to_record, \
-        parse_detection_record_lines, records_json
+    from .telemetry import TelemetryError, parse_detection_record_lines, \
+        records_json
 
     try:
         params = DbscanParams(epsilon=args.epsilon, min_pts=args.min_pts)
@@ -141,8 +141,7 @@ def cmd_dedup(args) -> int:
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    body = records_json(map(event_to_record, events)).encode("utf-8")
-    if not _write(args.out, body):
+    if not _write(args.out, records_json(events).encode("utf-8")):
         return EXIT_CONFIG
     print(f"detections in: {len(detections)}  events out: {len(events)}")
     return EXIT_OK

@@ -8,9 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geodesy import (GeoPoint, GeoPolygon, neighbours_within,
-                      plane_centroid, polygon_centroid, tangent_offset,
-                      tangent_point)
+from .geodesy import (GeoPoint, neighbours_within, plane_centroid,
+                      polygon_centroid, tangent_offset, tangent_point)
 
 NOISE = -1
 
@@ -33,15 +32,16 @@ class DbscanParams:
 
 @dataclass(frozen=True)
 class DefectEvent:
+    """One de-duplicated defect: a detection record of the mission report."""
     id: str
     class_id: str
     confidence: float       # max over members
     peak_temp_c: float      # max over members
     centroid: GeoPoint
-    polygon: GeoPolygon
-    member_ids: tuple       # indices into the input detection list
+    polygon: tuple          # ((lat, lon), ...), as the report writes it
     media_rgb: str = ""
     media_tiff: str = ""
+    member_ids: tuple = ()  # indices into the input detection list
 
 
 def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
@@ -127,11 +127,10 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
     best = max(members, key=lambda d: d.confidence)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        hull_poly = best.polygon
-        centroid = polygon_centroid(hull_poly)
+        vertices = best.polygon.vertices
+        centroid = polygon_centroid(best.polygon)
     else:
-        hull_poly = GeoPolygon(tuple(
-            GeoPoint(*tangent_point(lat0, lon0, x, y)) for x, y in hull))
+        vertices = [GeoPoint(*tangent_point(lat0, lon0, *xy)) for xy in hull]
         centroid = GeoPoint(*tangent_point(lat0, lon0, *plane_centroid(hull)))
     return DefectEvent(
         id=event_id,
@@ -139,10 +138,10 @@ def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
         confidence=max(d.confidence for d in members),
         peak_temp_c=max(d.peak_temp_c for d in members),
         centroid=centroid,
-        polygon=hull_poly,
-        member_ids=tuple(member_ids),
+        polygon=tuple((v.lat, v.lon) for v in vertices),
         media_rgb=best.media_rgb,
         media_tiff=best.media_tiff,
+        member_ids=tuple(member_ids),
     )
 
 

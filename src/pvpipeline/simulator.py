@@ -41,7 +41,7 @@ from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
 from .geoprojection import CameraView, ProjectionError, project_detection
 from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
     backproject, camera_to_world_rotation, reacquisition_decision, repoint
-from .telemetry import build_report, detection_record_lines, \
+from .telemetry import MissionReport, detection_record_lines, \
     parse_ts_utc, to_json
 from .thermal import ABSOLUTE_ZERO_C, TemperatureMap
 
@@ -337,8 +337,11 @@ class RenderModel:
     def __post_init__(self):
         if not (0.0 <= self.vignette <= 1.0):
             raise SimulationError("vignette coefficient must lie in [0, 1]")
-        if self.ambient_c <= ABSOLUTE_ZERO_C:
-            raise SimulationError("ambient_c must lie above absolute zero")
+        # detect's median adds two pixels of about ambient_c
+        if not (self.ambient_c > ABSOLUTE_ZERO_C
+                and math.isfinite(2.0 * self.ambient_c)):
+            raise SimulationError("ambient_c must lie above absolute zero "
+                                  "and at most half the float range")
         for key in ("psf_px", "exposure_s"):
             if not getattr(self, key) >= 0:
                 raise SimulationError(
@@ -1002,8 +1005,9 @@ def run_mission(config: MissionConfig):
     start = parse_ts_utc(config.start_utc)
     trace = _fly_ranges(config, scene, poses, start)
     trace.events = deduplicate(trace.accepted, config.dedup)
-    report = build_report(config.site_id, config.uav,
-                          _ts_utc(start, poses[-1].time_s), trace.events)
+    report = MissionReport(config.site_id, config.uav,
+                           _ts_utc(start, poses[-1].time_s),
+                           tuple(trace.events))
     trace.report_json = to_json(report)
     return trace, report
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dedup import DefectEvent
-from .geodesy import GeoPoint, GeoPolygon
+from .geodesy import GeoPoint, GeoPolygon, GeodesyError
 from .geoprojection import ProjectedDetection
 
 KML_NS = "http://www.opengis.net/kml/2.2"
@@ -29,30 +29,11 @@ class TelemetryError(ValueError):
 
 
 @dataclass(frozen=True)
-class DetectionRecord:
-    """One detection record inside a mission report."""
-    id: str
-    class_id: str
-    conf: float
-    temp_c: float
-    centroid: tuple       # (lat, lon)
-    polygon: tuple        # ((lat, lon), ...)
-    media_rgb: str = ""
-    media_tiff: str = ""
-
-    def __post_init__(self):
-        if not self.id:
-            raise TelemetryError("record id must be non-empty")
-        if len(self.polygon) < 3:
-            raise TelemetryError("polygon needs at least 3 vertices")
-
-
-@dataclass(frozen=True)
 class MissionReport:
     site_id: str
     uav: str
     ts_utc: str
-    detections: tuple = ()
+    detections: tuple = ()  # DefectEvents
 
     def __post_init__(self):
         parse_ts_utc(self.ts_utc)  # validates
@@ -71,23 +52,6 @@ def parse_ts_utc(ts: str) -> datetime:
         raise TelemetryError(f"ts_utc not RFC-3339 UTC: {ts!r}") from exc
 
 
-def event_to_record(event: DefectEvent) -> DetectionRecord:
-    return DetectionRecord(
-        id=event.id,
-        class_id=event.class_id,
-        conf=event.confidence,
-        temp_c=event.peak_temp_c,
-        centroid=(event.centroid.lat, event.centroid.lon),
-        polygon=tuple((v.lat, v.lon) for v in event.polygon.vertices),
-        media_rgb=event.media_rgb, media_tiff=event.media_tiff,
-    )
-
-
-def build_report(site_id: str, uav: str, ts_utc: str, events) -> MissionReport:
-    return MissionReport(site_id=site_id, uav=uav, ts_utc=ts_utc,
-                         detections=tuple(event_to_record(e) for e in events))
-
-
 def _coord(value: float) -> str:
     return f"{value:.6f}"
 
@@ -96,23 +60,23 @@ def _pair(lat: float, lon: float) -> str:
     return f"[{_coord(lat)},{_coord(lon)}]"
 
 
-def _record_json(rec: DetectionRecord) -> str:
-    polygon = ",".join(_pair(lat, lon) for lat, lon in rec.polygon)
+def _record_json(event: DefectEvent) -> str:
+    polygon = ",".join(_pair(lat, lon) for lat, lon in event.polygon)
     return ('{'
-            f'"id":{json.dumps(rec.id)},'
-            f'"class":{json.dumps(rec.class_id)},'
-            f'"conf":{rec.conf:.2f},'
-            f'"temp_C":{rec.temp_c:.2f},'
-            f'"centroid_wgs84":{_pair(rec.centroid[0], rec.centroid[1])},'
+            f'"id":{json.dumps(event.id)},'
+            f'"class":{json.dumps(event.class_id)},'
+            f'"conf":{event.confidence:.2f},'
+            f'"temp_C":{event.peak_temp_c:.2f},'
+            f'"centroid_wgs84":{_pair(event.centroid.lat, event.centroid.lon)},'
             f'"polygon_wgs84":[{polygon}],'
-            f'"media":{{"rgb":{json.dumps(rec.media_rgb)},'
-            f'"tiff":{json.dumps(rec.media_tiff)}}}'
+            f'"media":{{"rgb":{json.dumps(event.media_rgb)},'
+            f'"tiff":{json.dumps(event.media_tiff)}}}'
             '}')
 
 
-def records_json(records) -> str:
-    """The JSON array of detection records, as a report's "detections"."""
-    return "[" + ",".join(_record_json(r) for r in records) + "]"
+def records_json(events) -> str:
+    """The JSON array of events, as a report's "detections"."""
+    return "[" + ",".join(_record_json(e) for e in events) + "]"
 
 
 def to_json(report: MissionReport) -> bytes:
@@ -193,24 +157,37 @@ def _field(obj: dict, key: str, check, where: str = ""):
     return check(obj[key], what)
 
 
-def _parse_record(d, where: str) -> DetectionRecord:
+def _geo_point(value, what: str) -> GeoPoint:
+    try:
+        return GeoPoint(*_lat_lon(value, what))
+    except GeodesyError as exc:
+        raise TelemetryError(f"{what}: {exc}") from None
+
+
+def _parse_record(d, where: str) -> DefectEvent:
     _object(d, where)
     media = _field(d, "media", _object, where)
-    return DetectionRecord(
+    event = DefectEvent(
         id=_field(d, "id", _string, where),
         class_id=_field(d, "class", _string, where),
-        conf=_field(d, "conf", _number, where),
-        temp_c=_field(d, "temp_C", _number, where),
-        centroid=_field(d, "centroid_wgs84", _lat_lon, where),
+        confidence=_field(d, "conf", _number, where),
+        peak_temp_c=_field(d, "temp_C", _number, where),
+        centroid=_field(d, "centroid_wgs84", _geo_point, where),
         polygon=tuple(_lat_lon(p, f"{where}.polygon_wgs84")
                       for p in _field(d, "polygon_wgs84", _list, where)),
         media_rgb=_field(media, "rgb", _string, f"{where}.media"),
         media_tiff=_field(media, "tiff", _string, f"{where}.media"))
+    if not event.id:
+        raise TelemetryError(f"{where}.id: expected a non-empty string")
+    if len(event.polygon) < 3:
+        raise TelemetryError(f"{where}.polygon_wgs84: expected at least 3 "
+                             f"vertices, got {len(event.polygon)}")
+    return event
 
 
 def parse_report(payload: bytes) -> MissionReport:
-    """Inverse of to_json. Raises TelemetryError naming the first field
-    that is missing or holds the wrong JSON type."""
+    """Inverse of to_json. Raises TelemetryError naming a field that is
+    missing, mistyped, a latitude past 90, an empty id or under 3 vertices."""
     obj = _object(json.loads(payload.decode("utf-8")), "report")
     detections = _field(obj, "detections", _list)
     return MissionReport(
@@ -230,13 +207,13 @@ def to_kml(report: MissionReport) -> bytes:
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<kml xmlns="{KML_NS}"><Document>'
              f'<name>{_xml_text(f"{report.site_id} {report.ts_utc}")}</name>']
-    for rec in report.detections:
+    for event in report.detections:
         ring = " ".join(f"{_coord(lon)},{_coord(lat)},0"
-                        for lat, lon in (*rec.polygon, rec.polygon[0]))
-        desc = (f"class={rec.class_id} conf={rec.conf:.2f} "
-                f"temp_C={rec.temp_c:.2f}")
+                        for lat, lon in (*event.polygon, event.polygon[0]))
+        desc = (f"class={event.class_id} conf={event.confidence:.2f} "
+                f"temp_C={event.peak_temp_c:.2f}")
         parts.append(
-            f"<Placemark><name>{_xml_text(rec.id)}</name>"
+            f"<Placemark><name>{_xml_text(event.id)}</name>"
             f"<description>{_xml_text(desc)}</description>"
             "<Polygon><outerBoundaryIs><LinearRing>"
             f"<coordinates>{ring}</coordinates>"  # a closed ring

@@ -95,7 +95,9 @@ def merge_cluster_objects(members, member_ids, event_id):
         id=event_id, class_id=best.class_id,
         confidence=max(d.confidence for d in members),
         peak_temp_c=max(d.peak_temp_c for d in members),
-        centroid=centroid, polygon=hull_poly, member_ids=tuple(member_ids),
+        centroid=centroid,
+        polygon=tuple((v.lat, v.lon) for v in hull_poly.vertices),
+        member_ids=tuple(member_ids),
         media_rgb=best.media_rgb, media_tiff=best.media_tiff)
 
 

@@ -345,6 +345,10 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
      "min_separation_m"),
     ({"defects": {"count": 100, "n_small": 0}}, [], "$.defects",
      "min_separation_m"),
+    # detect's median adds two middle pixels: past half the float range
+    # the sum overflows, the ambient reads inf and nothing is detected
+    ({"render": {"ambient_c": 9e307}}, [], "$.render", "ambient_c"),
+    ({"render": {"ambient_c": 1e308}}, [], "$.render", "ambient_c"),
 ], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
         "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
@@ -361,7 +365,7 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "exposure_s--1", "psf_px-1e300", "psf_px-1e155", "sigma_m-1e300",
         "small_sigma_m-1e300", "sigma_m-1e152-tilted-views",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
-        "count-all-modules"])
+        "count-all-modules", "ambient_c-9e307", "ambient_c-1e308"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -833,9 +837,16 @@ def test_export_kml_missing_report_exits_1(tmp_path):
     (lambda r: {k: v for k, v in r.items() if k != "uav"}, "uav: missing"),
     (_set(["detections", 0, "id"], "\ud800"),
      "detections[0].id: expected a string UTF-8 can encode"),
+    (_set(["detections", 0, "centroid_wgs84", 0], 90.5),
+     "detections[0].centroid_wgs84: latitude out of range"),
+    (_set(["detections", 0, "id"], ""),
+     "detections[0].id: expected a non-empty string"),
+    (_set(["detections", 0, "polygon_wgs84"], [[49.4, 26.9], [49.5, 26.9]]),
+     "detections[0].polygon_wgs84: expected at least 3 vertices"),
 ], ids=["root-list", "detections-object", "media-list", "vertex-short",
         "conf-string", "temp-huge-int", "id-number", "ts-number",
-        "uav-missing", "id-surrogate"])
+        "uav-missing", "id-surrogate", "centroid-lat-past-90", "id-empty",
+        "polygon-2-vertices"])
 def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))

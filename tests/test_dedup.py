@@ -2,7 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from oracles import merge_cluster_objects
+from oracles import enu_offset, merge_cluster_objects
 
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
                               dbscan_labels, deduplicate, dup_fp_rate,
@@ -170,7 +170,7 @@ def test_merge_cluster_collinear_fallback():
 
     a, b = line_proj(0.0, 0.5), line_proj(0.05, 0.9)
     event = merge_cluster([a, b], [0, 1], "clu_000")
-    assert event.polygon == b.polygon
+    assert event.polygon == tuple((v.lat, v.lon) for v in b.polygon.vertices)
 
 
 # Plants the merge oracle draws clusters at: a mid-latitude survey site,
@@ -182,11 +182,12 @@ MERGE_PLANTS = {"mid-latitude": GeoPoint(lat=49.407, lon=26.984),
 
 def _hex_event(event):
     """Every field of an event, each coordinate as its float hex."""
-    def point(p):
-        return p.lat.hex(), p.lon.hex()
+    def point(lat, lon):
+        return lat.hex(), lon.hex()
     return (event.id, event.class_id, event.confidence.hex(),
-            event.peak_temp_c.hex(), point(event.centroid),
-            tuple(point(v) for v in event.polygon.vertices),
+            event.peak_temp_c.hex(),
+            point(event.centroid.lat, event.centroid.lon),
+            tuple(point(*v) for v in event.polygon),
             event.member_ids, event.media_rgb, event.media_tiff)
 
 
@@ -232,8 +233,9 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         got = merge_cluster(members, ids, f"clu_{k:03d}")
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
-        degenerate += got.polygon is max(
-            members, key=lambda d: d.confidence).polygon
+        anchor = members[0].polygon.vertices[0]
+        degenerate += len(convex_hull([enu_offset(anchor, v) for d in members
+                                       for v in d.polygon.vertices])) < 3
     assert degenerate >= 10  # the collinear fallback was exercised
 
 

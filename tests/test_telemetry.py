@@ -1,30 +1,34 @@
 import pathlib
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
 
+from pvpipeline.dedup import DefectEvent
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
-from pvpipeline.telemetry import (DetectionRecord, MissionReport,
-                                  TelemetryError, detection_record_lines,
+from pvpipeline.telemetry import (MissionReport, TelemetryError,
+                                  detection_record_lines,
                                   parse_detection_record_lines, parse_report,
                                   to_json, to_kml, write_atomic)
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_report.json"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_report.json"
+GOLDEN_MISSIONS = sorted((DATA / "golden_mission").iterdir())
 KML_NS = "http://www.opengis.net/kml/2.2"
 
 
 def _sample_report() -> MissionReport:
-    rec0 = DetectionRecord(
-        id="clu_000", class_id="hotspot", conf=0.91, temp_c=82.4,
-        centroid=(49.407251, 26.984173),
+    rec0 = DefectEvent(
+        id="clu_000", class_id="hotspot", confidence=0.91, peak_temp_c=82.4,
+        centroid=GeoPoint(49.407251, 26.984173),
         polygon=((49.407249, 26.98417), (49.407249, 26.984176),
                  (49.407253, 26.984176), (49.407253, 26.98417)),
         media_rgb="frames/f0231.jpg", media_tiff="frames/f0231.tiff")
-    rec1 = DetectionRecord(
-        id="clu_001", class_id="diode_fault", conf=0.76, temp_c=61.25,
-        centroid=(49.407301, 26.984211),
+    rec1 = DefectEvent(
+        id="clu_001", class_id="diode_fault", confidence=0.76,
+        peak_temp_c=61.25, centroid=GeoPoint(49.407301, 26.984211),
         polygon=((49.407299, 26.984208), (49.407299, 26.984214),
                  (49.407303, 26.984214), (49.407303, 26.984208)),
         media_rgb="frames/f0240.jpg", media_tiff="frames/f0240.tiff")
@@ -46,9 +50,30 @@ def test_json_round_trip():
     assert len(parsed.detections) == 2
     got = parsed.detections[0]
     assert got.id == "clu_000"
-    assert got.conf == pytest.approx(0.91)
-    assert got.temp_c == pytest.approx(82.4)
-    assert got.centroid == pytest.approx((49.407251, 26.984173))
+    assert got.confidence == pytest.approx(0.91)
+    assert got.peak_temp_c == pytest.approx(82.4)
+    assert got.centroid == GeoPoint(49.407251, 26.984173)
+
+
+@pytest.mark.parametrize("path", [GOLDEN] + [
+    m / "report.json" for m in GOLDEN_MISSIONS],
+    ids=["golden_report"] + [m.name for m in GOLDEN_MISSIONS])
+def test_parse_report_round_trips_the_goldens(path):
+    """A report's fixed-point text parses to events that print it again.
+
+    One limit: the centroid becomes a GeoPoint, which wraps a longitude
+    printed as 180.000000 back as -180.000000. to_kml writes no centroid,
+    so the KML is unaffected.
+    """
+    payload = path.read_bytes()
+    assert to_json(parse_report(payload)) == payload
+
+
+@pytest.mark.parametrize("mission", GOLDEN_MISSIONS,
+                         ids=[m.name for m in GOLDEN_MISSIONS])
+def test_kml_of_a_parsed_golden_report_is_its_report_kml(mission):
+    report = parse_report((mission / "report.json").read_bytes())
+    assert to_kml(report) == (mission / "report.kml").read_bytes()
 
 
 def test_json_fixed_point_formatting():
@@ -69,9 +94,14 @@ def test_report_validation():
     with pytest.raises(TelemetryError):
         MissionReport(site_id="s", uav="u", ts_utc="2025-09-30T10:12:00Z",
                       detections=(rec, rec))  # duplicate ids
-    with pytest.raises(TelemetryError):
-        DetectionRecord(id="x", class_id="hotspot", conf=0.5, temp_c=40.0,
-                        centroid=(0.0, 0.0), polygon=((0.0, 0.0), (1.0, 1.0)))
+    for edit, message in [
+            (dict(id=""), "detections[0].id: expected a non-empty string"),
+            (dict(polygon=((0.0, 0.0), (1.0, 1.0))),
+             "detections[0].polygon_wgs84: expected at least 3 vertices")]:
+        payload = to_json(replace(_sample_report(),
+                                  detections=(replace(rec, **edit),)))
+        with pytest.raises(TelemetryError, match=re.escape(message)):
+            parse_report(payload)
 
 
 def test_kml_structure():
