@@ -128,13 +128,13 @@ def cmd_dedup(args) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        detections = parse_detection_record_lines(data)
+        sightings = parse_detection_record_lines(data)
     except TelemetryError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        events = deduplicate(detections, params)
+        events = deduplicate(sightings, params)
     except GeodesyError as exc:  # sightings too far apart to merge
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -143,7 +143,7 @@ def cmd_dedup(args) -> int:
         return EXIT_RUNTIME
     if not _write(args.out, records_json(events).encode("utf-8")):
         return EXIT_CONFIG
-    print(f"detections in: {len(detections)}  events out: {len(events)}")
+    print(f"detections in: {len(sightings)}  events out: {len(events)}")
     return EXIT_OK
 
 

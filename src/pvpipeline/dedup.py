@@ -1,15 +1,17 @@
 """Geo-spatial de-duplication: DBSCAN over haversine distances between
-detection centroids, per-class cluster merging into canonical defect
-events, and the duplicate-induced false-positive (Dup-FP) metric.
+sighting centroids, per-class cluster merging into canonical defect
+events, and the duplicate-induced false-positive (Dup-FP) metric. The
+sightings are one :class:`Sightings` table; no object is built per sighting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .geodesy import (GeoPoint, neighbours_within, plane_centroid,
-                      polygon_centroid, tangent_offset, tangent_point)
+from .geodesy import (GeoPoint, checked_point, neighbours_within,
+                      plane_centroid, point_columns, polygon_centroid,
+                      tangent_offset, tangent_point)
 
 NOISE = -1
 
@@ -30,6 +32,41 @@ class DbscanParams:
             raise DedupError("min_pts must be at least 1")
 
 
+@dataclass
+class Sightings:
+    """Sightings as parallel columns (struct of arrays) in the field order
+    of a geoprojection.ProjectedDetection, row i of each holding sighting i:
+    plain lists, so tables compare, pickle and join by ``+``. Each value is
+    the one its record or projection holds."""
+    bbox: list = field(default_factory=list)    # (x_min, y_min, x_max, y_max)
+    class_id: list = field(default_factory=list)
+    confidence: list = field(default_factory=list)
+    peak_temp_c: list = field(default_factory=list)
+    polygon: list = field(default_factory=list)  # ((lat, lon), ...) ring
+    lat: list = field(default_factory=list)      # centroid latitude
+    lon: list = field(default_factory=list)      # and wrapped longitude
+    frame_id: list = field(default_factory=list)
+    timestamp: list = field(default_factory=list)
+    media_rgb: list = field(default_factory=list)
+    media_tiff: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, projections) -> "Sightings":
+        """The table of ProjectedDetections."""
+        return cls(*map(list, zip(*(
+            ((p.x_min, p.y_min, p.x_max, p.y_max), p.class_id, p.confidence,
+             p.peak_temp_c, tuple((v.lat, v.lon) for v in p.polygon.vertices),
+             p.centroid.lat, p.centroid.lon, p.frame_id, p.timestamp,
+             p.media_rgb, p.media_tiff) for p in projections))))
+
+    def __len__(self) -> int:
+        return len(self.lat)
+
+    def __add__(self, other: "Sightings") -> "Sightings":
+        return Sightings(*(getattr(self, f.name) + getattr(other, f.name)
+                           for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class DefectEvent:
     """One de-duplicated defect: a detection record of the mission report."""
@@ -41,11 +78,11 @@ class DefectEvent:
     polygon: tuple          # ((lat, lon), ...), as the report writes it
     media_rgb: str = ""
     media_tiff: str = ""
-    member_ids: tuple = ()  # indices into the input detection list
+    member_ids: tuple = ()  # rows of the input Sightings
 
 
-def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
-    """Standard DBSCAN over a list of GeoPoints with haversine distances.
+def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
+    """Standard DBSCAN over columns ``lat``, ``lon``, haversine distances.
 
     Labels are cluster indices (contiguous from 0) or NOISE. Core-point
     expansion proceeds in input order, so labels are deterministic.
@@ -57,9 +94,9 @@ def dbscan_labels(points, epsilon: float, min_pts: int) -> list:
     itself, so the labels equal those of the brute-force O(n^2) version,
     which the tests keep as the oracle.
     """
-    n = len(points)
+    n = len(lat)
     neighbors = [[j for j, _ in found]
-                 for found in neighbours_within(points, epsilon)]
+                 for found in neighbours_within(lat, lon, epsilon)]
 
     labels = [None] * n
     cluster = 0
@@ -110,73 +147,70 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def merge_cluster(members, member_ids, event_id: str) -> DefectEvent:
-    """Merge detections of one cluster into a canonical event.
+def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
+    """Merge the ``member_ids`` rows of one cluster into a canonical event.
 
     Geometry is the convex hull of all member polygon vertices on the local
     ENU plane (a robust surrogate for the exact polygon union; members are
     near-coincident quads); the centroid is the hull's, taken on that same
     plane. Confidence and peak temperature take the max.
     """
-    if not members:
+    if not member_ids:
         raise DedupError("cannot merge an empty cluster")
-    anchor = members[0].polygon.vertices[0]
-    lat0, lon0 = anchor.lat, anchor.lon
-    hull = convex_hull([tangent_offset(lat0, lon0, v.lat, v.lon)
-                        for det in members for v in det.polygon.vertices])
-    best = max(members, key=lambda d: d.confidence)
+    polygons, confidence = sightings.polygon, sightings.confidence
+    lat0, lon0 = polygons[member_ids[0]][0]
+    hull = convex_hull([tangent_offset(lat0, lon0, lat, lon)
+                        for i in member_ids for lat, lon in polygons[i]])
+    best = max(member_ids, key=confidence.__getitem__)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        vertices = best.polygon.vertices
-        centroid = polygon_centroid(best.polygon)
+        polygon = polygons[best]
+        centroid = polygon_centroid(polygon)
     else:
-        vertices = [GeoPoint(*tangent_point(lat0, lon0, *xy)) for xy in hull]
+        polygon = tuple(checked_point(*tangent_point(lat0, lon0, *xy))
+                        for xy in hull)
         centroid = GeoPoint(*tangent_point(lat0, lon0, *plane_centroid(hull)))
     return DefectEvent(
         id=event_id,
-        class_id=best.class_id,
-        confidence=max(d.confidence for d in members),
-        peak_temp_c=max(d.peak_temp_c for d in members),
+        class_id=sightings.class_id[best],
+        confidence=max(confidence[i] for i in member_ids),
+        peak_temp_c=max(sightings.peak_temp_c[i] for i in member_ids),
         centroid=centroid,
-        polygon=tuple((v.lat, v.lon) for v in vertices),
-        media_rgb=best.media_rgb,
-        media_tiff=best.media_tiff,
+        polygon=polygon,
+        media_rgb=sightings.media_rgb[best],
+        media_tiff=sightings.media_tiff[best],
         member_ids=tuple(member_ids),
     )
 
 
-def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
-    """Consolidate per-frame detections into unique defect events.
+def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> list:
+    """Consolidate per-frame sightings into unique defect events.
 
-    Detections are partitioned by class and clustered independently; noise
+    Sightings are partitioned by class and clustered independently; noise
     points become singleton events. Event ids are assigned after sorting
     clusters by (class, centroid lat, centroid lon).
     """
     groups = {}
-    for idx, det in enumerate(detections):
-        groups.setdefault(det.class_id, []).append(idx)
+    for idx, class_id in enumerate(sightings.class_id):
+        groups.setdefault(class_id, []).append(idx)
 
-    raw_events = []
+    cluster_rows = []
     for class_id in sorted(groups):
         idxs = groups[class_id]
-        members = [detections[i] for i in idxs]
-        labels = dbscan_labels([d.centroid for d in members], params.epsilon,
-                               params.min_pts)
+        labels = dbscan_labels([sightings.lat[i] for i in idxs],
+                               [sightings.lon[i] for i in idxs],
+                               params.epsilon, params.min_pts)
         clusters = {}
         singletons = []
-        for local, lab in enumerate(labels):
+        for i, lab in zip(idxs, labels):
             if lab == NOISE:
-                singletons.append(local)
+                singletons.append([i])
             else:
-                clusters.setdefault(lab, []).append(local)
-        for lab in sorted(clusters):
-            local_ids = clusters[lab]
-            raw_events.append(([members[i] for i in local_ids],
-                               [idxs[i] for i in local_ids]))
-        for local in singletons:
-            raw_events.append(([members[local]], [idxs[local]]))
+                clusters.setdefault(lab, []).append(i)
+        cluster_rows += [clusters[lab] for lab in sorted(clusters)]
+        cluster_rows += singletons
 
-    merged = sorted((merge_cluster(m, ids, "") for m, ids in raw_events),
+    merged = sorted((merge_cluster(sightings, ids, "") for ids in cluster_rows),
                     key=lambda e: (e.class_id, e.centroid.lat, e.centroid.lon))
     for rank, event in enumerate(merged):
         # Each event is new and not yet shared: name it in place, the way a
@@ -185,17 +219,18 @@ def deduplicate(detections, params: DbscanParams = DbscanParams()) -> list:
     return merged
 
 
-def nearest_ground_truth(points, ground_truth, match_radius: float,
+def nearest_ground_truth(lat, lon, ground_truth, match_radius: float,
                          classes=None) -> list:
-    """For each GeoPoint in ``points``, the index of the nearest ground
-    truth within match_radius meters, or None. Reads each ground truth's
-    .position, and its .class_id only when ``classes`` (one class id per
-    point) is given; then only ground truth of the point's class counts.
-    On equal distance the later ground truth wins. One grid index over the
-    ground truth serves all points (see :func:`geodesy.neighbours_within`).
+    """For each point of columns ``lat``, ``lon``, the index of the nearest
+    ground truth within match_radius meters, or None. Reads each ground
+    truth's .position, and its .class_id only when ``classes`` (one class
+    id per point) is given; then only ground truth of the point's class
+    counts. On equal distance the later ground truth wins. One grid index
+    over the ground truth serves all points (see
+    :func:`geodesy.neighbours_within`).
     """
-    found = neighbours_within(points, match_radius,
-                              [gt.position for gt in ground_truth])
+    found = neighbours_within(lat, lon, match_radius, point_columns(
+        [gt.position for gt in ground_truth]))
     out = []
     for k, near in enumerate(found):
         best, best_d = None, math.inf
@@ -226,5 +261,5 @@ def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise DedupError("match_radius must be positive and finite")
     return duplicate_rate(nearest_ground_truth(
-        [item.centroid for item in items], ground_truth, match_radius,
-        [item.class_id for item in items]))
+        *point_columns([item.centroid for item in items]), ground_truth,
+        match_radius, [item.class_id for item in items]))

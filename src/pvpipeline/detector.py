@@ -24,6 +24,14 @@ class DetectorError(ValueError):
     pass
 
 
+def check_box(x_min, y_min, x_max, y_max, confidence):
+    """A detection's checks: a box of positive extent, confidence in [0, 1]."""
+    if not (x_min < x_max and y_min < y_max):
+        raise DetectorError("degenerate bounding box")
+    if not (0.0 <= confidence <= 1.0):
+        raise DetectorError("confidence must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Detection:
     """A hot blob: its pixel bounding box, ``x_max`` and ``y_max``
@@ -37,10 +45,8 @@ class Detection:
     peak_temp_c: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise DetectorError("degenerate bounding box")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise DetectorError("confidence must lie in [0, 1]")
+        check_box(self.x_min, self.y_min, self.x_max, self.y_max,
+                  self.confidence)
 
     @property
     def area(self) -> float:

@@ -1,5 +1,6 @@
-"""Geodetic primitives: WGS84 points, local tangent-plane (ENU) conversion,
-great-circle (haversine) distance and a grid-indexed radius search.
+"""Geodetic primitives: the WGS84 point and ring checks, local tangent-plane
+(ENU) conversion, great-circle (haversine) distance on floats and a
+grid-indexed radius search over latitude and longitude columns.
 
 All polygon geometry at plant scale is done on a local equirectangular
 tangent plane; errors are negligible for sub-kilometer extents.
@@ -22,55 +23,68 @@ class GeodesyError(ValueError):
     """Raised for invalid geodetic inputs or out-of-range tangent-plane use."""
 
 
-def _normalize_lon(lon: float) -> float:
-    """Wrap longitude into [-180, 180)."""
+def checked_point(lat, lon) -> tuple:
+    """The point check: (lat, lon), the longitude wrapped into [-180, 180);
+    GeodesyError for a latitude past +-90 or a non-finite longitude."""
+    if not (-90.0 <= lat <= 90.0):
+        raise GeodesyError(f"latitude out of range: {lat}")
+    try:
+        finite = math.isfinite(lon)
+    except OverflowError as exc:  # an int past the float range
+        raise GeodesyError(f"{exc}: longitude") from None
+    if not finite:
+        raise GeodesyError("non-finite longitude")
     lon = math.fmod(lon + 180.0, 360.0)
     if lon < 0:
         lon += 360.0
-    return lon - 180.0
+    return lat, lon - 180.0
+
+
+def checked_ring(vertices) -> tuple:
+    """The ring check: ``vertices`` ((lat, lon) pairs or GeoPoints) as a
+    tuple of at least three, no two consecutive ones equal; the closing
+    edge is implied."""
+    vertices = tuple(vertices)
+    if len(vertices) < 3:
+        raise GeodesyError("polygon needs at least 3 vertices")
+    for a, b in zip(vertices, vertices[1:]):
+        if a == b:
+            raise GeodesyError("consecutive duplicate polygon vertices")
+    return vertices
 
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """A WGS84 point. Longitude is normalized to [-180, 180) on construction."""
+    """A WGS84 point, held to :func:`checked_point` on construction."""
 
     lat: float
     lon: float
 
     def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0):
-            raise GeodesyError(f"latitude out of range: {self.lat}")
-        try:
-            finite = math.isfinite(self.lon)
-        except OverflowError as exc:  # an int past the float range
-            raise GeodesyError(f"{exc}: longitude") from None
-        if not finite:
-            raise GeodesyError("non-finite longitude")
-        object.__setattr__(self, "lon", _normalize_lon(self.lon))
+        object.__setattr__(self, "lon", checked_point(self.lat, self.lon)[1])
 
 
 @dataclass(frozen=True)
 class GeoPolygon:
-    """Ordered ring of WGS84 vertices; the closing edge is implied."""
+    """Ordered ring of GeoPoints, held to :func:`checked_ring`."""
 
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(self.vertices)
-        if len(verts) < 3:
-            raise GeodesyError("polygon needs at least 3 vertices")
-        for a, b in zip(verts, verts[1:]):
-            if a.lat == b.lat and a.lon == b.lon:
-                raise GeodesyError("consecutive duplicate polygon vertices")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", checked_ring(self.vertices))
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+def point_columns(points) -> tuple:
+    """The latitude and longitude columns of a sequence of GeoPoints."""
+    return [p.lat for p in points], [p.lon for p in points]
+
+
+def haversine(lat1, lon1, lat2, lon2) -> float:
     """Great-circle distance in meters between two points on the mean sphere."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlmb = math.radians(b.lon - a.lon)
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlmb = math.radians(lon2 - lon1)
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
     # Guard tiny negative / >1 excursions from roundoff.
     s = min(1.0, max(0.0, s))
@@ -103,15 +117,15 @@ def _grid_cells(radius: float, max_abs_lat: float):
     return row, (ncols if ncols >= 3 else 1)
 
 
-def neighbours_within(points, radius: float, targets=None) -> list:
+def neighbours_within(lat, lon, radius: float, targets=None) -> list:
     """Every target within ``radius`` meters of each point.
 
-    Returns one list per point of (index, distance) pairs in ascending index
-    order, holding each target with haversine_distance(point, target) <=
-    radius. With ``targets`` None the points are searched against
-    themselves: each list holds the point itself at distance 0.0, and each
-    pair i < j is evaluated once, as haversine_distance(points[i],
-    points[j]).
+    Points and ``targets`` are (lat, lon) columns. Returns one list per
+    point of (index, distance) pairs in ascending index order, holding each
+    target with haversine(point, target) <= radius. With ``targets`` None
+    the points are searched against themselves: each list holds the point
+    itself at distance 0.0, and each pair i < j is evaluated once, as
+    haversine(point i, point j).
 
     Candidates come from a dict of cells: latitude rows by longitude
     columns, sized from the bounds every pair within the radius obeys,
@@ -128,26 +142,23 @@ def neighbours_within(points, radius: float, targets=None) -> list:
     if not 0.0 <= radius < math.inf:
         raise GeodesyError("search radius must be finite and non-negative")
     self_search = targets is None
-    if self_search:
-        targets = points
-    out = [[] for _ in points]
-    if not points or not targets:
+    t_lat, t_lon = (lat, lon) if self_search else targets
+    out = [[] for _ in lat]
+    if not lat or not t_lat:
         return out
-    row, ncols = _grid_cells(
-        radius, max(abs(p.lat) for seq in (points, targets) for p in seq))
+    row, ncols = _grid_cells(radius, max(map(abs, [*lat, *t_lat])))
     col = 360.0 / ncols
 
-    def cell(p):
-        return (math.floor(p.lat / row),
-                math.floor((p.lon + 180.0) / col) % ncols)
+    def cell(la, lo):
+        return math.floor(la / row), math.floor((lo + 180.0) / col) % ncols
 
+    keys = list(map(cell, lat, lon))
     grid = {}
-    for j, t in enumerate(targets):
-        grid.setdefault(cell(t), []).append(j)
+    for j, key in enumerate(keys if self_search else map(cell, t_lat, t_lon)):
+        grid.setdefault(key, []).append(j)
     steps = (-1, 0, 1) if ncols > 1 else (0,)
     cands_of = {}
-    for i, p in enumerate(points):
-        key = cell(p)
+    for i, (la, lo, key) in enumerate(zip(lat, lon, keys)):
         cands = cands_of.get(key)
         if cands is None:
             r, c = key
@@ -158,13 +169,13 @@ def neighbours_within(points, radius: float, targets=None) -> list:
         if self_search:
             found.append((i, 0.0))
             for j in cands[bisect_right(cands, i):]:
-                d = haversine_distance(p, targets[j])
+                d = haversine(la, lo, t_lat[j], t_lon[j])
                 if d <= radius:
                     found.append((j, d))
                     out[j].append((i, d))
         else:
             for j in cands:
-                d = haversine_distance(p, targets[j])
+                d = haversine(la, lo, t_lat[j], t_lon[j])
                 if d <= radius:
                     found.append((j, d))
     return out
@@ -234,13 +245,12 @@ def plane_centroid(xy) -> tuple:
     return cx / (3.0 * area2), cy / (3.0 * area2)
 
 
-def polygon_centroid(poly: GeoPolygon) -> GeoPoint:
-    """Area-weighted centroid of a polygon, computed on the tangent plane
-    anchored at the first vertex and mapped back to WGS84 (see
-    :func:`plane_centroid`).
+def polygon_centroid(vertices) -> GeoPoint:
+    """Area-weighted centroid of a ring of (lat, lon) pairs, computed on the
+    tangent plane anchored at the first vertex and mapped back to WGS84
+    (see :func:`plane_centroid`).
     """
-    anchor = poly.vertices[0]
-    lat0, lon0 = anchor.lat, anchor.lon
-    x, y = plane_centroid([tangent_offset(lat0, lon0, v.lat, v.lon)
-                           for v in poly.vertices])
+    lat0, lon0 = vertices[0]
+    x, y = plane_centroid([tangent_offset(lat0, lon0, lat, lon)
+                           for lat, lon in vertices])
     return GeoPoint(*tangent_point(lat0, lon0, x, y))

@@ -97,7 +97,8 @@ def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
     polygon = GeoPolygon(vertices=tuple(_ground_points(
         corners, view.intr, view.ground, view.height, view.rot)))
     try:
-        centroid = polygon_centroid(polygon)
+        centroid = polygon_centroid([(v.lat, v.lon)
+                                     for v in polygon.vertices])
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
     return ProjectedDetection(

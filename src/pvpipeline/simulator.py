@@ -33,11 +33,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .dedup import DbscanParams, deduplicate, dup_fp_rate, duplicate_rate, \
-    nearest_ground_truth
+from .dedup import DbscanParams, Sightings, deduplicate, dup_fp_rate, \
+    duplicate_rate, nearest_ground_truth
 from .detector import Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
-    tangent_point
+    point_columns, tangent_point
 from .geoprojection import CameraView, ProjectionError, project_detection
 from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
     backproject, camera_to_world_rotation, reacquisition_decision, repoint
@@ -69,6 +69,8 @@ _ATTEMPTS_PER_DEFECT = 100
 _FLIGHT_TIME_SLACK = 1e-6
 # Most frames x pixels a mission may plan: 180 times a 200x200 plant's.
 _MAX_FRAME_PIXELS = 2 ** 32
+# Most pixels of one frame, 32 MB as a float64 raster (the default is 80x64).
+_MAX_RASTER_PIXELS = 2 ** 22
 # Most clutter detections a mission may expect: 220 times a 200x200 plant's
 # at rate 1.
 _MAX_CLUTTER_DETECTIONS = 2 ** 20
@@ -618,6 +620,11 @@ class MissionConfig:
                 f"flight: the survey plans {n_lines * n_along} frames of "
                 f"{width}x{height} pixels, about {frame_px:.3g} frame-pixels, "
                 f"more than the {_MAX_FRAME_PIXELS:.3g} a run may take")
+        if float(width) * height > _MAX_RASTER_PIXELS:
+            raise SimulationError(
+                f"camera.{'width' if width >= height else 'height'}: a "
+                f"{width}x{height} frame has more than the "
+                f"{_MAX_RASTER_PIXELS} pixels one frame may take")
         clutter = float(n_lines) * n_along * self.noise.clutter_rate
         if clutter > _MAX_CLUTTER_DETECTIONS:
             raise SimulationError(
@@ -659,7 +666,7 @@ class MissionTrace:
     defects: list
     frames: int = 0
     detections_seen: int = 0
-    accepted: list = field(default_factory=list)   # ProjectedDetection
+    accepted: Sightings = field(default_factory=Sightings)
     gt_matches: list = field(default_factory=list)  # defect index or None
     reacq_rounds: int = 0
     reacq_confirms: int = 0
@@ -857,15 +864,16 @@ def project_confirmed(det: Detection, gimbal, view, trace: MissionTrace):
         return None
 
 
-def match_ground_truth(projections, defects, radius: float) -> tuple:
-    """Match stage, a stand-in for the classifier head: each projection
-    within the radius of a defect takes the nearest one's class. Returns
-    the relabelled projections and the index of each one's defect, or
+def match_ground_truth(sightings: Sightings, defects, radius: float) -> list:
+    """Match stage, a stand-in for the classifier head: each sighting
+    within the radius of a defect takes the nearest one's class in the
+    table's class column. Returns the index of each one's defect, or
     None."""
-    gt_indices = nearest_ground_truth([p.centroid for p in projections],
-                                      defects, radius)
-    return [p if gi is None else replace(p, class_id=defects[gi].class_id)
-            for p, gi in zip(projections, gt_indices)], gt_indices
+    gt_indices = nearest_ground_truth(sightings.lat, sightings.lon, defects,
+                                      radius)
+    sightings.class_id = [c if gi is None else defects[gi].class_id
+                          for c, gi in zip(sightings.class_id, gt_indices)]
+    return gt_indices
 
 
 def _usable_cpus() -> int:
@@ -879,10 +887,11 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
          lo: int, hi: int) -> MissionTrace:
     """Sense -> detect -> confirm -> project -> match, one stage call each,
     over frames ``lo`` to ``hi - 1`` of the flight ``poses``. Returns
-    the range's counters, matched projections, their defect indices and
-    their detections.jsonl lines in a MissionTrace without config or
-    defects, which the caller has and a worker need not send."""
+    the range's counters, its matched sightings as one table, their defect
+    indices and their detections.jsonl lines in a MissionTrace without
+    config or defects, which the caller has and a worker need not send."""
     trace = MissionTrace(config=None, defects=None)
+    projections = []
     for frame_idx in range(lo, hi):
         packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
         trace.frames += 1
@@ -897,9 +906,10 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
         for det, gimbal in confirmed:
             projected = project_confirmed(det, gimbal, view, trace)
             if projected is not None:
-                trace.accepted.append(projected)
-    trace.accepted, trace.gt_matches = match_ground_truth(
-        trace.accepted, scene.defects, config.match_radius_m)
+                projections.append(projected)
+    trace.accepted = Sightings.of(projections)
+    trace.gt_matches = match_ground_truth(trace.accepted, scene.defects,
+                                          config.match_radius_m)
     trace.detection_lines = detection_record_lines(trace.accepted)
     return trace
 
@@ -1016,8 +1026,9 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
     defects = trace.defects
     radius = trace.config.match_radius_m
 
-    near = neighbours_within([e.centroid for e in trace.events], radius,
-                             [d.position for d in defects])
+    near = neighbours_within(
+        *point_columns([e.centroid for e in trace.events]), radius,
+        point_columns([d.position for d in defects]))
     matched = {i for event, found in zip(trace.events, near)
                for i, _ in found if defects[i].class_id == event.class_id}
     small = [i for i, d in enumerate(defects) if d.is_small]

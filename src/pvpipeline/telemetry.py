@@ -1,5 +1,6 @@
 """Relevance-only telemetry: bit-exact JSON mission payloads, KML export,
-the detection interchange lines, and an atomic file write.
+the detection interchange lines of a Sightings table, and an atomic file
+write.
 
 The JSON serializer formats every number explicitly (6 decimal places for
 coordinates, 2 for confidence and temperature) and emits keys in a fixed
@@ -17,9 +18,9 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .dedup import DefectEvent
-from .geodesy import GeoPoint, GeoPolygon, GeodesyError
-from .geoprojection import ProjectedDetection
+from .dedup import DefectEvent, Sightings
+from .detector import check_box
+from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
@@ -238,52 +239,50 @@ def write_atomic(path: str, payload: bytes):
         raise
 
 
-def detection_record_lines(projected) -> bytes:
-    """Line-delimited interchange format for projected detections,
-    consumed by the offline `dedup` command."""
-    lines = []
-    for pd in projected:
-        obj = {
-            "frame_id": pd.frame_id,
-            "timestamp": pd.timestamp,
-            "class": pd.class_id,
-            "conf": pd.confidence,
-            "temp_C": pd.peak_temp_c,
-            "bbox": [pd.x_min, pd.y_min, pd.x_max, pd.y_max],
-            "centroid_wgs84": [pd.centroid.lat, pd.centroid.lon],
-            "polygon_wgs84": [[v.lat, v.lon] for v in pd.polygon.vertices],
-            "media": {"rgb": pd.media_rgb, "tiff": pd.media_tiff},
-        }
-        lines.append(json.dumps(obj, sort_keys=True))
+def detection_record_lines(sightings: Sightings) -> bytes:
+    """Line-delimited interchange format for a Sightings table, consumed by
+    the offline `dedup` command."""
+    s = sightings
+    lines = [json.dumps({
+        "bbox": bbox, "class": class_id, "conf": conf, "temp_C": temp,
+        "polygon_wgs84": polygon, "centroid_wgs84": [lat, lon],
+        "frame_id": frame_id, "timestamp": timestamp,
+        "media": {"rgb": rgb, "tiff": tiff},
+    }, sort_keys=True) for (bbox, class_id, conf, temp, polygon, lat, lon,
+                            frame_id, timestamp, rgb, tiff) in zip(
+        s.bbox, s.class_id, s.confidence, s.peak_temp_c, s.polygon, s.lat,
+        s.lon, s.frame_id, s.timestamp, s.media_rgb, s.media_tiff)]
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def parse_detection_record_lines(data: bytes):
-    """Inverse of detection_record_lines; raises with 1-based line numbers."""
+def parse_detection_record_lines(data: bytes) -> Sightings:
+    """Inverse of detection_record_lines, with no object per line. Each line
+    is held to the checks building a ProjectedDetection made, in its order:
+    the media object, then each field's type in column order (a vertex's
+    latitude as it is read, then the ring), then the box and confidence.
+    Raises with 1-based line numbers."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"input is not UTF-8: {exc}") from exc
-    out = []
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = _object(json.loads(line), "record")
             media = _object(obj.get("media", {}), "media")
-            out.append(ProjectedDetection(
-                *_field(obj, "bbox", _bbox),
-                class_id=_field(obj, "class", _string),
-                confidence=_field(obj, "conf", _number),
-                peak_temp_c=_field(obj, "temp_C", _number),
-                polygon=GeoPolygon(tuple(
-                    GeoPoint(*_lat_lon(p, "polygon_wgs84"))
-                    for p in _field(obj, "polygon_wgs84", _list))),
-                centroid=GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon)),
-                frame_id=_string(obj.get("frame_id", ""), "frame_id"),
-                timestamp=_string(obj.get("timestamp", ""), "timestamp"),
-                media_rgb=_string(media.get("rgb", ""), "media.rgb"),
-                media_tiff=_string(media.get("tiff", ""), "media.tiff")))
+            row = (_field(obj, "bbox", _bbox), _field(obj, "class", _string),
+                   _field(obj, "conf", _number), _field(obj, "temp_C", _number),
+                   checked_ring(checked_point(*_lat_lon(p, "polygon_wgs84"))
+                                for p in _field(obj, "polygon_wgs84", _list)),
+                   *checked_point(*_field(obj, "centroid_wgs84", _lat_lon)),
+                   _string(obj.get("frame_id", ""), "frame_id"),
+                   _string(obj.get("timestamp", ""), "timestamp"),
+                   _string(media.get("rgb", ""), "media.rgb"),
+                   _string(media.get("tiff", ""), "media.tiff"))
+            check_box(*row[0], row[2])
         except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
-    return out
+        rows.append(row)
+    return Sightings(*map(list, zip(*rows)))

@@ -1,6 +1,7 @@
 """Reference forms the tests compare the package against; the program
 itself has no use for them."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,48 @@ from pvpipeline.dedup import DefectEvent, convex_hull
 from pvpipeline.fusion import encode
 from pvpipeline.geodesy import (MAX_TANGENT_RANGE_M, MEAN_EARTH_RADIUS_M,
                                 GeodesyError, GeoPoint, GeoPolygon,
-                                plane_centroid)
+                                haversine, plane_centroid)
+from pvpipeline.geoprojection import ProjectedDetection
+from pvpipeline.telemetry import (TelemetryError, _bbox, _field, _lat_lon,
+                                  _list, _number, _object, _string)
+
+
+def haversine_distance(a, b) -> float:
+    """geodesy.haversine between two GeoPoints."""
+    return haversine(a.lat, a.lon, b.lat, b.lon)
+
+
+def parse_detection_record_lines_objects(data: bytes) -> list:
+    """parse_detection_record_lines in object form: a ProjectedDetection,
+    its GeoPolygon and GeoPoints per line, each held to its own
+    __post_init__ checks in argument order."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TelemetryError(f"input is not UTF-8: {exc}") from exc
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = _object(json.loads(line), "record")
+            media = _object(obj.get("media", {}), "media")
+            out.append(ProjectedDetection(
+                *_field(obj, "bbox", _bbox),
+                class_id=_field(obj, "class", _string),
+                confidence=_field(obj, "conf", _number),
+                peak_temp_c=_field(obj, "temp_C", _number),
+                polygon=GeoPolygon(tuple(
+                    GeoPoint(*_lat_lon(p, "polygon_wgs84"))
+                    for p in _field(obj, "polygon_wgs84", _list))),
+                centroid=GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon)),
+                frame_id=_string(obj.get("frame_id", ""), "frame_id"),
+                timestamp=_string(obj.get("timestamp", ""), "timestamp"),
+                media_rgb=_string(media.get("rgb", ""), "media.rgb"),
+                media_tiff=_string(media.get("tiff", ""), "media.tiff")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TelemetryError(f"line {lineno}: {exc}") from exc
+    return out
 
 
 def axis_angle_matrix(aa) -> np.ndarray:
@@ -78,7 +120,8 @@ def polygon_centroid_objects(poly):
 
 def merge_cluster_objects(members, member_ids, event_id):
     """merge_cluster through enu_offset per member vertex, then enu_point
-    per hull vertex and for the hull's centroid."""
+    per hull vertex and for the hull's centroid, over ProjectedDetections
+    ``members``, one per member id."""
     anchor = members[0].polygon.vertices[0]
     points = [enu_offset(anchor, v)
               for det in members for v in det.polygon.vertices]

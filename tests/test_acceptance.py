@@ -23,8 +23,7 @@ from pvpipeline.dedup import NOISE, dbscan_labels
 from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
     train_toy
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint,
-                                haversine_distance, tangent_offset,
-                                tangent_point)
+                                point_columns, tangent_offset, tangent_point)
 from pvpipeline.reacquisition import (Attitude, AxisAngle, CameraIntrinsics,
                                       backproject, camera_to_world_rotation,
                                       repoint, rodrigues_rotate,
@@ -33,7 +32,7 @@ from pvpipeline.simulator import (DefectMix, MissionConfig, evaluate,
                                   run_mission)
 from pvpipeline.telemetry import to_json
 
-from oracles import axis_angle_matrix, palette_spread
+from oracles import axis_angle_matrix, haversine_distance, palette_spread
 
 GRAD_TOL = 1e-4
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -277,7 +276,8 @@ def test_criterion_10_dbscan_oracle_and_permutation_invariance():
         points = [pt(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)))
                   for _ in range(n)]
         for epsilon in (0.25, 1.0, 2.5, 6.0):
-            got = _partition(dbscan_labels(points, epsilon, 2))
+            got = _partition(dbscan_labels(*point_columns(points), epsilon,
+                                           2))
             # Brute-force oracle: for min_pts=2, clusters are exactly the
             # connected components of the epsilon-reachability graph and
             # isolated points are noise.
@@ -302,7 +302,8 @@ def test_criterion_10_dbscan_oracle_and_permutation_invariance():
             assert got == (comps, noise)
             # Permutation invariance of the induced partition.
             perm = list(rng.permutation(n))
-            shuffled = dbscan_labels([points[i] for i in perm], epsilon, 2)
+            shuffled = dbscan_labels(
+                *point_columns([points[i] for i in perm]), epsilon, 2)
             assert _partition(shuffled, index_map=perm) == got
 
 

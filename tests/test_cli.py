@@ -12,9 +12,13 @@ from dataclasses import fields, is_dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import parse_detection_record_lines_objects
+
 from pvpipeline.cli import MAX_FUSE_DIM, main
 from pvpipeline.config import ConfigError, config_from_dict, load_config
+from pvpipeline.dedup import Sightings
 from pvpipeline.simulator import MissionConfig
+from pvpipeline.telemetry import TelemetryError, parse_detection_record_lines
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -349,6 +353,12 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # the sum overflows, the ambient reads inf and nothing is detected
     ({"render": {"ambient_c": 9e307}}, [], "$.render", "ambient_c"),
     ({"render": {"ambient_c": 1e308}}, [], "$.render", "ambient_c"),
+    # so is one frame's raster, before the renderer allocates it: a frame
+    # 1e6 pixels wide or high is a float64 raster of 512 or 640 MB
+    ({"camera": {"width": 1000000}}, [], "$.camera.width",
+     "1000000x64 frame has more than the 4194304 pixels"),
+    ({"camera": {"height": 1000000}}, [], "$.camera.height",
+     "80x1000000 frame has more than the 4194304 pixels"),
 ], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
         "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
@@ -365,7 +375,8 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "exposure_s--1", "psf_px-1e300", "psf_px-1e155", "sigma_m-1e300",
         "small_sigma_m-1e300", "sigma_m-1e152-tilted-views",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
-        "count-all-modules", "ambient_c-9e307", "ambient_c-1e308"])
+        "count-all-modules", "ambient_c-9e307", "ambient_c-1e308",
+        "width-1e6", "height-1e6"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -603,6 +614,10 @@ def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert code == 1, err
     assert f"parse error: line 2: {message}" in err
+    # The object-building parser rejects the record with the same message.
+    with pytest.raises(TelemetryError) as oracle:
+        parse_detection_record_lines_objects(data.read_bytes())
+    assert err == f"parse error: {oracle.value}\n"
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -637,13 +652,11 @@ def _key_paths(obj, path=()):
     return paths
 
 
-@settings(max_examples=200)
-@given(data=st.data())
-def test_dedup_cli_survives_mutated_records(data):
-    # One to three golden records, each with one value replaced by any JSON
-    # value or dropped: dedup exits 0 or 1, never with a traceback.
+def _mutated_golden_lines(data, least: int = 1) -> list:
+    """The golden sightings' lines, ``least`` to three of them (drawn with
+    repeats) each with one value replaced by any JSON value or dropped."""
     lines = GOLDEN_DETECTIONS.read_text(encoding="utf-8").splitlines()
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(least, 3))):
         i = data.draw(st.integers(0, len(lines) - 1))
         record = json.loads(lines[i])
         path = data.draw(st.sampled_from(_key_paths(record)))
@@ -655,6 +668,15 @@ def test_dedup_cli_survives_mutated_records(data):
                 parent = parent[key]
             del parent[path[-1]]
         lines[i] = json.dumps(record)
+    return lines
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_dedup_cli_survives_mutated_records(data):
+    # One to three golden records, each with one value replaced by any JSON
+    # value or dropped: dedup exits 0 or 1, never with a traceback.
+    lines = _mutated_golden_lines(data)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         data_path = pathlib.Path(tmp) / "in.jsonl"
@@ -665,6 +687,32 @@ def test_dedup_cli_survives_mutated_records(data):
                          "1.0", "--out", str(pathlib.Path(tmp) / "o.json")])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _parse_outcome(parse, data: bytes) -> str:
+    """The repr of the Sightings table ``parse`` makes of ``data``, which
+    tells an int from a float, or its error message."""
+    try:
+        return repr(parse(data))
+    except TelemetryError as exc:
+        return f"error: {exc}"
+
+
+def _parse_objects(data: bytes):
+    return Sightings.of(parse_detection_record_lines_objects(data))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_column_parser_matches_the_object_parser(data):
+    # The golden sightings, or up to three of their records mutated as in
+    # test_dedup_cli_survives_mutated_records: the column parser and the
+    # object-building one both accept with equal values, or both reject
+    # with the same `line N: ...` message.
+    lines = _mutated_golden_lines(data, least=0)
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    assert _parse_outcome(parse_detection_record_lines, raw) == \
+        _parse_outcome(_parse_objects, raw)
 
 
 def test_dedup_cli_malformed_input_names_line(tmp_path):

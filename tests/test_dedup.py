@@ -2,12 +2,12 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from oracles import enu_offset, merge_cluster_objects
+from oracles import enu_offset, haversine_distance, merge_cluster_objects
 
-from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, convex_hull,
-                              dbscan_labels, deduplicate, dup_fp_rate,
-                              duplicate_rate, merge_cluster)
-from pvpipeline.geodesy import (GeoPoint, GeoPolygon, haversine_distance,
+from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
+                              convex_hull, dbscan_labels, deduplicate,
+                              dup_fp_rate, duplicate_rate, merge_cluster)
+from pvpipeline.geodesy import (GeoPoint, GeoPolygon, point_columns,
                                 tangent_point)
 from pvpipeline.geoprojection import ProjectedDetection
 
@@ -76,7 +76,8 @@ def test_dbscan_matches_component_oracle_over_epsilon_sweep():
         points = [_pt(float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
                   for _ in range(n)]
         for epsilon in (0.3, 1.0, 3.0, 8.0):
-            got = _partition(dbscan_labels(points, epsilon, 2))
+            got = _partition(dbscan_labels(*point_columns(points), epsilon,
+                                           2))
             assert got == _components_oracle(points, epsilon)
 
 
@@ -84,10 +85,10 @@ def test_dbscan_border_points_min_pts_3():
     # Chain at 0, 1, 2 m with epsilon 1.2: only the middle point is core,
     # the ends are border points that join its cluster.
     points = [_pt(0.0, 0.0), _pt(1.0, 0.0), _pt(2.0, 0.0)]
-    labels = dbscan_labels(points, 1.2, 3)
+    labels = dbscan_labels(*point_columns(points), 1.2, 3)
     assert labels == [0, 0, 0]
     # Remove the middle point: nobody is core any more.
-    labels = dbscan_labels([points[0], points[2]], 1.2, 3)
+    labels = dbscan_labels(*point_columns([points[0], points[2]]), 1.2, 3)
     assert labels == [NOISE, NOISE]
 
 
@@ -95,10 +96,11 @@ def test_dbscan_permutation_invariance():
     rng = np.random.default_rng(1)
     points = [_pt(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
               for _ in range(8)]
-    base = _partition(dbscan_labels(points, 1.5, 2))
+    base = _partition(dbscan_labels(*point_columns(points), 1.5, 2))
     for _ in range(10):
         perm = rng.permutation(len(points))
-        labels = dbscan_labels([points[i] for i in perm], 1.5, 2)
+        labels = dbscan_labels(*point_columns([points[i] for i in perm]),
+                               1.5, 2)
         comps, noise = _partition(labels)
         remapped = ({frozenset(int(perm[i]) for i in c) for c in comps},
                     {int(perm[i]) for i in noise})
@@ -119,7 +121,8 @@ def test_deduplicate_merges_near_duplicates():
         _proj(-0.2, 0.2, conf=0.8, temp=43.5),
         _proj(8.0, 8.0, conf=0.6, temp=38.0),
     ]
-    events = deduplicate(dets, DbscanParams(epsilon=1.0, min_pts=2))
+    events = deduplicate(Sightings.of(dets),
+                         DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert [e.id for e in events] == ["clu_000", "clu_001"]
     merged = min(events, key=lambda e: haversine_distance(e.centroid, ORIGIN))
@@ -135,7 +138,8 @@ def test_deduplicate_merges_near_duplicates():
 def test_deduplicate_partitions_by_class():
     dets = [_proj(0.0, 0.0, class_id="hotspot"),
             _proj(0.1, 0.0, class_id="diode_fault")]
-    events = deduplicate(dets, DbscanParams(epsilon=1.0, min_pts=2))
+    events = deduplicate(Sightings.of(dets),
+                         DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert sorted(e.class_id for e in events) == ["diode_fault", "hotspot"]
 
@@ -144,10 +148,10 @@ def test_deduplicate_order_invariant_output():
     rng = np.random.default_rng(2)
     dets = [_proj(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
                   conf=float(rng.uniform(0.3, 0.95))) for _ in range(12)]
-    base = deduplicate(dets)
+    base = deduplicate(Sightings.of(dets))
     for _ in range(5):
         perm = list(rng.permutation(len(dets)))
-        events = deduplicate([dets[i] for i in perm])
+        events = deduplicate(Sightings.of([dets[i] for i in perm]))
         assert len(events) == len(base)
         for got, want in zip(events, base):
             assert got.id == want.id
@@ -169,7 +173,7 @@ def test_merge_cluster_collinear_fallback():
                                   timestamp="2025-09-30T10:00:00Z")
 
     a, b = line_proj(0.0, 0.5), line_proj(0.05, 0.9)
-    event = merge_cluster([a, b], [0, 1], "clu_000")
+    event = merge_cluster(Sightings.of([a, b]), [0, 1], "clu_000")
     assert event.polygon == tuple((v.lat, v.lon) for v in b.polygon.vertices)
 
 
@@ -230,7 +234,7 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         members = _random_cluster(rng, origin, collinear=k % 4 == 0,
                                   spread=1.0)
         ids = list(range(len(members)))
-        got = merge_cluster(members, ids, f"clu_{k:03d}")
+        got = merge_cluster(Sightings.of(members), ids, f"clu_{k:03d}")
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
         anchor = members[0].polygon.vertices[0]
@@ -247,7 +251,8 @@ def test_deduplicate_events_match_object_form_oracle(plant):
                   for d in _random_cluster(rng, origin, collinear=k % 4 == 0)]
     order = rng.permutation(len(detections))
     detections = [detections[i] for i in order]
-    events = deduplicate(detections, DbscanParams(epsilon=1.0, min_pts=2))
+    events = deduplicate(Sightings.of(detections),
+                         DbscanParams(epsilon=1.0, min_pts=2))
     assert [e.id for e in events] == [f"clu_{r:03d}"
                                       for r in range(len(events))]
     assert sorted(i for e in events for i in e.member_ids) == \

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import haversine_distance
+
 from pvpipeline.detector import Detection
-from pvpipeline.geodesy import GeoPoint, haversine_distance, tangent_offset
+from pvpipeline.geodesy import GeoPoint, tangent_offset
 from pvpipeline.geoprojection import (CameraView, ProjectionError,
                                       pixel_to_ground, project_detection)
 from pvpipeline.reacquisition import (Attitude, CameraIntrinsics,

@@ -9,18 +9,22 @@ which these tests only read.
 """
 
 import hashlib
+import importlib.util
 import json
 import pathlib
+from collections import Counter
 
 import pytest
+from oracles import parse_detection_record_lines_objects
 
 from pvpipeline import cli
+from pvpipeline.dedup import Sightings
 from pvpipeline.telemetry import detection_record_lines, \
     parse_detection_record_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mission"
-BENCH_REFERENCE = (pathlib.Path(__file__).parent.parent / "perfbench"
-                   / "reference.json")
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+BENCH_REFERENCE = PERFBENCH / "reference.json"
 OUTPUTS = ("report.json", "report.kml", "metrics.csv", "detections.jsonl")
 CONFIGS = {
     "default": {},
@@ -65,6 +69,44 @@ def test_golden_sightings_round_trip_byte_for_byte(name):
     # same bytes: no field of a sighting is dropped, reordered or reformatted.
     data = (GOLDEN / name / "detections.jsonl").read_bytes()
     assert detection_record_lines(parse_detection_record_lines(data)) == data
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_sightings_parse_as_the_object_parser_does(name):
+    # The column parser holds each value the object-building one held,
+    # type included (the repr tells an int from a float).
+    data = (GOLDEN / name / "detections.jsonl").read_bytes()
+    assert repr(parse_detection_record_lines(data)) == \
+        repr(Sightings.of(parse_detection_record_lines_objects(data)))
+
+
+def _bench_sightings():
+    """perfbench/sightings.py, loaded from its file; it is only read."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_sightings", PERFBENCH / "sightings.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case", ["0", "1"])
+def test_dedup_of_the_benchmark_sightings_matches_its_reference(tmp_path,
+                                                                case):
+    # The dedup_offline workload's op on its cases 0 and 1: the generated
+    # input, the events.json digest and the events per class recorded in
+    # perfbench/reference.json.
+    want = json.loads(BENCH_REFERENCE.read_text())["dedup_offline"][case]
+    data, expected = _bench_sightings().generate(int(case))
+    assert hashlib.sha256(data).hexdigest() == want["input"]
+    sightings = tmp_path / "sightings.jsonl"
+    sightings.write_bytes(data)
+    events = tmp_path / "events.json"
+    assert cli.main(["dedup", "--input", str(sightings), "--epsilon", "1.0",
+                     "--out", str(events)]) == cli.EXIT_OK
+    payload = events.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == want["events.json"]
+    per_class = Counter(e["class"] for e in json.loads(payload))
+    assert per_class == want["events_per_class"] == expected
 
 
 # Float slots of the config given as JSON integers, each equal to its

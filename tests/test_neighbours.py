@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import haversine_distance
+
 from pvpipeline.dedup import (NOISE, dbscan_labels, dup_fp_rate,
                               nearest_ground_truth)
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
-                                haversine_distance, neighbours_within)
+                                neighbours_within, point_columns)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -180,14 +182,14 @@ def scenes(draw):
 @given(scenes())
 def test_self_neighbours_equal_brute_force(scene):
     points, epsilon = scene
-    assert neighbours_within(points, epsilon) == \
+    assert neighbours_within(*point_columns(points), epsilon) == \
         _self_neighbours_oracle(points, epsilon)
 
 
 @given(scenes(), st.integers(1, 4))
 def test_dbscan_labels_equal_brute_force(scene, min_pts):
     points, epsilon = scene
-    assert dbscan_labels(points, epsilon, min_pts) == \
+    assert dbscan_labels(*point_columns(points), epsilon, min_pts) == \
         _dbscan_oracle(points, epsilon, min_pts)
 
 
@@ -196,7 +198,8 @@ def test_cross_neighbours_equal_brute_force(scene, data):
     points, radius = scene
     split = data.draw(st.integers(0, len(points)))
     queries, targets = points[:split], points[split:]
-    assert neighbours_within(queries, radius, targets) == \
+    assert neighbours_within(*point_columns(queries), radius,
+                             point_columns(targets)) == \
         _cross_neighbours_oracle(queries, targets, radius)
 
 
@@ -222,9 +225,9 @@ def test_ground_truth_matching_equals_brute_force(scene, data):
     gt = [_GroundTruth(position=p, class_id=c)
           for p, c in zip(points[split:], labels[split:])]
     centroids = [item.centroid for item in items]
-    assert nearest_ground_truth(centroids, gt, radius) == \
+    assert nearest_ground_truth(*point_columns(centroids), gt, radius) == \
         [_nearest_gt_oracle(p, gt, radius) for p in centroids]
-    assert nearest_ground_truth(centroids, gt, radius,
+    assert nearest_ground_truth(*point_columns(centroids), gt, radius,
                                 [item.class_id for item in items]) == \
         [_nearest_gt_oracle(item.centroid, gt, radius, item.class_id)
          for item in items]
@@ -247,12 +250,13 @@ def test_equidistant_tie_goes_to_later_ground_truth():
     assert haversine_distance(query, west) == haversine_distance(query, east)
     for order in ((west, east), (east, west), (east, east)):
         gt = [_GroundTruth(position=p, class_id="hotspot") for p in order]
-        assert nearest_ground_truth([query], gt, 1.0) == [1]
+        assert nearest_ground_truth([query.lat], [query.lon], gt, 1.0) == [1]
         assert _nearest_gt_oracle(query, gt, 1.0) == 1
     # Same class only: the later, other-class ground truth is skipped.
     gt = [_GroundTruth(position=west, class_id="hotspot"),
           _GroundTruth(position=east, class_id="diode_fault")]
-    assert nearest_ground_truth([query], gt, 1.0, ["hotspot"]) == [0]
+    assert nearest_ground_truth([query.lat], [query.lon], gt, 1.0,
+                                ["hotspot"]) == [0]
     items = [_Item(query, "hotspot"), _Item(query, "hotspot")]
     assert dup_fp_rate(items, gt, 1.0) == 0.5
 
@@ -262,11 +266,13 @@ def test_pair_exactly_at_radius_is_a_neighbour():
     b = GeoPoint(lat=10.0, lon=-179.99999)
     d = haversine_distance(a, b)
     assert 2.0 < d < 2.5
-    assert neighbours_within([a, b], d) == [[(0, 0.0), (1, d)],
-                                            [(0, d), (1, 0.0)]]
+    assert neighbours_within(*point_columns([a, b]), d) == \
+        [[(0, 0.0), (1, d)], [(0, d), (1, 0.0)]]
     below = math.nextafter(d, 0.0)
-    assert neighbours_within([a, b], below) == [[(0, 0.0)], [(1, 0.0)]]
-    assert neighbours_within([a], d, [b]) == [[(0, d)]]
+    assert neighbours_within(*point_columns([a, b]), below) == \
+        [[(0, 0.0)], [(1, 0.0)]]
+    assert neighbours_within([a.lat], [a.lon], d, ([b.lat], [b.lon])) == \
+        [[(0, d)]]
 
 
 def test_across_the_pole_and_empty_inputs():
@@ -275,14 +281,14 @@ def test_across_the_pole_and_empty_inputs():
     b = GeoPoint(lat=89.99999, lon=180.0)
     d = haversine_distance(a, b)
     assert d < 2.5
-    assert neighbours_within([a, b], 2.5) == [[(0, 0.0), (1, d)],
-                                              [(0, d), (1, 0.0)]]
-    assert neighbours_within([], 1.0) == []
-    assert neighbours_within([a], 1.0, []) == [[]]
-    assert dbscan_labels([], 1.0, 2) == []
+    assert neighbours_within(*point_columns([a, b]), 2.5) == \
+        [[(0, 0.0), (1, d)], [(0, d), (1, 0.0)]]
+    assert neighbours_within([], [], 1.0) == []
+    assert neighbours_within([a.lat], [a.lon], 1.0, ([], [])) == [[]]
+    assert dbscan_labels([], [], 1.0, 2) == []
 
 
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
 def test_radius_must_be_finite_and_non_negative(radius):
     with pytest.raises(GeodesyError):
-        neighbours_within([GeoPoint(lat=0.0, lon=0.0)], radius)
+        neighbours_within([0.0], [0.0], radius)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from pvpipeline.dedup import dup_fp_rate, duplicate_rate
+from pvpipeline.dedup import duplicate_rate, nearest_ground_truth
 from pvpipeline.detector import Detection
-from pvpipeline.geodesy import GeoPoint, haversine_distance
+from pvpipeline.geodesy import GeoPoint
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
     backproject, camera_to_world_rotation, repoint
 from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
@@ -33,7 +33,7 @@ from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
                                   run_mission, sense_frame, sweep_csv)
 from pvpipeline.telemetry import parse_ts_utc
 
-from oracles import maybe_in_view
+from oracles import haversine_distance, maybe_in_view
 
 ORIGIN = GeoPoint(lat=49.4070, lon=26.9840)
 LAYOUT = PlantLayout(origin=ORIGIN)
@@ -528,7 +528,8 @@ def test_match_stage_indices_count_the_raw_dup_fp(seed, rows, cols, density,
                                                   pos_sigma, att_sigma):
     # A matched sighting takes its nearest defect's class, so the
     # same-class search of dup_fp_rate finds that defect again; an
-    # unmatched one has no defect within the radius at all.
+    # unmatched one has no defect within the radius at all. dup_fp_rate
+    # reads objects, so its search is run here on the sightings' columns.
     config = MissionConfig(
         seed=seed, plant=replace(LAYOUT, rows=rows, cols=cols),
         defects=DefectMix(count=None, density=density,
@@ -542,8 +543,10 @@ def test_match_stage_indices_count_the_raw_dup_fp(seed, rows, cols, density,
     except PlacementError:
         reject()
     assert len(trace.gt_matches) == len(trace.accepted)
-    assert duplicate_rate(trace.gt_matches) == \
-        dup_fp_rate(trace.accepted, trace.defects, radius)
+    sightings = trace.accepted
+    assert duplicate_rate(trace.gt_matches) == duplicate_rate(
+        nearest_ground_truth(sightings.lat, sightings.lon, trace.defects,
+                             radius, sightings.class_id))
 
 
 def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from pvpipeline.dedup import DefectEvent
+from pvpipeline.dedup import DefectEvent, Sightings
 from pvpipeline.geodesy import GeoPoint, GeoPolygon
 from pvpipeline.geoprojection import ProjectedDetection
 from pvpipeline.telemetry import (MissionReport, TelemetryError,
@@ -175,32 +175,33 @@ def _projected(lat=49.4071, lon=26.9842):
 
 
 def test_detection_record_lines_round_trip():
-    items = [_projected(), _projected(lat=49.4075)]
+    items = Sightings.of([_projected(), _projected(lat=49.4075)])
     data = detection_record_lines(items)
     assert data.endswith(b"\n")
     parsed = parse_detection_record_lines(data)
     assert len(parsed) == 2
-    for got, want in zip(parsed, items):
-        assert got.class_id == want.class_id
-        assert got.confidence == pytest.approx(want.confidence)
-        assert got.centroid.lat == pytest.approx(want.centroid.lat)
-        assert got.frame_id == want.frame_id
-        assert got.media_rgb == want.media_rgb
-    assert detection_record_lines([]) == b""
+    assert parsed.class_id == items.class_id
+    assert parsed.confidence == pytest.approx(items.confidence)
+    assert parsed.lat == pytest.approx(items.lat)
+    assert parsed.frame_id == items.frame_id
+    assert parsed.media_rgb == items.media_rgb
+    assert detection_record_lines(Sightings()) == b""
 
 
 def test_parse_detection_record_lines_defaults_missing_ids_to_empty():
     line = ('{"bbox": [1.0, 2.0, 5.0, 6.0], "class": "hotspot", '
             '"conf": 0.83, "temp_C": 47.5, "centroid_wgs84": [49.4, 26.9], '
             '"polygon_wgs84": [[49.4, 26.9], [49.4, 26.91], [49.41, 26.91]]}')
-    (parsed,) = parse_detection_record_lines(line.encode())
-    assert parsed.frame_id == ""
-    assert parsed.timestamp == ""
-    assert parsed.media_rgb == ""
+    parsed = parse_detection_record_lines(line.encode())
+    assert len(parsed) == 1
+    assert parsed.frame_id == [""]
+    assert parsed.timestamp == [""]
+    assert parsed.media_rgb == [""]
 
 
 def test_parse_detection_record_lines_reports_line_numbers():
-    good = detection_record_lines([_projected()]).decode().strip()
+    good = detection_record_lines(
+        Sightings.of([_projected()])).decode().strip()
     data = (good + "\n" + '{"class": "hotspot"}' + "\n").encode()
     with pytest.raises(TelemetryError, match="line 2"):
         parse_detection_record_lines(data)
