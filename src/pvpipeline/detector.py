@@ -96,6 +96,14 @@ def _runs(mask: np.ndarray):
     return rows, edges[0::2] - rows * (w + 1), edges[1::2] - rows * (w + 1)
 
 
+def _frame_median(t: np.ndarray) -> float:
+    """``np.median(t)`` from one partition: the middle rank, or for an even
+    size the mean of the two middle ranks."""
+    k, even = t.size // 2, t.size % 2 == 0
+    part = np.partition(t.ravel(), (k - 1, k) if even else k)
+    return float((part[k - 1] + part[k]) / 2.0 if even else part[k])
+
+
 def detect(temp: TemperatureMap, config: ThresholdDetectorConfig = ThresholdDetectorConfig()
            ) -> list:
     """Detect hot blobs: connected components (8-connectivity) of pixels with
@@ -108,15 +116,18 @@ def detect(temp: TemperatureMap, config: ThresholdDetectorConfig = ThresholdDete
     noise streams are keyed on.
     """
     t = temp.temp_c
-    ambient = float(np.median(t))
+    ambient = _frame_median(t)
     rows, starts, ends = _runs(t > ambient + config.delta_c)
     if rows.size == 0:
         return []
     h, w = t.shape
-    # Maxima over [start, end) of each run in the flat frame; the odd slots
-    # span the gaps between runs, and the -inf keeps the last end in range.
-    flat = np.stack((rows * w + starts, rows * w + ends), axis=1).ravel()
-    peaks = np.maximum.reduceat(np.append(t.ravel(), -np.inf), flat)[0::2]
+    # Maxima over [start, end) of each run in the flat frame; odd slots span
+    # the gaps. An end past the frame is dropped: its run reduces to the end.
+    flat = np.empty(2 * rows.size, dtype=np.intp)
+    flat[0::2] = rows * w + starts
+    flat[1::2] = rows * w + ends
+    peaks = np.maximum.reduceat(
+        t.ravel(), flat[:-1] if flat[-1] == t.size else flat)[0::2]
     bounds = np.searchsorted(rows, np.arange(h + 1)).tolist()
     rows, starts, ends = rows.tolist(), starts.tolist(), ends.tolist()
     parent = list(range(len(rows)))

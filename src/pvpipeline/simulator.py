@@ -175,7 +175,7 @@ def generate_plant(seed: int, layout: PlantLayout,
     candidate (Bridson, SIGGRAPH 2007); the cells are a little wider than
     the separation, so every defect nearer than it is among them. Placement
     gives up after max(20000, _ATTEMPTS_PER_DEFECT * target) attempts."""
-    rng = np.random.default_rng([seed, _STREAM_PLANT])
+    rng = _keyed_rng(seed, _STREAM_PLANT)
     n_modules = layout.rows * layout.cols
     if mix.count is not None:
         target = mix.count
@@ -711,18 +711,30 @@ def _ts_utc(start: datetime, offset_s: float) -> str:
             ).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """``np.random.default_rng([seed, *key])``'s state, seeded from the uint32
+    words SeedSequence reads from that list: each part's, little-endian."""
+    words = []
+    for part in (seed, *key):
+        while part > 0xFFFFFFFF:
+            words.append(part & 0xFFFFFFFF)
+            part >>= 32
+        words.append(part)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
 def _conf_noise(seed: int, frame_idx: int, det_idx: int, rounds: int,
                 sigma: float) -> float:
     if sigma == 0.0:
         return 0.0
-    rng = np.random.default_rng([seed, _STREAM_CONF, frame_idx, det_idx, rounds])
+    rng = _keyed_rng(seed, _STREAM_CONF, frame_idx, det_idx, rounds)
     return float(rng.normal(0.0, sigma))
 
 
 def _missed(seed: int, frame_idx: int, det_idx: int, prob: float) -> bool:
     if prob <= 0.0:
         return False
-    rng = np.random.default_rng([seed, _STREAM_MISS, frame_idx, det_idx])
+    rng = _keyed_rng(seed, _STREAM_MISS, frame_idx, det_idx)
     return bool(rng.uniform() < prob)
 
 
@@ -730,7 +742,7 @@ def _clutter_detections(intr: CameraIntrinsics, rate: float, seed: int,
                         frame_idx: int) -> list:
     if rate <= 0.0:
         return []
-    rng = np.random.default_rng([seed, _STREAM_CLUTTER, frame_idx])
+    rng = _keyed_rng(seed, _STREAM_CLUTTER, frame_idx)
     out = []
     for _ in range(int(rng.poisson(rate))):
         u = float(rng.uniform(2, intr.width - 4))
@@ -749,7 +761,7 @@ def sense_frame(config: MissionConfig, scene: Scene, pose: FramePose,
     is the frame id and keys the frame's RNG, so a frame gives the same
     packet whichever range of the flight it is flown in."""
     noise = config.noise
-    rng = np.random.default_rng([config.seed, _STREAM_POSE, frame_idx])
+    rng = _keyed_rng(config.seed, _STREAM_POSE, frame_idx)
     de, dn, dz = rng.normal(0.0, noise.pos_sigma_m, size=3)
     dp, dy = rng.normal(0.0, noise.att_sigma_rad, size=2)
     meas = FramePose(east=pose.east + de, north=pose.north + dn,

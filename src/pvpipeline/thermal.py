@@ -35,9 +35,11 @@ class TemperatureMap:
         t = np.asarray(self.temp_c, dtype=np.float64)
         if t.ndim != 2 or t.size == 0:
             raise ThermalError("temperature map must be a non-empty 2-D array")
-        if not np.all(np.isfinite(t)):
+        # A NaN reaches both extremes and an infinity one of them.
+        lo, hi = float(t.min()), float(t.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ThermalError("temperature map contains non-finite values")
-        if np.any(t <= ABSOLUTE_ZERO_C):
+        if lo <= ABSOLUTE_ZERO_C:
             raise CalibrationError("temperature at or below absolute zero")
         object.__setattr__(self, "temp_c", t)
 

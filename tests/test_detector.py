@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvpipeline.detector import (Detection, DetectorError,
-                                 ThresholdDetectorConfig,
+                                 ThresholdDetectorConfig, _frame_median,
                                  detection_confidence, detect)
 from pvpipeline.thermal import TemperatureMap
 
@@ -106,12 +106,9 @@ def hot_frames(draw):
     return temp, config
 
 
-@settings(max_examples=300)
-@given(hot_frames())
-def test_detect_matches_bfs_oracle_in_order(frame):
+def _assert_matches_bfs_oracle(temp, config):
     # Components, their order (raster order of the first pixel, which keys
     # the simulator's noise streams), area, bbox and peak.
-    temp, config = frame
     dets = detect(TemperatureMap(temp_c=temp), config)
     ambient = float(np.median(temp))
     comps = [c for c in _bfs_components_oracle(temp > ambient + config.delta_c)
@@ -125,6 +122,48 @@ def test_detect_matches_bfs_oracle_in_order(frame):
         assert det.peak_temp_c == peak
         assert det.confidence == detection_confidence(peak - ambient,
                                                       len(comp), config)
+
+
+@settings(max_examples=300)
+@given(hot_frames())
+def test_detect_matches_bfs_oracle_in_order(frame):
+    _assert_matches_bfs_oracle(*frame)
+
+
+@pytest.mark.parametrize("temp", [
+    np.array([[20.0, 20.5, 40.0]]),
+    np.array([[20.0], [20.1], [20.2], [35.0], [36.0]]),
+    np.array([[20.0, 40.0, 20.3, 20.1, 20.2],
+              [20.4, 41.0, 20.0, 20.6, 20.5],
+              [20.1, 20.2, 20.3, 39.0, 20.0],
+              [20.7, 20.0, 20.1, 38.0, 37.0]]),
+    # The last pixel is a run of its own, joined to the blob diagonally.
+    np.array([[20.0, 20.1, 20.2, 20.3],
+              [20.4, 20.5, 33.0, 20.6],
+              [20.7, 20.8, 20.9, 34.0]]),
+], ids=["row", "column", "two-blobs", "diagonal"])
+def test_detect_run_ending_at_the_last_pixel_matches_bfs_oracle(temp):
+    # The last run's end index is the frame's size, one past the flat frame.
+    _assert_matches_bfs_oracle(temp, ThresholdDetectorConfig(delta_c=4.0,
+                                                             min_blob_px=1))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 3), (64, 80),
+                                   (2, 3), (64, 79)])
+def test_detect_ambient_is_np_median(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    ulp_apart = np.full(shape, 25.0)
+    ulp_apart.flat[::2] = np.nextafter(25.0, 26.0)
+    frames = [25.0 + rng.standard_normal(shape),
+              np.round(rng.uniform(-5.0, 5.0, shape), 1),  # ties
+              1e300 * rng.uniform(0.5, 1.0, shape), ulp_apart,
+              _random_frame(rng, shape, n_blobs=2) if min(shape) > 6
+              else np.full(shape, 25.0)]
+    for temp in frames:
+        assert _frame_median(temp).hex() == float(np.median(temp)).hex()
+        # The oracle scores each blob's peak over np.median.
+        _assert_matches_bfs_oracle(temp, ThresholdDetectorConfig(
+            delta_c=4.0, min_blob_px=1))
 
 
 def test_min_blob_px_filters_small_components():

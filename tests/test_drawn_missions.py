@@ -1,10 +1,12 @@
 """Pipeline invariants on drawn small missions, not only on the goldens.
 
-Each example draws a plant of at most 12x12 modules, its origin (near the
-antimeridian and at high latitude among them), the noise, re-acquisition
-and dedup settings, and runs `simulate` in process with one and with two
-frame workers (set by patching `simulator._usable_cpus`, as in
-tests/test_frame_ranges.py).
+Each example draws a seed (some past 2**32, so that every noise stream is
+keyed with a seed of more than one 32-bit word), a plant of at most 12x12
+modules, its origin (near the antimeridian and at high latitude among
+them), the noise, re-acquisition and dedup settings, and runs `simulate` in
+process with one and with two frame workers (set by patching
+`simulator._usable_cpus`, as in tests/test_frame_ranges.py). The offline
+`dedup` and `export-kml` must then rewrite the report's bytes.
 """
 
 import json
@@ -27,7 +29,8 @@ ORIGINS = ([49.407, 26.984], [10.0, 179.99999], [-60.0, 179.9999],
 @st.composite
 def missions(draw):
     return {
-        "seed": draw(st.integers(0, 2 ** 16)),
+        "seed": draw(st.one_of(st.integers(0, 2 ** 16),
+                               st.integers(2 ** 32, 2 ** 66))),
         "plant": {"rows": draw(st.integers(1, 12)),
                   "cols": draw(st.integers(1, 12)),
                   "origin": draw(st.sampled_from(ORIGINS))},
@@ -73,4 +76,10 @@ def test_offline_dedup_and_worker_count_keep_a_drawn_missions_bytes(config):
                          "--out", str(events)]) == cli.EXIT_OK
         assert serial["report.json"].endswith(
             b'"detections":' + events.read_bytes() + b"}")
+        # `export-kml` of the mission's report.json writes its report.kml.
+        kml = tmp / "again.kml"
+        assert cli.main(["export-kml", "--report",
+                         str(tmp / "out-1" / "report.json"),
+                         "--out", str(kml)]) == cli.EXIT_OK
+        assert kml.read_bytes() == serial["report.kml"]
         assert _simulate(config, tmp, 2) == serial

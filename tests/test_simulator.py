@@ -19,12 +19,14 @@ from pvpipeline.detector import Detection
 from pvpipeline.geodesy import GeoPoint
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
     backproject, camera_to_world_rotation, repoint
-from pvpipeline.simulator import (_STREAM_PLANT, DefectMix, FlightPlan,
+from pvpipeline.simulator import (_STREAM_CONF, _STREAM_MISS, _STREAM_PLANT,
+                                  _STREAM_POSE, DefectMix, FlightPlan,
                                   FramePose, MissionConfig,
                                   MissionTrace, PlacementError,
                                   PlantLayout, RenderModel,
                                   Scene, SensorPacket, SimulationError,
                                   SyntheticDetectorNoise, _in_view,
+                                  _keyed_rng,
                                   confirm_detection,
                                   coverage_multiplicity, detect_frame,
                                   evaluate, footprint, frame_view,
@@ -127,6 +129,16 @@ def test_generate_plant_grid_equals_quadratic_placement(rows, cols, pitch,
         defects = generate_plant(seed, layout, mix)
         assert [(*d.module, d.east, d.north) for d in defects] == \
             _placement_oracle(seed, layout, mix)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+@pytest.mark.parametrize("key", [(_STREAM_PLANT,), (_STREAM_POSE, 0),
+                                 (_STREAM_MISS, 2 ** 31, 0),
+                                 (_STREAM_CONF, 0, 2 ** 31, 3)])
+def test_keyed_rng_has_the_state_of_default_rng_on_the_key_list(seed, key):
+    # Every noise stream's generator, seeds of two and three words included.
+    assert _keyed_rng(seed, *key).bit_generator.state == \
+        np.random.default_rng([seed, *key]).bit_generator.state
 
 
 def test_generate_plant_attempt_cap_scales_with_the_target():

@@ -16,6 +16,27 @@ def test_below_absolute_zero_rejected():
         TemperatureMap(temp_c=np.full((2, 2), ABSOLUTE_ZERO_C))
 
 
+def _with_pixel(value):
+    t = np.full((3, 4), 20.0)
+    t[1, 2] = value
+    return t
+
+
+@pytest.mark.parametrize("temp,error,message", [
+    (_with_pixel(np.nan), ThermalError, "non-finite"),
+    (_with_pixel(np.inf), ThermalError, "non-finite"),
+    (_with_pixel(-np.inf), ThermalError, "non-finite"),
+    # Below absolute zero too, but non-finite is checked first.
+    (np.full((2, 3), -np.inf), ThermalError, "non-finite"),
+    (_with_pixel(-300.0), CalibrationError, "absolute zero"),
+], ids=["nan", "inf", "minus-inf", "all-minus-inf", "minus-300"])
+def test_temperature_map_error_order(temp, error, message):
+    with pytest.raises(ThermalError, match=message) as raised:
+        TemperatureMap(temp_c=temp)
+    # CalibrationError is a ThermalError, so pin the exact type.
+    assert type(raised.value) is error
+
+
 def test_normalize_constant_frame_maps_to_half():
     assert np.all(normalize_temperature(np.full((4, 4), 30.0)) == 0.5)
 
