@@ -87,4 +87,7 @@ def load_config(path: str, seed_override: int = None) -> MissionConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(
+            f"malformed JSON in {path}: nested too deeply") from None
     return config_from_dict(raw, seed_override=seed_override)

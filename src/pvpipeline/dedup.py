@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from .geodesy import (GeoPoint, checked_point, neighbours_within,
                       plane_centroid, point_columns, polygon_centroid,
-                      tangent_offset, tangent_point)
+                      tangent_offsets, tangent_point)
 
 NOISE = -1
 
@@ -159,8 +159,8 @@ def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
         raise DedupError("cannot merge an empty cluster")
     polygons, confidence = sightings.polygon, sightings.confidence
     lat0, lon0 = polygons[member_ids[0]][0]
-    hull = convex_hull([tangent_offset(lat0, lon0, lat, lon)
-                        for i in member_ids for lat, lon in polygons[i]])
+    hull = convex_hull(tangent_offsets(
+        lat0, lon0, [v for i in member_ids for v in polygons[i]]))
     best = max(member_ids, key=confidence.__getitem__)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
@@ -173,8 +173,8 @@ def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
     return DefectEvent(
         id=event_id,
         class_id=sightings.class_id[best],
-        confidence=max(confidence[i] for i in member_ids),
-        peak_temp_c=max(sightings.peak_temp_c[i] for i in member_ids),
+        confidence=max([confidence[i] for i in member_ids]),
+        peak_temp_c=max([sightings.peak_temp_c[i] for i in member_ids]),
         centroid=centroid,
         polygon=polygon,
         media_rgb=sightings.media_rgb[best],

@@ -187,9 +187,10 @@ def _reject_offset(east: float, north: float, message: str):
     raise GeodesyError(message)
 
 
-def tangent_offset(lat0: float, lon0: float, lat: float, lon: float) -> tuple:
-    """Equirectangular tangent-plane offset (east, north), in meters, of
-    (lat, lon) from (lat0, lon0).
+def tangent_offsets(lat0: float, lon0: float, vertices) -> list:
+    """Equirectangular tangent-plane offsets [(east, north), ...], in
+    meters, of the (lat, lon) pairs ``vertices`` from (lat0, lon0), in
+    order; GeodesyError at the first one past 100 km.
 
     East is scaled by the cosine of the *midpoint* latitude, which keeps the
     approximation second-order accurate (sub-1e-6 relative error against the
@@ -197,22 +198,26 @@ def tangent_offset(lat0: float, lon0: float, lat: float, lon: float) -> tuple:
     The longitude difference is wrapped across the antimeridian only when
     it exceeds 180 degrees, so a small difference keeps its low bits.
     """
-    dlon = lon - lon0
-    if abs(dlon) > 180.0:
-        dlon -= math.copysign(360.0, dlon)
-    east = (MEAN_EARTH_RADIUS_M * math.cos(math.radians((lat0 + lat) / 2.0))
-            * math.radians(dlon))
-    north = MEAN_EARTH_RADIUS_M * math.radians(lat - lat0)
-    if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
-        _reject_offset(east, north, "points farther than 100 km apart: "
-                                    "tangent plane invalid")
-    return east, north
+    out = []
+    for lat, lon in vertices:
+        dlon = lon - lon0
+        if abs(dlon) > 180.0:
+            dlon -= math.copysign(360.0, dlon)
+        east = (MEAN_EARTH_RADIUS_M
+                * math.cos(math.radians((lat0 + lat) / 2.0))
+                * math.radians(dlon))
+        north = MEAN_EARTH_RADIUS_M * math.radians(lat - lat0)
+        if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
+            _reject_offset(east, north, "points farther than 100 km apart: "
+                                        "tangent plane invalid")
+        out.append((east, north))
+    return out
 
 
 def tangent_point(lat0: float, lon0: float, east: float,
                   north: float) -> tuple:
     """(lat, lon) at the tangent-plane offset (east, north) from (lat0,
-    lon0): the exact algebraic inverse of :func:`tangent_offset`. The
+    lon0): the exact algebraic inverse of :func:`tangent_offsets`. The
     longitude is not wrapped; GeoPoint wraps it."""
     if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
         _reject_offset(east, north,
@@ -251,6 +256,5 @@ def polygon_centroid(vertices) -> GeoPoint:
     (see :func:`plane_centroid`).
     """
     lat0, lon0 = vertices[0]
-    x, y = plane_centroid([tangent_offset(lat0, lon0, lat, lon)
-                           for lat, lon in vertices])
+    x, y = plane_centroid(tangent_offsets(lat0, lon0, vertices))
     return GeoPoint(*tangent_point(lat0, lon0, x, y))

@@ -17,6 +17,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+# json.dumps(s) for a str s, without json.dumps's dispatch on the type
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .dedup import DefectEvent, Sightings
 from .detector import check_box
@@ -64,14 +66,14 @@ def _pair(lat: float, lon: float) -> str:
 def _record_json(event: DefectEvent) -> str:
     polygon = ",".join(_pair(lat, lon) for lat, lon in event.polygon)
     return ('{'
-            f'"id":{json.dumps(event.id)},'
-            f'"class":{json.dumps(event.class_id)},'
+            f'"id":{_json_string(event.id)},'
+            f'"class":{_json_string(event.class_id)},'
             f'"conf":{event.confidence:.2f},'
             f'"temp_C":{event.peak_temp_c:.2f},'
             f'"centroid_wgs84":{_pair(event.centroid.lat, event.centroid.lon)},'
             f'"polygon_wgs84":[{polygon}],'
-            f'"media":{{"rgb":{json.dumps(event.media_rgb)},'
-            f'"tiff":{json.dumps(event.media_tiff)}}}'
+            f'"media":{{"rgb":{_json_string(event.media_rgb)},'
+            f'"tiff":{_json_string(event.media_tiff)}}}'
             '}')
 
 
@@ -82,9 +84,9 @@ def records_json(events) -> str:
 
 def to_json(report: MissionReport) -> bytes:
     text = ('{'
-            f'"site_id":{json.dumps(report.site_id)},'
-            f'"uav":{json.dumps(report.uav)},'
-            f'"ts_utc":{json.dumps(report.ts_utc)},'
+            f'"site_id":{_json_string(report.site_id)},'
+            f'"uav":{_json_string(report.uav)},'
+            f'"ts_utc":{_json_string(report.ts_utc)},'
             f'"detections":{records_json(report.detections)}'
             '}')
     return text.encode("utf-8")
@@ -188,8 +190,12 @@ def _parse_record(d, where: str) -> DefectEvent:
 
 def parse_report(payload: bytes) -> MissionReport:
     """Inverse of to_json. Raises TelemetryError naming a field that is
-    missing, mistyped, a latitude past 90, an empty id or under 3 vertices."""
-    obj = _object(json.loads(payload.decode("utf-8")), "report")
+    missing, mistyped, a latitude past 90, an empty id or under 3 vertices,
+    or JSON nested past the interpreter's recursion limit."""
+    try:
+        obj = _object(json.loads(payload.decode("utf-8")), "report")
+    except RecursionError:
+        raise TelemetryError("JSON nested too deeply") from None
     detections = _field(obj, "detections", _list)
     return MissionReport(
         site_id=_field(obj, "site_id", _string),
@@ -255,34 +261,84 @@ def detection_record_lines(sightings: Sightings) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _row(line: str) -> tuple:
+    """The Sightings row of one line, decoded as json.loads decodes it. The
+    type tests are inline and accept what the field helpers accept."""
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        end = None
+    if end != len(line):  # whitespace around the value, a BOM, extra data
+        obj = json.loads(line)
+    big, num = _FLOAT_MAX, (float, int)  # _number's test
+    if type(obj) is not dict:
+        _object(obj, "record")
+    media = obj.get("media", {})
+    if type(media) is not dict:
+        _object(media, "media")
+    # A value of the wrong shape is looped over as one None, which fails;
+    # after a failed test the helpers check the whole field, and raise.
+    box = obj.get("bbox")
+    for v in box if type(box) is list and len(box) == 4 else (None,):
+        if not (type(v) in num and -big <= v <= big):
+            box = _field(obj, "bbox", _bbox)
+            break
+    class_id = obj.get("class")
+    if not (type(class_id) is str and class_id.isascii()):
+        class_id = _field(obj, "class", _string)
+    conf = obj.get("conf")
+    if not (type(conf) in num and -big <= conf <= big):
+        conf = _field(obj, "conf", _number)
+    temp = obj.get("temp_C")
+    if not (type(temp) in num and -big <= temp <= big):
+        temp = _field(obj, "temp_C", _number)
+    ring = obj.get("polygon_wgs84")
+    centroid = obj.get("centroid_wgs84")
+    for p in (*ring, centroid) if type(ring) is list else (None,):
+        lat, lon = p if type(p) is list and len(p) == 2 else (None, None)
+        if not (type(lat) in num and type(lon) in num
+                and -big <= lat <= big and -big <= lon <= big):
+            polygon = checked_ring(
+                checked_point(*_lat_lon(v, "polygon_wgs84"))
+                for v in _field(obj, "polygon_wgs84", _list))
+            lat, lon = checked_point(*_field(obj, "centroid_wgs84", _lat_lon))
+            break
+    else:
+        polygon = checked_ring([checked_point(lat, lon) for lat, lon in ring])
+        lat, lon = checked_point(*centroid)
+    strings = [obj.get("frame_id", ""), obj.get("timestamp", ""),
+               media.get("rgb", ""), media.get("tiff", "")]
+    for k, what in enumerate(("frame_id", "timestamp", "media.rgb",
+                              "media.tiff")):
+        if not (type(strings[k]) is str and strings[k].isascii()):
+            strings[k] = _string(strings[k], what)
+    check_box(*box, conf)
+    return (tuple(box), class_id, conf, temp, polygon, lat, lon, *strings)
+
+
 def parse_detection_record_lines(data: bytes) -> Sightings:
-    """Inverse of detection_record_lines, with no object per line. Each line
-    is held to the checks building a ProjectedDetection made, in its order:
-    the media object, then each field's type in column order (a vertex's
-    latitude as it is read, then the ring), then the box and confidence.
-    Raises with 1-based line numbers."""
+    """Inverse of detection_record_lines, with no object per line. Lines
+    end at "\\n" only (JSON Lines); each is held to the checks building a
+    ProjectedDetection made, in its order: the record and media objects,
+    each field's type in column order (each vertex's numbers, then its
+    point check, then the ring check), the centroid, the strings, then the
+    box and confidence. Raises with 1-based line numbers."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"input is not UTF-8: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = _object(json.loads(line), "record")
-            media = _object(obj.get("media", {}), "media")
-            row = (_field(obj, "bbox", _bbox), _field(obj, "class", _string),
-                   _field(obj, "conf", _number), _field(obj, "temp_C", _number),
-                   checked_ring(checked_point(*_lat_lon(p, "polygon_wgs84"))
-                                for p in _field(obj, "polygon_wgs84", _list)),
-                   *checked_point(*_field(obj, "centroid_wgs84", _lat_lon)),
-                   _string(obj.get("frame_id", ""), "frame_id"),
-                   _string(obj.get("timestamp", ""), "timestamp"),
-                   _string(media.get("rgb", ""), "media.rgb"),
-                   _string(media.get("tiff", ""), "media.tiff"))
-            check_box(*row[0], row[2])
+            rows.append(_row(line))
+        except RecursionError:
+            raise TelemetryError(
+                f"line {lineno}: JSON nested too deeply") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
-        rows.append(row)
     return Sightings(*map(list, zip(*rows)))

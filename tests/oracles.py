@@ -24,13 +24,13 @@ def haversine_distance(a, b) -> float:
 def parse_detection_record_lines_objects(data: bytes) -> list:
     """parse_detection_record_lines in object form: a ProjectedDetection,
     its GeoPolygon and GeoPoints per line, each held to its own
-    __post_init__ checks in argument order."""
+    __post_init__ checks in argument order. Lines end at "\\n" only."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"input is not UTF-8: {exc}") from exc
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -87,7 +87,8 @@ def palette_spread(model, x_t) -> float:
 
 def enu_offset(origin, p):
     """The tangent-plane offset (east, north) of GeoPoint ``p`` from
-    ``origin``, written out on its own: geodesy.tangent_offset's reference."""
+    ``origin``, written out on its own: geodesy.tangent_offsets'
+    reference."""
     lat_mid = math.radians((origin.lat + p.lat) / 2.0)
     dlon = p.lon - origin.lon
     if abs(dlon) > 180.0:

@@ -23,7 +23,7 @@ from pvpipeline.dedup import NOISE, dbscan_labels
 from pvpipeline.fusion import FusionModel, LossWeights, make_toy_samples, \
     train_toy
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint,
-                                point_columns, tangent_offset, tangent_point)
+                                point_columns, tangent_offsets, tangent_point)
 from pvpipeline.reacquisition import (Attitude, AxisAngle, CameraIntrinsics,
                                       backproject, camera_to_world_rotation,
                                       repoint, rodrigues_rotate,
@@ -239,7 +239,8 @@ def test_criterion_9_geodesy_closed_forms():
         off_e = float(rng.uniform(-500, 500))
         off_n = float(rng.uniform(-500, 500))
         p = GeoPoint(*tangent_point(origin.lat, origin.lon, off_e, off_n))
-        east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+        east, north = tangent_offsets(origin.lat, origin.lon,
+                                      [(p.lat, p.lon)])[0]
         assert abs(east - off_e) < 1e-6
         assert abs(north - off_n) < 1e-6
         # Haversine and tangent-plane distances agree under 1 km.

@@ -592,6 +592,26 @@ def test_config_rejects_non_finite_radii():
     (lambda r: _set(["temp_C"], "hot")(
         _set(["bbox"], [5.0, 2.0, 1.0, 6.0])(r)),
      "temp_C: expected a finite number"),
+    (_set(["polygon_wgs84", 1], [95.0, 26.91]),
+     "latitude out of range: 95.0"),
+    (_set(["polygon_wgs84"], [[49.4, 26.9], [49.4, 26.91]]),
+     "polygon needs at least 3 vertices"),
+    (_set(["polygon_wgs84", 0], 49.4),
+     "polygon_wgs84: expected [lat, lon], got 49.4"),
+    (_set(["polygon_wgs84"], {"0": [49.4, 26.9]}),
+     "polygon_wgs84: expected a list"),
+    (_drop("bbox"), "bbox: missing"),
+    (lambda r: [r], "record: expected an object"),
+    (_set(["media", "tiff"], "\udc80"),
+     "media.tiff: expected a string UTF-8 can encode"),
+    # Lines that are not exactly one JSON value: json.loads reads them.
+    (lambda r: "  " + json.dumps(_set(["conf"], "x")(r)),
+     "conf: expected a finite number"),
+    (lambda r: json.dumps(_set(["conf"], "x")(r)) + "\r",
+     "conf: expected a finite number"),
+    (lambda r: "\ufeff" + json.dumps(r),
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1"),
+    (lambda r: json.dumps(r) + " {}", "Extra data: line 1 column"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
         "frame-id-null", "lon-huge-int", "centroid-three-entries",
         "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
@@ -599,15 +619,23 @@ def test_config_rejects_non_finite_radii():
         "vertex-true", "vertex-huge-negative-int", "centroid-strings",
         "conf-above-1", "conf-negative", "bbox-degenerate",
         "polygon-repeated-vertex", "lat-95", "class-surrogate",
-        "bbox-degenerate-and-temp-string"])
+        "bbox-degenerate-and-temp-string", "vertex-lat-95",
+        "polygon-2-vertices", "vertex-number", "polygon-object",
+        "bbox-missing", "record-list", "tiff-surrogate",
+        "leading-spaces", "trailing-cr", "bom", "extra-data"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
+    # An edit returns the record, or the text of the line.
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
               "class": "hotspot", "conf": 0.8, "temp_C": 40.0,
               "bbox": [1.0, 2.0, 5.0, 6.0], "centroid_wgs84": [49.4, 26.9],
               "polygon_wgs84": [[49.4, 26.9], [49.4, 26.91], [49.41, 26.91]],
               "media": {"rgb": "f0001.jpg", "tiff": "f0001.tif"}}
+    first = json.dumps(record)
+    line = edit(record)
+    if not isinstance(line, str):
+        line = json.dumps(line)
     data = tmp_path / "in.jsonl"
-    data.write_text(json.dumps(record) + "\n" + json.dumps(edit(record)) + "\n")
+    data.write_text(first + "\n" + line + "\n")
     out = tmp_path / "o.json"
     code = main(["dedup", "--input", str(data), "--epsilon", "1.0",
                  "--out", str(out)])
@@ -629,7 +657,9 @@ def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
                  "bbox": [0.0, 0.0, 2.0, 2.0], "centroid_wgs84": [50.0, 27.0],
                  "polygon_wgs84": [[49, 26], [49, 29], [51, 29]]}).encode(),
      "invalid input: points farther than 100 km apart"),
-], ids=["not-utf8", "polygon-beyond-tangent-plane"])
+    (b'{"bbox": ' + b"[" * 1200 + b"]" * 1200 + b"}\n",
+     "parse error: line 1: JSON nested too deeply"),
+], ids=["not-utf8", "polygon-beyond-tangent-plane", "nested-1200-deep"])
 def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     path = tmp_path / "in.jsonl"
     path.write_bytes(data)
@@ -640,6 +670,25 @@ def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     assert code == 1, err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_dedup_reads_a_line_separator_inside_a_string(tmp_path, capsys):
+    # Records end at "\n" only: a raw U+2028 (or U+2029, U+0085) inside a
+    # JSON string is part of the string, not a line break.
+    record = {"class": "hotspot", "conf": 0.8, "temp_C": 40.0,
+              "bbox": [1.0, 2.0, 5.0, 6.0], "centroid_wgs84": [49.4, 26.9],
+              "polygon_wgs84": [[49.4, 26.9], [49.4, 26.91], [49.41, 26.91]],
+              "media": {"rgb": "a\u2028b\u2029c\x85d.jpg", "tiff": "a.tif"}}
+    raw = (json.dumps(record, ensure_ascii=False) + "\r\n").encode("utf-8")
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(raw)
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(path), "--epsilon", "1.0",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_bytes())[0]["media"]["rgb"] == \
+        record["media"]["rgb"]
+    assert parse_detection_record_lines(raw) == _parse_objects(raw)
 
 
 def _key_paths(obj, path=()):
@@ -904,6 +953,24 @@ def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     assert code == 1, err
     assert f"invalid report: {message}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,message", [
+    (["export-kml", "--report"], "[" * 200_000 + "]" * 200_000,
+     "invalid report: JSON nested too deeply"),
+    (["simulate", "--config"], '{"plant": ' + "[" * 5000 + "]" * 5000 + "}",
+     "config error: malformed JSON in {path}: nested too deeply"),
+], ids=["export-kml-report", "simulate-config"])
+def test_json_nested_past_the_recursion_limit_exits_1(tmp_path, capsys,
+                                                      command, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main([*command, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == message.format(path=path) + "\n"
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from oracles import (enu_offset, enu_point, haversine_distance,
 
 from pvpipeline.geodesy import (GeodesyError, GeoPoint, GeoPolygon,
                                 MEAN_EARTH_RADIUS_M, polygon_centroid,
-                                tangent_offset, tangent_point)
+                                tangent_offsets, tangent_point)
 
 R = MEAN_EARTH_RADIUS_M
 
@@ -80,7 +80,8 @@ def test_enu_round_trip_within_1e9_degrees():
         east0 = float(rng.uniform(-5000, 5000))
         north0 = float(rng.uniform(-5000, 5000))
         p = _at(origin, east0, north0)
-        east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+        east, north = tangent_offsets(origin.lat, origin.lon,
+                                      [(p.lat, p.lon)])[0]
         assert east == pytest.approx(east0, abs=1e-6)
         assert north == pytest.approx(north0, abs=1e-6)
         p2 = _at(origin, east, north)
@@ -96,7 +97,8 @@ def test_enu_round_trip_across_the_antimeridian(lat, lon, east, north):
     origin = GeoPoint(lat=lat, lon=180.0 + lon)
     p = _at(origin, east, north)
     assert -180.0 <= p.lon < 180.0
-    east2, north2 = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+    east2, north2 = tangent_offsets(origin.lat, origin.lon,
+                                    [(p.lat, p.lon)])[0]
     assert east2 == pytest.approx(east, abs=1e-6)
     assert north2 == pytest.approx(north, abs=1e-6)
     p2 = _at(origin, east2, north2)
@@ -120,7 +122,7 @@ def test_haversine_vs_enu_agreement_under_1km():
 
 
 def test_tangent_plane_float_helpers_match_object_forms():
-    # tangent_offset, tangent_point and polygon_centroid must keep every
+    # tangent_offsets, tangent_point and polygon_centroid must keep every
     # bit of the oracle's own tangent-plane forms, at the antimeridian and
     # near the poles too.
     rng = np.random.default_rng(5)
@@ -138,7 +140,8 @@ def test_tangent_plane_float_helpers_match_object_forms():
             p, want = _at(origin, *off), enu_point(origin, *off)
             assert (p.lat.hex(), p.lon.hex()) == \
                 (want.lat.hex(), want.lon.hex())
-            east, north = tangent_offset(origin.lat, origin.lon, p.lat, p.lon)
+            east, north = tangent_offsets(origin.lat, origin.lon,
+                                          [(p.lat, p.lon)])[0]
             want = enu_offset(origin, p)
             assert (east.hex(), north.hex()) == \
                 (want[0].hex(), want[1].hex())
@@ -153,7 +156,7 @@ def test_tangent_plane_errors_name_the_fault():
     with pytest.raises(GeodesyError, match="offset exceeds 100 km"):
         tangent_point(origin.lat, origin.lon, 0.0, -1e300)
     with pytest.raises(GeodesyError, match="farther than 100 km"):
-        tangent_offset(0.0, 0.0, -1.0, 0.0)
+        tangent_offsets(0.0, 0.0, [(-1.0, 0.0)])
     for east in (math.nan, math.inf):
         with pytest.raises(GeodesyError, match="non-finite ENU component"):
             tangent_point(0.0, 0.0, east, 0.0)
@@ -164,15 +167,15 @@ def test_tangent_plane_range_guard():
     with pytest.raises(GeodesyError):
         tangent_point(origin.lat, origin.lon, 200_000.0, 0.0)
     with pytest.raises(GeodesyError):  # ~222 km north
-        tangent_offset(origin.lat, origin.lon, 2.0, 0.0)
+        tangent_offsets(origin.lat, origin.lon, [(2.0, 0.0)])
 
 
 def test_polygon_centroid_square_shoelace():
     origin = GeoPoint(lat=45.0, lon=7.0)
     verts = [_at(origin, e, n) for e, n in [(0, 0), (10, 0), (10, 10), (0, 10)]]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
-                                 centroid.lon)
+    east, north = tangent_offsets(origin.lat, origin.lon,
+                                  [(centroid.lat, centroid.lon)])[0]
     assert east == pytest.approx(5.0, abs=1e-6)
     assert north == pytest.approx(5.0, abs=1e-6)
 
@@ -183,8 +186,8 @@ def test_polygon_centroid_weighted_not_vertex_mean():
     shape = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
     verts = [_at(origin, e, n) for e, n in shape]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
-                                 centroid.lon)
+    east, north = tangent_offsets(origin.lat, origin.lon,
+                                  [(centroid.lat, centroid.lon)])[0]
     # Shoelace centroid of this L-shape (computed by hand): (1.5, 1.5)...
     # decompose: rect 4x1 at y in [0,1] (area 4, centroid (2, .5)) plus
     # rect 1x3 at x in [0,1], y in [1,4] (area 3, centroid (.5, 2.5)).
@@ -198,8 +201,8 @@ def test_polygon_centroid_degenerate_falls_back_to_vertex_mean():
     origin = GeoPoint(lat=45.0, lon=7.0)
     verts = [_at(origin, e, 0.0) for e in (0.0, 1.0, 2.0)]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offset(origin.lat, origin.lon, centroid.lat,
-                                 centroid.lon)
+    east, north = tangent_offsets(origin.lat, origin.lon,
+                                  [(centroid.lat, centroid.lon)])[0]
     assert east == pytest.approx(1.0, abs=1e-6)
 
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import haversine_distance
 
 from pvpipeline.detector import Detection
-from pvpipeline.geodesy import GeoPoint, tangent_offset
+from pvpipeline.geodesy import GeoPoint, tangent_offsets
 from pvpipeline.geoprojection import (CameraView, ProjectionError,
                                       pixel_to_ground, project_detection)
 from pvpipeline.reacquisition import (Attitude, CameraIntrinsics,
@@ -21,7 +21,7 @@ NADIR = Attitude(pitch=-math.pi / 2.0)
 
 
 def _enu(point):
-    return tangent_offset(ORIGIN.lat, ORIGIN.lon, point.lat, point.lon)
+    return tangent_offsets(ORIGIN.lat, ORIGIN.lon, [(point.lat, point.lon)])[0]
 
 
 def test_nadir_principal_point_hits_ground_below():

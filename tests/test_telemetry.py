@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 import xml.etree.ElementTree as ET
@@ -83,6 +84,29 @@ def test_json_fixed_point_formatting():
     assert b'"centroid_wgs84":[49.407251,26.984173]' in payload
     assert b" " not in payload  # compact: no whitespace anywhere
     assert b"\n" not in payload
+
+
+@pytest.mark.parametrize("text", ['q"uo\\te', "\x00\x1f\t\n\r\x7f", "é漢😀",
+                                  "lone \ud800 surrogate"],
+                         ids=["quote-backslash", "control", "non-ascii",
+                              "lone-surrogate"])
+def test_json_strings_are_written_as_json_dumps_writes_them(text):
+    # Each string field of the report and of its records, set to ``text``,
+    # reads exactly as json.dumps(text) where a placeholder read as
+    # json.dumps(placeholder).
+    keys = ("id", "class_id", "media_rgb", "media_tiff", "site_id", "uav")
+
+    def payload(values):
+        rec = replace(_sample_report().detections[0],
+                      **{k: values[k] for k in keys[:4]})
+        return to_json(MissionReport(
+            site_id=values["site_id"], uav=values["uav"],
+            ts_utc="2025-09-30T10:12:00Z", detections=(rec,))).decode()
+
+    want = payload({k: f"<{k}>" for k in keys})
+    for k in keys:
+        want = want.replace(json.dumps(f"<{k}>"), json.dumps(text))
+    assert payload(dict.fromkeys(keys, text)) == want
 
 
 def test_report_validation():
