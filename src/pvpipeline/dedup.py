@@ -34,10 +34,10 @@ class DbscanParams:
 
 @dataclass
 class Sightings:
-    """Sightings as parallel columns (struct of arrays) in the field order
-    of a geoprojection.ProjectedDetection, row i of each holding sighting i:
-    plain lists, so tables compare, pickle and join by ``+``. Each value is
-    the one its record or projection holds."""
+    """Sightings as parallel columns (struct of arrays), row i of each
+    holding sighting i: plain lists, so tables compare, pickle and join by
+    ``+``. A row is what geoprojection.project_detection returns and what
+    telemetry reads from a detections.jsonl line."""
     bbox: list = field(default_factory=list)    # (x_min, y_min, x_max, y_max)
     class_id: list = field(default_factory=list)
     confidence: list = field(default_factory=list)
@@ -51,13 +51,10 @@ class Sightings:
     media_tiff: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, projections) -> "Sightings":
-        """The table of ProjectedDetections."""
-        return cls(*map(list, zip(*(
-            ((p.x_min, p.y_min, p.x_max, p.y_max), p.class_id, p.confidence,
-             p.peak_temp_c, tuple((v.lat, v.lon) for v in p.polygon.vertices),
-             p.centroid.lat, p.centroid.lon, p.frame_id, p.timestamp,
-             p.media_rgb, p.media_tiff) for p in projections))))
+    def of_rows(cls, rows) -> "Sightings":
+        """The table of ``rows``, each one sighting's values in field
+        order."""
+        return cls(*map(list, zip(*rows)))
 
     def __len__(self) -> int:
         return len(self.lat)
@@ -253,7 +250,7 @@ def duplicate_rate(matches) -> float:
 def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
     """Duplicate-induced false-positive rate.
 
-    Items (sightings or events; each read for .centroid and .class_id) are
+    Items (such as events; each read for .centroid and .class_id) are
     greedily matched to the nearest same-class ground-truth defect (read for
     .position and .class_id) within match_radius, and the matches are
     counted by :func:`duplicate_rate`.

@@ -64,16 +64,6 @@ class GeoPoint:
         object.__setattr__(self, "lon", checked_point(self.lat, self.lon)[1])
 
 
-@dataclass(frozen=True)
-class GeoPolygon:
-    """Ordered ring of GeoPoints, held to :func:`checked_ring`."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", checked_ring(self.vertices))
-
-
 def point_columns(points) -> tuple:
     """The latitude and longitude columns of a sequence of GeoPoints."""
     return [p.lat for p in points], [p.lon for p in points]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import Detection
-from .geodesy import GeoPoint, GeoPolygon, GeodesyError, polygon_centroid, \
-    tangent_point
+from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring, \
+    polygon_centroid, tangent_point
 from .reacquisition import Attitude, CameraIntrinsics, GeometryError, \
     backproject, camera_to_world_rotation
 
@@ -31,22 +31,11 @@ class CameraView:
     """One camera view, set up once for all the detections seen in it: the
     ground point below the camera, the camera's height above it, the
     camera-to-world rotation of its gimbal, and the frame id, timestamp and
-    media names each projection carries."""
+    media names each sighting projected in it carries."""
     intr: CameraIntrinsics
     ground: GeoPoint
     height: float
     rot: np.ndarray
-    frame_id: str
-    timestamp: str
-    media_rgb: str = ""
-    media_tiff: str = ""
-
-
-@dataclass(frozen=True)
-class ProjectedDetection(Detection):
-    """A sighting: a detection with its footprint and the view it was in."""
-    polygon: GeoPolygon
-    centroid: GeoPoint
     frame_id: str
     timestamp: str
     media_rgb: str = ""
@@ -60,7 +49,8 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
     ``ground`` is the point of the plane below the camera, ``height`` the
     camera's height above it and ``rot`` its camera-to-world rotation. A
     ray that does not descend, or meets the plane beyond the tangent-plane
-    range, raises ProjectionError.
+    range, raises ProjectionError. Returns (lat, lon) pairs held to
+    :func:`geodesy.checked_point`.
     """
     if not 0.0 < height < math.inf:
         raise ProjectionError("camera is not above the ground plane")
@@ -72,7 +62,7 @@ def _ground_points(pixels, intr: CameraIntrinsics, ground: GeoPoint,
                                   "(horizon/upward or grazing incidence)")
         t = height / ray_d
         try:
-            points.append(GeoPoint(
+            points.append(checked_point(
                 *tangent_point(ground.lat, ground.lon, t * ray_e, t * ray_n)))
         except GeodesyError as exc:
             raise ProjectionError(str(exc)) from exc
@@ -84,26 +74,23 @@ def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics,
                     gimbal: Attitude) -> GeoPoint:
     """Ground point of one pixel seen through the gimbal (see
     :func:`_ground_points`)."""
-    return _ground_points([(u, v)], intr, ground, height,
-                          camera_to_world_rotation(gimbal))[0]
+    return GeoPoint(*_ground_points([(u, v)], intr, ground, height,
+                                    camera_to_world_rotation(gimbal))[0])
 
 
-def project_detection(det: Detection, view: CameraView) -> ProjectedDetection:
-    """Project all four bbox corners to the ground in the view; any failing
-    corner raises ProjectionError (the mission's project stage drops the
-    detection and counts it)."""
-    corners = [(det.x_min, det.y_min), (det.x_max, det.y_min),
-               (det.x_max, det.y_max), (det.x_min, det.y_max)]
-    polygon = GeoPolygon(vertices=tuple(_ground_points(
-        corners, view.intr, view.ground, view.height, view.rot)))
+def project_detection(det: Detection, view: CameraView) -> tuple:
+    """The :class:`dedup.Sightings` row of ``det`` in ``view``, its ring
+    the four bbox corners projected to the ground. A failing corner raises
+    ProjectionError and a repeated vertex GeodesyError (the mission's
+    project stage drops the detection and counts it)."""
+    x0, y0, x1, y1 = box = (det.x_min, det.y_min, det.x_max, det.y_max)
+    ring = checked_ring(_ground_points(
+        [(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+        view.intr, view.ground, view.height, view.rot))
     try:
-        centroid = polygon_centroid([(v.lat, v.lon)
-                                     for v in polygon.vertices])
+        centroid = polygon_centroid(ring)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
-    return ProjectedDetection(
-        x_min=det.x_min, y_min=det.y_min, x_max=det.x_max, y_max=det.y_max,
-        class_id=det.class_id, confidence=det.confidence,
-        peak_temp_c=det.peak_temp_c, polygon=polygon, centroid=centroid,
-        frame_id=view.frame_id, timestamp=view.timestamp,
-        media_rgb=view.media_rgb, media_tiff=view.media_tiff)
+    return (box, det.class_id, det.confidence, det.peak_temp_c, ring,
+            centroid.lat, centroid.lon, view.frame_id, view.timestamp,
+            view.media_rgb, view.media_tiff)

@@ -69,6 +69,8 @@ _ATTEMPTS_PER_DEFECT = 100
 _FLIGHT_TIME_SLACK = 1e-6
 # Most frames x pixels a mission may plan: 180 times a 200x200 plant's.
 _MAX_FRAME_PIXELS = 2 ** 32
+# Most frames a mission may plan: 14 times a 200x200 plant's 4,680.
+_MAX_FRAMES = 2 ** 16
 # Most pixels of one frame, 32 MB as a float64 raster (the default is 80x64).
 _MAX_RASTER_PIXELS = 2 ** 22
 # Most clutter detections a mission may expect: 220 times a 200x200 plant's
@@ -596,6 +598,17 @@ class MissionConfig:
                 f"plant: the survey area (plant plus half a camera "
                 f"footprint) passes a pole or the tangent plane: {exc}"
             ) from None
+        # backproject squares a pixel's offset from the principal point in
+        # focal lengths, at most these (multiplied, as ** raises past the
+        # range).
+        cam = self.camera
+        x = (abs(cam.cx) + cam.width) / cam.fx
+        y = (abs(cam.cy) + cam.height) / cam.fy
+        if not x * x + y * y < math.inf:
+            raise SimulationError(
+                f"camera.{'cx' if x >= y else 'cy'}: a pixel up to "
+                f"{max(x, y):.3g} focal lengths from the principal point "
+                f"squares past the float range")
         # Every timestamp is start_utc plus a pose time; the last pose's
         # time is at most the lawnmower's path length over the speed.
         try:
@@ -620,6 +633,10 @@ class MissionConfig:
                 f"flight: the survey plans {n_lines * n_along} frames of "
                 f"{width}x{height} pixels, about {frame_px:.3g} frame-pixels, "
                 f"more than the {_MAX_FRAME_PIXELS:.3g} a run may take")
+        if n_lines * n_along > _MAX_FRAMES:
+            raise SimulationError(
+                f"flight: the survey plans {n_lines * n_along} frames, more "
+                f"than the {_MAX_FRAMES} a run may take")
         if float(width) * height > _MAX_RASTER_PIXELS:
             raise SimulationError(
                 f"camera.{'width' if width >= height else 'height'}: a "
@@ -859,11 +876,12 @@ def frame_view(packet: SensorPacket, config: MissionConfig,
 
 
 def project_confirmed(det: Detection, gimbal, view, trace: MissionTrace):
-    """Project stage: the detection's footprint in its frame's ``view``, or
-    None (counted in ``trace.projection_failed``) when the view is None or
-    a corner ray does not reach the ground. ``gimbal`` is the measured
-    gimbal of the re-acquired view the detection was confirmed in, which
-    takes its own rotation, or None for the survey frame."""
+    """Project stage: the detection's Sightings row in its frame's
+    ``view``, or None (counted in ``trace.projection_failed``) when the
+    view is None, a corner ray does not reach the ground or the ground ring
+    repeats a vertex. ``gimbal`` is the measured gimbal of the re-acquired
+    view the detection was confirmed in, which takes its own rotation, or
+    None for the survey frame."""
     if view is None:
         trace.projection_failed += 1
         return None
@@ -903,7 +921,7 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
     indices and their detections.jsonl lines in a MissionTrace without
     config or defects, which the caller has and a worker need not send."""
     trace = MissionTrace(config=None, defects=None)
-    projections = []
+    rows = []
     for frame_idx in range(lo, hi):
         packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
         trace.frames += 1
@@ -916,10 +934,10 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
             continue
         view = frame_view(packet, config, start)
         for det, gimbal in confirmed:
-            projected = project_confirmed(det, gimbal, view, trace)
-            if projected is not None:
-                projections.append(projected)
-    trace.accepted = Sightings.of(projections)
+            row = project_confirmed(det, gimbal, view, trace)
+            if row is not None:
+                rows.append(row)
+    trace.accepted = Sightings.of_rows(rows)
     trace.gt_matches = match_ground_truth(trace.accepted, scene.defects,
                                           config.match_radius_m)
     trace.detection_lines = detection_record_lines(trace.accepted)

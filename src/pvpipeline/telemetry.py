@@ -160,11 +160,19 @@ def _field(obj: dict, key: str, check, where: str = ""):
     return check(obj[key], what)
 
 
-def _geo_point(value, what: str) -> GeoPoint:
+def _vertex(value, what: str) -> tuple:
+    """[lat, lon] held to the point check but kept as parsed, not wrapped,
+    so that a polygon vertex printed as 180.000000 prints so again."""
+    lat, lon = _lat_lon(value, what)
     try:
-        return GeoPoint(*_lat_lon(value, what))
+        checked_point(lat, lon)
     except GeodesyError as exc:
         raise TelemetryError(f"{what}: {exc}") from None
+    return lat, lon
+
+
+def _geo_point(value, what: str) -> GeoPoint:
+    return GeoPoint(*_vertex(value, what))
 
 
 def _parse_record(d, where: str) -> DefectEvent:
@@ -176,7 +184,7 @@ def _parse_record(d, where: str) -> DefectEvent:
         confidence=_field(d, "conf", _number, where),
         peak_temp_c=_field(d, "temp_C", _number, where),
         centroid=_field(d, "centroid_wgs84", _geo_point, where),
-        polygon=tuple(_lat_lon(p, f"{where}.polygon_wgs84")
+        polygon=tuple(_vertex(p, f"{where}.polygon_wgs84")
                       for p in _field(d, "polygon_wgs84", _list, where)),
         media_rgb=_field(media, "rgb", _string, f"{where}.media"),
         media_tiff=_field(media, "tiff", _string, f"{where}.media"))
@@ -321,11 +329,11 @@ def _row(line: str) -> tuple:
 
 def parse_detection_record_lines(data: bytes) -> Sightings:
     """Inverse of detection_record_lines, with no object per line. Lines
-    end at "\\n" only (JSON Lines); each is held to the checks building a
-    ProjectedDetection made, in its order: the record and media objects,
-    each field's type in column order (each vertex's numbers, then its
-    point check, then the ring check), the centroid, the strings, then the
-    box and confidence. Raises with 1-based line numbers."""
+    end at "\\n" only (JSON Lines); each is held to these checks, in this
+    order: the record and media objects, each field's type in column order
+    (each vertex's numbers, then its point check, then the ring check), the
+    centroid, the strings, then the box and confidence. Raises with 1-based
+    line numbers."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -341,4 +349,4 @@ def parse_detection_record_lines(data: bytes) -> Sightings:
                 f"line {lineno}: JSON nested too deeply") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
-    return Sightings(*map(list, zip(*rows)))
+    return Sightings.of_rows(rows)

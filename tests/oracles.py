@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 
-from pvpipeline.dedup import DefectEvent, convex_hull
+from pvpipeline.dedup import DefectEvent, Sightings, convex_hull
+from pvpipeline.detector import Detection
 from pvpipeline.fusion import encode
 from pvpipeline.geodesy import (MAX_TANGENT_RANGE_M, MEAN_EARTH_RADIUS_M,
-                                GeodesyError, GeoPoint, GeoPolygon,
+                                GeodesyError, GeoPoint, checked_ring,
                                 haversine, plane_centroid)
-from pvpipeline.geoprojection import ProjectedDetection
 from pvpipeline.telemetry import (TelemetryError, _bbox, _field, _lat_lon,
                                   _list, _number, _object, _string)
 
@@ -21,37 +21,42 @@ def haversine_distance(a, b) -> float:
     return haversine(a.lat, a.lon, b.lat, b.lon)
 
 
-def parse_detection_record_lines_objects(data: bytes) -> list:
-    """parse_detection_record_lines in object form: a ProjectedDetection,
-    its GeoPolygon and GeoPoints per line, each held to its own
-    __post_init__ checks in argument order. Lines end at "\\n" only."""
+def parse_detection_record_lines_objects(data: bytes) -> Sightings:
+    """parse_detection_record_lines in object form: per line, the box,
+    class, confidence and temperature types, a GeoPoint per vertex, then
+    checked_ring, the centroid GeoPoint and the strings, and last a
+    Detection, each held to its own checks in that order. Lines end at
+    "\\n" only."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"input is not UTF-8: {exc}") from exc
-    out = []
+    rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             obj = _object(json.loads(line), "record")
             media = _object(obj.get("media", {}), "media")
-            out.append(ProjectedDetection(
-                *_field(obj, "bbox", _bbox),
-                class_id=_field(obj, "class", _string),
-                confidence=_field(obj, "conf", _number),
-                peak_temp_c=_field(obj, "temp_C", _number),
-                polygon=GeoPolygon(tuple(
-                    GeoPoint(*_lat_lon(p, "polygon_wgs84"))
-                    for p in _field(obj, "polygon_wgs84", _list))),
-                centroid=GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon)),
-                frame_id=_string(obj.get("frame_id", ""), "frame_id"),
-                timestamp=_string(obj.get("timestamp", ""), "timestamp"),
-                media_rgb=_string(media.get("rgb", ""), "media.rgb"),
-                media_tiff=_string(media.get("tiff", ""), "media.tiff")))
+            box = _field(obj, "bbox", _bbox)
+            class_id = _field(obj, "class", _string)
+            conf = _field(obj, "conf", _number)
+            temp = _field(obj, "temp_C", _number)
+            polygon = checked_ring(
+                GeoPoint(*_lat_lon(p, "polygon_wgs84"))
+                for p in _field(obj, "polygon_wgs84", _list))
+            centroid = GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon))
+            strings = (_string(obj.get("frame_id", ""), "frame_id"),
+                       _string(obj.get("timestamp", ""), "timestamp"),
+                       _string(media.get("rgb", ""), "media.rgb"),
+                       _string(media.get("tiff", ""), "media.tiff"))
+            Detection(*box, class_id, conf, temp)
+            rows.append((box, class_id, conf, temp,
+                         tuple((v.lat, v.lon) for v in polygon),
+                         centroid.lat, centroid.lon, *strings))
         except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
-    return out
+    return Sightings.of_rows(rows)
 
 
 def axis_angle_matrix(aa) -> np.ndarray:
@@ -112,37 +117,39 @@ def enu_point(origin, east, north):
     return GeoPoint(lat=lat, lon=lon)
 
 
-def polygon_centroid_objects(poly):
-    """polygon_centroid through enu_offset per vertex and enu_point back."""
-    anchor = poly.vertices[0]
-    x, y = plane_centroid([enu_offset(anchor, v) for v in poly.vertices])
+def polygon_centroid_objects(vertices):
+    """polygon_centroid of a ring of GeoPoints, through enu_offset per
+    vertex and enu_point back."""
+    anchor = vertices[0]
+    x, y = plane_centroid([enu_offset(anchor, v) for v in vertices])
     return enu_point(anchor, x, y)
 
 
 def merge_cluster_objects(members, member_ids, event_id):
     """merge_cluster through enu_offset per member vertex, then enu_point
-    per hull vertex and for the hull's centroid, over ProjectedDetections
-    ``members``, one per member id."""
-    anchor = members[0].polygon.vertices[0]
-    points = [enu_offset(anchor, v)
-              for det in members for v in det.polygon.vertices]
+    per hull vertex and for the hull's centroid, over the Sightings rows
+    ``members``, one per member id, each polygon vertex read as a
+    GeoPoint."""
+    table = Sightings.of_rows(members)
+    polygons = [[GeoPoint(*v) for v in ring] for ring in table.polygon]
+    anchor = polygons[0][0]
+    points = [enu_offset(anchor, v) for ring in polygons for v in ring]
     hull = convex_hull(points)
-    best = max(members, key=lambda d: d.confidence)
+    best = max(range(len(members)), key=table.confidence.__getitem__)
     if len(hull) < 3:
-        hull_poly = best.polygon
+        hull_poly = polygons[best]
         centroid = polygon_centroid_objects(hull_poly)
     else:
-        hull_poly = GeoPolygon(vertices=tuple(
-            enu_point(anchor, x, y) for x, y in hull))
+        hull_poly = checked_ring(enu_point(anchor, x, y) for x, y in hull)
         centroid = enu_point(anchor, *plane_centroid(hull))
     return DefectEvent(
-        id=event_id, class_id=best.class_id,
-        confidence=max(d.confidence for d in members),
-        peak_temp_c=max(d.peak_temp_c for d in members),
+        id=event_id, class_id=table.class_id[best],
+        confidence=max(table.confidence),
+        peak_temp_c=max(table.peak_temp_c),
         centroid=centroid,
-        polygon=tuple((v.lat, v.lon) for v in hull_poly.vertices),
+        polygon=tuple((v.lat, v.lon) for v in hull_poly),
         member_ids=tuple(member_ids),
-        media_rgb=best.media_rgb, media_tiff=best.media_tiff)
+        media_rgb=table.media_rgb[best], media_tiff=table.media_tiff[best])
 
 
 def maybe_in_view(defects, pose, rot, intr) -> list:

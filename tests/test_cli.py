@@ -16,7 +16,6 @@ from oracles import parse_detection_record_lines_objects
 
 from pvpipeline.cli import MAX_FUSE_DIM, main
 from pvpipeline.config import ConfigError, config_from_dict, load_config
-from pvpipeline.dedup import Sightings
 from pvpipeline.simulator import MissionConfig
 from pvpipeline.telemetry import TelemetryError, parse_detection_record_lines
 
@@ -295,6 +294,16 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     ({"flight": {"altitude": 1e-3}}, [], "$.flight:", "1116151785 frames"),
     ({"camera": {"width": 100000, "height": 100000}}, [], "$.flight:",
      "frame-pixels"),
+    # and so are the frames: a 1e6 px focal length plans 214284 or 125010
+    # frames, which pass the frame-pixel bound
+    ({"camera": {"fx": 1e6}}, [], "$.flight:", "214284 frames"),
+    ({"camera": {"fy": 1e6}}, [], "$.flight:", "125010 frames"),
+    # a principal point whose pixel rays square past the float range, once
+    # clutter is there to project or re-acquire
+    ({"camera": {"cx": 1e200}, "noise": {"clutter_rate": 1.0}}, [],
+     "$.camera.cx", "float range"),
+    ({"camera": {"cy": -1e200}, "noise": {"clutter_rate": 1.0},
+      "reacquisition": {"tau_ra": 0.95}}, [], "$.camera.cy", "float range"),
     # so are the clutter detections: the default plant's 24 frames at these
     # rates expect past 2**20
     ({"noise": {"clutter_rate": 1e300}}, [], "$.noise.clutter_rate:",
@@ -368,7 +377,8 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "count-above-modules", "elevation", "fx-1e-10",
         "fx-1e-300", "fx-1e-320", "origin-north-pole", "origin-south-pole",
         "rows-past-100km", "speed-1e-12", "speed-past-year-9999",
-        "altitude-1e-3", "raster-1e5x1e5", "clutter_rate-1e300",
+        "altitude-1e-3", "raster-1e5x1e5", "fx-1e6", "fy-1e6", "cx-1e200",
+        "cy--1e200-reacquired", "clutter_rate-1e300",
         "clutter_rate-1e6", "clutter_rate-300", "clutter_rate-1000",
         "clutter_rate-2000", "site_id-surrogate", "uav-surrogate",
         "default_class", "enabled", "psf_px-negative", "exposure_s--0.25",
@@ -688,7 +698,8 @@ def test_dedup_reads_a_line_separator_inside_a_string(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     assert json.loads(out.read_bytes())[0]["media"]["rgb"] == \
         record["media"]["rgb"]
-    assert parse_detection_record_lines(raw) == _parse_objects(raw)
+    assert parse_detection_record_lines(raw) == \
+        parse_detection_record_lines_objects(raw)
 
 
 def _key_paths(obj, path=()):
@@ -747,10 +758,6 @@ def _parse_outcome(parse, data: bytes) -> str:
         return f"error: {exc}"
 
 
-def _parse_objects(data: bytes):
-    return Sightings.of(parse_detection_record_lines_objects(data))
-
-
 @settings(max_examples=200)
 @given(data=st.data())
 def test_column_parser_matches_the_object_parser(data):
@@ -761,7 +768,7 @@ def test_column_parser_matches_the_object_parser(data):
     lines = _mutated_golden_lines(data, least=0)
     raw = ("\n".join(lines) + "\n").encode("utf-8")
     assert _parse_outcome(parse_detection_record_lines, raw) == \
-        _parse_outcome(_parse_objects, raw)
+        _parse_outcome(parse_detection_record_lines_objects, raw)
 
 
 def test_dedup_cli_malformed_input_names_line(tmp_path):
@@ -940,10 +947,14 @@ def test_export_kml_missing_report_exits_1(tmp_path):
      "detections[0].id: expected a non-empty string"),
     (_set(["detections", 0, "polygon_wgs84"], [[49.4, 26.9], [49.5, 26.9]]),
      "detections[0].polygon_wgs84: expected at least 3 vertices"),
+    (_set(["detections", 0, "polygon_wgs84", 0], [95.0, 26.9]),
+     "detections[0].polygon_wgs84: latitude out of range: 95.0"),
+    (_set(["detections", 0, "polygon_wgs84", 0], [-1e300, 26.9]),
+     "detections[0].polygon_wgs84: latitude out of range: -1e+300"),
 ], ids=["root-list", "detections-object", "media-list", "vertex-short",
         "conf-string", "temp-huge-int", "id-number", "ts-number",
         "uav-missing", "id-surrogate", "centroid-lat-past-90", "id-empty",
-        "polygon-2-vertices"])
+        "polygon-2-vertices", "vertex-lat-95", "vertex-lat--1e300"])
 def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))

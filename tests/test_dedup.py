@@ -7,9 +7,7 @@ from oracles import enu_offset, haversine_distance, merge_cluster_objects
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
                               convex_hull, dbscan_labels, deduplicate,
                               dup_fp_rate, duplicate_rate, merge_cluster)
-from pvpipeline.geodesy import (GeoPoint, GeoPolygon, point_columns,
-                                tangent_point)
-from pvpipeline.geoprojection import ProjectedDetection
+from pvpipeline.geodesy import GeoPoint, point_columns, tangent_point
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
@@ -18,18 +16,22 @@ def _pt(east, north, origin=ORIGIN):
     return GeoPoint(*tangent_point(origin.lat, origin.lon, east, north))
 
 
+def _sighting(verts, centroid, class_id, conf, temp, box=(0, 0, 2, 2),
+              media_rgb="", media_tiff=""):
+    """The Sightings row of a footprint with GeoPoint vertices ``verts``
+    and GeoPoint ``centroid``."""
+    return (box, class_id, conf, temp, tuple((v.lat, v.lon) for v in verts),
+            centroid.lat, centroid.lon, "f", "2025-09-30T10:00:00Z",
+            media_rgb, media_tiff)
+
+
 def _proj(east, north, class_id="hotspot", conf=0.8, temp=40.0, half=0.2,
           media="a.jpg"):
-    verts = tuple(_pt(east + dx, north + dy)
-                  for dx, dy in ((-half, -half), (half, -half),
-                                 (half, half), (-half, half)))
-    return ProjectedDetection(x_min=0, y_min=0, x_max=2, y_max=2,
-                              class_id=class_id, confidence=conf,
-                              peak_temp_c=temp,
-                              polygon=GeoPolygon(vertices=verts),
-                              centroid=_pt(east, north), frame_id="f",
-                              timestamp="2025-09-30T10:00:00Z",
-                              media_rgb=media, media_tiff=media + ".tiff")
+    verts = [_pt(east + dx, north + dy)
+             for dx, dy in ((-half, -half), (half, -half),
+                            (half, half), (-half, half))]
+    return _sighting(verts, _pt(east, north), class_id, conf, temp,
+                     media_rgb=media, media_tiff=media + ".tiff")
 
 
 def _components_oracle(points, epsilon):
@@ -121,8 +123,8 @@ def test_deduplicate_merges_near_duplicates():
         _proj(-0.2, 0.2, conf=0.8, temp=43.5),
         _proj(8.0, 8.0, conf=0.6, temp=38.0),
     ]
-    events = deduplicate(Sightings.of(dets),
-                         DbscanParams(epsilon=1.0, min_pts=2))
+    table = Sightings.of_rows(dets)
+    events = deduplicate(table, DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert [e.id for e in events] == ["clu_000", "clu_001"]
     merged = min(events, key=lambda e: haversine_distance(e.centroid, ORIGIN))
@@ -132,13 +134,14 @@ def test_deduplicate_merges_near_duplicates():
     assert merged.media_rgb == "b.jpg"  # best-confidence member's media
     # The merged hull must contain every member centroid.
     for i in (0, 1, 2):
-        assert haversine_distance(merged.centroid, dets[i].centroid) < 1.0
+        assert haversine_distance(
+            merged.centroid, GeoPoint(table.lat[i], table.lon[i])) < 1.0
 
 
 def test_deduplicate_partitions_by_class():
     dets = [_proj(0.0, 0.0, class_id="hotspot"),
             _proj(0.1, 0.0, class_id="diode_fault")]
-    events = deduplicate(Sightings.of(dets),
+    events = deduplicate(Sightings.of_rows(dets),
                          DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert sorted(e.class_id for e in events) == ["diode_fault", "hotspot"]
@@ -148,10 +151,10 @@ def test_deduplicate_order_invariant_output():
     rng = np.random.default_rng(2)
     dets = [_proj(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
                   conf=float(rng.uniform(0.3, 0.95))) for _ in range(12)]
-    base = deduplicate(Sightings.of(dets))
+    base = deduplicate(Sightings.of_rows(dets))
     for _ in range(5):
         perm = list(rng.permutation(len(dets)))
-        events = deduplicate(Sightings.of([dets[i] for i in perm]))
+        events = deduplicate(Sightings.of_rows([dets[i] for i in perm]))
         assert len(events) == len(base)
         for got, want in zip(events, base):
             assert got.id == want.id
@@ -164,17 +167,13 @@ def test_merge_cluster_collinear_fallback():
     # Degenerate members whose vertices all lie on one line keep the best
     # member's polygon instead of a hull.
     def line_proj(shift, conf):
-        verts = tuple(_pt(x + shift, 0.0) for x in (-0.2, -0.1, 0.1, 0.2))
-        return ProjectedDetection(x_min=0, y_min=0, x_max=1, y_max=1,
-                                  class_id="hotspot", confidence=conf,
-                                  peak_temp_c=40.0,
-                                  polygon=GeoPolygon(vertices=verts),
-                                  centroid=_pt(shift, 0.0), frame_id="f",
-                                  timestamp="2025-09-30T10:00:00Z")
+        verts = [_pt(x + shift, 0.0) for x in (-0.2, -0.1, 0.1, 0.2)]
+        return _sighting(verts, _pt(shift, 0.0), "hotspot", conf, 40.0,
+                         box=(0, 0, 1, 1))
 
-    a, b = line_proj(0.0, 0.5), line_proj(0.05, 0.9)
-    event = merge_cluster(Sightings.of([a, b]), [0, 1], "clu_000")
-    assert event.polygon == tuple((v.lat, v.lon) for v in b.polygon.vertices)
+    table = Sightings.of_rows([line_proj(0.0, 0.5), line_proj(0.05, 0.9)])
+    event = merge_cluster(table, [0, 1], "clu_000")
+    assert event.polygon == table.polygon[1]
 
 
 # Plants the merge oracle draws clusters at: a mid-latitude survey site,
@@ -210,16 +209,12 @@ def _random_cluster(rng, origin, collinear, spread=40.0):
             half = rng.uniform(0.1, 0.3)
             offsets = [(-half, -half), (half, -half), (half, half),
                        (-half, half)]
-        verts = tuple(_pt(cx + dx, cy + dy, origin) for dx, dy in offsets)
-        members.append(ProjectedDetection(
-            x_min=0, y_min=0, x_max=2, y_max=2,
-            class_id=str(rng.choice(["hotspot", "soiling"])),
-            confidence=float(rng.uniform(0.5, 1.0)),
-            peak_temp_c=float(rng.uniform(30.0, 45.0)),
-            polygon=GeoPolygon(vertices=verts),
-            centroid=_pt(cx, cy, origin),
-            frame_id="f", timestamp="2025-09-30T10:00:00Z",
-            media_rgb=f"m{len(members)}.jpg", media_tiff=""))
+        verts = [_pt(cx + dx, cy + dy, origin) for dx, dy in offsets]
+        class_id = str(rng.choice(["hotspot", "soiling"]))
+        conf = float(rng.uniform(0.5, 1.0))
+        temp = float(rng.uniform(30.0, 45.0))
+        members.append(_sighting(verts, _pt(cx, cy, origin), class_id, conf,
+                                 temp, media_rgb=f"m{len(members)}.jpg"))
     return members
 
 
@@ -234,12 +229,14 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         members = _random_cluster(rng, origin, collinear=k % 4 == 0,
                                   spread=1.0)
         ids = list(range(len(members)))
-        got = merge_cluster(Sightings.of(members), ids, f"clu_{k:03d}")
+        table = Sightings.of_rows(members)
+        got = merge_cluster(table, ids, f"clu_{k:03d}")
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
-        anchor = members[0].polygon.vertices[0]
-        degenerate += len(convex_hull([enu_offset(anchor, v) for d in members
-                                       for v in d.polygon.vertices])) < 3
+        anchor = GeoPoint(*table.polygon[0][0])
+        degenerate += len(convex_hull([enu_offset(anchor, GeoPoint(*v))
+                                       for ring in table.polygon
+                                       for v in ring])) < 3
     assert degenerate >= 10  # the collinear fallback was exercised
 
 
@@ -251,7 +248,7 @@ def test_deduplicate_events_match_object_form_oracle(plant):
                   for d in _random_cluster(rng, origin, collinear=k % 4 == 0)]
     order = rng.permutation(len(detections))
     detections = [detections[i] for i in order]
-    events = deduplicate(Sightings.of(detections),
+    events = deduplicate(Sightings.of_rows(detections),
                          DbscanParams(epsilon=1.0, min_pts=2))
     assert [e.id for e in events] == [f"clu_{r:03d}"
                                       for r in range(len(events))]
@@ -267,13 +264,19 @@ def test_deduplicate_events_match_object_form_oracle(plant):
 # Duplicate false-positive rate
 # ---------------------------------------------------------------------------
 
-# Ground truth as dup_fp_rate reads it: a position and a class.
+# Ground truth and items as dup_fp_rate reads them: a position and a
+# class, and a centroid and a class.
 _GroundTruth = namedtuple("_GroundTruth", "position class_id")
+_Item = namedtuple("_Item", "centroid class_id")
+
+
+def _item(east, north, class_id="hotspot"):
+    return _Item(_pt(east, north), class_id)
 
 
 def test_dup_fp_rate_hand_cases():
     gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
-    items = [_proj(0.1, 0.0), _proj(-0.1, 0.1), _proj(0.0, -0.2)]
+    items = [_item(0.1, 0.0), _item(-0.1, 0.1), _item(0.0, -0.2)]
     # Three detections of one defect: two duplicates among three items.
     assert dup_fp_rate(items, gt, 1.0) == pytest.approx(2.0 / 3.0)
     assert dup_fp_rate(items[:1], gt, 1.0) == 0.0
@@ -286,14 +289,14 @@ def test_dup_fp_rate_hand_cases():
 
 def test_dup_fp_rate_unmatched_and_denominator():
     gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
-    items = [_proj(0.1, 0.0), _proj(0.0, 0.1), _proj(50.0, 50.0)]
+    items = [_item(0.1, 0.0), _item(0.0, 0.1), _item(50.0, 50.0)]
     # One duplicate out of three items: the unmatched one counts too.
     assert dup_fp_rate(items, gt, 1.0) == pytest.approx(1 / 3)
 
 
 def test_dup_fp_rate_class_awareness():
-    items = [_proj(0.1, 0.0, class_id="diode_fault"),
-             _proj(0.0, 0.1, class_id="diode_fault")]
+    items = [_item(0.1, 0.0, class_id="diode_fault"),
+             _item(0.0, 0.1, class_id="diode_fault")]
     other = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     same = [_GroundTruth(position=_pt(0.0, 0.0), class_id="diode_fault")]
     assert dup_fp_rate(items, other, 1.0) == 0.0

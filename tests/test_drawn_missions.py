@@ -5,8 +5,10 @@ keyed with a seed of more than one 32-bit word), a plant of at most 12x12
 modules, its origin (near the antimeridian and at high latitude among
 them), the noise, re-acquisition and dedup settings, and runs `simulate` in
 process with one and with two frame workers (set by patching
-`simulator._usable_cpus`, as in tests/test_frame_ranges.py). The offline
-`dedup` and `export-kml` must then rewrite the report's bytes.
+`simulator._usable_cpus`, as in tests/test_frame_ranges.py). The project
+stage's sightings table must equal the one parsed from its
+detections.jsonl, and the offline `dedup` and `export-kml` must rewrite
+the report's bytes.
 """
 
 import json
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvpipeline import cli, simulator
+from pvpipeline.telemetry import parse_detection_record_lines
 
 OUTPUTS = ("report.json", "report.kml", "metrics.csv", "detections.jsonl",
            "summary.txt")
@@ -50,10 +53,25 @@ def _simulate(config: dict, tmp: pathlib.Path, workers: int) -> dict:
     path = tmp / "config.json"
     path.write_text(json.dumps(config))
     out = tmp / f"out-{workers}"
-    with mock.patch.object(simulator, "_usable_cpus", lambda: workers):
+    run_mission, traces = simulator.run_mission, []
+
+    def traced(mission):
+        trace, report = run_mission(mission)
+        traces.append(trace)
+        return trace, report
+
+    with mock.patch.object(simulator, "_usable_cpus", lambda: workers), \
+            mock.patch.object(simulator, "run_mission", traced):
         code = cli.main(["simulate", "--config", str(path), "--out",
                          str(out)])
     assert code == cli.EXIT_OK
+    # The two producers of Sightings rows, the project stage and the
+    # parser, agree value for value, type included (the repr tells an int
+    # from a float).
+    (trace,) = traces
+    parsed = parse_detection_record_lines(trace.detection_lines)
+    assert parsed == trace.accepted
+    assert repr(parsed) == repr(trace.accepted)
     with pytest.raises(ChildProcessError):  # no frame worker is left
         os.waitpid(-1, os.WNOHANG)
     return {name: (out / name).read_bytes() for name in OUTPUTS}

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from oracles import (enu_offset, enu_point, haversine_distance,
                      polygon_centroid_objects)
 
-from pvpipeline.geodesy import (GeodesyError, GeoPoint, GeoPolygon,
-                                MEAN_EARTH_RADIUS_M, polygon_centroid,
+from pvpipeline.geodesy import (GeodesyError, GeoPoint, MEAN_EARTH_RADIUS_M,
+                                checked_ring, polygon_centroid,
                                 tangent_offsets, tangent_point)
 
 R = MEAN_EARTH_RADIUS_M
@@ -147,7 +147,7 @@ def test_tangent_plane_float_helpers_match_object_forms():
                 (want[0].hex(), want[1].hex())
             points.append(p)
         c = polygon_centroid([(p.lat, p.lon) for p in points])
-        want = polygon_centroid_objects(GeoPolygon(vertices=tuple(points)))
+        want = polygon_centroid_objects(points)
         assert (c.lat.hex(), c.lon.hex()) == (want.lat.hex(), want.lon.hex())
 
 
@@ -210,6 +210,6 @@ def test_polygon_requires_three_distinct_vertices():
     p = GeoPoint(lat=0.0, lon=0.0)
     q = GeoPoint(lat=0.0, lon=0.001)
     with pytest.raises(GeodesyError):
-        GeoPolygon(vertices=(p, q))
+        checked_ring([p, q])
     with pytest.raises(GeodesyError):
-        GeoPolygon(vertices=(p, p, q))
+        checked_ring([p, p, q])

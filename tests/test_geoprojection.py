@@ -5,6 +5,7 @@ import pytest
 
 from oracles import haversine_distance
 
+from pvpipeline.dedup import Sightings
 from pvpipeline.detector import Detection
 from pvpipeline.geodesy import GeoPoint, tangent_offsets
 from pvpipeline.geoprojection import (CameraView, ProjectionError,
@@ -111,20 +112,20 @@ def test_camera_rotation_is_orthonormal():
 def test_project_detection_polygon_and_centroid():
     det = Detection(x_min=30.0, y_min=22.0, x_max=50.0, y_max=42.0,
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
-    proj = project_detection(det, CameraView(
+    proj = Sightings.of_rows([project_detection(det, CameraView(
         intr=INTR, ground=ORIGIN, height=10.0,
         rot=camera_to_world_rotation(NADIR), frame_id="f1",
         timestamp="2025-09-30T10:00:00Z", media_rgb="f1.jpg",
-        media_tiff="f1.tiff"))
-    assert len(proj.polygon.vertices) == 4
+        media_tiff="f1.tiff"))])
+    assert len(proj.polygon[0]) == 4
     # The bbox center (40, 32) sits (0.5, 0.5) px from the principal point.
-    east, north = _enu(proj.centroid)
+    east, north = _enu(GeoPoint(proj.lat[0], proj.lon[0]))
     assert east == pytest.approx(10.0 * 0.5 / INTR.fx, rel=1e-6)
     assert north == pytest.approx(-10.0 * 0.5 / INTR.fy, rel=1e-6)
     # 20 px at 10 m altitude and f=100 is a 2 m ground span.
-    d = haversine_distance(proj.polygon.vertices[0], proj.polygon.vertices[1])
+    d = haversine_distance(*(GeoPoint(*v) for v in proj.polygon[0][:2]))
     assert d == pytest.approx(2.0, rel=1e-6)
-    assert proj.media_rgb == "f1.jpg"
+    assert proj.media_rgb == ["f1.jpg"]
 
 
 def test_project_detection_takes_the_views_rotation(monkeypatch):
@@ -143,10 +144,10 @@ def test_project_detection_takes_the_views_rotation(monkeypatch):
     monkeypatch.setattr(geoprojection, "camera_to_world_rotation", counted)
     det = Detection(x_min=30.0, y_min=22.0, x_max=50.0, y_max=42.0,
                     class_id="hotspot", confidence=0.8, peak_temp_c=40.0)
-    proj = project_detection(det, view)
+    proj = Sightings.of_rows([project_detection(det, view)])
     assert calls == []
     assert pixel_to_ground(30.0, 22.0, INTR, ORIGIN, 10.0, NADIR) == \
-        proj.polygon.vertices[0]
+        GeoPoint(*proj.polygon[0][0])
     assert calls == [(NADIR,)]
 
 

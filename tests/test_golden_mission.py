@@ -18,7 +18,6 @@ import pytest
 from oracles import parse_detection_record_lines_objects
 
 from pvpipeline import cli
-from pvpipeline.dedup import Sightings
 from pvpipeline.telemetry import detection_record_lines, \
     parse_detection_record_lines
 
@@ -77,7 +76,7 @@ def test_golden_sightings_parse_as_the_object_parser_does(name):
     # type included (the repr tells an int from a float).
     data = (GOLDEN / name / "detections.jsonl").read_bytes()
     assert repr(parse_detection_record_lines(data)) == \
-        repr(Sightings.of(parse_detection_record_lines_objects(data)))
+        repr(parse_detection_record_lines_objects(data))
 
 
 def _bench_sightings():

@@ -7,8 +7,7 @@ from dataclasses import replace
 import pytest
 
 from pvpipeline.dedup import DefectEvent, Sightings
-from pvpipeline.geodesy import GeoPoint, GeoPolygon
-from pvpipeline.geoprojection import ProjectedDetection
+from pvpipeline.geodesy import GeoPoint
 from pvpipeline.telemetry import (MissionReport, TelemetryError,
                                   detection_record_lines,
                                   parse_detection_record_lines, parse_report,
@@ -184,22 +183,14 @@ def test_file_sink_atomic_write(tmp_path):
 
 
 def _projected(lat=49.4071, lon=26.9842):
-    poly = GeoPolygon(vertices=(
-        GeoPoint(lat=lat - 1e-5, lon=lon - 1e-5),
-        GeoPoint(lat=lat - 1e-5, lon=lon + 1e-5),
-        GeoPoint(lat=lat + 1e-5, lon=lon + 1e-5),
-        GeoPoint(lat=lat + 1e-5, lon=lon - 1e-5)))
-    return ProjectedDetection(x_min=1.0, y_min=2.0, x_max=5.0, y_max=6.0,
-                              class_id="hotspot", confidence=0.83,
-                              peak_temp_c=47.5, polygon=poly,
-                              centroid=GeoPoint(lat=lat, lon=lon),
-                              frame_id="f0003",
-                              timestamp="2025-09-30T10:00:07Z",
-                              media_rgb="f0003.jpg", media_tiff="f0003.tiff")
+    ring = ((lat - 1e-5, lon - 1e-5), (lat - 1e-5, lon + 1e-5),
+            (lat + 1e-5, lon + 1e-5), (lat + 1e-5, lon - 1e-5))
+    return ((1.0, 2.0, 5.0, 6.0), "hotspot", 0.83, 47.5, ring, lat, lon,
+            "f0003", "2025-09-30T10:00:07Z", "f0003.jpg", "f0003.tiff")
 
 
 def test_detection_record_lines_round_trip():
-    items = Sightings.of([_projected(), _projected(lat=49.4075)])
+    items = Sightings.of_rows([_projected(), _projected(lat=49.4075)])
     data = detection_record_lines(items)
     assert data.endswith(b"\n")
     parsed = parse_detection_record_lines(data)
@@ -225,7 +216,7 @@ def test_parse_detection_record_lines_defaults_missing_ids_to_empty():
 
 def test_parse_detection_record_lines_reports_line_numbers():
     good = detection_record_lines(
-        Sightings.of([_projected()])).decode().strip()
+        Sightings.of_rows([_projected()])).decode().strip()
     data = (good + "\n" + '{"class": "hotspot"}' + "\n").encode()
     with pytest.raises(TelemetryError, match="line 2"):
         parse_detection_record_lines(data)
