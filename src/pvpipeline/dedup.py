@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
-from .geodesy import (GeoPoint, checked_point, neighbours_within,
+from .geodesy import (GeoPoint, checked_point, haversine, neighbours_within,
                       plane_centroid, point_columns, polygon_centroid,
-                      tangent_offsets, tangent_point)
+                      radius_groups, tangent_offsets, tangent_point)
 
 NOISE = -1
 
@@ -81,42 +82,75 @@ class DefectEvent:
 def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
     """Standard DBSCAN over columns ``lat``, ``lon``, haversine distances.
 
-    Labels are cluster indices (contiguous from 0) or NOISE. Core-point
-    expansion proceeds in input order, so labels are deterministic.
+    Labels are cluster indices (contiguous from 0) or NOISE, by the rule
+    that input-order core-point expansion follows:
+    - a point is core when at least ``min_pts`` points, itself included,
+      lie within epsilon;
+    - the core components are unions over core-core pairs within epsilon;
+    - clusters are numbered in order of each component's smallest core
+      index;
+    - a non-core point takes the lowest-numbered cluster among its core
+      neighbours, or NOISE.
 
-    Epsilon-neighbourhoods come from the grid index of
-    :func:`geodesy.neighbours_within`: one haversine per pair in adjacent
-    epsilon-sized cells, O(n + neighbour pairs) memory, in place of the
-    n x n distance matrix. Each list is ascending and holds the point
-    itself, so the labels equal those of the brute-force O(n^2) version,
-    which the tests keep as the oracle.
+    The points come in the groups of :func:`geodesy.radius_groups`, whose
+    members are within epsilon of each other. A group of ``min_pts`` or
+    more is all core with no distance computed; a point of a smaller one
+    counts its neighbours in the groups near it, up to ``min_pts``. A
+    group's cores are one component, and two groups' components join at
+    the first core pair within epsilon unless already joined. Memory is
+    O(n): no neighbour list is stored. Every distance is haversine(lower
+    index, higher index), so the labels equal those of the brute-force
+    O(n^2) version, which the tests keep as the oracle.
     """
-    n = len(lat)
-    neighbors = [[j for j, _ in found]
-                 for found in neighbours_within(lat, lon, epsilon)]
+    groups, near = radius_groups(lat, lon, epsilon)
 
-    labels = [None] * n
-    cluster = 0
-    for i in range(n):
-        if labels[i] is not None:
-            continue
-        if len(neighbors[i]) < min_pts:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        queue = list(neighbors[i])
-        k = 0
-        while k < len(queue):
-            j = queue[k]
-            k += 1
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point
-            if labels[j] is not None:
-                continue
-            labels[j] = cluster
-            if len(neighbors[j]) >= min_pts:
-                queue.extend(neighbors[j])
-        cluster += 1
+    def within(i, j):
+        if i > j:
+            i, j = j, i
+        return haversine(lat[i], lon[i], lat[j], lon[j]) <= epsilon
+
+    def is_core(i, g, need):
+        hits = (j for h in near(g) for j in groups[h] if within(i, j))
+        return len(list(islice(hits, need))) == need
+
+    cores = [members if len(members) >= min_pts else
+             [i for i in members if is_core(i, g, min_pts - len(members))]
+             for g, members in enumerate(groups)]
+    parent = list(range(len(groups)))
+
+    def find(g):
+        while parent[g] != g:
+            parent[g] = g = parent[parent[g]]
+        return g
+
+    for g, mine in enumerate(cores):
+        if mine:
+            for h in near(g):
+                theirs = cores[h]
+                if h > g and theirs:
+                    a, b = find(g), find(h)
+                    if a != b and any(within(i, j)
+                                      for i in mine for j in theirs):
+                        parent[b] = a
+
+    # Number the components in order of their smallest core index.
+    number = {}
+    cluster = [NOISE] * len(groups)
+    for _, g in sorted((mine[0], g) for g, mine in enumerate(cores) if mine):
+        cluster[g] = number.setdefault(find(g), len(number))
+
+    labels = [NOISE] * len(lat)
+    for g, members in enumerate(groups):
+        own = cluster[g]  # a group's cores are within epsilon of its points
+        for i in cores[g]:
+            labels[i] = own
+        if len(cores[g]) < len(members):
+            lower = sorted((cluster[h], h) for h in near(g) if cores[h]
+                           and (own == NOISE or cluster[h] < own))
+            for i in members:
+                if i not in cores[g]:
+                    labels[i] = next((c for c, h in lower if any(
+                        within(i, j) for j in cores[h])), own)
     return labels
 
 

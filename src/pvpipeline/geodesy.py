@@ -1,6 +1,7 @@
 """Geodetic primitives: the WGS84 point and ring checks, local tangent-plane
-(ENU) conversion, great-circle (haversine) distance on floats and a
-grid-indexed radius search over latitude and longitude columns.
+(ENU) conversion, great-circle (haversine) distance on floats, a
+grid-indexed radius search over latitude and longitude columns and a
+grouping of points into sub-cells narrower than a radius.
 
 All polygon geometry at plant scale is done on a local equirectangular
 tangent plane; errors are negligible for sub-kilometer extents.
@@ -9,7 +10,6 @@ tangent plane; errors are negligible for sub-kilometer extents.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 # IUGG mean Earth radius, meters.
@@ -107,15 +107,12 @@ def _grid_cells(radius: float, max_abs_lat: float):
     return row, (ncols if ncols >= 3 else 1)
 
 
-def neighbours_within(lat, lon, radius: float, targets=None) -> list:
+def neighbours_within(lat, lon, radius: float, targets) -> list:
     """Every target within ``radius`` meters of each point.
 
     Points and ``targets`` are (lat, lon) columns. Returns one list per
     point of (index, distance) pairs in ascending index order, holding each
-    target with haversine(point, target) <= radius. With ``targets`` None
-    the points are searched against themselves: each list holds the point
-    itself at distance 0.0, and each pair i < j is evaluated once, as
-    haversine(point i, point j).
+    target with haversine(point, target) <= radius.
 
     Candidates come from a dict of cells: latitude rows by longitude
     columns, sized from the bounds every pair within the radius obeys,
@@ -131,8 +128,7 @@ def neighbours_within(lat, lon, radius: float, targets=None) -> list:
     """
     if not 0.0 <= radius < math.inf:
         raise GeodesyError("search radius must be finite and non-negative")
-    self_search = targets is None
-    t_lat, t_lon = (lat, lon) if self_search else targets
+    t_lat, t_lon = targets
     out = [[] for _ in lat]
     if not lat or not t_lat:
         return out
@@ -142,33 +138,116 @@ def neighbours_within(lat, lon, radius: float, targets=None) -> list:
     def cell(la, lo):
         return math.floor(la / row), math.floor((lo + 180.0) / col) % ncols
 
-    keys = list(map(cell, lat, lon))
     grid = {}
-    for j, key in enumerate(keys if self_search else map(cell, t_lat, t_lon)):
+    for j, key in enumerate(map(cell, t_lat, t_lon)):
         grid.setdefault(key, []).append(j)
     steps = (-1, 0, 1) if ncols > 1 else (0,)
     cands_of = {}
-    for i, (la, lo, key) in enumerate(zip(lat, lon, keys)):
+    for la, lo, key, found in zip(lat, lon, map(cell, lat, lon), out):
         cands = cands_of.get(key)
         if cands is None:
             r, c = key
             cands = cands_of[key] = sorted(
                 j for dr in (-1, 0, 1) for dc in steps
                 for j in grid.get((r + dr, (c + dc) % ncols), ()))
-        found = out[i]
-        if self_search:
-            found.append((i, 0.0))
-            for j in cands[bisect_right(cands, i):]:
-                d = haversine(la, lo, t_lat[j], t_lon[j])
-                if d <= radius:
-                    found.append((j, d))
-                    out[j].append((i, d))
-        else:
-            for j in cands:
-                d = haversine(la, lo, t_lat[j], t_lon[j])
-                if d <= radius:
-                    found.append((j, d))
+        for j in cands:
+            d = haversine(la, lo, t_lat[j], t_lon[j])
+            if d <= radius:
+                found.append((j, d))
     return out
+
+
+# Room left under hav(radius / R) by a sub-cell's bound, relative, for the
+# roundoff of haversine(); and the binning error of a coordinate, relative
+# to its magnitude plus 180 degrees.
+_SUB_CELL_MARGIN = 1e-9
+_BIN_ERROR_REL = 2.0 ** -50
+
+
+def _hav(degrees: float) -> float:
+    return math.sin(math.radians(degrees) / 2.0) ** 2
+
+
+def _sub_cell_split(radius: float, row: float, col: float,
+                    max_abs_lon: float):
+    """The smallest k for which any two points binned into one (row / k) by
+    (col / k) degree sub-cell are within ``radius``, or None when the
+    binning error is over a quarter of radius / R. Each side is widened by
+    that error; hav(d / R) = hav(dphi) + cos(phi1) cos(phi2) hav(dlmb) with
+    the cosines at most 1, so the test is hav(row / k) + hav(col / k) <=
+    hav(radius / R) (1 - margin)."""
+    reach = math.degrees(radius / MEAN_EARTH_RADIUS_M)
+    spread = (max_abs_lon + 180.0) * _BIN_ERROR_REL
+    if 4.0 * spread > reach:
+        return None
+    limit = _hav(reach) * (1.0 - _SUB_CELL_MARGIN)
+    # No smaller k passes, as hav(a) + hav(b) >= hav(hypot(a, b)); with the
+    # spread under a quarter of reach, one under about 1.6 times it does.
+    k = math.ceil(math.hypot(row, col) / reach)
+    while _hav(row / k + spread) + _hav(col / k + spread) > limit:
+        k += 1
+    return k
+
+
+def radius_groups(lat, lon, radius: float):
+    """Points of columns ``lat``, ``lon`` in groups whose members are all
+    within ``radius`` meters of each other, and a search for the groups
+    near one.
+
+    Returns (groups, near): groups are ascending lists of point indices, in
+    order of their first index; near(g) yields every other group that may
+    hold a point within ``radius`` of one of group g's.
+
+    The :func:`neighbours_within` cells are split k by k into sub-cells,
+    with the smallest k that puts any two points of one sub-cell within the
+    radius with room for roundoff (see :func:`_sub_cell_split`); each
+    occupied sub-cell is a group. A pair within the radius is at most k
+    sub-cells apart in either direction, so near(g) yields the groups of
+    the 3x3 cells around g's that are that close. Where the cells have a
+    single column (near a pole), or no k gives that room (a radius down at
+    the binning error), a group holds equal points only and near(g) yields
+    every other group of the 3x3 cells. Memory is O(n).
+    """
+    if not 0.0 < radius < math.inf:
+        raise GeodesyError("group radius must be positive and finite")
+    if not lat:
+        return [], lambda g: iter(())
+    row, ncols = _grid_cells(radius, max(map(abs, lat)))
+    col = 360.0 / ncols
+    split = (_sub_cell_split(radius, row, col, max(map(abs, lon)))
+             if ncols > 1 else None)
+    k = split or 1
+    sub_row, sub_col, total = row / k, col / k, ncols * k
+    # Sub-cell columns are not wrapped, so one never spans the antimeridian.
+    keys = [(math.floor(la / sub_row), math.floor((lo + 180.0) / sub_col))
+            for la, lo in zip(lat, lon)]
+    # Without a split, only equal points (at distance 0) share a group.
+    members = {}
+    for i, key in enumerate(keys if split else zip(lat, lon)):
+        members.setdefault(key, []).append(i)
+    groups = list(members.values())
+    keys = [keys[first] for first, *_ in groups]
+    cells = {}
+    for g, (r, c) in enumerate(keys):
+        cells.setdefault((r // k, c // k % ncols), []).append(g)
+    steps = (-1, 0, 1) if ncols > 1 else (0,)
+    rows, cols = [r for r, _ in keys], [c for _, c in keys]
+    cands_of = {}
+
+    def near(g):
+        r, c = rows[g], cols[g]
+        cell = r // k, c // k % ncols
+        cands = cands_of.get(cell)
+        if cands is None:
+            cr, cc = cell
+            cands = cands_of[cell] = [
+                h for dr in (-1, 0, 1) for dc in steps
+                for h in cells.get((cr + dr, (cc + dc) % ncols), ())]
+        # Within k rows and, around the circle of total columns, k columns.
+        return (h for h in cands if h != g and abs(rows[h] - r) <= k
+                and (cols[h] - c + k) % total <= 2 * k)
+
+    return groups, near
 
 
 def _reject_offset(east: float, north: float, message: str):

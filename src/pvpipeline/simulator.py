@@ -577,8 +577,14 @@ class MissionConfig:
                 f"defects.count: {self.defects.count} is more than the "
                 f"{n_modules} modules of the plant")
         for key in ("width", "height"):
-            if getattr(self.camera, key) < 1:
+            size = getattr(self.camera, key)
+            if size < 1:
                 raise SimulationError(f"camera.{key}: must be at least 1")
+            # A clutter box's corner is drawn from [2, size - 4] pixels.
+            if size < 6 and self.noise.clutter_rate > 0:
+                raise SimulationError(
+                    f"camera.{key}: {size} px leaves no room for clutter "
+                    f"boxes (noise.clutter_rate > 0), which need 6")
         if not self.match_radius_m > 0:
             raise SimulationError("match_radius_m: must be positive")
         # The survey area, the plant grown by half a nadir footprint on each

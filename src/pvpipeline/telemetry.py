@@ -161,13 +161,16 @@ def _field(obj: dict, key: str, check, where: str = ""):
 
 
 def _vertex(value, what: str) -> tuple:
-    """[lat, lon] held to the point check but kept as parsed, not wrapped,
-    so that a polygon vertex printed as 180.000000 prints so again."""
+    """[lat, lon] held to the point check and a longitude in [-180, 180],
+    but kept as parsed, not wrapped, so that a polygon vertex printed as
+    180.000000 prints so again."""
     lat, lon = _lat_lon(value, what)
     try:
         checked_point(lat, lon)
     except GeodesyError as exc:
         raise TelemetryError(f"{what}: {exc}") from None
+    if not -180.0 <= lon <= 180.0:
+        raise TelemetryError(f"{what}: longitude out of range: {lon}")
     return lat, lon
 
 
@@ -198,8 +201,9 @@ def _parse_record(d, where: str) -> DefectEvent:
 
 def parse_report(payload: bytes) -> MissionReport:
     """Inverse of to_json. Raises TelemetryError naming a field that is
-    missing, mistyped, a latitude past 90, an empty id or under 3 vertices,
-    or JSON nested past the interpreter's recursion limit."""
+    missing, mistyped, a latitude past 90, a longitude past 180, an empty
+    id or under 3 vertices, or JSON nested past the interpreter's recursion
+    limit."""
     try:
         obj = _object(json.loads(payload.decode("utf-8")), "report")
     except RecursionError:

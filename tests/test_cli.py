@@ -368,6 +368,11 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
      "1000000x64 frame has more than the 4194304 pixels"),
     ({"camera": {"height": 1000000}}, [], "$.camera.height",
      "80x1000000 frame has more than the 4194304 pixels"),
+    # a clutter box's corner is drawn from 2 to the size less 4 pixels
+    ({"camera": {"width": 5, "height": 5}, "noise": {"clutter_rate": 0.05}},
+     [], "$.camera.width", "clutter boxes"),
+    ({"camera": {"height": 5}, "noise": {"clutter_rate": 0.05}}, [],
+     "$.camera.height", "clutter boxes"),
 ], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
         "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
@@ -386,7 +391,7 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "small_sigma_m-1e300", "sigma_m-1e152-tilted-views",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules", "ambient_c-9e307", "ambient_c-1e308",
-        "width-1e6", "height-1e6"])
+        "width-1e6", "height-1e6", "width-5-clutter", "height-5-clutter"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"
@@ -682,6 +687,21 @@ def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     assert not out.exists()
 
 
+def test_dedup_of_4000_co_located_sightings_is_one_event(tmp_path, capsys):
+    # 4,000 copies of one sighting fill one DBSCAN sub-cell: all core, one
+    # cluster, with no neighbour list stored.
+    golden = (GOLDEN_DETECTIONS.parents[1] / "clutter_miss"
+              / "detections.jsonl")
+    line = golden.read_text(encoding="utf-8").splitlines()[0]
+    path = tmp_path / "in.jsonl"
+    path.write_text((line + "\n") * 4000, encoding="utf-8")
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(path), "--epsilon", "1.0",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert len(json.loads(out.read_bytes())) == 1
+
+
 def test_dedup_reads_a_line_separator_inside_a_string(tmp_path, capsys):
     # Records end at "\n" only: a raw U+2028 (or U+2029, U+0085) inside a
     # JSON string is part of the string, not a line break.
@@ -951,10 +971,13 @@ def test_export_kml_missing_report_exits_1(tmp_path):
      "detections[0].polygon_wgs84: latitude out of range: 95.0"),
     (_set(["detections", 0, "polygon_wgs84", 0], [-1e300, 26.9]),
      "detections[0].polygon_wgs84: latitude out of range: -1e+300"),
+    (_set(["detections", 0, "polygon_wgs84", 0], [49.4, 1e300]),
+     "detections[0].polygon_wgs84: longitude out of range: 1e+300"),
 ], ids=["root-list", "detections-object", "media-list", "vertex-short",
         "conf-string", "temp-huge-int", "id-number", "ts-number",
         "uav-missing", "id-surrogate", "centroid-lat-past-90", "id-empty",
-        "polygon-2-vertices", "vertex-lat-95", "vertex-lat--1e300"])
+        "polygon-2-vertices", "vertex-lat-95", "vertex-lat--1e300",
+        "vertex-lon-1e300"])
 def test_export_kml_malformed_report_exits_1(tmp_path, capsys, edit, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))

@@ -1,8 +1,9 @@
-"""Grid-indexed radius search against brute-force oracles.
+"""Grid-indexed radius search and DBSCAN against brute-force oracles.
 
-`geodesy.neighbours_within` and everything built on it (DBSCAN, ground-truth
-matching, the Dup-FP metric) must give exactly what an O(n * m) scan over
-every pair gives. The oracles below are those scans.
+`geodesy.neighbours_within` and everything built on it (ground-truth
+matching, the Dup-FP metric), and DBSCAN over `geodesy.radius_groups`, must
+give exactly what an O(n * m) scan over every pair gives. The oracles below
+are those scans.
 """
 
 import math
@@ -10,35 +11,21 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import haversine_distance
 
+from pvpipeline import dedup
 from pvpipeline.dedup import (NOISE, dbscan_labels, dup_fp_rate,
                               nearest_ground_truth)
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
-                                neighbours_within, point_columns)
+                                haversine, neighbours_within, point_columns,
+                                radius_groups)
 
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
-
-
-def _self_neighbours_oracle(points, epsilon):
-    """Each pair evaluated lower index first, as DBSCAN did with its n x n
-    matrix."""
-    n = len(points)
-    out = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i].append((i, 0.0))
-                continue
-            d = haversine_distance(points[min(i, j)], points[max(i, j)])
-            if d <= epsilon:
-                out[i].append((j, d))
-    return out
 
 
 def _cross_neighbours_oracle(queries, targets, radius):
@@ -174,20 +161,48 @@ def scenes(draw):
     return points, epsilon
 
 
+# Origins of the clumped scenes: a plant, the antimeridian (clumps straddle
+# it) and latitudes 89.95 N and S, where the sub-cells are over a thousand
+# times wider in degrees of longitude than of latitude.
+_ORIGINS = [(49.407, 26.984), (-33.9, 180.0), (89.95, 10.0), (-89.95, -170.0)]
+
+
+@st.composite
+def clumped_scenes(draw):
+    """(points, epsilon): up to 6 clumps of up to 12 points each, every
+    clump within a square of side 0 to 2 m around a centre up to 2 epsilon
+    from the origin, shuffled. Clumps fill sub-cells past min_pts, join
+    across sub-cells, and leave border points between two clusters."""
+    lat0, lon0 = draw(st.sampled_from(_ORIGINS))
+    epsilon = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        east, north = draw(st.tuples(st.floats(-2.0, 2.0),
+                                     st.floats(-2.0, 2.0)))
+        centre = _offset(lat0, lon0, east * epsilon, north * epsilon)
+        spread = draw(st.floats(0.0, 1.0))
+        points += [_offset(centre.lat, centre.lon, spread * e, spread * n)
+                   for e, n in draw(st.lists(st.tuples(_meters, _meters),
+                                             min_size=1, max_size=12))]
+    points = [points[i] for i in draw(st.permutations(range(len(points))))]
+    return points, epsilon
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
 
-@given(scenes())
-def test_self_neighbours_equal_brute_force(scene):
-    points, epsilon = scene
-    assert neighbours_within(*point_columns(points), epsilon) == \
-        _self_neighbours_oracle(points, epsilon)
-
-
 @given(scenes(), st.integers(1, 4))
 def test_dbscan_labels_equal_brute_force(scene, min_pts):
+    points, epsilon = scene
+    assert dbscan_labels(*point_columns(points), epsilon, min_pts) == \
+        _dbscan_oracle(points, epsilon, min_pts)
+
+
+@settings(max_examples=300)
+@given(clumped_scenes(), st.integers(1, 7))
+def test_dbscan_labels_on_clumps_equal_brute_force(scene, min_pts):
     points, epsilon = scene
     assert dbscan_labels(*point_columns(points), epsilon, min_pts) == \
         _dbscan_oracle(points, epsilon, min_pts)
@@ -266,13 +281,15 @@ def test_pair_exactly_at_radius_is_a_neighbour():
     b = GeoPoint(lat=10.0, lon=-179.99999)
     d = haversine_distance(a, b)
     assert 2.0 < d < 2.5
-    assert neighbours_within(*point_columns([a, b]), d) == \
-        [[(0, 0.0), (1, d)], [(0, d), (1, 0.0)]]
     below = math.nextafter(d, 0.0)
-    assert neighbours_within(*point_columns([a, b]), below) == \
-        [[(0, 0.0)], [(1, 0.0)]]
+    columns = point_columns([a, b])
+    assert dbscan_labels(*columns, d, 2) == [0, 0]
+    assert dbscan_labels(*columns, below, 2) == [NOISE, NOISE]
+    assert dbscan_labels(*columns, below, 1) == [0, 1]
     assert neighbours_within([a.lat], [a.lon], d, ([b.lat], [b.lon])) == \
         [[(0, d)]]
+    assert neighbours_within([a.lat], [a.lon], below, ([b.lat], [b.lon])) == \
+        [[]]
 
 
 def test_across_the_pole_and_empty_inputs():
@@ -281,14 +298,38 @@ def test_across_the_pole_and_empty_inputs():
     b = GeoPoint(lat=89.99999, lon=180.0)
     d = haversine_distance(a, b)
     assert d < 2.5
-    assert neighbours_within(*point_columns([a, b]), 2.5) == \
-        [[(0, 0.0), (1, d)], [(0, d), (1, 0.0)]]
-    assert neighbours_within([], [], 1.0) == []
+    assert dbscan_labels(*point_columns([a, b]), 2.5, 2) == [0, 0]
+    assert neighbours_within([a.lat], [a.lon], 2.5, ([b.lat], [b.lon])) == \
+        [[(0, d)]]
+    assert neighbours_within([], [], 1.0, ([a.lat], [a.lon])) == []
     assert neighbours_within([a.lat], [a.lon], 1.0, ([], [])) == [[]]
     assert dbscan_labels([], [], 1.0, 2) == []
+
+
+def test_dbscan_work_is_linear_in_co_located_points(monkeypatch):
+    # 20,000 points in a 0.2 m square fill at most four sub-cells, each all
+    # core with no distance computed; the unions stop at their first pair.
+    # At the pole the cells have one column and no sub-cells, but equal
+    # points still share a group.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return haversine(*args)
+
+    monkeypatch.setattr(dedup, "haversine", counted)
+    rng = np.random.default_rng(0)
+    n = 20_000
+    points = [_offset(49.407, 26.984, e, north)
+              for e, north in rng.uniform(0.0, 0.2, size=(n, 2))]
+    assert dbscan_labels(*point_columns(points), 1.0, 4) == [0] * n
+    assert dbscan_labels([90.0] * n, [10.0] * n, 1.0, 4) == [0] * n
+    assert len(calls) <= n
 
 
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
 def test_radius_must_be_finite_and_non_negative(radius):
     with pytest.raises(GeodesyError):
-        neighbours_within([0.0], [0.0], radius)
+        neighbours_within([0.0], [0.0], radius, ([0.0], [0.0]))
+    with pytest.raises(GeodesyError):
+        radius_groups([0.0], [0.0], radius)
