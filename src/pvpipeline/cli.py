@@ -178,13 +178,15 @@ def run_fuse_check(seed: int = 0, dim: int = 16, n_instances: int = 20):
         w = rng.standard_normal(dim)
 
         def gate_closure(p):
-            zb, rr = p[:dim], p[dim:2 * dim]
+            # p and its gradient are [z_bar ; r], then W, then b.
+            zr, gb = p[:2 * dim], p[2 * dim + 2 * dim * dim:]
             gw = p[2 * dim:2 * dim + 2 * dim * dim].reshape(dim, 2 * dim)
-            gb = p[2 * dim + 2 * dim * dim:]
-            u, gates = fusion.gated_fuse(zb, rr, gw, gb)
-            loss = float(w @ u)
-            dz, dr, dwg, dbg = fusion.gated_fuse_backward(zb, rr, gw, gates, w)
-            return loss, np.concatenate([dz, dr, dwg.ravel(), dbg])
+            u, gates = fusion.gated_fuse(zr, gw, gb)
+            grad = np.empty_like(p)
+            grad[:dim], grad[dim:2 * dim] = fusion.gated_fuse_backward(
+                zr, gw, gates, w, grad[2 * dim:2 * dim + 2 * dim * dim]
+                .reshape(dim, 2 * dim), grad[2 * dim + 2 * dim * dim:])
+            return float(w @ u), grad
 
         check("gate", gate_closure,
               np.concatenate([z_bar, r, gate_w.ravel(), np.zeros(dim)]))

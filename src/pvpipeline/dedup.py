@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
-from .geodesy import (GeoPoint, checked_point, haversine, neighbours_within,
-                      plane_centroid, point_columns, polygon_centroid,
-                      radius_groups, tangent_offsets, tangent_point)
+from .geodesy import (GeoPoint, checked_point, far_apart, haversine,
+                      neighbours_within, plane_centroid, point_columns,
+                      polygon_centroid, radius_groups, tangent_offsets,
+                      tangent_point)
 
 NOISE = -1
 
@@ -97,12 +98,15 @@ def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
     more is all core with no distance computed; a point of a smaller one
     counts its neighbours in the groups near it, up to ``min_pts``. A
     group's cores are one component, and two groups' components join at
-    the first core pair within epsilon unless already joined. Memory is
-    O(n): no neighbour list is stored. Every distance is haversine(lower
-    index, higher index), so the labels equal those of the brute-force
-    O(n^2) version, which the tests keep as the oracle.
+    the first core pair within epsilon unless already joined or, for a long
+    scan, their cores' bounding boxes are too far apart for any pair
+    (:func:`geodesy.far_apart`). Memory is O(n): no neighbour list is
+    stored. Every distance is haversine(lower index, higher index), so the
+    labels equal those of the brute-force O(n^2) version, which the tests
+    keep as the oracle.
     """
     groups, near = radius_groups(lat, lon, epsilon)
+    apart = far_apart(lat, lon, epsilon)
 
     def within(i, j):
         if i > j:
@@ -129,8 +133,8 @@ def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
                 theirs = cores[h]
                 if h > g and theirs:
                     a, b = find(g), find(h)
-                    if a != b and any(within(i, j)
-                                      for i in mine for j in theirs):
+                    if a != b and not apart(mine, theirs) and any(
+                            within(i, j) for i in mine for j in theirs):
                         parent[b] = a
 
     # Number the components in order of their smallest core index.

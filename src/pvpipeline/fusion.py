@@ -61,20 +61,23 @@ def embedding_centroid(members) -> np.ndarray:
     mats = np.asarray(members, dtype=np.float64)
     if mats.ndim < 2 or mats.shape[-2] < 2:
         raise FusionError("need at least two embeddings of equal dimension")
-    return mats.mean(axis=-2)
+    return np.add.reduce(mats, axis=-2) / mats.shape[-2]  # np.mean's bits
 
 
-def palette_invariance_loss_grad(members):
+def palette_invariance_loss_grad(members, centroid=None):
     """Loss (mean squared distance of each embedding from the member
     centroid) and per-member gradients; d/dz_m = (2/M)(z_m - centroid).
 
     members is (M, D), or (N, M, D) for N independent groups, in which case
-    the loss is an (N,) array.
+    the loss is an (N,) array. A caller that already holds
+    embedding_centroid(members) passes it as centroid.
     """
     mats = np.asarray(members, dtype=np.float64)
-    diff = mats - embedding_centroid(mats)[..., None, :]
-    loss = np.mean(np.sum(diff ** 2, axis=-1), axis=-1)
-    return loss, (2.0 / mats.shape[-2]) * diff
+    centroid = embedding_centroid(mats) if centroid is None else centroid
+    diff = mats - centroid[..., None, :]
+    m = mats.shape[-2]
+    loss = np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / m
+    return loss, (2.0 / m) * diff
 
 
 # ---------------------------------------------------------------------------
@@ -82,43 +85,34 @@ def palette_invariance_loss_grad(members):
 # ---------------------------------------------------------------------------
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) elsewhere: exp(min(x, 0))
+    / (1 + exp(-|x|)), with -|x| as minimum(x, -x), which keeps a NaN."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, -x)))
 
 
-def gated_fuse(z_bar: np.ndarray, r: np.ndarray, weight: np.ndarray,
-               bias: np.ndarray):
-    """u = g * z_bar + (1 - g) * r with g = sigmoid(W [z_bar ; r] + b).
-
-    z_bar and r are (D,) vectors or (N, D) rows; W is (D, 2D), b is (D,).
-    """
-    z_bar = np.asarray(z_bar, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    dim = z_bar.shape[-1]
-    if z_bar.shape != r.shape or weight.shape != (dim, 2 * dim):
+def gated_fuse(zr: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """u and g, where u = g * z_bar + (1 - g) * r with g = sigmoid(W zr + b)
+    for zr = [z_bar ; r], a (2D,) vector or (N, 2D) rows; W is (D, 2D) and
+    b is (D,)."""
+    zr = np.asarray(zr, dtype=np.float64)
+    dim = weight.shape[0]
+    if weight.shape != (dim, 2 * dim) or zr.shape[-1] != 2 * dim:
         raise FusionError("gate/embedding shape mismatch")
-    zr = np.concatenate([z_bar, r], axis=-1)
     g = _sigmoid_vec(zr @ weight.T + bias)
-    u = g * z_bar + (1.0 - g) * r
-    return u, g
+    return g * zr[..., :dim] + (1.0 - g) * zr[..., dim:], g
 
 
-def gated_fuse_backward(z_bar, r, weight, g, du):
-    """Backprop through gated_fuse; returns (dz_bar, dr, dW, db), with dW
-    and db summed over the rows."""
-    zr = np.concatenate([z_bar, r], axis=-1)
+def gated_fuse_backward(zr, weight, g, du, d_w, d_b):
+    """Backprop through gated_fuse: writes dW and db, summed over the rows,
+    into d_w and d_b and returns (dz_bar, dr)."""
+    dim = g.shape[-1]
+    z_bar, r = zr[..., :dim], zr[..., dim:]
     ds = du * (z_bar - r) * g * (1.0 - g)
-    d_w = np.atleast_2d(ds).T @ np.atleast_2d(zr)
-    d_b = np.atleast_2d(ds).sum(axis=0)
+    rows = ds.reshape(-1, dim)
+    np.matmul(rows.T, zr.reshape(-1, 2 * dim), out=d_w)
+    np.add.reduce(rows, axis=0, out=d_b)
     dzr = ds @ weight
-    dim = z_bar.shape[-1]
-    dz_bar = du * g + dzr[..., :dim]
-    dr = du * (1.0 - g) + dzr[..., dim:]
-    return dz_bar, dr, d_w, d_b
+    return du * g + dzr[..., :dim], du * (1.0 - g) + dzr[..., dim:]
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +123,17 @@ def focal_loss_grad(pred_prob, is_positive, alpha: float = 0.25,
                     gamma: float = 2.0):
     """Loss and d(loss)/d(pred_prob), row-wise over (K,) probabilities and
     labels; a scalar probability gives a (float, float) pair."""
-    p = np.clip(np.atleast_1d(np.asarray(pred_prob, dtype=np.float64)),
-                PROB_EPS, 1.0 - PROB_EPS)
+    p = np.array(pred_prob, dtype=np.float64, ndmin=1).clip(PROB_EPS,
+                                                            1.0 - PROB_EPS)
     positive = np.asarray(is_positive, dtype=bool)
     pt = np.where(positive, p, 1.0 - p)
     log_pt = np.log(pt)
-    loss = -alpha * (1.0 - pt) ** gamma * log_pt
-    d_pt = -alpha * (1.0 - pt) ** gamma / pt
+    easy = 1.0 - pt
+    scale = -alpha * easy ** gamma
+    loss = scale * log_pt
+    d_pt = scale / pt
     if gamma > 0:
-        d_pt += alpha * gamma * (1.0 - pt) ** (gamma - 1.0) * log_pt
+        d_pt += alpha * gamma * easy ** (gamma - 1.0) * log_pt
     d_p = np.where(positive, d_pt, -d_pt)
     if np.ndim(pred_prob) == 0:
         return float(loss[0]), float(d_p[0])
@@ -148,9 +144,11 @@ def focal_loss_grad(pred_prob, is_positive, alpha: float = 0.25,
 # GIoU loss
 # ---------------------------------------------------------------------------
 
-# Per column of an (x1, y1, x2, y2) box: -1 for a lower corner, +1 for an
-# upper one, so that (a - b) * _SIDE < 0 where box a lies inside box b.
-_SIDE = np.array([-1.0, -1.0, 1.0, 1.0])
+# Per coordinate row of an (x1, y1, x2, y2) box: -1 for a lower corner, +1
+# for an upper one, so that (a - b) * _SIDE < 0 where box a lies inside box
+# b; and the extent, of (w, h), across each side.
+_SIDE = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+_ACROSS = np.array([1, 0, 1, 0])
 
 
 def giou_loss_grad(a, b):
@@ -161,38 +159,38 @@ def giou_loss_grad(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.shape[-1:] != (4,) or a.ndim > 2:
         raise FusionError("boxes must be (4,) or (K, 4) arrays of one shape")
-    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
-    # (K, 2) extents along x and y: of each box, the intersection, the hull.
-    size_a = a2[:, 2:] - a2[:, :2]
-    size_b = b2[:, 2:] - b2[:, :2]
-    if np.any(size_a <= 0.0) or np.any(size_b <= 0.0):
+    # Each coordinate as one contiguous (K,) row: of box a, then of box b.
+    a_t, b_t = ab = np.array([a.reshape(-1, 4).T, b.reshape(-1, 4).T])
+    lo, hi = np.minimum(a_t, b_t), np.maximum(a_t, b_t)
+    # (2, K) extents along x and y of box a, box b, their intersection and
+    # their hull, stacked in that order, and their (4, K) areas.
+    size = np.empty((4, 2, ab.shape[2]))
+    np.subtract(ab[:, 2:], ab[:, :2], out=size[:2])
+    if (size[:2] <= 0.0).any():
         raise FusionError("degenerate box")
-    size_i = np.maximum(np.minimum(a2[:, 2:], b2[:, 2:])
-                        - np.maximum(a2[:, :2], b2[:, :2]), 0.0)
-    size_c = np.maximum(a2[:, 2:], b2[:, 2:]) - np.minimum(a2[:, :2], b2[:, :2])
-    inter = size_i[:, 0] * size_i[:, 1]
-    union = size_a[:, 0] * size_a[:, 1] + size_b[:, 0] * size_b[:, 1] - inter
-    hull = size_c[:, 0] * size_c[:, 1]
+    np.maximum(np.subtract(lo[2:], hi[:2], out=size[2]), 0.0, out=size[2])
+    np.subtract(hi[2:], lo[:2], out=size[3])
+    area = size[:, 0] * size[:, 1]
+    inter, hull = area[2], area[3]
+    union = area[0] + area[1] - inter
     loss = 1.0 - (inter / union - (hull - union) / hull)
 
     # The partial of an area w.r.t. a side of box a is the extent across
     # that side, (h, w, h, w) signed by _SIDE: of box a for its own area; of
     # the intersection where the boxes overlap and a's side is the inner
     # one; of the hull where a's side is the outer one; zero elsewhere.
-    side = (a2 - b2) * _SIDE
-    d_area = _SIDE * np.tile(size_a[:, ::-1], 2)
-    overlap = (size_i > 0.0).all(axis=1, keepdims=True)
-    d_inter = np.where(overlap & (side < 0.0),
-                       _SIDE * np.tile(size_i[:, ::-1], 2), 0.0)
-    d_hull = np.where(side > 0.0, _SIDE * np.tile(size_c[:, ::-1], 2), 0.0)
-    d_union = d_area - d_inter
-    union, inter, hull = union[:, None], inter[:, None], hull[:, None]
+    side = (a_t - b_t) * _SIDE
+    d_area = size[:, _ACROSS] * _SIDE
+    overlap = np.logical_and.reduce(size[2] > 0.0)
+    d_inter = np.where(overlap & (side < 0.0), d_area[2], 0.0)
+    d_hull = np.where(side > 0.0, d_area[3], 0.0)
+    d_union = d_area[0] - d_inter
     d_iou = (d_inter * union - inter * d_union) / union ** 2
     # d giou = d_iou + d(U/C) = d_iou + (d_union * hull - union * d_hull) / hull^2
-    d_giou = d_iou + (d_union * hull - union * d_hull) / hull ** 2
+    grad = -(d_iou + (d_union * hull - union * d_hull) / hull ** 2).T
     if a.ndim == 1:
-        return float(loss[0]), -d_giou[0]
-    return loss, -d_giou
+        return float(loss[0]), grad[0]
+    return loss, grad
 
 
 def total_loss(cls_term: float, box_term: float, pal_term: float,
@@ -219,16 +217,17 @@ def encode(x: np.ndarray, params: dict, prefix: str):
 
 
 def encode_backward(x: np.ndarray, h: np.ndarray, params: dict, prefix: str,
-                    dz: np.ndarray) -> dict:
+                    dz: np.ndarray, grads: dict):
     """Gradients of a downstream loss w.r.t. the encoder's parameters,
     summed over the input rows x, given encode's hidden activations h and
-    the embedding gradients dz. Keys carry the prefix, like params."""
-    x = x.reshape(-1, x.shape[-1])
-    h = h.reshape(-1, h.shape[-1])
-    dz = dz.reshape(-1, dz.shape[-1])
-    dpre = (dz @ params[prefix + ".w2"]) * (1.0 - h ** 2)
-    return {prefix + ".w1": dpre.T @ x, prefix + ".b1": dpre.sum(axis=0),
-            prefix + ".w2": dz.T @ h, prefix + ".b2": dz.sum(axis=0)}
+    the embedding gradients dz, written into grads (keyed like params, such
+    as views into a flat gradient)."""
+    x, h, dz = (v.reshape(-1, v.shape[-1]) for v in (x, h, dz))
+    dpre = (dz @ params[prefix + ".w2"]) * (1.0 - h * h)
+    np.matmul(dpre.T, x, out=grads[prefix + ".w1"])
+    np.add.reduce(dpre, axis=0, out=grads[prefix + ".b1"])
+    np.matmul(dz.T, h, out=grads[prefix + ".w2"])
+    np.add.reduce(dz, axis=0, out=grads[prefix + ".b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,10 @@ class FusionModel:
             ("gate.w", (dim, 2 * dim), (0.1, 1)), ("gate.b", (dim,), None),
             ("head.w_cls", (dim,), (0.1, 1)), ("head.b_cls", (1,), None),
             ("head.w_box", (4, dim), (0.1, 1)), ("head.b_box", (4,), None))
-        self.vec = np.zeros(sum(math.prod(shape) for _, shape, _ in self.layout))
+        ends = np.cumsum([math.prod(shape) for _, shape, _ in self.layout])
+        self._spans = [(key, end - math.prod(shape), end, shape)
+                       for (key, shape, _), end in zip(self.layout, ends.tolist())]
+        self.vec = np.zeros(ends[-1])
         self.params = self.views(self.vec)
         rng = np.random.default_rng(seed)
         for key, shape, init in self.layout:
@@ -296,12 +298,8 @@ class FusionModel:
     def views(self, vec: np.ndarray) -> dict:
         """Key -> view into a vector laid out like self.vec (weights or
         their gradient)."""
-        out, pos = {}, 0
-        for key, shape, _ in self.layout:
-            n = math.prod(shape)
-            out[key] = vec[pos:pos + n].reshape(shape)
-            pos += n
-        return out
+        return {key: vec[start:end].reshape(shape)
+                for key, start, end, shape in self._spans}
 
     # -- forward --------------------------------------------------------
 
@@ -320,10 +318,11 @@ class FusionModel:
         x_t, x_r, positive = batch.x_t.reshape(n * m, -1), batch.x_r, batch.positive
         zs, h_t = encode(x_t, params, "t")
         zs = zs.reshape(n, m, -1)
-        pal_l, d_zs_pal = palette_invariance_loss_grad(zs)
         z_bar = embedding_centroid(zs)
+        pal_l, d_zs_pal = palette_invariance_loss_grad(zs, z_bar)
         r, h_r = encode(x_r, params, "r")
-        u, g = gated_fuse(z_bar, r, params["gate.w"], params["gate.b"])
+        zr = np.concatenate([z_bar, r], axis=1)
+        u, g = gated_fuse(zr, params["gate.w"], params["gate.b"])
 
         # Classification head: focal loss over the rows.
         p = _sigmoid_vec(u @ params["head.w_cls"] + params["head.b_cls"][0])
@@ -331,42 +330,40 @@ class FusionModel:
                                      weights.focal_gamma)
         d_logit = d_p * p * (1.0 - p) / n
 
-        # Box head: sigmoid (cx, cy, w, h) -> corners.
+        # Box head: sigmoid (cx, cy, w, h) -> corners, and GIoU, on the
+        # positive rows; the loss and corner gradients are scattered back so
+        # that the sums below run over all n rows.
         s_box = _sigmoid_vec(u @ params["head.w_box"].T + params["head.b_box"])
-        half_w = (0.02 + s_box[:, 2]) / 2.0
-        half_h = (0.02 + s_box[:, 3]) / 2.0
-        pred = np.stack([s_box[:, 0] - half_w, s_box[:, 1] - half_h,
-                         s_box[:, 0] + half_w, s_box[:, 1] + half_h], axis=1)
-        # GIoU over the positive rows, scattered back so that the sums below
-        # run over all n rows.
+        s_pos = s_box[positive]
+        half = (0.02 + s_pos[:, 2:]) / 2.0
+        giou_l, d_c = giou_loss_grad(np.concatenate(
+            [s_pos[:, :2] - half, s_pos[:, :2] + half], axis=1), batch.boxes)
         k = len(batch.boxes)
         box_l = np.zeros(n)
-        d_corners = np.zeros((n, 4))
-        box_l[positive], d_corners[positive] = giou_loss_grad(pred[positive],
-                                                              batch.boxes)
-        d_box = np.stack([d_corners[:, 0] + d_corners[:, 2],
-                          d_corners[:, 1] + d_corners[:, 3],
-                          (d_corners[:, 2] - d_corners[:, 0]) / 2.0,
-                          (d_corners[:, 3] - d_corners[:, 1]) / 2.0], axis=1)
+        box_l[positive] = giou_l
+        d_box = np.concatenate([d_c[:, :2] + d_c[:, 2:],
+                                (d_c[:, 2:] - d_c[:, :2]) / 2.0], axis=1)
         box_w = weights.lambda_box / k if k else 0.0
-        d_t_box = d_box * s_box * (1.0 - s_box) * box_w
+        d_t_box = np.zeros((n, 4))
+        d_t_box[positive] = d_box * s_pos * (1.0 - s_pos) * box_w
 
         # Backward: each weight gradient is one contraction over the batch,
-        # copied into its view of the flat gradient.
-        du = np.outer(d_logit, params["head.w_cls"]) + d_t_box @ params["head.w_box"]
-        dz_bar, dr, d_gw, d_gb = gated_fuse_backward(
-            z_bar, r, params["gate.w"], g, du)
-        dzs = dz_bar[:, None, :] / m + (weights.lambda_pal / n) * d_zs_pal
-        grads = {"head.w_cls": d_logit @ u, "head.b_cls": d_logit.sum(),
-                 "head.w_box": d_t_box.T @ u, "head.b_box": d_t_box.sum(axis=0),
-                 "gate.w": d_gw, "gate.b": d_gb,
-                 **encode_backward(x_t, h_t, params, "t", dzs),
-                 **encode_backward(x_r, h_r, params, "r", dr)}
+        # written into its view of the flat gradient.
         grad = np.empty_like(vec)
-        for key, view in self.views(grad).items():
-            view[...] = grads[key]
+        grads = self.views(grad)
+        du = d_logit[:, None] * params["head.w_cls"] + d_t_box @ params["head.w_box"]
+        dz_bar, dr = gated_fuse_backward(zr, params["gate.w"], g, du,
+                                         grads["gate.w"], grads["gate.b"])
+        dzs = dz_bar[:, None, :] / m + (weights.lambda_pal / n) * d_zs_pal
+        np.matmul(d_logit, u, out=grads["head.w_cls"])
+        grads["head.b_cls"][0] = d_logit.sum()
+        np.matmul(d_t_box.T, u, out=grads["head.w_box"])
+        np.add.reduce(d_t_box, axis=0, out=grads["head.b_box"])
+        encode_backward(x_t, h_t, params, "t", dzs, grads)
+        encode_backward(x_r, h_r, params, "r", dr, grads)
 
-        aux = {"cls": float(cls_l.mean()), "pal": float(pal_l.mean()),
+        # Each mean as np.mean takes it: the sum over the rows, then / rows.
+        aux = {"cls": float(cls_l.sum()) / n, "pal": float(pal_l.sum()) / n,
                "box": float(box_l.sum()) / k if k else 0.0}
         total = total_loss(aux["cls"], aux["box"], aux["pal"], weights)
         if not math.isfinite(total):
@@ -421,8 +418,7 @@ def make_toy_samples(n: int, seed: int = 0, crop_size: int = 16) -> ToyBatch:
     rng = np.random.default_rng(seed)
     # Draw per sample, in this order, so that the first k samples of a seed
     # do not depend on n; the arrays below are then built for all at once.
-    draws = []
-    noise = []
+    draws, noise = [], []
     for _ in range(n):
         slope = 3.0 * rng.random()
         cx = rng.uniform(0.25, 0.75) * crop_size

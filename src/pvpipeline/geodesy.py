@@ -162,6 +162,8 @@ def neighbours_within(lat, lon, radius: float, targets) -> list:
 # to its magnitude plus 180 degrees.
 _SUB_CELL_MARGIN = 1e-9
 _BIN_ERROR_REL = 2.0 ** -50
+# Pairs two lists must make before far_apart bounds their distance.
+_BOX_TEST_PAIRS = 64
 
 
 def _hav(degrees: float) -> float:
@@ -248,6 +250,42 @@ def radius_groups(lat, lon, radius: float):
                 and (cols[h] - c + k) % total <= 2 * k)
 
     return groups, near
+
+
+def far_apart(lat, lon, radius: float):
+    """A test apart(first, second) of two lists of indices into columns
+    ``lat``, ``lon``, True only when haversine() puts every pair, one point
+    from each list, farther than ``radius``. No distance is computed; the
+    cost is linear in the two lists, about six haversines' worth for short
+    ones, so lists of at most _BOX_TEST_PAIRS pairs are not tested (False).
+
+    hav(d / R) = hav(dphi) + cos(phi1) cos(phi2) hav(dlmb) is bounded from
+    below by the latitude and longitude gaps between the lists' bounding
+    boxes, with both cosines taken at the latitude farthest from the
+    equator, and must pass hav(radius / R) by a margin for roundoff. The
+    longitude gap counts only where the two boxes span at most 180 degrees,
+    so that no pair's longitude difference wraps round the antimeridian.
+    """
+    if not radius < math.pi * MEAN_EARTH_RADIUS_M:  # every pair is within
+        return lambda first, second: False
+    limit = (_hav(math.degrees(radius / MEAN_EARTH_RADIUS_M))
+             * (1.0 + _SUB_CELL_MARGIN))
+
+    def bounds(points):
+        la, lo = [lat[i] for i in points], [lon[i] for i in points]
+        return min(la), max(la), min(lo), max(lo)
+
+    def apart(first, second):
+        if len(first) * len(second) <= _BOX_TEST_PAIRS:
+            return False
+        (s1, n1, w1, e1), (s2, n2, w2, e2) = bounds(first), bounds(second)
+        cos_far = math.cos(math.radians(max(-s1, n1, -s2, n2)))
+        lon_gap = (max(w2 - e1, w1 - e2, 0.0)
+                   if max(e1, e2) - min(w1, w2) <= 180.0 else 0.0)
+        return (_hav(max(s2 - n1, s1 - n2, 0.0))
+                + cos_far * cos_far * _hav(lon_gap)) > limit
+
+    return apart
 
 
 def _reject_offset(east: float, north: float, message: str):

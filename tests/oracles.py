@@ -8,7 +8,7 @@ import numpy as np
 
 from pvpipeline.dedup import DefectEvent, Sightings, convex_hull
 from pvpipeline.detector import Detection
-from pvpipeline.fusion import encode
+from pvpipeline.fusion import PROB_EPS, FusionError, encode
 from pvpipeline.geodesy import (MAX_TANGENT_RANGE_M, MEAN_EARTH_RADIUS_M,
                                 GeodesyError, GeoPoint, checked_ring,
                                 haversine, plane_centroid)
@@ -188,3 +188,72 @@ def maybe_in_view(defects, pose, rot, intr) -> list:
     keep = (near & (np.abs(du + (intr.cx - half_w)) <= half_w + reach)
             & (np.abs(dv + (intr.cy - half_h)) <= half_h + reach))
     return [defects[i] for i in np.flatnonzero(keep)]
+
+
+# The fusion terms as they were written before their call-count trims; the
+# tests hold the package's forms to these byte for byte.
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """fusion._sigmoid_vec through a boolean-mask scatter: 1 / (1 + e^-x)
+    where x >= 0, e^x / (1 + e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def focal_loss_grad_reference(pred_prob, is_positive, alpha: float = 0.25,
+                              gamma: float = 2.0):
+    """fusion.focal_loss_grad with each power of (1 - pt) taken anew."""
+    p = np.clip(np.atleast_1d(np.asarray(pred_prob, dtype=np.float64)),
+                PROB_EPS, 1.0 - PROB_EPS)
+    positive = np.asarray(is_positive, dtype=bool)
+    pt = np.where(positive, p, 1.0 - p)
+    log_pt = np.log(pt)
+    loss = -alpha * (1.0 - pt) ** gamma * log_pt
+    d_pt = -alpha * (1.0 - pt) ** gamma / pt
+    if gamma > 0:
+        d_pt += alpha * gamma * (1.0 - pt) ** (gamma - 1.0) * log_pt
+    d_p = np.where(positive, d_pt, -d_pt)
+    if np.ndim(pred_prob) == 0:
+        return float(loss[0]), float(d_p[0])
+    return loss, d_p
+
+
+_SIDE = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def giou_loss_grad_reference(a, b):
+    """fusion.giou_loss_grad with each box's extents and partials built on
+    their own, through np.tile and np.where."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.shape[-1:] != (4,) or a.ndim > 2:
+        raise FusionError("boxes must be (4,) or (K, 4) arrays of one shape")
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    size_a = a2[:, 2:] - a2[:, :2]
+    size_b = b2[:, 2:] - b2[:, :2]
+    if np.any(size_a <= 0.0) or np.any(size_b <= 0.0):
+        raise FusionError("degenerate box")
+    size_i = np.maximum(np.minimum(a2[:, 2:], b2[:, 2:])
+                        - np.maximum(a2[:, :2], b2[:, :2]), 0.0)
+    size_c = np.maximum(a2[:, 2:], b2[:, 2:]) - np.minimum(a2[:, :2], b2[:, :2])
+    inter = size_i[:, 0] * size_i[:, 1]
+    union = size_a[:, 0] * size_a[:, 1] + size_b[:, 0] * size_b[:, 1] - inter
+    hull = size_c[:, 0] * size_c[:, 1]
+    loss = 1.0 - (inter / union - (hull - union) / hull)
+    side = (a2 - b2) * _SIDE
+    d_area = _SIDE * np.tile(size_a[:, ::-1], 2)
+    overlap = (size_i > 0.0).all(axis=1, keepdims=True)
+    d_inter = np.where(overlap & (side < 0.0),
+                       _SIDE * np.tile(size_i[:, ::-1], 2), 0.0)
+    d_hull = np.where(side > 0.0, _SIDE * np.tile(size_c[:, ::-1], 2), 0.0)
+    d_union = d_area - d_inter
+    union, inter, hull = union[:, None], inter[:, None], hull[:, None]
+    d_iou = (d_inter * union - inter * d_union) / union ** 2
+    d_giou = d_iou + (d_union * hull - union * d_hull) / hull ** 2
+    if a.ndim == 1:
+        return float(loss[0]), -d_giou[0]
+    return loss, -d_giou

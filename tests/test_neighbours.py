@@ -20,8 +20,8 @@ from pvpipeline import dedup
 from pvpipeline.dedup import (NOISE, dbscan_labels, dup_fp_rate,
                               nearest_ground_truth)
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
-                                haversine, neighbours_within, point_columns,
-                                radius_groups)
+                                far_apart, haversine, neighbours_within,
+                                point_columns, radius_groups)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -188,6 +188,33 @@ def clumped_scenes(draw):
     return points, epsilon
 
 
+@st.composite
+def dense_clump_pairs(draw):
+    """(points, epsilon, first, second): two clumps of 9 to 16 points, so
+    that their pair count passes geodesy._BOX_TEST_PAIRS, each within a
+    square of side 0 to 2 epsilon, the second 0.5 to 3 epsilon from the
+    first in a drawn direction, at one of _ORIGINS; first and second index
+    the two clumps in the shuffled points."""
+    lat0, lon0 = draw(st.sampled_from(_ORIGINS))
+    epsilon = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    gap = draw(st.floats(0.5, 3.0)) * epsilon
+    bearing = draw(st.floats(0.0, 2.0 * math.pi))
+    centres = [GeoPoint(lat0, lon0), _offset(lat0, lon0, gap * math.sin(bearing),
+                                             gap * math.cos(bearing))]
+    clumps = []
+    for centre in centres:
+        spread = draw(st.floats(0.0, 1.0)) * epsilon
+        clumps.append([_offset(centre.lat, centre.lon, spread * e, spread * n)
+                       for e, n in draw(st.lists(st.tuples(_meters, _meters),
+                                                 min_size=9, max_size=16))])
+    points = clumps[0] + clumps[1]
+    order = draw(st.permutations(range(len(points))))
+    at = {k: pos for pos, k in enumerate(order)}
+    first = sorted(at[k] for k in range(len(clumps[0])))
+    second = sorted(at[k] for k in range(len(clumps[0]), len(points)))
+    return [points[k] for k in order], epsilon, first, second
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -205,6 +232,18 @@ def test_dbscan_labels_equal_brute_force(scene, min_pts):
 def test_dbscan_labels_on_clumps_equal_brute_force(scene, min_pts):
     points, epsilon = scene
     assert dbscan_labels(*point_columns(points), epsilon, min_pts) == \
+        _dbscan_oracle(points, epsilon, min_pts)
+
+
+@settings(max_examples=300)
+@given(dense_clump_pairs(), st.integers(1, 4))
+def test_far_apart_only_for_lists_with_no_pair_within_radius(pair, min_pts):
+    points, epsilon, first, second = pair
+    columns = point_columns(points)
+    if far_apart(*columns, epsilon)(first, second):
+        assert all(haversine_distance(points[i], points[j]) > epsilon
+                   for i in first for j in second)
+    assert dbscan_labels(*columns, epsilon, min_pts) == \
         _dbscan_oracle(points, epsilon, min_pts)
 
 
@@ -325,6 +364,56 @@ def test_dbscan_work_is_linear_in_co_located_points(monkeypatch):
     assert dbscan_labels(*point_columns(points), 1.0, 4) == [0] * n
     assert dbscan_labels([90.0] * n, [10.0] * n, 1.0, 4) == [0] * n
     assert len(calls) <= n
+
+
+@pytest.mark.parametrize("east,north", [(0.0, 1.05), (0.0, 1.45),
+                                        (1.05, 0.0), (-0.8, 0.8), (0.0, 0.95)])
+def test_dbscan_skips_scans_between_dense_groups_too_far_apart(
+        monkeypatch, east, north):
+    # Two clumps of 300 equal points each, one sub-cell each, all core. Their
+    # union scan would take 90,000 haversines where no pair is within
+    # epsilon; the bounding-box gap rules it out first, or, 0.95 m apart,
+    # the first pair joins them.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return haversine(*args)
+
+    monkeypatch.setattr(dedup, "haversine", counted)
+    points = [GeoPoint(49.407, 26.984)] * 300 + [
+        _offset(49.407, 26.984, east, north)] * 300
+    labels = dbscan_labels(*point_columns(points), 1.0, 2)
+    assert len(calls) <= 4 * len(points)
+    assert labels == _dbscan_oracle(points, 1.0, 2)
+    assert len(set(labels)) == (1 if math.hypot(east, north) <= 1.0 else 2)
+
+
+def test_far_apart_near_the_pole_and_across_the_antimeridian():
+    # Nine points up a 0.6 m meridian at 89.95 N, and nine at the same
+    # latitudes a longitude step east. Only the northern pairs, where the
+    # cosine is smallest, are within 1 m: a bound taking the cosine at the
+    # southern end would rule out the pair. A step 1% longer is ruled out.
+    top = 89.95 + math.degrees(0.6 / MEAN_EARTH_RADIUS_M)
+    lat = list(np.linspace(89.95, top, 9)) * 2
+    step = math.degrees((1.0 - 5e-5) / (MEAN_EARTH_RADIUS_M
+                                        * math.cos(math.radians(top))))
+    first, second = list(range(9)), list(range(9, 18))
+    for lon_step, apart in [(step, False), (1.01 * step, True)]:
+        lon = [10.0] * 9 + [10.0 + lon_step] * 9
+        dists = [haversine(lat[i], lon[i], lat[j], lon[j])
+                 for i in first for j in second]
+        assert (min(dists) > 1.0) == apart and max(dists) > 1.0
+        assert far_apart(lat, lon, 1.0)(first, second) == apart
+    # Nine points up to 1e-5 degrees west of the antimeridian, nine east of
+    # it: the nearest pair is 0.92 m apart across the line, while the
+    # longitude extents, read without the wrap, are 359.99997 degrees apart.
+    lon = list(np.linspace(179.999985, 179.999995, 9))
+    lon += [-x for x in lon]
+    lat = [-33.9] * 18
+    assert min(haversine(lat[i], lon[i], lat[j], lon[j])
+               for i in first for j in second) < 1.0
+    assert not far_apart(lat, lon, 1.0)(first, second)
 
 
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
