@@ -123,12 +123,10 @@ def cmd_dedup(args) -> int:
         return EXIT_CONFIG
     try:
         with open(args.input, "rb") as fh:
-            data = fh.read()
+            sightings = parse_detection_record_lines(fh)
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        sightings = parse_detection_record_lines(data)
     except TelemetryError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

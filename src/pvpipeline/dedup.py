@@ -105,6 +105,8 @@ def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
     labels equal those of the brute-force O(n^2) version, which the tests
     keep as the oracle.
     """
+    if min_pts > len(lat):  # no point can be core
+        return [NOISE] * len(lat)
     groups, near = radius_groups(lat, lon, epsilon)
     apart = far_apart(lat, lon, epsilon)
 

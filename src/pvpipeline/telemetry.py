@@ -10,13 +10,15 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from typing import BinaryIO
 # json.dumps(s) for a str s, without json.dumps's dispatch on the type
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -331,26 +333,44 @@ def _row(line: str) -> tuple:
     return (tuple(box), class_id, conf, temp, polygon, lat, lon, *strings)
 
 
-def parse_detection_record_lines(data: bytes) -> Sightings:
-    """Inverse of detection_record_lines, with no object per line. Lines
-    end at "\\n" only (JSON Lines); each is held to these checks, in this
-    order: the record and media objects, each field's type in column order
-    (each vertex's numbers, then its point check, then the ring check), the
-    centroid, the strings, then the box and confidence. Raises with 1-based
-    line numbers."""
+def _bad_input(message: str, read: int, rest: bytes) -> TelemetryError:
+    """The error for a bad line: ``message``, unless the input is not UTF-8
+    anywhere; then the codec's error as one decode of the whole input
+    gives it, byte position included. ``read`` counts the bytes before the
+    bad line, all decoded, and ``rest`` holds the line and all after it."""
     try:
-        text = data.decode("utf-8")
+        (bytes(read) + rest).decode("utf-8")  # NULs stand in for what was read
     except UnicodeDecodeError as exc:
-        raise TelemetryError(f"input is not UTF-8: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
+        return TelemetryError(f"input is not UTF-8: {exc}")
+    return TelemetryError(message)
+
+
+def parse_detection_record_lines(source: bytes | BinaryIO) -> Sightings:
+    """Inverse of detection_record_lines, with no object per line. The
+    input, ``bytes`` or a binary file, is read one line at a time straight
+    into the table, so memory is the table plus one line. Lines end at
+    "\\n" only (JSON Lines); a line of JSON whitespace only is skipped, and
+    each other is held to these checks, in this order: the record and
+    media objects, each field's type in column order (each vertex's
+    numbers, then its point check, then the ring check), the centroid, the
+    strings, then the box and confidence. Raises with 1-based line numbers,
+    or, if the input is not UTF-8 anywhere, for that first."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    table = Sightings()
+    columns = [getattr(table, f.name) for f in fields(table)]
+    read = 0
+    for lineno, raw in enumerate(source, start=1):
         try:
-            rows.append(_row(line))
+            line = raw.decode("utf-8").removesuffix("\n")
+            if line.strip(" \t\r"):
+                for column, value in zip(columns, _row(line)):
+                    column.append(value)
         except RecursionError:
-            raise TelemetryError(
-                f"line {lineno}: JSON nested too deeply") from None
+            raise _bad_input(f"line {lineno}: JSON nested too deeply", read,
+                             raw + source.read()) from None
         except (KeyError, TypeError, ValueError) as exc:
-            raise TelemetryError(f"line {lineno}: {exc}") from exc
-    return Sightings.of_rows(rows)
+            raise _bad_input(f"line {lineno}: {exc}", read,
+                             raw + source.read()) from exc
+        read += len(raw)
+    return table

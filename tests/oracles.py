@@ -26,14 +26,15 @@ def parse_detection_record_lines_objects(data: bytes) -> Sightings:
     class, confidence and temperature types, a GeoPoint per vertex, then
     checked_ring, the centroid GeoPoint and the strings, and last a
     Detection, each held to its own checks in that order. Lines end at
-    "\\n" only."""
+    "\\n" only, and a line of JSON whitespace (space, tab, CR) only is
+    skipped."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"input is not UTF-8: {exc}") from exc
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:
             obj = _object(json.loads(line), "record")

@@ -627,6 +627,12 @@ def test_config_rejects_non_finite_radii():
     (lambda r: "\ufeff" + json.dumps(r),
      "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1"),
     (lambda r: json.dumps(r) + " {}", "Extra data: line 1 column"),
+    # Lines of white space that is not JSON's: records json.loads rejects.
+    (lambda r: "\u00a0", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda r: "\u2028", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda r: "\x1c", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda r: "\x0b", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda r: " \t\x0c\r", "Expecting value: line 1 column 3 (char 2)"),
 ], ids=["media-list", "media-rgb-number", "class-list", "temp-string",
         "frame-id-null", "lon-huge-int", "centroid-three-entries",
         "vertex-string", "polygon-missing", "bbox-overflow", "bbox-string",
@@ -637,7 +643,9 @@ def test_config_rejects_non_finite_radii():
         "bbox-degenerate-and-temp-string", "vertex-lat-95",
         "polygon-2-vertices", "vertex-number", "polygon-object",
         "bbox-missing", "record-list", "tiff-surrogate",
-        "leading-spaces", "trailing-cr", "bom", "extra-data"])
+        "leading-spaces", "trailing-cr", "bom", "extra-data",
+        "nbsp-line", "line-separator-line", "file-separator-line",
+        "vt-line", "ff-line"])
 def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     # An edit returns the record, or the text of the line.
     record = {"frame_id": "f0001", "timestamp": "2025-09-30T10:00:01Z",
@@ -674,7 +682,12 @@ def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
      "invalid input: points farther than 100 km apart"),
     (b'{"bbox": ' + b"[" * 1200 + b"]" * 1200 + b"}\n",
      "parse error: line 1: JSON nested too deeply"),
-], ids=["not-utf8", "polygon-beyond-tangent-plane", "nested-1200-deep"])
+    # Input that is not UTF-8 anywhere wins over an earlier bad record.
+    (b'{"class": "hotspot"}\n\n\xff\n',
+     "parse error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+     "in position 22: invalid start byte"),
+], ids=["not-utf8", "polygon-beyond-tangent-plane", "nested-1200-deep",
+        "bad-record-then-not-utf8"])
 def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     path = tmp_path / "in.jsonl"
     path.write_bytes(data)
@@ -685,6 +698,43 @@ def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     assert code == 1, err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_dedup_of_a_directory_cannot_read(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(tmp_path), "--epsilon", "1.0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"cannot read {tmp_path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_pts", [57, 58, 10 ** 20])
+def test_dedup_with_min_pts_past_the_sightings_is_all_noise(tmp_path, capsys,
+                                                           min_pts):
+    # With min_pts at or above the 57 golden sightings no point is core:
+    # one event per sighting, for a min_pts past sys.maxsize too.
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(GOLDEN_DETECTIONS), "--epsilon",
+                 "1.0", "--min-pts", str(min_pts), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(json.loads(out.read_bytes())) == 57
+    assert captured.out == "detections in: 57  events out: 57\n"
+
+
+def test_simulate_with_min_pts_past_sys_maxsize_exits_0(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG,
+                                    dedup={"min_pts": 10 ** 20})))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    sightings = (out / "detections.jsonl").read_bytes().count(b"\n")
+    assert sightings > 0
+    assert len(json.loads((out / "report.json").read_bytes())
+               ["detections"]) == sightings
 
 
 def test_dedup_of_4000_co_located_sightings_is_one_event(tmp_path, capsys):
@@ -769,7 +819,7 @@ def test_dedup_cli_survives_mutated_records(data):
     assert "Traceback" not in err.getvalue()
 
 
-def _parse_outcome(parse, data: bytes) -> str:
+def _parse_outcome(parse, data) -> str:
     """The repr of the Sightings table ``parse`` makes of ``data``, which
     tells an int from a float, or its error message."""
     try:
@@ -784,11 +834,32 @@ def test_column_parser_matches_the_object_parser(data):
     # The golden sightings, or up to three of their records mutated as in
     # test_dedup_cli_survives_mutated_records: the column parser and the
     # object-building one both accept with equal values, or both reject
-    # with the same `line N: ...` message.
+    # with the same `line N: ...` message, from bytes or from a file.
     lines = _mutated_golden_lines(data, least=0)
     raw = ("\n".join(lines) + "\n").encode("utf-8")
-    assert _parse_outcome(parse_detection_record_lines, raw) == \
-        _parse_outcome(parse_detection_record_lines_objects, raw)
+    expected = _parse_outcome(parse_detection_record_lines_objects, raw)
+    assert _parse_outcome(parse_detection_record_lines, raw) == expected
+    assert _parse_outcome(parse_detection_record_lines, io.BytesIO(raw)) == \
+        expected
+
+
+@pytest.mark.parametrize("data", [
+    b'{"class": "hotspot"}\n{}\n"\xff"\n',
+    b'{"class": "hotspot"}\n"\xe2\x82\n',
+    b'[]\n"caf\xc3\xa9"\n"\xc3',
+    b'{"bbox": ' + b"[" * 1200 + b"]" * 1200 + b'}\n\xff\n',
+    b'"\xff"\n{"class": "hotspot"}\n',
+], ids=["bad-byte-after-bad-record", "cut-sequence-after-bad-record",
+        "cut-sequence-at-the-end", "bad-byte-after-deep-nesting",
+        "bad-byte-on-line-1"])
+def test_input_not_utf8_anywhere_wins_over_a_bad_record(data):
+    # The codec's message names the byte's position in the whole input,
+    # as one decode of the whole input does.
+    expected = _parse_outcome(parse_detection_record_lines_objects, data)
+    assert expected.startswith("error: input is not UTF-8: 'utf-8' codec")
+    assert _parse_outcome(parse_detection_record_lines, data) == expected
+    assert _parse_outcome(parse_detection_record_lines, io.BytesIO(data)) == \
+        expected
 
 
 def test_dedup_cli_malformed_input_names_line(tmp_path):

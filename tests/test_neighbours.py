@@ -227,6 +227,17 @@ def test_dbscan_labels_equal_brute_force(scene, min_pts):
         _dbscan_oracle(points, epsilon, min_pts)
 
 
+@given(scenes(), st.sampled_from([0, 1, 10 ** 20]))
+def test_dbscan_labels_from_the_point_count_on_equal_brute_force(scene,
+                                                                 extra):
+    # min_pts of n, n + 1 and past sys.maxsize: from n + 1 on no point is
+    # core, and all are noise.
+    points, epsilon = scene
+    min_pts = len(points) + extra
+    assert dbscan_labels(*point_columns(points), epsilon, min_pts) == \
+        _dbscan_oracle(points, epsilon, min_pts)
+
+
 @settings(max_examples=300)
 @given(clumped_scenes(), st.integers(1, 7))
 def test_dbscan_labels_on_clumps_equal_brute_force(scene, min_pts):

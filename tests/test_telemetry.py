@@ -1,10 +1,13 @@
 import json
 import pathlib
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
+
+from oracles import parse_detection_record_lines_objects
 
 from pvpipeline.dedup import DefectEvent, Sightings
 from pvpipeline.geodesy import GeoPoint
@@ -220,3 +223,25 @@ def test_parse_detection_record_lines_reports_line_numbers():
     data = (good + "\n" + '{"class": "hotspot"}' + "\n").encode()
     with pytest.raises(TelemetryError, match="line 2"):
         parse_detection_record_lines(data)
+
+
+def test_parse_from_a_file_holds_no_copy_of_it(tmp_path):
+    # 2,000 golden lines, about 1 MB: read one line at a time, the parse
+    # peaks above the table it returns by a small part of the file's size.
+    golden = (DATA / "golden_mission" / "clutter_miss"
+              / "detections.jsonl").read_bytes().splitlines(keepends=True)
+    data = b"".join(golden[k % len(golden)] for k in range(2000))
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            tracemalloc.reset_peak()
+            parsed = parse_detection_record_lines(fh)
+            held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 2000
+    assert peak - held < len(data) / 2, (peak - held, len(data))
+    assert repr(parsed) == repr(parse_detection_record_lines(data)) == \
+        repr(parse_detection_record_lines_objects(data))
