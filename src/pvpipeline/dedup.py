@@ -7,13 +7,14 @@ sightings are one :class:`Sightings` table; no object is built per sighting.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
 from .geodesy import (GeoPoint, checked_point, far_apart, haversine,
                       neighbours_within, plane_centroid, point_columns,
-                      polygon_centroid, radius_groups, tangent_offsets,
-                      tangent_point)
+                      polygon_centroid, radius_groups, ring_pairs,
+                      tangent_offsets, tangent_point)
 
 NOISE = -1
 
@@ -34,19 +35,27 @@ class DbscanParams:
             raise DedupError("min_pts must be at least 1")
 
 
+def floats(values=()) -> array:
+    """A float column, or one row's box or ring: ``array('d')``."""
+    return array("d", values)
+
+
 @dataclass
 class Sightings:
     """Sightings as parallel columns (struct of arrays), row i of each
-    holding sighting i: plain lists, so tables compare, pickle and join by
-    ``+``. A row is what geoprojection.project_detection returns and what
-    telemetry reads from a detections.jsonl line."""
-    bbox: list = field(default_factory=list)    # (x_min, y_min, x_max, y_max)
+    holding sighting i. A number column is one ``array('d')``; a box or a
+    ring is an ``array('d')`` per row, held in a list; a string column is a
+    list of str. No column holds a Python object per number, and arrays,
+    like lists, compare, pickle and join by ``+``, so tables do too. A row
+    is what geoprojection.project_detection returns and what telemetry
+    reads from a detections.jsonl line, with the box and ring flat."""
+    bbox: list = field(default_factory=list)     # x_min, y_min, x_max, y_max
     class_id: list = field(default_factory=list)
-    confidence: list = field(default_factory=list)
-    peak_temp_c: list = field(default_factory=list)
-    polygon: list = field(default_factory=list)  # ((lat, lon), ...) ring
-    lat: list = field(default_factory=list)      # centroid latitude
-    lon: list = field(default_factory=list)      # and wrapped longitude
+    confidence: array = field(default_factory=floats)
+    peak_temp_c: array = field(default_factory=floats)
+    polygon: list = field(default_factory=list)  # lat, lon, lat, ... ring
+    lat: array = field(default_factory=floats)   # centroid latitude
+    lon: array = field(default_factory=floats)   # and wrapped longitude
     frame_id: list = field(default_factory=list)
     timestamp: list = field(default_factory=list)
     media_rgb: list = field(default_factory=list)
@@ -56,14 +65,26 @@ class Sightings:
     def of_rows(cls, rows) -> "Sightings":
         """The table of ``rows``, each one sighting's values in field
         order."""
-        return cls(*map(list, zip(*rows)))
+        table = cls()
+        table.extend(rows)
+        return table
+
+    def columns(self) -> list:
+        """The columns, in field order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def extend(self, rows):
+        """Append ``rows``, each one sighting's values in field order, to
+        the columns, which keep their types."""
+        for column, values in zip(self.columns(), zip(*rows)):
+            column.extend(values)
 
     def __len__(self) -> int:
         return len(self.lat)
 
     def __add__(self, other: "Sightings") -> "Sightings":
-        return Sightings(*(getattr(self, f.name) + getattr(other, f.name)
-                           for f in fields(self)))
+        return Sightings(*(mine + theirs for mine, theirs in
+                           zip(self.columns(), other.columns())))
 
 
 @dataclass(frozen=True)
@@ -195,13 +216,13 @@ def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
     if not member_ids:
         raise DedupError("cannot merge an empty cluster")
     polygons, confidence = sightings.polygon, sightings.confidence
-    lat0, lon0 = polygons[member_ids[0]][0]
+    lat0, lon0 = polygons[member_ids[0]][:2]
     hull = convex_hull(tangent_offsets(
-        lat0, lon0, [v for i in member_ids for v in polygons[i]]))
+        lat0, lon0, [v for i in member_ids for v in ring_pairs(polygons[i])]))
     best = max(member_ids, key=confidence.__getitem__)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        polygon = polygons[best]
+        polygon = ring_pairs(polygons[best])
         centroid = polygon_centroid(polygon)
     else:
         polygon = tuple(checked_point(*tangent_point(lat0, lon0, *xy))

@@ -10,6 +10,7 @@ tangent plane; errors are negligible for sub-kilometer extents.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 # IUGG mean Earth radius, meters.
@@ -28,6 +29,10 @@ def checked_point(lat, lon) -> tuple:
     GeodesyError for a latitude past +-90 or a non-finite longitude."""
     if not (-90.0 <= lat <= 90.0):
         raise GeodesyError(f"latitude out of range: {lat}")
+    if -180.0 <= lon < 180.0:  # the wrap below, where fmod is the identity
+        wrapped = lon + 180.0
+        if wrapped < 360.0:  # not rounded up to 360
+            return lat, wrapped - 180.0
     try:
         finite = math.isfinite(lon)
     except OverflowError as exc:  # an int past the float range
@@ -40,17 +45,26 @@ def checked_point(lat, lon) -> tuple:
     return lat, lon - 180.0
 
 
-def checked_ring(vertices) -> tuple:
-    """The ring check: ``vertices`` ((lat, lon) pairs or GeoPoints) as a
-    tuple of at least three, no two consecutive ones equal; the closing
-    edge is implied."""
+def checked_ring(vertices) -> array:
+    """The ring check: ``vertices``, (lat, lon) pairs, at least three, no
+    two consecutive ones equal; the closing edge is implied. Returns the
+    ring flat: ``array('d')`` of lat, lon, lat, lon, ... in ring order."""
     vertices = tuple(vertices)
     if len(vertices) < 3:
         raise GeodesyError("polygon needs at least 3 vertices")
-    for a, b in zip(vertices, vertices[1:]):
-        if a == b:
+    flat, before = [], None
+    for vertex in vertices:
+        if vertex == before:
             raise GeodesyError("consecutive duplicate polygon vertices")
-    return vertices
+        flat += vertex
+        before = vertex
+    return array("d", flat)
+
+
+def ring_pairs(flat) -> tuple:
+    """The (lat, lon) pairs of a ring held flat, as checked_ring returns
+    it."""
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)
@@ -164,6 +178,10 @@ _SUB_CELL_MARGIN = 1e-9
 _BIN_ERROR_REL = 2.0 ** -50
 # Pairs two lists must make before far_apart bounds their distance.
 _BOX_TEST_PAIRS = 64
+# Absolute slack on sin(dlmb / 2) for a longitude difference near 360
+# degrees: haversine() takes the sine of an argument near pi, off by
+# roundoff of about 1e-15 in the difference and its conversion to radians.
+_WRAP_SIN_SLACK = 1e-14
 
 
 def _hav(degrees: float) -> float:
@@ -262,9 +280,14 @@ def far_apart(lat, lon, radius: float):
     hav(d / R) = hav(dphi) + cos(phi1) cos(phi2) hav(dlmb) is bounded from
     below by the latitude and longitude gaps between the lists' bounding
     boxes, with both cosines taken at the latitude farthest from the
-    equator, and must pass hav(radius / R) by a margin for roundoff. The
-    longitude gap counts only where the two boxes span at most 180 degrees,
-    so that no pair's longitude difference wraps round the antimeridian.
+    equator, and must pass hav(radius / R) by a margin for roundoff. A
+    pair's longitude difference lies between the boxes' gap and their span,
+    and hav over that interval is least at one end: hav(gap) where the span
+    is at most 180 degrees, else the smaller of hav(gap) and hav(span), as a
+    difference may then wrap round the antimeridian. Near 360 degrees
+    haversine() takes the sine of an argument near pi, whose roundoff is
+    absolute, not relative; so hav(span) is taken as sin^2 of half of
+    360 - span, less _WRAP_SIN_SLACK on the sine.
     """
     if not radius < math.pi * MEAN_EARTH_RADIUS_M:  # every pair is within
         return lambda first, second: False
@@ -280,10 +303,14 @@ def far_apart(lat, lon, radius: float):
             return False
         (s1, n1, w1, e1), (s2, n2, w2, e2) = bounds(first), bounds(second)
         cos_far = math.cos(math.radians(max(-s1, n1, -s2, n2)))
-        lon_gap = (max(w2 - e1, w1 - e2, 0.0)
-                   if max(e1, e2) - min(w1, w2) <= 180.0 else 0.0)
+        west, east = min(w1, w2), max(e1, e2)
+        lon_hav = _hav(max(w2 - e1, w1 - e2, 0.0))
+        if east - west > 180.0:
+            wrap = (west + 180.0) + (180.0 - east)  # 360 - span
+            lon_hav = min(lon_hav, max(0.0, math.sin(math.radians(wrap) / 2.0)
+                                       - _WRAP_SIN_SLACK) ** 2)
         return (_hav(max(s2 - n1, s1 - n2, 0.0))
-                + cos_far * cos_far * _hav(lon_gap)) > limit
+                + cos_far * cos_far * lon_hav) > limit
 
     return apart
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dedup import floats
 from .detector import Detection
 from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring, \
     polygon_centroid, tangent_point
@@ -79,18 +80,19 @@ def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics,
 
 
 def project_detection(det: Detection, view: CameraView) -> tuple:
-    """The :class:`dedup.Sightings` row of ``det`` in ``view``, its ring
-    the four bbox corners projected to the ground. A failing corner raises
-    ProjectionError and a repeated vertex GeodesyError (the mission's
-    project stage drops the detection and counts it)."""
+    """The :class:`dedup.Sightings` row of ``det`` in ``view``, its box
+    and ring flat, the ring the four bbox corners projected to the ground.
+    A failing corner raises ProjectionError and a repeated vertex
+    GeodesyError (the mission's project stage drops the detection and
+    counts it)."""
     x0, y0, x1, y1 = box = (det.x_min, det.y_min, det.x_max, det.y_max)
-    ring = checked_ring(_ground_points(
-        [(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
-        view.intr, view.ground, view.height, view.rot))
+    corners = _ground_points([(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+                             view.intr, view.ground, view.height, view.rot)
+    ring = checked_ring(corners)
     try:
-        centroid = polygon_centroid(ring)
+        centroid = polygon_centroid(corners)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
-    return (box, det.class_id, det.confidence, det.peak_temp_c, ring,
-            centroid.lat, centroid.lon, view.frame_id, view.timestamp,
+    return (floats(box), det.class_id, det.confidence, det.peak_temp_c,
+            ring, centroid.lat, centroid.lon, view.frame_id, view.timestamp,
             view.media_rgb, view.media_tiff)

@@ -16,15 +16,16 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO
 # json.dumps(s) for a str s, without json.dumps's dispatch on the type
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .dedup import DefectEvent, Sightings
+from .dedup import DefectEvent, Sightings, floats
 from .detector import check_box
-from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring
+from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring, \
+    ring_pairs
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
@@ -264,8 +265,9 @@ def detection_record_lines(sightings: Sightings) -> bytes:
     the offline `dedup` command."""
     s = sightings
     lines = [json.dumps({
-        "bbox": bbox, "class": class_id, "conf": conf, "temp_C": temp,
-        "polygon_wgs84": polygon, "centroid_wgs84": [lat, lon],
+        "bbox": bbox.tolist(), "class": class_id, "conf": conf,
+        "temp_C": temp, "polygon_wgs84": ring_pairs(polygon),
+        "centroid_wgs84": [lat, lon],
         "frame_id": frame_id, "timestamp": timestamp,
         "media": {"rgb": rgb, "tiff": tiff},
     }, sort_keys=True) for (bbox, class_id, conf, temp, polygon, lat, lon,
@@ -276,11 +278,17 @@ def detection_record_lines(sightings: Sightings) -> bytes:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+# Rows the parser holds before it moves them to the table's columns, one
+# C-level extend per column instead of a Python-level append per value.
+_ROWS_PER_EXTEND = 256
 
 
-def _row(line: str) -> tuple:
-    """The Sightings row of one line, decoded as json.loads decodes it. The
-    type tests are inline and accept what the field helpers accept."""
+def _row(line: str, shared: dict) -> tuple:
+    """The Sightings row of one line, decoded as json.loads decodes it, its
+    box and ring flat. A string equal to one in ``shared`` is that one, and
+    a new one is added: the strings of one frame repeat on each of its
+    lines. The type tests are inline and accept what the field helpers
+    accept."""
     try:
         obj, end = _raw_decode(line)
     except ValueError:
@@ -310,19 +318,23 @@ def _row(line: str) -> tuple:
     if not (type(temp) in num and -big <= temp <= big):
         temp = _field(obj, "temp_C", _number)
     ring = obj.get("polygon_wgs84")
-    centroid = obj.get("centroid_wgs84")
-    for p in (*ring, centroid) if type(ring) is list else (None,):
+    vertices = []  # each vertex's numbers, then its point check
+    for p in ring if type(ring) is list else (None,):
         lat, lon = p if type(p) is list and len(p) == 2 else (None, None)
         if not (type(lat) in num and type(lon) in num
                 and -big <= lat <= big and -big <= lon <= big):
-            polygon = checked_ring(
-                checked_point(*_lat_lon(v, "polygon_wgs84"))
-                for v in _field(obj, "polygon_wgs84", _list))
-            lat, lon = checked_point(*_field(obj, "centroid_wgs84", _lat_lon))
+            vertices = [checked_point(*_lat_lon(v, "polygon_wgs84"))
+                        for v in _field(obj, "polygon_wgs84", _list)]
             break
-    else:
-        polygon = checked_ring([checked_point(lat, lon) for lat, lon in ring])
-        lat, lon = checked_point(*centroid)
+        vertices.append(checked_point(lat, lon))
+    polygon = checked_ring(vertices)
+    centroid = obj.get("centroid_wgs84")
+    lat, lon = (centroid if type(centroid) is list and len(centroid) == 2
+                else (None, None))
+    if not (type(lat) in num and type(lon) in num
+            and -big <= lat <= big and -big <= lon <= big):
+        lat, lon = _field(obj, "centroid_wgs84", _lat_lon)
+    lat, lon = checked_point(lat, lon)
     strings = [obj.get("frame_id", ""), obj.get("timestamp", ""),
                media.get("rgb", ""), media.get("tiff", "")]
     for k, what in enumerate(("frame_id", "timestamp", "media.rgb",
@@ -330,7 +342,9 @@ def _row(line: str) -> tuple:
         if not (type(strings[k]) is str and strings[k].isascii()):
             strings[k] = _string(strings[k], what)
     check_box(*box, conf)
-    return (tuple(box), class_id, conf, temp, polygon, lat, lon, *strings)
+    share = shared.setdefault
+    return (floats(box), share(class_id, class_id), conf, temp, polygon, lat,
+            lon, *map(share, strings, strings))
 
 
 def _bad_input(message: str, read: int, rest: bytes) -> TelemetryError:
@@ -346,9 +360,11 @@ def _bad_input(message: str, read: int, rest: bytes) -> TelemetryError:
 
 
 def parse_detection_record_lines(source: bytes | BinaryIO) -> Sightings:
-    """Inverse of detection_record_lines, with no object per line. The
-    input, ``bytes`` or a binary file, is read one line at a time straight
-    into the table, so memory is the table plus one line. Lines end at
+    """Inverse of detection_record_lines, with no object per number. The
+    input, ``bytes`` or a binary file, is read one line at a time into the
+    typed columns of the table, _ROWS_PER_EXTEND rows at a time, and equal
+    strings are one object, so memory is the table plus one line and those
+    rows. Lines end at
     "\\n" only (JSON Lines); a line of JSON whitespace only is skipped, and
     each other is held to these checks, in this order: the record and
     media objects, each field's type in column order (each vertex's
@@ -357,15 +373,16 @@ def parse_detection_record_lines(source: bytes | BinaryIO) -> Sightings:
     or, if the input is not UTF-8 anywhere, for that first."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    table = Sightings()
-    columns = [getattr(table, f.name) for f in fields(table)]
+    table, rows, shared = Sightings(), [], {}
     read = 0
     for lineno, raw in enumerate(source, start=1):
         try:
             line = raw.decode("utf-8").removesuffix("\n")
             if line.strip(" \t\r"):
-                for column, value in zip(columns, _row(line)):
-                    column.append(value)
+                rows.append(_row(line, shared))
+                if len(rows) == _ROWS_PER_EXTEND:
+                    table.extend(rows)
+                    rows.clear()
         except RecursionError:
             raise _bad_input(f"line {lineno}: JSON nested too deeply", read,
                              raw + source.read()) from None
@@ -373,4 +390,5 @@ def parse_detection_record_lines(source: bytes | BinaryIO) -> Sightings:
             raise _bad_input(f"line {lineno}: {exc}", read,
                              raw + source.read()) from exc
         read += len(raw)
+    table.extend(rows)
     return table

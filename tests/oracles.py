@@ -3,6 +3,7 @@ itself has no use for them."""
 
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -24,8 +25,9 @@ def haversine_distance(a, b) -> float:
 def parse_detection_record_lines_objects(data: bytes) -> Sightings:
     """parse_detection_record_lines in object form: per line, the box,
     class, confidence and temperature types, a GeoPoint per vertex, then
-    checked_ring, the centroid GeoPoint and the strings, and last a
-    Detection, each held to its own checks in that order. Lines end at
+    checked_ring of their coordinates, the centroid GeoPoint and the
+    strings, and last a Detection, each held to its own checks in that
+    order; the table holds the box and ring flat. Lines end at
     "\\n" only, and a line of JSON whitespace (space, tab, CR) only is
     skipped."""
     try:
@@ -44,16 +46,16 @@ def parse_detection_record_lines_objects(data: bytes) -> Sightings:
             conf = _field(obj, "conf", _number)
             temp = _field(obj, "temp_C", _number)
             polygon = checked_ring(
-                GeoPoint(*_lat_lon(p, "polygon_wgs84"))
-                for p in _field(obj, "polygon_wgs84", _list))
+                (v.lat, v.lon) for v in (
+                    GeoPoint(*_lat_lon(p, "polygon_wgs84"))
+                    for p in _field(obj, "polygon_wgs84", _list)))
             centroid = GeoPoint(*_field(obj, "centroid_wgs84", _lat_lon))
             strings = (_string(obj.get("frame_id", ""), "frame_id"),
                        _string(obj.get("timestamp", ""), "timestamp"),
                        _string(media.get("rgb", ""), "media.rgb"),
                        _string(media.get("tiff", ""), "media.tiff"))
             Detection(*box, class_id, conf, temp)
-            rows.append((box, class_id, conf, temp,
-                         tuple((v.lat, v.lon) for v in polygon),
+            rows.append((array("d", box), class_id, conf, temp, polygon,
                          centroid.lat, centroid.lon, *strings))
         except (KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"line {lineno}: {exc}") from exc
@@ -130,9 +132,10 @@ def merge_cluster_objects(members, member_ids, event_id):
     """merge_cluster through enu_offset per member vertex, then enu_point
     per hull vertex and for the hull's centroid, over the Sightings rows
     ``members``, one per member id, each polygon vertex read as a
-    GeoPoint."""
+    GeoPoint from its flat ring."""
     table = Sightings.of_rows(members)
-    polygons = [[GeoPoint(*v) for v in ring] for ring in table.polygon]
+    polygons = [[GeoPoint(ring[k], ring[k + 1])
+                 for k in range(0, len(ring), 2)] for ring in table.polygon]
     anchor = polygons[0][0]
     points = [enu_offset(anchor, v) for ring in polygons for v in ring]
     hull = convex_hull(points)
@@ -141,7 +144,8 @@ def merge_cluster_objects(members, member_ids, event_id):
         hull_poly = polygons[best]
         centroid = polygon_centroid_objects(hull_poly)
     else:
-        hull_poly = checked_ring(enu_point(anchor, x, y) for x, y in hull)
+        hull_poly = [enu_point(anchor, x, y) for x, y in hull]
+        checked_ring((v.lat, v.lon) for v in hull_poly)
         centroid = enu_point(anchor, *plane_centroid(hull))
     return DefectEvent(
         id=event_id, class_id=table.class_id[best],

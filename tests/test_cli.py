@@ -772,6 +772,47 @@ def test_dedup_reads_a_line_separator_inside_a_string(tmp_path, capsys):
         parse_detection_record_lines_objects(raw)
 
 
+def test_dedup_of_integer_numbers_writes_them_as_floats(tmp_path, capsys):
+    # Integer conf, temp_C, bbox and latitudes (a temp_C past 2**53 and one
+    # just under the float range among them) are held as floats, and the
+    # events are byte for byte those of a table that kept the ints: two
+    # sightings merge into one hull, and a collinear one keeps its ring.
+    big = int(sys.float_info.max) - 1
+    records = [
+        {"bbox": [1, 2, 5, 6], "class": "hotspot", "conf": 1, "temp_C": 48,
+         "centroid_wgs84": [49, 26.9842],
+         "polygon_wgs84": [[49, 26.98419], [49, 26.98421],
+                           [49.00001, 26.98421], [49.00001, 26.98419]]},
+        {"bbox": [0, 0, 3, 3], "class": "hotspot", "conf": 0,
+         "temp_C": 10 ** 17 + 1, "centroid_wgs84": [49, 26.984201],
+         "polygon_wgs84": [[49, 26.984191], [49, 26.984211],
+                           [49.00001, 26.984211], [49.00001, 26.984191]]},
+        {"bbox": [10, 10, 12, 12], "class": "soiling", "conf": 1,
+         "temp_C": big, "centroid_wgs84": [0, 10],
+         "polygon_wgs84": [[0, 10], [0, 10.00001], [0, 10.00002]]},
+    ]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    out = tmp_path / "events.json"
+    code = main(["dedup", "--input", str(path), "--epsilon", "1.0",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_bytes() == (
+        '[{"id":"clu_000","class":"hotspot","conf":1.00,'
+        '"temp_C":100000000000000000.00,'
+        '"centroid_wgs84":[49.000005,26.984200],'
+        '"polygon_wgs84":[[49.000000,26.984190],[49.000000,26.984211],'
+        '[49.000010,26.984211],[49.000010,26.984190]],'
+        '"media":{"rgb":"","tiff":""}},'
+        '{"id":"clu_001","class":"soiling","conf":1.00,'
+        f'"temp_C":{sys.float_info.max:.2f},'
+        '"centroid_wgs84":[0.000000,10.000010],'
+        '"polygon_wgs84":[[0.000000,10.000000],[0.000000,10.000010],'
+        '[0.000000,10.000020]],"media":{"rgb":"","tiff":""}}]'
+    ).encode("utf-8")
+
+
 def _key_paths(obj, path=()):
     """Key path of every value nested in a parsed JSON object."""
     items = (obj.items() if isinstance(obj, dict)

@@ -6,8 +6,10 @@ from oracles import enu_offset, haversine_distance, merge_cluster_objects
 
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
                               convex_hull, dbscan_labels, deduplicate,
-                              dup_fp_rate, duplicate_rate, merge_cluster)
-from pvpipeline.geodesy import GeoPoint, point_columns, tangent_point
+                              dup_fp_rate, duplicate_rate, floats,
+                              merge_cluster)
+from pvpipeline.geodesy import (GeoPoint, point_columns, ring_pairs,
+                                tangent_point)
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
@@ -19,8 +21,9 @@ def _pt(east, north, origin=ORIGIN):
 def _sighting(verts, centroid, class_id, conf, temp, box=(0, 0, 2, 2),
               media_rgb="", media_tiff=""):
     """The Sightings row of a footprint with GeoPoint vertices ``verts``
-    and GeoPoint ``centroid``."""
-    return (box, class_id, conf, temp, tuple((v.lat, v.lon) for v in verts),
+    and GeoPoint ``centroid``, its box and ring flat."""
+    return (floats(box), class_id, conf, temp,
+            floats([c for v in verts for c in (v.lat, v.lon)]),
             centroid.lat, centroid.lon, "f", "2025-09-30T10:00:00Z",
             media_rgb, media_tiff)
 
@@ -173,7 +176,7 @@ def test_merge_cluster_collinear_fallback():
 
     table = Sightings.of_rows([line_proj(0.0, 0.5), line_proj(0.05, 0.9)])
     event = merge_cluster(table, [0, 1], "clu_000")
-    assert event.polygon == table.polygon[1]
+    assert event.polygon == ring_pairs(table.polygon[1])
 
 
 # Plants the merge oracle draws clusters at: a mid-latitude survey site,
@@ -233,10 +236,10 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         got = merge_cluster(table, ids, f"clu_{k:03d}")
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
-        anchor = GeoPoint(*table.polygon[0][0])
+        anchor = GeoPoint(*table.polygon[0][:2])
         degenerate += len(convex_hull([enu_offset(anchor, GeoPoint(*v))
                                        for ring in table.polygon
-                                       for v in ring])) < 3
+                                       for v in ring_pairs(ring)])) < 3
     assert degenerate >= 10  # the collinear fallback was exercised
 
 

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from oracles import (enu_offset, enu_point, haversine_distance,
                      polygon_centroid_objects)
 
 from pvpipeline.geodesy import (GeodesyError, GeoPoint, MEAN_EARTH_RADIUS_M,
-                                checked_ring, polygon_centroid,
-                                tangent_offsets, tangent_point)
+                                checked_point, checked_ring, polygon_centroid,
+                                ring_pairs, tangent_offsets, tangent_point)
 
 R = MEAN_EARTH_RADIUS_M
 
@@ -57,6 +58,18 @@ def test_longitude_normalized():
     assert p.lon == pytest.approx(-170.0)
     q = GeoPoint(lat=10.0, lon=-190.0)
     assert q.lon == pytest.approx(170.0)
+
+
+@given(lon=st.one_of(st.floats(-540.0, 540.0), st.integers(-540, 540),
+                    st.sampled_from([-180.0, -0.0, 180.0,
+                                     math.nextafter(180.0, 0.0)])))
+def test_checked_point_wraps_as_one_fmod_does(lon):
+    # In range the wrap skips fmod; its bits stay those of the fmod form,
+    # 179.99999999999997 (whose sum with 180 rounds to 360) included.
+    wrapped = math.fmod(lon + 180.0, 360.0)
+    if wrapped < 0:
+        wrapped += 360.0
+    assert checked_point(0.0, lon)[1].hex() == (wrapped - 180.0).hex()
 
 
 def test_invalid_latitude_rejected():
@@ -207,9 +220,13 @@ def test_polygon_centroid_degenerate_falls_back_to_vertex_mean():
 
 
 def test_polygon_requires_three_distinct_vertices():
-    p = GeoPoint(lat=0.0, lon=0.0)
-    q = GeoPoint(lat=0.0, lon=0.001)
+    p = (0.0, 0.0)
+    q = (0.0, 0.001)
     with pytest.raises(GeodesyError):
         checked_ring([p, q])
     with pytest.raises(GeodesyError):
         checked_ring([p, p, q])
+    # A ring that passes is held flat, and ring_pairs reads it back.
+    ring = checked_ring([p, q, p])
+    assert ring == array("d", [0.0, 0.0, 0.0, 0.001, 0.0, 0.0])
+    assert ring_pairs(ring) == (p, q, p)

@@ -400,6 +400,31 @@ def test_dbscan_skips_scans_between_dense_groups_too_far_apart(
     assert len(set(labels)) == (1 if math.hypot(east, north) <= 1.0 else 2)
 
 
+@pytest.mark.parametrize("east", [1.05, 1.45])
+def test_dbscan_skips_scans_between_dense_groups_across_the_antimeridian(
+        monkeypatch, east):
+    # Two clumps of 300 equal points at 33.9 S, one either side of the
+    # antimeridian, apart only east-west. Their boxes span almost 360
+    # degrees together, so the bound takes the gap across the line.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return haversine(*args)
+
+    monkeypatch.setattr(dedup, "haversine", counted)
+    west, east_point = (_offset(-33.9, 180.0, side * east / 2.0, 0.0)
+                        for side in (-1.0, 1.0))
+    assert west.lon > 179.0 and east_point.lon < -179.0
+    points = [west] * 300 + [east_point] * 300
+    columns = point_columns(points)
+    assert far_apart(*columns, 1.0)(list(range(300)), list(range(300, 600)))
+    labels = dbscan_labels(*columns, 1.0, 2)
+    assert len(calls) <= 4 * len(points)
+    assert labels == _dbscan_oracle(points, 1.0, 2)
+    assert len(set(labels)) == 2
+
+
 def test_far_apart_near_the_pole_and_across_the_antimeridian():
     # Nine points up a 0.6 m meridian at 89.95 N, and nine at the same
     # latitudes a longitude step east. Only the northern pairs, where the

@@ -1,16 +1,19 @@
 import json
 import pathlib
+import pickle
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import parse_detection_record_lines_objects
 
-from pvpipeline.dedup import DefectEvent, Sightings
-from pvpipeline.geodesy import GeoPoint
+from pvpipeline.dedup import DefectEvent, Sightings, floats
+from pvpipeline.geodesy import GeoPoint, checked_point, checked_ring
 from pvpipeline.telemetry import (MissionReport, TelemetryError,
                                   detection_record_lines,
                                   parse_detection_record_lines, parse_report,
@@ -186,10 +189,10 @@ def test_file_sink_atomic_write(tmp_path):
 
 
 def _projected(lat=49.4071, lon=26.9842):
-    ring = ((lat - 1e-5, lon - 1e-5), (lat - 1e-5, lon + 1e-5),
-            (lat + 1e-5, lon + 1e-5), (lat + 1e-5, lon - 1e-5))
-    return ((1.0, 2.0, 5.0, 6.0), "hotspot", 0.83, 47.5, ring, lat, lon,
-            "f0003", "2025-09-30T10:00:07Z", "f0003.jpg", "f0003.tiff")
+    ring = floats([lat - 1e-5, lon - 1e-5, lat - 1e-5, lon + 1e-5,
+                   lat + 1e-5, lon + 1e-5, lat + 1e-5, lon - 1e-5])
+    return (floats([1.0, 2.0, 5.0, 6.0]), "hotspot", 0.83, 47.5, ring, lat,
+            lon, "f0003", "2025-09-30T10:00:07Z", "f0003.jpg", "f0003.tiff")
 
 
 def test_detection_record_lines_round_trip():
@@ -225,12 +228,18 @@ def test_parse_detection_record_lines_reports_line_numbers():
         parse_detection_record_lines(data)
 
 
+def _golden_lines(count: int) -> bytes:
+    """``count`` lines of the clutter_miss golden detections.jsonl, which
+    repeat after its 82."""
+    golden = (DATA / "golden_mission" / "clutter_miss"
+              / "detections.jsonl").read_bytes().splitlines(keepends=True)
+    return b"".join(golden[k % len(golden)] for k in range(count))
+
+
 def test_parse_from_a_file_holds_no_copy_of_it(tmp_path):
     # 2,000 golden lines, about 1 MB: read one line at a time, the parse
     # peaks above the table it returns by a small part of the file's size.
-    golden = (DATA / "golden_mission" / "clutter_miss"
-              / "detections.jsonl").read_bytes().splitlines(keepends=True)
-    data = b"".join(golden[k % len(golden)] for k in range(2000))
+    data = _golden_lines(2000)
     path = tmp_path / "in.jsonl"
     path.write_bytes(data)
     tracemalloc.start()
@@ -245,3 +254,70 @@ def test_parse_from_a_file_holds_no_copy_of_it(tmp_path):
     assert peak - held < len(data) / 2, (peak - held, len(data))
     assert repr(parsed) == repr(parse_detection_record_lines(data)) == \
         repr(parse_detection_record_lines_objects(data))
+
+
+def test_a_parsed_table_holds_at_most_550_bytes_a_row():
+    # The numbers are in array('d') columns, a box and a ring are one array
+    # each, and the strings of a frame are shared: the table holds no
+    # Python object per number. Tuples of float objects took about 1,150
+    # bytes a row here.
+    data = _golden_lines(2000)
+    tracemalloc.start()
+    try:
+        parsed = parse_detection_record_lines(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 2000
+    assert held <= 550 * len(parsed), held / len(parsed)
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_point = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)).map(
+    lambda p: checked_point(*p))
+
+
+@st.composite
+def sighting_rows(draw):
+    """A Sightings row as the project stage makes one: a box of positive
+    extent, a confidence in [0, 1], a finite temperature, a ring of 3 to 6
+    distinct checked points and a checked centroid."""
+    x_min, y_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    width, height = draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6))
+    ring = draw(st.lists(_point, min_size=3, max_size=6, unique=True))
+    return (floats([x_min, y_min, x_min + width, y_min + height]),
+            draw(_text), draw(st.floats(0.0, 1.0)),
+            draw(st.floats(allow_nan=False, allow_infinity=False)),
+            checked_ring(ring), *draw(_point), draw(_text), draw(_text),
+            draw(_text), draw(_text))
+
+
+def _assert_typed(table):
+    for name in ("confidence", "peak_temp_c", "lat", "lon"):
+        column = getattr(table, name)
+        assert type(column) is array and column.typecode == "d", name
+    for name, sizes in (("bbox", {4}), ("polygon", range(6, 13, 2))):
+        column = getattr(table, name)
+        assert type(column) is list, name
+        assert all(type(v) is array and v.typecode == "d" and len(v) in sizes
+                   for v in column), name
+    for name in ("class_id", "frame_id", "timestamp", "media_rgb",
+                 "media_tiff"):
+        column = getattr(table, name)
+        assert type(column) is list, name
+        assert all(type(v) is str for v in column), name
+
+
+@settings(max_examples=60)
+@given(st.lists(sighting_rows(), max_size=4),
+       st.lists(sighting_rows(), max_size=4))
+def test_a_table_of_drawn_rows_is_typed_and_round_trips(first, second):
+    table = Sightings.of_rows(first)
+    _assert_typed(table)
+    parsed = parse_detection_record_lines(detection_record_lines(table))
+    _assert_typed(parsed)
+    assert parsed == table
+    assert pickle.loads(pickle.dumps(table)) == table
+    joined = table + Sightings.of_rows(second)
+    _assert_typed(joined)
+    assert joined == Sightings.of_rows(first + second)
