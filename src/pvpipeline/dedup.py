@@ -1,7 +1,7 @@
 """Geo-spatial de-duplication: DBSCAN over haversine distances between
-sighting centroids, per-class cluster merging into canonical defect
-events, and the duplicate-induced false-positive (Dup-FP) metric. The
-sightings are one :class:`Sightings` table; no object is built per sighting.
+sighting centroids and per-class cluster merging into canonical defect
+events. The sightings are one :class:`Sightings` table; no object is built
+per sighting.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 
 from .geodesy import (GeoPoint, checked_point, far_apart, haversine,
-                      neighbours_within, plane_centroid, point_columns,
-                      polygon_centroid, radius_groups, ring_pairs,
-                      tangent_offsets, tangent_point)
+                      plane_centroid, polygon_centroid, radius_groups,
+                      ring_pairs, tangent_offsets, tangent_point)
 
 NOISE = -1
 
@@ -277,28 +276,15 @@ def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> list:
     return merged
 
 
-def nearest_ground_truth(lat, lon, ground_truth, match_radius: float,
-                         classes=None) -> list:
-    """For each point of columns ``lat``, ``lon``, the index of the nearest
-    ground truth within match_radius meters, or None. Reads each ground
-    truth's .position, and its .class_id only when ``classes`` (one class
-    id per point) is given; then only ground truth of the point's class
-    counts. On equal distance the later ground truth wins. One grid index
-    over the ground truth serves all points (see
-    :func:`geodesy.neighbours_within`).
-    """
-    found = neighbours_within(lat, lon, match_radius, point_columns(
-        [gt.position for gt in ground_truth]))
-    out = []
-    for k, near in enumerate(found):
-        best, best_d = None, math.inf
-        for gi, d in near:
-            if classes is not None and ground_truth[gi].class_id != classes[k]:
-                continue
-            if d <= best_d:
-                best, best_d = gi, d
-        out.append(best)
-    return out
+def nearest(found):
+    """The index of the nearest of ``found``, (index, distance) pairs in
+    ascending index order, the later one on equal distance; None when
+    ``found`` is empty."""
+    best, best_d = None, math.inf
+    for i, d in found:
+        if d <= best_d:
+            best, best_d = i, d
+    return best
 
 
 def duplicate_rate(matches) -> float:
@@ -306,18 +292,3 @@ def duplicate_rate(matches) -> float:
     truth matched m >= 1 times adds m - 1 duplicate FPs, over the items."""
     hits = [gi for gi in matches if gi is not None]
     return (len(hits) - len(set(hits))) / len(matches) if matches else 0.0
-
-
-def dup_fp_rate(items, ground_truth, match_radius: float) -> float:
-    """Duplicate-induced false-positive rate.
-
-    Items (such as events; each read for .centroid and .class_id) are
-    greedily matched to the nearest same-class ground-truth defect (read for
-    .position and .class_id) within match_radius, and the matches are
-    counted by :func:`duplicate_rate`.
-    """
-    if not (math.isfinite(match_radius) and match_radius > 0):
-        raise DedupError("match_radius must be positive and finite")
-    return duplicate_rate(nearest_ground_truth(
-        *point_columns([item.centroid for item in items]), ground_truth,
-        match_radius, [item.class_id for item in items]))

@@ -265,10 +265,7 @@ class FusionModel:
 
     def __init__(self, seed: int = 0, crop_size: int = 16, hidden: int = 16,
                  dim: int = 32):
-        self.crop_size = crop_size
         self.in_dim = crop_size * crop_size * 3
-        self.hidden = hidden
-        self.dim = dim
         # (key, shape, init) of every weight, in its order in vec. init
         # (gain, fan_in) draws the weight as gain * N(0, 1) / sqrt(fan_in),
         # in this order from the seed's RNG; None starts it at zero.

@@ -33,8 +33,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .dedup import DbscanParams, Sightings, deduplicate, dup_fp_rate, \
-    duplicate_rate, nearest_ground_truth
+from .dedup import DbscanParams, Sightings, deduplicate, duplicate_rate, \
+    nearest
 from .detector import Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     point_columns, tangent_point
@@ -107,10 +107,10 @@ class PlantLayout:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise SimulationError("plant grid must be at least 1x1")
-        if min(self.module_size) <= 0 or min(self.pitch) <= 0:
+        if not all(x > 0 for x in (*self.module_size, *self.pitch)):
             raise SimulationError("module size and pitch must be positive")
-        if (self.pitch[0] < self.module_size[0]
-                or self.pitch[1] < self.module_size[1]):
+        if not (self.pitch[0] >= self.module_size[0]
+                and self.pitch[1] >= self.module_size[1]):
             raise SimulationError("pitch must be at least the module size")
 
     @property
@@ -301,8 +301,6 @@ def plan_flight(layout: PlantLayout, plan: FlightPlan,
     is imaged by at least ceil(1/(1-along_overlap)) frames.
     """
     ext_e, ext_n = layout.extent
-    if ext_e <= 0 or ext_n <= 0:
-        raise SimulationError("zero-area plant")
     fp_e, fp_n = footprint(plan, intr)
     n_lines, spacing, n_along, step = _survey_grid(layout, plan, intr)
     if n_lines == 1:
@@ -681,6 +679,23 @@ class MissionConfig:
                 f"{name}: a blob sigma of up to {sigma_px:.3g} px (at 0.1 m "
                 f"depth) and psf_px {psf_px:.3g} px square past the float "
                 f"range")
+        # render_frame adds to ambient_c one blob per defect, each at most
+        # its peak excess (every attenuation is at most 1); detect's median
+        # adds two pixels of the sum.
+        mix = self.defects
+        n = n_modules if mix.count is None else mix.count
+        key = max(("excess_range_c", "small_excess_range_c"),
+                  key=lambda k: max(getattr(mix, k)))
+        peak = max(getattr(mix, key))
+        try:
+            total = 2.0 * (abs(self.render.ambient_c) + n * peak)
+        except OverflowError:  # a module count past the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise SimulationError(
+                f"defects.{key}: {n} defects of up to {peak:.3g} C over "
+                f"ambient_c {self.render.ambient_c:.3g} C sum past half the "
+                f"float range")
 
 
 @dataclass
@@ -903,10 +918,11 @@ def project_confirmed(det: Detection, gimbal, view, trace: MissionTrace):
 def match_ground_truth(sightings: Sightings, defects, radius: float) -> list:
     """Match stage, a stand-in for the classifier head: each sighting
     within the radius of a defect takes the nearest one's class in the
-    table's class column. Returns the index of each one's defect, or
-    None."""
-    gt_indices = nearest_ground_truth(sightings.lat, sightings.lon, defects,
-                                      radius)
+    table's class column (see :func:`dedup.nearest`). Returns the index of
+    each one's defect, or None."""
+    gt_indices = [nearest(found) for found in neighbours_within(
+        sightings.lat, sightings.lon, radius,
+        point_columns([d.position for d in defects]))]
     sightings.class_id = [c if gi is None else defects[gi].class_id
                           for c, gi in zip(sightings.class_id, gt_indices)]
     return gt_indices
@@ -1059,14 +1075,19 @@ def run_mission(config: MissionConfig):
 
 
 def evaluate(trace: MissionTrace) -> MetricsReport:
+    """Scores the mission against its defects. An event matches the
+    defects of its class within the match radius: recall counts the defects
+    some event matches, and Dup-FP after dedup takes each event's nearest
+    one (see :func:`dedup.nearest`, :func:`dedup.duplicate_rate`)."""
     defects = trace.defects
-    radius = trace.config.match_radius_m
-
     near = neighbours_within(
-        *point_columns([e.centroid for e in trace.events]), radius,
+        *point_columns([e.centroid for e in trace.events]),
+        trace.config.match_radius_m,
         point_columns([d.position for d in defects]))
-    matched = {i for event, found in zip(trace.events, near)
-               for i, _ in found if defects[i].class_id == event.class_id}
+    same_class = [[(i, d) for i, d in found
+                   if defects[i].class_id == event.class_id]
+                  for event, found in zip(trace.events, near)]
+    matched = {i for found in same_class for i, _ in found}
     small = [i for i, d in enumerate(defects) if d.is_small]
     recall = len(matched) / len(defects) if defects else 1.0
     recall_small = (len(matched & set(small)) / len(small)) if small else 1.0
@@ -1075,7 +1096,7 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
         recall=recall,
         recall_small=recall_small,
         dup_fp_raw=duplicate_rate(trace.gt_matches),
-        dup_fp_dedup=dup_fp_rate(trace.events, defects, radius),
+        dup_fp_dedup=duplicate_rate([nearest(f) for f in same_class]),
         event_count=len(trace.events),
         gt_count=len(defects),
         bandwidth_savings=1.0 - trace.payload_bytes / trace.raw_bytes,

@@ -362,6 +362,18 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
     # the sum overflows, the ambient reads inf and nothing is detected
     ({"render": {"ambient_c": 9e307}}, [], "$.render", "ambient_c"),
     ({"render": {"ambient_c": 1e308}}, [], "$.render", "ambient_c"),
+    # and so does the renderer's sum of ambient_c and every blob's peak
+    # excess: nine blobs of up to 1.7e308 C pass the float range
+    ({"plant": {"rows": 3, "cols": 3},
+      "defects": {"count": 9, "n_small": 0,
+                  "excess_range_c": [1e308, 1.7e308], "sigma_m": 2.0,
+                  "min_separation_m": 0}}, [], "$.defects.excess_range_c",
+     "9 defects of up to 1.7e+308 C"),
+    ({"plant": {"rows": 3, "cols": 3},
+      "defects": {"count": 9, "n_small": 9,
+                  "small_excess_range_c": [1e308, 1.7e308],
+                  "small_sigma_m": 2.0, "min_separation_m": 0}}, [],
+     "$.defects.small_excess_range_c", "9 defects of up to 1.7e+308 C"),
     # so is one frame's raster, before the renderer allocates it: a frame
     # 1e6 pixels wide or high is a float64 raster of 512 or 640 MB
     ({"camera": {"width": 1000000}}, [], "$.camera.width",
@@ -391,6 +403,7 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "small_sigma_m-1e300", "sigma_m-1e152-tilted-views",
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules", "ambient_c-9e307", "ambient_c-1e308",
+        "excess_range_c-1.7e308", "small_excess_range_c-1.7e308",
         "width-1e6", "height-1e6", "width-5-clutter", "height-5-clutter"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
@@ -432,7 +445,9 @@ def test_simulate_blobs_whose_window_misses_the_raster_exit_0(tmp_path, capsys,
     {"render": {"psf_px": 1e150}},
     # sigma_m * fx / 0.1 m = 1e154 px, whose square is about 1e308
     {"defects": {"sigma_m": 1e151}},
-], ids=["psf_px-1e150", "sigma_m-1e151"])
+    # eight blobs of 1e300 C over ambient sum within the float range
+    {"defects": {"excess_range_c": [1e300, 1e300]}},
+], ids=["psf_px-1e150", "sigma_m-1e151", "excess_range_c-1e300"])
 def test_simulate_render_squares_within_the_float_range_exit_0(tmp_path,
                                                                capsys, config):
     path = tmp_path / "config.json"

@@ -6,10 +6,10 @@ from oracles import enu_offset, haversine_distance, merge_cluster_objects
 
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
                               convex_hull, dbscan_labels, deduplicate,
-                              dup_fp_rate, duplicate_rate, floats,
-                              merge_cluster)
+                              duplicate_rate, floats, merge_cluster)
 from pvpipeline.geodesy import (GeoPoint, point_columns, ring_pairs,
                                 tangent_point)
+from pvpipeline.simulator import MissionConfig, MissionTrace, evaluate
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
@@ -267,9 +267,10 @@ def test_deduplicate_events_match_object_form_oracle(plant):
 # Duplicate false-positive rate
 # ---------------------------------------------------------------------------
 
-# Ground truth and items as dup_fp_rate reads them: a position and a
-# class, and a centroid and a class.
-_GroundTruth = namedtuple("_GroundTruth", "position class_id")
+# Ground truth and items as evaluate reads them: a position, a class and
+# whether the defect is small, and a centroid and a class.
+_GroundTruth = namedtuple("_GroundTruth", "position class_id is_small",
+                          defaults=(False,))
 _Item = namedtuple("_Item", "centroid class_id")
 
 
@@ -277,13 +278,19 @@ def _item(east, north, class_id="hotspot"):
     return _Item(_pt(east, north), class_id)
 
 
+def _metrics(items, gt, radius):
+    """evaluate on a one-frame trace of events ``items``."""
+    return evaluate(MissionTrace(config=MissionConfig(match_radius_m=radius),
+                                 defects=gt, frames=1, events=items))
+
+
 def test_dup_fp_rate_hand_cases():
     gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     items = [_item(0.1, 0.0), _item(-0.1, 0.1), _item(0.0, -0.2)]
     # Three detections of one defect: two duplicates among three items.
-    assert dup_fp_rate(items, gt, 1.0) == pytest.approx(2.0 / 3.0)
-    assert dup_fp_rate(items[:1], gt, 1.0) == 0.0
-    assert dup_fp_rate([], gt, 1.0) == 0.0
+    assert _metrics(items, gt, 1.0).dup_fp_dedup == pytest.approx(2.0 / 3.0)
+    assert _metrics(items[:1], gt, 1.0).dup_fp_dedup == 0.0
+    assert _metrics([], gt, 1.0).dup_fp_dedup == 0.0
     # The count itself, on ground-truth indices (None: unmatched).
     assert duplicate_rate([]) == 0.0
     assert duplicate_rate([None, None]) == 0.0
@@ -294,7 +301,7 @@ def test_dup_fp_rate_unmatched_and_denominator():
     gt = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     items = [_item(0.1, 0.0), _item(0.0, 0.1), _item(50.0, 50.0)]
     # One duplicate out of three items: the unmatched one counts too.
-    assert dup_fp_rate(items, gt, 1.0) == pytest.approx(1 / 3)
+    assert _metrics(items, gt, 1.0).dup_fp_dedup == pytest.approx(1 / 3)
 
 
 def test_dup_fp_rate_class_awareness():
@@ -302,8 +309,10 @@ def test_dup_fp_rate_class_awareness():
              _item(0.0, 0.1, class_id="diode_fault")]
     other = [_GroundTruth(position=_pt(0.0, 0.0), class_id="hotspot")]
     same = [_GroundTruth(position=_pt(0.0, 0.0), class_id="diode_fault")]
-    assert dup_fp_rate(items, other, 1.0) == 0.0
-    assert dup_fp_rate(items, same, 1.0) == pytest.approx(0.5)
+    assert _metrics(items, other, 1.0).dup_fp_dedup == 0.0
+    assert _metrics(items, same, 1.0).dup_fp_dedup == pytest.approx(0.5)
+    assert _metrics(items, other, 1.0).recall == 0.0
+    assert _metrics(items, same, 1.0).recall == 1.0
 
 
 def test_dedup_validation_errors():
@@ -311,10 +320,6 @@ def test_dedup_validation_errors():
         DbscanParams(epsilon=0.0)
     with pytest.raises(DedupError):
         DbscanParams(min_pts=0)
-    with pytest.raises(DedupError):
-        dup_fp_rate([], [], match_radius=0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DedupError):
             DbscanParams(epsilon=bad)
-        with pytest.raises(DedupError):
-            dup_fp_rate([], [], match_radius=bad)

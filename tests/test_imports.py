@@ -1,6 +1,7 @@
 """Every name a pvpipeline module or a test file imports is referenced in
 that file, every module-level name a pvpipeline module defines is
-referenced somewhere, and every field of a pvpipeline dataclass is read.
+referenced somewhere, and every field of a pvpipeline dataclass and every
+attribute a pvpipeline class sets on `self` is read.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and unused-name rules.
 Names are matched per module, not per scope: an import counts as used when
@@ -15,10 +16,13 @@ is loaded anywhere in `src/`, `tests/`, `demos/` or `perfbench/`. Without
 type inference that scan cannot tell which class an attribute is loaded
 from, so it cannot check a field whose name two or more package
 dataclasses share (`id`, `class_id`, `centroid`, `east`, ...): a read of
-any of them counts for all. No pvpipeline module imports another module's
-`_`-prefixed name, and none but `cli` imports inside a function. Importing
-every pvpipeline module loads no scipy, and numpy is the one runtime
-dependency.
+any of them counts for all. Every `self.<name> = ...` in a package class's
+methods must be loaded the same way, with the same blind spot, which any
+object's attribute of that name opens: a `self.dim` would go unreported
+while `cli` reads `args.dim`. No pvpipeline module imports another
+module's `_`-prefixed name, and none but `cli` imports inside a function.
+Importing every pvpipeline module loads no scipy, and numpy is the one
+runtime dependency.
 """
 
 import ast
@@ -160,15 +164,20 @@ def dataclass_fields(source: str) -> list:
             if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
 
 
+def loaded_attributes(sources: list) -> set:
+    """Names of every attribute any of `sources` loads."""
+    return {node.attr for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def unread_fields(modules: dict, sources: list) -> list:
     """(module, class, field) of every dataclass field in `modules` (name ->
     source) that none of `sources` loads as an attribute. Loads are keyed on
     the attribute's name alone, not its class, so a field whose name another
     dataclass shares is never reported while either one is read."""
-    read = {node.attr for source in sources
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = loaded_attributes(sources)
     return sorted((module, cls, name) for module, source in modules.items()
                   for cls, name in dataclass_fields(source)
                   if name not in read)
@@ -197,6 +206,50 @@ def test_package_dataclass_fields_are_read():
     sources = [p.read_text(encoding="utf-8") for p in ALL_SOURCES]
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_fields(modules, sources) == []
+
+
+def instance_attributes(source: str) -> set:
+    """(class, name) of every `self.<name>` a class's code assigns."""
+    return {(node.name, target.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for target in ast.walk(node)
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.ctx, ast.Store)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"}
+
+
+def unread_instance_attributes(modules: dict, sources: list) -> list:
+    """(module, class, name) of every `self.<name> = ...` in `modules`
+    (name -> source) that none of `sources` loads as an attribute, keyed
+    on the name alone as in :func:`unread_fields`."""
+    read = loaded_attributes(sources)
+    return sorted((module, cls, name) for module, source in modules.items()
+                  for cls, name in instance_attributes(source)
+                  if name not in read)
+
+
+def test_scanner_finds_unread_instance_attributes():
+    module = ("class Model:\n"
+              "    def __init__(self, size, depth):\n"
+              "        self.size = size\n"
+              "        self.depth = depth\n"
+              "        self.width, self._cache = size * 2, {}\n"
+              "        self.shape: tuple = (size, depth)\n"
+              "    def area(self):\n"
+              "        return self.size * self.width\n"
+              "    def reset(self):\n"
+              "        self._cache.clear()\n"
+              "        other.depth = 0\n")
+    caller = "m = Model(1, 2)\nm.unread = 3\n"
+    assert unread_instance_attributes({"m": module}, [module, caller]) == [
+        ("m", "Model", "depth"), ("m", "Model", "shape")]
+
+
+def test_package_instance_attributes_are_read():
+    sources = [p.read_text(encoding="utf-8") for p in ALL_SOURCES]
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_instance_attributes(modules, sources) == []
 
 
 def test_scanner_finds_unused_names():

@@ -1,9 +1,9 @@
 """Grid-indexed radius search and DBSCAN against brute-force oracles.
 
 `geodesy.neighbours_within` and everything built on it (ground-truth
-matching, the Dup-FP metric), and DBSCAN over `geodesy.radius_groups`, must
-give exactly what an O(n * m) scan over every pair gives. The oracles below
-are those scans.
+matching by `dedup.nearest`, and `simulator.evaluate`'s recall and Dup-FP),
+and DBSCAN over `geodesy.radius_groups`, must give exactly what an O(n * m)
+scan over every pair gives. The oracles below are those scans.
 """
 
 import math
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from oracles import haversine_distance
 
 from pvpipeline import dedup
-from pvpipeline.dedup import (NOISE, dbscan_labels, dup_fp_rate,
-                              nearest_ground_truth)
+from pvpipeline.dedup import NOISE, dbscan_labels, nearest
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
                                 far_apart, haversine, neighbours_within,
                                 point_columns, radius_groups)
+from pvpipeline.simulator import MissionConfig, MissionTrace, evaluate
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -91,7 +91,17 @@ def _dup_fp_oracle(items, ground_truth, match_radius):
                                   item.class_id)
         if best is not None:
             match_counts[best] += 1
-    return sum(max(m - 1, 0) for m in match_counts) / len(items)
+    dups = sum(max(m - 1, 0) for m in match_counts)
+    return dups / len(items) if items else 0.0
+
+
+def _recall_oracle(items, ground_truth, match_radius):
+    """Share of the ground truth some same-class item lies within
+    match_radius of; 1.0 when there is none."""
+    hit = [any(item.class_id == gt.class_id and haversine_distance(
+        item.centroid, gt.position) <= match_radius for item in items)
+        for gt in ground_truth]
+    return sum(hit) / len(hit) if hit else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +281,23 @@ def test_cross_neighbours_equal_brute_force(scene, data):
 _classes = st.sampled_from(["hotspot", "diode_fault"])
 
 
-class _Item:
-    def __init__(self, centroid, class_id):
-        self.centroid = centroid
-        self.class_id = class_id
+# Events and defects as evaluate reads them: a centroid and a class, and
+# a position, a class and whether the defect is small.
+_Item = namedtuple("_Item", "centroid class_id")
+_GroundTruth = namedtuple("_GroundTruth", "position class_id is_small",
+                          defaults=(False,))
 
 
-_GroundTruth = namedtuple("_GroundTruth", "position class_id")
+def _found(centroids, ground_truth, radius):
+    return neighbours_within(*point_columns(centroids), radius, point_columns(
+        [gt.position for gt in ground_truth]))
+
+
+def _evaluate(items, ground_truth, radius):
+    """evaluate on a one-frame trace of events ``items``."""
+    return evaluate(MissionTrace(
+        config=MissionConfig(match_radius_m=radius), defects=ground_truth,
+        frames=1, events=items))
 
 
 @given(scenes(), st.data())
@@ -289,14 +309,30 @@ def test_ground_truth_matching_equals_brute_force(scene, data):
     items = [_Item(p, c) for p, c in zip(points[:split], labels)]
     gt = [_GroundTruth(position=p, class_id=c)
           for p, c in zip(points[split:], labels[split:])]
-    centroids = [item.centroid for item in items]
-    assert nearest_ground_truth(*point_columns(centroids), gt, radius) == \
-        [_nearest_gt_oracle(p, gt, radius) for p in centroids]
-    assert nearest_ground_truth(*point_columns(centroids), gt, radius,
-                                [item.class_id for item in items]) == \
+    found = _found([item.centroid for item in items], gt, radius)
+    assert [nearest(f) for f in found] == \
+        [_nearest_gt_oracle(item.centroid, gt, radius) for item in items]
+    assert [nearest([(i, d) for i, d in f if gt[i].class_id == item.class_id])
+            for f, item in zip(found, items)] == \
         [_nearest_gt_oracle(item.centroid, gt, radius, item.class_id)
          for item in items]
-    assert dup_fp_rate(items, gt, radius) == _dup_fp_oracle(items, gt, radius)
+
+
+@given(scenes(), st.data())
+def test_evaluate_equals_brute_force(scene, data):
+    points, radius = scene
+    split = data.draw(st.integers(0, len(points)))
+    n = len(points)
+    labels = data.draw(st.lists(_classes, min_size=n, max_size=n))
+    small = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    items = [_Item(p, c) for p, c in zip(points[:split], labels)]
+    gt = [_GroundTruth(*row) for row in
+          zip(points[split:], labels[split:], small[split:])]
+    metrics = _evaluate(items, gt, radius)
+    assert metrics.recall == _recall_oracle(items, gt, radius)
+    assert metrics.recall_small == _recall_oracle(
+        items, [g for g in gt if g.is_small], radius)
+    assert metrics.dup_fp_dedup == _dup_fp_oracle(items, gt, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +351,14 @@ def test_equidistant_tie_goes_to_later_ground_truth():
     assert haversine_distance(query, west) == haversine_distance(query, east)
     for order in ((west, east), (east, west), (east, east)):
         gt = [_GroundTruth(position=p, class_id="hotspot") for p in order]
-        assert nearest_ground_truth([query.lat], [query.lon], gt, 1.0) == [1]
+        assert [nearest(f) for f in _found([query], gt, 1.0)] == [1]
         assert _nearest_gt_oracle(query, gt, 1.0) == 1
-    # Same class only: the later, other-class ground truth is skipped.
+    # Same class only: the later, other-class ground truth is skipped, so
+    # both events match the first and only it counts for recall.
     gt = [_GroundTruth(position=west, class_id="hotspot"),
           _GroundTruth(position=east, class_id="diode_fault")]
-    assert nearest_ground_truth([query.lat], [query.lon], gt, 1.0,
-                                ["hotspot"]) == [0]
-    items = [_Item(query, "hotspot"), _Item(query, "hotspot")]
-    assert dup_fp_rate(items, gt, 1.0) == 0.5
+    metrics = _evaluate([_Item(query, "hotspot")] * 2, gt, 1.0)
+    assert (metrics.recall, metrics.dup_fp_dedup) == (0.5, 0.5)
 
 
 def test_pair_exactly_at_radius_is_a_neighbour():

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from pvpipeline.dedup import duplicate_rate, nearest_ground_truth
+from pvpipeline.dedup import duplicate_rate, nearest
 from pvpipeline.detector import Detection
-from pvpipeline.geodesy import GeoPoint
+from pvpipeline.geodesy import GeoPoint, neighbours_within, point_columns
 from pvpipeline.reacquisition import Attitude, CameraIntrinsics, \
     backproject, camera_to_world_rotation, repoint
 from pvpipeline.simulator import (_STREAM_CONF, _STREAM_MISS, _STREAM_PLANT,
@@ -538,10 +538,10 @@ def test_certain_miss_probability_kills_recall():
 def test_match_stage_indices_count_the_raw_dup_fp(seed, rows, cols, density,
                                                   separation, radius, clutter,
                                                   pos_sigma, att_sigma):
-    # A matched sighting takes its nearest defect's class, so the
-    # same-class search of dup_fp_rate finds that defect again; an
-    # unmatched one has no defect within the radius at all. dup_fp_rate
-    # reads objects, so its search is run here on the sightings' columns.
+    # A matched sighting takes its nearest defect's class, so a search of
+    # the defects of its class, as evaluate's Dup-FP makes for events,
+    # finds that defect again; an unmatched one has no defect within the
+    # radius at all.
     config = MissionConfig(
         seed=seed, plant=replace(LAYOUT, rows=rows, cols=cols),
         defects=DefectMix(count=None, density=density,
@@ -556,9 +556,13 @@ def test_match_stage_indices_count_the_raw_dup_fp(seed, rows, cols, density,
         reject()
     assert len(trace.gt_matches) == len(trace.accepted)
     sightings = trace.accepted
-    assert duplicate_rate(trace.gt_matches) == duplicate_rate(
-        nearest_ground_truth(sightings.lat, sightings.lon, trace.defects,
-                             radius, sightings.class_id))
+    defects = trace.defects
+    found = neighbours_within(sightings.lat, sightings.lon, radius,
+                              point_columns([d.position for d in defects]))
+    assert duplicate_rate(trace.gt_matches) == duplicate_rate([
+        nearest([(i, d) for i, d in near
+                 if defects[i].class_id == class_id])
+        for near, class_id in zip(found, sightings.class_id)])
 
 
 def test_reacquired_pose_keeps_the_frames_gimbal_noise(monkeypatch):
@@ -639,3 +643,14 @@ def test_layout_validation():
         PlantLayout(origin=ORIGIN, pitch=(0.5, 1.0))  # smaller than module
     with pytest.raises(SimulationError):
         FlightPlan(along_overlap=1.0)
+
+
+def test_layout_with_a_nan_pitch_or_module_size_raises():
+    # NaN compares False both ways, so a `<= 0` or `<` check lets it by,
+    # and plan_flight would fail converting a NaN line count to int.
+    for key in ("pitch", "module_size"):
+        for at in (0, 1):
+            value = list(getattr(LAYOUT, key))
+            value[at] = math.nan
+            with pytest.raises(SimulationError):
+                replace(LAYOUT, **{key: tuple(value)})
