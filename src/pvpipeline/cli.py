@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write(path: str, payload: bytes) -> bool:
+def _write(path: str, payload) -> bool:
     """write_atomic; an OSError (say, a regular file where a directory of
     the path should be) is printed as one line, and False returned."""
     from .telemetry import write_atomic
@@ -53,14 +54,19 @@ def _write(path: str, payload: bytes) -> bool:
     return True
 
 
+def _file_chunks(fh, size: int = 1 << 16):
+    """The bytes of the binary file ``fh``, from its start, ``size`` bytes
+    at a time."""
+    fh.seek(0)
+    yield from iter(lambda: fh.read(size), b"")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
-    from .simulator import PlacementError, evaluate, metrics_csv, run_mission
-    from .telemetry import to_kml
 
     try:
         config = load_config(args.config, seed_override=args.seed)
@@ -68,8 +74,18 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # The mission writes detections.jsonl's lines to an unnamed temporary
+    # file, which the last write below copies.
+    with tempfile.TemporaryFile() as lines:
+        return _simulate(config, args.out, lines)
+
+
+def _simulate(config, out: str, lines) -> int:
+    from .simulator import PlacementError, evaluate, metrics_csv, run_mission
+    from .telemetry import to_kml
+
     try:
-        trace, report = run_mission(config)
+        trace, report = run_mission(config, lines)
         metrics = evaluate(trace)
     except PlacementError as exc:  # its message leads with the config key
         print(f"config error: $.{exc}", file=sys.stderr)
@@ -79,7 +95,6 @@ def cmd_simulate(args) -> int:
         log.debug("mission failed", exc_info=True)
         return EXIT_RUNTIME
 
-    out = args.out
     summary = (
         f"mission {config.site_id} seed={config.seed}\n"
         f"frames={trace.frames} detections={trace.detections_seen} "
@@ -97,7 +112,7 @@ def cmd_simulate(args) -> int:
         "report.kml": to_kml(report),
         "metrics.csv": metrics_csv(metrics).encode("utf-8"),
         "summary.txt": summary.encode("utf-8"),
-        "detections.jsonl": trace.detection_lines,
+        "detections.jsonl": _file_chunks(lines),
     }
     for name, data in outputs.items():
         if not _write(os.path.join(out, name), data):
@@ -139,9 +154,11 @@ def cmd_dedup(args) -> int:
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if not _write(args.out, records_json(events).encode("utf-8")):
+    n_in = len(sightings)
+    del sightings  # the events hold all the text needs
+    if not _write(args.out, records_json(events)):
         return EXIT_CONFIG
-    print(f"detections in: {len(sightings)}  events out: {len(events)}")
+    print(f"detections in: {n_in}  events out: {len(events)}")
     return EXIT_OK
 
 

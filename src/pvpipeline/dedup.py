@@ -35,30 +35,40 @@ class DbscanParams:
 
 
 def floats(values=()) -> array:
-    """A float column, or one row's box or ring: ``array('d')``."""
+    """A float column: ``array('d')``."""
     return array("d", values)
+
+
+def ends(values=()) -> array:
+    """An index column: ``array('q')``."""
+    return array("q", values)
 
 
 @dataclass
 class Sightings:
     """Sightings as parallel columns (struct of arrays), row i of each
-    holding sighting i. A number column is one ``array('d')``; a box or a
-    ring is an ``array('d')`` per row, held in a list; a string column is a
-    list of str. No column holds a Python object per number, and arrays,
-    like lists, compare, pickle and join by ``+``, so tables do too. A row
-    is what geoprojection.project_detection returns and what telemetry
-    reads from a detections.jsonl line, with the box and ring flat."""
-    bbox: list = field(default_factory=list)     # x_min, y_min, x_max, y_max
+    holding sighting i. A number column is one ``array('d')``; the boxes
+    are one ``array('d')`` of four edges a row, and the rings one
+    ``array('d')`` of every ring's lat, lon values in row order, row i's
+    ending at ``ring_end[i]`` (the compressed-row layout); a string column
+    is a list of str. No column holds a Python object per number, and
+    arrays, like lists, compare and pickle, so tables do too; ``+`` and
+    ``+=`` join them. A row is what geoprojection.project_detection returns
+    and what telemetry reads from a detections.jsonl line: the values in
+    field order, but not ``ring_end``, the box four numbers and the ring
+    flat."""
+    bbox: array = field(default_factory=floats)     # x_min, y_min, x_max, ...
     class_id: list = field(default_factory=list)
     confidence: array = field(default_factory=floats)
     peak_temp_c: array = field(default_factory=floats)
-    polygon: list = field(default_factory=list)  # lat, lon, lat, ... ring
-    lat: array = field(default_factory=floats)   # centroid latitude
-    lon: array = field(default_factory=floats)   # and wrapped longitude
+    polygon: array = field(default_factory=floats)  # lat, lon, lat, ... rings
+    lat: array = field(default_factory=floats)      # centroid latitude
+    lon: array = field(default_factory=floats)      # and wrapped longitude
     frame_id: list = field(default_factory=list)
     timestamp: list = field(default_factory=list)
     media_rgb: list = field(default_factory=list)
     media_tiff: list = field(default_factory=list)
+    ring_end: array = field(default_factory=ends)   # row i's ring ends here
 
     @classmethod
     def of_rows(cls, rows) -> "Sightings":
@@ -70,20 +80,48 @@ class Sightings:
 
     def columns(self) -> list:
         """The columns, in field order."""
-        return [getattr(self, f.name) for f in fields(self)]
+        return [getattr(self, name) for name in _COLUMNS]
 
     def extend(self, rows):
         """Append ``rows``, each one sighting's values in field order, to
         the columns, which keep their types."""
-        for column, values in zip(self.columns(), zip(*rows)):
-            column.extend(values)
+        columns = list(zip(*rows))
+        if not columns:
+            return
+        for box in columns[0]:
+            self.bbox.extend(box)
+        end = len(self.polygon)
+        for ring in columns[4]:
+            self.polygon.extend(ring)
+            end += len(ring)
+            self.ring_end.append(end)
+        for k, column in enumerate(self.columns()[:-1]):
+            if k not in (0, 4):
+                column.extend(columns[k])
+
+    def ring(self, i: int) -> tuple:
+        """Row ``i``'s ring as (lat, lon) pairs."""
+        return ring_pairs(self.polygon, self.ring_end[i - 1] if i else 0,
+                          self.ring_end[i])
 
     def __len__(self) -> int:
         return len(self.lat)
 
+    def __iadd__(self, other: "Sightings") -> "Sightings":
+        """Append ``other``'s rows in place."""
+        shifted = ends(len(self.polygon) + end for end in other.ring_end)
+        for mine, theirs in zip(self.columns()[:-1], other.columns()):
+            mine.extend(theirs)
+        self.ring_end.extend(shifted)
+        return self
+
     def __add__(self, other: "Sightings") -> "Sightings":
-        return Sightings(*(mine + theirs for mine, theirs in
-                           zip(self.columns(), other.columns())))
+        joined = Sightings(*(column[:] for column in self.columns()))
+        joined += other
+        return joined
+
+
+_COLUMNS = tuple(f.name for f in fields(Sightings))
 
 
 @dataclass(frozen=True)
@@ -214,14 +252,15 @@ def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
     """
     if not member_ids:
         raise DedupError("cannot merge an empty cluster")
-    polygons, confidence = sightings.polygon, sightings.confidence
-    lat0, lon0 = polygons[member_ids[0]][:2]
-    hull = convex_hull(tangent_offsets(
-        lat0, lon0, [v for i in member_ids for v in ring_pairs(polygons[i])]))
+    confidence = sightings.confidence
+    rings = [sightings.ring(i) for i in member_ids]
+    lat0, lon0 = rings[0][0]
+    hull = convex_hull(tangent_offsets(lat0, lon0,
+                                       [v for ring in rings for v in ring]))
     best = max(member_ids, key=confidence.__getitem__)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        polygon = ring_pairs(polygons[best])
+        polygon = sightings.ring(best)
         centroid = polygon_centroid(polygon)
     else:
         polygon = tuple(checked_point(*tangent_point(lat0, lon0, *xy))

@@ -61,10 +61,10 @@ def checked_ring(vertices) -> array:
     return array("d", flat)
 
 
-def ring_pairs(flat) -> tuple:
+def ring_pairs(flat, start: int = 0, stop: int | None = None) -> tuple:
     """The (lat, lon) pairs of a ring held flat, as checked_ring returns
-    it."""
-    return tuple(zip(flat[::2], flat[1::2]))
+    it, or of ``flat[start:stop]``, one ring of a column of them."""
+    return tuple(zip(flat[start:stop:2], flat[start + 1:stop:2]))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup import floats
 from .detector import Detection
 from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring, \
     polygon_centroid, tangent_point
@@ -81,10 +80,10 @@ def pixel_to_ground(u: float, v: float, intr: CameraIntrinsics,
 
 def project_detection(det: Detection, view: CameraView) -> tuple:
     """The :class:`dedup.Sightings` row of ``det`` in ``view``, its box
-    and ring flat, the ring the four bbox corners projected to the ground.
-    A failing corner raises ProjectionError and a repeated vertex
-    GeodesyError (the mission's project stage drops the detection and
-    counts it)."""
+    four numbers and its ring flat, the ring the four bbox corners
+    projected to the ground. A failing corner raises ProjectionError and a
+    repeated vertex GeodesyError (the mission's project stage drops the
+    detection and counts it)."""
     x0, y0, x1, y1 = box = (det.x_min, det.y_min, det.x_max, det.y_max)
     corners = _ground_points([(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
                              view.intr, view.ground, view.height, view.rot)
@@ -93,6 +92,6 @@ def project_detection(det: Detection, view: CameraView) -> tuple:
         centroid = polygon_centroid(corners)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
-    return (floats(box), det.class_id, det.confidence, det.peak_temp_c,
+    return (box, det.class_id, det.confidence, det.peak_temp_c,
             ring, centroid.lat, centroid.lon, view.frame_id, view.timestamp,
             view.media_rgb, view.media_tiff)

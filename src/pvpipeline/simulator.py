@@ -27,9 +27,12 @@ import io
 import math
 import os
 import pickle
+import shutil
 import signal
+import tempfile
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
+from typing import BinaryIO
 
 import numpy as np
 
@@ -71,6 +74,11 @@ _FLIGHT_TIME_SLACK = 1e-6
 _MAX_FRAME_PIXELS = 2 ** 32
 # Most frames a mission may plan: 14 times a 200x200 plant's 4,680.
 _MAX_FRAMES = 2 ** 16
+# Most defects a mission may place or, under a density, expect: 5 times a
+# 400x400 plant's 12,800 at density 0.08.
+_MAX_DEFECTS = 2 ** 16
+# Modules a density's binomial draw may take: numpy's C long.
+_MAX_DRAW_MODULES = 2 ** 63 - 1
 # Most pixels of one frame, 32 MB as a float64 raster (the default is 80x64).
 _MAX_RASTER_PIXELS = 2 ** 22
 # Most clutter detections a mission may expect: 220 times a 200x200 plant's
@@ -570,10 +578,23 @@ class MissionConfig:
                 f"start_utc: expected YYYY-MM-DDTHH:MM:SSZ, "
                 f"got {self.start_utc!r}") from None
         n_modules = self.plant.rows * self.plant.cols
-        if self.defects.count is not None and self.defects.count > n_modules:
+        mix = self.defects
+        if mix.count is not None and mix.count > n_modules:
             raise SimulationError(
-                f"defects.count: {self.defects.count} is more than the "
+                f"defects.count: {mix.count} is more than the "
                 f"{n_modules} modules of the plant")
+        # Bound the placement's work; a density draws over the modules.
+        mix_key = "defects.density" if mix.count is None else "defects.count"
+        if n_modules > _MAX_DRAW_MODULES:
+            raise SimulationError(
+                f"{mix_key}: defects are placed over {n_modules} modules, "
+                f"more than the {_MAX_DRAW_MODULES} a draw may take")
+        expected = n_modules * mix.density if mix.count is None else mix.count
+        if expected > _MAX_DEFECTS:
+            raise SimulationError(
+                f"{mix_key}: the plant's {n_modules} modules expect about "
+                f"{expected:.3g} defects, more than the {_MAX_DEFECTS} a run "
+                f"may place")
         for key in ("width", "height"):
             size = getattr(self.camera, key)
             if size < 1:
@@ -682,15 +703,11 @@ class MissionConfig:
         # render_frame adds to ambient_c one blob per defect, each at most
         # its peak excess (every attenuation is at most 1); detect's median
         # adds two pixels of the sum.
-        mix = self.defects
         n = n_modules if mix.count is None else mix.count
         key = max(("excess_range_c", "small_excess_range_c"),
                   key=lambda k: max(getattr(mix, k)))
         peak = max(getattr(mix, key))
-        try:
-            total = 2.0 * (abs(self.render.ambient_c) + n * peak)
-        except OverflowError:  # a module count past the float range
-            total = math.inf
+        total = 2.0 * (abs(self.render.ambient_c) + n * peak)
         if not math.isfinite(total):
             raise SimulationError(
                 f"defects.{key}: {n} defects of up to {peak:.3g} C over "
@@ -710,7 +727,6 @@ class MissionTrace:
     reacq_confirms: int = 0
     projection_failed: int = 0
     events: list = field(default_factory=list)
-    detection_lines: bytes = b""  # detections.jsonl, accepted in order
     report_json: bytes = b""      # report.json, the telemetry payload
 
     @property
@@ -936,14 +952,16 @@ def _usable_cpus() -> int:
 
 
 def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
-         lo: int, hi: int) -> MissionTrace:
+         lo: int, hi: int, lines: BinaryIO | None = None) -> MissionTrace:
     """Sense -> detect -> confirm -> project -> match, one stage call each,
     over frames ``lo`` to ``hi - 1`` of the flight ``poses``. Returns
-    the range's counters, its matched sightings as one table, their defect
-    indices and their detections.jsonl lines in a MissionTrace without
-    config or defects, which the caller has and a worker need not send."""
+    the range's counters, its matched sightings as one table (extended
+    once per frame) and their defect indices in a MissionTrace without
+    config or defects, which the caller has and a worker need not send.
+    With ``lines``, a binary file, the sightings' detections.jsonl lines
+    are written to it, flushed, as a forked worker exits without
+    flushing."""
     trace = MissionTrace(config=None, defects=None)
-    rows = []
     for frame_idx in range(lo, hi):
         packet = sense_frame(config, scene, poses[frame_idx], frame_idx)
         trace.frames += 1
@@ -955,14 +973,15 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
         if not confirmed:
             continue
         view = frame_view(packet, config, start)
-        for det, gimbal in confirmed:
-            row = project_confirmed(det, gimbal, view, trace)
-            if row is not None:
-                rows.append(row)
-    trace.accepted = Sightings.of_rows(rows)
+        trace.accepted.extend([
+            row for det, gimbal in confirmed
+            if (row := project_confirmed(det, gimbal, view, trace))
+            is not None])
     trace.gt_matches = match_ground_truth(trace.accepted, scene.defects,
                                           config.match_radius_m)
-    trace.detection_lines = detection_record_lines(trace.accepted)
+    if lines is not None:
+        detection_record_lines(trace.accepted, lines)
+        lines.flush()
     return trace
 
 
@@ -1035,37 +1054,53 @@ def _forked_map(fn, calls) -> list:
 
 
 def _fly_ranges(config: MissionConfig, scene: Scene, poses,
-                start: datetime) -> MissionTrace:
+                start: datetime, lines: BinaryIO | None) -> MissionTrace:
     """``_fly`` over the whole flight, one contiguous frame range per usable
     CPU (at most one per frame) in ``_forked_map``. The output cannot depend
     on the cut: every noise stream is keyed by seed, frame and detection
     index, each projection is matched on its own, and the range traces are
     added up in frame order, every field but config and defects (lists and
-    detections.jsonl bytes join)."""
+    tables join in place). With ``lines``, range 0, which runs here, writes
+    its lines to it, and each other range to an unnamed temporary file made
+    before the fork, which is then appended to ``lines``: no process holds
+    the text."""
     w = min(_usable_cpus(), len(poses))
     cuts = [len(poses) * i // w for i in range(w + 1)]
+    temps = ([] if lines is None else
+             [tempfile.TemporaryFile() for _ in range(w - 1)])
     trace = MissionTrace(config=config, defects=scene.defects)
-    for part in _forked_map(_fly, [
-            (config, scene, poses, start, cuts[i], cuts[i + 1])
-            for i in range(w)]):
-        for f in fields(MissionTrace):
-            if f.name not in ("config", "defects"):
-                setattr(trace, f.name,
-                        getattr(trace, f.name) + getattr(part, f.name))
+    try:
+        for part in _forked_map(_fly, [
+                (config, scene, poses, start, cuts[i], cuts[i + 1],
+                 temps[i - 1] if i and temps else lines) for i in range(w)]):
+            for f in fields(MissionTrace):
+                if f.name not in ("config", "defects"):
+                    # In place where the field allows it: lists and tables.
+                    mine = getattr(trace, f.name)
+                    mine += getattr(part, f.name)
+                    setattr(trace, f.name, mine)
+        for temp in temps:
+            temp.seek(0)
+            shutil.copyfileobj(temp, lines)
+    finally:
+        for temp in temps:
+            temp.close()
     return trace
 
 
-def run_mission(config: MissionConfig):
+def run_mission(config: MissionConfig, lines: BinaryIO | None = None):
     """Plan (the plant's scene, built once, and the poses) -> fly (sense ->
     detect -> confirm -> project -> match, a stage call each per frame, over
     frame ranges in forked workers) -> dedup -> report. Returns (trace,
     report), the same bytes for any number of workers;
-    ``trace.report_json`` holds the report's JSON."""
+    ``trace.report_json`` holds the report's JSON. With ``lines``, a
+    binary file, the fly writes the accepted sightings' detections.jsonl
+    lines to it, in order."""
     scene = Scene.of(generate_plant(config.seed, config.plant,
                                     config.defects))
     poses = plan_flight(config.plant, config.flight, config.camera)
     start = parse_ts_utc(config.start_utc)
-    trace = _fly_ranges(config, scene, poses, start)
+    trace = _fly_ranges(config, scene, poses, start, lines)
     trace.events = deduplicate(trace.accepted, config.dedup)
     report = MissionReport(config.site_id, config.uav,
                            _ts_utc(start, poses[-1].time_s),

@@ -22,10 +22,9 @@ from typing import BinaryIO
 # json.dumps(s) for a str s, without json.dumps's dispatch on the type
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .dedup import DefectEvent, Sightings, floats
+from .dedup import DefectEvent, Sightings
 from .detector import check_box
-from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring, \
-    ring_pairs
+from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
@@ -80,19 +79,32 @@ def _record_json(event: DefectEvent) -> str:
             '}')
 
 
-def records_json(events) -> str:
-    """The JSON array of events, as a report's "detections"."""
-    return "[" + ",".join(_record_json(e) for e in events) + "]"
+def _write_records(events, out: BinaryIO):
+    """The JSON array of events, written record by record to ``out``."""
+    out.write(b"[")
+    for k, event in enumerate(events):
+        out.write(("," * (k > 0) + _record_json(event)).encode("utf-8"))
+    out.write(b"]")
+
+
+def records_json(events) -> bytes:
+    """The JSON array of events, as a report's "detections", UTF-8."""
+    out = io.BytesIO()
+    _write_records(events, out)
+    return out.getvalue()
 
 
 def to_json(report: MissionReport) -> bytes:
-    text = ('{'
-            f'"site_id":{_json_string(report.site_id)},'
-            f'"uav":{_json_string(report.uav)},'
-            f'"ts_utc":{_json_string(report.ts_utc)},'
-            f'"detections":{records_json(report.detections)}'
-            '}')
-    return text.encode("utf-8")
+    """The report's JSON, encoded into one buffer as it is made."""
+    out = io.BytesIO()
+    out.write(('{'
+               f'"site_id":{_json_string(report.site_id)},'
+               f'"uav":{_json_string(report.uav)},'
+               f'"ts_utc":{_json_string(report.ts_utc)},'
+               '"detections":').encode("utf-8"))
+    _write_records(report.detections, out)
+    out.write(b"}")
+    return out.getvalue()
 
 
 # Field checks for parsed JSON: each returns the value when it has the
@@ -226,33 +238,39 @@ def _xml_text(text: str) -> str:
 
 
 def to_kml(report: MissionReport) -> bytes:
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
-             f'<kml xmlns="{KML_NS}"><Document>'
-             f'<name>{_xml_text(f"{report.site_id} {report.ts_utc}")}</name>']
+    """The report's KML, encoded into one buffer as it is made."""
+    out = io.BytesIO()
+    out.write(('<?xml version="1.0" encoding="UTF-8"?>\n'
+               f'<kml xmlns="{KML_NS}"><Document>'
+               f'<name>{_xml_text(f"{report.site_id} {report.ts_utc}")}'
+               '</name>').encode("utf-8"))
     for event in report.detections:
         ring = " ".join(f"{_coord(lon)},{_coord(lat)},0"
                         for lat, lon in (*event.polygon, event.polygon[0]))
         desc = (f"class={event.class_id} conf={event.confidence:.2f} "
                 f"temp_C={event.peak_temp_c:.2f}")
-        parts.append(
+        out.write((
             f"<Placemark><name>{_xml_text(event.id)}</name>"
             f"<description>{_xml_text(desc)}</description>"
             "<Polygon><outerBoundaryIs><LinearRing>"
             f"<coordinates>{ring}</coordinates>"  # a closed ring
-            "</LinearRing></outerBoundaryIs></Polygon></Placemark>")
-    parts.append("</Document></kml>")
-    return "".join(parts).encode("utf-8")
+            "</LinearRing></outerBoundaryIs></Polygon></Placemark>"
+        ).encode("utf-8"))
+    out.write(b"</Document></kml>")
+    return out.getvalue()
 
 
-def write_atomic(path: str, payload: bytes):
-    """Write payload to path atomically (temp file + rename), creating the
-    parent directory if needed."""
+def write_atomic(path: str, payload):
+    """Write payload, bytes or an iterable of bytes chunks, to path
+    atomically (temp file + rename), creating the parent directory if
+    needed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines((payload,) if isinstance(payload, bytes)
+                          else payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -260,21 +278,32 @@ def write_atomic(path: str, payload: bytes):
         raise
 
 
-def detection_record_lines(sightings: Sightings) -> bytes:
+# json.dumps(obj, sort_keys=True), one encoder for every line.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def detection_record_lines(sightings: Sightings,
+                           out: BinaryIO | None = None):
     """Line-delimited interchange format for a Sightings table, consumed by
-    the offline `dedup` command."""
+    the offline `dedup` command: written one line at a time to the binary
+    file ``out``, or, with no ``out``, returned as bytes."""
+    if out is None:
+        out = io.BytesIO()
+        detection_record_lines(sightings, out)
+        return out.getvalue()
     s = sightings
-    lines = [json.dumps({
-        "bbox": bbox.tolist(), "class": class_id, "conf": conf,
-        "temp_C": temp, "polygon_wgs84": ring_pairs(polygon),
-        "centroid_wgs84": [lat, lon],
-        "frame_id": frame_id, "timestamp": timestamp,
-        "media": {"rgb": rgb, "tiff": tiff},
-    }, sort_keys=True) for (bbox, class_id, conf, temp, polygon, lat, lon,
-                            frame_id, timestamp, rgb, tiff) in zip(
-        s.bbox, s.class_id, s.confidence, s.peak_temp_c, s.polygon, s.lat,
-        s.lon, s.frame_id, s.timestamp, s.media_rgb, s.media_tiff)]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    for i, (class_id, conf, temp, lat, lon, frame_id, timestamp, rgb,
+            tiff) in enumerate(zip(s.class_id, s.confidence, s.peak_temp_c,
+                                   s.lat, s.lon, s.frame_id, s.timestamp,
+                                   s.media_rgb, s.media_tiff)):
+        out.write((_encode_sorted({
+            "bbox": s.bbox[4 * i:4 * i + 4].tolist(), "class": class_id,
+            "conf": conf, "temp_C": temp,
+            "polygon_wgs84": s.ring(i),
+            "centroid_wgs84": [lat, lon],
+            "frame_id": frame_id, "timestamp": timestamp,
+            "media": {"rgb": rgb, "tiff": tiff},
+        }) + "\n").encode("utf-8"))
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -343,7 +372,7 @@ def _row(line: str, shared: dict) -> tuple:
             strings[k] = _string(strings[k], what)
     check_box(*box, conf)
     share = shared.setdefault
-    return (floats(box), share(class_id, class_id), conf, temp, polygon, lat,
+    return (box, share(class_id, class_id), conf, temp, polygon, lat,
             lon, *map(share, strings, strings))
 
 

@@ -62,6 +62,20 @@ def parse_detection_record_lines_objects(data: bytes) -> Sightings:
     return Sightings.of_rows(rows)
 
 
+def sighting_rows_objects(rows) -> list:
+    """Sightings rows held one by one as objects: each row's values in
+    field order, its box a tuple of four numbers and its ring a tuple of
+    (lat, lon) pairs, read from the row's own flat ring two values at a
+    time."""
+    objects = []
+    for (box, class_id, conf, temp, ring, lat, lon, frame_id, timestamp,
+         rgb, tiff) in rows:
+        pairs = tuple((ring[k], ring[k + 1]) for k in range(0, len(ring), 2))
+        objects.append((tuple(box), class_id, conf, temp, pairs, lat, lon,
+                        frame_id, timestamp, rgb, tiff))
+    return objects
+
+
 def axis_angle_matrix(aa) -> np.ndarray:
     """Rotation matrix of an AxisAngle, R = I + sin(t) [k]x + (1 - cos(t))
     [k]x^2: the matrix oracle for the Rodrigues formula."""
@@ -134,8 +148,9 @@ def merge_cluster_objects(members, member_ids, event_id):
     ``members``, one per member id, each polygon vertex read as a
     GeoPoint from its flat ring."""
     table = Sightings.of_rows(members)
+    rings = [row[4] for row in members]
     polygons = [[GeoPoint(ring[k], ring[k + 1])
-                 for k in range(0, len(ring), 2)] for ring in table.polygon]
+                 for k in range(0, len(ring), 2)] for ring in rings]
     anchor = polygons[0][0]
     points = [enu_offset(anchor, v) for ring in polygons for v in ring]
     hull = convex_hull(points)

@@ -385,6 +385,20 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
      [], "$.camera.width", "clutter boxes"),
     ({"camera": {"height": 5}, "noise": {"clutter_rate": 0.05}}, [],
      "$.camera.height", "clutter boxes"),
+    # the defect count is bounded before placement: a density's draw over
+    # more than 2^63 modules exited 2 from numpy, and one expecting 8e8
+    # defects placed them with no end in sight
+    ({"plant": {"rows": 10 ** 10, "cols": 10 ** 10,
+                "module_size": [1e-300, 1e-300], "pitch": [1e-300, 1e-300]},
+      "defects": {"count": None, "density": 0.08}}, [], "$.defects.density",
+     "100000000000000000000 modules"),
+    ({"plant": {"rows": 100000, "cols": 100000, "module_size": [1e-9, 1e-9],
+                "pitch": [1e-9, 1e-9]},
+      "defects": {"count": None, "density": 0.08}}, [], "$.defects.density",
+     "expect about 8e+08 defects, more than the 65536"),
+    ({"plant": {"rows": 300, "cols": 300},
+      "defects": {"count": 70000}}, [], "$.defects.count",
+     "expect about 7e+04 defects, more than the 65536"),
 ], ids=["altitude-nan", "psf_px-nan", "ambient_c-below-absolute-zero",
         "ambient_c-absolute-zero", "origin-inf", "fx-huge-int", "width-0",
         "height-0", "clahe", "telemetry-match_radius_m", "seed-negative",
@@ -404,7 +418,9 @@ def test_simulate_bad_config_exits_1_without_outputs(tmp_path):
         "min_separation_m-7", "min_separation_m-1e300", "density-1",
         "count-all-modules", "ambient_c-9e307", "ambient_c-1e308",
         "excess_range_c-1.7e308", "small_excess_range_c-1.7e308",
-        "width-1e6", "height-1e6", "width-5-clutter", "height-5-clutter"])
+        "width-1e6", "height-1e6", "width-5-clutter", "height-5-clutter",
+        "density-over-1e20-modules", "density-over-1e10-modules",
+        "count-70000"])
 def test_simulate_bad_numbers_and_removed_keys_exit_1(tmp_path, capsys, config,
                                                       flags, where, key):
     path = tmp_path / "config.json"

@@ -7,8 +7,7 @@ from oracles import enu_offset, haversine_distance, merge_cluster_objects
 from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
                               convex_hull, dbscan_labels, deduplicate,
                               duplicate_rate, floats, merge_cluster)
-from pvpipeline.geodesy import (GeoPoint, point_columns, ring_pairs,
-                                tangent_point)
+from pvpipeline.geodesy import GeoPoint, point_columns, tangent_point
 from pvpipeline.simulator import MissionConfig, MissionTrace, evaluate
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
@@ -176,7 +175,7 @@ def test_merge_cluster_collinear_fallback():
 
     table = Sightings.of_rows([line_proj(0.0, 0.5), line_proj(0.05, 0.9)])
     event = merge_cluster(table, [0, 1], "clu_000")
-    assert event.polygon == ring_pairs(table.polygon[1])
+    assert event.polygon == table.ring(1)
 
 
 # Plants the merge oracle draws clusters at: a mid-latitude survey site,
@@ -236,10 +235,10 @@ def test_merge_cluster_matches_object_form_oracle(plant):
         got = merge_cluster(table, ids, f"clu_{k:03d}")
         want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
         assert _hex_event(got) == _hex_event(want)
-        anchor = GeoPoint(*table.polygon[0][:2])
+        anchor = GeoPoint(*table.ring(0)[0])
         degenerate += len(convex_hull([enu_offset(anchor, GeoPoint(*v))
-                                       for ring in table.polygon
-                                       for v in ring_pairs(ring)])) < 3
+                                       for i in ids
+                                       for v in table.ring(i)])) < 3
     assert degenerate >= 10  # the collinear fallback was exercised
 
 

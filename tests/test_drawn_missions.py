@@ -55,8 +55,8 @@ def _simulate(config: dict, tmp: pathlib.Path, workers: int) -> dict:
     out = tmp / f"out-{workers}"
     run_mission, traces = simulator.run_mission, []
 
-    def traced(mission):
-        trace, report = run_mission(mission)
+    def traced(mission, lines):
+        trace, report = run_mission(mission, lines)
         traces.append(trace)
         return trace, report
 
@@ -69,7 +69,8 @@ def _simulate(config: dict, tmp: pathlib.Path, workers: int) -> dict:
     # parser, agree value for value, type included (the repr tells an int
     # from a float).
     (trace,) = traces
-    parsed = parse_detection_record_lines(trace.detection_lines)
+    parsed = parse_detection_record_lines(
+        (out / "detections.jsonl").read_bytes())
     assert parsed == trace.accepted
     assert repr(parsed) == repr(trace.accepted)
     with pytest.raises(ChildProcessError):  # no frame worker is left

@@ -6,12 +6,14 @@ The worker count is `min(simulator._usable_cpus(), frames)`; these tests
 set it by patching `_usable_cpus`.
 """
 
+import io
 import json
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from pvpipeline import cli, simulator
 from pvpipeline.config import config_from_dict
 from pvpipeline.simulator import MissionConfig, plan_flight, render_frame
+from pvpipeline.telemetry import detection_record_lines
 
 from test_golden_mission import CONFIGS as GOLDEN_CONFIGS
 
@@ -60,9 +63,15 @@ def _simulate(monkeypatch, tmp_path, config: dict, workers: int) -> dict:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / f"out-{workers}"
+    # The ranges' lines go through unnamed temporary files: the run leaves
+    # nothing in the temporary directory.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir(exist_ok=True)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(out)]) == cli.EXIT_OK
     _no_child_left()
+    assert list(scratch.iterdir()) == []
     return {name: (out / name).read_bytes() for name in OUTPUTS}
 
 
@@ -96,8 +105,12 @@ def test_match_indices_join_in_frame_order_for_any_worker_count(monkeypatch):
     traces = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
-        traces[workers], _ = simulator.run_mission(config)
+        lines = io.BytesIO()
+        traces[workers], _ = simulator.run_mission(config, lines)
         _no_child_left()
+        # The ranges' lines, joined in frame order, are the joined table's.
+        assert lines.getvalue() == \
+            detection_record_lines(traces[workers].accepted)
     serial = traces[1]
     assert None in serial.gt_matches
     assert len(set(serial.gt_matches) - {None}) > 1
@@ -158,16 +171,20 @@ def test_a_failing_frame_exits_2_once_for_any_worker_count(tmp_path, frame,
                            MissionConfig().camera)) == 24
     path = tmp_path / "config.json"
     path.write_text("{}")
+    scratch = tmp_path / "tmp"  # where temporary files go
+    scratch.mkdir()
     results = [subprocess.run(
         [sys.executable, "-c", FAILING_RUN, str(workers), str(frame), kind,
          str(path), str(tmp_path / f"out-{workers}")],
-        capture_output=True, text=True, env=_env(), timeout=120)
+        capture_output=True, text=True, env=dict(_env(), TMPDIR=str(scratch)),
+        timeout=120)
         for workers in (1, 3)]
     for result in results:
         assert result.returncode == cli.EXIT_RUNTIME, result.stderr
         assert result.stdout == ""
         assert result.stderr == f"runtime error: no picture on frame {frame}\n"
     assert not (tmp_path / "out-3").exists()
+    assert list(scratch.iterdir()) == []
 
 
 def test_an_interrupt_in_range_0_stops_the_other_workers(monkeypatch):

@@ -7,7 +7,7 @@ from oracles import haversine_distance
 
 from pvpipeline.dedup import Sightings
 from pvpipeline.detector import Detection
-from pvpipeline.geodesy import GeoPoint, ring_pairs, tangent_offsets
+from pvpipeline.geodesy import GeoPoint, tangent_offsets
 from pvpipeline.geoprojection import (CameraView, ProjectionError,
                                       pixel_to_ground, project_detection)
 from pvpipeline.reacquisition import (Attitude, CameraIntrinsics,
@@ -117,14 +117,14 @@ def test_project_detection_polygon_and_centroid():
         rot=camera_to_world_rotation(NADIR), frame_id="f1",
         timestamp="2025-09-30T10:00:00Z", media_rgb="f1.jpg",
         media_tiff="f1.tiff"))])
-    assert len(ring_pairs(proj.polygon[0])) == 4
+    assert len(proj.ring(0)) == 4
     # The bbox center (40, 32) sits (0.5, 0.5) px from the principal point.
     east, north = _enu(GeoPoint(proj.lat[0], proj.lon[0]))
     assert east == pytest.approx(10.0 * 0.5 / INTR.fx, rel=1e-6)
     assert north == pytest.approx(-10.0 * 0.5 / INTR.fy, rel=1e-6)
     # 20 px at 10 m altitude and f=100 is a 2 m ground span.
     d = haversine_distance(*(GeoPoint(*v)
-                             for v in ring_pairs(proj.polygon[0])[:2]))
+                             for v in proj.ring(0)[:2]))
     assert d == pytest.approx(2.0, rel=1e-6)
     assert proj.media_rgb == ["f1.jpg"]
 
@@ -148,7 +148,7 @@ def test_project_detection_takes_the_views_rotation(monkeypatch):
     proj = Sightings.of_rows([project_detection(det, view)])
     assert calls == []
     assert pixel_to_ground(30.0, 22.0, INTR, ORIGIN, 10.0, NADIR) == \
-        GeoPoint(*proj.polygon[0][:2])
+        GeoPoint(*proj.ring(0)[0])
     assert calls == [(NADIR,)]
 
 

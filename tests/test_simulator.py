@@ -6,6 +6,7 @@ full-set cull in oracles.py."""
 
 import math
 import os
+import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
 
@@ -654,3 +655,33 @@ def test_layout_with_a_nan_pitch_or_module_size_raises():
             value[at] = math.nan
             with pytest.raises(SimulationError):
                 replace(LAYOUT, **{key: tuple(value)})
+
+
+def test_a_flight_peaks_at_most_1000_bytes_a_sighting(tmp_path):
+    # A 30x30 plant's 120 frames in one range: the table grows frame by
+    # frame, held in flat columns, and the lines go to their file as they
+    # are made. With a row list and the lines held as text, the range
+    # peaked at about 2,500 bytes a sighting here and held 1,230 after;
+    # now about 710 and 480.
+    from pvpipeline.config import config_from_dict
+    from pvpipeline.simulator import _fly
+    config = config_from_dict({"seed": 1, "plant": {"rows": 30, "cols": 30},
+                               "defects": {"count": None, "density": 0.08}})
+    scene = Scene.of(generate_plant(config.seed, config.plant,
+                                    config.defects))
+    poses = plan_flight(config.plant, config.flight, config.camera)
+    path = tmp_path / "detections.jsonl"
+    with open(path, "wb") as lines:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = _fly(config, scene, poses,
+                         parse_ts_utc(config.start_utc), 0, len(poses), lines)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    n = len(trace.accepted)
+    assert n > 300
+    assert path.read_bytes().count(b"\n") == n
+    assert peak - base <= 1000 * n, (peak - base) / n
+    assert held - base <= 600 * n, (held - base) / n

@@ -10,7 +10,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_detection_record_lines_objects
+from oracles import parse_detection_record_lines_objects, \
+    sighting_rows_objects
 
 from pvpipeline.dedup import DefectEvent, Sightings, floats
 from pvpipeline.geodesy import GeoPoint, checked_point, checked_ring
@@ -256,11 +257,12 @@ def test_parse_from_a_file_holds_no_copy_of_it(tmp_path):
         repr(parse_detection_record_lines_objects(data))
 
 
-def test_a_parsed_table_holds_at_most_550_bytes_a_row():
-    # The numbers are in array('d') columns, a box and a ring are one array
-    # each, and the strings of a frame are shared: the table holds no
-    # Python object per number. Tuples of float objects took about 1,150
-    # bytes a row here.
+def test_a_parsed_table_holds_at_most_300_bytes_a_row():
+    # The numbers are in array('d') columns, the boxes and the rings are
+    # one flat array each, and the strings of a frame are shared: the table
+    # holds no Python object per number or per row. Tuples of float objects
+    # took about 1,150 bytes a row here, and an array per box and per ring
+    # about 375; the flat columns take about 210.
     data = _golden_lines(2000)
     tracemalloc.start()
     try:
@@ -269,7 +271,7 @@ def test_a_parsed_table_holds_at_most_550_bytes_a_row():
     finally:
         tracemalloc.stop()
     assert len(parsed) == 2000
-    assert held <= 550 * len(parsed), held / len(parsed)
+    assert held <= 300 * len(parsed), held / len(parsed)
 
 
 _text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
@@ -280,11 +282,11 @@ _point = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)).map(
 @st.composite
 def sighting_rows(draw):
     """A Sightings row as the project stage makes one: a box of positive
-    extent, a confidence in [0, 1], a finite temperature, a ring of 3 to 6
+    extent, a confidence in [0, 1], a finite temperature, a ring of 3 to 8
     distinct checked points and a checked centroid."""
     x_min, y_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     width, height = draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6))
-    ring = draw(st.lists(_point, min_size=3, max_size=6, unique=True))
+    ring = draw(st.lists(_point, min_size=3, max_size=8, unique=True))
     return (floats([x_min, y_min, x_min + width, y_min + height]),
             draw(_text), draw(st.floats(0.0, 1.0)),
             draw(st.floats(allow_nan=False, allow_infinity=False)),
@@ -293,14 +295,18 @@ def sighting_rows(draw):
 
 
 def _assert_typed(table):
-    for name in ("confidence", "peak_temp_c", "lat", "lon"):
+    for name in ("bbox", "confidence", "peak_temp_c", "polygon", "lat",
+                 "lon"):
         column = getattr(table, name)
         assert type(column) is array and column.typecode == "d", name
-    for name, sizes in (("bbox", {4}), ("polygon", range(6, 13, 2))):
-        column = getattr(table, name)
-        assert type(column) is list, name
-        assert all(type(v) is array and v.typecode == "d" and len(v) in sizes
-                   for v in column), name
+    assert len(table.bbox) == 4 * len(table)
+    ends = table.ring_end
+    assert type(ends) is array and ends.typecode == "q"
+    assert len(ends) == len(table)
+    # Each ring holds 3 to 8 (lat, lon) pairs, the last ending the column.
+    assert all(end - start in range(6, 17, 2)
+               for start, end in zip([0, *ends], ends))
+    assert (ends[-1] if ends else 0) == len(table.polygon)
     for name in ("class_id", "frame_id", "timestamp", "media_rgb",
                  "media_tiff"):
         column = getattr(table, name)
@@ -321,3 +327,37 @@ def test_a_table_of_drawn_rows_is_typed_and_round_trips(first, second):
     joined = table + Sightings.of_rows(second)
     _assert_typed(joined)
     assert joined == Sightings.of_rows(first + second)
+
+
+def _rows_of(table) -> list:
+    """``table``'s rows, each read through the table's box slice and ring
+    accessor, in the form of :func:`oracles.sighting_rows_objects`."""
+    return [(tuple(table.bbox[4 * i:4 * i + 4]), table.class_id[i],
+             table.confidence[i], table.peak_temp_c[i],
+             table.ring(i), table.lat[i], table.lon[i],
+             table.frame_id[i], table.timestamp[i], table.media_rgb[i],
+             table.media_tiff[i]) for i in range(len(table))]
+
+
+@settings(max_examples=60)
+@given(st.lists(sighting_rows(), max_size=5),
+       st.lists(sighting_rows(), max_size=5))
+def test_flat_rings_of_3_to_8_vertices_read_back_row_by_row(first, second):
+    # Each way a table is made or moved keeps every row's box and ring, as
+    # the rows held one by one as objects have them.
+    want = sighting_rows_objects(first)
+    table = Sightings.of_rows(first)
+    assert _rows_of(table) == want
+    data = detection_record_lines(table)
+    assert _rows_of(parse_detection_record_lines(data)) == want
+    assert _rows_of(parse_detection_record_lines_objects(data)) == want
+    assert _rows_of(pickle.loads(pickle.dumps(table))) == want
+    # Joined, the second table's ring ends move past the first's rings,
+    # whether into a new table or in place.
+    both = sighting_rows_objects(first + second)
+    other = Sightings.of_rows(second)
+    assert _rows_of(table + other) == both
+    assert _rows_of(table) == want  # + leaves its operands alone
+    table += other
+    assert _rows_of(table) == both
+    assert _rows_of(other) == sighting_rows_objects(second)
