@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from time import perf_counter
 
 import numpy as np
 
@@ -136,6 +137,7 @@ def cmd_dedup(args) -> int:
     except DedupError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    start = perf_counter()
     try:
         with open(args.input, "rb") as fh:
             sightings = parse_detection_record_lines(fh)
@@ -145,7 +147,9 @@ def cmd_dedup(args) -> int:
     except TelemetryError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    log.info("dedup: parse %.3f s", perf_counter() - start)
 
+    start = perf_counter()
     try:
         events = deduplicate(sightings, params)
     except GeodesyError as exc:  # sightings too far apart to merge
@@ -154,10 +158,13 @@ def cmd_dedup(args) -> int:
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    log.info("dedup: deduplicate %.3f s", perf_counter() - start)
     n_in = len(sightings)
     del sightings  # the events hold all the text needs
+    start = perf_counter()
     if not _write(args.out, records_json(events)):
         return EXIT_CONFIG
+    log.info("dedup: write %.3f s", perf_counter() - start)
     print(f"detections in: {n_in}  events out: {len(events)}")
     return EXIT_OK
 

@@ -1,7 +1,8 @@
 """Geo-spatial de-duplication: DBSCAN over haversine distances between
 sighting centroids and per-class cluster merging into canonical defect
-events. The sightings are one :class:`Sightings` table; no object is built
-per sighting.
+events. The sightings are one :class:`Sightings` table and the events one
+:class:`Events` table, in the same column layout; no object is built per
+sighting or per event.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
-from .geodesy import (GeoPoint, checked_point, far_apart, haversine,
+from .geodesy import (checked_point, far_apart, haversine,
                       plane_centroid, polygon_centroid, radius_groups,
                       ring_pairs, tangent_offsets, tangent_point)
 
@@ -44,19 +45,75 @@ def ends(values=()) -> array:
     return array("q", values)
 
 
+class _Table:
+    """The column tables' shared layout and readers. A number column is one
+    ``array('d')`` and a string column a list of str; a list column, such
+    as the rings, is one flat array of every row's values in row order with
+    an ``array('q')`` of where each row's values end (the compressed-row
+    layout; ``_LISTS`` names each such values, ends pair). No column holds
+    a Python object per number, and arrays, like lists, compare and pickle,
+    so tables do too; ``+`` and ``+=`` join them."""
+    _LISTS = (("polygon", "ring_end"),)
+
+    def columns(self) -> list:
+        """The columns, in field order."""
+        return [getattr(self, name) for name in self._names]
+
+    def ring(self, i: int) -> tuple:
+        """Row ``i``'s ring as (lat, lon) pairs."""
+        ends = self.ring_end
+        return ring_pairs(self.polygon, ends[i - 1] if i else 0, ends[i])
+
+    def reorder(self, order):
+        """Hold the rows in ``order``, a sequence of row indices, built one
+        column at a time. A list column whose ends are empty (no row has
+        one) stays empty."""
+        for values, stops in self._LISTS:
+            flat, bounds = getattr(self, values), getattr(self, stops)
+            if bounds:
+                taken, taken_ends = array(flat.typecode), ends()
+                for i in order:
+                    taken.extend(flat[bounds[i - 1] if i else 0:bounds[i]])
+                    taken_ends.append(len(taken))
+                setattr(self, values, taken)
+                setattr(self, stops, taken_ends)
+        listed = {name for pair in self._LISTS for name in pair}
+        for name in self._names:
+            if name not in listed:
+                column = getattr(self, name)
+                taken = map(column.__getitem__, order)
+                setattr(self, name, array(column.typecode, taken)
+                        if type(column) is array else list(taken))
+
+    def __len__(self) -> int:
+        return len(self.lat)
+
+    def __iadd__(self, other):
+        """Append ``other``'s rows in place, its list ends moved past the
+        values already held."""
+        moved = {stops: ends(len(getattr(self, values)) + end
+                             for end in getattr(other, stops))
+                 for values, stops in self._LISTS}
+        for name in self._names:
+            getattr(self, name).extend(moved[name] if name in moved
+                                       else getattr(other, name))
+        return self
+
+    def __add__(self, other):
+        joined = type(self)(*(column[:] for column in self.columns()))
+        joined += other
+        return joined
+
+
 @dataclass
-class Sightings:
+class Sightings(_Table):
     """Sightings as parallel columns (struct of arrays), row i of each
-    holding sighting i. A number column is one ``array('d')``; the boxes
-    are one ``array('d')`` of four edges a row, and the rings one
-    ``array('d')`` of every ring's lat, lon values in row order, row i's
-    ending at ``ring_end[i]`` (the compressed-row layout); a string column
-    is a list of str. No column holds a Python object per number, and
-    arrays, like lists, compare and pickle, so tables do too; ``+`` and
-    ``+=`` join them. A row is what geoprojection.project_detection returns
-    and what telemetry reads from a detections.jsonl line: the values in
-    field order, but not ``ring_end``, the box four numbers and the ring
-    flat."""
+    holding sighting i. The boxes are one ``array('d')`` of four edges a
+    row, and the rings one ``array('d')`` of every ring's lat, lon values,
+    row i's ending at ``ring_end[i]``. A row is what
+    geoprojection.project_detection returns and what telemetry reads from
+    a detections.jsonl line: the values in field order, but not
+    ``ring_end``, the box four numbers and the ring flat."""
     bbox: array = field(default_factory=floats)     # x_min, y_min, x_max, ...
     class_id: list = field(default_factory=list)
     confidence: array = field(default_factory=floats)
@@ -78,10 +135,6 @@ class Sightings:
         table.extend(rows)
         return table
 
-    def columns(self) -> list:
-        """The columns, in field order."""
-        return [getattr(self, name) for name in _COLUMNS]
-
     def extend(self, rows):
         """Append ``rows``, each one sighting's values in field order, to
         the columns, which keep their types."""
@@ -99,43 +152,48 @@ class Sightings:
             if k not in (0, 4):
                 column.extend(columns[k])
 
-    def ring(self, i: int) -> tuple:
-        """Row ``i``'s ring as (lat, lon) pairs."""
-        return ring_pairs(self.polygon, self.ring_end[i - 1] if i else 0,
-                          self.ring_end[i])
 
-    def __len__(self) -> int:
-        return len(self.lat)
+@dataclass
+class Events(_Table):
+    """De-duplicated defects, the mission report's records, as parallel
+    columns in the layout of :class:`Sightings`: row k holds event k, its
+    centroid in ``lat``, ``lon`` and its ring, the hull, ending at
+    ``ring_end[k]``; ``member`` holds the input Sightings rows each event
+    merged, row k's ending at ``member_end[k]`` (both empty for a parsed
+    report, which has no members)."""
+    id: list = field(default_factory=list)
+    class_id: list = field(default_factory=list)
+    confidence: array = field(default_factory=floats)   # max over members
+    peak_temp_c: array = field(default_factory=floats)  # max over members
+    lat: array = field(default_factory=floats)          # centroid latitude
+    lon: array = field(default_factory=floats)          # and longitude
+    polygon: array = field(default_factory=floats)      # as the report writes
+    ring_end: array = field(default_factory=ends)
+    media_rgb: list = field(default_factory=list)
+    media_tiff: list = field(default_factory=list)
+    member: array = field(default_factory=ends)
+    member_end: array = field(default_factory=ends)
 
-    def __iadd__(self, other: "Sightings") -> "Sightings":
-        """Append ``other``'s rows in place."""
-        shifted = ends(len(self.polygon) + end for end in other.ring_end)
-        for mine, theirs in zip(self.columns()[:-1], other.columns()):
-            mine.extend(theirs)
-        self.ring_end.extend(shifted)
-        return self
+    _LISTS = (("polygon", "ring_end"), ("member", "member_end"))
 
-    def __add__(self, other: "Sightings") -> "Sightings":
-        joined = Sightings(*(column[:] for column in self.columns()))
-        joined += other
-        return joined
+    def append(self, id, class_id, confidence, peak_temp_c, lat, lon, ring,
+               media_rgb, media_tiff):
+        """Append one event's record, its ring flat; its members, if any,
+        are the caller's to append."""
+        self.id.append(id)
+        self.class_id.append(class_id)
+        self.confidence.append(confidence)
+        self.peak_temp_c.append(peak_temp_c)
+        self.lat.append(lat)
+        self.lon.append(lon)
+        self.polygon.extend(ring)
+        self.ring_end.append(len(self.polygon))
+        self.media_rgb.append(media_rgb)
+        self.media_tiff.append(media_tiff)
 
 
-_COLUMNS = tuple(f.name for f in fields(Sightings))
-
-
-@dataclass(frozen=True)
-class DefectEvent:
-    """One de-duplicated defect: a detection record of the mission report."""
-    id: str
-    class_id: str
-    confidence: float       # max over members
-    peak_temp_c: float      # max over members
-    centroid: GeoPoint
-    polygon: tuple          # ((lat, lon), ...), as the report writes it
-    media_rgb: str = ""
-    media_tiff: str = ""
-    member_ids: tuple = ()  # rows of the input Sightings
+Sightings._names = tuple(f.name for f in fields(Sightings))
+Events._names = tuple(f.name for f in fields(Events))
 
 
 def dbscan_labels(lat, lon, epsilon: float, min_pts: int) -> list:
@@ -242,77 +300,84 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def merge_cluster(sightings, member_ids, event_id: str) -> DefectEvent:
-    """Merge the ``member_ids`` rows of one cluster into a canonical event.
+def merge_cluster(sightings, members, events):
+    """Merge the ``members`` rows of one cluster into one event, appended
+    to ``events`` with its members and an empty id (:func:`deduplicate`
+    names it).
 
     Geometry is the convex hull of all member polygon vertices on the local
     ENU plane (a robust surrogate for the exact polygon union; members are
     near-coincident quads); the centroid is the hull's, taken on that same
     plane. Confidence and peak temperature take the max.
     """
-    if not member_ids:
+    if not members:
         raise DedupError("cannot merge an empty cluster")
     confidence = sightings.confidence
-    rings = [sightings.ring(i) for i in member_ids]
+    rings = [sightings.ring(i) for i in members]
     lat0, lon0 = rings[0][0]
     hull = convex_hull(tangent_offsets(lat0, lon0,
                                        [v for ring in rings for v in ring]))
-    best = max(member_ids, key=confidence.__getitem__)
+    best = max(members, key=confidence.__getitem__)
     if len(hull) < 3:
         # Collinear degenerate geometry: keep the best member's polygon.
-        polygon = sightings.ring(best)
-        centroid = polygon_centroid(polygon)
+        pairs = sightings.ring(best)
+        ring = [c for vertex in pairs for c in vertex]
+        lat, lon = polygon_centroid(pairs)
     else:
-        polygon = tuple(checked_point(*tangent_point(lat0, lon0, *xy))
-                        for xy in hull)
-        centroid = GeoPoint(*tangent_point(lat0, lon0, *plane_centroid(hull)))
-    return DefectEvent(
-        id=event_id,
-        class_id=sightings.class_id[best],
-        confidence=max([confidence[i] for i in member_ids]),
-        peak_temp_c=max([sightings.peak_temp_c[i] for i in member_ids]),
-        centroid=centroid,
-        polygon=polygon,
-        media_rgb=sightings.media_rgb[best],
-        media_tiff=sightings.media_tiff[best],
-        member_ids=tuple(member_ids),
-    )
+        ring = [c for xy in hull
+                for c in checked_point(*tangent_point(lat0, lon0, *xy))]
+        lat, lon = checked_point(*tangent_point(lat0, lon0,
+                                                *plane_centroid(hull)))
+    events.append("", sightings.class_id[best],
+                  max([confidence[i] for i in members]),
+                  max([sightings.peak_temp_c[i] for i in members]),
+                  lat, lon, ring, sightings.media_rgb[best],
+                  sightings.media_tiff[best])
+    events.member.extend(members)
+    events.member_end.append(len(events.member))
 
 
-def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> list:
+def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> Events:
     """Consolidate per-frame sightings into unique defect events.
 
     Sightings are partitioned by class and clustered independently; noise
-    points become singleton events. Event ids are assigned after sorting
-    clusters by (class, centroid lat, centroid lon).
+    points become singleton events. The events are merged class by class,
+    each class's clusters in label order and then its noise points, into
+    one :class:`Events` table, whose ``member`` column holds each cluster's
+    rows in ascending order. A stable sort by (class, centroid lat,
+    centroid lon) then reorders the table, and each event is named by its
+    rank.
     """
-    groups = {}
-    for idx, class_id in enumerate(sightings.class_id):
-        groups.setdefault(class_id, []).append(idx)
+    by_class = {}
+    for i, class_id in enumerate(sightings.class_id):
+        if class_id in by_class:
+            by_class[class_id].append(i)
+        else:
+            by_class[class_id] = ends((i,))
 
-    cluster_rows = []
-    for class_id in sorted(groups):
-        idxs = groups[class_id]
-        labels = dbscan_labels([sightings.lat[i] for i in idxs],
-                               [sightings.lon[i] for i in idxs],
+    events = Events()
+    for class_id in sorted(by_class):
+        rows = by_class.pop(class_id)
+        labels = dbscan_labels([sightings.lat[i] for i in rows],
+                               [sightings.lon[i] for i in rows],
                                params.epsilon, params.min_pts)
-        clusters = {}
-        singletons = []
-        for i, lab in zip(idxs, labels):
-            if lab == NOISE:
-                singletons.append([i])
+        clusters = {}  # label -> its rows, in ascending order
+        for i, label in zip(rows, labels):
+            if label in clusters:
+                clusters[label].append(i)
             else:
-                clusters.setdefault(lab, []).append(i)
-        cluster_rows += [clusters[lab] for lab in sorted(clusters)]
-        cluster_rows += singletons
+                clusters[label] = ends((i,))
+        noise = clusters.pop(NOISE, ())
+        for label in sorted(clusters):
+            merge_cluster(sightings, clusters[label], events)
+        for i in noise:
+            merge_cluster(sightings, (i,), events)
 
-    merged = sorted((merge_cluster(sightings, ids, "") for ids in cluster_rows),
-                    key=lambda e: (e.class_id, e.centroid.lat, e.centroid.lon))
-    for rank, event in enumerate(merged):
-        # Each event is new and not yet shared: name it in place, the way a
-        # frozen dataclass's own __init__ sets its fields.
-        object.__setattr__(event, "id", f"clu_{rank:03d}")
-    return merged
+    class_of, lat, lon = events.class_id, events.lat, events.lon
+    events.reorder(sorted(range(len(events)),
+                          key=lambda k: (class_of[k], lat[k], lon[k])))
+    events.id = [f"clu_{rank:03d}" for rank in range(len(events))]
+    return events
 
 
 def nearest(found):

@@ -352,7 +352,7 @@ def tangent_point(lat0: float, lon0: float, east: float,
                   north: float) -> tuple:
     """(lat, lon) at the tangent-plane offset (east, north) from (lat0,
     lon0): the exact algebraic inverse of :func:`tangent_offsets`. The
-    longitude is not wrapped; GeoPoint wraps it."""
+    longitude is not wrapped; :func:`checked_point` wraps it."""
     if not math.hypot(east, north) <= MAX_TANGENT_RANGE_M:
         _reject_offset(east, north,
                        "offset exceeds 100 km: tangent plane invalid")
@@ -384,11 +384,12 @@ def plane_centroid(xy) -> tuple:
     return cx / (3.0 * area2), cy / (3.0 * area2)
 
 
-def polygon_centroid(vertices) -> GeoPoint:
-    """Area-weighted centroid of a ring of (lat, lon) pairs, computed on the
-    tangent plane anchored at the first vertex and mapped back to WGS84
-    (see :func:`plane_centroid`).
+def polygon_centroid(vertices) -> tuple:
+    """Area-weighted centroid (lat, lon) of a ring of (lat, lon) pairs,
+    computed on the tangent plane anchored at the first vertex and mapped
+    back to WGS84 (see :func:`plane_centroid`), held to
+    :func:`checked_point`.
     """
     lat0, lon0 = vertices[0]
     x, y = plane_centroid(tangent_offsets(lat0, lon0, vertices))
-    return GeoPoint(*tangent_point(lat0, lon0, x, y))
+    return checked_point(*tangent_point(lat0, lon0, x, y))

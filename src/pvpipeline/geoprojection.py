@@ -89,9 +89,9 @@ def project_detection(det: Detection, view: CameraView) -> tuple:
                              view.intr, view.ground, view.height, view.rot)
     ring = checked_ring(corners)
     try:
-        centroid = polygon_centroid(corners)
+        lat, lon = polygon_centroid(corners)
     except GeodesyError as exc:  # corners over 100 km apart
         raise ProjectionError(str(exc)) from exc
     return (box, det.class_id, det.confidence, det.peak_temp_c,
-            ring, centroid.lat, centroid.lon, view.frame_id, view.timestamp,
+            ring, lat, lon, view.frame_id, view.timestamp,
             view.media_rgb, view.media_tiff)

@@ -36,8 +36,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .dedup import DbscanParams, Sightings, deduplicate, duplicate_rate, \
-    nearest
+from .dedup import DbscanParams, Events, Sightings, deduplicate, \
+    duplicate_rate, nearest
 from .detector import Detection, ThresholdDetectorConfig, detect
 from .geodesy import GeoPoint, GeodesyError, neighbours_within, \
     point_columns, tangent_point
@@ -175,6 +175,18 @@ class DefectMix:
                     f"{list(getattr(self, key))}")
 
 
+def _crowded(grid: dict, ce: int, cn: int, east: float, north: float,
+             sep: float) -> bool:
+    """Whether a placed defect in the 3x3 separation cells around (ce, cn)
+    lies nearer than ``sep`` to (east, north)."""
+    for de in (-1, 0, 1):
+        for dn in (-1, 0, 1):
+            for e, n in grid.get((ce + de, cn + dn), ()):
+                if math.hypot(east - e, north - n) < sep:
+                    return True
+    return False
+
+
 def generate_plant(seed: int, layout: PlantLayout,
                    mix: DefectMix = DefectMix()):
     """Seeded defects on a plant layout: GroundTruthDefects on distinct
@@ -217,9 +229,7 @@ def generate_plant(seed: int, layout: PlantLayout,
         north = r * layout.pitch[1] + off_n
         if cell is not None:
             ce, cn = math.floor(east / cell), math.floor(north / cell)
-            if any(math.hypot(east - e, north - n) < sep
-                   for de in (-1, 0, 1) for dn in (-1, 0, 1)
-                   for e, n in grid.get((ce + de, cn + dn), ())):
+            if _crowded(grid, ce, cn, east, north, sep):
                 continue
             grid.setdefault((ce, cn), []).append((east, north))
         occupied.add((r, c))
@@ -232,7 +242,10 @@ def generate_plant(seed: int, layout: PlantLayout,
         lo, hi = mix.small_excess_range_c if small else mix.excess_range_c
         excess = float(rng.uniform(lo, hi))
         sigma = mix.small_sigma_m if small else mix.sigma_m
-        cls = str(rng.choice(FAULT_CLASSES))
+        # The same draw as str(rng.choice(FAULT_CLASSES)), at a fifth of
+        # its cost; tests/test_golden_mission.py pins the equality.
+        cls = FAULT_CLASSES[int(rng.integers(0, len(FAULT_CLASSES),
+                                             dtype=np.int64))]
         pos = GeoPoint(*tangent_point(layout.origin.lat, layout.origin.lon,
                                       east, north))
         defects.append(GroundTruthDefect(
@@ -726,7 +739,7 @@ class MissionTrace:
     reacq_rounds: int = 0
     reacq_confirms: int = 0
     projection_failed: int = 0
-    events: list = field(default_factory=list)
+    events: Events = field(default_factory=Events)
     report_json: bytes = b""      # report.json, the telemetry payload
 
     @property
@@ -1103,8 +1116,7 @@ def run_mission(config: MissionConfig, lines: BinaryIO | None = None):
     trace = _fly_ranges(config, scene, poses, start, lines)
     trace.events = deduplicate(trace.accepted, config.dedup)
     report = MissionReport(config.site_id, config.uav,
-                           _ts_utc(start, poses[-1].time_s),
-                           tuple(trace.events))
+                           _ts_utc(start, poses[-1].time_s), trace.events)
     trace.report_json = to_json(report)
     return trace, report
 
@@ -1114,14 +1126,13 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
     defects of its class within the match radius: recall counts the defects
     some event matches, and Dup-FP after dedup takes each event's nearest
     one (see :func:`dedup.nearest`, :func:`dedup.duplicate_rate`)."""
-    defects = trace.defects
+    defects, events = trace.defects, trace.events
     near = neighbours_within(
-        *point_columns([e.centroid for e in trace.events]),
-        trace.config.match_radius_m,
+        events.lat, events.lon, trace.config.match_radius_m,
         point_columns([d.position for d in defects]))
     same_class = [[(i, d) for i, d in found
-                   if defects[i].class_id == event.class_id]
-                  for event, found in zip(trace.events, near)]
+                   if defects[i].class_id == class_id]
+                  for class_id, found in zip(events.class_id, near)]
     matched = {i for found in same_class for i, _ in found}
     small = [i for i, d in enumerate(defects) if d.is_small]
     recall = len(matched) / len(defects) if defects else 1.0
@@ -1132,7 +1143,7 @@ def evaluate(trace: MissionTrace) -> MetricsReport:
         recall_small=recall_small,
         dup_fp_raw=duplicate_rate(trace.gt_matches),
         dup_fp_dedup=duplicate_rate([nearest(f) for f in same_class]),
-        event_count=len(trace.events),
+        event_count=len(events),
         gt_count=len(defects),
         bandwidth_savings=1.0 - trace.payload_bytes / trace.raw_bytes,
         reacq_rounds=trace.reacq_rounds,

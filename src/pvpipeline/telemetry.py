@@ -1,6 +1,6 @@
-"""Relevance-only telemetry: bit-exact JSON mission payloads, KML export,
-the detection interchange lines of a Sightings table, and an atomic file
-write.
+"""Relevance-only telemetry: bit-exact JSON mission payloads of an Events
+table, KML export, the detection interchange lines of a Sightings table,
+and an atomic file write.
 
 The JSON serializer formats every number explicitly (6 decimal places for
 coordinates, 2 for confidence and temperature) and emits keys in a fixed
@@ -16,15 +16,15 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO
 # json.dumps(s) for a str s, without json.dumps's dispatch on the type
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .dedup import DefectEvent, Sightings
+from .dedup import Events, Sightings
 from .detector import check_box
-from .geodesy import GeoPoint, GeodesyError, checked_point, checked_ring
+from .geodesy import GeodesyError, checked_point, checked_ring
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
@@ -38,11 +38,11 @@ class MissionReport:
     site_id: str
     uav: str
     ts_utc: str
-    detections: tuple = ()  # DefectEvents
+    detections: Events = field(default_factory=Events)
 
     def __post_init__(self):
         parse_ts_utc(self.ts_utc)  # validates
-        ids = [d.id for d in self.detections]
+        ids = self.detections.id
         if len(ids) != len(set(ids)):
             raise TelemetryError("duplicate detection ids in report")
 
@@ -65,29 +65,30 @@ def _pair(lat: float, lon: float) -> str:
     return f"[{_coord(lat)},{_coord(lon)}]"
 
 
-def _record_json(event: DefectEvent) -> str:
-    polygon = ",".join(_pair(lat, lon) for lat, lon in event.polygon)
+def _record_json(events: Events, k: int) -> str:
+    """The JSON record of row ``k`` of ``events``."""
+    polygon = ",".join(_pair(lat, lon) for lat, lon in events.ring(k))
     return ('{'
-            f'"id":{_json_string(event.id)},'
-            f'"class":{_json_string(event.class_id)},'
-            f'"conf":{event.confidence:.2f},'
-            f'"temp_C":{event.peak_temp_c:.2f},'
-            f'"centroid_wgs84":{_pair(event.centroid.lat, event.centroid.lon)},'
+            f'"id":{_json_string(events.id[k])},'
+            f'"class":{_json_string(events.class_id[k])},'
+            f'"conf":{events.confidence[k]:.2f},'
+            f'"temp_C":{events.peak_temp_c[k]:.2f},'
+            f'"centroid_wgs84":{_pair(events.lat[k], events.lon[k])},'
             f'"polygon_wgs84":[{polygon}],'
-            f'"media":{{"rgb":{_json_string(event.media_rgb)},'
-            f'"tiff":{_json_string(event.media_tiff)}}}'
+            f'"media":{{"rgb":{_json_string(events.media_rgb[k])},'
+            f'"tiff":{_json_string(events.media_tiff[k])}}}'
             '}')
 
 
-def _write_records(events, out: BinaryIO):
+def _write_records(events: Events, out: BinaryIO):
     """The JSON array of events, written record by record to ``out``."""
     out.write(b"[")
-    for k, event in enumerate(events):
-        out.write(("," * (k > 0) + _record_json(event)).encode("utf-8"))
+    for k in range(len(events)):
+        out.write(("," * (k > 0) + _record_json(events, k)).encode("utf-8"))
     out.write(b"]")
 
 
-def records_json(events) -> bytes:
+def records_json(events: Events) -> bytes:
     """The JSON array of events, as a report's "detections", UTF-8."""
     out = io.BytesIO()
     _write_records(events, out)
@@ -189,33 +190,40 @@ def _vertex(value, what: str) -> tuple:
     return lat, lon
 
 
-def _geo_point(value, what: str) -> GeoPoint:
-    return GeoPoint(*_vertex(value, what))
+def _centroid(value, what: str) -> tuple:
+    """_vertex's point, its longitude wrapped by checked_point."""
+    return checked_point(*_vertex(value, what))
 
 
-def _parse_record(d, where: str) -> DefectEvent:
+def _parse_record(d, where: str, events: Events, shared: dict):
+    """Check the record ``d`` and append it to ``events``; a string equal
+    to one in ``shared`` is that one, and a new one is added."""
     _object(d, where)
     media = _field(d, "media", _object, where)
-    event = DefectEvent(
-        id=_field(d, "id", _string, where),
-        class_id=_field(d, "class", _string, where),
-        confidence=_field(d, "conf", _number, where),
-        peak_temp_c=_field(d, "temp_C", _number, where),
-        centroid=_field(d, "centroid_wgs84", _geo_point, where),
-        polygon=tuple(_vertex(p, f"{where}.polygon_wgs84")
-                      for p in _field(d, "polygon_wgs84", _list, where)),
-        media_rgb=_field(media, "rgb", _string, f"{where}.media"),
-        media_tiff=_field(media, "tiff", _string, f"{where}.media"))
-    if not event.id:
+    event_id = _field(d, "id", _string, where)
+    class_id = _field(d, "class", _string, where)
+    confidence = _field(d, "conf", _number, where)
+    peak_temp_c = _field(d, "temp_C", _number, where)
+    lat, lon = _field(d, "centroid_wgs84", _centroid, where)
+    vertices = [_vertex(p, f"{where}.polygon_wgs84")
+                for p in _field(d, "polygon_wgs84", _list, where)]
+    rgb = _field(media, "rgb", _string, f"{where}.media")
+    tiff = _field(media, "tiff", _string, f"{where}.media")
+    if not event_id:
         raise TelemetryError(f"{where}.id: expected a non-empty string")
-    if len(event.polygon) < 3:
+    if len(vertices) < 3:
         raise TelemetryError(f"{where}.polygon_wgs84: expected at least 3 "
-                             f"vertices, got {len(event.polygon)}")
-    return event
+                             f"vertices, got {len(vertices)}")
+    share = shared.setdefault
+    events.append(event_id, share(class_id, class_id), confidence,
+                  peak_temp_c, lat, lon,
+                  [c for vertex in vertices for c in vertex],
+                  share(rgb, rgb), share(tiff, tiff))
 
 
 def parse_report(payload: bytes) -> MissionReport:
-    """Inverse of to_json. Raises TelemetryError naming a field that is
+    """Inverse of to_json, into an Events table with no members; a number
+    is held as a float. Raises TelemetryError naming a field that is
     missing, mistyped, a latitude past 90, a longitude past 180, an empty
     id or under 3 vertices, or JSON nested past the interpreter's recursion
     limit."""
@@ -224,12 +232,14 @@ def parse_report(payload: bytes) -> MissionReport:
     except RecursionError:
         raise TelemetryError("JSON nested too deeply") from None
     detections = _field(obj, "detections", _list)
-    return MissionReport(
-        site_id=_field(obj, "site_id", _string),
-        uav=_field(obj, "uav", _string),
-        ts_utc=_field(obj, "ts_utc", _string),
-        detections=tuple(_parse_record(d, f"detections[{i}]")
-                         for i, d in enumerate(detections)))
+    site_id = _field(obj, "site_id", _string)
+    uav = _field(obj, "uav", _string)
+    ts_utc = _field(obj, "ts_utc", _string)
+    events, shared = Events(), {}
+    for i, d in enumerate(detections):
+        _parse_record(d, f"detections[{i}]", events, shared)
+    return MissionReport(site_id=site_id, uav=uav, ts_utc=ts_utc,
+                         detections=events)
 
 
 def _xml_text(text: str) -> str:
@@ -244,13 +254,15 @@ def to_kml(report: MissionReport) -> bytes:
                f'<kml xmlns="{KML_NS}"><Document>'
                f'<name>{_xml_text(f"{report.site_id} {report.ts_utc}")}'
                '</name>').encode("utf-8"))
-    for event in report.detections:
+    events = report.detections
+    for k in range(len(events)):
+        polygon = events.ring(k)
         ring = " ".join(f"{_coord(lon)},{_coord(lat)},0"
-                        for lat, lon in (*event.polygon, event.polygon[0]))
-        desc = (f"class={event.class_id} conf={event.confidence:.2f} "
-                f"temp_C={event.peak_temp_c:.2f}")
+                        for lat, lon in (*polygon, polygon[0]))
+        desc = (f"class={events.class_id[k]} conf={events.confidence[k]:.2f} "
+                f"temp_C={events.peak_temp_c[k]:.2f}")
         out.write((
-            f"<Placemark><name>{_xml_text(event.id)}</name>"
+            f"<Placemark><name>{_xml_text(events.id[k])}</name>"
             f"<description>{_xml_text(desc)}</description>"
             "<Polygon><outerBoundaryIs><LinearRing>"
             f"<coordinates>{ring}</coordinates>"  # a closed ring

@@ -4,10 +4,11 @@ itself has no use for them."""
 import json
 import math
 from array import array
+from collections import namedtuple
 
 import numpy as np
 
-from pvpipeline.dedup import DefectEvent, Sightings, convex_hull
+from pvpipeline.dedup import Sightings, convex_hull
 from pvpipeline.detector import Detection
 from pvpipeline.fusion import PROB_EPS, FusionError, encode
 from pvpipeline.geodesy import (MAX_TANGENT_RANGE_M, MEAN_EARTH_RADIUS_M,
@@ -142,11 +143,17 @@ def polygon_centroid_objects(vertices):
     return enu_point(anchor, x, y)
 
 
+# A merged event as an object: its centroid a GeoPoint and its polygon a
+# tuple of (lat, lon) pairs.
+Event = namedtuple("Event", "id class_id confidence peak_temp_c centroid "
+                            "polygon media_rgb media_tiff member_ids")
+
+
 def merge_cluster_objects(members, member_ids, event_id):
     """merge_cluster through enu_offset per member vertex, then enu_point
     per hull vertex and for the hull's centroid, over the Sightings rows
     ``members``, one per member id, each polygon vertex read as a
-    GeoPoint from its flat ring."""
+    GeoPoint from its flat ring; an Event."""
     table = Sightings.of_rows(members)
     rings = [row[4] for row in members]
     polygons = [[GeoPoint(ring[k], ring[k + 1])
@@ -162,7 +169,7 @@ def merge_cluster_objects(members, member_ids, event_id):
         hull_poly = [enu_point(anchor, x, y) for x, y in hull]
         checked_ring((v.lat, v.lon) for v in hull_poly)
         centroid = enu_point(anchor, *plane_centroid(hull))
-    return DefectEvent(
+    return Event(
         id=event_id, class_id=table.class_id[best],
         confidence=max(table.confidence),
         peak_temp_c=max(table.peak_temp_c),

@@ -844,6 +844,26 @@ def test_dedup_of_integer_numbers_writes_them_as_floats(tmp_path, capsys):
     ).encode("utf-8")
 
 
+def test_export_kml_of_integer_numbers_prints_them_as_floats(tmp_path,
+                                                             capsys):
+    # The export-kml twin of the dedup test above: a report's integer conf,
+    # temp_C and vertex latitude are held as floats, so a temp_C of
+    # 10**17 + 1, past 2**53, prints as the float it rounds to.
+    report = json.loads(GOLDEN_REPORT.read_text())
+    record = report["detections"][0]
+    record.update(conf=1, temp_C=10 ** 17 + 1)
+    record["polygon_wgs84"][0] = [49, 26.98417]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    out = tmp_path / "report.kml"
+    code = main(["export-kml", "--report", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    kml = out.read_text(encoding="utf-8")
+    assert ("<description>class=hotspot conf=1.00 "
+            "temp_C=100000000000000000.00</description>") in kml
+    assert "<coordinates>26.984170,49.000000,0 " in kml
+
+
 def _key_paths(obj, path=()):
     """Key path of every value nested in a parsed JSON object."""
     items = (obj.items() if isinstance(obj, dict)
@@ -1172,6 +1192,24 @@ def test_out_under_a_regular_file_exits_1(tmp_path, capsys, config_path,
     assert err.startswith(f"cannot write {out}")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_dedup_logs_its_stage_seconds_at_info(tmp_path):
+    # At info, dedup names its parse, deduplicate and write stages on
+    # stderr; at the default level stderr stays empty. The events are the
+    # same bytes either way.
+    outputs = {}
+    for level in ("info", "error"):
+        out = tmp_path / f"{level}.json"
+        result = _run(["dedup", "--input", str(GOLDEN_DETECTIONS),
+                       "--epsilon", "1.0", "--out", str(out)],
+                      env_extra={"PV_PIPELINE_LOG": level})
+        assert result.returncode == 0, result.stderr
+        outputs[level] = (result.stderr, out.read_bytes())
+    stderr, events = outputs["info"]
+    for stage in ("parse", "deduplicate", "write"):
+        assert f"dedup: {stage} " in stderr, stderr
+    assert outputs["error"] == ("", events)
 
 
 def test_invalid_log_level_rejected():

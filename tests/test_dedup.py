@@ -1,12 +1,15 @@
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from oracles import enu_offset, haversine_distance, merge_cluster_objects
+from oracles import Event, enu_offset, haversine_distance, \
+    merge_cluster_objects
 
-from pvpipeline.dedup import (DbscanParams, DedupError, NOISE, Sightings,
-                              convex_hull, dbscan_labels, deduplicate,
-                              duplicate_rate, floats, merge_cluster)
+from pvpipeline.dedup import (DbscanParams, DedupError, Events, NOISE,
+                              Sightings, convex_hull, dbscan_labels,
+                              deduplicate, duplicate_rate, floats,
+                              merge_cluster)
 from pvpipeline.geodesy import GeoPoint, point_columns, tangent_point
 from pvpipeline.simulator import MissionConfig, MissionTrace, evaluate
 
@@ -34,6 +37,33 @@ def _proj(east, north, class_id="hotspot", conf=0.8, temp=40.0, half=0.2,
                             (half, half), (-half, half))]
     return _sighting(verts, _pt(east, north), class_id, conf, temp,
                      media_rgb=media, media_tiff=media + ".tiff")
+
+
+# A table row's centroid, read as is (a GeoPoint would wrap it).
+_Point = namedtuple("_Point", "lat lon")
+
+
+def _event(events, k):
+    """Row ``k`` of an Events table as the oracle's Event."""
+    start = events.member_end[k - 1] if k else 0
+    return Event(events.id[k], events.class_id[k], events.confidence[k],
+                 events.peak_temp_c[k], _Point(events.lat[k], events.lon[k]),
+                 events.ring(k), events.media_rgb[k], events.media_tiff[k],
+                 tuple(events.member[start:events.member_end[k]]))
+
+
+def _deduplicate(*args):
+    """deduplicate's rows as Events."""
+    events = deduplicate(*args)
+    return [_event(events, k) for k in range(len(events))]
+
+
+def _merge(table, member_ids):
+    """merge_cluster's row as an Event."""
+    events = Events()
+    merge_cluster(table, member_ids, events)
+    assert len(events) == 1
+    return _event(events, 0)
 
 
 def _components_oracle(points, epsilon):
@@ -126,7 +156,7 @@ def test_deduplicate_merges_near_duplicates():
         _proj(8.0, 8.0, conf=0.6, temp=38.0),
     ]
     table = Sightings.of_rows(dets)
-    events = deduplicate(table, DbscanParams(epsilon=1.0, min_pts=2))
+    events = _deduplicate(table, DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert [e.id for e in events] == ["clu_000", "clu_001"]
     merged = min(events, key=lambda e: haversine_distance(e.centroid, ORIGIN))
@@ -143,8 +173,8 @@ def test_deduplicate_merges_near_duplicates():
 def test_deduplicate_partitions_by_class():
     dets = [_proj(0.0, 0.0, class_id="hotspot"),
             _proj(0.1, 0.0, class_id="diode_fault")]
-    events = deduplicate(Sightings.of_rows(dets),
-                         DbscanParams(epsilon=1.0, min_pts=2))
+    events = _deduplicate(Sightings.of_rows(dets),
+                          DbscanParams(epsilon=1.0, min_pts=2))
     assert len(events) == 2
     assert sorted(e.class_id for e in events) == ["diode_fault", "hotspot"]
 
@@ -153,10 +183,10 @@ def test_deduplicate_order_invariant_output():
     rng = np.random.default_rng(2)
     dets = [_proj(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
                   conf=float(rng.uniform(0.3, 0.95))) for _ in range(12)]
-    base = deduplicate(Sightings.of_rows(dets))
+    base = _deduplicate(Sightings.of_rows(dets))
     for _ in range(5):
         perm = list(rng.permutation(len(dets)))
-        events = deduplicate(Sightings.of_rows([dets[i] for i in perm]))
+        events = _deduplicate(Sightings.of_rows([dets[i] for i in perm]))
         assert len(events) == len(base)
         for got, want in zip(events, base):
             assert got.id == want.id
@@ -174,7 +204,7 @@ def test_merge_cluster_collinear_fallback():
                          box=(0, 0, 1, 1))
 
     table = Sightings.of_rows([line_proj(0.0, 0.5), line_proj(0.05, 0.9)])
-    event = merge_cluster(table, [0, 1], "clu_000")
+    event = _merge(table, [0, 1])
     assert event.polygon == table.ring(1)
 
 
@@ -232,8 +262,8 @@ def test_merge_cluster_matches_object_form_oracle(plant):
                                   spread=1.0)
         ids = list(range(len(members)))
         table = Sightings.of_rows(members)
-        got = merge_cluster(table, ids, f"clu_{k:03d}")
-        want = merge_cluster_objects(members, ids, f"clu_{k:03d}")
+        got = _merge(table, ids)
+        want = merge_cluster_objects(members, ids, "")
         assert _hex_event(got) == _hex_event(want)
         anchor = GeoPoint(*table.ring(0)[0])
         degenerate += len(convex_hull([enu_offset(anchor, GeoPoint(*v))
@@ -250,8 +280,8 @@ def test_deduplicate_events_match_object_form_oracle(plant):
                   for d in _random_cluster(rng, origin, collinear=k % 4 == 0)]
     order = rng.permutation(len(detections))
     detections = [detections[i] for i in order]
-    events = deduplicate(Sightings.of_rows(detections),
-                         DbscanParams(epsilon=1.0, min_pts=2))
+    events = _deduplicate(Sightings.of_rows(detections),
+                          DbscanParams(epsilon=1.0, min_pts=2))
     assert [e.id for e in events] == [f"clu_{r:03d}"
                                       for r in range(len(events))]
     assert sorted(i for e in events for i in e.member_ids) == \
@@ -260,6 +290,29 @@ def test_deduplicate_events_match_object_form_oracle(plant):
         members = [detections[i] for i in event.member_ids]
         want = merge_cluster_objects(members, event.member_ids, event.id)
         assert _hex_event(event) == _hex_event(want)
+
+
+def test_events_hold_at_most_700_bytes_each():
+    # 400 random clusters of one to five quads on a 300 m plant: the events
+    # are one Events table, numbers and rings in flat arrays, the member
+    # rows in one array('q'). As objects (a GeoPoint centroid, a tuple of
+    # vertex tuples and a tuple of member ids each) they held about 1,270
+    # bytes an event here; now about 500.
+    rng = np.random.default_rng(3)
+    table = Sightings.of_rows([
+        d for _ in range(400)
+        for d in _random_cluster(rng, ORIGIN, collinear=False, spread=300.0)])
+    assert len(table) >= 1000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        events = deduplicate(table)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(events)
+    assert n > 300
+    assert held - base <= 700 * n, (held - base) / n
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +331,13 @@ def _item(east, north, class_id="hotspot"):
 
 
 def _metrics(items, gt, radius):
-    """evaluate on a one-frame trace of events ``items``."""
+    """evaluate on a one-frame trace of events ``items``: an Events table
+    of their centroids and classes, the columns evaluate reads."""
+    events = Events(class_id=[item.class_id for item in items],
+                    lat=floats(item.centroid.lat for item in items),
+                    lon=floats(item.centroid.lon for item in items))
     return evaluate(MissionTrace(config=MissionConfig(match_radius_m=radius),
-                                 defects=gt, frames=1, events=items))
+                                 defects=gt, frames=1, events=events))
 
 
 def test_dup_fp_rate_hand_cases():

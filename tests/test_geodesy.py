@@ -159,9 +159,9 @@ def test_tangent_plane_float_helpers_match_object_forms():
             assert (east.hex(), north.hex()) == \
                 (want[0].hex(), want[1].hex())
             points.append(p)
-        c = polygon_centroid([(p.lat, p.lon) for p in points])
+        lat, lon = polygon_centroid([(p.lat, p.lon) for p in points])
         want = polygon_centroid_objects(points)
-        assert (c.lat.hex(), c.lon.hex()) == (want.lat.hex(), want.lon.hex())
+        assert (lat.hex(), lon.hex()) == (want.lat.hex(), want.lon.hex())
 
 
 def test_tangent_plane_errors_name_the_fault():
@@ -187,8 +187,7 @@ def test_polygon_centroid_square_shoelace():
     origin = GeoPoint(lat=45.0, lon=7.0)
     verts = [_at(origin, e, n) for e, n in [(0, 0), (10, 0), (10, 10), (0, 10)]]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offsets(origin.lat, origin.lon,
-                                  [(centroid.lat, centroid.lon)])[0]
+    east, north = tangent_offsets(origin.lat, origin.lon, [centroid])[0]
     assert east == pytest.approx(5.0, abs=1e-6)
     assert north == pytest.approx(5.0, abs=1e-6)
 
@@ -199,8 +198,7 @@ def test_polygon_centroid_weighted_not_vertex_mean():
     shape = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
     verts = [_at(origin, e, n) for e, n in shape]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offsets(origin.lat, origin.lon,
-                                  [(centroid.lat, centroid.lon)])[0]
+    east, north = tangent_offsets(origin.lat, origin.lon, [centroid])[0]
     # Shoelace centroid of this L-shape (computed by hand): (1.5, 1.5)...
     # decompose: rect 4x1 at y in [0,1] (area 4, centroid (2, .5)) plus
     # rect 1x3 at x in [0,1], y in [1,4] (area 3, centroid (.5, 2.5)).
@@ -214,8 +212,7 @@ def test_polygon_centroid_degenerate_falls_back_to_vertex_mean():
     origin = GeoPoint(lat=45.0, lon=7.0)
     verts = [_at(origin, e, 0.0) for e in (0.0, 1.0, 2.0)]
     centroid = polygon_centroid([(v.lat, v.lon) for v in verts])
-    east, north = tangent_offsets(origin.lat, origin.lon,
-                                  [(centroid.lat, centroid.lon)])[0]
+    east, north = tangent_offsets(origin.lat, origin.lon, [centroid])[0]
     assert east == pytest.approx(1.0, abs=1e-6)
 
 

@@ -14,10 +14,12 @@ import json
 import pathlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from oracles import parse_detection_record_lines_objects
 
 from pvpipeline import cli
+from pvpipeline.simulator import FAULT_CLASSES, _STREAM_PLANT, _keyed_rng
 from pvpipeline.telemetry import detection_record_lines, \
     parse_detection_record_lines
 
@@ -37,6 +39,21 @@ def _simulate(config: dict, tmp_dir: pathlib.Path, out: pathlib.Path):
     path.write_text(json.dumps(config))
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(out)]) == cli.EXIT_OK
+
+
+def test_class_draw_is_numpys_choice_draw():
+    # generate_plant draws a defect's class as FAULT_CLASSES[integers(0,
+    # 10, dtype=int64)], where it drew str(choice(FAULT_CLASSES)): the
+    # goldens rest on the two giving the same class and leaving the stream
+    # in the same state. That is numpy's implementation (2.4.6 here), not
+    # its documented contract, so it is pinned over 500 plant streams of
+    # 40 draws, each followed by the uniform() draw that follows it there.
+    for seed in range(500):
+        old, new = (_keyed_rng(seed, _STREAM_PLANT) for _ in range(2))
+        for _ in range(40):
+            assert str(old.choice(FAULT_CLASSES)) == FAULT_CLASSES[
+                int(new.integers(0, len(FAULT_CLASSES), dtype=np.int64))]
+            assert old.uniform() == new.uniform()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

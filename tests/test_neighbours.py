@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import haversine_distance
 
 from pvpipeline import dedup
-from pvpipeline.dedup import NOISE, dbscan_labels, nearest
+from pvpipeline.dedup import NOISE, Events, dbscan_labels, floats, nearest
 from pvpipeline.geodesy import (MEAN_EARTH_RADIUS_M, GeodesyError, GeoPoint,
                                 far_apart, haversine, neighbours_within,
                                 point_columns, radius_groups)
@@ -294,10 +294,14 @@ def _found(centroids, ground_truth, radius):
 
 
 def _evaluate(items, ground_truth, radius):
-    """evaluate on a one-frame trace of events ``items``."""
+    """evaluate on a one-frame trace of events ``items``: an Events table
+    of their centroids and classes, the columns evaluate reads."""
+    events = Events(class_id=[item.class_id for item in items],
+                    lat=floats(item.centroid.lat for item in items),
+                    lon=floats(item.centroid.lon for item in items))
     return evaluate(MissionTrace(
         config=MissionConfig(match_radius_m=radius), defects=ground_truth,
-        frames=1, events=items))
+        frames=1, events=events))
 
 
 @given(scenes(), st.data())

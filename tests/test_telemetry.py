@@ -5,7 +5,6 @@ import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import parse_detection_record_lines_objects, \
     sighting_rows_objects
 
-from pvpipeline.dedup import DefectEvent, Sightings, floats
-from pvpipeline.geodesy import GeoPoint, checked_point, checked_ring
+from pvpipeline.dedup import Events, Sightings, floats
+from pvpipeline.geodesy import checked_point, checked_ring
 from pvpipeline.telemetry import (MissionReport, TelemetryError,
                                   detection_record_lines,
                                   parse_detection_record_lines, parse_report,
@@ -26,22 +25,32 @@ GOLDEN_MISSIONS = sorted((DATA / "golden_mission").iterdir())
 KML_NS = "http://www.opengis.net/kml/2.2"
 
 
+# The sample report's records, as Events.append takes them.
+_RECORDS = (
+    dict(id="clu_000", class_id="hotspot", confidence=0.91, peak_temp_c=82.4,
+         lat=49.407251, lon=26.984173,
+         ring=(49.407249, 26.98417, 49.407249, 26.984176,
+               49.407253, 26.984176, 49.407253, 26.98417),
+         media_rgb="frames/f0231.jpg", media_tiff="frames/f0231.tiff"),
+    dict(id="clu_001", class_id="diode_fault", confidence=0.76,
+         peak_temp_c=61.25, lat=49.407301, lon=26.984211,
+         ring=(49.407299, 26.984208, 49.407299, 26.984214,
+               49.407303, 26.984214, 49.407303, 26.984208),
+         media_rgb="frames/f0240.jpg", media_tiff="frames/f0240.tiff"),
+)
+
+
+def _events(*records) -> Events:
+    events = Events()
+    for record in records:
+        events.append(**record)
+    return events
+
+
 def _sample_report() -> MissionReport:
-    rec0 = DefectEvent(
-        id="clu_000", class_id="hotspot", confidence=0.91, peak_temp_c=82.4,
-        centroid=GeoPoint(49.407251, 26.984173),
-        polygon=((49.407249, 26.98417), (49.407249, 26.984176),
-                 (49.407253, 26.984176), (49.407253, 26.98417)),
-        media_rgb="frames/f0231.jpg", media_tiff="frames/f0231.tiff")
-    rec1 = DefectEvent(
-        id="clu_001", class_id="diode_fault", confidence=0.76,
-        peak_temp_c=61.25, centroid=GeoPoint(49.407301, 26.984211),
-        polygon=((49.407299, 26.984208), (49.407299, 26.984214),
-                 (49.407303, 26.984214), (49.407303, 26.984208)),
-        media_rgb="frames/f0240.jpg", media_tiff="frames/f0240.tiff")
     return MissionReport(site_id="PV-Site-A", uav="uav-01",
                          ts_utc="2025-09-30T10:12:00Z",
-                         detections=(rec0, rec1))
+                         detections=_events(*_RECORDS))
 
 
 def test_json_matches_golden_file_byte_for_byte():
@@ -54,12 +63,14 @@ def test_json_round_trip():
     assert parsed.site_id == report.site_id
     assert parsed.uav == report.uav
     assert parsed.ts_utc == report.ts_utc
-    assert len(parsed.detections) == 2
-    got = parsed.detections[0]
-    assert got.id == "clu_000"
-    assert got.confidence == pytest.approx(0.91)
-    assert got.peak_temp_c == pytest.approx(82.4)
-    assert got.centroid == GeoPoint(49.407251, 26.984173)
+    got = parsed.detections
+    assert len(got) == 2
+    assert got.id[0] == "clu_000"
+    assert got.confidence[0] == pytest.approx(0.91)
+    assert got.peak_temp_c[0] == pytest.approx(82.4)
+    assert (got.lat[0], got.lon[0]) == (49.407251, 26.984173)
+    assert got.ring(0) == _sample_report().detections.ring(0)
+    assert not got.member and not got.member_end  # a report has no members
 
 
 @pytest.mark.parametrize("path", [GOLDEN] + [
@@ -68,9 +79,9 @@ def test_json_round_trip():
 def test_parse_report_round_trips_the_goldens(path):
     """A report's fixed-point text parses to events that print it again.
 
-    One limit: the centroid becomes a GeoPoint, which wraps a longitude
-    printed as 180.000000 back as -180.000000. to_kml writes no centroid,
-    so the KML is unaffected.
+    One limit: the centroid's longitude is wrapped, so one printed as
+    180.000000 prints back as -180.000000. to_kml writes no centroid, so
+    the KML is unaffected.
     """
     payload = path.read_bytes()
     assert to_json(parse_report(payload)) == payload
@@ -103,11 +114,11 @@ def test_json_strings_are_written_as_json_dumps_writes_them(text):
     keys = ("id", "class_id", "media_rgb", "media_tiff", "site_id", "uav")
 
     def payload(values):
-        rec = replace(_sample_report().detections[0],
-                      **{k: values[k] for k in keys[:4]})
+        rec = {**_RECORDS[0], **{k: values[k] for k in keys[:4]}}
         return to_json(MissionReport(
             site_id=values["site_id"], uav=values["uav"],
-            ts_utc="2025-09-30T10:12:00Z", detections=(rec,))).decode()
+            ts_utc="2025-09-30T10:12:00Z",
+            detections=_events(rec))).decode()
 
     want = payload({k: f"<{k}>" for k in keys})
     for k in keys:
@@ -120,16 +131,17 @@ def test_report_validation():
         MissionReport(site_id="s", uav="u", ts_utc="2025-09-30 10:12:00")
     with pytest.raises(TelemetryError):
         MissionReport(site_id="s", uav="u", ts_utc="2025-09-30T10:12:00+00:00")
-    rec = _sample_report().detections[0]
+    rec = _RECORDS[0]
     with pytest.raises(TelemetryError):
         MissionReport(site_id="s", uav="u", ts_utc="2025-09-30T10:12:00Z",
-                      detections=(rec, rec))  # duplicate ids
+                      detections=_events(rec, rec))  # duplicate ids
     for edit, message in [
             (dict(id=""), "detections[0].id: expected a non-empty string"),
-            (dict(polygon=((0.0, 0.0), (1.0, 1.0))),
+            (dict(ring=(0.0, 0.0, 1.0, 1.0)),
              "detections[0].polygon_wgs84: expected at least 3 vertices")]:
-        payload = to_json(replace(_sample_report(),
-                                  detections=(replace(rec, **edit),)))
+        payload = to_json(MissionReport(
+            site_id="s", uav="u", ts_utc="2025-09-30T10:12:00Z",
+            detections=_events({**rec, **edit})))
         with pytest.raises(TelemetryError, match=re.escape(message)):
             parse_report(payload)
 
@@ -161,9 +173,9 @@ def test_kml_structure():
 def test_kml_text_round_trips(text):
     # Names and descriptions are escaped as element text: an XML parser
     # reads back what the report holds.
-    rec = replace(_sample_report().detections[0], id=text, class_id=text)
+    rec = {**_RECORDS[0], "id": text, "class_id": text}
     report = MissionReport(site_id=text, uav="u", ts_utc="2025-09-30T10:12:00Z",
-                           detections=(rec,))
+                           detections=_events(rec))
     root = ET.fromstring(to_kml(report))
     doc = root.find(f"{{{KML_NS}}}Document")
     assert doc.find(f"{{{KML_NS}}}name").text == f"{text} {report.ts_utc}"
