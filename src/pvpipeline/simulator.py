@@ -22,20 +22,19 @@ operational trends:
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
+import logging
 import math
-import os
-import pickle
 import shutil
-import signal
 import tempfile
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
+from time import perf_counter
 from typing import BinaryIO
 
 import numpy as np
 
+from . import workers
 from .dedup import DbscanParams, Events, Sightings, deduplicate, \
     duplicate_rate, nearest
 from .detector import Detection, ThresholdDetectorConfig, detect
@@ -47,6 +46,8 @@ from .reacquisition import Attitude, CameraIntrinsics, ReacqPolicy, \
 from .telemetry import MissionReport, detection_record_lines, \
     parse_ts_utc, to_json
 from .thermal import ABSOLUTE_ZERO_C, TemperatureMap
+
+log = logging.getLogger(__name__)
 
 # Fault taxonomy labels used for ground-truth classes.
 FAULT_CLASSES = ("hotspot_single", "hotspot_multi", "diode_bypass",
@@ -88,8 +89,6 @@ _MAX_CLUTTER_DETECTIONS = 2 ** 20
 # mission may expect: all clutter shares one class, so dedup's DBSCAN work
 # grows with these pairs. The default plant reaches it near rate 257.
 _MAX_CLUTTER_PAIRS = 2 ** 18
-# prctl option (<linux/prctl.h>): the signal sent when the parent dies.
-_PR_SET_PDEATHSIG = 1
 
 
 class SimulationError(ValueError):
@@ -957,13 +956,6 @@ def match_ground_truth(sightings: Sightings, defects, radius: float) -> list:
     return gt_indices
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
          lo: int, hi: int, lines: BinaryIO | None = None) -> MissionTrace:
     """Sense -> detect -> confirm -> project -> match, one stage call each,
@@ -998,92 +990,24 @@ def _fly(config: MissionConfig, scene: Scene, poses, start: datetime,
     return trace
 
 
-def _forked_map(fn, calls) -> list:
-    """``[fn(*args) for args in calls]``, with ``calls[0]`` run here and each
-    other call in an ``os.fork`` child that pickles its result or exception
-    (as a RuntimeError with its message if it does not survive pickling)
-    into a pipe. A child's exception is raised here. No child outlives the
-    call, which kills and reaps those left when it fails, nor this process,
-    which a signal can end before any ``finally``: each child asks for
-    SIGKILL when its parent dies. Fork, as a spawned child would take longer
-    to import the package than a 40x40 plant's range takes to fly; the only
-    other threads, OpenBLAS's pool, are stopped by its own fork handler."""
-    parent = os.getpid()
-    pipes = {}  # child pid -> read end of its result pipe, until reaped
-    try:
-        for args in calls[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                try:
-                    prctl = ctypes.CDLL(None).prctl
-                    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-                    prctl.restype = ctypes.c_int
-                    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-                    if os.getppid() != parent:
-                        os._exit(1)
-                    for fd in (read_fd, *pipes.values()):
-                        os.close(fd)
-                    try:
-                        payload = pickle.dumps((True, fn(*args)))
-                    except BaseException as exc:
-                        try:
-                            payload = pickle.dumps((False, exc))
-                            pickle.loads(payload)
-                        except Exception:
-                            payload = pickle.dumps(
-                                (False, RuntimeError(str(exc))))
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            pipes[pid] = read_fd
-        results = [fn(*calls[0])]
-        for pid in list(pipes):
-            # Read to EOF first: a result can be larger than the pipe buffer.
-            with open(pipes[pid], "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            os.close(pipes.pop(pid))
-            if not data:
-                raise RuntimeError(f"a worker exited with wait status "
-                                   f"{status} and no result")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise result
-            results.append(result)
-    finally:
-        for pid, read_fd in pipes.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    return results
-
-
 def _fly_ranges(config: MissionConfig, scene: Scene, poses,
                 start: datetime, lines: BinaryIO | None) -> MissionTrace:
     """``_fly`` over the whole flight, one contiguous frame range per usable
-    CPU (at most one per frame) in ``_forked_map``. The output cannot depend
-    on the cut: every noise stream is keyed by seed, frame and detection
-    index, each projection is matched on its own, and the range traces are
-    added up in frame order, every field but config and defects (lists and
-    tables join in place). With ``lines``, range 0, which runs here, writes
-    its lines to it, and each other range to an unnamed temporary file made
-    before the fork, which is then appended to ``lines``: no process holds
-    the text."""
-    w = min(_usable_cpus(), len(poses))
+    CPU (at most one per frame) in ``workers.forked_map``. The output cannot
+    depend on the cut: every noise stream is keyed by seed, frame and
+    detection index, each projection is matched on its own, and the range
+    traces are added up in frame order, every field but config and defects
+    (lists and tables join in place). With ``lines``, range 0, which runs
+    here, writes its lines to it, and each other range to an unnamed
+    temporary file made before the fork, which is then appended to
+    ``lines``: no process holds the text."""
+    w = min(workers.usable_cpus(), len(poses))
     cuts = [len(poses) * i // w for i in range(w + 1)]
     temps = ([] if lines is None else
              [tempfile.TemporaryFile() for _ in range(w - 1)])
     trace = MissionTrace(config=config, defects=scene.defects)
     try:
-        for part in _forked_map(_fly, [
+        for part in workers.forked_map(_fly, [
                 (config, scene, poses, start, cuts[i], cuts[i + 1],
                  temps[i - 1] if i and temps else lines) for i in range(w)]):
             for f in fields(MissionTrace):
@@ -1108,16 +1032,24 @@ def run_mission(config: MissionConfig, lines: BinaryIO | None = None):
     report), the same bytes for any number of workers;
     ``trace.report_json`` holds the report's JSON. With ``lines``, a
     binary file, the fly writes the accepted sightings' detections.jsonl
-    lines to it, in order."""
+    lines to it, in order. Each stage's wall seconds are logged at info."""
+    began = perf_counter()
     scene = Scene.of(generate_plant(config.seed, config.plant,
                                     config.defects))
     poses = plan_flight(config.plant, config.flight, config.camera)
     start = parse_ts_utc(config.start_utc)
+    log.info("mission: plan %.3f s", perf_counter() - began)
+    began = perf_counter()
     trace = _fly_ranges(config, scene, poses, start, lines)
+    log.info("mission: fly %.3f s", perf_counter() - began)
+    began = perf_counter()
     trace.events = deduplicate(trace.accepted, config.dedup)
+    log.info("mission: dedup %.3f s", perf_counter() - began)
+    began = perf_counter()
     report = MissionReport(config.site_id, config.uav,
                            _ts_utc(start, poses[-1].time_s), trace.events)
     trace.report_json = to_json(report)
+    log.info("mission: report %.3f s", perf_counter() - began)
     return trace, report
 
 

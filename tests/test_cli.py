@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parse_detection_record_lines_objects
+from test_frame_ranges import _no_child_left
 
+from pvpipeline import dedup
 from pvpipeline.cli import MAX_FUSE_DIM, main
 from pvpipeline.config import ConfigError, config_from_dict, load_config
+from pvpipeline.geodesy import GeodesyError
 from pvpipeline.simulator import MissionConfig
 from pvpipeline.telemetry import TelemetryError, parse_detection_record_lines
 
@@ -704,12 +707,15 @@ def test_dedup_cli_malformed_record_exits_1(tmp_path, capsys, edit, message):
     assert not out.exists()
 
 
+# A polygon spanning more than the 100 km tangent plane.
+BEYOND_PLANE = {"class": "hotspot", "conf": 0.9, "temp_C": 40.0,
+                "bbox": [0.0, 0.0, 2.0, 2.0], "centroid_wgs84": [50.0, 27.0],
+                "polygon_wgs84": [[49, 26], [49, 29], [51, 29]]}
+
+
 @pytest.mark.parametrize("data,message", [
     (b"\xff\n", "parse error: input is not UTF-8"),
-    # a polygon spanning more than the 100 km tangent plane
-    (json.dumps({"class": "hotspot", "conf": 0.9, "temp_C": 40.0,
-                 "bbox": [0.0, 0.0, 2.0, 2.0], "centroid_wgs84": [50.0, 27.0],
-                 "polygon_wgs84": [[49, 26], [49, 29], [51, 29]]}).encode(),
+    (json.dumps(BEYOND_PLANE).encode(),
      "invalid input: points farther than 100 km apart"),
     (b'{"bbox": ' + b"[" * 1200 + b"]" * 1200 + b"}\n",
      "parse error: line 1: JSON nested too deeply"),
@@ -729,6 +735,61 @@ def test_dedup_cli_bad_input_exits_1(tmp_path, capsys, data, message):
     assert code == 1, err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def _dedup_ranges(tmp_path, capsys, monkeypatch, cpus, bad):
+    """(exit code, stderr) of `dedup` with ``cpus`` usable CPUs over 600
+    copies of a golden sighting in each of the classes a, b and c, so that
+    each class is one range on three CPUs (a + b and c on two), and
+    ``bad``, a dict of class -> the anchor latitude of a record in that
+    class whose polygon spans more than the tangent plane. Each
+    tangent-plane error names its anchor latitude, and no child is left."""
+    good = json.loads(GOLDEN_DETECTIONS.read_bytes().splitlines()[0])
+    records = [dict(good, **{"class": c}) for c in "abc" for _ in range(600)]
+    records += [dict(BEYOND_PLANE, **{"class": c, "polygon_wgs84": [
+        [lat, 26], [lat, 29], [lat + 2, 29]]}) for c, lat in bad.items()]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    tangent_offsets = dedup.tangent_offsets
+
+    def anchored(lat0, lon0, vertices):
+        try:
+            return tangent_offsets(lat0, lon0, vertices)
+        except GeodesyError as exc:
+            raise GeodesyError(f"{exc} from {lat0}") from None
+
+    out = tmp_path / "o.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(dedup, "tangent_offsets", anchored)
+        patch.setattr("pvpipeline.workers.usable_cpus", lambda: cpus)
+        code = main(["dedup", "--input", str(path), "--epsilon", "1.0",
+                     "--out", str(out)])
+    _no_child_left()
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_dedup_fails_in_a_forked_class_range_as_in_process(tmp_path, capsys,
+                                                            monkeypatch):
+    # The bad record is in class c, the last range: its error comes from a
+    # child, through the pipe, as the same one line the serial path prints.
+    message = ("invalid input: points farther than 100 km apart: tangent "
+               "plane invalid from 49.0\n")
+    for cpus in (1, 2, 3):
+        assert _dedup_ranges(tmp_path, capsys, monkeypatch, cpus,
+                             {"c": 49.0}) == (1, message)
+
+
+@pytest.mark.parametrize("early", ["a", "b"], ids=["range-0", "range-1"])
+def test_dedup_raises_the_first_error_in_class_order(tmp_path, capsys,
+                                                     monkeypatch, early):
+    # A second bad record in an earlier range, in process (a) or in the
+    # first child (b), wins over the one in the last range, as in process.
+    message = ("invalid input: points farther than 100 km apart: tangent "
+               "plane invalid from 10.0\n")
+    for cpus in (1, 3):
+        assert _dedup_ranges(tmp_path, capsys, monkeypatch, cpus,
+                             {early: 10.0, "c": 49.0}) == (1, message)
 
 
 def test_dedup_of_a_directory_cannot_read(tmp_path, capsys):
@@ -1210,6 +1271,25 @@ def test_dedup_logs_its_stage_seconds_at_info(tmp_path):
     for stage in ("parse", "deduplicate", "write"):
         assert f"dedup: {stage} " in stderr, stderr
     assert outputs["error"] == ("", events)
+
+
+def test_simulate_logs_its_stage_seconds_at_info(tmp_path, config_path):
+    # At info, run_mission names its plan, fly, dedup and report stages on
+    # stderr; at the default level stderr stays empty. The outputs are the
+    # same bytes either way.
+    outputs = {}
+    for level in ("info", "error"):
+        out = tmp_path / level
+        result = _run(["simulate", "--config", str(config_path),
+                       "--out", str(out)],
+                      env_extra={"PV_PIPELINE_LOG": level})
+        assert result.returncode == 0, result.stderr
+        outputs[level] = (result.stderr, {path.name: path.read_bytes()
+                                          for path in out.iterdir()})
+    stderr, files = outputs["info"]
+    for stage in ("plan", "fly", "dedup", "report"):
+        assert f"mission: {stage} " in stderr, stderr
+    assert outputs["error"] == ("", files)
 
 
 def test_invalid_log_level_rejected():

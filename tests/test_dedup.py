@@ -1,17 +1,24 @@
+import pathlib
 import tracemalloc
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import Event, enu_offset, haversine_distance, \
     merge_cluster_objects
+from test_frame_ranges import _no_child_left
+from test_telemetry import sighting_rows
 
+from pvpipeline import dedup, workers
 from pvpipeline.dedup import (DbscanParams, DedupError, Events, NOISE,
                               Sightings, convex_hull, dbscan_labels,
                               deduplicate, duplicate_rate, floats,
                               merge_cluster)
 from pvpipeline.geodesy import GeoPoint, point_columns, tangent_point
 from pvpipeline.simulator import MissionConfig, MissionTrace, evaluate
+from pvpipeline.telemetry import parse_detection_record_lines
 
 ORIGIN = GeoPoint(lat=49.407, lon=26.984)
 
@@ -313,6 +320,92 @@ def test_events_hold_at_most_700_bytes_each():
     n = len(events)
     assert n > 300
     assert held - base <= 700 * n, (held - base) / n
+
+
+# ---------------------------------------------------------------------------
+# Class ranges in forked workers
+# ---------------------------------------------------------------------------
+
+GOLDEN_DETECTIONS = (pathlib.Path(__file__).parent / "data" / "golden_mission"
+                     / "default" / "detections.jsonl")
+
+
+def _deduplicate_on(cpus, table, params):
+    """(ranges, result) of deduplicate with ``cpus`` usable CPUs and a range
+    minimum of one sighting: the number of class ranges it ran and its
+    Events table, or its error's type and message. No child is left."""
+    forked_map, ranges = workers.forked_map, []
+
+    def counted(fn, calls):
+        ranges.append(len(calls))
+        return forked_map(fn, calls)
+
+    with mock.patch.object(dedup, "_MIN_RANGE_SIGHTINGS", 1), \
+            mock.patch.object(workers, "usable_cpus", lambda: cpus), \
+            mock.patch.object(workers, "forked_map", counted):
+        try:
+            result = deduplicate(table, params)
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    _no_child_left()
+    return ranges, result
+
+
+def _same_on_any_cpu_count(table, params=DbscanParams()) -> list:
+    """The class ranges deduplicate ran with 1, 2 and 3 usable CPUs, after
+    asserting that every Events column, members included, or the error is
+    the same for each."""
+    counts, serial = _deduplicate_on(1, table, params)
+    for cpus in (2, 3):
+        ranges, result = _deduplicate_on(cpus, table, params)
+        assert result == serial, cpus
+        counts += ranges
+    return counts
+
+
+def _two_class_table():
+    return Sightings.of_rows([_proj(0.0, 0.0), _proj(0.3, 0.0),
+                              _proj(5.0, 0.0, class_id="diode_fault")])
+
+
+@pytest.mark.parametrize("table,params,ranges", [
+    (parse_detection_record_lines(GOLDEN_DETECTIONS.read_bytes()),
+     DbscanParams(), [1, 2, 3]),
+    (Sightings(), DbscanParams(), [1, 1, 1]),
+    (Sightings.of_rows([_proj(x, 0.0) for x in (0.0, 0.3, 5.0)]),
+     DbscanParams(), [1, 1, 1]),
+    # More CPUs than classes: one class a range.
+    (_two_class_table(), DbscanParams(), [1, 2, 2]),
+    # min_pts past the sightings: every one is a noise event.
+    (_two_class_table(), DbscanParams(min_pts=4), [1, 2, 2]),
+], ids=["golden-default", "empty", "one-class", "more-cpus-than-classes",
+        "all-noise"])
+def test_deduplicate_does_not_depend_on_the_cpu_count(table, params, ranges):
+    assert _same_on_any_cpu_count(table, params) == ranges
+
+
+@st.composite
+def _drawn_tables(draw):
+    """A table of drawn sightings, some repeated so that they cluster. In
+    half the tables each ring is shrunk towards its first vertex; in the
+    other half a ring may be left as drawn, and most such span more than
+    the 100 km tangent plane, so that their merge fails."""
+    rows, wide = [], draw(st.booleans())
+    for row in draw(st.lists(sighting_rows(), min_size=1, max_size=6)):
+        if not (wide and draw(st.booleans())):
+            ring = row[4]
+            ring = floats(ring[k % 2] + (v - ring[k % 2]) * 1e-6
+                          for k, v in enumerate(ring))
+            row = (*row[:4], ring, *row[5:])
+        rows += [row] * draw(st.integers(1, 3))
+    order = draw(st.permutations(range(len(rows))))
+    return Sightings.of_rows([rows[i] for i in order])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_drawn_tables())
+def test_deduplicate_of_drawn_tables_does_not_depend_on_the_cpu_count(table):
+    _same_on_any_cpu_count(table)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ keyed with a seed of more than one 32-bit word), a plant of at most 12x12
 modules, its origin (near the antimeridian and at high latitude among
 them), the noise, re-acquisition and dedup settings, and runs `simulate` in
 process with one and with two frame workers (set by patching
-`simulator._usable_cpus`, as in tests/test_frame_ranges.py). The project
+`workers.usable_cpus`, as in tests/test_frame_ranges.py). The project
 stage's sightings table must equal the one parsed from its
 detections.jsonl, and the offline `dedup` and `export-kml` must rewrite
 the report's bytes.
@@ -60,7 +60,7 @@ def _simulate(config: dict, tmp: pathlib.Path, workers: int) -> dict:
         traces.append(trace)
         return trace, report
 
-    with mock.patch.object(simulator, "_usable_cpus", lambda: workers), \
+    with mock.patch("pvpipeline.workers.usable_cpus", lambda: workers), \
             mock.patch.object(simulator, "run_mission", traced):
         code = cli.main(["simulate", "--config", str(path), "--out",
                          str(out)])

@@ -2,8 +2,9 @@
 worker count, reports a worker's failure as a serial run does, and leaves
 no child process behind, even when a signal kills it.
 
-The worker count is `min(simulator._usable_cpus(), frames)`; these tests
-set it by patching `_usable_cpus`.
+The worker count is `min(workers.usable_cpus(), frames)`; these tests
+set it by patching `pvpipeline.workers.usable_cpus`, which de-duplication
+reads too.
 """
 
 import io
@@ -22,6 +23,7 @@ from pvpipeline import cli, simulator
 from pvpipeline.config import config_from_dict
 from pvpipeline.simulator import MissionConfig, plan_flight, render_frame
 from pvpipeline.telemetry import detection_record_lines
+from pvpipeline.workers import forked_map
 
 from test_golden_mission import CONFIGS as GOLDEN_CONFIGS
 
@@ -59,7 +61,7 @@ def _no_child_left():
 
 
 def _simulate(monkeypatch, tmp_path, config: dict, workers: int) -> dict:
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("pvpipeline.workers.usable_cpus", lambda: workers)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / f"out-{workers}"
@@ -98,13 +100,19 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
     capsys.readouterr()
 
 
+def test_forked_map_of_no_calls_is_empty():
+    # There is no first call to run in process, and nothing to fork.
+    assert forked_map(pow, []) == []
+    _no_child_left()
+
+
 def test_match_indices_join_in_frame_order_for_any_worker_count(monkeypatch):
     # metrics.csv holds only the count of the indices, so the byte test
     # above cannot see their order.
     config = config_from_dict(CONFIGS["survey_att_noise"])
     traces = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr("pvpipeline.workers.usable_cpus", lambda: workers)
         lines = io.BytesIO()
         traces[workers], _ = simulator.run_mission(config, lines)
         _no_child_left()
@@ -123,10 +131,10 @@ def test_match_indices_join_in_frame_order_for_any_worker_count(monkeypatch):
 # exits 99 if any child process of it is left, or else with simulate's code.
 FAILING_RUN = """
 import os, sys
-from pvpipeline import cli, simulator
+from pvpipeline import cli, simulator, workers
 from pvpipeline.config import load_config
 
-workers, frame, kind, config, out = sys.argv[1:]
+count, frame, kind, config, out = sys.argv[1:]
 c = load_config(config)
 bad = simulator.plan_flight(c.plant, c.flight, c.camera)[int(frame)]
 
@@ -149,7 +157,7 @@ def failing(defects, pose, *args, **kwargs):
 
 
 simulator.render_frame = failing
-simulator._usable_cpus = lambda: int(workers)
+workers.usable_cpus = lambda: int(count)
 code = cli.main(["simulate", "--config", config, "--out", out])
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -201,7 +209,7 @@ def test_an_interrupt_in_range_0_stops_the_other_workers(monkeypatch):
         return render_frame(defects, pose, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "render_frame", interrupted)
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("pvpipeline.workers.usable_cpus", lambda: 3)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         simulator.run_mission(config)
@@ -213,7 +221,7 @@ def test_an_interrupt_in_range_0_stops_the_other_workers(monkeypatch):
 # writes the worker's pid to a file, then hangs.
 HANGING_RUN = """
 import os, sys, time
-from pvpipeline import cli, simulator
+from pvpipeline import cli, simulator, workers
 from pvpipeline.config import load_config
 
 config, out, pid_file = sys.argv[1:]
@@ -233,7 +241,7 @@ def hanging(defects, pose, *args, **kwargs):
 
 
 simulator.render_frame = hanging
-simulator._usable_cpus = lambda: 2
+workers.usable_cpus = lambda: 2
 sys.exit(cli.main(["simulate", "--config", config, "--out", out]))
 """
 

@@ -21,6 +21,7 @@ methods must be loaded the same way, with the same blind spot, which any
 object's attribute of that name opens: a `self.dim` would go unreported
 while `cli` reads `args.dim`. No pvpipeline module imports another
 module's `_`-prefixed name, and none but `cli` imports inside a function.
+`pvpipeline.workers` holds the package's one `os.fork` call.
 Importing every pvpipeline module loads no scipy, and numpy is the one
 runtime dependency.
 """
@@ -285,6 +286,35 @@ def test_scanner_finds_private_imports():
 def test_package_imports_no_private_names():
     assert [(p.name, *hit) for p in MODULES
             for hit in private_imports(p.read_text(encoding="utf-8"))] == []
+
+
+def fork_sites(source: str) -> list:
+    """Lines of every reference to a name or attribute ``fork`` or
+    ``forkpty``, an import of one included."""
+    names = {"fork", "forkpty"}
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.ImportFrom)
+        and any(a.name in names for a in node.names))
+
+
+def test_scanner_finds_fork_sites():
+    source = ("import os\n"
+              "from os import fork as split\n"
+              "pid = os.fork()\n"
+              "os.forkpty()\n"
+              "forked = os.fork_count\n")
+    assert fork_sites(source) == [2, 3, 4]
+
+
+def test_workers_holds_the_one_fork_call():
+    # One fork path: the fly's frame ranges and dedup's class ranges both
+    # run through workers.forked_map.
+    assert [p.name for p in MODULES
+            for _ in fork_sites(p.read_text(encoding="utf-8"))] == [
+        "workers.py"]
 
 
 def function_imports(source: str) -> list:
