@@ -55,6 +55,11 @@ def _write(path: str, payload) -> bool:
     return True
 
 
+def _count(n: int, noun: str) -> str:
+    """``n`` and ``noun``, plural unless ``n`` is 1."""
+    return f"{n} {noun}{'s' * (n != 1)}"
+
+
 def _file_chunks(fh, size: int = 1 << 16):
     """The bytes of the binary file ``fh``, from its start, ``size`` bytes
     at a time."""
@@ -127,9 +132,9 @@ def _simulate(config, out: str, lines) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dedup(args) -> int:
-    from .dedup import DbscanParams, DedupError, deduplicate
+    from .dedup import DbscanParams, DedupError, class_ranges, deduplicate
     from .geodesy import GeodesyError
-    from .telemetry import TelemetryError, parse_detection_record_lines, \
+    from .telemetry import TelemetryError, parse_detection_record_file, \
         records_json
 
     try:
@@ -140,14 +145,19 @@ def cmd_dedup(args) -> int:
     start = perf_counter()
     try:
         with open(args.input, "rb") as fh:
-            sightings = parse_detection_record_lines(fh)
+            sightings, ranges = parse_detection_record_file(fh)
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TelemetryError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    log.info("dedup: parse %.3f s", perf_counter() - start)
+    except Exception as exc:  # a range's worker that died, say
+        print(f"runtime error: {exc}", file=sys.stderr)
+        log.debug("parse failed", exc_info=True)
+        return EXIT_RUNTIME
+    log.info("dedup: parse %.3f s, %s", perf_counter() - start,
+             _count(ranges, "range"))
 
     start = perf_counter()
     try:
@@ -158,7 +168,9 @@ def cmd_dedup(args) -> int:
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    log.info("dedup: deduplicate %.3f s", perf_counter() - start)
+    log.info("dedup: deduplicate %.3f s, %s", perf_counter() - start,
+             _count(class_ranges(len(set(sightings.class_id)),
+                                 len(sightings)), "class range"))
     n_in = len(sightings)
     del sightings  # the events hold all the text needs
     start = perf_counter()

@@ -386,6 +386,14 @@ def _merge_classes(sightings, groups, params: DbscanParams) -> Events:
     return events
 
 
+def class_ranges(n_classes: int, n: int) -> int:
+    """How many class ranges :func:`deduplicate` cuts ``n`` sightings of
+    ``n_classes`` classes into: one per usable CPU, at most one per class
+    and one per ``_MIN_RANGE_SIGHTINGS`` sightings."""
+    return max(1, min(workers.usable_cpus(), n_classes,
+                      n // _MIN_RANGE_SIGHTINGS))
+
+
 def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> Events:
     """Consolidate per-frame sightings into unique defect events.
 
@@ -412,8 +420,7 @@ def deduplicate(sightings, params: DbscanParams = DbscanParams()) -> Events:
         else:
             by_class[class_id] = ends((i,))
     groups = [by_class[class_id] for class_id in sorted(by_class)]
-    w = max(1, min(workers.usable_cpus(), len(groups),
-                   len(sightings) // _MIN_RANGE_SIGHTINGS))
+    w = class_ranges(len(groups), len(sightings))
     cuts = _class_cuts([len(rows) for rows in groups], w)
     events, *others = workers.forked_map(_merge_classes, [
         (sightings, groups[cuts[i]:cuts[i + 1]], params) for i in range(w)])

@@ -1,7 +1,8 @@
 """Forked workers, the package's one path to run work in more processes:
 :func:`forked_map` runs calls of one function in ``os.fork`` children, and
 :func:`usable_cpus` counts the CPUs they may run on. The fly runs its frame
-ranges through it, and de-duplication its class ranges.
+ranges through it, de-duplication its class ranges and the offline
+``dedup`` parse its byte ranges.
 """
 
 from __future__ import annotations
@@ -76,15 +77,19 @@ def forked_map(fn, calls) -> list:
             pipes[pid] = read_fd
         results = [fn(*calls[0])]
         for pid in list(pipes):
-            # Read to EOF first: a result can be larger than the pipe buffer.
+            # Load while the child writes: a result can be larger than the
+            # pipe buffer, and its payload is never held whole. A payload
+            # that ends early means the child is gone, so the wait ends.
             with open(pipes[pid], "rb", closefd=False) as pipe:
-                data = pipe.read()
+                try:
+                    ok, result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok = None
             _, status = os.waitpid(pid, 0)
             os.close(pipes.pop(pid))
-            if not data:
+            if ok is None:
                 raise RuntimeError(f"a worker exited with wait status "
                                    f"{status} and no result")
-            ok, result = pickle.loads(data)
             if not ok:
                 raise result
             results.append(result)

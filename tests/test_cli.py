@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import parse_detection_record_lines_objects
 from test_frame_ranges import _no_child_left
 
-from pvpipeline import dedup
+from pvpipeline import dedup, telemetry, workers
 from pvpipeline.cli import MAX_FUSE_DIM, main
 from pvpipeline.config import ConfigError, config_from_dict, load_config
 from pvpipeline.geodesy import GeodesyError
@@ -1015,6 +1018,71 @@ def test_input_not_utf8_anywhere_wins_over_a_bad_record(data):
         expected
 
 
+def test_dedup_writes_the_same_events_for_any_number_of_parse_ranges(
+        tmp_path, monkeypatch, capsys):
+    # One byte range per usable CPU: the events are the serial parse's.
+    monkeypatch.setattr(telemetry, "_MIN_RANGE_BYTES", 1)
+    events = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"{cpus}.json"
+        assert main(["dedup", "--input", str(GOLDEN_DETECTIONS), "--epsilon",
+                     "1.0", "--out", str(out)]) == 0
+        _no_child_left()
+        events.append(out.read_bytes())
+    assert events == [events[0]] * 3
+    capsys.readouterr()
+
+
+def test_dedup_reads_a_fifo(tmp_path, monkeypatch, capsys):
+    # A pipe cannot be cut into byte ranges: it is read as one, whatever
+    # the range minimum and the CPUs.
+    monkeypatch.setattr(telemetry, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(GOLDEN_DETECTIONS.read_bytes(),))
+    writer.start()
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(fifo), "--epsilon", "1.0",
+                 "--out", str(out)])
+    writer.join()
+    assert code == 0, capsys.readouterr().err
+    assert main(["dedup", "--input", str(GOLDEN_DETECTIONS), "--epsilon",
+                 "1.0", "--out", str(tmp_path / "file.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "file.json").read_bytes()
+    capsys.readouterr()
+
+
+def _die_past_range_0(fh, start, stop):
+    if start:
+        os._exit(3)
+    return telemetry.parse_detection_record_lines(b"")
+
+
+def _refuse(fn, calls):
+    raise RuntimeError("no worker")
+
+
+@pytest.mark.parametrize("module,name,value,message", [
+    (workers, "forked_map", _refuse, "no worker"),
+    (telemetry, "_parse_range", _die_past_range_0,
+     "a worker exited with wait status 768 and no result"),
+], ids=["forked-map-raises", "child-dies"])
+def test_a_crashed_parse_range_exits_2(tmp_path, monkeypatch, capsys, module,
+                                       name, value, message):
+    monkeypatch.setattr(telemetry, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(module, name, value)
+    out = tmp_path / "o.json"
+    code = main(["dedup", "--input", str(GOLDEN_DETECTIONS), "--epsilon",
+                 "1.0", "--out", str(out)])
+    _no_child_left()
+    assert (code, capsys.readouterr().err) == (2, f"runtime error: {message}\n")
+    assert not out.exists()
+
+
 def test_dedup_cli_malformed_input_names_line(tmp_path):
     data = tmp_path / "in.jsonl"
     data.write_text('{"class": "hotspot"}\n')
@@ -1232,10 +1300,6 @@ def test_json_nested_past_the_recursion_limit_exits_1(tmp_path, capsys,
     assert not out.exists()
 
 
-GOLDEN_DETECTIONS = (pathlib.Path(__file__).parent / "data" / "golden_mission"
-                     / "default" / "detections.jsonl")
-
-
 @pytest.mark.parametrize("command", [
     lambda config: ["simulate", "--config", config, "--out"],
     lambda config: ["dedup", "--input", str(GOLDEN_DETECTIONS),
@@ -1270,7 +1334,27 @@ def test_dedup_logs_its_stage_seconds_at_info(tmp_path):
     stderr, events = outputs["info"]
     for stage in ("parse", "deduplicate", "write"):
         assert f"dedup: {stage} " in stderr, stderr
+    # The golden file is under the parse's and deduplicate's range minimum.
+    assert re.search(r"dedup: parse \d+\.\d{3} s, 1 range\n", stderr)
+    assert re.search(r"dedup: deduplicate \d+\.\d{3} s, 1 class range\n",
+                     stderr)
     assert outputs["error"] == ("", events)
+
+
+def test_dedup_logs_how_many_ranges_each_stage_used(tmp_path, monkeypatch,
+                                                    caplog):
+    # With both range minimums lowered, two CPUs give two of each.
+    monkeypatch.setattr(telemetry, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(dedup, "_MIN_RANGE_SIGHTINGS", 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    with caplog.at_level(logging.INFO, logger="pvpipeline"):
+        assert main(["dedup", "--input", str(GOLDEN_DETECTIONS), "--epsilon",
+                     "1.0", "--out", str(tmp_path / "o.json")]) == 0
+    _no_child_left()
+    assert re.search(r"dedup: parse \d+\.\d{3} s, 2 ranges$", caplog.text,
+                     re.M)
+    assert re.search(r"dedup: deduplicate \d+\.\d{3} s, 2 class ranges$",
+                     caplog.text, re.M)
 
 
 def test_simulate_logs_its_stage_seconds_at_info(tmp_path, config_path):

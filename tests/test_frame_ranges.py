@@ -106,6 +106,32 @@ def test_forked_map_of_no_calls_is_empty():
     _no_child_left()
 
 
+def _payload(size: int) -> bytes:
+    return bytes(range(256)) * (size // 256)
+
+
+def test_forked_map_streams_a_result_larger_than_the_pipe_buffer():
+    # 1 MiB a child, 16 times the 64 KiB a Linux pipe holds: the parent
+    # loads the pickle as the child writes it.
+    assert forked_map(_payload, [(256,), (1 << 20,), (1 << 20,)]) == \
+        [_payload(256), _payload(1 << 20), _payload(1 << 20)]
+    _no_child_left()
+
+
+def _exit_in_a_child(status: int, parent: int):
+    if os.getpid() != parent:
+        os._exit(status)
+    return status
+
+
+def test_forked_map_names_the_status_of_a_child_gone_with_no_result():
+    # The child exits before it writes: the empty payload is its error.
+    with pytest.raises(RuntimeError, match="^a worker exited with wait "
+                       "status 768 and no result$"):
+        forked_map(_exit_in_a_child, [(0, os.getpid()), (3, os.getpid())])
+    _no_child_left()
+
+
 def test_match_indices_join_in_frame_order_for_any_worker_count(monkeypatch):
     # metrics.csv holds only the count of the indices, so the byte test
     # above cannot see their order.

@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import pickle
@@ -11,11 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import parse_detection_record_lines_objects, \
     sighting_rows_objects
+from test_frame_ranges import _no_child_left
+from test_golden_mission import _bench_sightings
+
+from pvpipeline import telemetry, workers
 
 from pvpipeline.dedup import Events, Sightings, floats
 from pvpipeline.geodesy import checked_point, checked_ring
 from pvpipeline.telemetry import (MissionReport, TelemetryError,
                                   detection_record_lines,
+                                  parse_detection_record_file,
                                   parse_detection_record_lines, parse_report,
                                   to_json, to_kml, write_atomic)
 
@@ -373,3 +379,115 @@ def test_flat_rings_of_3_to_8_vertices_read_back_row_by_row(first, second):
     table += other
     assert _rows_of(table) == both
     assert _rows_of(other) == sighting_rows_objects(second)
+
+
+# ---------------------------------------------------------------------------
+# The ranged parse of a sightings file, and the UTF-8 check of a bad input
+# ---------------------------------------------------------------------------
+
+def _golden_record(**media) -> bytes:
+    """A golden sighting's line, with ``media`` set in its media object."""
+    line = (DATA / "golden_mission" / "default"
+            / "detections.jsonl").read_bytes().splitlines()[0]
+    record = json.loads(line)
+    record["media"].update(media)
+    return json.dumps(record).encode() + b"\n"
+
+
+# The first line is longer than the other two together, so the 2- and 3-CPU
+# cuts both fall at the second line's start: there range 1 begins, and on
+# 3 CPUs range 2 begins there too and range 1 is empty.
+_LONG = _golden_record(rgb="x" * 2000)
+_SHORT = _golden_record()
+_BAD = b'{"class": "hotspot"}\n'
+
+
+@functools.cache
+def _ranged_inputs() -> dict:
+    golden = (DATA / "golden_mission" / "default"
+              / "detections.jsonl").read_bytes()
+    bench, _ = _bench_sightings().generate(0)
+    return {
+        "golden": golden,
+        "benchmark": b"".join(bench.splitlines(keepends=True)[:600]),
+        "whitespace-at-a-cut": _LONG + b" \t\r\n" + _SHORT,
+        "crlf": golden.replace(b"\n", b"\r\n"),
+        "no-trailing-newline": golden.rstrip(b"\n"),
+        "line-longer-than-a-range": _LONG + _SHORT,
+        "empty": b"",
+        "bad-record-in-range-1": _golden_lines(40) + _BAD + _golden_lines(3),
+        "bad-record-at-a-cut": _LONG + _BAD + _SHORT,
+        "not-utf8-in-range-0-bad-record-in-range-1":
+            _golden_record(tiff="caf\xe9").replace(b"\\u00e9", b"\xe9")
+            + _golden_lines(40) + _BAD + _golden_lines(3),
+    }
+
+
+def _parsed(parse, source) -> str:
+    """The repr of the table ``parse`` makes of ``source``, or its error."""
+    try:
+        return repr(parse(source))
+    except TelemetryError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(_ranged_inputs()))
+def test_a_file_parsed_in_byte_ranges_is_parsed_as_one(tmp_path,
+                                                       monkeypatch, name):
+    # With the range minimum at one byte, each usable CPU parses a range;
+    # the joined table, or the error, is the serial parse's.
+    data = _ranged_inputs()[name]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    serial = _parsed(parse_detection_record_lines, data)
+    fails = name.startswith(("bad", "not"))
+    assert serial.startswith("error: line " if name.startswith("bad") else
+                             "error: input is not UTF-8: " if fails else
+                             "Sightings("), serial
+    monkeypatch.setattr(telemetry, "_MIN_RANGE_BYTES", 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        counts = []
+
+        def parse(fh):
+            table, ranges = parse_detection_record_file(fh)
+            counts.append(ranges)
+            return table
+
+        with open(path, "rb") as fh:
+            same = _parsed(parse, fh) == serial  # no diff of long reprs
+        assert same, f"{name} on {cpus} CPUs"
+        _no_child_left()
+        assert counts == ([] if fails else [cpus if data else 1])
+
+
+def _parse_peak(path) -> int:
+    """The tracemalloc peak of parsing the file at ``path``, which may
+    raise TelemetryError."""
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            tracemalloc.reset_peak()
+            try:
+                parse_detection_record_lines(fh)
+            except TelemetryError:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("where", ["bad-last-line", "bad-byte-at-the-end"])
+def test_a_bad_input_is_checked_for_utf8_in_bounded_memory(tmp_path, where):
+    # The rest of the input is decoded a chunk at a time: the error path
+    # holds no copy of the input, so a parse that fails peaks above a clean
+    # parse of the same lines by a small part of the file's size.
+    clean = _golden_lines(2000)
+    bad = clean + _BAD if where == "bad-last-line" else _BAD + clean + b"\xff"
+    (tmp_path / "clean.jsonl").write_bytes(clean)
+    (tmp_path / "bad.jsonl").write_bytes(bad)
+    assert _parse_peak(tmp_path / "bad.jsonl") - \
+        _parse_peak(tmp_path / "clean.jsonl") < len(bad) / 2
+    message = _parsed(parse_detection_record_lines, bad)
+    assert message.startswith("error: ")
+    assert message == _parsed(parse_detection_record_lines_objects, bad)
